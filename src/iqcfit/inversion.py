@@ -21,6 +21,13 @@ from .signals import Signal, norm, truncate
 from .supply import ScatteringFactors
 
 DEFAULT_MAX_ITER = 10_000
+# Rounding keeps Picard steps from shrinking below about machine epsilon
+# times the size of the terms of base - S(v) N, more where terms inside S
+# cancel (fitted expansions reach ~5e-13).  There a step stops contracting
+# by eps, which exact arithmetic rules out.  Under the default tol such a
+# step, if below this fraction of those terms, also ends the iteration, as
+# it must on a zero input, where the default tol is 0.
+STEP_FLOOR = 1e-11
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,6 +100,7 @@ class PicardResult:
     residual: float
     epsilon: float
     converged: bool
+    error_bound: float
     iterates: tuple[Signal, ...] | None = None
 
 
@@ -102,11 +110,15 @@ def picard_solve(model: ScatteredModel, u_star: Signal,
     """Iterate v <- N11^-1 u* - N11^-1 N12 S(v) to its unique fixed point.
 
     Stops when the step size guarantees ||v - v*|| <= tol via the
-    contraction a-posteriori bound; tol defaults to 1e-8 times ||u*||.
+    contraction a-posteriori bound; tol defaults to 1e-8 times ||u*||, and
+    then a step that stalls at the rounding floor (STEP_FLOOR) also stops
+    it.  Either way the result's error_bound, eps / (1 - eps) times the
+    last step, bounds ||v - v*||.
     """
     factors = model.factors
     if u_star.dim != factors.m:
         raise ShapeError(f"expected {factors.m} input channels, got {u_star.dim}")
+    floor = STEP_FLOOR if tol is None else 0.0
     if tol is None:
         tol = 1e-8 * norm(u_star)
     eps = model.epsilon
@@ -119,13 +131,16 @@ def picard_solve(model: ScatteredModel, u_star: Signal,
     history = [Signal(u_star.grid, v)] if record else None
     converged = False
     iterations = 0
+    step = np.inf
     for iterations in range(1, max_iter + 1):
-        v_next = base - model.s(v) @ coupling.T
-        step = float(np.linalg.norm(v_next - v))
+        feedback = model.s(v) @ coupling.T
+        v_next = base - feedback
+        step, prev = float(np.linalg.norm(v_next - v)), step
         v = v_next
         if record:
             history.append(Signal(u_star.grid, v))
-        if step <= threshold:
+        if step <= threshold or (floor and step > eps * prev and step <= floor * (
+                np.linalg.norm(base) + np.linalg.norm(feedback))):
             converged = True
             break
     residual = float(np.linalg.norm(
@@ -142,6 +157,7 @@ def picard_solve(model: ScatteredModel, u_star: Signal,
         residual=residual,
         epsilon=eps,
         converged=True,
+        error_bound=eps / (1.0 - eps) * step,
         iterates=tuple(history) if record else None,
     )
 

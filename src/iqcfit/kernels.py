@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import ShapeError
-from .signals import Signal, inner_product, norm, truncate
+from .signals import Signal, _require_compatible, norm, truncate
 
 PROVEN = "proven"
 UNKNOWN = "unknown"
@@ -93,56 +92,55 @@ def stable_spline(beta: float) -> ScalarKernelSpec:
     return ScalarKernelSpec("stable_spline", beta=float(beta))
 
 
-def _spline_point(u: Signal) -> float:
-    if u.grid.tau != 0 or u.dim != 1:
-        raise ShapeError("stable spline kernel acts on scalar single-sample signals")
-    x = float(u.values[0, 0])
-    if x < 0:
-        raise ValueError("stable spline kernel needs nonnegative arguments")
-    return x
-
-
 def eval_scalar(spec: ScalarKernelSpec, u: Signal, v: Signal) -> float:
     """Evaluate one catalog kernel at a pair of signals."""
-    kind = spec.kind
-    if kind == "bilinear":
-        return inner_product(u, v)
-    if kind == "polynomial":
-        return (spec.c + inner_product(u, v)) ** spec.d
-    if kind == "gaussian":
-        return math.exp(-norm(u - v) ** 2 / spec.sigma**2)
-    if kind == "laplacian":
-        return math.exp(-norm(u - v) / spec.sigma)
-    if kind == "scaled_laplacian":
-        r = norm(u - v)
-        return (1.0 + r) * math.exp(-r)
-    if kind == "inverse_power":
-        return (spec.c + norm(u - v) ** 2) ** (-spec.d)
-    # stable_spline: defined on nonnegative scalars, decays in the later argument
-    return math.exp(-spec.beta * max(_spline_point(u), _spline_point(v)))
+    _require_compatible(u, v)
+    return float(_scalar_batch(spec, v.values[None], u.values)[0])
 
 
 def _scalar_batch(spec: ScalarKernelSpec, centers: np.ndarray,
-                  uvals: np.ndarray) -> np.ndarray:
-    """Evaluate one scalar kernel against stacked centers (n, steps, dim)."""
+                  uvals: np.ndarray, pasts: bool = False) -> np.ndarray:
+    """Evaluate one scalar kernel against stacked centers (n, steps, dim).
+
+    Each catalog kernel is a formula of one statistic of the pair: the inner
+    product, the squared distance, or (stable spline) the larger point.  The
+    statistic is a sum of per-sample terms, so with pasts set its prefix sums
+    give k(P_t c_j, P_t u) for every t at once, shape (n, steps); otherwise
+    the result is k(c_j, u), shape (n,).
+    """
     kind = spec.kind
-    if kind in ("bilinear", "polynomial"):
-        ips = np.einsum("jtc,tc->j", centers, uvals)
-        return ips if kind == "bilinear" else (spec.c + ips) ** spec.d
+    out = "jt" if pasts else "j"
     if kind == "stable_spline":
-        top = np.maximum(centers[:, 0, 0], uvals[0, 0])
-        return np.exp(-spec.beta * top)
-    diff = centers - uvals[None]
-    r2 = np.einsum("jtc,jtc->j", diff, diff)
+        if centers.shape[1:] != (1, 1) or uvals.shape != (1, 1):
+            raise ShapeError(
+                "stable spline kernel acts on scalar single-sample signals")
+        if centers.min() < 0 or uvals[0, 0] < 0:
+            raise ValueError("stable spline kernel needs nonnegative arguments")
+        # one sample, so the pasts are the signals themselves
+        stat = np.maximum(centers[:, :, 0], uvals[0, 0])
+        stat = stat if pasts else stat[:, 0]
+    elif kind in ("bilinear", "polynomial"):
+        stat = np.einsum(f"jtc,tc->{out}", centers, uvals)
+    else:
+        diff = centers - uvals
+        stat = np.einsum(f"jtc,jtc->{out}", diff, diff)
+    if pasts:
+        stat = np.cumsum(stat, axis=1)
+    if kind == "bilinear":
+        return stat
+    if kind == "polynomial":
+        return (spec.c + stat) ** spec.d
+    if kind == "stable_spline":
+        return np.exp(-spec.beta * stat)
     if kind == "gaussian":
-        return np.exp(-r2 / spec.sigma**2)
+        return np.exp(-stat / spec.sigma**2)
     if kind == "laplacian":
-        return np.exp(-np.sqrt(r2) / spec.sigma)
+        return np.exp(-np.sqrt(stat) / spec.sigma)
     if kind == "scaled_laplacian":
-        r = np.sqrt(r2)
+        r = np.sqrt(stat)
         return (1.0 + r) * np.exp(-r)
     assert kind == "inverse_power"
-    return (spec.c + r2) ** (-spec.d)
+    return (spec.c + stat) ** (-spec.d)
 
 
 def _scalar_nonexpansive(spec: ScalarKernelSpec) -> bool:
@@ -192,6 +190,25 @@ class OperatorKernel(ABC):
     def matrix_at(self, t: int, u: Signal, v: Signal) -> np.ndarray:
         """Matrix acting on output sample t of K(u, v)."""
 
+    @abstractmethod
+    def row_terms(self, centers: np.ndarray, uvals: np.ndarray,
+                  pasts: bool = False) -> list[tuple[np.ndarray, np.ndarray]]:
+        """K(u, c_j) against stacked centers (n, steps, dim), all j at once.
+
+        Returns terms (w, M): the matrix of K(u, c_j) at sample t is the sum
+        over terms of w[j] * M, or w[j, t] * M when w has shape (n, steps).
+        With pasts set, a uniform kernel is evaluated on the pasts P_t u and
+        P_t c_j instead, giving w of shape (n, steps).
+        """
+
+    def row_blocks(self, centers: np.ndarray, uvals: np.ndarray) -> np.ndarray:
+        """Matrices of K(u, c_j) at every sample, shape (n, steps, p, p)."""
+        n, steps = centers.shape[:2]
+        out = np.zeros((n, steps, self.output_dim, self.output_dim))
+        for w, M in self.row_terms(centers, uvals):
+            out += w.reshape(n, -1, 1, 1) * M
+        return out
+
     def matrix(self, u: Signal, v: Signal) -> np.ndarray:
         if not self.is_uniform:
             raise ShapeError("kernel acts differently per sample; use matrix_at")
@@ -210,10 +227,13 @@ class OperatorKernel(ABC):
 
     def block_matrix(self, u: Signal, v: Signal) -> np.ndarray:
         """Dense matrix of K(u, v) on the flattened output space."""
-        steps = u.grid.size
+        steps, p = u.grid.size, self.output_dim
         if self.is_uniform:
             return np.kron(np.eye(steps), self.matrix(u, v))
-        return block_diag(*(self.matrix_at(t, u, v) for t in range(steps)))
+        out = np.zeros((steps, p, steps, p))
+        for t in range(steps):
+            out[t, :, t, :] = self.matrix_at(t, u, v)
+        return out.reshape(steps * p, steps * p)
 
     def second_difference_norm(self, u: Signal, v: Signal) -> float:
         """Operator norm of K(u,u) - K(u,v) - K(v,u) + K(v,v)."""
@@ -263,6 +283,9 @@ class SeparableKernel(OperatorKernel):
     def matrix_at(self, t: int, u: Signal, v: Signal) -> np.ndarray:
         return eval_scalar(self.scalar, u, v) * self.R
 
+    def row_terms(self, centers, uvals, pasts=False):
+        return [(_scalar_batch(self.scalar, centers, uvals, pasts), self.R)]
+
     def second_difference_norm(self, u: Signal, v: Signal) -> float:
         # |k(u,u) - 2k(u,v) + k(v,v)| times the norm of R, computed exactly.
         duu = eval_scalar(self.scalar, u, u)
@@ -307,6 +330,11 @@ class SumKernel(OperatorKernel):
         return sum(w * child.matrix_at(t, u, v)
                    for w, child in zip(self.weights, self.children))
 
+    def row_terms(self, centers, uvals, pasts=False):
+        return [(weight * w, M)
+                for weight, child in zip(self.weights, self.children)
+                for w, M in child.row_terms(centers, uvals, pasts)]
+
 
 @dataclass(frozen=True, eq=False)
 class ConjugatedKernel(OperatorKernel):
@@ -332,6 +360,10 @@ class ConjugatedKernel(OperatorKernel):
 
     def matrix_at(self, t: int, u: Signal, v: Signal) -> np.ndarray:
         return eval_scalar(self.scalar, u, v) * (self.R @ self.R.T)
+
+    def row_terms(self, centers, uvals, pasts=False):
+        return [(_scalar_batch(self.scalar, centers, uvals, pasts),
+                 self.R @ self.R.T)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,6 +413,18 @@ class CausalDiagonalKernel(OperatorKernel):
 
     def matrix_at(self, t: int, u: Signal, v: Signal) -> np.ndarray:
         return self._child(t).matrix(truncate(u, t), truncate(v, t))
+
+    def row_terms(self, centers, uvals, pasts=False):
+        # Pasts of pasts are the pasts, so the flag changes nothing here.
+        if isinstance(self.children, OperatorKernel):
+            return self.children.row_terms(centers, uvals, pasts=True)
+        terms = []
+        for t in range(uvals.shape[0]):
+            for w, M in self._child(t).row_terms(centers, uvals, pasts=True):
+                at_t = np.zeros_like(w)
+                at_t[:, t] = w[:, t]
+                terms.append((at_t, M))
+        return terms
 
 
 AnyKernel = Union[ScalarKernelSpec, OperatorKernel]

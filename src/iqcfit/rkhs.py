@@ -15,11 +15,10 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConvergenceError, NumericalError, ShapeError
-from .kernels import (OperatorKernel, SeparableKernel, as_operator,
-                      kernel_from_json, kernel_to_json)
+from .kernels import (OperatorKernel, SeparableKernel, _scalar_batch,
+                      as_operator, kernel_from_json, kernel_to_json)
 from .signals import Dataset, Signal, TimeGrid, norm, read_signal, write_signal
 
 # Dense Gram matrices above this side length are refused.
@@ -28,11 +27,6 @@ DENSE_CAP = 4096
 
 def _stack(signals: tuple[Signal, ...]) -> np.ndarray:
     return np.stack([s.values for s in signals])
-
-
-def _flatten(signals: tuple[Signal, ...]) -> np.ndarray:
-    # Trajectory-major, then time, then channel.
-    return _stack(signals).reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,45 +89,63 @@ def build_gram(kernel: OperatorKernel, inputs: tuple[Signal, ...],
     inputs = tuple(inputs)
     if not inputs:
         raise ShapeError("need at least one center signal")
-    grid = inputs[0].grid
+    grid, m = inputs[0].grid, inputs[0].dim
     for u in inputs:
         if u.grid != grid:
             raise ShapeError("center signals must share one grid")
+        if u.dim != m:
+            raise ShapeError("center signals must share one channel count")
+    X = _stack(inputs)
+    n = len(inputs)
     if layout == "auto":
         layout = "kronecker" if isinstance(kernel, SeparableKernel) else "dense"
     if layout == "kronecker":
         if not isinstance(kernel, SeparableKernel):
             raise ShapeError("kronecker layout needs a separable kernel")
-        from .kernels import eval_scalar
-
-        n = len(inputs)
         scalar = np.empty((n, n))
         for i in range(n):
-            for j in range(i, n):
-                scalar[i, j] = scalar[j, i] = eval_scalar(kernel.scalar,
-                                                          inputs[i], inputs[j])
+            scalar[i, i:] = scalar[i:, i] = _scalar_batch(kernel.scalar,
+                                                          X[i:], X[i])
         return GramOperator(kernel, inputs, "kronecker",
                             scalar_gram=scalar, R=kernel.R)
     if layout != "dense":
         raise ValueError(f"unknown gram layout {layout!r}")
-    side = len(inputs) * grid.size * kernel.output_dim
+    steps, p = grid.size, kernel.output_dim
+    side = n * steps * p
     if side > cap:
         raise NumericalError(
             f"dense Gram side {side} exceeds cap {cap}; "
             f"use a separable kernel or raise the cap"
         )
-    blocks = grid.size * kernel.output_dim
+    # Block row i holds K(u_i, u_j) for j >= i, block diagonal over samples;
+    # the blocks below the diagonal are their transposes.
+    B = steps * p
+    t = np.arange(steps)
     G = np.empty((side, side))
-    for i in range(len(inputs)):
-        for j in range(i, len(inputs)):
-            block = kernel.block_matrix(inputs[i], inputs[j])
-            G[i * blocks:(i + 1) * blocks, j * blocks:(j + 1) * blocks] = block
-            if i != j:
-                G[j * blocks:(j + 1) * blocks, i * blocks:(i + 1) * blocks] = block.T
+    for i in range(n):
+        row = np.zeros((steps, p, n - i, steps, p))
+        row[t, :, :, t, :] = kernel.row_blocks(X[i:], X[i]).transpose(1, 2, 0, 3)
+        row = row.reshape(B, (n - i) * B)
+        G[i * B:(i + 1) * B, i * B:] = row
+        G[(i + 1) * B:, i * B:(i + 1) * B] = row[:, B:].T
     scale = max(1.0, float(np.abs(G).max()))
     if np.abs(G - G.T).max() > 1e-10 * scale:
         raise NumericalError("assembled Gram matrix is not symmetric")
     return GramOperator(kernel, inputs, "dense", dense=G)
+
+
+def _cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L L' x = b for lower-triangular L by blocked substitution."""
+    block = 256
+    x = np.array(b, dtype=float)
+    starts = range(0, len(x), block)
+    for s in starts:
+        e = s + block
+        x[s:e] = np.linalg.solve(L[s:e, s:e], x[s:e] - L[s:e, :s] @ x[:s])
+    for s in reversed(starts):
+        e = s + block
+        x[s:e] = np.linalg.solve(L[s:e, s:e].T, x[s:e] - L[e:, s:e].T @ x[e:])
+    return x
 
 
 def _solve(gram: GramOperator, targets: np.ndarray, gamma: float) -> np.ndarray:
@@ -141,14 +153,14 @@ def _solve(gram: GramOperator, targets: np.ndarray, gamma: float) -> np.ndarray:
     if gram.layout == "dense":
         A = gram.dense + gamma * np.eye(gram.dim)
         try:
-            factor = cho_factor(A)
+            L = np.linalg.cholesky(A)
         except np.linalg.LinAlgError:
             min_eig = float(np.linalg.eigvalsh(gram.dense).min())
             raise NumericalError(
                 f"G + gamma I is not positive definite "
                 f"(min Gram eigenvalue {min_eig:.6e}, gamma {gamma:.6e})"
             ) from None
-        return cho_solve(factor, targets.reshape(-1)).reshape(targets.shape)
+        return _cholesky_solve(L, targets.reshape(-1)).reshape(targets.shape)
     lam, Q = np.linalg.eigh(gram.scalar_gram)
     mu, U = np.linalg.eigh(gram.R)
     denom = lam[:, None] * mu[None, :] + gamma
@@ -224,32 +236,24 @@ def fit(kernel: OperatorKernel, data: Dataset, gamma: float,
     return _model_from_solution(kernel, data, coeff, gram, gamma)
 
 
+# Weights of a row term: (n,) for kernels uniform in time, (n, steps) else.
+_CONTRACT = {1: "j,jtb->tb", 2: "jt,jtb->tb"}
+
+
 def values_evaluator(model: FittedOperator) -> Callable[[np.ndarray], np.ndarray]:
     """Array-level evaluator u_values -> y_values, precompiled for tight loops."""
-    kernel = model.kernel
+    row_terms = model.kernel.row_terms
     centers = _stack(model.centers)
     coeff = _stack(model.coefficients)
-    if isinstance(kernel, SeparableKernel):
-        from .kernels import _scalar_batch
 
-        spec, R = kernel.scalar, kernel.R
-
-        def run(uvals: np.ndarray) -> np.ndarray:
-            k = _scalar_batch(spec, centers, uvals)
-            return np.einsum("j,jtb->tb", k, coeff) @ R.T
-
-        return run
-
-    grid = model.grid
-
-    def run_general(uvals: np.ndarray) -> np.ndarray:
-        u = Signal(grid, uvals)
-        out = np.zeros((grid.size, model.output_dim))
-        for center, cj in zip(model.centers, model.coefficients):
-            out += kernel.apply(u, center, cj).values
+    def run(uvals: np.ndarray) -> np.ndarray:
+        # sum_j K(u, c_j) coeff_j, one term of the batched row at a time
+        out = 0.0
+        for w, M in row_terms(centers, uvals):
+            out = out + np.einsum(_CONTRACT[w.ndim], w, coeff) @ M.T
         return out
 
-    return run_general
+    return run
 
 
 def evaluate(model: FittedOperator, u: Signal) -> Signal:
@@ -269,7 +273,13 @@ def rkhs_norm(model: FittedOperator) -> float:
 
 def empirical_risk(model: FittedOperator, data: Dataset) -> float:
     """Sum of squared output misfits over the dataset."""
-    return sum(norm(y - evaluate(model, u)) ** 2
+    if data.grid != model.grid:
+        raise ShapeError("dataset grid differs from the training grid")
+    if data.input_dim != model.input_dim:
+        raise ShapeError(f"expected {model.input_dim} input channels, "
+                         f"got {data.input_dim}")
+    run = values_evaluator(model)
+    return sum(norm(y - Signal(y.grid, run(u.values))) ** 2
                for u, y in zip(data.inputs, data.outputs))
 
 

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import iqcfit
 from iqcfit import cli
 from iqcfit.signals import (
     Dataset,
@@ -12,6 +16,7 @@ from iqcfit.signals import (
     random_signal,
     save_dataset,
     write_signal,
+    zeros,
 )
 
 
@@ -197,6 +202,20 @@ def test_simulate_zero_model_is_identity(zero_model, tmp_path):
     assert report["passed"] is True
 
 
+def test_simulate_zero_input_ends(ws, tmp_path):
+    meta = _read_json(ws / "fit" / "model" / "model.json")
+    grid = TimeGrid(meta["tau"], meta["dt"])
+    write_signal(zeros(grid), tmp_path / "zero.csv")
+    out = tmp_path / "sim"
+    rc = cli.main(["simulate", "--model", str(ws / "fit" / "model"),
+                   "--input", str(tmp_path / "zero.csv"), "--out", str(out),
+                   "--quiet"])
+    assert rc == 0
+    log = _read_json(out / "sim_zero_log.json")
+    assert log["converged"] is True
+    assert log["residual"] <= 1e-12
+
+
 def test_simulate_usage_errors(ws, tmp_path):
     model = str(ws / "fit" / "model")
     rc = cli.main(["simulate", "--model", model,
@@ -287,3 +306,14 @@ def test_reproduce_smoke(tmp_path):
     assert (out / "report.md").exists()
     assert (out / "reconstruction.csv").exists()
     assert (out / "figure1.csv").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy must not come back
+    src = str(Path(iqcfit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, iqcfit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -12,7 +12,8 @@ from iqcfit.inversion import (
 )
 from iqcfit.kernels import CausalDiagonalKernel, SeparableKernel, gaussian, scaled_laplacian
 from iqcfit.rkhs import evaluate, fit, tune_gamma
-from iqcfit.signals import Dataset, TimeGrid, norm, random_signal, truncate
+from iqcfit.signals import (Dataset, Signal, TimeGrid, constant_signal, norm,
+                            random_signal, truncate, zeros)
 from iqcfit.supply import check_operator_iiqc, factor_phi, gain_supply, passivity_supply
 
 ROOT2 = np.sqrt(2.0)
@@ -92,6 +93,7 @@ def test_picard_linear_half():
     result = picard_solve(model, u, tol=1e-12)
     want = (ROOT2 / 1.5) * u.values
     assert np.abs(result.v_star.values - want).max() <= 1e-10
+    assert result.error_bound <= 1e-12
     y = simulate_r(model, u, tol=1e-12)
     assert norm(y - (1.0 / 3.0) * u) <= 1e-9
 
@@ -118,6 +120,28 @@ def test_picard_error_envelope():
         for k, it in enumerate(result.iterates):
             err = np.linalg.norm(it.values - v_star)
             assert err <= ell ** k * base * (1 + 1e-9) + 1e-13
+
+
+def test_picard_ends_on_zero_and_tiny_inputs():
+    # S(0) != 0, so the fixed point is not 0 while the default tol is
+    # 1e-8 ||u*|| = 0: only the rounding floor can end the iteration.
+    grid = TimeGrid(20, 0.5)
+    factors = factor_phi(passivity_supply(1))
+    model = scattered_from_operator(
+        lambda s: Signal(s.grid, 0.99 * np.tanh(s.values + 0.3)), 0.99,
+        factors, grid)
+    k = float(np.linalg.solve(factors.n11, factors.n12)[0, 0])
+    # every sample solves x = -0.99 k tanh(x + 0.3); bisect to the last bit
+    lo, hi = -2.0, 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mid + 0.99 * k * np.tanh(mid + 0.3) < 0 else (lo, mid)
+    for u in (zeros(grid), constant_signal(grid, 1e-300)):
+        result = picard_solve(model, u)
+        assert result.converged
+        gap = float(np.abs(result.v_star.values - lo).max())
+        assert result.error_bound <= 1e-9
+        assert gap <= result.error_bound + 1e-15
 
 
 def test_picard_residual_scale():

@@ -3,12 +3,18 @@ import pytest
 
 from iqcfit.errors import NumericalError, ShapeError
 from iqcfit.kernels import (
+    SCALAR_KINDS,
     CausalDiagonalKernel,
     ConjugatedKernel,
     SeparableKernel,
+    SumKernel,
     bilinear,
     gaussian,
+    inverse_power,
+    laplacian,
+    polynomial,
     scaled_laplacian,
+    stable_spline,
 )
 from iqcfit.rkhs import (
     build_gram,
@@ -178,14 +184,62 @@ def test_evaluator_matches_direct_sum():
     rng = np.random.default_rng(49)
     data = _random_dataset(rng, n=4, tau=3, p=2)
     R = np.array([[1.0, 0.2], [0.2, 0.8]])
+    per_sample = tuple(SeparableKernel(scaled_laplacian(), (0.5 + 0.1 * t) * R)
+                       for t in range(data.grid.size))
     for kernel in (SeparableKernel(gaussian(2.0), R),
-                   ConjugatedKernel(gaussian(2.0), np.array([[0.7, 0.0], [0.2, 0.5]]))):
+                   ConjugatedKernel(gaussian(2.0), np.array([[0.7, 0.0], [0.2, 0.5]])),
+                   CausalDiagonalKernel(SeparableKernel(gaussian(2.0), R)),
+                   CausalDiagonalKernel(per_sample),
+                   SumKernel((0.6, 0.3), (SeparableKernel(inverse_power(2.0, 1.0), R),
+                                          CausalDiagonalKernel(per_sample)))):
         model = fit(kernel, data, gamma=0.05)
         u = random_signal(data.grid, 1, rng)
         direct = zeros(data.grid, 2)
         for uj, cj in zip(model.centers, model.coefficients):
             direct = direct + kernel.apply(u, uj, cj)
-        assert norm(evaluate(model, u) - direct) <= 1e-12
+        gap = norm(evaluate(model, u) - direct)
+        assert gap <= 1e-12
+        assert gap <= 1e-12 * norm(direct)
+
+
+def _structures(spec, R):
+    """Every kernel structure over one scalar kernel, for p = R.shape[0]."""
+    sep = SeparableKernel(spec, R)
+    per_sample = tuple(SeparableKernel(spec, (0.5 + 0.25 * t) * R)
+                       for t in range(4))
+    return [sep,
+            SumKernel((0.7, 0.2), (sep, SeparableKernel(scaled_laplacian(), R))),
+            ConjugatedKernel(spec, np.linalg.cholesky(R)),
+            CausalDiagonalKernel(sep),
+            CausalDiagonalKernel(per_sample),
+            SumKernel((0.5, 0.5), (sep, CausalDiagonalKernel(per_sample)))]
+
+
+def test_gram_matches_per_pair_blocks():
+    rng = np.random.default_rng(54)
+    specs = [bilinear(), polynomial(1.0, 2), gaussian(1.5), laplacian(1.5),
+             scaled_laplacian(), inverse_power(1.0, 2.0), stable_spline(0.7)]
+    assert {spec.kind for spec in specs} == set(SCALAR_KINDS)
+    R = np.array([[1.0, 0.3], [0.3, 0.6]])
+    for spec in specs:
+        kind = spec.kind
+        # the stable spline acts on nonnegative one-sample scalars only
+        grid, m = (TimeGrid(0), 1) if kind == "stable_spline" else (TimeGrid(3), 2)
+        inputs = tuple(Signal(grid, np.abs(rng.normal(size=(grid.size, m))))
+                       for _ in range(4))
+        for kernel in _structures(spec, R):
+            gram = build_gram(kernel, inputs, layout="dense")
+            blocks = grid.size * 2
+            want = np.zeros((4 * blocks, 4 * blocks))
+            for i, ui in enumerate(inputs):
+                for j, uj in enumerate(inputs):
+                    want[i * blocks:(i + 1) * blocks,
+                         j * blocks:(j + 1) * blocks] = kernel.block_matrix(ui, uj)
+            scale = np.abs(want).max()
+            assert np.abs(gram.dense - want).max() <= 1e-12 * scale, (kind, kernel)
+            if isinstance(kernel, SeparableKernel):
+                kron = build_gram(kernel, inputs, layout="kronecker").to_dense()
+                assert np.abs(kron - want).max() <= 1e-12 * scale, kind
 
 
 def test_increment_bound_from_norm():
