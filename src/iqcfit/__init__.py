@@ -15,7 +15,8 @@ from .kernels import (ScalarKernelSpec, OperatorKernel, SeparableKernel,
                       certify_bounded, nonexpansive_defect, check_bounded,
                       is_causal, causal_check, gram_psd_check,
                       kernel_to_json, kernel_from_json)
-from .rkhs import (GramOperator, FittedOperator, build_gram, fit, evaluate,
+from .rkhs import (GramOperator, FittedOperator, Spectral, build_gram, fit,
+                   fit_many, evaluate,
                    rkhs_norm, empirical_risk, tune_gamma, save_fitted,
                    load_fitted)
 from .inversion import (ScatteredModel, PicardResult, contraction_margin,

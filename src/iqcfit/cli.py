@@ -47,7 +47,8 @@ from .kernels import (
     nonexpansive_defect,
     scaled_laplacian,
 )
-from .rkhs import empirical_risk, fit, load_fitted, save_fitted, tune_gamma
+from .rkhs import (empirical_risk, fit, fit_many, load_fitted, save_fitted,
+                   tune_gamma)
 from .signals import (
     TimeGrid,
     load_dataset,
@@ -654,9 +655,10 @@ def run_sweep_gamma(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     kernel = _build_kernel(cfg["kernel"], p=scattered.output_dim)
     gammas = np.geomspace(float(cfg["gamma_min"]), float(cfg["gamma_max"]),
                           int(cfg["count"]))
+    models = fit_many(kernel, scattered, [float(g) for g in gammas],
+                      layout=cfg["layout"])
     lines = ["gamma,rkhs_norm,risk"]
-    for gamma in gammas:
-        model = fit(kernel, scattered, float(gamma), layout=cfg["layout"])
+    for gamma, model in zip(gammas, models):
         risk = empirical_risk(model, scattered)
         lines.append(f"{gamma:.17g},{model.rkhs_norm:.17g},{risk:.17g}")
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")

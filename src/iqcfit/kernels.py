@@ -9,6 +9,7 @@ violations but never promote "unknown" to "proven".
 from __future__ import annotations
 
 import math
+import reprlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Union
@@ -336,34 +337,14 @@ class SumKernel(OperatorKernel):
                 for w, M in child.row_terms(centers, uvals, pasts)]
 
 
-@dataclass(frozen=True, eq=False)
-class ConjugatedKernel(OperatorKernel):
-    """Scalar kernel conjugated by a fixed matrix: K(u, v) = R L(u, v) R'."""
+def ConjugatedKernel(scalar: ScalarKernelSpec, R) -> SeparableKernel:
+    """Scalar kernel conjugated by a fixed matrix: K(u, v) = R L(u, v) R'.
 
-    scalar: ScalarKernelSpec
-    R: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "R", _frozen_matrix(self.R, "R"))
-
-    @property
-    def output_dim(self) -> int:
-        return self.R.shape[0]
-
-    @property
-    def is_causal(self) -> bool:
-        return False
-
-    @property
-    def is_uniform(self) -> bool:
-        return True
-
-    def matrix_at(self, t: int, u: Signal, v: Signal) -> np.ndarray:
-        return eval_scalar(self.scalar, u, v) * (self.R @ self.R.T)
-
-    def row_terms(self, centers, uvals, pasts=False):
-        return [(_scalar_batch(self.scalar, centers, uvals, pasts),
-                 self.R @ self.R.T)]
+    This is the separable kernel with matrix R R', whose certificate is the
+    same since ||R R'|| = sigma_max(R)^2.
+    """
+    R = _frozen_matrix(R, "R")
+    return SeparableKernel(scalar, R @ R.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -451,11 +432,6 @@ def certify_nonexpansive(kernel: AnyKernel) -> str:
     if isinstance(k, SumKernel):
         if (sum(k.weights) <= 1.0
                 and all(certify_nonexpansive(c) == PROVEN for c in k.children)):
-            return PROVEN
-        return UNKNOWN
-    if isinstance(k, ConjugatedKernel):
-        if (_scalar_nonexpansive(k.scalar)
-                and np.linalg.svd(k.R, compute_uv=False).max() <= 1.0):
             return PROVEN
         return UNKNOWN
     # Samplewise-on-pasts composition: no structural rule shipped, so the
@@ -574,9 +550,6 @@ def kernel_to_json(kernel: AnyKernel) -> dict:
     if isinstance(k, SumKernel):
         return {"structure": "sum", "weights": list(k.weights),
                 "children": [kernel_to_json(c) for c in k.children]}
-    if isinstance(k, ConjugatedKernel):
-        return {"structure": "conjugated", "scalar": _scalar_to_json(k.scalar),
-                "R": _matrix_to_json(k.R), "p": k.output_dim}
     assert isinstance(k, CausalDiagonalKernel)
     if isinstance(k.children, OperatorKernel):
         return {"structure": "causal_diagonal", "child": kernel_to_json(k.children)}
@@ -585,20 +558,28 @@ def kernel_to_json(kernel: AnyKernel) -> dict:
 
 
 def kernel_from_json(obj: dict) -> OperatorKernel:
-    """Rebuild a kernel from its JSON form; certificates are re-derived."""
-    structure = obj.get("structure", "separable")
-    if structure == "separable":
-        R = _matrix_from_json(obj.get("R", "identity"), obj.get("p", 1))
-        return SeparableKernel(_scalar_from_json(obj["scalar"]), R)
-    if structure == "sum":
-        return SumKernel(tuple(obj["weights"]),
-                         tuple(kernel_from_json(c) for c in obj["children"]))
-    if structure == "conjugated":
-        R = _matrix_from_json(obj.get("R", "identity"), obj.get("p", 1))
-        return ConjugatedKernel(_scalar_from_json(obj["scalar"]), R)
-    if structure == "causal_diagonal":
-        if "child" in obj:
-            return CausalDiagonalKernel(kernel_from_json(obj["child"]))
-        return CausalDiagonalKernel(tuple(kernel_from_json(c)
-                                          for c in obj["children"]))
+    """Rebuild a kernel from its JSON form; certificates are re-derived.
+
+    A missing field or a value of the wrong type raises ValueError naming
+    the kernel object that holds it.
+    """
+    try:
+        structure = obj.get("structure", "separable")
+        if structure == "separable":
+            R = _matrix_from_json(obj.get("R", "identity"), obj.get("p", 1))
+            return SeparableKernel(_scalar_from_json(obj["scalar"]), R)
+        if structure == "sum":
+            return SumKernel(tuple(obj["weights"]),
+                             tuple(kernel_from_json(c) for c in obj["children"]))
+        if structure == "conjugated":
+            R = _matrix_from_json(obj.get("R", "identity"), obj.get("p", 1))
+            return ConjugatedKernel(_scalar_from_json(obj["scalar"]), R)
+        if structure == "causal_diagonal":
+            if "child" in obj:
+                return CausalDiagonalKernel(kernel_from_json(obj["child"]))
+            return CausalDiagonalKernel(tuple(kernel_from_json(c)
+                                              for c in obj["children"]))
+    except (TypeError, KeyError, AttributeError) as exc:
+        raise ValueError(f"malformed kernel {reprlib.repr(obj)}: "
+                         f"{type(exc).__name__} {exc}") from None
     raise ValueError(f"unknown kernel structure {structure!r}")

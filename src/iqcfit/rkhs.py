@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -134,47 +134,52 @@ def build_gram(kernel: OperatorKernel, inputs: tuple[Signal, ...],
     return GramOperator(kernel, inputs, "dense", dense=G)
 
 
-def _cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L L' x = b for lower-triangular L by blocked substitution."""
-    block = 256
-    x = np.array(b, dtype=float)
-    starts = range(0, len(x), block)
-    for s in starts:
-        e = s + block
-        x[s:e] = np.linalg.solve(L[s:e, s:e], x[s:e] - L[s:e, :s] @ x[:s])
-    for s in reversed(starts):
-        e = s + block
-        x[s:e] = np.linalg.solve(L[s:e, s:e].T, x[s:e] - L[e:, s:e].T @ x[e:])
-    return x
+class Spectral:
+    """One eigendecomposition of a Gram, serving fits at any gamma.
 
+    In the eigenbasis of G both the solution of (G + gamma I) c = y and its
+    norm sqrt(<c, G c>) are closed-form in gamma, so the targets are
+    projected once.  The dense layout diagonalizes G itself; the kronecker
+    layout diagonalizes the scalar Gram and R, whose eigenvalue products
+    are those of G (the identity over time repeats each one).
+    """
 
-def _solve(gram: GramOperator, targets: np.ndarray, gamma: float) -> np.ndarray:
-    """Solve (G + gamma I) c = targets with targets shaped (n, steps, p)."""
-    if gram.layout == "dense":
-        A = gram.dense + gamma * np.eye(gram.dim)
-        try:
-            L = np.linalg.cholesky(A)
-        except np.linalg.LinAlgError:
-            min_eig = float(np.linalg.eigvalsh(gram.dense).min())
+    def __init__(self, gram: GramOperator, targets: np.ndarray):
+        self.gram = gram
+        self.targets = targets
+        if gram.layout == "dense":
+            lam, self._V = np.linalg.eigh(gram.dense)
+            self._proj = self._V.T @ targets.reshape(-1)
+        else:
+            lam_s, self._Q = np.linalg.eigh(gram.scalar_gram)
+            mu, self._U = np.linalg.eigh(gram.R)
+            lam = lam_s[:, None, None] * mu[None, None, :]
+            work = np.einsum("ji,jtb->itb", self._Q, targets)
+            self._proj = np.einsum("itb,ba->ita", work, self._U)
+        self._lam = lam
+        # The norm curve treats rounding-level negative eigenvalues as zero.
+        self._lam_pos = np.clip(lam, 0.0, None)
+        self._weight = self._proj ** 2
+
+    def solve(self, gamma: float) -> np.ndarray:
+        """Coefficients c of (G + gamma I) c = targets, shaped like targets."""
+        denom = self._lam + gamma
+        if denom.min() <= 0:
             raise NumericalError(
                 f"G + gamma I is not positive definite "
-                f"(min Gram eigenvalue {min_eig:.6e}, gamma {gamma:.6e})"
-            ) from None
-        return _cholesky_solve(L, targets.reshape(-1)).reshape(targets.shape)
-    lam, Q = np.linalg.eigh(gram.scalar_gram)
-    mu, U = np.linalg.eigh(gram.R)
-    denom = lam[:, None] * mu[None, :] + gamma
-    if denom.min() <= 0:
-        raise NumericalError(
-            f"G + gamma I is not positive definite "
-            f"(min Gram eigenvalue {float((lam[:, None] * mu).min()):.6e}, "
-            f"gamma {gamma:.6e})"
-        )
-    work = np.einsum("ji,jtb->itb", Q, targets)
-    work = np.einsum("itb,ba->ita", work, U)
-    work = work / denom[:, None, :]
-    work = np.einsum("ji,ita->jta", Q, work)
-    return np.einsum("jta,ba->jtb", work, U)
+                f"(min Gram eigenvalue {float(self._lam.min()):.6e}, "
+                f"gamma {gamma:.6e})"
+            )
+        work = self._proj / denom
+        if self.gram.layout == "dense":
+            return (self._V @ work).reshape(self.targets.shape)
+        work = np.einsum("ji,ita->jta", self._Q, work)
+        return np.einsum("jta,ba->jtb", work, self._U)
+
+    def norm(self, gamma: float) -> float:
+        """RKHS norm of the fit at gamma."""
+        lam = self._lam_pos
+        return math.sqrt(float((lam * self._weight / (lam + gamma) ** 2).sum()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,9 +205,10 @@ class FittedOperator:
         return self.kernel.output_dim
 
 
-def _model_from_solution(kernel, data: Dataset, coeff: np.ndarray,
-                         gram: GramOperator, gamma: float) -> FittedOperator:
-    targets = _stack(data.outputs)
+def _model_from_solution(spectral: Spectral, data: Dataset,
+                         gamma: float) -> FittedOperator:
+    gram, targets = spectral.gram, spectral.targets
+    coeff = spectral.solve(gamma)
     residual = gram.apply(coeff) + gamma * coeff - targets
     rel = np.linalg.norm(residual) / max(np.linalg.norm(targets), 1e-300)
     if np.linalg.norm(targets) > 0 and rel > 1e-10:
@@ -224,16 +230,23 @@ def fit(kernel: OperatorKernel, data: Dataset, gamma: float,
     gamma : regularization weight, must be positive.
     layout : Gram layout, "auto" picks the factored path when available.
     """
+    return fit_many(kernel, data, [gamma], layout)[0]
+
+
+def fit_many(kernel: OperatorKernel, data: Dataset, gammas: Sequence[float],
+             layout: str = "auto") -> list[FittedOperator]:
+    """One fit per regularization weight, all from one Gram factorization."""
     kernel = as_operator(kernel)
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    for gamma in gammas:
+        if gamma <= 0:
+            raise ValueError(f"gamma must be positive, got {gamma}")
     if kernel.output_dim != data.output_dim:
         raise ShapeError(
             f"kernel output dim {kernel.output_dim} != data {data.output_dim}"
         )
     gram = build_gram(kernel, data.inputs, layout)
-    coeff = _solve(gram, _stack(data.outputs), gamma)
-    return _model_from_solution(kernel, data, coeff, gram, gamma)
+    spectral = Spectral(gram, _stack(data.outputs))
+    return [_model_from_solution(spectral, data, gamma) for gamma in gammas]
 
 
 # Weights of a row term: (n,) for kernels uniform in time, (n, steps) else.
@@ -283,31 +296,6 @@ def empirical_risk(model: FittedOperator, data: Dataset) -> float:
                for u, y in zip(data.inputs, data.outputs))
 
 
-class _NormCurve:
-    """gamma -> rkhs norm of the fit, via the Gram eigendecomposition."""
-
-    def __init__(self, gram: GramOperator, targets: np.ndarray):
-        if gram.layout == "dense":
-            lam, V = np.linalg.eigh(gram.dense)
-            weight = (V.T @ targets.reshape(-1)) ** 2
-        else:
-            lam_s, Q = np.linalg.eigh(gram.scalar_gram)
-            mu, U = np.linalg.eigh(gram.R)
-            work = np.einsum("ji,jtb->itb", Q, targets)
-            work = np.einsum("itb,ba->ita", work, U)
-            lam = (lam_s[:, None, None]
-                   * np.ones((1, targets.shape[1], 1))
-                   * mu[None, None, :]).reshape(-1)
-            weight = (work ** 2).reshape(-1)
-        self.lam = np.clip(lam, 0.0, None)
-        self.weight = weight
-
-    def __call__(self, gamma: float) -> float:
-        return math.sqrt(float(
-            (self.lam * self.weight / (self.lam + gamma) ** 2).sum()
-        ))
-
-
 def tune_gamma(kernel: OperatorKernel, data: Dataset, rho: float,
                layout: str = "auto", rel_tol: float = 1e-3,
                max_iter: int = 200) -> tuple[float, FittedOperator]:
@@ -321,16 +309,15 @@ def tune_gamma(kernel: OperatorKernel, data: Dataset, rho: float,
     if not 0 < rho <= 1:
         raise ValueError(f"norm target rho must be in (0, 1], got {rho}")
     gram = build_gram(kernel, data.inputs, layout)
-    targets = _stack(data.outputs)
+    spectral = Spectral(gram, _stack(data.outputs))
 
     def finish(gamma: float) -> tuple[float, FittedOperator]:
-        coeff = _solve(gram, targets, gamma)
-        return gamma, _model_from_solution(kernel, data, coeff, gram, gamma)
+        return gamma, _model_from_solution(spectral, data, gamma)
 
     gamma0 = max(gram.trace() / gram.dim, 1e-300)
-    if np.linalg.norm(targets) == 0:
+    if np.linalg.norm(spectral.targets) == 0:
         return finish(gamma0)
-    curve = _NormCurve(gram, targets)
+    curve = spectral.norm
 
     if curve(gamma0) > rho:
         lo = hi = gamma0
@@ -406,17 +393,21 @@ def load_fitted(location: str | Path) -> FittedOperator:
     location = Path(location)
     path = location / "model.json" if location.is_dir() else location
     meta = json.loads(path.read_text())
-    if meta.get("format") != "iqcfit-model":
-        raise ValueError(f"{path}: not a model bundle")
     base = path.parent
-    kernel = kernel_from_json(meta["kernel"])
-    dt = float(meta["dt"])
+    try:
+        if meta.get("format") != "iqcfit-model":
+            raise ValueError(f"{path}: not a model bundle")
+        kernel = kernel_from_json(meta["kernel"])
+        dt, n = float(meta["dt"]), int(meta["n"])
+        gamma, stored_norm = float(meta["gamma"]), float(meta["rkhs_norm"])
+    except (TypeError, KeyError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed model manifest: "
+                         f"{type(exc).__name__} {exc}") from None
     centers, coeffs, targets = [], [], []
-    for i in range(int(meta["n"])):
+    for i in range(n):
         centers.append(read_signal(base / f"center_{i:03d}.csv", dt=dt))
         coeffs.append(read_signal(base / f"coeff_{i:03d}.csv", dt=dt))
         targets.append(read_signal(base / f"target_{i:03d}.csv", dt=dt))
-    gamma = float(meta["gamma"])
     gram = build_gram(kernel, tuple(centers))
     coeff = _stack(tuple(coeffs))
     ybar = _stack(tuple(targets))
@@ -426,7 +417,7 @@ def load_fitted(location: str | Path) -> FittedOperator:
         raise NumericalError(f"{path}: stored fit violates its linear system "
                              f"(relative residual {rel:.3e})")
     nrm = math.sqrt(max(gram.quad(coeff), 0.0))
-    if abs(nrm - float(meta["rkhs_norm"])) > 1e-6 * max(1.0, nrm):
+    if abs(nrm - stored_norm) > 1e-6 * max(1.0, nrm):
         raise NumericalError(
             f"{path}: stored norm {meta['rkhs_norm']} != recomputed {nrm}"
         )

@@ -261,19 +261,24 @@ def load_dataset(location: str | Path) -> Dataset:
     manifest_path = location / "manifest.json" if location.is_dir() else location
     meta = json.loads(manifest_path.read_text())
     base = manifest_path.parent
-    dt = float(meta["dt"])
+    try:
+        dt = float(meta["dt"])
+        pairs = [(base / pair["input"], base / pair["output"])
+                 for pair in meta["pairs"]]
+        m, p, tau = meta["m"], meta["p"], meta["tau"]
+    except (TypeError, KeyError, AttributeError) as exc:
+        raise ValueError(f"{manifest_path}: malformed manifest: "
+                         f"{type(exc).__name__} {exc}") from None
     inputs, outputs = [], []
-    for pair in meta["pairs"]:
-        u = read_signal(base / pair["input"], dt=dt)
-        y = read_signal(base / pair["output"], dt=dt)
-        inputs.append(u)
-        outputs.append(y)
+    for upath, ypath in pairs:
+        inputs.append(read_signal(upath, dt=dt))
+        outputs.append(read_signal(ypath, dt=dt))
     data = Dataset(tuple(inputs), tuple(outputs))
-    if data.input_dim != meta["m"] or data.output_dim != meta["p"]:
+    if data.input_dim != m or data.output_dim != p:
         raise ShapeError(
-            f"{manifest_path}: manifest declares m={meta['m']}, p={meta['p']} "
+            f"{manifest_path}: manifest declares m={m}, p={p} "
             f"but files have m={data.input_dim}, p={data.output_dim}"
         )
-    if data.grid.tau != meta["tau"]:
-        raise ShapeError(f"{manifest_path}: manifest tau {meta['tau']} != {data.grid.tau}")
+    if data.grid.tau != tau:
+        raise ShapeError(f"{manifest_path}: manifest tau {tau} != {data.grid.tau}")
     return data

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -181,6 +182,33 @@ def test_fit_usage_errors(ws, tmp_path):
                    "--scale-a", "978.7",
                    "--out", str(tmp_path / "b"), "--quiet"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("target, edit", [
+    ("kernel", lambda _: {"structure": "sum", "weights": 5, "children": []}),
+    ("kernel", lambda _: {"structure": "separable", "scalar": "gaussian"}),
+    ("data", lambda _: []),
+    ("data", lambda meta: {**meta, "dt": None}),
+    ("model", lambda meta: {**meta, "kernel": {**meta["kernel"], "p": "x"}}),
+], ids=["sum-weights", "scalar-name", "manifest-list", "dt-null", "kernel-p"])
+def test_malformed_json_is_usage_error(ws, tmp_path, capsys, target, edit):
+    shutil.copytree(ws / "gen" / "data", tmp_path / "data")
+    shutil.copytree(ws / "fit" / "model", tmp_path / "model")
+    path = {"kernel": tmp_path / "kernel.json",
+            "data": tmp_path / "data" / "manifest.json",
+            "model": tmp_path / "model" / "model.json"}[target]
+    path.write_text(json.dumps(edit(_read_json(path) if path.exists() else None)))
+    if target == "model":
+        args = ["check", "--target", "model", "--model", str(tmp_path / "model")]
+    else:
+        args = ["fit", "--data", str(tmp_path / "data")]
+        args += ["--kernel", str(path)] if target == "kernel" else []
+    capsys.readouterr()
+    rc = cli.main(args + ["--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_simulate_zero_model_is_identity(zero_model, tmp_path):

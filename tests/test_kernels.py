@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from iqcfit.errors import ShapeError
 from iqcfit.kernels import (
     PROVEN,
     UNKNOWN,
@@ -129,6 +133,33 @@ def test_conjugated_matrix():
     v = random_signal(grid, 1, rng)
     k = eval_scalar(gaussian(2.0), u, v)
     assert np.allclose(kernel.matrix(u, v), k * (R @ R.T), atol=1e-15)
+
+
+def test_conjugated_is_separable_with_r_r_transpose():
+    R = np.array([[0.7, 0.0], [0.1, 0.4]])
+    legacy = {"structure": "conjugated",
+              "scalar": {"kind": "inverse_power", "c": 2.0, "d": 1.0},
+              "R": R.tolist(), "p": 2}
+    kernel = kernel_from_json(legacy)
+    assert isinstance(kernel, SeparableKernel)
+    assert kernel.scalar == inverse_power(2.0, 1.0)
+    assert np.array_equal(kernel.R, R @ R.T)
+    assert kernel_to_json(kernel)["structure"] == "separable"
+    with pytest.raises(ShapeError):
+        ConjugatedKernel(gaussian(2.0), np.ones((2, 3)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(
+           lambda p: arrays(float, (p, p), elements=st.floats(-1.0, 1.0))),
+       st.one_of(st.floats(0.05, 0.99), st.floats(1.01, 3.0)))
+def test_conjugated_certificate_is_sigma_max(entries, sigma):
+    top = np.linalg.svd(entries, compute_uv=False).max()
+    R = entries * (sigma / top) if top > 1e-3 else sigma * np.eye(len(entries))
+    sigma_max = np.linalg.svd(R, compute_uv=False).max()
+    assert (sigma_max <= 1.0) == (sigma < 1.0)
+    want = PROVEN if sigma_max <= 1.0 else UNKNOWN
+    assert certify_nonexpansive(ConjugatedKernel(scaled_laplacian(), R)) == want
 
 
 def test_causal_diagonal_prefix_dependence():

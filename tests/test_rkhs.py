@@ -17,10 +17,13 @@ from iqcfit.kernels import (
     stable_spline,
 )
 from iqcfit.rkhs import (
+    GramOperator,
+    Spectral,
     build_gram,
     empirical_risk,
     evaluate,
     fit,
+    fit_many,
     load_fitted,
     rkhs_norm,
     save_fitted,
@@ -240,6 +243,83 @@ def test_gram_matches_per_pair_blocks():
             if isinstance(kernel, SeparableKernel):
                 kron = build_gram(kernel, inputs, layout="kronecker").to_dense()
                 assert np.abs(kron - want).max() <= 1e-12 * scale, kind
+
+
+def _layout_kernel(layout, conjugated=False):
+    """A p = 2 kernel whose Gram takes the given layout under "auto"."""
+    if conjugated:
+        return ConjugatedKernel(gaussian(2.0), np.array([[0.7, 0.0], [0.2, 0.5]]))
+    sep = SeparableKernel(gaussian(2.0), np.array([[1.0, 0.3], [0.3, 0.6]]))
+    return CausalDiagonalKernel(sep) if layout == "dense" else sep
+
+
+@pytest.mark.parametrize("layout", ["dense", "kronecker"])
+def test_one_factorization_per_gram(monkeypatch, layout):
+    rng = np.random.default_rng(61)
+    data = _random_dataset(rng, n=5, tau=3, p=2)
+    kernel = _layout_kernel(layout)
+    calls = {"eigh": [], "cholesky": []}
+    for name in calls:
+        def counted(a, *args, _real=getattr(np.linalg, name), _log=calls[name],
+                    **kwargs):
+            _log.append(np.shape(a))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    # dense: G itself (5 centers x 4 samples x 2 channels); kronecker: the
+    # scalar Gram and R
+    want = [(40, 40)] if layout == "dense" else [(5, 5), (2, 2)]
+    tune_gamma(kernel, data, rho=0.5)
+    assert calls["eigh"] == want
+    calls["eigh"].clear()
+    assert len(fit_many(kernel, data, np.geomspace(1e-3, 10.0, 5))) == 5
+    assert calls["eigh"] == want
+    assert calls["cholesky"] == []
+
+
+@pytest.mark.parametrize("layout, conjugated",
+                         [("dense", False), ("kronecker", False),
+                          ("kronecker", True)])
+def test_fit_many_matches_dense_solve(layout, conjugated):
+    rng = np.random.default_rng(62)
+    data = _random_dataset(rng, n=4, tau=3, p=2)
+    kernel = _layout_kernel(layout, conjugated)
+    assert build_gram(kernel, data.inputs).layout == layout
+    G = build_gram(kernel, data.inputs, layout="dense").dense
+    y = np.stack([s.values for s in data.outputs]).reshape(-1)
+    lam, Q = np.linalg.eigh(G)
+    lam = np.clip(lam, 0.0, None)
+    w = Q.T @ y
+    gammas = [1e-3, 1e-1, 10.0]
+    for gamma, model in zip(gammas, fit_many(kernel, data, gammas)):
+        want = np.linalg.solve(G + gamma * np.eye(len(y)), y)
+        c = np.stack([s.values for s in model.coefficients]).reshape(-1)
+        assert model.gamma == gamma
+        assert np.abs(c - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+        norm_eig = np.linalg.norm(np.sqrt(lam) / (lam + gamma) * w)
+        assert abs(model.rkhs_norm - norm_eig) <= 1e-10
+
+
+@pytest.mark.parametrize("layout", ["dense", "kronecker"])
+def test_singular_gram_raises(layout):
+    rng = np.random.default_rng(63)
+    grid = TimeGrid(3)
+    u = random_signal(grid, 1, rng)
+    data = Dataset((u, u, random_signal(grid, 1, rng)),
+                   tuple(random_signal(grid, 2, rng) for _ in range(3)))
+    with pytest.raises(NumericalError):
+        fit(_layout_kernel(layout), data, gamma=1e-300)
+    # an indefinite matrix in the Gram's place: eigenvalues -1 and 3
+    bad = np.array([[1.0, 2.0], [2.0, 1.0]])
+    kernel = SeparableKernel(gaussian(2.0), np.eye(1))
+    centers = (zeros(TimeGrid(0)),) * 2
+    gram = (GramOperator(kernel, centers, "dense", dense=bad)
+            if layout == "dense" else
+            GramOperator(kernel, centers, "kronecker", scalar_gram=bad,
+                         R=kernel.R))
+    spectral = Spectral(gram, np.ones((2, 1, 1)))
+    with pytest.raises(NumericalError, match="min Gram eigenvalue -1"):
+        spectral.solve(0.5)
+    assert spectral.solve(1.5).shape == (2, 1, 1)
 
 
 def test_increment_bound_from_norm():
