@@ -19,9 +19,10 @@ from .rkhs import (GramOperator, FittedOperator, Spectral, build_gram, fit,
                    fit_many, evaluate,
                    rkhs_norm, empirical_risk, tune_gamma, save_fitted,
                    load_fitted)
-from .inversion import (ScatteredModel, PicardResult, contraction_margin,
-                        scattered_from_operator, picard_solve,
-                        descatter_output, simulate_r, causality_check_r)
+from .inversion import (ScatteredModel, PicardResult, PicardBatch,
+                        contraction_margin, scattered_from_operator,
+                        picard_solve, descatter_output, simulate_r,
+                        causality_check_r)
 from .hodgkin import (HHParams, DEFAULT_LEVELS, INPUT_SCALE, OUTPUT_SCALE,
                       rate_alpha, rate_beta, steady_state_gating,
                       simulate_channel, gating_trajectory, step_dataset,

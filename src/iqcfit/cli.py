@@ -223,6 +223,17 @@ def _run_csv(path: Path, grid: TimeGrid, uvals: np.ndarray,
     path.write_text("\n".join(lines) + "\n")
 
 
+def _scaled(cfg: dict, data):
+    """Apply --scale-a/--scale-b, which come as a pair; returns the data and
+    the scale record (None when unscaled)."""
+    if cfg["scale_a"] is None and cfg["scale_b"] is None:
+        return data, None
+    if cfg["scale_a"] is None or cfg["scale_b"] is None:
+        raise ValueError("scale-a and scale-b must be given together")
+    scale = {"a": float(cfg["scale_a"]), "b": float(cfg["scale_b"])}
+    return scale_dataset(data, scale["a"], scale["b"]), scale
+
+
 def _model_extra(model_dir: Path) -> dict:
     meta = json.loads((model_dir / "model.json").read_text())
     return meta.get("extra", {}) or {}
@@ -329,7 +340,7 @@ def _check_model(cfg: dict, seed: int) -> dict:
     results["epsilon"] = scattered.epsilon
     if "iiqc" in checks:
         rep = check_operator_iiqc(
-            lambda u: simulate_r(scattered, u, tol=picard_tol),
+            lambda us: simulate_r(scattered, us, tol=picard_tol),
             supply, pairs, tol=float(cfg["tol"]),
         )
         results["iiqc"] = {
@@ -386,13 +397,7 @@ def run_check(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
 def run_fit(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     if not cfg["data"]:
         raise ValueError("--data is required")
-    data = load_dataset(cfg["data"])
-    scale = None
-    if cfg["scale_a"] is not None or cfg["scale_b"] is not None:
-        if cfg["scale_a"] is None or cfg["scale_b"] is None:
-            raise ValueError("scale-a and scale-b must be given together")
-        scale = {"a": float(cfg["scale_a"]), "b": float(cfg["scale_b"])}
-        data = scale_dataset(data, scale["a"], scale["b"])
+    data, scale = _scaled(cfg, load_dataset(cfg["data"]))
     supply = _build_supply(cfg, m=data.input_dim, p=data.output_dim)
     factors = factor_phi(supply)
     scattered = scatter_dataset(data, factors)
@@ -457,16 +462,19 @@ def run_simulate(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
         return 1
     scale = extra.get("scale") or None
     tol = None if cfg["tol"] is None else float(cfg["tol"])
-    runs = []
+    raw = []
     for path in cfg["inputs"]:
         u_raw = read_signal(path, dt=model.grid.dt)
         if u_raw.grid != model.grid:
             raise ShapeError(f"{path}: grid does not match the model bundle")
         if u_raw.dim != factors.m:
             raise ShapeError(f"{path}: expected {factors.m} input channels")
-        u_run = (1.0 / scale["a"]) * u_raw if scale else u_raw
-        result = picard_solve(scattered, u_run, tol=tol,
-                              max_iter=int(cfg["max_iter"]))
+        raw.append(u_raw)
+    batch = picard_solve(scattered,
+                         [(1.0 / scale["a"]) * u if scale else u for u in raw],
+                         tol=tol, max_iter=int(cfg["max_iter"]))
+    runs = []
+    for path, u_raw, result in zip(cfg["inputs"], raw, batch.lanes):
         y = descatter_output(scattered, result.v_star)
         if scale:
             y = scale["b"] * y
@@ -579,8 +587,9 @@ def run_reproduce(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     data_scale = max(norm(y) for y in data.outputs)
     recon = []
     csv_lines = ["t,level,y,y_hat"]
-    for level, u_raw, y_raw in zip(levels, data.inputs, data.outputs):
-        result = picard_solve(scattered, (1.0 / a) * u_raw, tol=picard_tol)
+    batch = picard_solve(scattered, [(1.0 / a) * u for u in data.inputs],
+                         tol=picard_tol)
+    for level, y_raw, result in zip(levels, data.outputs, batch.lanes):
         y_hat = b * descatter_output(scattered, result.v_star)
         err = norm(y_hat - y_raw)
         traj = norm(y_raw)
@@ -601,7 +610,7 @@ def run_reproduce(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     pairs = _probe_pairs(model.grid, data.input_dim, int(cfg["probes"]),
                          rng, scale=0.1)
     mono = check_operator_iiqc(
-        lambda u: simulate_r(scattered, u, tol=picard_tol),
+        lambda us: simulate_r(scattered, us, tol=picard_tol),
         supply, pairs, tol=float(cfg["tol"]),
     )
 
@@ -646,10 +655,7 @@ def run_reproduce(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
 def run_sweep_gamma(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     if not cfg["data"]:
         raise ValueError("--data is required")
-    data = load_dataset(cfg["data"])
-    if cfg["scale_a"] is not None and cfg["scale_b"] is not None:
-        data = scale_dataset(data, float(cfg["scale_a"]),
-                             float(cfg["scale_b"]))
+    data, _ = _scaled(cfg, load_dataset(cfg["data"]))
     supply = _build_supply(cfg, m=data.input_dim, p=data.output_dim)
     scattered = scatter_dataset(data, factor_phi(supply))
     kernel = _build_kernel(cfg["kernel"], p=scattered.output_dim)

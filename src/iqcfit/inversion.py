@@ -10,7 +10,7 @@ reading off y* = N21 v* + N22 S(v*).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,7 +32,11 @@ STEP_FLOOR = 1e-11
 
 @dataclass(frozen=True, eq=False)
 class ScatteredModel:
-    """Contraction S plus scattering factors, ready for fixed-point runs."""
+    """Contraction S plus scattering factors, ready for fixed-point runs.
+
+    s maps stacked inputs (B, steps, m) to stacked outputs (B, steps, p),
+    one lane per signal.
+    """
 
     s: Callable[[np.ndarray], np.ndarray]
     factors: ScatteringFactors
@@ -88,7 +92,7 @@ def scattered_from_operator(s: Callable[[Signal], Signal], lipschitz: float,
         raise ContractionError(f"contraction factor eps = {eps:.6f} >= 1")
 
     def s_values(vals: np.ndarray) -> np.ndarray:
-        return s(Signal(grid, vals)).values
+        return np.stack([s(Signal(grid, lane)).values for lane in vals])
 
     return ScatteredModel(s_values, factors, float(lipschitz), eps, None)
 
@@ -104,9 +108,27 @@ class PicardResult:
     iterates: tuple[Signal, ...] | None = None
 
 
-def picard_solve(model: ScatteredModel, u_star: Signal,
+@dataclass(frozen=True, eq=False)
+class PicardBatch:
+    """Results of one batched solve, one PicardResult per input, in order."""
+
+    lanes: tuple[PicardResult, ...]
+
+    @property
+    def iterations(self) -> int:
+        """Picard steps summed over the lanes."""
+        return sum(lane.iterations for lane in self.lanes)
+
+
+def _lane_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of every lane: the same dot of the flattened lane."""
+    flat = x.reshape(len(x), 1, -1)
+    return np.sqrt(flat @ flat.transpose(0, 2, 1))[:, 0, 0]
+
+
+def picard_solve(model: ScatteredModel, u_star: Signal | Sequence[Signal],
                  tol: float | None = None, max_iter: int = DEFAULT_MAX_ITER,
-                 record: bool = False) -> PicardResult:
+                 record: bool = False) -> PicardResult | PicardBatch:
     """Iterate v <- N11^-1 u* - N11^-1 N12 S(v) to its unique fixed point.
 
     Stops when the step size guarantees ||v - v*|| <= tol via the
@@ -114,67 +136,112 @@ def picard_solve(model: ScatteredModel, u_star: Signal,
     then a step that stalls at the rounding floor (STEP_FLOOR) also stops
     it.  Either way the result's error_bound, eps / (1 - eps) times the
     last step, bounds ||v - v*||.
+
+    Given a list of signals on one grid, iterates them together as lanes of
+    one stack, each lane under its own stopping rule and frozen once it
+    stops, and returns a PicardBatch holding what each lane would have
+    returned alone.
     """
+    if isinstance(u_star, Signal):
+        return _solve_lanes(model, [u_star], tol, max_iter, record)[0]
+    return PicardBatch(tuple(_solve_lanes(model, list(u_star), tol, max_iter,
+                                          record)))
+
+
+def _solve_lanes(model: ScatteredModel, inputs: list[Signal],
+                 tol: float | None, max_iter: int,
+                 record: bool) -> list[PicardResult]:
     factors = model.factors
-    if u_star.dim != factors.m:
-        raise ShapeError(f"expected {factors.m} input channels, got {u_star.dim}")
+    for u in inputs:
+        if u.dim != factors.m:
+            raise ShapeError(f"expected {factors.m} input channels, got {u.dim}")
+    if not inputs:
+        return []
+    grid = inputs[0].grid
+    if any(u.grid != grid for u in inputs):
+        raise ShapeError("batched inputs must share one grid")
+    lanes = len(inputs)
     floor = STEP_FLOOR if tol is None else 0.0
     if tol is None:
-        tol = 1e-8 * norm(u_star)
+        tols = np.array([1e-8 * norm(u) for u in inputs])
+    else:
+        tols = np.full(lanes, tol, dtype=float)
     eps = model.epsilon
     # Successive-step threshold that certifies the error bound tol.
-    threshold = tol * (1.0 - eps) / eps if eps > 0 else np.inf
+    threshold = tols * (1.0 - eps) / eps if eps > 0 else np.full(lanes, np.inf)
     n11_inv = np.linalg.inv(factors.n11)
     coupling = n11_inv @ factors.n12
-    base = u_star.values @ n11_inv.T
+    u_vals = np.stack([u.values for u in inputs])
+    base = u_vals @ n11_inv.T
     v = base.copy()
-    history = [Signal(u_star.grid, v)] if record else None
-    converged = False
-    iterations = 0
-    step = np.inf
-    for iterations in range(1, max_iter + 1):
-        feedback = model.s(v) @ coupling.T
-        v_next = base - feedback
-        step, prev = float(np.linalg.norm(v_next - v)), step
-        v = v_next
+    history = [[Signal(grid, lane)] for lane in v] if record else None
+    iterations = np.zeros(lanes, dtype=int)
+    step = np.full(lanes, np.inf)
+    active = np.arange(lanes)
+    for it in range(1, max_iter + 1):
+        v_act = v[active]
+        feedback = model.s(v_act) @ coupling.T
+        v_next = base[active] - feedback
+        prev, now = step[active], _lane_norms(v_next - v_act)
+        v[active], step[active], iterations[active] = v_next, now, it
         if record:
-            history.append(Signal(u_star.grid, v))
-        if step <= threshold or (floor and step > eps * prev and step <= floor * (
-                np.linalg.norm(base) + np.linalg.norm(feedback))):
-            converged = True
+            for i, lane in zip(active, v_next):
+                history[i].append(Signal(grid, lane))
+        done = now <= threshold[active]
+        if floor:
+            slow = np.flatnonzero(~done)
+            slow = slow[now[slow] > eps * prev[slow]]
+            if len(slow):
+                done[slow] = now[slow] <= floor * (
+                    _lane_norms(base[active[slow]])
+                    + _lane_norms(feedback[slow]))
+        active = active[~done]
+        if not len(active):
             break
-    residual = float(np.linalg.norm(
-        v @ factors.n11.T + model.s(v) @ factors.n12.T - u_star.values
-    ))
-    if not converged:
+    residuals = _lane_norms(
+        v @ factors.n11.T + model.s(v) @ factors.n12.T - u_vals)
+    if len(active):
         raise ConvergenceError(
             f"fixed-point iteration hit {max_iter} steps "
-            f"(eps={eps:.4f}, last residual {residual:.3e})"
+            f"(eps={eps:.4f}, last residual {residuals[active[0]]:.3e})"
         )
-    return PicardResult(
-        v_star=Signal(u_star.grid, v),
-        iterations=iterations,
-        residual=residual,
-        epsilon=eps,
-        converged=True,
-        error_bound=eps / (1.0 - eps) * step,
-        iterates=tuple(history) if record else None,
-    )
+    return [
+        PicardResult(
+            v_star=Signal(grid, v[i]),
+            iterations=int(iterations[i]),
+            residual=float(residuals[i]),
+            epsilon=eps,
+            converged=True,
+            error_bound=eps / (1.0 - eps) * float(step[i]),
+            iterates=tuple(history[i]) if record else None,
+        )
+        for i in range(lanes)
+    ]
+
+
+def _descatter(model: ScatteredModel, v_vals: np.ndarray) -> np.ndarray:
+    factors = model.factors
+    return v_vals @ factors.n21.T + model.s(v_vals) @ factors.n22.T
 
 
 def descatter_output(model: ScatteredModel, v_star: Signal) -> Signal:
     """Map a fixed point back to the output: y* = N21 v* + N22 S(v*)."""
-    factors = model.factors
-    vals = (v_star.values @ factors.n21.T
-            + model.s(v_star.values) @ factors.n22.T)
-    return Signal(v_star.grid, vals)
+    return Signal(v_star.grid, _descatter(model, v_star.values[None])[0])
 
 
-def simulate_r(model: ScatteredModel, u_star: Signal, tol: float | None = None,
-               max_iter: int = DEFAULT_MAX_ITER) -> Signal:
-    """Evaluate the modeled input-output operator R at u*."""
+def simulate_r(model: ScatteredModel, u_star: Signal | Sequence[Signal],
+               tol: float | None = None,
+               max_iter: int = DEFAULT_MAX_ITER) -> Signal | list[Signal]:
+    """Evaluate the modeled input-output operator R at u*, or at every signal
+    of a list of them with one batched solve."""
     result = picard_solve(model, u_star, tol=tol, max_iter=max_iter)
-    return descatter_output(model, result.v_star)
+    if isinstance(result, PicardResult):
+        return descatter_output(model, result.v_star)
+    if not result.lanes:
+        return []
+    grid = result.lanes[0].v_star.grid
+    v_vals = np.stack([lane.v_star.values for lane in result.lanes])
+    return [Signal(grid, y) for y in _descatter(model, v_vals)]
 
 
 @dataclass(frozen=True)
@@ -195,16 +262,20 @@ def causality_check_r(model: ScatteredModel,
 
     For each probe pair and horizon T the second input is spliced to agree
     with the first on [0, T]; any difference of the outputs on [0, T] is a
-    causality violation.
+    causality violation.  Every probe and splice is solved in one batch.
     """
+    runs, inputs = [], []
+    for u, w in probes:
+        ts = list(range(u.grid.tau + 1) if horizons is None else horizons)
+        runs.append(ts)
+        inputs.append(u)
+        inputs += [truncate(u, T) + (w - truncate(w, T)) for T in ts]
+    outputs = iter(simulate_r(model, inputs, tol=picard_tol))
     worst, arg, arg_t = 0.0, -1, -1
-    for idx, (u, w) in enumerate(probes):
-        ts = range(u.grid.tau + 1) if horizons is None else horizons
-        y_u = simulate_r(model, u, tol=picard_tol)
+    for idx, ts in enumerate(runs):
+        y_u = next(outputs)
         for T in ts:
-            spliced = truncate(u, T) + (w - truncate(w, T))
-            y_s = simulate_r(model, spliced, tol=picard_tol)
-            violation = norm(truncate(y_u - y_s, T))
+            violation = norm(truncate(y_u - next(outputs), T))
             if violation > worst:
                 worst, arg, arg_t = violation, idx, T
     return CausalityReport(float(worst), arg, arg_t, float(tol),

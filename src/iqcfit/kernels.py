@@ -96,37 +96,38 @@ def stable_spline(beta: float) -> ScalarKernelSpec:
 def eval_scalar(spec: ScalarKernelSpec, u: Signal, v: Signal) -> float:
     """Evaluate one catalog kernel at a pair of signals."""
     _require_compatible(u, v)
-    return float(_scalar_batch(spec, v.values[None], u.values)[0])
+    return float(_scalar_batch(spec, v.values[None], u.values[None])[0, 0])
 
 
 def _scalar_batch(spec: ScalarKernelSpec, centers: np.ndarray,
                   uvals: np.ndarray, pasts: bool = False) -> np.ndarray:
-    """Evaluate one scalar kernel against stacked centers (n, steps, dim).
+    """Evaluate one scalar kernel for stacked inputs against stacked centers.
 
+    centers is (n, steps, dim) and uvals (B, steps, dim), one lane per input.
     Each catalog kernel is a formula of one statistic of the pair: the inner
     product, the squared distance, or (stable spline) the larger point.  The
     statistic is a sum of per-sample terms, so with pasts set its prefix sums
-    give k(P_t c_j, P_t u) for every t at once, shape (n, steps); otherwise
-    the result is k(c_j, u), shape (n,).
+    give k(P_t c_j, P_t u_b) for every t at once, shape (B, n, steps);
+    otherwise the result is k(c_j, u_b), shape (B, n).
     """
     kind = spec.kind
-    out = "jt" if pasts else "j"
+    out = "bjt" if pasts else "bj"
     if kind == "stable_spline":
-        if centers.shape[1:] != (1, 1) or uvals.shape != (1, 1):
+        if centers.shape[1:] != (1, 1) or uvals.shape[1:] != (1, 1):
             raise ShapeError(
                 "stable spline kernel acts on scalar single-sample signals")
-        if centers.min() < 0 or uvals[0, 0] < 0:
+        if centers.min() < 0 or uvals.min() < 0:
             raise ValueError("stable spline kernel needs nonnegative arguments")
         # one sample, so the pasts are the signals themselves
-        stat = np.maximum(centers[:, :, 0], uvals[0, 0])
-        stat = stat if pasts else stat[:, 0]
+        stat = np.maximum(centers[None, :, :, 0], uvals[:, None, :, 0])
+        stat = stat if pasts else stat[..., 0]
     elif kind in ("bilinear", "polynomial"):
-        stat = np.einsum(f"jtc,tc->{out}", centers, uvals)
+        stat = np.einsum(f"jtc,btc->{out}", centers, uvals)
     else:
-        diff = centers - uvals
-        stat = np.einsum(f"jtc,jtc->{out}", diff, diff)
+        diff = centers - uvals[:, None]
+        stat = np.einsum(f"bjtc,bjtc->{out}", diff, diff)
     if pasts:
-        stat = np.cumsum(stat, axis=1)
+        stat = np.cumsum(stat, axis=-1)
     if kind == "bilinear":
         return stat
     if kind == "polynomial":
@@ -194,20 +195,22 @@ class OperatorKernel(ABC):
     @abstractmethod
     def row_terms(self, centers: np.ndarray, uvals: np.ndarray,
                   pasts: bool = False) -> list[tuple[np.ndarray, np.ndarray]]:
-        """K(u, c_j) against stacked centers (n, steps, dim), all j at once.
+        """K(u_b, c_j) for stacked inputs (B, steps, dim) against stacked
+        centers (n, steps, dim), all b and j at once.
 
-        Returns terms (w, M): the matrix of K(u, c_j) at sample t is the sum
-        over terms of w[j] * M, or w[j, t] * M when w has shape (n, steps).
-        With pasts set, a uniform kernel is evaluated on the pasts P_t u and
-        P_t c_j instead, giving w of shape (n, steps).
+        Returns terms (w, M): the matrix of K(u_b, c_j) at sample t is the
+        sum over terms of w[b, j] * M, or w[b, j, t] * M when w has shape
+        (B, n, steps).  With pasts set, a uniform kernel is evaluated on the
+        pasts P_t u_b and P_t c_j instead, giving w of shape (B, n, steps).
         """
 
     def row_blocks(self, centers: np.ndarray, uvals: np.ndarray) -> np.ndarray:
-        """Matrices of K(u, c_j) at every sample, shape (n, steps, p, p)."""
+        """Matrices of K(u, c_j) for one input (steps, dim) at every sample,
+        shape (n, steps, p, p)."""
         n, steps = centers.shape[:2]
         out = np.zeros((n, steps, self.output_dim, self.output_dim))
-        for w, M in self.row_terms(centers, uvals):
-            out += w.reshape(n, -1, 1, 1) * M
+        for w, M in self.row_terms(centers, uvals[None]):
+            out += w[0].reshape(n, -1, 1, 1) * M
         return out
 
     def matrix(self, u: Signal, v: Signal) -> np.ndarray:
@@ -400,10 +403,10 @@ class CausalDiagonalKernel(OperatorKernel):
         if isinstance(self.children, OperatorKernel):
             return self.children.row_terms(centers, uvals, pasts=True)
         terms = []
-        for t in range(uvals.shape[0]):
+        for t in range(uvals.shape[1]):
             for w, M in self._child(t).row_terms(centers, uvals, pasts=True):
                 at_t = np.zeros_like(w)
-                at_t[:, t] = w[:, t]
+                at_t[..., t] = w[..., t]
                 terms.append((at_t, M))
         return terms
 

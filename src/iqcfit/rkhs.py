@@ -105,7 +105,7 @@ def build_gram(kernel: OperatorKernel, inputs: tuple[Signal, ...],
         scalar = np.empty((n, n))
         for i in range(n):
             scalar[i, i:] = scalar[i:, i] = _scalar_batch(kernel.scalar,
-                                                          X[i:], X[i])
+                                                          X[i:], X[i:i + 1])[0]
         return GramOperator(kernel, inputs, "kronecker",
                             scalar_gram=scalar, R=kernel.R)
     if layout != "dense":
@@ -191,6 +191,9 @@ class FittedOperator:
     coefficients: tuple[Signal, ...]
     gamma: float
     rkhs_norm: float
+    # G c + gamma c, shaped (n, steps, p): the targets the coefficients solve
+    # for, as bundles store them; rebuilt from the Gram when absent.
+    targets: np.ndarray | None = None
 
     @property
     def grid(self) -> TimeGrid:
@@ -209,14 +212,14 @@ def _model_from_solution(spectral: Spectral, data: Dataset,
                          gamma: float) -> FittedOperator:
     gram, targets = spectral.gram, spectral.targets
     coeff = spectral.solve(gamma)
-    residual = gram.apply(coeff) + gamma * coeff - targets
-    rel = np.linalg.norm(residual) / max(np.linalg.norm(targets), 1e-300)
+    solved = gram.apply(coeff) + gamma * coeff
+    rel = np.linalg.norm(solved - targets) / max(np.linalg.norm(targets), 1e-300)
     if np.linalg.norm(targets) > 0 and rel > 1e-10:
         raise NumericalError(f"fit residual {rel:.3e} exceeds 1e-10")
     sq = max(gram.quad(coeff), 0.0)
     coeff_signals = tuple(Signal(data.grid, coeff[j]) for j in range(data.n))
     return FittedOperator(gram.kernel, data.inputs, coeff_signals,
-                          float(gamma), math.sqrt(sq))
+                          float(gamma), math.sqrt(sq), solved)
 
 
 def fit(kernel: OperatorKernel, data: Dataset, gamma: float,
@@ -249,21 +252,34 @@ def fit_many(kernel: OperatorKernel, data: Dataset, gammas: Sequence[float],
     return [_model_from_solution(spectral, data, gamma) for gamma in gammas]
 
 
-# Weights of a row term: (n,) for kernels uniform in time, (n, steps) else.
-_CONTRACT = {1: "j,jtb->tb", 2: "jt,jtb->tb"}
+# Weights of a row term: (B, n) for kernels uniform in time, (B, n, steps) else.
+_CONTRACT = {2: "lj,jtb->ltb", 3: "ljt,jtb->ltb"}
+
+# The evaluator takes lanes in chunks small enough that no temporary of the
+# batched kernel core (lanes x centers x steps x channels) exceeds this many
+# float64 values.
+LANE_BUDGET = 2**15
 
 
 def values_evaluator(model: FittedOperator) -> Callable[[np.ndarray], np.ndarray]:
-    """Array-level evaluator u_values -> y_values, precompiled for tight loops."""
+    """Array-level evaluator for stacked inputs, (B, steps, m) -> (B, steps, p).
+
+    Each lane is evaluated exactly as it would be alone.
+    """
     row_terms = model.kernel.row_terms
     centers = _stack(model.centers)
     coeff = _stack(model.coefficients)
+    n, steps, m = centers.shape
+    chunk = max(1, LANE_BUDGET // (n * steps * max(m, model.output_dim)))
 
     def run(uvals: np.ndarray) -> np.ndarray:
-        # sum_j K(u, c_j) coeff_j, one term of the batched row at a time
-        out = 0.0
-        for w, M in row_terms(centers, uvals):
-            out = out + np.einsum(_CONTRACT[w.ndim], w, coeff) @ M.T
+        out = np.empty(uvals.shape[:2] + coeff.shape[2:])
+        for lo in range(0, len(uvals), chunk):
+            # sum_j K(u, c_j) coeff_j, one term of the batched row at a time
+            part = 0.0
+            for w, M in row_terms(centers, uvals[lo:lo + chunk]):
+                part = part + np.einsum(_CONTRACT[w.ndim], w, coeff) @ M.T
+            out[lo:lo + chunk] = part
         return out
 
     return run
@@ -275,7 +291,7 @@ def evaluate(model: FittedOperator, u: Signal) -> Signal:
         raise ShapeError("input grid differs from the training grid")
     if u.dim != model.input_dim:
         raise ShapeError(f"expected {model.input_dim} input channels, got {u.dim}")
-    return Signal(u.grid, values_evaluator(model)(u.values))
+    return Signal(u.grid, values_evaluator(model)(u.values[None])[0])
 
 
 def rkhs_norm(model: FittedOperator) -> float:
@@ -291,9 +307,9 @@ def empirical_risk(model: FittedOperator, data: Dataset) -> float:
     if data.input_dim != model.input_dim:
         raise ShapeError(f"expected {model.input_dim} input channels, "
                          f"got {data.input_dim}")
-    run = values_evaluator(model)
-    return sum(norm(y - Signal(y.grid, run(u.values))) ** 2
-               for u, y in zip(data.inputs, data.outputs))
+    fitted = values_evaluator(model)(_stack(data.inputs))
+    return sum(norm(y - Signal(y.grid, y_hat)) ** 2
+               for y, y_hat in zip(data.outputs, fitted))
 
 
 def tune_gamma(kernel: OperatorKernel, data: Dataset, rho: float,
@@ -376,9 +392,11 @@ def save_fitted(model: FittedOperator, directory: str | Path,
         "n": len(model.centers),
         "extra": extra or {},
     }
-    gram = build_gram(model.kernel, model.centers)
-    coeff = _stack(model.coefficients)
-    targets = gram.apply(coeff) + model.gamma * coeff
+    targets = model.targets
+    if targets is None:
+        coeff = _stack(model.coefficients)
+        targets = (build_gram(model.kernel, model.centers).apply(coeff)
+                   + model.gamma * coeff)
     for i, (u, c) in enumerate(zip(model.centers, model.coefficients)):
         write_signal(u, directory / f"center_{i:03d}.csv")
         write_signal(c, directory / f"coeff_{i:03d}.csv")
@@ -396,10 +414,12 @@ def load_fitted(location: str | Path) -> FittedOperator:
     base = path.parent
     try:
         if meta.get("format") != "iqcfit-model":
-            raise ValueError(f"{path}: not a model bundle")
+            raise ValueError("not a model bundle")
         kernel = kernel_from_json(meta["kernel"])
         dt, n = float(meta["dt"]), int(meta["n"])
         gamma, stored_norm = float(meta["gamma"]), float(meta["rkhs_norm"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     except (TypeError, KeyError, AttributeError) as exc:
         raise ValueError(f"{path}: malformed model manifest: "
                          f"{type(exc).__name__} {exc}") from None
@@ -421,4 +441,5 @@ def load_fitted(location: str | Path) -> FittedOperator:
         raise NumericalError(
             f"{path}: stored norm {meta['rkhs_norm']} != recomputed {nrm}"
         )
-    return FittedOperator(kernel, tuple(centers), tuple(coeffs), gamma, nrm)
+    return FittedOperator(kernel, tuple(centers), tuple(coeffs), gamma, nrm,
+                          ybar)

@@ -239,13 +239,16 @@ class IiqcReport:
     residuals: tuple[float, ...]
 
 
-def check_operator_iiqc(op: Callable[[Signal], Signal], supply: SupplyRate,
+def check_operator_iiqc(op: Callable[[list[Signal]], list[Signal]],
+                        supply: SupplyRate,
                         probes: list[tuple[Signal, Signal]], mode: str = "full",
                         quadrature: str = "sequence", trapezoid: bool = False,
                         tol: float | None = None) -> IiqcReport:
     """Evaluate op on probe pairs and report the worst accumulated supply.
 
-    mode "full" checks the complete horizon only; "all-horizons" also checks
+    op maps a list of input signals to the list of their outputs; it is
+    called once, on both inputs of every pair in probe order.  mode "full"
+    checks the complete horizon only; "all-horizons" also checks
     every truncation, which is the actual incremental dissipativity property.
     Passing means min residual >= -tol; by default tol scales with the largest
     per-pair sum of absolute supply terms.
@@ -254,8 +257,9 @@ def check_operator_iiqc(op: Callable[[Signal], Signal], supply: SupplyRate,
         raise ValueError(f"unknown check mode {mode!r}")
     mins, scale = [], 0.0
     worst = (np.inf, -1, -1)
+    outputs = op([x for pair in probes for x in pair])
     for idx, (u, v) in enumerate(probes):
-        y, z = op(u), op(v)
+        y, z = outputs[2 * idx], outputs[2 * idx + 1]
         du, dy = u - v, y - z
         w = sample_weights(du.grid, quadrature, trapezoid)
         x = np.hstack([du.values, dy.values])

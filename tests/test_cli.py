@@ -209,6 +209,8 @@ def test_malformed_json_is_usage_error(ws, tmp_path, capsys, target, edit):
     assert rc == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+    if target == "model":
+        assert str(path) in err
 
 
 def test_simulate_zero_model_is_identity(zero_model, tmp_path):
@@ -289,6 +291,37 @@ def test_sweep_gamma_monotone(ws, tmp_path):
     assert np.all(np.diff(rows[:, 0]) > 0)
     assert np.all(np.diff(rows[:, 1]) <= 1e-12)
     assert np.all(np.diff(rows[:, 2]) >= -1e-12)
+
+
+@pytest.mark.parametrize("flag", ["--scale-a", "--scale-b"])
+def test_sweep_gamma_rejects_lone_scale(ws, tmp_path, capsys, flag):
+    capsys.readouterr()
+    rc = cli.main(["sweep-gamma", "--data", str(ws / "gen" / "data"),
+                   flag, "5", "--count", "3",
+                   "--out", str(tmp_path / "sweep"), "--quiet"])
+    assert rc == 2
+    assert "scale-a and scale-b must be given together" in capsys.readouterr().err
+    assert not (tmp_path / "sweep" / "sweep.csv").exists()
+
+
+def test_simulate_several_inputs_match_one_at_a_time(ws, tmp_path):
+    grid = TimeGrid(4, 0.5)
+    rng = np.random.default_rng(8)
+    model = str(ws / "fit" / "model")
+    paths = []
+    for i in range(3):
+        paths.append(tmp_path / f"probe{i}.csv")
+        write_signal(random_signal(grid, 1, rng, scale=40.0), paths[-1])
+    args = ["simulate", "--model", model, "--quiet"]
+    assert cli.main(args + [a for p in paths for a in ("--input", str(p))]
+                    + ["--out", str(tmp_path / "all")]) == 0
+    for p in paths:
+        one = tmp_path / f"one_{p.stem}"
+        assert cli.main(args + ["--input", str(p), "--out", str(one)]) == 0
+        for name in (f"sim_{p.stem}.csv", f"sim_{p.stem}_log.json"):
+            assert (one / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+    runs = _read_json(tmp_path / "all" / "simulate_report.json")["runs"]
+    assert [r["input"] for r in runs] == [p.stem for p in paths]
 
 
 def test_config_file_and_flag_precedence(ws, tmp_path):

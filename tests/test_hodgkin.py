@@ -6,6 +6,8 @@ import pytest
 from iqcfit.errors import ShapeError
 from iqcfit.hodgkin import (
     DEFAULT_LEVELS,
+    _input_on_half_grid,
+    _integrate_gating,
     check_step_ordering,
     gating_trajectory,
     monotonicity_witness,
@@ -206,3 +208,41 @@ def test_signal_input_matches_callable():
     # midpoints differ: linear interpolation vs exact samples
     gap = np.abs(from_sig.values - from_fn.values).max()
     assert gap <= 1e-5 * np.abs(from_fn.values).max()
+
+
+def _reference_gating(u, dt_ode, horizon):
+    """The integrator as an indexed loop over numpy scalars, kept as the
+    reference the float loop must reproduce bit for bit."""
+    half, n = _input_on_half_grid(u, dt_ode, horizon)
+    alpha = rate_alpha(half)
+    beta = rate_beta(half)
+    rate = alpha + beta
+    x = 0.0
+    xs = np.empty(n + 1)
+    xs[0] = x
+    h = dt_ode
+    for k in range(n):
+        a0, r0 = alpha[2 * k], rate[2 * k]
+        am, rm = alpha[2 * k + 1], rate[2 * k + 1]
+        a1, r1 = alpha[2 * k + 2], rate[2 * k + 2]
+        k1 = a0 - r0 * x
+        k2 = am - rm * (x + 0.5 * h * k1)
+        k3 = am - rm * (x + 0.5 * h * k2)
+        k4 = a1 - r1 * (x + h * k3)
+        x += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        xs[k + 1] = x
+    return xs, half[::2]
+
+
+def test_float_loop_matches_reference_loop():
+    u1, u2 = witness_inputs()
+    grid = TimeGrid(1500, 1e-3)
+    # horizons span one block, several, and an exact multiple of RK4_BLOCK
+    cases = [(-6.0, 1e-3, 2.0), (-10.0, 2e-3, 3.0), (-19.0, 1e-3, 2.048),
+             (-63.0, 0.1, 10.0), (u1, 1e-3, 2.0),
+             (u2, 5e-4, 1.0), (Signal(grid, u2(grid.times())), 1e-3, None)]
+    for u, dt_ode, horizon in cases:
+        xs, nodes = _integrate_gating(u, dt_ode, horizon)
+        want_xs, want_nodes = _reference_gating(u, dt_ode, horizon)
+        assert np.array_equal(xs, want_xs)
+        assert np.array_equal(nodes, want_nodes)

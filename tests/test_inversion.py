@@ -1,8 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from iqcfit import rkhs
 from iqcfit.errors import ContractionError, ConvergenceError, ShapeError
 from iqcfit.inversion import (
+    PicardBatch,
+    ScatteredModel,
     causality_check_r,
     contraction_margin,
     descatter_output,
@@ -10,8 +17,9 @@ from iqcfit.inversion import (
     scattered_from_operator,
     simulate_r,
 )
-from iqcfit.kernels import CausalDiagonalKernel, SeparableKernel, gaussian, scaled_laplacian
-from iqcfit.rkhs import evaluate, fit, tune_gamma
+from iqcfit.kernels import (CausalDiagonalKernel, SeparableKernel, SumKernel,
+                            gaussian, scaled_laplacian)
+from iqcfit.rkhs import evaluate, fit, tune_gamma, values_evaluator
 from iqcfit.signals import (Dataset, Signal, TimeGrid, constant_signal, norm,
                             random_signal, truncate, zeros)
 from iqcfit.supply import check_operator_iiqc, factor_phi, gain_supply, passivity_supply
@@ -259,3 +267,152 @@ def test_causality_check_full_window_self_pair():
     report = causality_check_r(model, [(u, u)], horizons=[grid.tau],
                                tol=0.0, picard_tol=1e-12)
     assert report.max_violation == 0.0
+
+
+# ---------------------------------------------------------------------------
+# batched solves
+
+
+def _fitted_scattered(kernel, seed, m=1):
+    """A tuned fit of the kernel wrapped as a contraction under passivity
+    scattering, whose eps equals the Lipschitz bound ||S|| (see
+    test_epsilon_for_passivity_equals_lipschitz); the tuned norm bounds
+    increments for every structure here, proven or not."""
+    rng = np.random.default_rng(seed)
+    data = _dataset(rng, n=4, tau=5) if m == 1 else Dataset(
+        tuple(random_signal(TimeGrid(5), m, rng) for _ in range(4)),
+        tuple(random_signal(TimeGrid(5), m, rng) for _ in range(4)))
+    _, model = tune_gamma(kernel, data, rho=0.9)
+    factors = factor_phi(passivity_supply(m))
+    ell = model.rkhs_norm
+    return ScatteredModel(values_evaluator(model), factors, ell, ell, model)
+
+
+def _batch_models():
+    sep = SeparableKernel(scaled_laplacian(), np.eye(1))
+    per_sample = tuple(SeparableKernel(gaussian(1.5 + 0.2 * t), np.eye(1))
+                       for t in range(6))
+    R2 = np.array([[0.8, 0.1], [0.1, 0.5]])
+    fitted = {
+        "separable": _fitted_scattered(sep, 80),
+        "separable-2ch": _fitted_scattered(
+            SeparableKernel(gaussian(2.0), R2), 81, m=2),
+        "sum": _fitted_scattered(
+            SumKernel((0.6, 0.4), (sep, SeparableKernel(gaussian(2.0),
+                                                        np.eye(1)))), 82),
+        "causal-shared": _fitted_scattered(
+            CausalDiagonalKernel(SeparableKernel(gaussian(2.0), np.eye(1))), 83),
+        "causal-per-sample": _fitted_scattered(
+            CausalDiagonalKernel(per_sample), 84),
+    }
+    wrapped = fitted["causal-shared"].fitted
+    fitted["from-operator"] = scattered_from_operator(
+        lambda sig: evaluate(wrapped, sig), wrapped.rkhs_norm,
+        factor_phi(passivity_supply(1)), wrapped.grid)
+    return fitted
+
+
+BATCH_MODELS = _batch_models()
+
+
+def _lane(kind, grid, m, rng):
+    if kind == "zero":
+        return zeros(grid, m)
+    if kind == "tiny":
+        return constant_signal(grid, 1e-300, m)
+    return random_signal(grid, m, rng, scale=float(rng.choice([0.1, 1.0, 5.0])))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(BATCH_MODELS)),
+       kinds=st.lists(st.sampled_from(["random", "random", "zero", "tiny"]),
+                      min_size=1, max_size=9),
+       seed=st.integers(0, 2**16),
+       tol=st.sampled_from([None, 1e-10]),
+       budget=st.sampled_from([1, 200, 500, 2**15]))
+def test_batched_solve_matches_single_solves(name, kinds, seed, tol, budget):
+    model = BATCH_MODELS[name]
+    rng = np.random.default_rng(seed)
+    grid, m = TimeGrid(5), model.factors.m
+    inputs = [_lane(kind, grid, m, rng) for kind in kinds]
+    with pytest.MonkeyPatch.context() as mp:
+        # small budgets split the batch over several evaluator chunks
+        mp.setattr(rkhs, "LANE_BUDGET", budget)
+        if model.fitted is not None:
+            model = replace(model, s=values_evaluator(model.fitted))
+        batch = picard_solve(model, inputs, tol=tol)
+    assert isinstance(batch, PicardBatch)
+    assert len(batch.lanes) == len(inputs)
+    assert isinstance(batch.iterations, int)
+    assert batch.iterations == sum(r.iterations for r in batch.lanes)
+    for u, got in zip(inputs, batch.lanes):
+        want = picard_solve(model, u, tol=tol)
+        assert np.array_equal(got.v_star.values, want.v_star.values)
+        assert got.iterations == want.iterations
+        assert got.residual == want.residual
+        assert got.error_bound == want.error_bound
+        assert got.converged and got.iterates is None
+    outputs = simulate_r(model, inputs, tol=tol)
+    for u, y in zip(inputs, outputs):
+        assert np.array_equal(y.values, simulate_r(model, u, tol=tol).values)
+
+
+def test_batched_solve_records_each_lane():
+    rng = np.random.default_rng(85)
+    grid = TimeGrid(5)
+    model = _linear_s(0.9, grid)
+    inputs = [random_signal(grid, 1, rng), zeros(grid),
+              random_signal(grid, 1, rng, scale=10.0)]
+    batch = picard_solve(model, inputs, tol=1e-11, record=True)
+    for u, got in zip(inputs, batch.lanes):
+        want = picard_solve(model, u, tol=1e-11, record=True)
+        assert len(got.iterates) == got.iterations + 1 == len(want.iterates)
+        for a, b in zip(got.iterates, want.iterates):
+            assert np.array_equal(a.values, b.values)
+    # the zero lane stops after one step while the others keep iterating
+    assert batch.lanes[1].iterations == 1 < batch.lanes[0].iterations
+
+
+def test_batched_solve_raises_when_a_lane_stalls():
+    rng = np.random.default_rng(86)
+    grid = TimeGrid(3)
+    model = _linear_s(0.9, grid)
+    # the zero lane converges at once; the random one needs far more steps
+    inputs = [zeros(grid), random_signal(grid, 1, rng), zeros(grid)]
+    with pytest.raises(ConvergenceError):
+        picard_solve(model, inputs, tol=1e-12, max_iter=3)
+    assert picard_solve(model, inputs, tol=1e-12).lanes[1].iterations > 3
+
+
+def test_batched_solve_validations():
+    rng = np.random.default_rng(87)
+    model = _linear_s(0.5, TimeGrid(3))
+    with pytest.raises(ShapeError):
+        picard_solve(model, [random_signal(TimeGrid(3), 1, rng),
+                             random_signal(TimeGrid(4), 1, rng)])
+    with pytest.raises(ShapeError):
+        picard_solve(model, [random_signal(TimeGrid(3), 2, rng)])
+    empty = picard_solve(model, [])
+    assert empty.lanes == () and empty.iterations == 0
+    assert simulate_r(model, []) == []
+
+
+def test_check_operator_iiqc_calls_op_once():
+    rng = np.random.default_rng(88)
+    grid = TimeGrid(4)
+    model = _linear_s(0.5, grid)
+    pairs = [(random_signal(grid, 1, rng), random_signal(grid, 1, rng))
+             for _ in range(7)]
+    calls = []
+
+    def op(inputs):
+        calls.append(list(inputs))
+        return simulate_r(model, inputs)
+
+    report = check_operator_iiqc(op, passivity_supply(1), pairs)
+    assert len(calls) == 1
+    assert calls[0] == [x for pair in pairs for x in pair]
+    one_by_one = check_operator_iiqc(
+        lambda us: [simulate_r(model, u) for u in us], passivity_supply(1),
+        pairs)
+    assert report.residuals == one_by_one.residuals

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from iqcfit import rkhs
 from iqcfit.errors import NumericalError, ShapeError
 from iqcfit.kernels import (
     SCALAR_KINDS,
@@ -28,6 +31,7 @@ from iqcfit.rkhs import (
     rkhs_norm,
     save_fitted,
     tune_gamma,
+    values_evaluator,
 )
 from iqcfit.signals import (
     Dataset,
@@ -203,6 +207,24 @@ def test_evaluator_matches_direct_sum():
         gap = norm(evaluate(model, u) - direct)
         assert gap <= 1e-12
         assert gap <= 1e-12 * norm(direct)
+
+
+@pytest.mark.parametrize("budget", [1, 100, 2**15])
+def test_evaluator_lanes_match_single_inputs(monkeypatch, budget):
+    # budgets of one lane, a few lanes and the default chunk the stack
+    # differently; every lane must come out as it does alone
+    monkeypatch.setattr(rkhs, "LANE_BUDGET", budget)
+    rng = np.random.default_rng(62)
+    data = _random_dataset(rng, n=4, tau=3, m=2, p=2)
+    R = np.array([[1.0, 0.3], [0.3, 0.6]])
+    for kernel in _structures(gaussian(2.0), R):
+        model = fit(kernel, data, gamma=0.05)
+        stack = np.stack([random_signal(data.grid, 2, rng).values
+                          for _ in range(7)])
+        got = values_evaluator(model)(stack)
+        assert got.shape == (7, data.grid.size, 2)
+        for u, y in zip(stack, got):
+            assert np.array_equal(y, evaluate(model, Signal(data.grid, u)).values)
 
 
 def _structures(spec, R):
@@ -468,3 +490,19 @@ def test_bundle_detects_norm_mismatch(tmp_path):
     meta.write_text(text)
     with pytest.raises(NumericalError):
         load_fitted(tmp_path / "bundle")
+
+
+def test_save_fitted_reuses_the_fit_targets(tmp_path, monkeypatch):
+    rng = np.random.default_rng(60)
+    data = _random_dataset(rng, n=4, tau=3)
+    model = fit(SeparableKernel(gaussian(2.0), np.eye(1)), data, gamma=0.05)
+    save_fitted(replace(model, targets=None), tmp_path / "rebuilt")
+    builds = []
+    monkeypatch.setattr(rkhs, "build_gram",
+                        lambda *a, **k: builds.append(a) or build_gram(*a, **k))
+    save_fitted(model, tmp_path / "carried")
+    assert builds == []
+    for i in range(data.n):
+        name = f"target_{i:03d}.csv"
+        assert (tmp_path / "carried" / name).read_bytes() == \
+            (tmp_path / "rebuilt" / name).read_bytes()

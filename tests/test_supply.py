@@ -164,7 +164,8 @@ def test_check_identity_passes_and_negation_fails():
     ok = check_operator_iiqc(lambda u: u, passivity_supply(1), probes)
     assert ok.passed
     assert ok.min_residual >= 0.0
-    bad = check_operator_iiqc(lambda u: -1.0 * u, passivity_supply(1), probes)
+    bad = check_operator_iiqc(lambda us: [-1.0 * u for u in us],
+                              passivity_supply(1), probes)
     assert not bad.passed
     assert bad.min_residual < 0.0
 
@@ -203,8 +204,8 @@ def test_scattering_equivalence_for_linear_operators():
         for _ in range(25)
     ]
     for r in (-0.5, 0.0, 0.3, 1.0, 2.0, 5.0, -2.0):
-        rep = check_operator_iiqc(lambda u, r=r: r * u, passivity_supply(1),
-                                  probes, tol=1e-12)
+        rep = check_operator_iiqc(lambda us, r=r: [r * u for u in us],
+                                  passivity_supply(1), probes, tol=1e-12)
         s = _closed_form_s(f, r)
         assert rep.passed == (abs(s) <= 1.0 + 1e-12), (r, s)
 
