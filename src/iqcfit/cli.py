@@ -34,7 +34,6 @@ from .hodgkin import (
 from .inversion import (
     causality_check_r,
     contraction_margin,
-    descatter_output,
     picard_solve,
     simulate_r,
 )
@@ -445,6 +444,14 @@ def run_simulate(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
         raise ValueError("--model is required")
     if not cfg["inputs"]:
         raise ValueError("at least one --input CSV is required")
+    # Outputs are named after the input's file stem, so stems must differ.
+    stems: dict[str, str] = {}
+    for path in cfg["inputs"]:
+        stem = Path(path).stem
+        if stem in stems:
+            raise ValueError(f"inputs {stems[stem]} and {path} share the file "
+                             f"stem {stem!r}; their outputs would collide")
+        stems[stem] = path
     model_dir = Path(cfg["model"])
     model = load_fitted(model_dir)
     extra = _model_extra(model_dir)
@@ -475,7 +482,7 @@ def run_simulate(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
                          tol=tol, max_iter=int(cfg["max_iter"]))
     runs = []
     for path, u_raw, result in zip(cfg["inputs"], raw, batch.lanes):
-        y = descatter_output(scattered, result.v_star)
+        y = result.y_star
         if scale:
             y = scale["b"] * y
         stem = Path(path).stem
@@ -590,7 +597,7 @@ def run_reproduce(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     batch = picard_solve(scattered, [(1.0 / a) * u for u in data.inputs],
                          tol=picard_tol)
     for level, y_raw, result in zip(levels, data.outputs, batch.lanes):
-        y_hat = b * descatter_output(scattered, result.v_star)
+        y_hat = b * result.y_star
         err = norm(y_hat - y_raw)
         traj = norm(y_raw)
         recon.append({

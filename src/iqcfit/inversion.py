@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ContractionError, ConvergenceError, ShapeError
 from .kernels import PROVEN, certify_nonexpansive
-from .rkhs import FittedOperator, values_evaluator
+from .rkhs import FittedOperator
 from .signals import Signal, norm, truncate
 from .supply import ScatteringFactors
 
@@ -74,7 +74,7 @@ def contraction_margin(model: FittedOperator,
     eps = _epsilon(ell, factors)
     if eps >= 1.0:
         raise ContractionError(f"contraction factor eps = {eps:.6f} >= 1")
-    return ScatteredModel(values_evaluator(model), factors, ell, eps, model)
+    return ScatteredModel(model.evaluator, factors, ell, eps, model)
 
 
 def scattered_from_operator(s: Callable[[Signal], Signal], lipschitz: float,
@@ -100,6 +100,8 @@ def scattered_from_operator(s: Callable[[Signal], Signal], lipschitz: float,
 @dataclass(frozen=True, eq=False)
 class PicardResult:
     v_star: Signal
+    # y* = N21 v* + N22 S(v*), from the S(v*) the residual evaluated.
+    y_star: Signal
     iterations: int
     residual: float
     epsilon: float
@@ -198,8 +200,9 @@ def _solve_lanes(model: ScatteredModel, inputs: list[Signal],
         active = active[~done]
         if not len(active):
             break
-    residuals = _lane_norms(
-        v @ factors.n11.T + model.s(v) @ factors.n12.T - u_vals)
+    s_star = model.s(v)
+    residuals = _lane_norms(v @ factors.n11.T + s_star @ factors.n12.T - u_vals)
+    outputs = _descatter(factors, v, s_star)
     if len(active):
         raise ConvergenceError(
             f"fixed-point iteration hit {max_iter} steps "
@@ -208,6 +211,7 @@ def _solve_lanes(model: ScatteredModel, inputs: list[Signal],
     return [
         PicardResult(
             v_star=Signal(grid, v[i]),
+            y_star=Signal(grid, outputs[i]),
             iterations=int(iterations[i]),
             residual=float(residuals[i]),
             epsilon=eps,
@@ -219,14 +223,16 @@ def _solve_lanes(model: ScatteredModel, inputs: list[Signal],
     ]
 
 
-def _descatter(model: ScatteredModel, v_vals: np.ndarray) -> np.ndarray:
-    factors = model.factors
-    return v_vals @ factors.n21.T + model.s(v_vals) @ factors.n22.T
+def _descatter(factors: ScatteringFactors, v_vals: np.ndarray,
+               s_vals: np.ndarray) -> np.ndarray:
+    return v_vals @ factors.n21.T + s_vals @ factors.n22.T
 
 
 def descatter_output(model: ScatteredModel, v_star: Signal) -> Signal:
     """Map a fixed point back to the output: y* = N21 v* + N22 S(v*)."""
-    return Signal(v_star.grid, _descatter(model, v_star.values[None])[0])
+    v_vals = v_star.values[None]
+    return Signal(v_star.grid,
+                  _descatter(model.factors, v_vals, model.s(v_vals))[0])
 
 
 def simulate_r(model: ScatteredModel, u_star: Signal | Sequence[Signal],
@@ -236,12 +242,8 @@ def simulate_r(model: ScatteredModel, u_star: Signal | Sequence[Signal],
     of a list of them with one batched solve."""
     result = picard_solve(model, u_star, tol=tol, max_iter=max_iter)
     if isinstance(result, PicardResult):
-        return descatter_output(model, result.v_star)
-    if not result.lanes:
-        return []
-    grid = result.lanes[0].v_star.grid
-    v_vals = np.stack([lane.v_star.values for lane in result.lanes])
-    return [Signal(grid, y) for y in _descatter(model, v_vals)]
+        return result.y_star
+    return [lane.y_star for lane in result.lanes]
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -23,10 +24,18 @@ from .signals import Dataset, Signal, TimeGrid, norm, read_signal, write_signal
 
 # Dense Gram matrices above this side length are refused.
 DENSE_CAP = 4096
+# tune_gamma raises gamma at most this many times to bring the stored norm
+# under rho.
+NUDGE_LIMIT = 60
 
 
 def _stack(signals: tuple[Signal, ...]) -> np.ndarray:
     return np.stack([s.values for s in signals])
+
+
+def _kron_left(A: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """A applied along the first axis of coeff: (A x I) vec(coeff), one matmul."""
+    return (A @ coeff.reshape(len(coeff), -1)).reshape(coeff.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +75,7 @@ class GramOperator:
         """Apply G to coefficients shaped (n, steps, p)."""
         if self.layout == "dense":
             return (self.dense @ coeff.reshape(-1)).reshape(coeff.shape)
-        return np.einsum("ij,jtb,ab->ita", self.scalar_gram, coeff, self.R)
+        return _kron_left(self.scalar_gram, coeff) @ self.R.T
 
     def quad(self, coeff: np.ndarray) -> float:
         return float(np.vdot(coeff, self.apply(coeff)))
@@ -154,8 +163,7 @@ class Spectral:
             lam_s, self._Q = np.linalg.eigh(gram.scalar_gram)
             mu, self._U = np.linalg.eigh(gram.R)
             lam = lam_s[:, None, None] * mu[None, None, :]
-            work = np.einsum("ji,jtb->itb", self._Q, targets)
-            self._proj = np.einsum("itb,ba->ita", work, self._U)
+            self._proj = _kron_left(self._Q.T, targets) @ self._U
         self._lam = lam
         # The norm curve treats rounding-level negative eigenvalues as zero.
         self._lam_pos = np.clip(lam, 0.0, None)
@@ -173,8 +181,7 @@ class Spectral:
         work = self._proj / denom
         if self.gram.layout == "dense":
             return (self._V @ work).reshape(self.targets.shape)
-        work = np.einsum("ji,ita->jta", self._Q, work)
-        return np.einsum("jta,ba->jtb", work, self._U)
+        return _kron_left(self._Q, work) @ self._U.T
 
     def norm(self, gamma: float) -> float:
         """RKHS norm of the fit at gamma."""
@@ -206,6 +213,11 @@ class FittedOperator:
     @property
     def output_dim(self) -> int:
         return self.kernel.output_dim
+
+    @cached_property
+    def evaluator(self) -> Callable[[np.ndarray], np.ndarray]:
+        """values_evaluator(self), built on first use and kept."""
+        return values_evaluator(self)
 
 
 def _model_from_solution(spectral: Spectral, data: Dataset,
@@ -291,7 +303,7 @@ def evaluate(model: FittedOperator, u: Signal) -> Signal:
         raise ShapeError("input grid differs from the training grid")
     if u.dim != model.input_dim:
         raise ShapeError(f"expected {model.input_dim} input channels, got {u.dim}")
-    return Signal(u.grid, values_evaluator(model)(u.values[None])[0])
+    return Signal(u.grid, model.evaluator(u.values[None])[0])
 
 
 def rkhs_norm(model: FittedOperator) -> float:
@@ -307,7 +319,7 @@ def empirical_risk(model: FittedOperator, data: Dataset) -> float:
     if data.input_dim != model.input_dim:
         raise ShapeError(f"expected {model.input_dim} input channels, "
                          f"got {data.input_dim}")
-    fitted = values_evaluator(model)(_stack(data.inputs))
+    fitted = model.evaluator(_stack(data.inputs))
     return sum(norm(y - Signal(y.grid, y_hat)) ** 2
                for y, y_hat in zip(data.outputs, fitted))
 
@@ -328,7 +340,18 @@ def tune_gamma(kernel: OperatorKernel, data: Dataset, rho: float,
     spectral = Spectral(gram, _stack(data.outputs))
 
     def finish(gamma: float) -> tuple[float, FittedOperator]:
-        return gamma, _model_from_solution(spectral, data, gamma)
+        # The curve and the stored norm (from quad) round differently, so
+        # the stored norm may exceed rho in its last bits: raise gamma by a
+        # relative step that starts at 4 ulp and doubles, until it does not.
+        step = 4 * np.finfo(float).eps
+        for _ in range(NUDGE_LIMIT):
+            model = _model_from_solution(spectral, data, gamma)
+            if model.rkhs_norm <= rho:
+                return gamma, model
+            gamma *= 1.0 + step
+            step *= 2.0
+        raise NumericalError(f"stored norm {model.rkhs_norm!r} stays above "
+                             f"rho {rho!r} as gamma grows")
 
     gamma0 = max(gram.trace() / gram.dim, 1e-300)
     if np.linalg.norm(spectral.targets) == 0:

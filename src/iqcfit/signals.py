@@ -200,13 +200,18 @@ class Dataset:
 
 
 def write_signal(f: Signal, path: str | Path):
-    """CSV with header t,ch1,...,chd and one row per sample."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"ch{k + 1}" for k in range(f.dim)])
-        for j, t in enumerate(f.grid.times()):
-            writer.writerow([f"{t:.17g}"] + [f"{x:.17g}" for x in f.values[j]])
+    """CSV with header t,ch1,...,chd and one row per sample.
+
+    Every value is written as %.17g, which round-trips float64 exactly, and
+    every line ends in \\r\\n, the csv module's default.  The file is
+    rendered by one format and written in one call.
+    """
+    header = ",".join(["t"] + [f"ch{k + 1}" for k in range(f.dim)])
+    row = ",".join(["%.17g"] * (f.dim + 1))
+    cells = np.column_stack([f.grid.times(), f.values]).ravel().tolist()
+    text = header + "\r\n" + ((row + "\r\n") * f.grid.size) % tuple(cells)
+    with Path(path).open("w", newline="") as fh:
+        fh.write(text)
 
 
 def read_signal(path: str | Path, dt: float | None = None) -> Signal:
@@ -219,7 +224,10 @@ def read_signal(path: str | Path, dt: float | None = None) -> Signal:
     body = [r for r in rows[1:] if r]
     if not body:
         raise ValueError(f"{path}: no samples")
-    data = np.array([[float(x) for x in r] for r in body])
+    try:
+        data = np.array(body, dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     times, values = data[:, 0], data[:, 1:]
     if values.shape[1] < 1:
         raise ShapeError(f"{path}: no channel columns")

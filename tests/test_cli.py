@@ -324,6 +324,24 @@ def test_simulate_several_inputs_match_one_at_a_time(ws, tmp_path):
     assert [r["input"] for r in runs] == [p.stem for p in paths]
 
 
+def test_simulate_rejects_inputs_sharing_a_stem(ws, tmp_path, capsys):
+    grid = TimeGrid(4, 0.5)
+    paths = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        paths.append(tmp_path / sub / "probe.csv")
+        write_signal(Signal(grid, np.ones(5)), paths[-1])
+    capsys.readouterr()
+    out = tmp_path / "sim"
+    rc = cli.main(["simulate", "--model", str(ws / "fit" / "model"),
+                   "--input", str(paths[0]), "--input", str(paths[1]),
+                   "--out", str(out), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(paths[0]) in err and str(paths[1]) in err
+    assert not (out / "sim_probe.csv").exists()
+
+
 def test_config_file_and_flag_precedence(ws, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -352,9 +352,34 @@ def test_batched_solve_matches_single_solves(name, kinds, seed, tol, budget):
         assert got.residual == want.residual
         assert got.error_bound == want.error_bound
         assert got.converged and got.iterates is None
+        assert np.array_equal(got.y_star.values,
+                              descatter_output(model, got.v_star).values)
     outputs = simulate_r(model, inputs, tol=tol)
     for u, y in zip(inputs, outputs):
         assert np.array_equal(y.values, simulate_r(model, u, tol=tol).values)
+
+
+def test_each_lane_costs_iterations_plus_one_evaluations():
+    model = BATCH_MODELS["separable"]
+    seen = []
+
+    def s(vals):
+        seen.append(len(vals))
+        return model.s(vals)
+
+    counted = replace(model, s=s)
+    rng = np.random.default_rng(89)
+    grid = TimeGrid(5)
+    inputs = [random_signal(grid, 1, rng) for _ in range(3)] + [zeros(grid)]
+    batch = picard_solve(counted, inputs)
+    assert sum(seen) == batch.iterations + len(inputs)
+    seen.clear()
+    outputs = simulate_r(counted, inputs)
+    # the output reuses the S(v*) the residual evaluated
+    assert sum(seen) == batch.iterations + len(inputs)
+    for y, lane in zip(outputs, batch.lanes):
+        assert np.array_equal(y.values,
+                              descatter_output(model, lane.v_star).values)
 
 
 def test_batched_solve_records_each_lane():

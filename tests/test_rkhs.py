@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iqcfit import rkhs
 from iqcfit.errors import NumericalError, ShapeError
@@ -342,6 +344,62 @@ def test_singular_gram_raises(layout):
     with pytest.raises(NumericalError, match="min Gram eigenvalue -1"):
         spectral.solve(0.5)
     assert spectral.solve(1.5).shape == (2, 1, 1)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_kronecker_products_match_dense(p):
+    rng = np.random.default_rng(64 + p)
+    data = _random_dataset(rng, n=5, tau=3, m=2, p=p)
+    A = rng.normal(size=(p, p))
+    kernel = SeparableKernel(gaussian(2.0), A @ A.T + 0.1 * np.eye(p))
+    gram = build_gram(kernel, data.inputs, layout="kronecker")
+    D = gram.to_dense()
+    c = rng.normal(size=(5, 4, p))
+
+    def rel_err(got, want):
+        return np.abs(got - want).max() / np.abs(want).max()
+
+    assert rel_err(gram.apply(c).reshape(-1), D @ c.reshape(-1)) <= 1e-12
+    assert rel_err(gram.quad(c), c.reshape(-1) @ D @ c.reshape(-1)) <= 1e-12
+    y = np.stack([s.values for s in data.outputs])
+    spectral = Spectral(gram, y)
+    for gamma in (1e-2, 1.0, 10.0):
+        want = np.linalg.solve(D + gamma * np.eye(len(D)), y.reshape(-1))
+        assert rel_err(spectral.solve(gamma).reshape(-1), want) <= 1e-12
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 2),
+       layout=st.sampled_from(["kronecker", "dense"]),
+       rho=st.floats(min_value=1e-6, max_value=1.0),
+       rel_tol=st.sampled_from([1e-3, 1e-9, 0.0]))
+def test_tune_gamma_stored_norm_within_rho(seed, p, layout, rho, rel_tol):
+    rng = np.random.default_rng(seed)
+    data = _random_dataset(rng, n=3, tau=2, p=p, scale=float(rng.uniform(0.1, 5)))
+    A = rng.normal(size=(p, p))
+    kernel = SeparableKernel(gaussian(2.0), A @ A.T + 0.1 * np.eye(p))
+    gamma, model = tune_gamma(kernel, data, rho, layout=layout, rel_tol=rel_tol)
+    assert model.gamma == gamma
+    assert model.rkhs_norm <= rho
+
+
+def test_evaluator_built_once_per_model(monkeypatch):
+    rng = np.random.default_rng(56)
+    data = _random_dataset(rng, n=4)
+    model = fit(SeparableKernel(scaled_laplacian(), np.eye(1)), data, 0.01)
+    built = []
+
+    def counted(m):
+        built.append(m)
+        return values_evaluator(m)
+
+    monkeypatch.setattr(rkhs, "values_evaluator", counted)
+    first = evaluate(model, data.inputs[0])
+    for u in data.inputs:
+        evaluate(model, u)
+    empirical_risk(model, data)
+    assert built == [model]
+    assert np.array_equal(evaluate(model, data.inputs[0]).values, first.values)
 
 
 def test_increment_bound_from_norm():

@@ -1,5 +1,10 @@
+import csv
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from iqcfit.errors import ShapeError
 from iqcfit.signals import (
@@ -187,3 +192,51 @@ def test_load_dataset_rejects_tampered_manifest(tmp_path):
     manifest.write_text(manifest.read_text().replace('"m": 1', '"m": 2'))
     with pytest.raises(ValueError):
         load_dataset(tmp_path / "ds")
+
+
+def _write_signal_csv_writer(f, path):
+    """Reference: the csv.writer loop write_signal replaced, kept verbatim."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + [f"ch{k + 1}" for k in range(f.dim)])
+        for j, t in enumerate(f.grid.times()):
+            writer.writerow([f"{t:.17g}"] + [f"{x:.17g}" for x in f.values[j]])
+
+
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.1125369292536007e-308,
+                2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308,
+                -1.7976931348623157e308]
+
+
+@given(dim=st.integers(1, 3), tau=st.integers(0, 30),
+       dt=st.sampled_from([1.0, 0.1, 1e-3]), data=st.data())
+def test_write_signal_matches_csv_writer_and_round_trips(tmp_path_factory,
+                                                         dim, tau, dt, data):
+    cells = data.draw(st.lists(
+        st.one_of(st.sampled_from(_EDGE_VALUES),
+                  st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=(tau + 1) * dim, max_size=(tau + 1) * dim))
+    f = Signal(TimeGrid(tau, dt), np.array(cells).reshape(tau + 1, dim))
+    root = tmp_path_factory.mktemp("csv")
+    write_signal(f, root / "new.csv")
+    _write_signal_csv_writer(f, root / "ref.csv")
+    assert (root / "new.csv").read_bytes() == (root / "ref.csv").read_bytes()
+    back = read_signal(root / "new.csv", dt=dt)
+    assert back.grid == f.grid
+    assert back.values.tobytes() == f.values.tobytes()
+
+
+@pytest.mark.parametrize("name, text, error", [
+    ("ragged", "t,ch1\r\n0,1\r\n1,2,3\r\n", ValueError),
+    ("blank_only", "\r\n\r\n", ValueError),
+    ("blank_body", "t,ch1\r\n\r\n\r\n", ValueError),
+    ("non_numeric", "t,ch1\r\n0,1\r\n1,abc\r\n", ValueError),
+    ("header_only", "t,ch1\r\n", ValueError),
+    ("time_drift", "t,ch1\r\n0,1\r\n1,2\r\n2.5,3\r\n", ValueError),
+    ("no_channels", "t\r\n0\r\n1\r\n", ShapeError),
+])
+def test_read_signal_errors_name_the_file(tmp_path, name, text, error):
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(error, match=re.escape(str(path))):
+        read_signal(path)
