@@ -50,6 +50,7 @@ from .rkhs import (empirical_risk, fit, fit_many, load_fitted, save_fitted,
                    tune_gamma)
 from .signals import (
     TimeGrid,
+    csv_text,
     load_dataset,
     norm,
     random_signal,
@@ -211,15 +212,10 @@ def _probe_pairs(grid: TimeGrid, dim: int, count: int, rng, scale: float):
 
 def _run_csv(path: Path, grid: TimeGrid, uvals: np.ndarray,
              yvals: np.ndarray) -> None:
-    header = ",".join(
-        ["t"]
-        + [f"u{i + 1}" for i in range(uvals.shape[1])]
-        + [f"y{i + 1}" for i in range(yvals.shape[1])]
-    )
+    header = (["t"] + [f"u{i + 1}" for i in range(uvals.shape[1])]
+              + [f"y{i + 1}" for i in range(yvals.shape[1])])
     table = np.column_stack([grid.times(), uvals, yvals])
-    lines = [header]
-    lines += [",".join(f"{x:.17g}" for x in row) for row in table]
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(csv_text(header, table, "\n"))
 
 
 def _scaled(cfg: dict, data):
@@ -592,8 +588,7 @@ def run_reproduce(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     picard_tol = cfg["picard_tol"]
     picard_tol = None if picard_tol is None else float(picard_tol)
     data_scale = max(norm(y) for y in data.outputs)
-    recon = []
-    csv_lines = ["t,level,y,y_hat"]
+    recon, rows = [], []
     batch = picard_solve(scattered, [(1.0 / a) * u for u in data.inputs],
                          tol=picard_tol)
     for level, y_raw, result in zip(levels, data.outputs, batch.lanes):
@@ -607,10 +602,11 @@ def run_reproduce(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
             "rel_error_traj": err / traj if traj > 0 else 0.0,
             "iterations": result.iterations,
         })
-        for t, yv, yh in zip(data.grid.times(), y_raw.values[:, 0],
-                             y_hat.values[:, 0]):
-            csv_lines.append(f"{t:.17g},{level:.17g},{yv:.17g},{yh:.17g}")
-    (out / "reconstruction.csv").write_text("\n".join(csv_lines) + "\n")
+        rows.append(np.column_stack([
+            data.grid.times(), np.full(data.grid.size, level),
+            y_raw.values[:, 0], y_hat.values[:, 0]]))
+    (out / "reconstruction.csv").write_text(
+        csv_text(["t", "level", "y", "y_hat"], np.vstack(rows), "\n"))
 
     _log(quiet, "stage 6/6: monotonicity of the identified operator")
     rng = np.random.default_rng(seed)
@@ -670,11 +666,10 @@ def run_sweep_gamma(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
                           int(cfg["count"]))
     models = fit_many(kernel, scattered, [float(g) for g in gammas],
                       layout=cfg["layout"])
-    lines = ["gamma,rkhs_norm,risk"]
-    for gamma, model in zip(gammas, models):
-        risk = empirical_risk(model, scattered)
-        lines.append(f"{gamma:.17g},{model.rkhs_norm:.17g},{risk:.17g}")
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+    table = [(gamma, model.rkhs_norm, empirical_risk(model, scattered))
+             for gamma, model in zip(gammas, models)]
+    (out / "sweep.csv").write_text(csv_text(
+        ["gamma", "rkhs_norm", "risk"], np.array(table).reshape(-1, 3), "\n"))
     _log(quiet, f"swept {len(gammas)} gamma values")
     return 0
 

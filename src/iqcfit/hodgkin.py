@@ -10,7 +10,6 @@ natural target for the constrained identification pipeline.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Union
@@ -18,7 +17,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import NumericalError, ShapeError
-from .signals import Dataset, Signal, TimeGrid, inner_product
+from .signals import Dataset, Signal, TimeGrid, csv_text, inner_product
 
 # Voltage levels (mV) for the default step-response experiment.
 DEFAULT_LEVELS = (-6.0, -10.0, -19.0, -26.0, -32.0, -38.0, -51.0, -63.0,
@@ -242,15 +241,12 @@ def check_step_ordering(data: Dataset, tol: float = 1e-9) -> OrderingReport:
 
 def write_figure1(data: Dataset, path: str | Path):
     """Long-format CSV (t, level, y) of the step-response sweep."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "level", "y"])
-        times = data.grid.times()
-        for u, y in zip(data.inputs, data.outputs):
-            level = float(u.values[0, 0])
-            for t, val in zip(times, y.values[:, 0]):
-                writer.writerow([f"{t:.17g}", f"{level:.17g}", f"{val:.17g}"])
+    table = np.vstack([
+        np.column_stack([data.grid.times(), np.full(data.grid.size, u.values[0, 0]),
+                         y.values[:, 0]])
+        for u, y in zip(data.inputs, data.outputs)])
+    with Path(path).open("w", newline="") as fh:
+        fh.write(csv_text(["t", "level", "y"], table, "\r\n"))
 
 
 def time_constant(u: float) -> float:

@@ -398,13 +398,20 @@ def tune_gamma(kernel: OperatorKernel, data: Dataset, rho: float,
     return finish(hi)
 
 
+# Bundle manifest tag.  Each per-trajectory array of a bundle is one CSV:
+# the (n, steps, d) stack as a signal of n*d channels, column i*d + c holding
+# channel c of trajectory i.
+BUNDLE_FORMAT = "iqcfit-model-2"
+BUNDLE_FILES = ("centers.csv", "coefficients.csv", "targets.csv")
+
+
 def save_fitted(model: FittedOperator, directory: str | Path,
                 extra: dict | None = None) -> Path:
-    """Write the model as a JSON manifest plus CSV trajectories."""
+    """Write the model as a JSON manifest plus three stacked-trajectory CSVs."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta = {
-        "format": "iqcfit-model",
+        "format": BUNDLE_FORMAT,
         "kernel": kernel_to_json(model.kernel),
         "gamma": model.gamma,
         "rkhs_norm": model.rkhs_norm,
@@ -415,15 +422,15 @@ def save_fitted(model: FittedOperator, directory: str | Path,
         "n": len(model.centers),
         "extra": extra or {},
     }
+    coeff = _stack(model.coefficients)
     targets = model.targets
     if targets is None:
-        coeff = _stack(model.coefficients)
         targets = (build_gram(model.kernel, model.centers).apply(coeff)
                    + model.gamma * coeff)
-    for i, (u, c) in enumerate(zip(model.centers, model.coefficients)):
-        write_signal(u, directory / f"center_{i:03d}.csv")
-        write_signal(c, directory / f"coeff_{i:03d}.csv")
-        write_signal(Signal(model.grid, targets[i]), directory / f"target_{i:03d}.csv")
+    for name, stack in zip(BUNDLE_FILES,
+                           (_stack(model.centers), coeff, targets)):
+        values = stack.transpose(1, 0, 2).reshape(model.grid.size, -1)
+        write_signal(Signal(model.grid, values), directory / name)
     path = directory / "model.json"
     path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return path
@@ -433,27 +440,36 @@ def load_fitted(location: str | Path) -> FittedOperator:
     """Load a model bundle, re-verifying the fit and its stored norm."""
     location = Path(location)
     path = location / "model.json" if location.is_dir() else location
-    meta = json.loads(path.read_text())
     base = path.parent
     try:
-        if meta.get("format") != "iqcfit-model":
+        meta = json.loads(path.read_text())
+        if meta.get("format") == "iqcfit-model":
+            raise ValueError("model bundle in the old per-trajectory layout; "
+                             f"refit the model to write format {BUNDLE_FORMAT}")
+        if meta.get("format") != BUNDLE_FORMAT:
             raise ValueError("not a model bundle")
         kernel = kernel_from_json(meta["kernel"])
         dt, n = float(meta["dt"]), int(meta["n"])
+        steps, m, p = int(meta["tau"]) + 1, int(meta["m"]), int(meta["p"])
         gamma, stored_norm = float(meta["gamma"]), float(meta["rkhs_norm"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     except (TypeError, KeyError, AttributeError) as exc:
         raise ValueError(f"{path}: malformed model manifest: "
                          f"{type(exc).__name__} {exc}") from None
-    centers, coeffs, targets = [], [], []
-    for i in range(n):
-        centers.append(read_signal(base / f"center_{i:03d}.csv", dt=dt))
-        coeffs.append(read_signal(base / f"coeff_{i:03d}.csv", dt=dt))
-        targets.append(read_signal(base / f"target_{i:03d}.csv", dt=dt))
-    gram = build_gram(kernel, tuple(centers))
-    coeff = _stack(tuple(coeffs))
-    ybar = _stack(tuple(targets))
+    stacks = []
+    for name, dim in zip(BUNDLE_FILES, (m, p, p)):
+        values = read_signal(base / name, dt=dt).values
+        if values.shape != (steps, n * dim):
+            raise ShapeError(
+                f"{base / name}: {values.shape[0]} samples of "
+                f"{values.shape[1]} channels, but {path} declares "
+                f"{steps} samples of n={n} trajectories x {dim} channels")
+        stacks.append(values.reshape(steps, n, dim).transpose(1, 0, 2).copy())
+    X, coeff, ybar = stacks
+    grid = TimeGrid(steps - 1, dt)
+    centers = tuple(Signal(grid, x) for x in X)
+    gram = build_gram(kernel, centers)
     residual = gram.apply(coeff) + gamma * coeff - ybar
     rel = np.linalg.norm(residual) / max(np.linalg.norm(ybar), 1e-300)
     if np.linalg.norm(ybar) > 0 and rel > 1e-10:
@@ -464,5 +480,6 @@ def load_fitted(location: str | Path) -> FittedOperator:
         raise NumericalError(
             f"{path}: stored norm {meta['rkhs_norm']} != recomputed {nrm}"
         )
-    return FittedOperator(kernel, tuple(centers), tuple(coeffs), gamma, nrm,
+    return FittedOperator(kernel, centers,
+                          tuple(Signal(grid, c) for c in coeff), gamma, nrm,
                           ybar)

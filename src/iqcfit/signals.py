@@ -199,17 +199,25 @@ class Dataset:
         return self.outputs[0].dim
 
 
+def csv_text(header: list[str], table: np.ndarray, newline: str) -> str:
+    """CSV text of a header and one row per line of a 2-d table.
+
+    Every value is written as %.17g, which round-trips float64 exactly; the
+    rows are rendered by one format of a repeated row template.
+    """
+    row = ",".join(["%.17g"] * table.shape[1]) + newline
+    cells = tuple(table.ravel().tolist())
+    return ",".join(header) + newline + (row * len(table)) % cells
+
+
 def write_signal(f: Signal, path: str | Path):
     """CSV with header t,ch1,...,chd and one row per sample.
 
-    Every value is written as %.17g, which round-trips float64 exactly, and
-    every line ends in \\r\\n, the csv module's default.  The file is
-    rendered by one format and written in one call.
+    Values are rendered by csv_text and every line ends in \\r\\n, the csv
+    module's default; the file is written in one call.
     """
-    header = ",".join(["t"] + [f"ch{k + 1}" for k in range(f.dim)])
-    row = ",".join(["%.17g"] * (f.dim + 1))
-    cells = np.column_stack([f.grid.times(), f.values]).ravel().tolist()
-    text = header + "\r\n" + ((row + "\r\n") * f.grid.size) % tuple(cells)
+    header = ["t"] + [f"ch{k + 1}" for k in range(f.dim)]
+    text = csv_text(header, np.column_stack([f.grid.times(), f.values]), "\r\n")
     with Path(path).open("w", newline="") as fh:
         fh.write(text)
 
@@ -235,10 +243,14 @@ def read_signal(path: str | Path, dt: float | None = None) -> Signal:
         if len(times) < 2:
             raise ValueError(f"{path}: cannot infer dt from a single row")
         dt = float(times[1] - times[0])
-    grid = TimeGrid(len(times) - 1, dt)
-    if np.abs(times - grid.times()).max() > TIME_TOLERANCE:
-        raise ValueError(f"{path}: time column deviates from j*dt (dt={dt})")
-    return Signal(grid, values)
+    try:
+        grid = TimeGrid(len(times) - 1, dt)
+        # written as "not <=" so that a NaN in the time column fails too
+        if not np.abs(times - grid.times()).max() <= TIME_TOLERANCE:
+            raise ValueError(f"time column deviates from j*dt (dt={dt})")
+        return Signal(grid, values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_dataset(data: Dataset, directory: str | Path) -> Path:

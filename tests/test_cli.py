@@ -15,6 +15,7 @@ from iqcfit.signals import (
     Signal,
     TimeGrid,
     random_signal,
+    read_signal,
     save_dataset,
     write_signal,
     zeros,
@@ -213,6 +214,69 @@ def test_malformed_json_is_usage_error(ws, tmp_path, capsys, target, edit):
         assert str(path) in err
 
 
+def _old_layout(model):
+    """Rewrite a bundle in the per-trajectory layout of format iqcfit-model."""
+    meta = _read_json(model / "model.json")
+    n, m, p = meta["n"], meta["m"], meta["p"]
+    for name, prefix, d in (("centers", "center", m),
+                            ("coefficients", "coeff", p),
+                            ("targets", "target", p)):
+        stacked = read_signal(model / f"{name}.csv", dt=meta["dt"])
+        for i in range(n):
+            write_signal(Signal(stacked.grid, stacked.values[:, i * d:(i + 1) * d]),
+                         model / f"{prefix}_{i:03d}.csv")
+        (model / f"{name}.csv").unlink()
+    (model / "model.json").write_text(
+        json.dumps({**meta, "format": "iqcfit-model"}))
+    return model / "model.json"
+
+
+def _drop_coefficient_column(model):
+    path = model / "coefficients.csv"
+    coeff = read_signal(path)
+    write_signal(Signal(coeff.grid, coeff.values[:, :-1]), path)
+    return path
+
+
+def _miscount(model):
+    path = model / "model.json"
+    meta = _read_json(path)
+    path.write_text(json.dumps({**meta, "n": meta["n"] + 1}))
+    return path
+
+
+def _truncate_manifest(model):
+    path = model / "model.json"
+    path.write_text(path.read_text()[:40])
+    return path
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize("damage", [_old_layout, _drop_coefficient_column,
+                                    _miscount, _truncate_manifest],
+                         ids=["old-layout", "missing-column", "n-mismatch",
+                              "not-json"])
+def test_damaged_bundle_is_usage_error(ws, tmp_path, capsys, command, damage):
+    model = tmp_path / "model"
+    shutil.copytree(ws / "fit" / "model", model)
+    offending = damage(model)
+    if command == "check":
+        args = ["check", "--target", "model", "--model", str(model)]
+    else:
+        meta = _read_json(ws / "fit" / "model" / "model.json")
+        write_signal(zeros(TimeGrid(meta["tau"], meta["dt"])),
+                     tmp_path / "zero.csv")
+        args = ["simulate", "--model", str(model),
+                "--input", str(tmp_path / "zero.csv")]
+    capsys.readouterr()
+    rc = cli.main(args + ["--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert str(offending) in err
+
+
 def test_simulate_zero_model_is_identity(zero_model, tmp_path):
     grid = TimeGrid(4, 0.5)
     rng = np.random.default_rng(4)
@@ -367,7 +431,7 @@ def test_fit_is_deterministic(ws, tmp_path):
             "--quiet"]
     assert cli.main(args + ["--out", str(tmp_path / "a")]) == 0
     assert cli.main(args + ["--out", str(tmp_path / "b")]) == 0
-    for rel in ("fit_report.json", "model/model.json", "model/coeff_000.csv"):
+    for rel in ("fit_report.json", "model/model.json", "model/coefficients.csv"):
         assert (tmp_path / "a" / rel).read_bytes() == \
             (tmp_path / "b" / rel).read_bytes()
 

@@ -525,13 +525,63 @@ def test_bundle_detects_tampering(tmp_path):
     kernel = SeparableKernel(gaussian(2.0), np.eye(1))
     model = fit(kernel, data, gamma=0.05)
     save_fitted(model, tmp_path / "bundle")
-    coeff = tmp_path / "bundle" / "coeff_001.csv"
+    coeff = tmp_path / "bundle" / "coefficients.csv"
     lines = coeff.read_text().splitlines()
-    t, val = lines[2].split(",")
-    lines[2] = f"{t},{float(val) + 0.5}"
+    cells = lines[2].split(",")
+    cells[2] = f"{float(cells[2]) + 0.5}"
+    lines[2] = ",".join(cells)
     coeff.write_text("\n".join(lines) + "\n")
     with pytest.raises(NumericalError):
         load_fitted(tmp_path / "bundle")
+
+
+def _bundle_kernel(structure, p, steps, rng):
+    B = rng.standard_normal((p, p))
+    R = B @ B.T / p + 0.1 * np.eye(p)
+    sep = SeparableKernel(gaussian(2.0), R)
+    per_sample = tuple(SeparableKernel(scaled_laplacian(), (0.5 + 0.1 * t) * R)
+                       for t in range(steps))
+    return {"separable": sep,
+            "sum": SumKernel((0.6, 0.3), (sep, CausalDiagonalKernel(per_sample))),
+            "causal-shared": CausalDiagonalKernel(sep),
+            "causal-per-sample": CausalDiagonalKernel(per_sample)}[structure]
+
+
+@settings(max_examples=40)
+@given(structure=st.sampled_from(["separable", "sum", "causal-shared",
+                                  "causal-per-sample"]),
+       n=st.integers(1, 6), tau=st.integers(0, 4), m=st.integers(1, 2),
+       p=st.integers(1, 3), gamma=st.sampled_from([1e-3, 0.05, 1.0]),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_bundle_round_trip_property(tmp_path_factory, structure, n, tau, m, p,
+                                    gamma, seed, data):
+    rng = np.random.default_rng(seed)
+    train = _random_dataset(rng, n=n, tau=tau, m=m, p=p)
+    model = fit(_bundle_kernel(structure, p, tau + 1, rng), train, gamma=gamma)
+    bundle = tmp_path_factory.mktemp("bundle")
+    save_fitted(model, bundle)
+    assert sorted(f.name for f in bundle.iterdir()) == [
+        "centers.csv", "coefficients.csv", "model.json", "targets.csv"]
+    back = load_fitted(bundle)
+    for a, b in ((model.centers, back.centers),
+                 (model.coefficients, back.coefficients)):
+        assert rkhs._stack(a).tobytes() == rkhs._stack(b).tobytes()
+    assert back.targets.tobytes() == model.targets.tobytes()
+    probe = random_signal(train.grid, m, rng)
+    assert evaluate(back, probe).values.tobytes() == \
+        evaluate(model, probe).values.tobytes()
+    # one cell of a stacked coefficient or target file moved by 0.5
+    path = bundle / data.draw(st.sampled_from(["coefficients.csv",
+                                               "targets.csv"]))
+    lines = path.read_text().splitlines()
+    row = data.draw(st.integers(1, tau + 1))
+    col = data.draw(st.integers(1, n * p))
+    cells = lines[row].split(",")
+    cells[col] = repr(float(cells[col]) + 0.5)
+    lines[row] = ",".join(cells)
+    path.write_text("\r\n".join(lines) + "\r\n")
+    with pytest.raises(NumericalError):
+        load_fitted(bundle)
 
 
 def test_bundle_detects_norm_mismatch(tmp_path):
@@ -560,7 +610,6 @@ def test_save_fitted_reuses_the_fit_targets(tmp_path, monkeypatch):
                         lambda *a, **k: builds.append(a) or build_gram(*a, **k))
     save_fitted(model, tmp_path / "carried")
     assert builds == []
-    for i in range(data.n):
-        name = f"target_{i:03d}.csv"
-        assert (tmp_path / "carried" / name).read_bytes() == \
-            (tmp_path / "rebuilt" / name).read_bytes()
+    name = "targets.csv"
+    assert (tmp_path / "carried" / name).read_bytes() == \
+        (tmp_path / "rebuilt" / name).read_bytes()

@@ -234,6 +234,10 @@ def test_write_signal_matches_csv_writer_and_round_trips(tmp_path_factory,
     ("header_only", "t,ch1\r\n", ValueError),
     ("time_drift", "t,ch1\r\n0,1\r\n1,2\r\n2.5,3\r\n", ValueError),
     ("no_channels", "t\r\n0\r\n1\r\n", ShapeError),
+    ("nan_sample", "t,ch1\r\n0,nan\r\n1,2\r\n", ValueError),
+    ("inf_sample", "t,ch1\r\n0,inf\r\n1,2\r\n", ValueError),
+    ("overflow_sample", "t,ch1\r\n0,1e999\r\n1,2\r\n", ValueError),
+    ("nan_time", "t,ch1\r\n0,1\r\n1,2\r\nnan,3\r\n", ValueError),
 ])
 def test_read_signal_errors_name_the_file(tmp_path, name, text, error):
     path = tmp_path / f"{name}.csv"
