@@ -54,6 +54,7 @@ from .signals import (
     load_dataset,
     norm,
     random_signal,
+    read_json,
     read_signal,
     save_dataset,
 )
@@ -193,7 +194,7 @@ def _build_supply(cfg: dict, m: int, p: int):
 
 def _build_kernel(spec, p: int):
     if isinstance(spec, (str, Path)):
-        spec = json.loads(Path(spec).read_text())
+        spec = read_json(spec)
     if not isinstance(spec, dict):
         raise ValueError("kernel config must be a JSON object or a path to one")
     obj = dict(spec)
@@ -230,7 +231,7 @@ def _scaled(cfg: dict, data):
 
 
 def _model_extra(model_dir: Path) -> dict:
-    meta = json.loads((model_dir / "model.json").read_text())
+    meta = read_json(model_dir / "model.json")
     return meta.get("extra", {}) or {}
 
 
@@ -658,12 +659,15 @@ def run_reproduce(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
 def run_sweep_gamma(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     if not cfg["data"]:
         raise ValueError("--data is required")
+    count = int(cfg["count"])
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     data, _ = _scaled(cfg, load_dataset(cfg["data"]))
     supply = _build_supply(cfg, m=data.input_dim, p=data.output_dim)
     scattered = scatter_dataset(data, factor_phi(supply))
     kernel = _build_kernel(cfg["kernel"], p=scattered.output_dim)
     gammas = np.geomspace(float(cfg["gamma_min"]), float(cfg["gamma_max"]),
-                          int(cfg["count"]))
+                          count)
     models = fit_many(kernel, scattered, [float(g) for g in gammas],
                       layout=cfg["layout"])
     table = [(gamma, model.rkhs_norm, empirical_risk(model, scattered))
@@ -790,7 +794,7 @@ def main(argv=None) -> int:
     try:
         file_cfg = {}
         if args.config:
-            file_cfg = json.loads(Path(args.config).read_text())
+            file_cfg = read_json(args.config)
             if not isinstance(file_cfg, dict):
                 raise ValueError(f"{args.config}: config must be an object")
         cfg = _resolve(defaults, file_cfg, args)
@@ -810,7 +814,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError, KeyError, ShapeError, SignatureError,
-            NumericalError, json.JSONDecodeError) as exc:
+            NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,8 @@ import numpy as np
 from .errors import ConvergenceError, NumericalError, ShapeError
 from .kernels import (OperatorKernel, SeparableKernel, _scalar_batch,
                       as_operator, kernel_from_json, kernel_to_json)
-from .signals import Dataset, Signal, TimeGrid, norm, read_signal, write_signal
+from .signals import (Dataset, Signal, TimeGrid, norm, read_json, read_signal,
+                      write_signal)
 
 # Dense Gram matrices above this side length are refused.
 DENSE_CAP = 4096
@@ -441,8 +442,8 @@ def load_fitted(location: str | Path) -> FittedOperator:
     location = Path(location)
     path = location / "model.json" if location.is_dir() else location
     base = path.parent
+    meta = read_json(path)
     try:
-        meta = json.loads(path.read_text())
         if meta.get("format") == "iqcfit-model":
             raise ValueError("model bundle in the old per-trajectory layout; "
                              f"refit the model to write format {BUNDLE_FORMAT}")

@@ -253,6 +253,16 @@ def read_signal(path: str | Path, dt: float | None = None) -> Signal:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def read_json(path: str | Path):
+    """Parse a JSON file; a file that is not JSON raises a ValueError that
+    names it."""
+    path = Path(path)
+    try:
+        return json.loads(path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+
+
 def save_dataset(data: Dataset, directory: str | Path) -> Path:
     """Write one CSV per trajectory plus a JSON manifest; returns its path."""
     directory = Path(directory)
@@ -279,7 +289,7 @@ def load_dataset(location: str | Path) -> Dataset:
     """Load a dataset from a manifest path or the directory holding one."""
     location = Path(location)
     manifest_path = location / "manifest.json" if location.is_dir() else location
-    meta = json.loads(manifest_path.read_text())
+    meta = read_json(manifest_path)
     base = manifest_path.parent
     try:
         dt = float(meta["dt"])

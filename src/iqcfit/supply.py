@@ -9,7 +9,6 @@ Phi into plain nonexpansiveness of the transformed operator.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -17,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ShapeError, SignatureError
-from .signals import Dataset, Signal, sample_weights
+from .signals import Dataset, Signal, read_json, sample_weights
 
 # Relative eigenvalue floor below which Phi counts as singular.
 SINGULAR_TOL = 1e-10
@@ -304,7 +303,7 @@ def supply_to_json(supply: SupplyRate) -> dict:
 
 def supply_from_json(obj: dict | str | Path) -> SupplyRate:
     if not isinstance(obj, dict):
-        obj = json.loads(Path(obj).read_text())
+        obj = read_json(obj)
     kind = obj.get("kind", "custom")
     if kind == "passivity":
         return passivity_supply(int(obj.get("m", 1)))

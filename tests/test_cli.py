@@ -214,6 +214,26 @@ def test_malformed_json_is_usage_error(ws, tmp_path, capsys, target, edit):
         assert str(path) in err
 
 
+@pytest.mark.parametrize("target", ["manifest", "config", "kernel"])
+def test_invalid_json_file_names_it(ws, tmp_path, capsys, target):
+    shutil.copytree(ws / "gen" / "data", tmp_path / "data")
+    args = ["fit", "--data", str(tmp_path / "data")]
+    if target == "manifest":
+        path = tmp_path / "data" / "manifest.json"
+        path.write_text(path.read_text()[:20])
+    else:
+        path = tmp_path / f"{target}.json"
+        path.write_text("{")
+        args += [f"--{target}", str(path)]
+    capsys.readouterr()
+    rc = cli.main(args + ["--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert f"{path}: not valid JSON" in err
+
+
 def _old_layout(model):
     """Rewrite a bundle in the per-trajectory layout of format iqcfit-model."""
     meta = _read_json(model / "model.json")
@@ -355,6 +375,16 @@ def test_sweep_gamma_monotone(ws, tmp_path):
     assert np.all(np.diff(rows[:, 0]) > 0)
     assert np.all(np.diff(rows[:, 1]) <= 1e-12)
     assert np.all(np.diff(rows[:, 2]) >= -1e-12)
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_sweep_gamma_rejects_empty_sweep(ws, tmp_path, capsys, count):
+    capsys.readouterr()
+    rc = cli.main(["sweep-gamma", "--data", str(ws / "gen" / "data"),
+                   "--count", count, "--out", str(tmp_path / "sweep"), "--quiet"])
+    assert rc == 2
+    assert f"count must be at least 1, got {count}" in capsys.readouterr().err
+    assert not (tmp_path / "sweep" / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("flag", ["--scale-a", "--scale-b"])

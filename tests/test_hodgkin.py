@@ -2,8 +2,10 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from iqcfit.errors import ShapeError
+from iqcfit.errors import NumericalError, ShapeError
 from iqcfit.hodgkin import (
     DEFAULT_LEVELS,
     _input_on_half_grid,
@@ -211,8 +213,8 @@ def test_signal_input_matches_callable():
 
 
 def _reference_gating(u, dt_ode, horizon):
-    """The integrator as an indexed loop over numpy scalars, kept as the
-    reference the float loop must reproduce bit for bit."""
+    """The integrator as an indexed loop over numpy scalars, four stages a
+    step: the oracle the affine-map scan must agree with."""
     half, n = _input_on_half_grid(u, dt_ode, horizon)
     alpha = rate_alpha(half)
     beta = rate_beta(half)
@@ -234,15 +236,64 @@ def _reference_gating(u, dt_ode, horizon):
     return xs, half[::2]
 
 
-def test_float_loop_matches_reference_loop():
+# The scan and the step-by-step loop round differently; both are the same
+# RK4 scheme, so they agree to this fraction of the trajectory's size.
+SCAN_RTOL = 1e-12
+
+
+def _assert_matches_reference(u, dt_ode, horizon):
+    xs, nodes = _integrate_gating(u, dt_ode, horizon)
+    want_xs, want_nodes = _reference_gating(u, dt_ode, horizon)
+    assert xs.shape == want_xs.shape
+    assert xs[0] == 0.0
+    assert np.abs(xs - want_xs).max() <= SCAN_RTOL * np.abs(want_xs).max()
+    assert np.array_equal(nodes, want_nodes)
+
+
+def test_scan_matches_reference_loop():
     u1, u2 = witness_inputs()
     grid = TimeGrid(1500, 1e-3)
-    # horizons span one block, several, and an exact multiple of RK4_BLOCK
-    cases = [(-6.0, 1e-3, 2.0), (-10.0, 2e-3, 3.0), (-19.0, 1e-3, 2.048),
-             (-63.0, 0.1, 10.0), (u1, 1e-3, 2.0),
-             (u2, 5e-4, 1.0), (Signal(grid, u2(grid.times())), 1e-3, None)]
+    # one step, odd and power-of-two step counts, every input kind, and a
+    # 2e5-step trajectory
+    cases = [(-6.0, 1e-3, 1e-3), (-6.0, 1e-3, 2.0), (-10.0, 2e-3, 3.0),
+             (-19.0, 1e-3, 2.048), (-63.0, 0.1, 10.0), (u1, 1e-3, 2.0),
+             (u2, 5e-4, 1.0), (Signal(grid, u2(grid.times())), 1e-3, None),
+             (u1, 5e-4, 100.0)]
     for u, dt_ode, horizon in cases:
-        xs, nodes = _integrate_gating(u, dt_ode, horizon)
-        want_xs, want_nodes = _reference_gating(u, dt_ode, horizon)
-        assert np.array_equal(xs, want_xs)
-        assert np.array_equal(nodes, want_nodes)
+        _assert_matches_reference(u, dt_ode, horizon)
+
+
+@settings(max_examples=60)
+@given(level=st.floats(-120.0, 20.0),
+       dt_ode=st.sampled_from([5e-4, 1e-3, 2e-3, 0.1]),
+       steps=st.integers(1, 5000))
+def test_constant_level_matches_rk4_closed_form(level, dt_ode, steps):
+    # RK4 on dx/dt = alpha - (alpha + beta) x multiplies the distance to
+    # x_inf by A = 1 - z + z^2/2 - z^3/6 + z^4/24 a step, z = (alpha+beta) dt,
+    # so x_k = x_inf (1 - A^k).  A^k is taken as exp(k log1p(A - 1)) to keep
+    # the oracle's own rounding far below the bound.
+    xs, _ = _integrate_gating(level, dt_ode, steps * dt_ode)
+    alpha, beta = rate_alpha(level), rate_beta(level)
+    z = (alpha + beta) * dt_ode
+    a_minus_1 = -z + z * z / 2.0 - z**3 / 6.0 + z**4 / 24.0
+    k = np.arange(steps + 1)
+    want = alpha / (alpha + beta) * -np.expm1(k * np.log1p(a_minus_1))
+    assert np.abs(xs - want).max() <= SCAN_RTOL * np.abs(xs).max()
+
+
+@settings(max_examples=40)
+@given(knots=st.lists(st.floats(-120.0, 20.0), min_size=1, max_size=8),
+       dt_ode=st.sampled_from([5e-4, 1e-3, 2e-3, 0.1]),
+       steps=st.integers(1, 1500))
+def test_sampled_signal_matches_reference_loop(knots, dt_ode, steps):
+    grid = TimeGrid(steps, dt_ode)
+    t = grid.times()
+    values = np.interp(t, np.linspace(0.0, t[-1], len(knots)), knots)
+    _assert_matches_reference(Signal(grid, values), dt_ode, None)
+
+
+def test_unstable_step_raises():
+    # (alpha + beta) dt far outside RK4's stability region: the iterates
+    # overflow, which must surface as a typed error
+    with pytest.raises(NumericalError):
+        _integrate_gating(-109.0, 10.0, 10000.0)

@@ -248,3 +248,13 @@ def test_supply_json_round_trip():
         assert np.allclose(back.phi, supply.phi, atol=1e-15)
     assert supply_to_json(passivity_supply(1))["kind"] == "passivity"
     assert supply_to_json(gain_supply(2.5))["kind"] == "gain"
+
+
+def test_supply_from_json_file(tmp_path):
+    path = tmp_path / "supply.json"
+    path.write_text('{"kind": "gain", "delta": 2.0, "m": 1, "p": 2}')
+    supply = supply_from_json(path)
+    assert (supply.m, supply.p) == (1, 2)
+    path.write_text('{"kind": "gain",')
+    with pytest.raises(ValueError, match="supply.json: not valid JSON"):
+        supply_from_json(path)
