@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -68,115 +69,139 @@ from .supply import (
     supply_to_json,
 )
 
-DEFAULT_SEED = 0
-
-GEN_DEFAULTS = {
-    "levels": list(DEFAULT_LEVELS),
-    "horizon": 10.0,
-    "sample_dt": 0.5,
-    "dt_ode": 1e-3,
-}
-
-CHECK_DEFAULTS = {
-    "target": "identity",
-    "model": None,
-    "supply": "passivity",
-    "delta": None,
-    "probes": 100,
-    "probe_scale": 1.0,
-    "tau": 20,
-    "dt": 0.5,
-    "dim": 1,
-    "tol": 1e-8,
-    "defect_tol": 1e-10,
-    "checks": None,
-    "picard_tol": None,
-    "horizon": 10.0,
-    "sample_dt": 0.5,
-    "dt_ode": 1e-3,
-}
-
-FIT_DEFAULTS = {
-    "data": None,
-    "kernel": {"structure": "separable",
-               "scalar": {"kind": "scaled_laplacian"}, "R": "identity"},
-    "supply": "passivity",
-    "delta": None,
-    "gamma": None,
-    "rho": 0.99,
-    "scale_a": None,
-    "scale_b": None,
-    "layout": "auto",
-}
-
-SIM_DEFAULTS = {
-    "model": None,
-    "inputs": [],
-    "tol": None,
-    "max_iter": 10_000,
-}
-
-REPRO_DEFAULTS = {
-    "levels": list(DEFAULT_LEVELS),
-    "horizon": 10.0,
-    "sample_dt": 0.5,
-    "dt_ode": 1e-3,
-    "rho": 0.99,
-    "scale_a": INPUT_SCALE,
-    "scale_b": OUTPUT_SCALE,
-    "probes": 100,
-    "tol": 1e-8,
-    "picard_tol": None,
-    "error_bound": 0.15,
-}
-
-SWEEP_DEFAULTS = {
-    "data": None,
-    "kernel": {"structure": "separable",
-               "scalar": {"kind": "scaled_laplacian"}, "R": "identity"},
-    "supply": "passivity",
-    "delta": None,
-    "scale_a": None,
-    "scale_b": None,
-    "gamma_min": 1e-6,
-    "gamma_max": 1.0,
-    "count": 25,
-    "layout": "auto",
-}
+# ---------------------------------------------------------------------------
+# options: each setting is declared, typed and defaulted once
 
 
-def _csv_floats(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+class Option(NamedTuple):
+    """One setting of a subcommand.  Its flag is --name with dashes and its
+    config key is name; parse types a flag's text and a config file's JSON
+    value alike, and raises ValueError on a value it refuses."""
+
+    name: str
+    default: Any
+    parse: Callable[[Any], Any]
+    help: str
 
 
-def _csv_names(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
+def _scalar(convert: Callable, types: tuple, what: str) -> Callable:
+    """Accept a value of one of the JSON types (a flag's text is a str) and
+    convert it; bool, though an int in Python, counts only when listed."""
+    def parse(value):
+        if isinstance(value, types) and (bool in types
+                                         or not isinstance(value, bool)):
+            try:
+                return convert(value)
+            except ValueError:
+                pass
+        raise ValueError(f"must be {what}, got {value!r}")
+    return parse
+
+
+_number = _scalar(float, (str, int, float), "a number")
+_integer = _scalar(int, (str, int), "an integer")
+_text = _scalar(str, (str,), "a string")
+_path = _scalar(Path, (str,), "a path")
+_flag = _scalar(bool, (bool,), "true or false")
+# a kernel JSON file name, or (in a config file) the kernel object itself
+_kernel = _scalar(lambda spec: spec, (str, dict), "a file name or an object")
+
+
+def _count(value) -> int:
+    count = _integer(value)
+    if count < 1:
+        raise ValueError(f"must be at least 1, got {count}")
+    return count
+
+
+def _choice(*names: str) -> Callable:
+    def parse(value) -> str:
+        if value not in names:
+            raise ValueError(f"must be one of {', '.join(names)}, "
+                             f"got {value!r}")
+        return value
+    parse.choices = names
+    return parse
+
+
+def _listed(item: Callable, split: bool = True) -> Callable:
+    """A non-empty JSON list, or with split comma separated text such as
+    "-6,-10", parsed item by item."""
+    def parse(value) -> list:
+        items = [x.strip() for x in value.split(",") if x.strip()] \
+            if split and isinstance(value, str) else value
+        if not isinstance(items, list) or not items:
+            raise ValueError(f"must be a non-empty list, got {value!r}")
+        return [item(x) for x in items]
+    return parse
+
+
+CHECKS = ("iiqc", "causality", "defect")
+_numbers = _listed(_number)
+_texts = _listed(_text, split=False)
+_checks = _listed(_choice(*CHECKS))
+
+
+GRID = (
+    Option("horizon", 10.0, _number, "simulated time span"),
+    Option("sample_dt", 0.5, _number, "sample spacing of the working grid"),
+    Option("dt_ode", 1e-3, _number, "RK4 step of the channel simulation"),
+)
+LEVELS = Option("levels", DEFAULT_LEVELS, _numbers,
+                "comma separated holding potentials, e.g. =-6,-10")
+SUPPLY = (
+    Option("supply", "passivity", _choice("passivity", "gain"), "supply rate"),
+    Option("delta", None, _number, "gain bound, required by the gain supply"),
+)
+DATA = (
+    Option("data", None, _text, "dataset directory"),
+    Option("kernel", {"structure": "separable",
+                      "scalar": {"kind": "scaled_laplacian"}, "R": "identity"},
+           _kernel, "kernel JSON file (default: separable scaled Laplacian)"),
+    *SUPPLY,
+    Option("scale_a", None, _number, "input scale, paired with --scale-b"),
+    Option("scale_b", None, _number, "output scale, paired with --scale-a"),
+)
+MODEL = Option("model", None, _text, "model bundle directory or its model.json")
+PROBES = Option("probes", 100, _count, "random probe pairs, at least 1")
+TOL = Option("tol", 1e-8, _number, "tolerance of the constraint check")
+PICARD_TOL = Option("picard_tol", None, _number, "Picard stopping tolerance")
+RHO = Option("rho", 0.99, _number, "norm target when tuning")
+COMMON = (
+    Option("seed", 0, _integer, "seed for randomized checks"),
+    Option("out", Path("iqcfit_out"), _path, "output directory"),
+    Option("quiet", False, _flag, "suppress progress messages"),
+)
+
+
+def _resolve(options, file_cfg: dict, flags: dict) -> dict:
+    """Defaults, overridden by the config file, overridden by flags.  Every
+    given value goes through its option's parse; None keeps an option unset
+    where that is its default, as resolved configs write it."""
+    table = {opt.name: opt for opt in options}
+    cfg = {opt.name: opt.default for opt in options}
+    for key, value in [*file_cfg.items(), *flags.items()]:
+        opt = table.get(key.replace("-", "_"))
+        if opt is None:
+            raise ValueError(f"unknown config key {key!r}")
+        if value is None and opt.default is None:
+            cfg[opt.name] = None
+            continue
+        try:
+            cfg[opt.name] = opt.parse(value)
+        except ValueError as exc:
+            raise ValueError(f"{opt.name} {exc}") from None
+    return cfg
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True, default=str)
+                    + "\n")
 
 
 def _log(quiet: bool, message: str) -> None:
     if not quiet:
         print(message, file=sys.stderr)
-
-
-def _resolve(defaults: dict, file_cfg: dict, args) -> dict:
-    cfg = {k: (list(v) if isinstance(v, (list, tuple)) else v)
-           for k, v in defaults.items()}
-    for key, value in file_cfg.items():
-        name = key.replace("-", "_")
-        if name in ("command", "seed", "out", "quiet"):
-            continue
-        if name not in cfg:
-            raise ValueError(f"unknown config key {key!r}")
-        cfg[name] = value
-    for name in cfg:
-        value = getattr(args, name, None)
-        if value is not None:
-            cfg[name] = value
-    return cfg
 
 
 def _build_supply(cfg: dict, m: int, p: int):
@@ -185,22 +210,9 @@ def _build_supply(cfg: dict, m: int, p: int):
         if m != p:
             raise ShapeError("passivity supply needs matching input/output dims")
         return passivity_supply(m)
-    if kind == "gain":
-        if cfg["delta"] is None:
-            raise ValueError("gain supply requires --delta")
-        return gain_supply(float(cfg["delta"]), m=m, p=p)
-    raise ValueError(f"unknown supply kind {kind!r}")
-
-
-def _build_kernel(spec, p: int):
-    if isinstance(spec, (str, Path)):
-        spec = read_json(spec)
-    if not isinstance(spec, dict):
-        raise ValueError("kernel config must be a JSON object or a path to one")
-    obj = dict(spec)
-    if obj.get("structure", "separable") in ("separable", "conjugated"):
-        obj.setdefault("p", p)
-    return kernel_from_json(obj)
+    if cfg["delta"] is None:
+        raise ValueError("gain supply requires --delta")
+    return gain_supply(cfg["delta"], m=m, p=p)
 
 
 def _probe_pairs(grid: TimeGrid, dim: int, count: int, rng, scale: float):
@@ -219,85 +231,114 @@ def _run_csv(path: Path, grid: TimeGrid, uvals: np.ndarray,
     path.write_text(csv_text(header, table, "\n"))
 
 
-def _scaled(cfg: dict, data):
-    """Apply --scale-a/--scale-b, which come as a pair; returns the data and
-    the scale record (None when unscaled)."""
-    if cfg["scale_a"] is None and cfg["scale_b"] is None:
-        return data, None
-    if cfg["scale_a"] is None or cfg["scale_b"] is None:
+def _scattered_data(cfg: dict):
+    """The DATA rows' stage of fit and sweep-gamma: load --data, apply
+    --scale-a/--scale-b (a pair), scatter it under the supply rate and build
+    the kernel.  Returns the supply, the scale record (None when unscaled),
+    the scattered data and the kernel."""
+    if not cfg["data"]:
+        raise ValueError("--data is required")
+    data, scale = load_dataset(cfg["data"]), None
+    if (cfg["scale_a"] is None) != (cfg["scale_b"] is None):
         raise ValueError("scale-a and scale-b must be given together")
-    scale = {"a": float(cfg["scale_a"]), "b": float(cfg["scale_b"])}
-    return scale_dataset(data, scale["a"], scale["b"]), scale
+    if cfg["scale_a"] is not None:
+        scale = {"a": cfg["scale_a"], "b": cfg["scale_b"]}
+        data = scale_dataset(data, scale["a"], scale["b"])
+    supply = _build_supply(cfg, m=data.input_dim, p=data.output_dim)
+    scattered = scatter_dataset(data, factor_phi(supply))
+    spec = cfg["kernel"]
+    if isinstance(spec, str):
+        spec = read_json(spec)
+    if not isinstance(spec, dict):
+        raise ValueError("kernel config must be a JSON object or a path to one")
+    spec = dict(spec)
+    if spec.get("structure", "separable") in ("separable", "conjugated"):
+        spec.setdefault("p", scattered.output_dim)
+    return supply, scale, scattered, kernel_from_json(spec)
 
 
-def _model_extra(model_dir: Path) -> dict:
-    meta = read_json(model_dir / "model.json")
-    return meta.get("extra", {}) or {}
+def _save_bundle(cfg: dict, model, supply, scale, risk: float, cert: str,
+                 warnings: list[str]) -> None:
+    """Save the fit with the extra record that _load_bundle reads back."""
+    save_fitted(model, cfg["out"] / "model", extra={
+        "supply": supply_to_json(supply),
+        "scale": scale,
+        "risk": risk,
+        "certificate": cert,
+        "warnings": warnings,
+    })
+
+
+def _load_bundle(cfg: dict, fallback: Callable):
+    """The --model bundle and the supply rate its fit recorded, or
+    fallback(model) for a bundle that recorded none."""
+    if not cfg["model"]:
+        raise ValueError("--model is required")
+    model = load_fitted(cfg["model"])
+    recorded = model.extra.get("supply")
+    return model, supply_from_json(recorded) if recorded else fallback(model)
+
+
+def _step_data(cfg: dict):
+    """Simulate the step responses at --levels and write them to the output."""
+    data = step_dataset(levels=tuple(cfg["levels"]),
+                        **{opt.name: cfg[opt.name] for opt in GRID})
+    save_dataset(data, cfg["out"] / "data")
+    write_figure1(data, cfg["out"] / "figure1.csv")
+    return data
+
+
+def _witness(cfg: dict):
+    return monotonicity_witness(**{opt.name: cfg[opt.name] for opt in GRID})
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def run_gen_data(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
-    data = step_dataset(
-        levels=tuple(float(x) for x in cfg["levels"]),
-        horizon=float(cfg["horizon"]),
-        sample_dt=float(cfg["sample_dt"]),
-        dt_ode=float(cfg["dt_ode"]),
-    )
-    save_dataset(data, out / "data")
-    write_figure1(data, out / "figure1.csv")
+def run_gen_data(cfg: dict) -> int:
+    data = _step_data(cfg)
     ordering = check_step_ordering(data)
-    _write_json(out / "gen_data_report.json", {
+    _write_json(cfg["out"] / "gen_data_report.json", {
         "pairs": data.n,
         "samples": data.grid.size,
         "tau": data.grid.tau,
         "dt": data.grid.dt,
-        "levels": [float(x) for x in cfg["levels"]],
+        "levels": cfg["levels"],
         "ordering_consistent": ordering.ordered,
     })
-    _log(quiet, f"wrote {data.n} trajectory pairs to {out / 'data'}")
+    _log(cfg["quiet"],
+         f"wrote {data.n} trajectory pairs to {cfg['out'] / 'data'}")
     return 0
 
 
 def _check_hh(cfg: dict) -> dict:
-    wit = monotonicity_witness(
-        dt_ode=float(cfg["dt_ode"]),
-        sample_dt=float(cfg["sample_dt"]),
-        horizon=float(cfg["horizon"]),
-    )
-    tol = float(cfg["tol"])
+    wit = _witness(cfg)
+    tol = cfg["tol"]
     passed = wit.continuous >= -tol and wit.sampled >= -tol
-    violations = []
-    if not passed:
-        violations.append(
-            "incremental passivity fails on the sinusoid input pair: "
-            f"supply integral {wit.continuous:.4f} < 0"
-        )
     return {
         "target": "hh",
         "supply": "passivity",
         "witness": {"continuous": wit.continuous, "sampled": wit.sampled},
         "tolerance": tol,
-        "violations": violations,
+        "violations": [] if passed else [
+            "incremental passivity fails on the sinusoid input pair: "
+            f"supply integral {wit.continuous:.4f} < 0"],
         "passed": passed,
     }
 
 
-def _check_identity(cfg: dict, seed: int) -> dict:
-    grid = TimeGrid(int(cfg["tau"]), float(cfg["dt"]))
-    dim = int(cfg["dim"])
+def _check_identity(cfg: dict) -> dict:
+    grid = TimeGrid(cfg["tau"], cfg["dt"])
+    dim = cfg["dim"]
     supply = _build_supply(cfg, m=dim, p=dim)
-    rng = np.random.default_rng(seed)
-    pairs = _probe_pairs(grid, dim, int(cfg["probes"]), rng,
-                         float(cfg["probe_scale"]))
-    report = check_operator_iiqc(lambda u: u, supply, pairs,
-                                 tol=float(cfg["tol"]))
+    rng = np.random.default_rng(cfg["seed"])
+    pairs = _probe_pairs(grid, dim, cfg["probes"], rng, cfg["probe_scale"])
+    report = check_operator_iiqc(lambda u: u, supply, pairs, tol=cfg["tol"])
     return {
         "target": "identity",
         "supply": cfg["supply"],
-        "probes": int(cfg["probes"]),
+        "probes": cfg["probes"],
         "min_residual": report.min_residual,
         "tolerance": report.tolerance,
         "violations": [] if report.passed else ["incremental constraint fails"],
@@ -305,104 +346,77 @@ def _check_identity(cfg: dict, seed: int) -> dict:
     }
 
 
-def _check_model(cfg: dict, seed: int) -> dict:
-    if not cfg["model"]:
-        raise ValueError("--model is required for target 'model'")
-    model_dir = Path(cfg["model"])
-    model = load_fitted(model_dir)
-    extra = _model_extra(model_dir)
-    if extra.get("supply"):
-        supply = supply_from_json(extra["supply"])
-    else:
-        supply = _build_supply(cfg, m=model.input_dim, p=model.output_dim)
+def _check_model(cfg: dict) -> dict:
+    model, supply = _load_bundle(cfg, lambda model: _build_supply(
+        cfg, m=model.input_dim, p=model.output_dim))
     factors = factor_phi(supply)
-    results: dict = {"target": "model", "model": str(model_dir)}
-    violations: list[str] = []
+    results: dict = {"target": "model", "model": str(Path(cfg["model"]))}
     try:
         scattered = contraction_margin(model, factors)
     except ContractionError as exc:
         return {**results, "violations": [str(exc)], "passed": False}
-    picard_tol = cfg["picard_tol"]
-    picard_tol = None if picard_tol is None else float(picard_tol)
-    rng = np.random.default_rng(seed)
-    pairs = _probe_pairs(model.grid, model.input_dim, int(cfg["probes"]),
-                         rng, float(cfg["probe_scale"]))
+    rng = np.random.default_rng(cfg["seed"])
+    pairs = _probe_pairs(model.grid, model.input_dim, cfg["probes"],
+                         rng, cfg["probe_scale"])
     checks = cfg["checks"]
     if checks is None:
         # The truncation test only holds for structurally causal kernels.
         checks = ["iiqc", "defect"] + (["causality"]
                                        if is_causal(model.kernel) else [])
-    checks = list(checks)
     results["epsilon"] = scattered.epsilon
     if "iiqc" in checks:
         rep = check_operator_iiqc(
-            lambda us: simulate_r(scattered, us, tol=picard_tol),
-            supply, pairs, tol=float(cfg["tol"]),
+            lambda us: simulate_r(scattered, us, tol=cfg["picard_tol"]),
+            supply, pairs, tol=cfg["tol"],
         )
         results["iiqc"] = {
             "min_residual": rep.min_residual,
             "tolerance": rep.tolerance,
             "passed": bool(rep.passed),
         }
-        if not rep.passed:
-            violations.append("incremental constraint fails on a probe pair")
     if "causality" in checks:
-        rep = causality_check_r(scattered, pairs, tol=float(cfg["tol"]),
-                                picard_tol=picard_tol)
+        rep = causality_check_r(scattered, pairs, tol=cfg["tol"],
+                                picard_tol=cfg["picard_tol"])
         results["causality"] = {
             "max_violation": rep.max_violation,
             "tolerance": rep.tolerance,
             "passed": bool(rep.passed),
         }
-        if not rep.passed:
-            violations.append("truncation test fails on a probe")
     if "defect" in checks:
         max_defect = max(
             nonexpansive_defect(model.kernel, u, v) for u, v in pairs
         )
         cert = certify_nonexpansive(model.kernel)
-        ok = max_defect <= float(cfg["defect_tol"])
         results["defect"] = {
             "certificate": cert,
             "max_defect": max_defect,
-            "tolerance": float(cfg["defect_tol"]),
-            "passed": ok,
+            "tolerance": cfg["defect_tol"],
+            "passed": max_defect <= cfg["defect_tol"],
         }
-        if not ok:
-            violations.append("positive nonexpansiveness defect found")
-    results["violations"] = violations
-    results["passed"] = not violations
+    results["violations"] = [message for name, message in (
+        ("iiqc", "incremental constraint fails on a probe pair"),
+        ("causality", "truncation test fails on a probe"),
+        ("defect", "positive nonexpansiveness defect found"),
+    ) if name in results and not results[name]["passed"]]
+    results["passed"] = not results["violations"]
     return results
 
 
-def run_check(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
+def run_check(cfg: dict) -> int:
     target = cfg["target"]
-    if target == "hh":
-        report = _check_hh(cfg)
-    elif target == "identity":
-        report = _check_identity(cfg, seed)
-    elif target == "model":
-        report = _check_model(cfg, seed)
-    else:
-        raise ValueError(f"unknown check target {target!r}")
-    _write_json(out / "check_report.json", report)
-    _log(quiet, f"check target={target} passed={report['passed']}")
+    report = {"hh": _check_hh, "identity": _check_identity,
+              "model": _check_model}[target](cfg)
+    _write_json(cfg["out"] / "check_report.json", report)
+    _log(cfg["quiet"], f"check target={target} passed={report['passed']}")
     return 0 if report["passed"] else 1
 
 
-def run_fit(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
-    if not cfg["data"]:
-        raise ValueError("--data is required")
-    data, scale = _scaled(cfg, load_dataset(cfg["data"]))
-    supply = _build_supply(cfg, m=data.input_dim, p=data.output_dim)
-    factors = factor_phi(supply)
-    scattered = scatter_dataset(data, factors)
-    kernel = _build_kernel(cfg["kernel"], p=scattered.output_dim)
+def run_fit(cfg: dict) -> int:
+    supply, scale, scattered, kernel = _scattered_data(cfg)
     cert = certify_nonexpansive(kernel)
     warnings: list[str] = []
     if cfg["gamma"] is not None:
-        model = fit(kernel, scattered, float(cfg["gamma"]),
-                    layout=cfg["layout"])
+        model = fit(kernel, scattered, cfg["gamma"])
         gamma = model.gamma
     else:
         if cert != PROVEN:
@@ -410,17 +424,9 @@ def run_fit(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
                 "kernel nonexpansiveness is not structurally proven; the "
                 "norm target does not certify a contraction"
             )
-        gamma, model = tune_gamma(kernel, scattered, rho=float(cfg["rho"]),
-                                  layout=cfg["layout"])
+        gamma, model = tune_gamma(kernel, scattered, rho=cfg["rho"])
     risk = empirical_risk(model, scattered)
-    extra = {
-        "supply": supply_to_json(supply),
-        "scale": scale,
-        "risk": risk,
-        "certificate": cert,
-        "warnings": warnings,
-    }
-    save_fitted(model, out / "model", extra=extra)
+    _save_bundle(cfg, model, supply, scale, risk, cert, warnings)
     report = {
         "gamma": gamma,
         "rkhs_norm": model.rkhs_norm,
@@ -431,14 +437,14 @@ def run_fit(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
         "scale": scale,
         "supply": cfg["supply"],
     }
-    _write_json(out / "fit_report.json", report)
-    _log(quiet, f"gamma={gamma:.6g} norm={model.rkhs_norm:.6g} risk={risk:.6g}")
+    _write_json(cfg["out"] / "fit_report.json", report)
+    _log(cfg["quiet"],
+         f"gamma={gamma:.6g} norm={model.rkhs_norm:.6g} risk={risk:.6g}")
     return 0
 
 
-def run_simulate(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
-    if not cfg["model"]:
-        raise ValueError("--model is required")
+def run_simulate(cfg: dict) -> int:
+    out, quiet = cfg["out"], cfg["quiet"]
     if not cfg["inputs"]:
         raise ValueError("at least one --input CSV is required")
     # Outputs are named after the input's file stem, so stems must differ.
@@ -449,13 +455,8 @@ def run_simulate(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
             raise ValueError(f"inputs {stems[stem]} and {path} share the file "
                              f"stem {stem!r}; their outputs would collide")
         stems[stem] = path
-    model_dir = Path(cfg["model"])
-    model = load_fitted(model_dir)
-    extra = _model_extra(model_dir)
-    if extra.get("supply"):
-        supply = supply_from_json(extra["supply"])
-    else:
-        supply = passivity_supply(model.input_dim)
+    model, supply = _load_bundle(
+        cfg, lambda model: passivity_supply(model.input_dim))
     factors = factor_phi(supply)
     try:
         scattered = contraction_margin(model, factors)
@@ -464,8 +465,7 @@ def run_simulate(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
                     {"passed": False, "reason": str(exc)})
         _log(quiet, f"refused: {exc}")
         return 1
-    scale = extra.get("scale") or None
-    tol = None if cfg["tol"] is None else float(cfg["tol"])
+    scale = model.extra.get("scale") or None
     raw = []
     for path in cfg["inputs"]:
         u_raw = read_signal(path, dt=model.grid.dt)
@@ -476,7 +476,7 @@ def run_simulate(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
         raw.append(u_raw)
     batch = picard_solve(scattered,
                          [(1.0 / scale["a"]) * u if scale else u for u in raw],
-                         tol=tol, max_iter=int(cfg["max_iter"]))
+                         tol=cfg["tol"], max_iter=cfg["max_iter"])
     runs = []
     for path, u_raw, result in zip(cfg["inputs"], raw, batch.lanes):
         y = result.y_star
@@ -546,27 +546,16 @@ def _render_report_md(report: dict) -> str:
     return "\n".join(lines)
 
 
-def run_reproduce(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
-    levels = tuple(float(x) for x in cfg["levels"])
+def run_reproduce(cfg: dict) -> int:
+    out, quiet = cfg["out"], cfg["quiet"]
     _log(quiet, "stage 1/6: step-response dataset")
-    data = step_dataset(
-        levels=levels,
-        horizon=float(cfg["horizon"]),
-        sample_dt=float(cfg["sample_dt"]),
-        dt_ode=float(cfg["dt_ode"]),
-    )
-    save_dataset(data, out / "data")
-    write_figure1(data, out / "figure1.csv")
+    data = _step_data(cfg)
 
     _log(quiet, "stage 2/6: monotonicity witness on the raw channel")
-    wit = monotonicity_witness(
-        dt_ode=float(cfg["dt_ode"]),
-        sample_dt=float(cfg["sample_dt"]),
-        horizon=float(cfg["horizon"]),
-    )
+    wit = _witness(cfg)
 
     _log(quiet, "stage 3/6: scale and scatter")
-    a, b = float(cfg["scale_a"]), float(cfg["scale_b"])
+    a, b = cfg["scale_a"], cfg["scale_b"]
     scaled = scale_dataset(data, a, b)
     supply = passivity_supply(data.input_dim)
     factors = factor_phi(supply)
@@ -574,25 +563,18 @@ def run_reproduce(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
 
     _log(quiet, "stage 4/6: fit tuned to the norm target")
     kernel = SeparableKernel(scaled_laplacian(), np.eye(data.output_dim))
-    gamma, model = tune_gamma(kernel, scattered_data, rho=float(cfg["rho"]))
+    gamma, model = tune_gamma(kernel, scattered_data, rho=cfg["rho"])
     risk = empirical_risk(model, scattered_data)
-    save_fitted(model, out / "model", extra={
-        "supply": supply_to_json(supply),
-        "scale": {"a": a, "b": b},
-        "risk": risk,
-        "certificate": certify_nonexpansive(kernel),
-        "warnings": [],
-    })
+    _save_bundle(cfg, model, supply, {"a": a, "b": b}, risk,
+                 certify_nonexpansive(kernel), [])
     scattered = contraction_margin(model, factors)
 
     _log(quiet, "stage 5/6: reconstruction of the training levels")
-    picard_tol = cfg["picard_tol"]
-    picard_tol = None if picard_tol is None else float(picard_tol)
     data_scale = max(norm(y) for y in data.outputs)
     recon, rows = [], []
     batch = picard_solve(scattered, [(1.0 / a) * u for u in data.inputs],
-                         tol=picard_tol)
-    for level, y_raw, result in zip(levels, data.outputs, batch.lanes):
+                         tol=cfg["picard_tol"])
+    for level, y_raw, result in zip(cfg["levels"], data.outputs, batch.lanes):
         y_hat = b * result.y_star
         err = norm(y_hat - y_raw)
         traj = norm(y_raw)
@@ -610,15 +592,15 @@ def run_reproduce(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
         csv_text(["t", "level", "y", "y_hat"], np.vstack(rows), "\n"))
 
     _log(quiet, "stage 6/6: monotonicity of the identified operator")
-    rng = np.random.default_rng(seed)
-    pairs = _probe_pairs(model.grid, data.input_dim, int(cfg["probes"]),
+    rng = np.random.default_rng(cfg["seed"])
+    pairs = _probe_pairs(model.grid, data.input_dim, cfg["probes"],
                          rng, scale=0.1)
     mono = check_operator_iiqc(
-        lambda us: simulate_r(scattered, us, tol=picard_tol),
-        supply, pairs, tol=float(cfg["tol"]),
+        lambda us: simulate_r(scattered, us, tol=cfg["picard_tol"]),
+        supply, pairs, tol=cfg["tol"],
     )
 
-    bound = float(cfg["error_bound"])
+    bound = cfg["error_bound"]
     flags = {
         "witness_negative": bool(wit.continuous < 0.0),
         "norm_contractive": bool(model.rkhs_norm < 1.0),
@@ -628,9 +610,9 @@ def run_reproduce(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
         ),
     }
     report = {
-        "levels": list(levels),
-        "rho": float(cfg["rho"]),
-        "seed": seed,
+        "levels": cfg["levels"],
+        "rho": cfg["rho"],
+        "seed": cfg["seed"],
         "witness": {"continuous": wit.continuous, "sampled": wit.sampled},
         "scale": {"a": a, "b": b},
         "fit": {
@@ -643,7 +625,7 @@ def run_reproduce(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
         "reconstruction": recon,
         "error_bound": bound,
         "monotonicity": {
-            "probes": int(cfg["probes"]),
+            "probes": cfg["probes"],
             "min_residual": mono.min_residual,
             "tolerance": mono.tolerance,
         },
@@ -656,160 +638,114 @@ def run_reproduce(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     return 0 if report["passed"] else 1
 
 
-def run_sweep_gamma(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
-    if not cfg["data"]:
-        raise ValueError("--data is required")
-    count = int(cfg["count"])
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
-    data, _ = _scaled(cfg, load_dataset(cfg["data"]))
-    supply = _build_supply(cfg, m=data.input_dim, p=data.output_dim)
-    scattered = scatter_dataset(data, factor_phi(supply))
-    kernel = _build_kernel(cfg["kernel"], p=scattered.output_dim)
-    gammas = np.geomspace(float(cfg["gamma_min"]), float(cfg["gamma_max"]),
-                          count)
-    models = fit_many(kernel, scattered, [float(g) for g in gammas],
-                      layout=cfg["layout"])
+def run_sweep_gamma(cfg: dict) -> int:
+    _, _, scattered, kernel = _scattered_data(cfg)
+    gammas = np.geomspace(cfg["gamma_min"], cfg["gamma_max"], cfg["count"])
+    models = fit_many(kernel, scattered, [float(g) for g in gammas])
     table = [(gamma, model.rkhs_norm, empirical_risk(model, scattered))
              for gamma, model in zip(gammas, models)]
-    (out / "sweep.csv").write_text(csv_text(
+    (cfg["out"] / "sweep.csv").write_text(csv_text(
         ["gamma", "rkhs_norm", "risk"], np.array(table).reshape(-1, 3), "\n"))
-    _log(quiet, f"swept {len(gammas)} gamma values")
+    _log(cfg["quiet"], f"swept {len(gammas)} gamma values")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
-RUNNERS = {
-    "gen-data": (GEN_DEFAULTS, run_gen_data),
-    "check": (CHECK_DEFAULTS, run_check),
-    "fit": (FIT_DEFAULTS, run_fit),
-    "simulate": (SIM_DEFAULTS, run_simulate),
-    "reproduce": (REPRO_DEFAULTS, run_reproduce),
-    "sweep-gamma": (SWEEP_DEFAULTS, run_sweep_gamma),
+# command: (help, runner, options)
+COMMANDS = {
+    "gen-data": ("simulate the potassium channel step responses",
+                 run_gen_data, (LEVELS, *GRID, *COMMON)),
+    "check": ("run constraint checks on an operator", run_check, (
+        Option("target", "identity", _choice("hh", "identity", "model"),
+               "operator to check"),
+        MODEL, *SUPPLY, PROBES,
+        Option("probe_scale", 1.0, _number, "amplitude of the probe signals"),
+        Option("tau", 20, _integer, "probe horizon in samples (identity)"),
+        Option("dt", 0.5, _number, "probe sample spacing (identity)"),
+        Option("dim", 1, _integer, "probe channels (identity)"),
+        TOL,
+        Option("defect_tol", 1e-10, _number, "nonexpansiveness defect bound"),
+        Option("checks", None, _checks,
+               f"comma separated subset of {','.join(CHECKS)} for model "
+               f"targets (default: all that apply)"),
+        PICARD_TOL, *GRID, *COMMON)),
+    "fit": ("fit a kernel model in scattered coordinates", run_fit, (
+        *DATA,
+        Option("gamma", None, _number, "fixed regularization weight"),
+        RHO, *COMMON)),
+    "simulate": ("run the identified operator on input CSVs", run_simulate, (
+        MODEL,
+        Option("inputs", [], _texts, "input signal CSV, repeatable"),
+        Option("tol", None, _number, "Picard stopping tolerance"),
+        Option("max_iter", 10_000, _integer, "Picard iteration cap"),
+        *COMMON)),
+    "reproduce": ("full pipeline: data, witness, fit, simulate",
+                  run_reproduce, (
+        LEVELS, *GRID, RHO,
+        Option("scale_a", INPUT_SCALE, _number, "input scale"),
+        Option("scale_b", OUTPUT_SCALE, _number, "output scale"),
+        PROBES, TOL, PICARD_TOL,
+        Option("error_bound", 0.15, _number,
+               "largest reconstruction error relative to the data scale"),
+        *COMMON)),
+    "sweep-gamma": ("tabulate gamma versus norm and risk", run_sweep_gamma, (
+        *DATA,
+        Option("gamma_min", 1e-6, _number, "smallest regularization weight"),
+        Option("gamma_max", 1.0, _number, "largest regularization weight"),
+        Option("count", 25, _count, "number of weights, at least 1"),
+        *COMMON)),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Flags generated from COMMANDS.  Each flag keeps its text as given
+    (argparse.SUPPRESS leaves unset ones out); _resolve types it."""
     parser = argparse.ArgumentParser(
         prog="iqcfit",
         description="kernel identification of operators with incremental "
                     "integral quadratic constraint certificates",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON settings file; flags override")
-    common.add_argument("--out", help="output directory (default iqcfit_out)")
-    common.add_argument("--seed", type=int,
-                        help="seed for randomized checks (default 0)")
-    common.add_argument("--quiet", action="store_true", default=None,
-                        help="suppress progress messages")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("gen-data", parents=[common],
-                       help="simulate the potassium channel step responses")
-    g.add_argument("--levels", type=_csv_floats,
-                   help="comma separated holding potentials, e.g. =-6,-10")
-    g.add_argument("--horizon", type=float)
-    g.add_argument("--sample-dt", type=float)
-    g.add_argument("--dt-ode", type=float)
-
-    c = sub.add_parser("check", parents=[common],
-                       help="run constraint checks on an operator")
-    c.add_argument("--target", choices=["hh", "identity", "model"])
-    c.add_argument("--model", help="model bundle directory")
-    c.add_argument("--supply", choices=["passivity", "gain"])
-    c.add_argument("--delta", type=float)
-    c.add_argument("--probes", type=int)
-    c.add_argument("--probe-scale", type=float)
-    c.add_argument("--tau", type=int)
-    c.add_argument("--dt", type=float)
-    c.add_argument("--dim", type=int)
-    c.add_argument("--tol", type=float)
-    c.add_argument("--defect-tol", type=float)
-    c.add_argument("--checks", type=_csv_names,
-                   help="subset of iiqc,causality,defect for model targets")
-    c.add_argument("--picard-tol", type=float)
-    c.add_argument("--horizon", type=float)
-    c.add_argument("--sample-dt", type=float)
-    c.add_argument("--dt-ode", type=float)
-
-    f = sub.add_parser("fit", parents=[common],
-                       help="fit a kernel model in scattered coordinates")
-    f.add_argument("--data", help="dataset directory")
-    f.add_argument("--kernel", help="path to a kernel JSON file")
-    f.add_argument("--supply", choices=["passivity", "gain"])
-    f.add_argument("--delta", type=float)
-    f.add_argument("--gamma", type=float, help="fixed regularization weight")
-    f.add_argument("--rho", type=float, help="norm target when tuning")
-    f.add_argument("--scale-a", type=float)
-    f.add_argument("--scale-b", type=float)
-    f.add_argument("--layout", choices=["auto", "dense", "kronecker"])
-
-    s = sub.add_parser("simulate", parents=[common],
-                       help="run the identified operator on input CSVs")
-    s.add_argument("--model", help="model bundle directory")
-    s.add_argument("--input", dest="inputs", action="append",
-                   help="input signal CSV, repeatable")
-    s.add_argument("--tol", type=float)
-    s.add_argument("--max-iter", type=int)
-
-    r = sub.add_parser("reproduce", parents=[common],
-                       help="full pipeline: data, witness, fit, simulate")
-    r.add_argument("--levels", type=_csv_floats)
-    r.add_argument("--horizon", type=float)
-    r.add_argument("--sample-dt", type=float)
-    r.add_argument("--dt-ode", type=float)
-    r.add_argument("--rho", type=float)
-    r.add_argument("--scale-a", type=float)
-    r.add_argument("--scale-b", type=float)
-    r.add_argument("--probes", type=int)
-    r.add_argument("--tol", type=float)
-    r.add_argument("--picard-tol", type=float)
-    r.add_argument("--error-bound", type=float)
-
-    w = sub.add_parser("sweep-gamma", parents=[common],
-                       help="tabulate gamma versus norm and risk")
-    w.add_argument("--data", help="dataset directory")
-    w.add_argument("--kernel", help="path to a kernel JSON file")
-    w.add_argument("--supply", choices=["passivity", "gain"])
-    w.add_argument("--delta", type=float)
-    w.add_argument("--scale-a", type=float)
-    w.add_argument("--scale-b", type=float)
-    w.add_argument("--gamma-min", type=float)
-    w.add_argument("--gamma-max", type=float)
-    w.add_argument("--count", type=int)
-    w.add_argument("--layout", choices=["auto", "dense", "kronecker"])
-
+    for command, (help_text, _, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text,
+                           argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", help="JSON settings file; flags override")
+        for opt in options:
+            flag, kwargs = "--" + opt.name.replace("_", "-"), {}
+            if opt.parse is _flag:
+                kwargs["action"] = "store_true"
+            elif opt.parse is _texts:
+                # a repeatable flag is named in the singular: --input FILE
+                flag, kwargs["action"] = flag[:-1], "append"
+            elif hasattr(opt.parse, "choices"):
+                kwargs["metavar"] = "{" + ",".join(opt.parse.choices) + "}"
+            p.add_argument(flag, dest=opt.name, help=opt.help, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        flags = vars(build_parser().parse_args(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    defaults, runner = RUNNERS[args.command]
+    command, config = flags.pop("command"), flags.pop("config", None)
+    _, runner, options = COMMANDS[command]
     try:
         file_cfg = {}
-        if args.config:
-            file_cfg = read_json(args.config)
+        if config:
+            file_cfg = read_json(config)
             if not isinstance(file_cfg, dict):
-                raise ValueError(f"{args.config}: config must be an object")
-        cfg = _resolve(defaults, file_cfg, args)
-        seed = args.seed if args.seed is not None else \
-            int(file_cfg.get("seed", DEFAULT_SEED))
-        quiet = bool(args.quiet if args.quiet is not None
-                     else file_cfg.get("quiet", False))
-        out = Path(args.out if args.out is not None
-                   else file_cfg.get("out", "iqcfit_out"))
-        out.mkdir(parents=True, exist_ok=True)
-        name = args.command.replace("-", "_")
-        _write_json(out / f"{name}_config.json",
-                    {"command": args.command, "seed": seed,
-                     "out": str(out), **cfg})
-        return runner(cfg, out, seed, quiet)
+                raise ValueError(f"{config}: config must be an object")
+            file_cfg.pop("command", None)  # resolved configs name theirs
+        cfg = _resolve(options, file_cfg, flags)
+        cfg["out"].mkdir(parents=True, exist_ok=True)
+        # --quiet changes no output, so the resolved config leaves it out
+        resolved = {k: v for k, v in cfg.items() if k != "quiet"}
+        _write_json(cfg["out"] / f"{command.replace('-', '_')}_config.json",
+                    {"command": command, **resolved})
+        return runner(cfg)
     except (ContractionError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
@@ -202,6 +202,8 @@ class FittedOperator:
     # G c + gamma c, shaped (n, steps, p): the targets the coefficients solve
     # for, as bundles store them; rebuilt from the Gram when absent.
     targets: np.ndarray | None = None
+    # the manifest's "extra" record (supply, scales, ...) of a loaded bundle
+    extra: dict = field(default_factory=dict)
 
     @property
     def grid(self) -> TimeGrid:
@@ -453,6 +455,9 @@ def load_fitted(location: str | Path) -> FittedOperator:
         dt, n = float(meta["dt"]), int(meta["n"])
         steps, m, p = int(meta["tau"]) + 1, int(meta["m"]), int(meta["p"])
         gamma, stored_norm = float(meta["gamma"]), float(meta["rkhs_norm"])
+        extra = meta.get("extra") or {}
+        if not isinstance(extra, dict):
+            raise ValueError("extra must be a JSON object")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     except (TypeError, KeyError, AttributeError) as exc:
@@ -483,4 +488,4 @@ def load_fitted(location: str | Path) -> FittedOperator:
         )
     return FittedOperator(kernel, centers,
                           tuple(Signal(grid, c) for c in coeff), gamma, nrm,
-                          ybar)
+                          ybar, extra)

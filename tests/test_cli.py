@@ -10,6 +10,7 @@ import pytest
 
 import iqcfit
 from iqcfit import cli
+from iqcfit.rkhs import load_fitted
 from iqcfit.signals import (
     Dataset,
     Signal,
@@ -63,7 +64,9 @@ def test_no_command_is_usage_error():
 
 def test_help_exits_cleanly():
     assert cli.main(["--help"]) == 0
-    assert cli.main(["fit", "--help"]) == 0
+    for command in ("gen-data", "check", "fit", "simulate", "reproduce",
+                    "sweep-gamma"):
+        assert cli.main([command, "--help"]) == 0
 
 
 def test_gen_data_defaults(tmp_path):
@@ -191,7 +194,9 @@ def test_fit_usage_errors(ws, tmp_path):
     ("data", lambda _: []),
     ("data", lambda meta: {**meta, "dt": None}),
     ("model", lambda meta: {**meta, "kernel": {**meta["kernel"], "p": "x"}}),
-], ids=["sum-weights", "scalar-name", "manifest-list", "dt-null", "kernel-p"])
+    ("model", lambda meta: {**meta, "extra": 5}),
+], ids=["sum-weights", "scalar-name", "manifest-list", "dt-null", "kernel-p",
+        "extra-not-object"])
 def test_malformed_json_is_usage_error(ws, tmp_path, capsys, target, edit):
     shutil.copytree(ws / "gen" / "data", tmp_path / "data")
     shutil.copytree(ws / "fit" / "model", tmp_path / "model")
@@ -490,3 +495,125 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+# JSON values each kind of option row refuses in a config file.  A row whose
+# default is not None also refuses null.
+_WRONG = {
+    cli._number: [[1.0], {"a": 1}, True, "x"],
+    cli._integer: [[1], {"a": 1}, True, "x", 2.5],
+    cli._count: [[1], True, 2.5, 0, -3],
+    cli._text: [5, [1], {"a": 1}, True],
+    cli._path: [5, ["o"], True],
+    cli._flag: ["yes", 1, [True]],
+    cli._kernel: [5, [1], True],
+    cli._numbers: [5, {"a": 1}, True, [], ["x"], "x.csv"],
+    cli._texts: [5, "x.csv", [], [1]],
+    cli._checks: [5, "bogus", [], ["iiqc", "bogus"], "x.csv"],
+}
+
+
+def _wrong_values(opt):
+    if hasattr(opt.parse, "choices"):
+        wrong = [5, [opt.parse.choices[0]], True, "bogus"]
+    else:
+        wrong = list(_WRONG[opt.parse])
+    return wrong + ([None] if opt.default is not None else [])
+
+
+@pytest.mark.parametrize("command, opt", [
+    (command, opt) for command, (_, _, options) in cli.COMMANDS.items()
+    for opt in options
+], ids=lambda x: x if isinstance(x, str) else x.name)
+def test_wrong_config_type_is_usage_error(tmp_path, capsys, command, opt):
+    for i, value in enumerate(_wrong_values(opt)):
+        cfg = tmp_path / f"cfg{i}.json"
+        cfg.write_text(json.dumps({opt.name: value}))
+        out = tmp_path / f"out{i}"
+        capsys.readouterr()
+        rc = cli.main([command, "--config", str(cfg), "--out", str(out),
+                       "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 2, value
+        assert err.startswith(f"error: {opt.name} must be"), err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "--target", "model", "--checks", "bogus"],
+    ["check", "--target", "model", "--checks", "iiqc,bogus"],
+    ["check", "--target", "model", "--checks="],
+    ["check", "--target", "model", "--probes", "0"],
+    ["check", "--target", "identity", "--probes", "0"],
+    ["reproduce", "--probes", "-1"],
+], ids=["checks-bogus", "checks-partly-bogus", "checks-empty",
+        "model-probes-0", "identity-probes-0", "reproduce-probes-negative"])
+def test_vacuous_check_is_usage_error(ws, tmp_path, capsys, args):
+    name = "probes" if "--probes" in args else "checks"
+    if "model" in args:
+        args = args + ["--model", str(ws / "fit" / "model")]
+    capsys.readouterr()
+    rc = cli.main(args + ["--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {name} must be")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "sweep-gamma"])
+def test_layout_is_not_an_option(ws, tmp_path, capsys, command):
+    # the Gram layout follows from the kernel
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"layout": "auto"}))
+    args = [command, "--data", str(ws / "gen" / "data"),
+            "--out", str(tmp_path / "out"), "--quiet"]
+    capsys.readouterr()
+    assert cli.main(args + ["--config", str(cfg)]) == 2
+    assert "unknown config key 'layout'" in capsys.readouterr().err
+    assert cli.main(args + ["--layout", "auto"]) == 2
+
+
+def test_model_may_name_its_manifest(ws, tmp_path):
+    model = ws / "fit" / "model"
+    write_signal(Signal(TimeGrid(4, 0.5), np.linspace(0.0, 40.0, 5)),
+                 tmp_path / "u.csv")
+    reports = []
+    for location in (model, model / "model.json"):
+        out = tmp_path / location.name
+        assert cli.main(["check", "--target", "model", "--model", str(location),
+                         "--probes", "5", "--out", str(out), "--quiet"]) == 0
+        report = _read_json(out / "check_report.json")
+        assert report.pop("model") == str(location)
+        reports.append(report)
+        assert cli.main(["simulate", "--model", str(location),
+                         "--input", str(tmp_path / "u.csv"),
+                         "--out", str(out), "--quiet"]) == 0
+    assert reports[0] == reports[1]
+    assert (tmp_path / "model" / "sim_u.csv").read_bytes() == \
+        (tmp_path / "model.json" / "sim_u.csv").read_bytes()
+    # the bundle's extra record (supply, scales) comes back with the model
+    assert load_fitted(model / "model.json").extra == \
+        _read_json(model / "model.json")["extra"]
+
+
+def _same_files(a: Path, b: Path, names):
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_resolved_config_round_trips(ws, tmp_path):
+    out = tmp_path / "fit"
+    assert cli.main(["fit", "--config", str(ws / "fit" / "fit_config.json"),
+                     "--out", str(out), "--quiet"]) == 0
+    bundle = sorted(p.name for p in (ws / "fit" / "model").iterdir())
+    _same_files(ws / "fit", out, ["fit_report.json"])
+    _same_files(ws / "fit" / "model", out / "model", bundle)
+    first, again = tmp_path / "rep", tmp_path / "rep_again"
+    assert cli.main(["reproduce", "--levels=-6,-109", "--probes", "5",
+                     "--seed", "4", "--out", str(first), "--quiet"]) == 0
+    assert cli.main(["reproduce", "--config",
+                     str(first / "reproduce_config.json"),
+                     "--out", str(again), "--quiet"]) == 0
+    _same_files(first, again, ["report.json", "report.md"])
+    _same_files(first / "model", again / "model", bundle)
