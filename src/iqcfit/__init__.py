@@ -23,7 +23,7 @@ from .inversion import (ScatteredModel, PicardResult, PicardBatch,
                         contraction_margin, scattered_from_operator,
                         picard_solve, descatter_output, simulate_r,
                         causality_check_r)
-from .hodgkin import (HHParams, DEFAULT_LEVELS, INPUT_SCALE, OUTPUT_SCALE,
+from .hodgkin import (DEFAULT_LEVELS, INPUT_SCALE, OUTPUT_SCALE,
                       rate_alpha, rate_beta, steady_state_gating,
                       simulate_channel, gating_trajectory, step_dataset,
                       monotonicity_witness, witness_inputs, scale_dataset,

@@ -53,6 +53,7 @@ from .signals import (
     TimeGrid,
     csv_text,
     load_dataset,
+    located,
     norm,
     random_signal,
     read_json,
@@ -270,13 +271,26 @@ def _save_bundle(cfg: dict, model, supply, scale, risk: float, cert: str,
 
 
 def _load_bundle(cfg: dict, fallback: Callable):
-    """The --model bundle and the supply rate its fit recorded, or
-    fallback(model) for a bundle that recorded none."""
+    """The --model bundle, the supply rate its fit recorded (fallback(model)
+    if none) and its scale record: None, or {"a": a, "b": b} with a, b > 0."""
     if not cfg["model"]:
         raise ValueError("--model is required")
     model = load_fitted(cfg["model"])
-    recorded = model.extra.get("supply")
-    return model, supply_from_json(recorded) if recorded else fallback(model)
+    supply, scale = model.extra.get("supply"), model.extra.get("scale")
+    try:
+        if not isinstance(supply, (dict, type(None))):
+            raise TypeError(f"supply must be an object, got {supply!r}")
+        supply = None if supply is None else supply_from_json(supply)
+        if scale is not None and not (
+                isinstance(scale, dict) and sorted(scale) == ["a", "b"]
+                and all(type(x) in (int, float) and 0 < x < np.inf
+                        for x in scale.values())):
+            raise ValueError(f"scale must be null or {{a: >0, b: >0}}, "
+                             f"got {scale!r}")
+    except (TypeError, KeyError, ValueError) as exc:
+        raise ValueError(f"{located(cfg['model'], 'model.json')}: malformed extra "
+                         f"record: {type(exc).__name__} {exc}") from None
+    return model, fallback(model) if supply is None else supply, scale
 
 
 def _step_data(cfg: dict):
@@ -347,7 +361,7 @@ def _check_identity(cfg: dict) -> dict:
 
 
 def _check_model(cfg: dict) -> dict:
-    model, supply = _load_bundle(cfg, lambda model: _build_supply(
+    model, supply, _ = _load_bundle(cfg, lambda model: _build_supply(
         cfg, m=model.input_dim, p=model.output_dim))
     factors = factor_phi(supply)
     results: dict = {"target": "model", "model": str(Path(cfg["model"]))}
@@ -455,7 +469,7 @@ def run_simulate(cfg: dict) -> int:
             raise ValueError(f"inputs {stems[stem]} and {path} share the file "
                              f"stem {stem!r}; their outputs would collide")
         stems[stem] = path
-    model, supply = _load_bundle(
+    model, supply, scale = _load_bundle(
         cfg, lambda model: passivity_supply(model.input_dim))
     factors = factor_phi(supply)
     try:
@@ -465,7 +479,6 @@ def run_simulate(cfg: dict) -> int:
                     {"passed": False, "reason": str(exc)})
         _log(quiet, f"refused: {exc}")
         return 1
-    scale = model.extra.get("scale") or None
     raw = []
     for path in cfg["inputs"]:
         u_raw = read_signal(path, dt=model.grid.dt)

@@ -27,12 +27,8 @@ DEFAULT_LEVELS = (-6.0, -10.0, -19.0, -26.0, -32.0, -38.0, -51.0, -63.0,
 # before scattering; inputs divide by the first, outputs by the second.
 INPUT_SCALE = 978.7
 OUTPUT_SCALE = 2.539e4
-
-
-@dataclass(frozen=True)
-class HHParams:
-    g_max: float = 36.0   # peak conductance, mS/cm^2
-    u_rev: float = 12.0   # reversal potential, mV
+G_MAX = 36.0   # peak conductance, mS/cm^2
+U_REV = 12.0   # reversal potential, mV
 
 
 def rate_alpha(u):
@@ -144,16 +140,15 @@ def gating_trajectory(u: InputLike, dt_ode: float,
     return Signal(TimeGrid(len(xs) - 1, dt_ode), xs)
 
 
-def simulate_channel(u: InputLike, dt_ode: float, horizon: float | None = None,
-                     params: HHParams | None = None) -> Signal:
+def simulate_channel(u: InputLike, dt_ode: float,
+                     horizon: float | None = None) -> Signal:
     """Channel current response on the integration grid.
 
     The input may be a constant level, a callable of time (evaluated exactly
     at the integrator's half steps), or a signal already sampled at dt_ode.
     """
-    params = params or HHParams()
     xs, u_nodes = _integrate_gating(u, dt_ode, horizon)
-    y = params.g_max * xs**4 * (u_nodes - params.u_rev)
+    y = G_MAX * xs**4 * (u_nodes - U_REV)
     return Signal(TimeGrid(len(xs) - 1, dt_ode), y)
 
 
@@ -168,12 +163,11 @@ def _subsample(fine: Signal, sample_dt: float) -> Signal:
 
 
 def step_dataset(levels=DEFAULT_LEVELS, horizon: float = 10.0,
-                 sample_dt: float = 0.5, dt_ode: float = 1e-3,
-                 params: HHParams | None = None) -> Dataset:
+                 sample_dt: float = 0.5, dt_ode: float = 1e-3) -> Dataset:
     """Constant-voltage step responses, subsampled to the working grid."""
     inputs, outputs = [], []
     for level in levels:
-        fine = simulate_channel(float(level), dt_ode, horizon, params)
+        fine = simulate_channel(float(level), dt_ode, horizon)
         y = _subsample(fine, sample_dt)
         u = Signal(y.grid, np.full((y.grid.size, 1), float(level)))
         inputs.append(u)
@@ -195,16 +189,15 @@ class WitnessResult:
 
 
 def monotonicity_witness(dt_ode: float = 1e-3, sample_dt: float = 0.5,
-                         horizon: float = 10.0,
-                         params: HHParams | None = None) -> WitnessResult:
+                         horizon: float = 10.0) -> WitnessResult:
     """Inner product <u1 - u2, y1 - y2> for the witness pair.
 
     A negative value shows the raw channel operator is not incrementally
     positive on this horizon, in both the integral and the sampled reading.
     """
     u1, u2 = witness_inputs()
-    y1 = simulate_channel(u1, dt_ode, horizon, params)
-    y2 = simulate_channel(u2, dt_ode, horizon, params)
+    y1 = simulate_channel(u1, dt_ode, horizon)
+    y2 = simulate_channel(u2, dt_ode, horizon)
     t = y1.grid.times()
     du = Signal(y1.grid, u1(t) - u2(t))
     dy = y1 - y2

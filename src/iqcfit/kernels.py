@@ -162,12 +162,10 @@ def _spectral_norm_sym(a: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(a)).max()) if a.size else 0.0
 
 
-def _frozen_matrix(r, name: str, square: int | None = None) -> np.ndarray:
+def _frozen_matrix(r, name: str) -> np.ndarray:
     arr = np.asarray(r, dtype=float).copy()
-    if arr.ndim != 2 or (square is not None and arr.shape != (square, square)):
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ShapeError(f"{name} must be a square 2-d matrix, got shape {arr.shape}")
-    if arr.shape[0] != arr.shape[1]:
-        raise ShapeError(f"{name} must be square, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
 
@@ -203,15 +201,6 @@ class OperatorKernel(ABC):
         (B, n, steps).  With pasts set, a uniform kernel is evaluated on the
         pasts P_t u_b and P_t c_j instead, giving w of shape (B, n, steps).
         """
-
-    def row_blocks(self, centers: np.ndarray, uvals: np.ndarray) -> np.ndarray:
-        """Matrices of K(u, c_j) for one input (steps, dim) at every sample,
-        shape (n, steps, p, p)."""
-        n, steps = centers.shape[:2]
-        out = np.zeros((n, steps, self.output_dim, self.output_dim))
-        for w, M in self.row_terms(centers, uvals[None]):
-            out += w[0].reshape(n, -1, 1, 1) * M
-        return out
 
     def matrix(self, u: Signal, v: Signal) -> np.ndarray:
         if not self.is_uniform:
@@ -358,15 +347,10 @@ class CausalDiagonalKernel(OperatorKernel):
     children: Union[OperatorKernel, tuple[OperatorKernel, ...]]
 
     def __post_init__(self):
-        children = self.children
-        if isinstance(children, OperatorKernel):
-            per_time = (children,)
-            shared = True
-        else:
-            per_time = tuple(children)
-            shared = False
-            if not per_time:
-                raise ShapeError("need at least one per-sample child kernel")
+        shared = isinstance(self.children, OperatorKernel)
+        per_time = (self.children,) if shared else tuple(self.children)
+        if not per_time:
+            raise ShapeError("need at least one per-sample child kernel")
         dims = {child.output_dim for child in per_time}
         if len(dims) != 1:
             raise ShapeError(f"children disagree on output dim: {sorted(dims)}")
@@ -387,9 +371,7 @@ class CausalDiagonalKernel(OperatorKernel):
 
     @property
     def output_dim(self) -> int:
-        child = self.children if isinstance(self.children, OperatorKernel) \
-            else self.children[0]
-        return child.output_dim
+        return self._child(0).output_dim
 
     @property
     def is_causal(self) -> bool:
@@ -503,11 +485,12 @@ def psd_report_from_matrix(G: np.ndarray) -> GramReport:
 
 
 def gram_psd_check(kernel: AnyKernel, inputs: list[Signal]) -> GramReport:
-    """Assemble the dense Gram matrix over the inputs and screen its spectrum."""
+    """Assemble the dense Gram over the inputs and screen its spectrum,
+    which is that of its stack of time blocks."""
     from .rkhs import build_gram  # local import, rkhs depends on this module
 
     gram = build_gram(as_operator(kernel), tuple(inputs), layout="dense")
-    return psd_report_from_matrix(gram.dense)
+    return psd_report_from_matrix(gram.blocks)
 
 
 def _scalar_to_json(spec: ScalarKernelSpec) -> dict:
@@ -568,15 +551,13 @@ def kernel_from_json(obj: dict) -> OperatorKernel:
     """
     try:
         structure = obj.get("structure", "separable")
-        if structure == "separable":
+        if structure in ("separable", "conjugated"):
             R = _matrix_from_json(obj.get("R", "identity"), obj.get("p", 1))
-            return SeparableKernel(_scalar_from_json(obj["scalar"]), R)
+            build = SeparableKernel if structure == "separable" else ConjugatedKernel
+            return build(_scalar_from_json(obj["scalar"]), R)
         if structure == "sum":
             return SumKernel(tuple(obj["weights"]),
                              tuple(kernel_from_json(c) for c in obj["children"]))
-        if structure == "conjugated":
-            R = _matrix_from_json(obj.get("R", "identity"), obj.get("p", 1))
-            return ConjugatedKernel(_scalar_from_json(obj["scalar"]), R)
         if structure == "causal_diagonal":
             if "child" in obj:
                 return CausalDiagonalKernel(kernel_from_json(obj["child"]))

@@ -20,14 +20,18 @@ import numpy as np
 from .errors import ConvergenceError, NumericalError, ShapeError
 from .kernels import (OperatorKernel, SeparableKernel, _scalar_batch,
                       as_operator, kernel_from_json, kernel_to_json)
-from .signals import (Dataset, Signal, TimeGrid, norm, read_json, read_signal,
-                      write_signal)
+from .signals import (Dataset, Signal, TimeGrid, located, norm, read_json,
+                      read_signal, write_signal)
 
-# Dense Gram matrices above this side length are refused.
+# Dense Gram blocks above this side length (centers x channels) are refused.
 DENSE_CAP = 4096
 # tune_gamma raises gamma at most this many times to bring the stored norm
 # under rho.
 NUDGE_LIMIT = 60
+# Gram assembly and the evaluator take lanes in chunks small enough that no
+# temporary of the batched kernel core (lanes x centers x steps x channels)
+# exceeds this many float64 values.
+LANE_BUDGET = 2**15
 
 
 def _stack(signals: tuple[Signal, ...]) -> np.ndarray:
@@ -39,20 +43,30 @@ def _kron_left(A: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     return (A @ coeff.reshape(len(coeff), -1)).reshape(coeff.shape)
 
 
+def _per_sample(A: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """Block t of the (k, n*p, n*p) stack A applied to sample t of coeff
+    (n, steps, p); a stack of one block serves every sample."""
+    n, steps, p = coeff.shape
+    cols = coeff.transpose(1, 0, 2).reshape(steps, n * p, 1)
+    return (A @ cols).reshape(steps, n, p).transpose(1, 0, 2)
+
+
 @dataclass(frozen=True, eq=False)
 class GramOperator:
     """Gram operator of a kernel over n center signals.
 
-    Dense layout stores the full matrix on the flattened output space.  The
-    kronecker layout, available for separable kernels, stores the n x n
-    scalar Gram and the channel matrix R; the full operator is their
-    tensor product with an identity over time.
+    Every kernel structure acts samplewise, so G is block diagonal over
+    time.  The dense layout stores the blocks [K(u_i, u_j) at sample t] as
+    a (k, n*p, n*p) stack: one block serves every sample when the kernel is
+    uniform in time, else k = steps.  The kronecker layout, available for
+    separable kernels, stores the n x n scalar Gram and the channel matrix
+    R; G is their tensor product with an identity over time.
     """
 
     kernel: OperatorKernel
     centers: tuple[Signal, ...]
     layout: str
-    dense: np.ndarray | None = None
+    blocks: np.ndarray | None = None
     scalar_gram: np.ndarray | None = None
     R: np.ndarray | None = None
 
@@ -75,7 +89,7 @@ class GramOperator:
     def apply(self, coeff: np.ndarray) -> np.ndarray:
         """Apply G to coefficients shaped (n, steps, p)."""
         if self.layout == "dense":
-            return (self.dense @ coeff.reshape(-1)).reshape(coeff.shape)
+            return _per_sample(self.blocks, coeff)
         return _kron_left(self.scalar_gram, coeff) @ self.R.T
 
     def quad(self, coeff: np.ndarray) -> float:
@@ -83,17 +97,23 @@ class GramOperator:
 
     def trace(self) -> float:
         if self.layout == "dense":
-            return float(np.trace(self.dense))
+            repeats = self.steps // len(self.blocks)
+            return float(np.trace(self.blocks, axis1=1, axis2=2).sum() * repeats)
         return float(np.trace(self.scalar_gram) * self.steps * np.trace(self.R))
 
-    def to_dense(self) -> np.ndarray:
-        if self.layout == "dense":
-            return self.dense
-        return np.kron(self.scalar_gram, np.kron(np.eye(self.steps), self.R))
+    @property
+    def dense(self) -> np.ndarray:
+        """The full (n*steps*p) square matrix, as a test reference."""
+        if self.layout == "kronecker":
+            return np.kron(self.scalar_gram, np.kron(np.eye(self.steps), self.R))
+        n, p, t = self.n, self.p, np.arange(self.steps)
+        full = np.zeros((n, self.steps, p) * 2)
+        full[:, t, :, :, t, :] = self.blocks.reshape(-1, n, p, n, p)
+        return full.reshape(self.dim, self.dim)
 
 
 def build_gram(kernel: OperatorKernel, inputs: tuple[Signal, ...],
-               layout: str = "auto", cap: int = DENSE_CAP) -> GramOperator:
+               layout: str = "auto") -> GramOperator:
     """Assemble the Gram operator, choosing the factored layout when possible."""
     kernel = as_operator(kernel)
     inputs = tuple(inputs)
@@ -121,27 +141,22 @@ def build_gram(kernel: OperatorKernel, inputs: tuple[Signal, ...],
     if layout != "dense":
         raise ValueError(f"unknown gram layout {layout!r}")
     steps, p = grid.size, kernel.output_dim
-    side = n * steps * p
-    if side > cap:
-        raise NumericalError(
-            f"dense Gram side {side} exceeds cap {cap}; "
-            f"use a separable kernel or raise the cap"
-        )
-    # Block row i holds K(u_i, u_j) for j >= i, block diagonal over samples;
-    # the blocks below the diagonal are their transposes.
-    B = steps * p
-    t = np.arange(steps)
-    G = np.empty((side, side))
-    for i in range(n):
-        row = np.zeros((steps, p, n - i, steps, p))
-        row[t, :, :, t, :] = kernel.row_blocks(X[i:], X[i]).transpose(1, 2, 0, 3)
-        row = row.reshape(B, (n - i) * B)
-        G[i * B:(i + 1) * B, i * B:] = row
-        G[(i + 1) * B:, i * B:(i + 1) * B] = row[:, B:].T
-    scale = max(1.0, float(np.abs(G).max()))
-    if np.abs(G - G.T).max() > 1e-10 * scale:
+    if n * p > DENSE_CAP:
+        raise NumericalError(f"dense Gram block side {n * p} exceeds cap "
+                             f"{DENSE_CAP}; use a separable kernel")
+    # Block t holds sum over row terms of w[:, :, t] (x) M; a term uniform
+    # in time has one weight matrix, which serves every block.
+    blocks = np.zeros((1 if kernel.is_uniform else steps, n, p, n, p))
+    chunk = max(1, LANE_BUDGET // (n * steps * max(m, p)))
+    for lo in range(0, n, chunk):
+        for w, M in kernel.row_terms(X, X[lo:lo + chunk]):
+            w = w.reshape(len(w), n, -1).transpose(2, 0, 1)
+            blocks[:, lo:lo + chunk] += w[:, :, None, :, None] * M[:, None, :]
+    blocks = blocks.reshape(len(blocks), n * p, n * p)
+    scale = max(1.0, float(np.abs(blocks).max()))
+    if np.abs(blocks - blocks.swapaxes(1, 2)).max() > 1e-10 * scale:
         raise NumericalError("assembled Gram matrix is not symmetric")
-    return GramOperator(kernel, inputs, "dense", dense=G)
+    return GramOperator(kernel, inputs, "dense", blocks=blocks)
 
 
 class Spectral:
@@ -149,17 +164,18 @@ class Spectral:
 
     In the eigenbasis of G both the solution of (G + gamma I) c = y and its
     norm sqrt(<c, G c>) are closed-form in gamma, so the targets are
-    projected once.  The dense layout diagonalizes G itself; the kronecker
-    layout diagonalizes the scalar Gram and R, whose eigenvalue products
-    are those of G (the identity over time repeats each one).
+    projected once.  The dense layout diagonalizes its stack of time blocks
+    in one call; the kronecker layout diagonalizes the scalar Gram and R,
+    whose eigenvalue products are those of G (repeated over time).
     """
 
     def __init__(self, gram: GramOperator, targets: np.ndarray):
         self.gram = gram
         self.targets = targets
         if gram.layout == "dense":
-            lam, self._V = np.linalg.eigh(gram.dense)
-            self._proj = self._V.T @ targets.reshape(-1)
+            lam, self._V = np.linalg.eigh(gram.blocks)
+            lam = lam.reshape(len(lam), gram.n, gram.p).transpose(1, 0, 2)
+            self._proj = _per_sample(self._V.swapaxes(1, 2), targets)
         else:
             lam_s, self._Q = np.linalg.eigh(gram.scalar_gram)
             mu, self._U = np.linalg.eigh(gram.R)
@@ -181,7 +197,7 @@ class Spectral:
             )
         work = self._proj / denom
         if self.gram.layout == "dense":
-            return (self._V @ work).reshape(self.targets.shape)
+            return _per_sample(self._V, work)
         return _kron_left(self._Q, work) @ self._U.T
 
     def norm(self, gamma: float) -> float:
@@ -269,11 +285,6 @@ def fit_many(kernel: OperatorKernel, data: Dataset, gammas: Sequence[float],
 
 # Weights of a row term: (B, n) for kernels uniform in time, (B, n, steps) else.
 _CONTRACT = {2: "lj,jtb->ltb", 3: "ljt,jtb->ltb"}
-
-# The evaluator takes lanes in chunks small enough that no temporary of the
-# batched kernel core (lanes x centers x steps x channels) exceeds this many
-# float64 values.
-LANE_BUDGET = 2**15
 
 
 def values_evaluator(model: FittedOperator) -> Callable[[np.ndarray], np.ndarray]:
@@ -441,8 +452,7 @@ def save_fitted(model: FittedOperator, directory: str | Path,
 
 def load_fitted(location: str | Path) -> FittedOperator:
     """Load a model bundle, re-verifying the fit and its stored norm."""
-    location = Path(location)
-    path = location / "model.json" if location.is_dir() else location
+    path = located(location, "model.json")
     base = path.parent
     meta = read_json(path)
     try:

@@ -112,23 +112,20 @@ def random_signal(grid: TimeGrid, dim: int, rng: np.random.Generator,
 
 
 def sample_weights(grid: TimeGrid, mode: str = "sequence",
-                   trapezoid: bool = False, upto: int | None = None) -> np.ndarray:
-    """Quadrature weights over samples 0..upto (defaults to the full grid).
+                   trapezoid: bool = False) -> np.ndarray:
+    """Quadrature weights over the samples of the grid.
 
     mode "sequence" weights every sample by 1; mode "sampled" weights by dt,
     with the first and last sample halved when trapezoid is set.
     """
-    last = grid.tau if upto is None else upto
-    if not 0 <= last <= grid.tau:
-        raise ValueError(f"horizon index {last} outside 0..{grid.tau}")
     if mode == "sequence":
         if trapezoid:
             raise ValueError("trapezoid correction only applies to sampled mode")
-        return np.ones(last + 1)
+        return np.ones(grid.size)
     if mode != "sampled":
         raise ValueError(f"unknown quadrature mode {mode!r}")
-    w = np.full(last + 1, grid.dt)
-    if trapezoid and last >= 1:
+    w = np.full(grid.size, grid.dt)
+    if trapezoid and grid.tau >= 1:
         w[0] *= 0.5
         w[-1] *= 0.5
     return w
@@ -141,8 +138,8 @@ def inner_product(f: Signal, g: Signal, mode: str = "sequence",
     return float(np.einsum("t,tc,tc->", w, f.values, g.values))
 
 
-def norm(f: Signal, mode: str = "sequence", trapezoid: bool = False) -> float:
-    return math.sqrt(max(inner_product(f, f, mode, trapezoid), 0.0))
+def norm(f: Signal, mode: str = "sequence") -> float:
+    return math.sqrt(max(inner_product(f, f, mode), 0.0))
 
 
 def truncate(f: Signal, T: int) -> Signal:
@@ -285,10 +282,15 @@ def save_dataset(data: Dataset, directory: str | Path) -> Path:
     return path
 
 
+def located(location: str | Path, name: str) -> Path:
+    """location itself, or the file of that name in it if it is a directory."""
+    location = Path(location)
+    return location / name if location.is_dir() else location
+
+
 def load_dataset(location: str | Path) -> Dataset:
     """Load a dataset from a manifest path or the directory holding one."""
-    location = Path(location)
-    manifest_path = location / "manifest.json" if location.is_dir() else location
+    manifest_path = located(location, "manifest.json")
     meta = read_json(manifest_path)
     base = manifest_path.parent
     try:

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ShapeError, SignatureError
-from .signals import Dataset, Signal, read_json, sample_weights
+from .signals import Dataset, Signal, read_json
 
 # Relative eigenvalue floor below which Phi counts as singular.
 SINGULAR_TOL = 1e-10
@@ -213,8 +213,7 @@ def unscatter_dataset(data: Dataset, factors: ScatteringFactors) -> Dataset:
 
 
 def iiqc_residual(supply: SupplyRate, u: Signal, v: Signal, y: Signal, z: Signal,
-                  horizon: int | None = None, mode: str = "sequence",
-                  trapezoid: bool = False) -> float:
+                  horizon: int | None = None) -> float:
     """Accumulated supply of the increments (u - v, y - z) up to a horizon."""
     du, dy = u - v, y - z
     if du.dim != supply.m or dy.dim != supply.p:
@@ -223,9 +222,10 @@ def iiqc_residual(supply: SupplyRate, u: Signal, v: Signal, y: Signal, z: Signal
             f"({supply.m}, {supply.p})"
         )
     last = du.grid.tau if horizon is None else horizon
-    w = sample_weights(du.grid, mode, trapezoid, upto=last)
+    if not 0 <= last <= du.grid.tau:
+        raise ValueError(f"horizon index {last} outside 0..{du.grid.tau}")
     x = np.hstack([du.values[: last + 1], dy.values[: last + 1]])
-    return float(np.einsum("t,tj,jk,tk->", w, x, supply.phi, x))
+    return float(np.einsum("tj,jk,tk->", x, supply.phi, x))
 
 
 @dataclass(frozen=True)
@@ -241,7 +241,6 @@ class IiqcReport:
 def check_operator_iiqc(op: Callable[[list[Signal]], list[Signal]],
                         supply: SupplyRate,
                         probes: list[tuple[Signal, Signal]], mode: str = "full",
-                        quadrature: str = "sequence", trapezoid: bool = False,
                         tol: float | None = None) -> IiqcReport:
     """Evaluate op on probe pairs and report the worst accumulated supply.
 
@@ -260,9 +259,8 @@ def check_operator_iiqc(op: Callable[[list[Signal]], list[Signal]],
     for idx, (u, v) in enumerate(probes):
         y, z = outputs[2 * idx], outputs[2 * idx + 1]
         du, dy = u - v, y - z
-        w = sample_weights(du.grid, quadrature, trapezoid)
         x = np.hstack([du.values, dy.values])
-        terms = w * np.einsum("tj,jk,tk->t", x, supply.phi, x)
+        terms = np.einsum("tj,jk,tk->t", x, supply.phi, x)
         scale = max(scale, float(np.abs(terms).sum()))
         partial = np.cumsum(terms)
         if mode == "full":

@@ -188,6 +188,11 @@ def test_fit_usage_errors(ws, tmp_path):
     assert rc == 2
 
 
+def _extra(**record):
+    """Edit of a bundle's model.json that overrides fields of its extra record."""
+    return lambda meta: {**meta, "extra": {**meta["extra"], **record}}
+
+
 @pytest.mark.parametrize("target, edit", [
     ("kernel", lambda _: {"structure": "sum", "weights": 5, "children": []}),
     ("kernel", lambda _: {"structure": "separable", "scalar": "gaussian"}),
@@ -195,17 +200,32 @@ def test_fit_usage_errors(ws, tmp_path):
     ("data", lambda meta: {**meta, "dt": None}),
     ("model", lambda meta: {**meta, "kernel": {**meta["kernel"], "p": "x"}}),
     ("model", lambda meta: {**meta, "extra": 5}),
+    ("model", _extra(supply=5)),
+    ("simulate", _extra(supply=5)),
+    ("model", _extra(supply={"kind": "gain", "delta": [1]})),
+    ("simulate", _extra(supply={"kind": "gain", "delta": [1]})),
+    ("simulate", _extra(scale=5)),
+    ("simulate", _extra(scale={"a": 1})),
 ], ids=["sum-weights", "scalar-name", "manifest-list", "dt-null", "kernel-p",
-        "extra-not-object"])
+        "extra-not-object", "check-supply-number", "simulate-supply-number",
+        "check-gain-delta-list", "simulate-gain-delta-list",
+        "simulate-scale-number", "simulate-scale-without-b"])
 def test_malformed_json_is_usage_error(ws, tmp_path, capsys, target, edit):
     shutil.copytree(ws / "gen" / "data", tmp_path / "data")
     shutil.copytree(ws / "fit" / "model", tmp_path / "model")
     path = {"kernel": tmp_path / "kernel.json",
             "data": tmp_path / "data" / "manifest.json",
-            "model": tmp_path / "model" / "model.json"}[target]
+            "model": tmp_path / "model" / "model.json",
+            "simulate": tmp_path / "model" / "model.json"}[target]
     path.write_text(json.dumps(edit(_read_json(path) if path.exists() else None)))
     if target == "model":
         args = ["check", "--target", "model", "--model", str(tmp_path / "model")]
+    elif target == "simulate":
+        meta = _read_json(ws / "fit" / "model" / "model.json")
+        write_signal(zeros(TimeGrid(meta["tau"], meta["dt"])),
+                     tmp_path / "zero.csv")
+        args = ["simulate", "--model", str(tmp_path / "model"),
+                "--input", str(tmp_path / "zero.csv")]
     else:
         args = ["fit", "--data", str(tmp_path / "data")]
         args += ["--kernel", str(path)] if target == "kernel" else []
@@ -215,7 +235,7 @@ def test_malformed_json_is_usage_error(ws, tmp_path, capsys, target, edit):
     assert rc == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
-    if target == "model":
+    if target in ("model", "simulate"):
         assert str(path) in err
 
 

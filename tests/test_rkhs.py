@@ -63,7 +63,7 @@ def test_gram_single_center_is_kernel_value():
     from iqcfit.kernels import eval_scalar
 
     k = eval_scalar(gaussian(1.0), u, u)
-    assert np.allclose(gram.to_dense(), k * np.eye(3), atol=1e-14)
+    assert np.allclose(gram.dense, k * np.eye(3), atol=1e-14)
 
 
 def test_gram_bilinear_orthogonal_inputs():
@@ -86,19 +86,25 @@ def test_gram_layouts_agree():
     c = rng.normal(size=(4, 4, 2))
     assert np.abs(dense.apply(c) - kron.apply(c)).max() <= 1e-12
     assert abs(dense.quad(c) - kron.quad(c)) <= 1e-12 * max(1.0, dense.quad(c))
-    assert np.abs(dense.to_dense() - kron.to_dense()).max() <= 1e-12
+    assert np.abs(dense.dense - kron.dense).max() <= 1e-12
 
 
-def test_gram_dense_cap():
+def test_gram_dense_cap(monkeypatch):
+    # the cap bounds the side of one time block, centers x channels, not the
+    # full side centers x samples x channels
     rng = np.random.default_rng(42)
     grid = TimeGrid(99)
     inputs = tuple(random_signal(grid, 1, rng) for _ in range(5))
     kernel = SeparableKernel(gaussian(2.0), np.eye(10))
-    outputsized = 5 * 100 * 10
-    assert outputsized > 4096
-    with pytest.raises(NumericalError):
+    assert 5 * 100 * 10 > rkhs.DENSE_CAP
+    monkeypatch.setattr(rkhs, "DENSE_CAP", 5 * 10)
+    assert build_gram(kernel, inputs, layout="dense").blocks.shape == (1, 50, 50)
+    monkeypatch.setattr(rkhs, "DENSE_CAP", 5 * 10 - 1)
+    with pytest.raises(NumericalError, match="block side 50 exceeds cap 49"):
         build_gram(kernel, inputs, layout="dense")
-    # factored layout carries the same data without the dense block
+    with pytest.raises(NumericalError, match="block side 50"):
+        build_gram(CausalDiagonalKernel(kernel), inputs)
+    # factored layout carries the same data without the dense blocks
     build_gram(kernel, inputs, layout="kronecker")
 
 
@@ -242,12 +248,13 @@ def _structures(spec, R):
             SumKernel((0.5, 0.5), (sep, CausalDiagonalKernel(per_sample)))]
 
 
-def test_gram_matches_per_pair_blocks():
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_gram_matches_per_pair_blocks(p):
     rng = np.random.default_rng(54)
     specs = [bilinear(), polynomial(1.0, 2), gaussian(1.5), laplacian(1.5),
              scaled_laplacian(), inverse_power(1.0, 2.0), stable_spline(0.7)]
     assert {spec.kind for spec in specs} == set(SCALAR_KINDS)
-    R = np.array([[1.0, 0.3], [0.3, 0.6]])
+    R = np.array([[1.0, 0.3, 0.1], [0.3, 0.6, 0.2], [0.1, 0.2, 0.8]])[:p, :p]
     for spec in specs:
         kind = spec.kind
         # the stable spline acts on nonnegative one-sample scalars only
@@ -256,17 +263,36 @@ def test_gram_matches_per_pair_blocks():
                        for _ in range(4))
         for kernel in _structures(spec, R):
             gram = build_gram(kernel, inputs, layout="dense")
-            blocks = grid.size * 2
-            want = np.zeros((4 * blocks, 4 * blocks))
+            side = grid.size * p
+            want = np.zeros((4 * side, 4 * side))
             for i, ui in enumerate(inputs):
                 for j, uj in enumerate(inputs):
-                    want[i * blocks:(i + 1) * blocks,
-                         j * blocks:(j + 1) * blocks] = kernel.block_matrix(ui, uj)
+                    want[i * side:(i + 1) * side,
+                         j * side:(j + 1) * side] = kernel.block_matrix(ui, uj)
             scale = np.abs(want).max()
             assert np.abs(gram.dense - want).max() <= 1e-12 * scale, (kind, kernel)
             if isinstance(kernel, SeparableKernel):
-                kron = build_gram(kernel, inputs, layout="kronecker").to_dense()
+                kron = build_gram(kernel, inputs, layout="kronecker").dense
                 assert np.abs(kron - want).max() <= 1e-12 * scale, kind
+
+
+def test_sum_of_separables_fits_at_wide_size():
+    # n=200, tau=20, p=2: the full side 8400 is over DENSE_CAP, while the
+    # one block this uniform kernel shares over time has side 400
+    rng = np.random.default_rng(66)
+    data = _random_dataset(rng, n=200, tau=20, m=2, p=2)
+    R = np.array([[1.0, 0.3], [0.3, 0.6]])
+    children = (SeparableKernel(gaussian(2.0), R),
+                SeparableKernel(scaled_laplacian(), np.eye(2)))
+    kernel = SumKernel((0.6, 0.3), children)
+    gram = build_gram(kernel, data.inputs)
+    assert gram.layout == "dense" and gram.blocks.shape == (1, 400, 400)
+    assert gram.dim > rkhs.DENSE_CAP
+    want = sum(w * np.kron(build_gram(child, data.inputs).scalar_gram, child.R)
+               for w, child in zip(kernel.weights, children))
+    assert np.abs(gram.blocks[0] - want).max() <= 1e-12 * np.abs(want).max()
+    model = fit(kernel, data, gamma=0.1)
+    assert abs(rkhs_norm(model) - model.rkhs_norm) <= 1e-12 * model.rkhs_norm
 
 
 def _layout_kernel(layout, conjugated=False):
@@ -289,9 +315,9 @@ def test_one_factorization_per_gram(monkeypatch, layout):
             _log.append(np.shape(a))
             return _real(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
-    # dense: G itself (5 centers x 4 samples x 2 channels); kronecker: the
-    # scalar Gram and R
-    want = [(40, 40)] if layout == "dense" else [(5, 5), (2, 2)]
+    # dense: the stack of 4 time blocks, 5 centers x 2 channels each;
+    # kronecker: the scalar Gram and R
+    want = [(4, 10, 10)] if layout == "dense" else [(5, 5), (2, 2)]
     tune_gamma(kernel, data, rho=0.5)
     assert calls["eigh"] == want
     calls["eigh"].clear()
@@ -336,7 +362,7 @@ def test_singular_gram_raises(layout):
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])
     kernel = SeparableKernel(gaussian(2.0), np.eye(1))
     centers = (zeros(TimeGrid(0)),) * 2
-    gram = (GramOperator(kernel, centers, "dense", dense=bad)
+    gram = (GramOperator(kernel, centers, "dense", blocks=bad[None])
             if layout == "dense" else
             GramOperator(kernel, centers, "kronecker", scalar_gram=bad,
                          R=kernel.R))
@@ -353,7 +379,7 @@ def test_kronecker_products_match_dense(p):
     A = rng.normal(size=(p, p))
     kernel = SeparableKernel(gaussian(2.0), A @ A.T + 0.1 * np.eye(p))
     gram = build_gram(kernel, data.inputs, layout="kronecker")
-    D = gram.to_dense()
+    D = gram.dense
     c = rng.normal(size=(5, 4, p))
 
     def rel_err(got, want):
