@@ -47,8 +47,7 @@ from .kernels import (
     nonexpansive_defect,
     scaled_laplacian,
 )
-from .rkhs import (empirical_risk, fit, fit_many, load_fitted, save_fitted,
-                   tune_gamma)
+from .rkhs import fit, fit_many, load_fitted, save_fitted, tune_gamma
 from .signals import (
     TimeGrid,
     csv_text,
@@ -439,7 +438,7 @@ def run_fit(cfg: dict) -> int:
                 "norm target does not certify a contraction"
             )
         gamma, model = tune_gamma(kernel, scattered, rho=cfg["rho"])
-    risk = empirical_risk(model, scattered)
+    risk = model.training_risk
     _save_bundle(cfg, model, supply, scale, risk, cert, warnings)
     report = {
         "gamma": gamma,
@@ -577,7 +576,7 @@ def run_reproduce(cfg: dict) -> int:
     _log(quiet, "stage 4/6: fit tuned to the norm target")
     kernel = SeparableKernel(scaled_laplacian(), np.eye(data.output_dim))
     gamma, model = tune_gamma(kernel, scattered_data, rho=cfg["rho"])
-    risk = empirical_risk(model, scattered_data)
+    risk = model.training_risk
     _save_bundle(cfg, model, supply, {"a": a, "b": b}, risk,
                  certify_nonexpansive(kernel), [])
     scattered = contraction_margin(model, factors)
@@ -655,8 +654,8 @@ def run_sweep_gamma(cfg: dict) -> int:
     _, _, scattered, kernel = _scattered_data(cfg)
     gammas = np.geomspace(cfg["gamma_min"], cfg["gamma_max"], cfg["count"])
     models = fit_many(kernel, scattered, [float(g) for g in gammas])
-    table = [(gamma, model.rkhs_norm, empirical_risk(model, scattered))
-             for gamma, model in zip(gammas, models)]
+    table = [(model.gamma, model.rkhs_norm, model.training_risk)
+             for model in models]
     (cfg["out"] / "sweep.csv").write_text(csv_text(
         ["gamma", "rkhs_norm", "risk"], np.array(table).reshape(-1, 3), "\n"))
     _log(cfg["quiet"], f"swept {len(gammas)} gamma values")

@@ -81,13 +81,12 @@ def _input_on_half_grid(u: InputLike, dt_ode: float,
     n = round(horizon / dt_ode)
     if n < 1 or abs(n * dt_ode - horizon) > 1e-9:
         raise ValueError(f"horizon {horizon} is not a multiple of dt_ode {dt_ode}")
+    if not callable(u):
+        return np.full(2 * n + 1, float(u)), n
     t_half = np.arange(2 * n + 1) * (dt_ode / 2.0)
-    if callable(u):
-        half = np.asarray(u(t_half), dtype=float)
-        if half.shape != t_half.shape:
-            half = np.array([float(u(t)) for t in t_half])
-    else:
-        half = np.full(t_half.shape, float(u))
+    half = np.asarray(u(t_half), dtype=float)
+    if half.shape != t_half.shape:
+        half = np.array([float(u(t)) for t in t_half])
     return half, n
 
 
@@ -97,17 +96,52 @@ def _integrate_gating(u: InputLike, dt_ode: float, horizon: float | None,
 
     The equation is linear in x, so every stage k_i = c_i + d_i x is affine
     in the state at the start of the step and the whole step is a map
-    x <- A_k x + B_k.  All maps come from one vectorized pass over the
-    half-step rates; a doubling prefix scan composes them, and since
-    x(0) = 0 the composed offsets are x_1, ..., x_n.  Rounding error grows
-    with log n rather than n.
+    x <- A_k x + B_k.  A constant level gives the same map every step, and
+    RK4's iterates from x(0) = 0 are then x_k = x_inf (1 - A^k) in closed
+    form.  A waveform (a callable or a sampled signal) gives one map per
+    step: all of them come from one vectorized pass over the half-step
+    rates, a doubling prefix scan composes them, and since x(0) = 0 the
+    composed offsets are x_1, ..., x_n.  Rounding error grows with log n
+    rather than n.
     """
     if dt_ode <= 0:
         raise ValueError(f"dt_ode must be positive, got {dt_ode}")
     half, n = _input_on_half_grid(u, dt_ode, horizon)
+    if isinstance(u, Signal) or callable(u):
+        xs = _scan_gating(half, n, dt_ode)
+    else:
+        xs = _constant_gating(float(u), n, dt_ode)
+    if not np.isfinite(xs).all():
+        raise NumericalError("gating integration produced non-finite values")
+    return xs, half[::2]
+
+
+def _constant_gating(level: float, n: int, h: float) -> np.ndarray:
+    """RK4 iterates x_0, ..., x_n at a constant level, in closed form.
+
+    With z = (alpha + beta) h each step multiplies the distance to
+    x_inf = alpha / (alpha + beta) by A = T4(-z), the degree-4 Taylor
+    polynomial of exp(-z).  An even-degree Taylor polynomial of exp has no
+    real root, so A > 0 and log1p(A - 1) is always defined; A - 1 is kept
+    apart from 1 so that its rounding stays relative to the step increment.
+    An unstable step (A > 1) overflows to a non-finite value, which the
+    caller reports.
+    """
+    alpha = rate_alpha(level)
+    rate = alpha + rate_beta(level)
+    z = rate * h
+    k = np.arange(1, n + 1)
+    with np.errstate(over="ignore"):
+        a_minus_1 = z * (-1.0 + z * (0.5 + z * (-1.0 / 6.0 + z / 24.0)))
+        xs = -(alpha / rate) * np.expm1(k * np.log1p(a_minus_1))
+    return np.concatenate(([0.0], xs))
+
+
+def _scan_gating(half: np.ndarray, n: int, h: float) -> np.ndarray:
+    """RK4 iterates x_0, ..., x_n for the input sampled at every half step,
+    by a prefix scan of the per-step affine maps."""
     alpha = rate_alpha(half)
     rate = alpha + rate_beta(half)
-    h = dt_ode
     # (node, midpoint, node) rates of each step
     a0, am, a1 = alpha[:-1:2], alpha[1::2], alpha[2::2]
     r0, rm, r1 = rate[:-1:2], rate[1::2], rate[2::2]
@@ -127,10 +161,7 @@ def _integrate_gating(u: InputLike, dt_ode: float, horizon: float | None,
             b[s:] += a[s:] * b[:-s] + b[:-s]
             a[s:] += a[s:] * a[:-s] + a[:-s]
             s *= 2
-    xs = np.concatenate(([0.0], b))
-    if not np.isfinite(xs).all():
-        raise NumericalError("gating integration produced non-finite values")
-    return xs, half[::2]
+    return np.concatenate(([0.0], b))
 
 
 def gating_trajectory(u: InputLike, dt_ode: float,
@@ -144,8 +175,9 @@ def simulate_channel(u: InputLike, dt_ode: float,
                      horizon: float | None = None) -> Signal:
     """Channel current response on the integration grid.
 
-    The input may be a constant level, a callable of time (evaluated exactly
-    at the integrator's half steps), or a signal already sampled at dt_ode.
+    The input may be a constant level (integrated in closed form), a
+    callable of time (evaluated exactly at the integrator's half steps), or
+    a signal already sampled at dt_ode; the last two take the prefix scan.
     """
     xs, u_nodes = _integrate_gating(u, dt_ode, horizon)
     y = G_MAX * xs**4 * (u_nodes - U_REV)
@@ -164,7 +196,11 @@ def _subsample(fine: Signal, sample_dt: float) -> Signal:
 
 def step_dataset(levels=DEFAULT_LEVELS, horizon: float = 10.0,
                  sample_dt: float = 0.5, dt_ode: float = 1e-3) -> Dataset:
-    """Constant-voltage step responses, subsampled to the working grid."""
+    """Constant-voltage step responses, subsampled to the working grid.
+
+    Each level is a constant input, so its RK4 trajectory is computed in
+    closed form rather than scanned.
+    """
     inputs, outputs = [], []
     for level in levels:
         fine = simulate_channel(float(level), dt_ode, horizon)

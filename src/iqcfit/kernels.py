@@ -384,12 +384,19 @@ class CausalDiagonalKernel(OperatorKernel):
         # Pasts of pasts are the pasts, so the flag changes nothing here.
         if isinstance(self.children, OperatorKernel):
             return self.children.row_terms(centers, uvals, pasts=True)
+        # Column t is child t on the pasts P_t, i.e. on samples 0..t; the
+        # children's terms with equal matrices share one weight array.
+        steps = uvals.shape[1]
         terms = []
-        for t in range(uvals.shape[1]):
-            for w, M in self._child(t).row_terms(centers, uvals, pasts=True):
-                at_t = np.zeros_like(w)
-                at_t[..., t] = w[..., t]
-                terms.append((at_t, M))
+        for t in range(steps):
+            child = self._child(t)
+            for w, M in child.row_terms(centers[:, :t + 1], uvals[:, :t + 1]):
+                shared = next((W for W, seen in terms
+                               if np.array_equal(seen, M)), None)
+                if shared is None:
+                    shared = np.zeros(w.shape + (steps,))
+                    terms.append((shared, M))
+                shared[..., t] += w
         return terms
 
 

@@ -238,6 +238,14 @@ class FittedOperator:
         """values_evaluator(self), built on first use and kept."""
         return values_evaluator(self)
 
+    @property
+    def training_risk(self) -> float:
+        """empirical_risk on the data the model was fit to, in closed form:
+        the coefficients solve (G + gamma I) c = y, so the residual
+        y - G c is gamma c and the risk is gamma^2 ||c||^2."""
+        coeff = _stack(self.coefficients)
+        return self.gamma**2 * float(np.vdot(coeff, coeff))
+
 
 def _model_from_solution(spectral: Spectral, data: Dataset,
                          gamma: float) -> FittedOperator:

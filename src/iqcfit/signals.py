@@ -8,7 +8,7 @@ trapezoidal end correction) so that inner products approximate integrals.
 
 from __future__ import annotations
 
-import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -220,17 +220,24 @@ def write_signal(f: Signal, path: str | Path):
 
 
 def read_signal(path: str | Path, dt: float | None = None) -> Signal:
-    """Read a trajectory CSV, validating the time column against j*dt."""
+    """Read a trajectory CSV, validating the time column against j*dt.
+
+    After the header line, numpy's C reader parses the body; it rounds
+    every decimal correctly, as float() does.
+    """
     path = Path(path)
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or not rows[0] or rows[0][0].strip() != "t":
+    try:
+        with path.open(encoding="utf-8") as fh:
+            header, body = fh.readline(), fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    if header.split(",")[0].strip() != "t":
         raise ValueError(f"{path}: first column must be named 't'")
-    body = [r for r in rows[1:] if r]
-    if not body:
+    if not body.strip():
         raise ValueError(f"{path}: no samples")
     try:
-        data = np.array(body, dtype=float)
+        data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2,
+                          comments=None)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     times, values = data[:, 0], data[:, 1:]
@@ -294,18 +301,31 @@ def load_dataset(location: str | Path) -> Dataset:
     meta = read_json(manifest_path)
     base = manifest_path.parent
     try:
-        dt = float(meta["dt"])
+        dt, m, p, tau = meta["dt"], meta["m"], meta["p"], meta["tau"]
+        if (isinstance(dt, bool) or not isinstance(dt, (int, float))
+                or not (math.isfinite(dt) and dt > 0)):
+            raise ValueError(f"dt must be a positive finite number, got {dt!r}")
+        dt = float(dt)
+        for key, value in (("tau", tau), ("m", m), ("p", p)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+        if not isinstance(meta["pairs"], list) or not meta["pairs"]:
+            raise ValueError("pairs must be a non-empty list")
         pairs = [(base / pair["input"], base / pair["output"])
                  for pair in meta["pairs"]]
-        m, p, tau = meta["m"], meta["p"], meta["tau"]
-    except (TypeError, KeyError, AttributeError) as exc:
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: {exc}") from None
+    except (TypeError, KeyError, AttributeError, OverflowError) as exc:
         raise ValueError(f"{manifest_path}: malformed manifest: "
                          f"{type(exc).__name__} {exc}") from None
     inputs, outputs = [], []
     for upath, ypath in pairs:
         inputs.append(read_signal(upath, dt=dt))
         outputs.append(read_signal(ypath, dt=dt))
-    data = Dataset(tuple(inputs), tuple(outputs))
+    try:
+        data = Dataset(tuple(inputs), tuple(outputs))
+    except ShapeError as exc:
+        raise ShapeError(f"{manifest_path}: {exc}") from None
     if data.input_dim != m or data.output_dim != p:
         raise ShapeError(
             f"{manifest_path}: manifest declares m={m}, p={p} "

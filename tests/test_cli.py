@@ -239,6 +239,57 @@ def test_malformed_json_is_usage_error(ws, tmp_path, capsys, target, edit):
         assert str(path) in err
 
 
+def _manifest(**fields):
+    """Edit of a dataset: override fields of its manifest.json."""
+    def edit(data):
+        path = data / "manifest.json"
+        path.write_text(json.dumps({**_read_json(path), **fields}))
+        return path
+    return edit
+
+
+def _cut_first_output(data):
+    """Edit of a dataset: drop the last sample of y_000.csv."""
+    path = data / "y_000.csv"
+    path.write_bytes(b"".join(path.read_bytes().splitlines(True)[:-1]))
+    return data / "manifest.json"
+
+
+def _not_utf8(data):
+    """Edit of a dataset: a 0xff byte in the middle of u_000.csv."""
+    path = data / "u_000.csv"
+    text = path.read_bytes()
+    path.write_bytes(text[:20] + b"\xff" + text[20:])
+    return path
+
+
+@pytest.mark.parametrize("edit, says", [
+    (_manifest(dt="abc"), "dt must be a positive finite number"),
+    (_manifest(dt=-1), "dt must be a positive finite number"),
+    (_manifest(dt=0.0), "dt must be a positive finite number"),
+    (_manifest(dt=True), "dt must be a positive finite number"),
+    (_manifest(tau="12"), "tau must be an integer"),
+    (_manifest(m=1.0), "m must be an integer"),
+    (_manifest(p=None), "p must be an integer"),
+    (_manifest(pairs=[]), "pairs must be a non-empty list"),
+    (_manifest(pairs={"a": 1}), "pairs must be a non-empty list"),
+    (_cut_first_output, "all trajectories must share one grid"),
+    (_not_utf8, "not UTF-8 text"),
+], ids=["dt-text", "dt-negative", "dt-zero", "dt-bool", "tau-text",
+        "m-float", "p-null", "pairs-empty", "pairs-object", "ragged-grid",
+        "csv-not-utf8"])
+def test_malformed_dataset_names_its_file(ws, tmp_path, capsys, edit, says):
+    shutil.copytree(ws / "gen" / "data", tmp_path / "data")
+    path = edit(tmp_path / "data")
+    capsys.readouterr()
+    rc = cli.main(["fit", "--data", str(tmp_path / "data"),
+                   "--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {path}: {says}")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("target", ["manifest", "config", "kernel"])
 def test_invalid_json_file_names_it(ws, tmp_path, capsys, target):
     shutil.copytree(ws / "gen" / "data", tmp_path / "data")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iqcfit import hodgkin
 from iqcfit.errors import NumericalError, ShapeError
 from iqcfit.hodgkin import (
     DEFAULT_LEVELS,
@@ -279,6 +280,30 @@ def test_constant_level_matches_rk4_closed_form(level, dt_ode, steps):
     k = np.arange(steps + 1)
     want = alpha / (alpha + beta) * -np.expm1(k * np.log1p(a_minus_1))
     assert np.abs(xs - want).max() <= SCAN_RTOL * np.abs(xs).max()
+
+
+@settings(max_examples=60)
+@given(level=st.floats(-120.0, 20.0),
+       dt_ode=st.sampled_from([5e-4, 1e-3, 2e-3, 0.1]),
+       steps=st.integers(1, 5000))
+def test_constant_level_matches_reference_loop(level, dt_ode, steps):
+    _assert_matches_reference(level, dt_ode, steps * dt_ode)
+
+
+def test_only_waveforms_take_the_scan(monkeypatch):
+    # constant levels are integrated in closed form; callables and sampled
+    # signals go through the prefix scan
+    calls = []
+    scan = hodgkin._scan_gating
+    monkeypatch.setattr(hodgkin, "_scan_gating",
+                        lambda *args: calls.append(1) or scan(*args))
+    step_dataset()
+    assert calls == []
+    monotonicity_witness()
+    assert len(calls) == 2
+    grid = TimeGrid(10, 1e-3)
+    simulate_channel(Signal(grid, np.full(11, -50.0)), 1e-3)
+    assert len(calls) == 3
 
 
 @settings(max_examples=40)

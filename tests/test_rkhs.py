@@ -530,6 +530,19 @@ def test_risk_extremes():
     )
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_training_risk_matches_empirical_risk(p):
+    rng = np.random.default_rng(67)
+    data = _random_dataset(rng, n=4, tau=3, m=2, p=p)
+    R = np.array([[1.0, 0.3], [0.3, 0.6]])[:p, :p]
+    for kernel in _structures(gaussian(2.0), R):
+        models = fit_many(kernel, data, [1e-2, 1.0, 100.0])
+        models.append(tune_gamma(kernel, data, rho=0.5)[1])
+        for model in models:
+            want = empirical_risk(model, data)
+            assert abs(model.training_risk - want) <= 1e-12 * want, kernel
+
+
 def test_bundle_round_trip(tmp_path):
     rng = np.random.default_rng(57)
     data = _random_dataset(rng, n=4, tau=3)

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iqcfit.errors import ShapeError
@@ -244,3 +244,34 @@ def test_read_signal_errors_name_the_file(tmp_path, name, text, error):
     path.write_bytes(text.encode())
     with pytest.raises(error, match=re.escape(str(path))):
         read_signal(path)
+
+
+_CSV_ALPHABET = list(b"0123456789.,-+eEtnaifx\t \r\n") + [0, 0xff, 0xc3]
+
+
+def _numbered_rows(rows):
+    """CSV bytes whose row j is j, then the row's values."""
+    lines = [",".join(map(repr, [j] + row)) for j, row in enumerate(rows)]
+    return "".join(line + "\r\n" for line in ["t,ch1"] + lines).encode()
+
+
+@settings(max_examples=300)
+@given(raw=st.one_of(
+           st.binary(max_size=120),
+           st.binary(max_size=120).map(lambda body: b"t,ch1\r\n" + body),
+           st.lists(st.sampled_from(_CSV_ALPHABET), max_size=120).map(
+               lambda body: b"t,ch1\r\n0,1\r\n" + bytes(body)),
+           st.lists(st.lists(st.floats(), min_size=1, max_size=2),
+                    max_size=6).map(_numbered_rows)),
+       dt=st.sampled_from([None, 1.0, 0.5]))
+def test_read_signal_fuzz(tmp_path_factory, raw, dt):
+    # any bytes: a Signal, or a ValueError (ShapeError included) naming
+    # the file, and nothing else
+    path = tmp_path_factory.mktemp("fuzz") / "f.csv"
+    path.write_bytes(raw)
+    try:
+        f = read_signal(path, dt=dt)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: ")
+    else:
+        assert isinstance(f, Signal)
