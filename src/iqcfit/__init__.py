@@ -2,7 +2,8 @@
 
 from .signals import (TimeGrid, Signal, Dataset, inner_product, norm, truncate,
                       zeros, constant_signal, random_signal,
-                      read_signal, write_signal, save_dataset, load_dataset)
+                      read_signal, read_signals, write_signal,
+                      save_dataset, load_dataset)
 from .supply import (SupplyRate, ScatteringFactors, passivity_supply,
                      gain_supply, verify_signature, factor_phi, supply_value,
                      scatter_dataset, unscatter_dataset, iiqc_residual,

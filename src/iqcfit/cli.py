@@ -56,7 +56,7 @@ from .signals import (
     norm,
     random_signal,
     read_json,
-    read_signal,
+    read_signals,
     save_dataset,
 )
 from .supply import (
@@ -478,14 +478,12 @@ def run_simulate(cfg: dict) -> int:
                     {"passed": False, "reason": str(exc)})
         _log(quiet, f"refused: {exc}")
         return 1
-    raw = []
-    for path in cfg["inputs"]:
-        u_raw = read_signal(path, dt=model.grid.dt)
+    raw = read_signals(cfg["inputs"], dt=model.grid.dt)
+    for path, u_raw in zip(cfg["inputs"], raw):
         if u_raw.grid != model.grid:
             raise ShapeError(f"{path}: grid does not match the model bundle")
         if u_raw.dim != factors.m:
             raise ShapeError(f"{path}: expected {factors.m} input channels")
-        raw.append(u_raw)
     batch = picard_solve(scattered,
                          [(1.0 / scale["a"]) * u if scale else u for u in raw],
                          tol=cfg["tol"], max_iter=cfg["max_iter"])

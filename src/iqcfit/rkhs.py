@@ -20,8 +20,8 @@ import numpy as np
 from .errors import ConvergenceError, NumericalError, ShapeError
 from .kernels import (OperatorKernel, SeparableKernel, _scalar_batch,
                       as_operator, kernel_from_json, kernel_to_json)
-from .signals import (Dataset, Signal, TimeGrid, located, norm, read_json,
-                      read_signal, write_signal)
+from .signals import (Dataset, Signal, TimeGrid, located, manifest_values,
+                      norm, read_json, read_signal, write_signal)
 
 # Dense Gram blocks above this side length (centers x channels) are refused.
 DENSE_CAP = 4096
@@ -470,15 +470,16 @@ def load_fitted(location: str | Path) -> FittedOperator:
         if meta.get("format") != BUNDLE_FORMAT:
             raise ValueError("not a model bundle")
         kernel = kernel_from_json(meta["kernel"])
-        dt, n = float(meta["dt"]), int(meta["n"])
-        steps, m, p = int(meta["tau"]) + 1, int(meta["m"]), int(meta["p"])
-        gamma, stored_norm = float(meta["gamma"]), float(meta["rkhs_norm"])
+        dt, n, tau, m, p, gamma, stored_norm = manifest_values(
+            meta, dt="positive", n="integer", tau="integer", m="integer",
+            p="integer", gamma="positive", rkhs_norm="finite")
+        steps = tau + 1
         extra = meta.get("extra") or {}
         if not isinstance(extra, dict):
             raise ValueError("extra must be a JSON object")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    except (TypeError, KeyError, AttributeError) as exc:
+    except (TypeError, KeyError, AttributeError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed model manifest: "
                          f"{type(exc).__name__} {exc}") from None
     stacks = []

@@ -219,42 +219,104 @@ def write_signal(f: Signal, path: str | Path):
         fh.write(text)
 
 
-def read_signal(path: str | Path, dt: float | None = None) -> Signal:
-    """Read a trajectory CSV, validating the time column against j*dt.
+def _csv_body(path: Path) -> str:
+    """The text after a trajectory CSV's header line, ending in a newline.
 
-    After the header line, numpy's C reader parses the body; it rounds
-    every decimal correctly, as float() does.
-    """
-    path = Path(path)
+    The file is read as bytes in one call and decoded as UTF-8, and its
+    \\r\\n and \\r line ends become \\n, as text-mode reading gives them."""
     try:
-        with path.open(encoding="utf-8") as fh:
-            header, body = fh.readline(), fh.read()
+        with path.open("rb", buffering=0) as fh:  # no buffer object per file
+            text = fh.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror or exc}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    header, _, body = text.partition("\n")
     if header.split(",")[0].strip() != "t":
         raise ValueError(f"{path}: first column must be named 't'")
     if not body.strip():
         raise ValueError(f"{path}: no samples")
+    return body if body.endswith("\n") else body + "\n"
+
+
+def _parsed(paths: list[Path], bodies: list[str],
+            dt: float | None) -> list[Signal]:
+    """Signals of CSV bodies, parsed by one call of numpy's C reader.
+
+    The reader rounds every decimal correctly, as float() does.  A line
+    gives at most one row and each body ends in a newline, so when the rows
+    number the lines, every file got exactly its own.  Otherwise (an empty
+    line was skipped, or the joined parse raised, whose message would count
+    rows of the joined text) each body is parsed alone, in order, and the
+    first error names its file.
+    """
     try:
-        data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2,
-                          comments=None)
+        table = np.loadtxt(io.StringIO("".join(bodies)), delimiter=",",
+                           ndmin=2, comments=None)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    times, values = data[:, 0], data[:, 1:]
-    if values.shape[1] < 1:
-        raise ShapeError(f"{path}: no channel columns")
-    if dt is None:
-        if len(times) < 2:
+        if len(paths) == 1:
+            raise ValueError(f"{paths[0]}: {exc}") from None
+        table = None
+    rows = np.array([body.count("\n") for body in bodies])
+    if len(paths) == 1:  # a lone file owns every row, empty lines or not
+        rows[0] = len(table)
+    elif table is None or len(table) != rows.sum():
+        return [signal for path, body in zip(paths, bodies)
+                for signal in _parsed([path], [body], dt)]
+    # the time columns are checked against j*dt on the stacked rows
+    starts = np.cumsum(rows) - rows
+    times = table[:, 0]
+    with np.errstate(all="ignore"):  # the loop rejects non-finite steps
+        if dt is None:  # each file's own step, undefined for a single row
+            second = np.minimum(starts + 1, len(times) - 1)
+            steps = np.where(rows > 1, times[second] - times[starts], np.nan)
+        else:
+            steps = np.full(len(rows), dt, dtype=float)
+        j = np.arange(len(times)) - np.repeat(starts, rows)
+        worst = np.maximum.reduceat(
+            np.abs(times - j * np.repeat(steps, rows)), starts)
+    block = np.ascontiguousarray(table[:, 1:])  # contiguous rows per file
+    signals = []
+    for path, start, count, step, deviation in zip(
+            paths, starts.tolist(), rows.tolist(), steps.tolist(),
+            worst.tolist()):
+        values = block[start:start + count]
+        if values.shape[1] < 1:
+            raise ShapeError(f"{path}: no channel columns")
+        if dt is None and count < 2:
             raise ValueError(f"{path}: cannot infer dt from a single row")
-        dt = float(times[1] - times[0])
-    try:
-        grid = TimeGrid(len(times) - 1, dt)
-        # written as "not <=" so that a NaN in the time column fails too
-        if not np.abs(times - grid.times()).max() <= TIME_TOLERANCE:
-            raise ValueError(f"time column deviates from j*dt (dt={dt})")
-        return Signal(grid, values)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        step = step if dt is None else dt
+        try:
+            grid = TimeGrid(count - 1, step)
+            # written as "not <=" so that a NaN in the time column fails too
+            if not deviation <= TIME_TOLERANCE:
+                raise ValueError(f"time column deviates from j*dt (dt={step})")
+            signals.append(Signal(grid, values))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return signals
+
+
+def read_signals(paths, dt: float | None = None) -> list[Signal]:
+    """Read trajectory CSVs, validating each time column against j*dt
+    (inferred per file from its first two rows when dt is None).
+
+    Each file is read once and its header checked on its own; then all
+    bodies are parsed in one pass (see _parsed).  An unreadable or
+    malformed file (not UTF-8, ragged rows, a non-numeric field, a
+    non-finite value, no samples, a drifting time column) raises a
+    ValueError that starts with its path.
+    """
+    # Path() of a Path parses it again, a cost per file
+    paths = [p if isinstance(p, Path) else Path(p) for p in paths]
+    return _parsed(paths, [_csv_body(path) for path in paths], dt)
+
+
+def read_signal(path: str | Path, dt: float | None = None) -> Signal:
+    """Read one trajectory CSV: the one-file case of read_signals."""
+    return read_signals([path], dt)[0]
 
 
 def read_json(path: str | Path):
@@ -289,6 +351,37 @@ def save_dataset(data: Dataset, directory: str | Path) -> Path:
     return path
 
 
+# What manifest_values requires of each kind of field; a JSON boolean is
+# neither an integer nor a number.
+MANIFEST_KINDS = {
+    "integer": "an integer",
+    "positive": "a positive finite number",
+    "finite": "a finite number",
+}
+
+
+def manifest_values(meta: dict, **kinds: str) -> list:
+    """meta[key] for each keyword key=kind, in order, checked to be of its
+    kind (a key of MANIFEST_KINDS); numbers come back as float.  A value of
+    the wrong kind raises a ValueError naming the key, a missing key a
+    KeyError, and an integer beyond float range an OverflowError."""
+    values = []
+    for key, kind in kinds.items():
+        value = meta[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            ok = False
+        elif kind == "integer":
+            ok = isinstance(value, int)
+        else:
+            value = float(value)
+            ok = math.isfinite(value) and (kind == "finite" or value > 0)
+        if not ok:
+            raise ValueError(f"{key} must be {MANIFEST_KINDS[kind]}, "
+                             f"got {meta[key]!r}")
+        values.append(value)
+    return values
+
+
 def located(location: str | Path, name: str) -> Path:
     """location itself, or the file of that name in it if it is a directory."""
     location = Path(location)
@@ -301,14 +394,8 @@ def load_dataset(location: str | Path) -> Dataset:
     meta = read_json(manifest_path)
     base = manifest_path.parent
     try:
-        dt, m, p, tau = meta["dt"], meta["m"], meta["p"], meta["tau"]
-        if (isinstance(dt, bool) or not isinstance(dt, (int, float))
-                or not (math.isfinite(dt) and dt > 0)):
-            raise ValueError(f"dt must be a positive finite number, got {dt!r}")
-        dt = float(dt)
-        for key, value in (("tau", tau), ("m", m), ("p", p)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
+        dt, tau, m, p = manifest_values(meta, dt="positive", tau="integer",
+                                        m="integer", p="integer")
         if not isinstance(meta["pairs"], list) or not meta["pairs"]:
             raise ValueError("pairs must be a non-empty list")
         pairs = [(base / pair["input"], base / pair["output"])
@@ -318,12 +405,10 @@ def load_dataset(location: str | Path) -> Dataset:
     except (TypeError, KeyError, AttributeError, OverflowError) as exc:
         raise ValueError(f"{manifest_path}: malformed manifest: "
                          f"{type(exc).__name__} {exc}") from None
-    inputs, outputs = [], []
-    for upath, ypath in pairs:
-        inputs.append(read_signal(upath, dt=dt))
-        outputs.append(read_signal(ypath, dt=dt))
+    upaths, ypaths = zip(*pairs)
+    inputs, outputs = read_signals(upaths, dt), read_signals(ypaths, dt)
     try:
-        data = Dataset(tuple(inputs), tuple(outputs))
+        data = Dataset(inputs, outputs)
     except ShapeError as exc:
         raise ShapeError(f"{manifest_path}: {exc}") from None
     if data.input_dim != m or data.output_dim != p:

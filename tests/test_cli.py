@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import iqcfit
 from iqcfit import cli
@@ -15,6 +19,7 @@ from iqcfit.signals import (
     Dataset,
     Signal,
     TimeGrid,
+    load_dataset,
     random_signal,
     read_signal,
     save_dataset,
@@ -688,3 +693,166 @@ def test_resolved_config_round_trips(ws, tmp_path):
                      "--out", str(again), "--quiet"]) == 0
     _same_files(first, again, ["report.json", "report.md"])
     _same_files(first / "model", again / "model", bundle)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("n", str),
+    ("tau", lambda tau: tau + 0.9),
+    ("m", float),
+    ("p", lambda p: True),
+    ("dt", str),
+    ("gamma", repr),
+    ("rkhs_norm", repr),
+])
+def test_model_manifest_field_types(ws, tmp_path, capsys, field, bad):
+    # each value would pass a cast with int() or float(); none is of its kind
+    shutil.copytree(ws / "fit" / "model", tmp_path / "model")
+    path = tmp_path / "model" / "model.json"
+    meta = _read_json(path)
+    path.write_text(json.dumps({**meta, field: bad(meta[field])}))
+    capsys.readouterr()
+    rc = cli.main(["check", "--target", "model", "--model",
+                   str(tmp_path / "model"), "--out", str(tmp_path / "out"),
+                   "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {path}: {field} must be ")
+    assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def wide_data(tmp_path_factory):
+    """A 60-trajectory dataset on a 7-sample grid, m = 2, p = 1."""
+    root = tmp_path_factory.mktemp("wide") / "data"
+    grid = TimeGrid(6, 0.5)
+    rng = np.random.default_rng(11)
+    save_dataset(Dataset(tuple(random_signal(grid, 2, rng) for _ in range(60)),
+                         tuple(random_signal(grid, 1, rng) for _ in range(60))),
+                 root)
+    return root
+
+
+def _lines_edit(edit):
+    """Edit of y_037.csv's lines (header first, each without its \\r\\n)."""
+    def apply(text):
+        return "\r\n".join(edit(text.split("\r\n")[:-1])) + "\r\n"
+    return apply
+
+
+# One edit of y_037.csv each, and the file the error names (None where the
+# dataset loads): the outcome of reading every file alone, one by one.
+_ONE_FILE_EDITS = {
+    "empty-line": (_lines_edit(lambda ls: ls[:3] + [""] + ls[3:]), None),
+    "no-final-newline": (lambda text: text[:-2], None),
+    "blank-line": (_lines_edit(lambda ls: ls[:3] + ["  "] + ls[3:]),
+                   "y_037.csv"),
+    "extra-column": (_lines_edit(lambda ls: ls[:2] + [ls[2] + ",1.5"]
+                                 + ls[3:]), "y_037.csv"),
+    "abc-field": (_lines_edit(lambda ls: ls[:4] + [ls[4].split(",")[0]
+                                                   + ",abc"] + ls[5:]),
+                  "y_037.csv"),
+    "drop-last-row": (_lines_edit(lambda ls: ls[:-1]), "manifest.json"),
+    "drop-middle-row": (_lines_edit(lambda ls: ls[:3] + ls[4:]), "y_037.csv"),
+    "add-row": (_lines_edit(lambda ls: ls + ["3.5,0.25"]), "manifest.json"),
+    "lf-line-ends": (lambda text: text.replace("\r\n", "\n"), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ONE_FILE_EDITS))
+def test_one_file_edit_moves_no_sample(wide_data, tmp_path, capsys, case):
+    edit, named = _ONE_FILE_EDITS[case]
+    root = tmp_path / "data"
+    shutil.copytree(wide_data, root)
+    path = root / "y_037.csv"
+    path.write_bytes(edit(path.read_bytes().decode()).encode())
+    if named is None:
+        data = load_dataset(root)
+        for i in range(60):
+            for side, signal in (("u", data.inputs[i]), ("y", data.outputs[i])):
+                alone = np.loadtxt(root / f"{side}_{i:03d}.csv",
+                                   delimiter=",", skiprows=1, ndmin=2)
+                assert signal.values.tobytes() == alone[:, 1:].tobytes()
+        return
+    capsys.readouterr()
+    rc = cli.main(["fit", "--data", str(root), "--out", str(tmp_path / "out"),
+                   "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {root / named}: ")
+    assert "Traceback" not in err
+
+
+# JSON values of every type, and which of them each manifest field accepts
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(-2.0, 2.0),
+    st.text(max_size=3), st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2))
+_OWN_TYPE = {
+    "dt": lambda v: type(v) in (int, float),
+    "tau": lambda v: type(v) is int,
+    "m": lambda v: type(v) is int,
+    "p": lambda v: type(v) is int,
+    "pairs": lambda v: type(v) is list,
+}
+_DIRECTORIES = ["", ".", "sub", "sub/"]
+
+
+@st.composite
+def _manifest_faults(draw):
+    """(kind, where, value) faults, each of which alone breaks a manifest."""
+    kind = draw(st.sampled_from(["missing", "wrong-type", "entry",
+                                 "name-missing", "name-type", "directory"]))
+    if kind in ("missing", "wrong-type"):
+        key = draw(st.sampled_from(sorted(_OWN_TYPE)))
+        own = _OWN_TYPE[key]
+        return kind, key, draw(_JSON_VALUES.filter(lambda v: not own(v)))
+    where = (draw(st.integers(0, 1)), draw(st.sampled_from(["input",
+                                                             "output"])))
+    if kind == "directory":
+        return kind, where, draw(st.sampled_from(_DIRECTORIES))
+    if kind == "name-missing":
+        return kind, where, None
+    unlike = dict if kind == "entry" else str
+    return kind, where, draw(_JSON_VALUES.filter(
+        lambda v: not isinstance(v, unlike)))
+
+
+def _break(meta, faults):
+    """meta with the faults applied in order; a fault in a pair entry that
+    an earlier fault removed is skipped."""
+    for kind, where, value in faults:
+        pairs = meta.get("pairs")
+        if kind == "missing":
+            meta.pop(where, None)
+        elif kind == "wrong-type":
+            meta[where] = value
+        elif isinstance(pairs, list) and isinstance(pairs[where[0]], dict):
+            if kind == "entry":
+                pairs[where[0]] = value
+            elif kind == "name-missing":
+                pairs[where[0]].pop(where[1], None)
+            else:
+                pairs[where[0]][where[1]] = value
+    return meta
+
+
+@settings(max_examples=60)
+@given(faults=st.lists(_manifest_faults(), min_size=1, max_size=3))
+def test_generated_manifest_faults_name_a_file(ws, tmp_path_factory, faults):
+    # every fault leaves the manifest broken, and a later fault that cannot
+    # apply (its pair is gone) is skipped: fit always refuses the dataset
+    root = tmp_path_factory.mktemp("manifest")
+    shutil.copytree(ws / "gen" / "data", root / "data")
+    (root / "data" / "sub").mkdir()
+    manifest = root / "data" / "manifest.json"
+    meta = _break(_read_json(manifest), faults)
+    manifest.write_text(json.dumps(meta))
+    named = [manifest] + [root / "data" / d for d in _DIRECTORIES]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(["fit", "--data", str(root / "data"),
+                       "--out", str(root / "out"), "--quiet"])
+    err = err.getvalue()
+    assert rc == 2
+    assert any(err.startswith(f"error: {path}: ") for path in named), err
+    assert "Traceback" not in err

@@ -1,5 +1,8 @@
 import csv
+import io
+import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +17,11 @@ from iqcfit.signals import (
     constant_signal,
     inner_product,
     load_dataset,
+    manifest_values,
     norm,
     random_signal,
     read_signal,
+    read_signals,
     sample_weights,
     save_dataset,
     truncate,
@@ -275,3 +280,187 @@ def test_read_signal_fuzz(tmp_path_factory, raw, dt):
         assert str(exc).startswith(f"{path}: ")
     else:
         assert isinstance(f, Signal)
+
+
+def _read_signal_reference(path, dt=None):
+    """Reference: the one-file reader read_signals replaced, kept verbatim."""
+    path = Path(path)
+    try:
+        with path.open(encoding="utf-8") as fh:
+            header, body = fh.readline(), fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    if header.split(",")[0].strip() != "t":
+        raise ValueError(f"{path}: first column must be named 't'")
+    if not body.strip():
+        raise ValueError(f"{path}: no samples")
+    try:
+        data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2,
+                          comments=None)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    times, values = data[:, 0], data[:, 1:]
+    if values.shape[1] < 1:
+        raise ShapeError(f"{path}: no channel columns")
+    if dt is None:
+        if len(times) < 2:
+            raise ValueError(f"{path}: cannot infer dt from a single row")
+        dt = float(times[1] - times[0])
+    try:
+        grid = TimeGrid(len(times) - 1, dt)
+        if not np.abs(times - grid.times()).max() <= 1e-9:
+            raise ValueError(f"time column deviates from j*dt (dt={dt})")
+        return Signal(grid, values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _checked_before_parsing(exc, path):
+    """Whether a reader error is one of the checks read_signals makes on
+    every file before parsing any."""
+    text = str(exc)
+    return (text.startswith(f"{path}: not UTF-8 text: ")
+            or text in (f"{path}: first column must be named 't'",
+                        f"{path}: no samples"))
+
+
+def _blank_lines(rows):
+    """Numbered rows with empty and whitespace-only lines spliced in."""
+    lines = _numbered_rows(rows).split(b"\r\n")
+    return b"\r\n".join(lines[:2] + [b"", b" "][:len(rows) % 3]
+                         + lines[2:])
+
+
+def _stepped_rows(start, step, values):
+    """CSV bytes whose row j is start + j*step, then one value."""
+    lines = [f"{start + j * step!r},{v!r}" for j, v in enumerate(values)]
+    return "".join(line + "\r\n" for line in ["t,ch1"] + lines).encode()
+
+
+_CSV_FILES = st.one_of(
+    st.binary(max_size=80),
+    st.builds(_stepped_rows, st.sampled_from([0, 1]),
+              st.sampled_from([0.5, 1.0, 2.0]),
+              st.lists(st.floats(-9, 9), min_size=1, max_size=4)),
+    st.lists(st.sampled_from(_CSV_ALPHABET), max_size=60).map(
+        lambda body: b"t,ch1\r\n0,1\r\n" + bytes(body)),
+    st.lists(st.lists(st.floats(), min_size=1, max_size=2), min_size=1,
+             max_size=5).map(_numbered_rows),
+    st.lists(st.lists(st.floats(-9, 9), min_size=2, max_size=2),
+             min_size=2, max_size=5).map(_blank_lines),
+    st.lists(st.lists(st.floats(-9, 9), min_size=1, max_size=1),
+             min_size=1, max_size=5).map(
+        lambda rows: _numbered_rows(rows).replace(b"\r\n", b"\n")[:-1]),
+)
+
+
+# The byte offset in a UTF-8 decoding error: the reader decodes each file
+# whole and counts from its start, where text-mode reading counted from the
+# start of a read chunk (or of a pending partial character at the end).
+_DECODE_OFFSET = re.compile(r" in position [0-9-]+: ")
+
+
+def _assert_matches_reference(root, files, dt):
+    """The files read together give what each gives alone, bit for bit; an
+    error is the reference's for the first file that fails the checks made
+    before parsing, else for the first file that fails at all (up to the
+    offset of a decoding error)."""
+    paths = [root / f"f{i}.csv" for i in range(len(files))]
+    outcomes = []
+    for path, raw in zip(paths, files):
+        path.write_bytes(raw)
+        try:
+            outcomes.append(_read_signal_reference(path, dt))
+        except ValueError as exc:
+            outcomes.append(exc)
+    failed = [(path, out) for path, out in zip(paths, outcomes)
+              if isinstance(out, ValueError)]
+    if not failed:
+        for got, want in zip(read_signals(paths, dt), outcomes):
+            assert got.grid == want.grid
+            assert got.values.tobytes() == want.values.tobytes()
+        return
+    early = [out for path, out in failed if _checked_before_parsing(out, path)]
+    want = (early or [out for _, out in failed])[0]
+    with pytest.raises(ValueError) as info:
+        read_signals(paths, dt)
+    assert type(info.value) is type(want)
+    assert (_DECODE_OFFSET.sub(": ", str(info.value))
+            == _DECODE_OFFSET.sub(": ", str(want)))
+
+
+@settings(max_examples=200)
+@given(files=st.lists(_CSV_FILES, min_size=1, max_size=4),
+       dt=st.sampled_from([None, 1, 1.0, 0.5]))
+def test_read_signals_matches_one_file_reference(tmp_path_factory, files, dt):
+    _assert_matches_reference(tmp_path_factory.mktemp("many"), files, dt)
+
+
+@settings(max_examples=60)
+@given(files=st.lists(st.builds(_stepped_rows, st.sampled_from([0, 1]),
+                                st.sampled_from([0.5, 1.0, 2.0]),
+                                st.lists(st.floats(-9, 9), min_size=2,
+                                         max_size=3)),
+                      min_size=2, max_size=4),
+       dt=st.sampled_from([None, 1, 0.5]))
+def test_read_signals_time_columns_per_file(tmp_path_factory, files, dt):
+    # files of different steps and starts: with dt None each gets its own
+    _assert_matches_reference(tmp_path_factory.mktemp("steps"), files, dt)
+
+
+_ANY_FINITE = st.one_of(
+    st.sampled_from(_EDGE_VALUES + [1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=30)
+@given(n=st.integers(1, 8), tau=st.integers(0, 10), m=st.integers(1, 3),
+       p=st.integers(1, 3), dt=st.sampled_from([1.0, 0.1, 1e-3]),
+       data=st.data())
+def test_load_dataset_matches_each_file_parsed_alone(tmp_path_factory, n, tau,
+                                                     m, p, dt, data):
+    grid = TimeGrid(tau, dt)
+
+    def trajectory(dim):
+        cells = data.draw(st.lists(_ANY_FINITE, min_size=grid.size * dim,
+                                   max_size=grid.size * dim))
+        return Signal(grid, np.array(cells).reshape(grid.size, dim))
+
+    dataset = Dataset(tuple(trajectory(m) for _ in range(n)),
+                      tuple(trajectory(p) for _ in range(n)))
+    root = tmp_path_factory.mktemp("ds")
+    save_dataset(dataset, root)
+    back = load_dataset(root)
+    assert back.grid == grid and back.n == n
+    for i in range(n):
+        for side, signal in (("u", back.inputs[i]), ("y", back.outputs[i])):
+            alone = np.loadtxt(root / f"{side}_{i:03d}.csv", delimiter=",",
+                               skiprows=1, ndmin=2)[:, 1:]
+            assert np.array_equal(signal.values.view(np.int64),
+                                  alone.view(np.int64))
+
+
+def test_manifest_values_kinds():
+    meta = {"a": 3, "b": 0.5, "c": -2, "d": 0}
+    assert manifest_values(meta, a="integer", b="positive", c="finite",
+                           d="finite") == [3, 0.5, -2.0, 0.0]
+    for key, kind, value in [("a", "integer", True), ("a", "integer", 2.0),
+                             ("a", "integer", "2"), ("b", "positive", 0),
+                             ("b", "positive", -1e-300),
+                             ("b", "positive", math.inf),
+                             ("b", "positive", False), ("c", "finite", None),
+                             ("c", "finite", math.nan), ("c", "finite", [1])]:
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            manifest_values({key: value}, **{key: kind})
+    with pytest.raises(KeyError):
+        manifest_values({}, a="integer")
+
+
+def test_decoding_error_counts_bytes_from_the_file_start(tmp_path):
+    path = tmp_path / "cut.csv"
+    path.write_bytes(b"t,ch1\r\n0,1\r\n\xc3")
+    with pytest.raises(ValueError) as info:
+        read_signal(path)
+    assert str(info.value) == (f"{path}: not UTF-8 text: 'utf-8' codec can't "
+                               "decode byte 0xc3 in position 12: unexpected "
+                               "end of data")
