@@ -14,7 +14,7 @@ from .kernels import (ScalarKernelSpec, OperatorKernel, SeparableKernel,
                       scaled_laplacian, inverse_power, stable_spline,
                       eval_scalar, eval_operator, certify_nonexpansive,
                       certify_bounded, nonexpansive_defect, check_bounded,
-                      is_causal, causal_check, gram_psd_check,
+                      is_causal, causal_check,
                       kernel_to_json, kernel_from_json)
 from .rkhs import (GramOperator, FittedOperator, Spectral, build_gram, fit,
                    fit_many, evaluate,

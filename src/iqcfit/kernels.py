@@ -324,9 +324,20 @@ class SumKernel(OperatorKernel):
                    for w, child in zip(self.weights, self.children))
 
     def row_terms(self, centers, uvals, pasts=False):
-        return [(weight * w, M)
-                for weight, child in zip(self.weights, self.children)
-                for w, M in child.row_terms(centers, uvals, pasts)]
+        # Terms with equal matrices share one weight array.
+        terms = []
+        for weight, child in zip(self.weights, self.children):
+            for w, M in child.row_terms(centers, uvals, pasts):
+                w = weight * w
+                for idx, (W, seen) in enumerate(terms):
+                    if np.array_equal(seen, M):
+                        if W.ndim != w.ndim:  # (B, n) joins (B, n, steps)
+                            W, w = np.atleast_3d(W, w)
+                        terms[idx] = (W + w, M)
+                        break
+                else:
+                    terms.append((w, M))
+        return terms
 
 
 def ConjugatedKernel(scalar: ScalarKernelSpec, R) -> SeparableKernel:
@@ -475,29 +486,6 @@ def causal_check(kernel: AnyKernel, u: Signal, v: Signal, y: Signal, T: int) -> 
     full = truncate(k.apply(u, v, y), T)
     cut = truncate(k.apply(truncate(u, T), v, y), T)
     return norm(full - cut)
-
-
-@dataclass(frozen=True)
-class GramReport:
-    min_eigenvalue: float
-    threshold: float
-    passed: bool
-
-
-def psd_report_from_matrix(G: np.ndarray) -> GramReport:
-    eig = np.linalg.eigvalsh(np.asarray(G, dtype=float))
-    scale = float(np.abs(eig).max()) if eig.size else 0.0
-    threshold = 1e-8 * scale
-    return GramReport(float(eig.min()), threshold, bool(eig.min() >= -threshold))
-
-
-def gram_psd_check(kernel: AnyKernel, inputs: list[Signal]) -> GramReport:
-    """Assemble the dense Gram over the inputs and screen its spectrum,
-    which is that of its stack of time blocks."""
-    from .rkhs import build_gram  # local import, rkhs depends on this module
-
-    gram = build_gram(as_operator(kernel), tuple(inputs), layout="dense")
-    return psd_report_from_matrix(gram.blocks)
 
 
 def _scalar_to_json(spec: ScalarKernelSpec) -> dict:

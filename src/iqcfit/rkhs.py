@@ -18,12 +18,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError, ShapeError
-from .kernels import (OperatorKernel, SeparableKernel, _scalar_batch,
-                      as_operator, kernel_from_json, kernel_to_json)
+from .kernels import (OperatorKernel, as_operator, kernel_from_json,
+                      kernel_to_json)
 from .signals import (Dataset, Signal, TimeGrid, located, manifest_values,
                       norm, read_json, read_signal, write_signal)
 
-# Dense Gram blocks above this side length (centers x channels) are refused.
+# Gram blocks above this side length are refused: centers x channels in the
+# dense form, centers alone in the factored one.
 DENSE_CAP = 4096
 # tune_gamma raises gamma at most this many times to bring the stored norm
 # under rho.
@@ -38,17 +39,17 @@ def _stack(signals: tuple[Signal, ...]) -> np.ndarray:
     return np.stack([s.values for s in signals])
 
 
-def _kron_left(A: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """A applied along the first axis of coeff: (A x I) vec(coeff), one matmul."""
-    return (A @ coeff.reshape(len(coeff), -1)).reshape(coeff.shape)
-
-
-def _per_sample(A: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """Block t of the (k, n*p, n*p) stack A applied to sample t of coeff
-    (n, steps, p); a stack of one block serves every sample."""
+def _per_sample(B: np.ndarray, M: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """B[t] (x) M applied to sample t of coeff (n, steps, p), for a (k, N, N)
+    stack B and an r x r matrix M.  A stack of one block serves every sample,
+    which it takes as the columns of one matmul."""
     n, steps, p = coeff.shape
-    cols = coeff.transpose(1, 0, 2).reshape(steps, n * p, 1)
-    return (A @ cols).reshape(steps, n, p).transpose(1, 0, 2)
+    k, N, r = len(B), len(B[0]), len(M)
+    s, q = steps // k, p // r
+    cols = coeff.reshape(n, k, s, q, r).transpose(1, 0, 3, 2, 4)
+    out = (B @ cols.reshape(k, N, s * r)).reshape(k, n, q, s, r)
+    out = out.transpose(1, 0, 3, 2, 4).reshape(n, steps * q, r) @ M.T
+    return out.reshape(n, steps, p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,19 +57,18 @@ class GramOperator:
     """Gram operator of a kernel over n center signals.
 
     Every kernel structure acts samplewise, so G is block diagonal over
-    time.  The dense layout stores the blocks [K(u_i, u_j) at sample t] as
-    a (k, n*p, n*p) stack: one block serves every sample when the kernel is
-    uniform in time, else k = steps.  The kronecker layout, available for
-    separable kernels, stores the n x n scalar Gram and the channel matrix
-    R; G is their tensor product with an identity over time.
+    time, and its block at sample t is blocks[t] (x) M.  blocks is a
+    (k, N, N) stack, one block serving every sample when the kernel is
+    uniform in time, else k = steps; M is an r x r channel matrix and
+    N = n p / r.  The kronecker layout is the factored case, r = p, taken
+    when the kernel's row terms carry one channel matrix; the dense layout
+    has r = 1 and M = [[1]].  At p = 1 the two coincide.
     """
 
     kernel: OperatorKernel
     centers: tuple[Signal, ...]
-    layout: str
-    blocks: np.ndarray | None = None
-    scalar_gram: np.ndarray | None = None
-    R: np.ndarray | None = None
+    blocks: np.ndarray
+    M: np.ndarray
 
     @property
     def n(self) -> int:
@@ -86,35 +86,40 @@ class GramOperator:
     def dim(self) -> int:
         return self.n * self.steps * self.p
 
+    @property
+    def layout(self) -> str:
+        return "kronecker" if self.blocks.shape[1] == self.n else "dense"
+
     def apply(self, coeff: np.ndarray) -> np.ndarray:
         """Apply G to coefficients shaped (n, steps, p)."""
-        if self.layout == "dense":
-            return _per_sample(self.blocks, coeff)
-        return _kron_left(self.scalar_gram, coeff) @ self.R.T
+        return _per_sample(self.blocks, self.M, coeff)
 
     def quad(self, coeff: np.ndarray) -> float:
         return float(np.vdot(coeff, self.apply(coeff)))
 
     def trace(self) -> float:
-        if self.layout == "dense":
-            repeats = self.steps // len(self.blocks)
-            return float(np.trace(self.blocks, axis1=1, axis2=2).sum() * repeats)
-        return float(np.trace(self.scalar_gram) * self.steps * np.trace(self.R))
+        repeats = self.steps // len(self.blocks)
+        return float(np.trace(self.blocks, axis1=1, axis2=2).sum() * repeats
+                     * np.trace(self.M))
 
     @property
     def dense(self) -> np.ndarray:
         """The full (n*steps*p) square matrix, as a test reference."""
-        if self.layout == "kronecker":
-            return np.kron(self.scalar_gram, np.kron(np.eye(self.steps), self.R))
         n, p, t = self.n, self.p, np.arange(self.steps)
+        kron = self.blocks[:, :, None, :, None] * self.M[:, None, :]
         full = np.zeros((n, self.steps, p) * 2)
-        full[:, t, :, :, t, :] = self.blocks.reshape(-1, n, p, n, p)
+        full[:, t, :, :, t, :] = kron.reshape(-1, n, p, n, p)
         return full.reshape(self.dim, self.dim)
 
 
 def build_gram(kernel: OperatorKernel, inputs: tuple[Signal, ...],
                layout: str = "auto") -> GramOperator:
-    """Assemble the Gram operator, choosing the factored layout when possible."""
+    """Assemble the Gram operator, factored when the kernel has one row term.
+
+    Block t of G is the sum over the kernel's row terms (w, M) of
+    w[:, :, t] (x) M.  With a single term the blocks hold w and the term's
+    M is the channel matrix; else ("dense") the blocks hold the whole sum.
+    """
     kernel = as_operator(kernel)
     inputs = tuple(inputs)
     if not inputs:
@@ -125,38 +130,38 @@ def build_gram(kernel: OperatorKernel, inputs: tuple[Signal, ...],
             raise ShapeError("center signals must share one grid")
         if u.dim != m:
             raise ShapeError("center signals must share one channel count")
-    X = _stack(inputs)
-    n = len(inputs)
-    if layout == "auto":
-        layout = "kronecker" if isinstance(kernel, SeparableKernel) else "dense"
-    if layout == "kronecker":
-        if not isinstance(kernel, SeparableKernel):
-            raise ShapeError("kronecker layout needs a separable kernel")
-        scalar = np.empty((n, n))
-        for i in range(n):
-            scalar[i, i:] = scalar[i:, i] = _scalar_batch(kernel.scalar,
-                                                          X[i:], X[i:i + 1])[0]
-        return GramOperator(kernel, inputs, "kronecker",
-                            scalar_gram=scalar, R=kernel.R)
-    if layout != "dense":
+    if layout not in ("auto", "dense", "kronecker"):
         raise ValueError(f"unknown gram layout {layout!r}")
-    steps, p = grid.size, kernel.output_dim
-    if n * p > DENSE_CAP:
-        raise NumericalError(f"dense Gram block side {n * p} exceeds cap "
-                             f"{DENSE_CAP}; use a separable kernel")
-    # Block t holds sum over row terms of w[:, :, t] (x) M; a term uniform
-    # in time has one weight matrix, which serves every block.
-    blocks = np.zeros((1 if kernel.is_uniform else steps, n, p, n, p))
+    X = _stack(inputs)
+    n, steps, p = len(inputs), grid.size, kernel.output_dim
     chunk = max(1, LANE_BUDGET // (n * steps * max(m, p)))
+    terms = kernel.row_terms(X, X[:chunk])
+    factored = len(terms) == 1 and layout != "dense"
+    if layout == "kronecker" and not factored:
+        raise ShapeError("kronecker layout needs a kernel with one channel matrix")
+    M = terms[0][1] if factored else np.eye(1)
+    q = p // len(M)
+    if n * q > DENSE_CAP:
+        raise NumericalError(f"Gram block side {n * q} exceeds cap {DENSE_CAP}")
+    blocks = np.zeros((1 if kernel.is_uniform else steps, n, q, n, q))
     for lo in range(0, n, chunk):
-        for w, M in kernel.row_terms(X, X[lo:lo + chunk]):
-            w = w.reshape(len(w), n, -1).transpose(2, 0, 1)
-            blocks[:, lo:lo + chunk] += w[:, :, None, :, None] * M[:, None, :]
-    blocks = blocks.reshape(len(blocks), n * p, n * p)
+        hi = lo + chunk
+        if lo:
+            terms = kernel.row_terms(X[lo:], X[lo:hi])
+        # rows lo:hi against centers lo onward; a term uniform in time has
+        # one weight matrix for every block, and the factored form keeps its
+        # one matrix out of the blocks
+        for w, Mt in terms:
+            w = w.reshape(len(w), n - lo, -1).transpose(2, 0, 1)
+            blocks[:, lo:hi, :, lo:] += w[:, :, None, :, None] * (
+                1.0 if factored else Mt[:, None, :])
+        # G is symmetric: the rows below the chunk take its columns
+        blocks[:, hi:, :, lo:hi] = blocks[:, lo:hi, :, hi:].transpose(0, 3, 4, 1, 2)
+    blocks = blocks.reshape(len(blocks), n * q, n * q)
     scale = max(1.0, float(np.abs(blocks).max()))
     if np.abs(blocks - blocks.swapaxes(1, 2)).max() > 1e-10 * scale:
         raise NumericalError("assembled Gram matrix is not symmetric")
-    return GramOperator(kernel, inputs, "dense", blocks=blocks)
+    return GramOperator(kernel, inputs, blocks, M)
 
 
 class Spectral:
@@ -164,26 +169,21 @@ class Spectral:
 
     In the eigenbasis of G both the solution of (G + gamma I) c = y and its
     norm sqrt(<c, G c>) are closed-form in gamma, so the targets are
-    projected once.  The dense layout diagonalizes its stack of time blocks
-    in one call; the kronecker layout diagonalizes the scalar Gram and R,
-    whose eigenvalue products are those of G (repeated over time).
+    projected once.  One stacked eigh of the time blocks and one of M give
+    it: the eigenvalues of G are their products (a block's repeated over
+    every sample it serves).
     """
 
     def __init__(self, gram: GramOperator, targets: np.ndarray):
         self.gram = gram
         self.targets = targets
-        if gram.layout == "dense":
-            lam, self._V = np.linalg.eigh(gram.blocks)
-            lam = lam.reshape(len(lam), gram.n, gram.p).transpose(1, 0, 2)
-            self._proj = _per_sample(self._V.swapaxes(1, 2), targets)
-        else:
-            lam_s, self._Q = np.linalg.eigh(gram.scalar_gram)
-            mu, self._U = np.linalg.eigh(gram.R)
-            lam = lam_s[:, None, None] * mu[None, None, :]
-            self._proj = _kron_left(self._Q.T, targets) @ self._U
-        self._lam = lam
+        lam, self._V = np.linalg.eigh(gram.blocks)
+        mu, self._U = np.linalg.eigh(gram.M)
+        lam = lam.reshape(len(lam), gram.n, -1, 1) * mu
+        self._lam = lam.transpose(1, 0, 2, 3).reshape(gram.n, len(lam), -1)
+        self._proj = _per_sample(self._V.swapaxes(1, 2), self._U.T, targets)
         # The norm curve treats rounding-level negative eigenvalues as zero.
-        self._lam_pos = np.clip(lam, 0.0, None)
+        self._lam_pos = np.clip(self._lam, 0.0, None)
         self._weight = self._proj ** 2
 
     def solve(self, gamma: float) -> np.ndarray:
@@ -195,10 +195,7 @@ class Spectral:
                 f"(min Gram eigenvalue {float(self._lam.min()):.6e}, "
                 f"gamma {gamma:.6e})"
             )
-        work = self._proj / denom
-        if self.gram.layout == "dense":
-            return _per_sample(self._V, work)
-        return _kron_left(self._Q, work) @ self._U.T
+        return _per_sample(self._V, self._U, self._proj / denom)
 
     def norm(self, gamma: float) -> float:
         """RKHS norm of the fit at gamma."""

@@ -321,11 +321,12 @@ def read_signal(path: str | Path, dt: float | None = None) -> Signal:
 
 def read_json(path: str | Path):
     """Parse a JSON file; a file that is not JSON raises a ValueError that
-    names it."""
+    names it.  So do nesting past the recursion limit and integers past
+    Python's digit limit for string conversion."""
     path = Path(path)
     try:
         return json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from None
 
 

@@ -295,13 +295,17 @@ def test_malformed_dataset_names_its_file(ws, tmp_path, capsys, edit, says):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("target", ["manifest", "config", "kernel"])
+@pytest.mark.parametrize("target", ["manifest", "config", "kernel",
+                                    "deep-manifest", "long-int-manifest"])
 def test_invalid_json_file_names_it(ws, tmp_path, capsys, target):
     shutil.copytree(ws / "gen" / "data", tmp_path / "data")
     args = ["fit", "--data", str(tmp_path / "data")]
-    if target == "manifest":
+    if target.endswith("manifest"):
         path = tmp_path / "data" / "manifest.json"
-        path.write_text(path.read_text()[:20])
+        # nested past the recursion limit; an integer past the digit limit
+        path.write_text({"manifest": path.read_text()[:20],
+                         "deep-manifest": "[" * 100_000,
+                         "long-int-manifest": "1" * 5000}[target])
     else:
         path = tmp_path / f"{target}.json"
         path.write_text("{")

@@ -21,7 +21,6 @@ from iqcfit.kernels import (
     eval_operator,
     eval_scalar,
     gaussian,
-    gram_psd_check,
     inverse_power,
     is_causal,
     kernel_from_json,
@@ -29,7 +28,6 @@ from iqcfit.kernels import (
     laplacian,
     nonexpansive_defect,
     polynomial,
-    psd_report_from_matrix,
     scaled_laplacian,
     stable_spline,
 )
@@ -314,26 +312,6 @@ def test_bounded_examples():
     assert certify_bounded(SeparableKernel(bilinear(), 0.5 * np.eye(2))) == PROVEN
     assert certify_bounded(SeparableKernel(gaussian(1.0), np.eye(1))) == UNKNOWN
     assert certify_bounded(SeparableKernel(bilinear(), 2.0 * np.eye(1))) == UNKNOWN
-
-
-def test_gram_psd_checks():
-    rng = np.random.default_rng(30)
-    grid = TimeGrid(3)
-    inputs = [random_signal(grid, 1, rng) for _ in range(5)]
-    specs = [bilinear(), polynomial(1.0, 2), gaussian(1.0), laplacian(1.0),
-             scaled_laplacian(), inverse_power(2.0, 1.0)]
-    for spec in specs:
-        rep = gram_psd_check(SeparableKernel(spec, np.eye(1)), inputs)
-        assert rep.passed, spec.kind
-    causal = CausalDiagonalKernel(SeparableKernel(gaussian(2.0), np.eye(1)))
-    assert gram_psd_check(causal, inputs).passed
-    # single center: just the scaled kernel value
-    single = gram_psd_check(SeparableKernel(gaussian(1.0), np.eye(1)),
-                            inputs[:1])
-    assert single.passed
-    bad = psd_report_from_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    assert not bad.passed
-    assert bad.min_eigenvalue < 0.0
 
 
 def test_kernel_json_round_trip():

@@ -72,7 +72,7 @@ def test_gram_bilinear_orthogonal_inputs():
     u2 = Signal(grid, [0.0, 2.0])
     kernel = SeparableKernel(bilinear(), np.eye(1))
     gram = build_gram(kernel, (u1, u2))
-    assert np.allclose(gram.scalar_gram, np.diag([1.0, 4.0]), atol=1e-15)
+    assert np.allclose(gram.blocks[0], np.diag([1.0, 4.0]), atol=1e-15)
 
 
 def test_gram_layouts_agree():
@@ -90,8 +90,9 @@ def test_gram_layouts_agree():
 
 
 def test_gram_dense_cap(monkeypatch):
-    # the cap bounds the side of one time block, centers x channels, not the
-    # full side centers x samples x channels
+    # the cap bounds the side of one time block, not the full side centers x
+    # samples x channels: centers x channels in the dense form, centers in
+    # the factored one
     rng = np.random.default_rng(42)
     grid = TimeGrid(99)
     inputs = tuple(random_signal(grid, 1, rng) for _ in range(5))
@@ -103,9 +104,15 @@ def test_gram_dense_cap(monkeypatch):
     with pytest.raises(NumericalError, match="block side 50 exceeds cap 49"):
         build_gram(kernel, inputs, layout="dense")
     with pytest.raises(NumericalError, match="block side 50"):
+        build_gram(CausalDiagonalKernel(kernel), inputs, layout="dense")
+    # the factored form carries the same data in blocks of side n
+    monkeypatch.setattr(rkhs, "DENSE_CAP", 5)
+    causal = build_gram(CausalDiagonalKernel(kernel), inputs)
+    assert causal.layout == "kronecker" and causal.blocks.shape == (100, 5, 5)
+    assert build_gram(kernel, inputs, layout="kronecker").blocks.shape == (1, 5, 5)
+    monkeypatch.setattr(rkhs, "DENSE_CAP", 4)
+    with pytest.raises(NumericalError, match="block side 5 exceeds cap 4"):
         build_gram(CausalDiagonalKernel(kernel), inputs)
-    # factored layout carries the same data without the dense blocks
-    build_gram(kernel, inputs, layout="kronecker")
 
 
 def test_fit_single_center_closed_form():
@@ -262,7 +269,6 @@ def test_gram_matches_per_pair_blocks(p):
         inputs = tuple(Signal(grid, np.abs(rng.normal(size=(grid.size, m))))
                        for _ in range(4))
         for kernel in _structures(spec, R):
-            gram = build_gram(kernel, inputs, layout="dense")
             side = grid.size * p
             want = np.zeros((4 * side, 4 * side))
             for i, ui in enumerate(inputs):
@@ -270,10 +276,11 @@ def test_gram_matches_per_pair_blocks(p):
                     want[i * side:(i + 1) * side,
                          j * side:(j + 1) * side] = kernel.block_matrix(ui, uj)
             scale = np.abs(want).max()
-            assert np.abs(gram.dense - want).max() <= 1e-12 * scale, (kind, kernel)
-            if isinstance(kernel, SeparableKernel):
-                kron = build_gram(kernel, inputs, layout="kronecker").dense
-                assert np.abs(kron - want).max() <= 1e-12 * scale, kind
+            # the auto form is the factored one wherever the kernel allows
+            for layout in ("dense", "auto"):
+                gram = build_gram(kernel, inputs, layout=layout)
+                assert np.abs(gram.dense - want).max() <= 1e-12 * scale, \
+                    (kind, kernel, layout)
 
 
 def test_sum_of_separables_fits_at_wide_size():
@@ -288,7 +295,7 @@ def test_sum_of_separables_fits_at_wide_size():
     gram = build_gram(kernel, data.inputs)
     assert gram.layout == "dense" and gram.blocks.shape == (1, 400, 400)
     assert gram.dim > rkhs.DENSE_CAP
-    want = sum(w * np.kron(build_gram(child, data.inputs).scalar_gram, child.R)
+    want = sum(w * np.kron(build_gram(child, data.inputs).blocks[0], child.R)
                for w, child in zip(kernel.weights, children))
     assert np.abs(gram.blocks[0] - want).max() <= 1e-12 * np.abs(want).max()
     model = fit(kernel, data, gamma=0.1)
@@ -296,18 +303,23 @@ def test_sum_of_separables_fits_at_wide_size():
 
 
 def _layout_kernel(layout, conjugated=False):
-    """A p = 2 kernel whose Gram takes the given layout under "auto"."""
+    """A p = 2 kernel whose Gram takes the given layout under "auto"; the
+    dense one has two distinct channel matrices, R and I."""
     if conjugated:
         return ConjugatedKernel(gaussian(2.0), np.array([[0.7, 0.0], [0.2, 0.5]]))
     sep = SeparableKernel(gaussian(2.0), np.array([[1.0, 0.3], [0.3, 0.6]]))
-    return CausalDiagonalKernel(sep) if layout == "dense" else sep
+    if layout == "dense":
+        return CausalDiagonalKernel(SumKernel(
+            (0.5, 0.5), (sep, SeparableKernel(gaussian(2.0), np.eye(2)))))
+    return sep
 
 
-@pytest.mark.parametrize("layout", ["dense", "kronecker"])
+@pytest.mark.parametrize("layout", ["dense", "kronecker", "causal"])
 def test_one_factorization_per_gram(monkeypatch, layout):
     rng = np.random.default_rng(61)
     data = _random_dataset(rng, n=5, tau=3, p=2)
-    kernel = _layout_kernel(layout)
+    kernel = (CausalDiagonalKernel(_layout_kernel("kronecker"))
+              if layout == "causal" else _layout_kernel(layout))
     calls = {"eigh": [], "cholesky": []}
     for name in calls:
         def counted(a, *args, _real=getattr(np.linalg, name), _log=calls[name],
@@ -315,9 +327,11 @@ def test_one_factorization_per_gram(monkeypatch, layout):
             _log.append(np.shape(a))
             return _real(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
-    # dense: the stack of 4 time blocks, 5 centers x 2 channels each;
-    # kronecker: the scalar Gram and R
-    want = [(4, 10, 10)] if layout == "dense" else [(5, 5), (2, 2)]
+    # the stack of time blocks, then the channel matrix: dense, 4 blocks of
+    # 5 centers x 2 channels and M = [[1]]; kronecker, the scalar Gram and
+    # R; causal with a shared child, 4 blocks of 5 centers and R
+    want = {"dense": [(4, 10, 10), (1, 1)], "kronecker": [(1, 5, 5), (2, 2)],
+            "causal": [(4, 5, 5), (2, 2)]}[layout]
     tune_gamma(kernel, data, rho=0.5)
     assert calls["eigh"] == want
     calls["eigh"].clear()
@@ -360,16 +374,17 @@ def test_singular_gram_raises(layout):
         fit(_layout_kernel(layout), data, gamma=1e-300)
     # an indefinite matrix in the Gram's place: eigenvalues -1 and 3
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])
-    kernel = SeparableKernel(gaussian(2.0), np.eye(1))
+    kernel = SeparableKernel(gaussian(2.0), np.eye(2))
     centers = (zeros(TimeGrid(0)),) * 2
-    gram = (GramOperator(kernel, centers, "dense", blocks=bad[None])
+    gram = (GramOperator(kernel, centers, np.kron(bad, kernel.R)[None],
+                         np.eye(1))
             if layout == "dense" else
-            GramOperator(kernel, centers, "kronecker", scalar_gram=bad,
-                         R=kernel.R))
-    spectral = Spectral(gram, np.ones((2, 1, 1)))
+            GramOperator(kernel, centers, bad[None], kernel.R))
+    assert gram.layout == layout
+    spectral = Spectral(gram, np.ones((2, 1, 2)))
     with pytest.raises(NumericalError, match="min Gram eigenvalue -1"):
         spectral.solve(0.5)
-    assert spectral.solve(1.5).shape == (2, 1, 1)
+    assert spectral.solve(1.5).shape == (2, 1, 2)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -392,6 +407,67 @@ def test_kronecker_products_match_dense(p):
     for gamma in (1e-2, 1.0, 10.0):
         want = np.linalg.solve(D + gamma * np.eye(len(D)), y.reshape(-1))
         assert rel_err(spectral.solve(gamma).reshape(-1), want) <= 1e-12
+
+
+def _factoring_kernel(structure, spec, rng, p, steps):
+    """A kernel of the named structure over spec and random PSD channel
+    matrices; "per-sample-distinct" alone has more than one of them."""
+    A = rng.normal(size=(p, p))
+    R = A @ A.T + 0.1 * np.eye(p)
+    sep = SeparableKernel(spec, R)
+    if structure == "separable":
+        return sep
+    if structure == "causal-shared":
+        return CausalDiagonalKernel(sep)
+    if structure == "per-sample-shared":
+        specs = (spec, scaled_laplacian(), gaussian(1.0))
+        return CausalDiagonalKernel(tuple(
+            SeparableKernel(specs[t % 3], R) for t in range(steps)))
+    if structure == "per-sample-distinct":
+        return CausalDiagonalKernel(tuple(
+            SeparableKernel(spec, (1.0 + t) * R) for t in range(steps)))
+    assert structure == "sum-shared"
+    return SumKernel((0.6, 0.3), (sep, SeparableKernel(scaled_laplacian(), R)))
+
+
+@settings(max_examples=80)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 3),
+       n=st.integers(1, 5), tau=st.integers(0, 4),
+       spec=st.sampled_from([gaussian(1.5), scaled_laplacian(), bilinear(),
+                             polynomial(1.0, 2)]),
+       structure=st.sampled_from(["separable", "causal-shared",
+                                  "per-sample-shared", "per-sample-distinct",
+                                  "sum-shared"]),
+       gamma=st.sampled_from([0.1, 1.0, 10.0]),
+       lane_budget=st.sampled_from([1, rkhs.LANE_BUDGET]))
+def test_factored_and_dense_forms_agree(seed, p, n, tau, spec, structure,
+                                        gamma, lane_budget):
+    rng = np.random.default_rng(seed)
+    data = _random_dataset(rng, n=n, tau=tau, m=2, p=p)
+    kernel = _factoring_kernel(structure, spec, rng, p, tau + 1)
+    # a budget of 1 assembles the Gram one row of centers at a time
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rkhs, "LANE_BUDGET", lane_budget)
+        auto = build_gram(kernel, data.inputs)
+        dense = build_gram(kernel, data.inputs, layout="dense")
+    factors = structure != "per-sample-distinct" or tau == 0
+    assert auto.M.shape == ((p, p) if factors else (1, 1)), structure
+    assert dense.M.shape == (1, 1)
+
+    def close(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(),
+                                                       1e-300)
+
+    c = rng.normal(size=(n, tau + 1, p))
+    close(auto.apply(c), dense.apply(c))
+    close(auto.quad(c), dense.quad(c))
+    close(auto.trace(), dense.trace())
+    close(auto.dense, dense.dense)
+    y = np.stack([s.values for s in data.outputs])
+    fast, slow = Spectral(auto, y), Spectral(dense, y)
+    close(fast.solve(gamma), slow.solve(gamma))
+    close(fast.norm(gamma), slow.norm(gamma))
 
 
 @settings(max_examples=60)
