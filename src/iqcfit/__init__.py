@@ -5,16 +5,15 @@ from .signals import (TimeGrid, Signal, Dataset, inner_product, norm, truncate,
                       read_signal, read_signals, write_signal,
                       save_dataset, load_dataset)
 from .supply import (SupplyRate, ScatteringFactors, passivity_supply,
-                     gain_supply, verify_signature, factor_phi, supply_value,
-                     scatter_dataset, unscatter_dataset, iiqc_residual,
+                     gain_supply, verify_signature, factor_phi,
+                     scatter_dataset, iiqc_residual,
                      check_operator_iiqc, supply_to_json, supply_from_json)
 from .kernels import (ScalarKernelSpec, OperatorKernel, SeparableKernel,
                       SumKernel, ConjugatedKernel, CausalDiagonalKernel,
                       bilinear, polynomial, gaussian, laplacian,
                       scaled_laplacian, inverse_power, stable_spline,
-                      eval_scalar, eval_operator, certify_nonexpansive,
-                      certify_bounded, nonexpansive_defect, check_bounded,
-                      is_causal, causal_check,
+                      eval_scalar, certify_nonexpansive, certify_bounded,
+                      nonexpansive_defect, nonexpansive_defects, is_causal,
                       kernel_to_json, kernel_from_json)
 from .rkhs import (GramOperator, FittedOperator, Spectral, build_gram, fit,
                    fit_many, evaluate,
@@ -22,7 +21,7 @@ from .rkhs import (GramOperator, FittedOperator, Spectral, build_gram, fit,
                    load_fitted)
 from .inversion import (ScatteredModel, PicardResult, PicardBatch,
                         contraction_margin, scattered_from_operator,
-                        picard_solve, descatter_output, simulate_r,
+                        picard_solve, simulate_r,
                         causality_check_r)
 from .hodgkin import (DEFAULT_LEVELS, INPUT_SCALE, OUTPUT_SCALE,
                       rate_alpha, rate_beta, steady_state_gating,

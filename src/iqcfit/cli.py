@@ -44,7 +44,7 @@ from .kernels import (
     certify_nonexpansive,
     is_causal,
     kernel_from_json,
-    nonexpansive_defect,
+    nonexpansive_defects,
     scaled_laplacian,
 )
 from .rkhs import fit, fit_many, load_fitted, save_fitted, tune_gamma
@@ -251,10 +251,7 @@ def _scattered_data(cfg: dict):
         spec = read_json(spec)
     if not isinstance(spec, dict):
         raise ValueError("kernel config must be a JSON object or a path to one")
-    spec = dict(spec)
-    if spec.get("structure", "separable") in ("separable", "conjugated"):
-        spec.setdefault("p", scattered.output_dim)
-    return supply, scale, scattered, kernel_from_json(spec)
+    return supply, scale, scattered, kernel_from_json(spec, scattered.output_dim)
 
 
 def _save_bundle(cfg: dict, model, supply, scale, risk: float, cert: str,
@@ -396,13 +393,13 @@ def _check_model(cfg: dict) -> dict:
             "passed": bool(rep.passed),
         }
     if "defect" in checks:
-        max_defect = max(
-            nonexpansive_defect(model.kernel, u, v) for u, v in pairs
-        )
-        cert = certify_nonexpansive(model.kernel)
+        defects = nonexpansive_defects(model.kernel, pairs)
+        worst = int(np.argmax(defects))
+        max_defect = float(defects[worst])
         results["defect"] = {
-            "certificate": cert,
+            "certificate": certify_nonexpansive(model.kernel),
             "max_defect": max_defect,
+            "worst_pair": worst,
             "tolerance": cfg["defect_tol"],
             "passed": max_defect <= cfg["defect_tol"],
         }

@@ -228,13 +228,6 @@ def _descatter(factors: ScatteringFactors, v_vals: np.ndarray,
     return v_vals @ factors.n21.T + s_vals @ factors.n22.T
 
 
-def descatter_output(model: ScatteredModel, v_star: Signal) -> Signal:
-    """Map a fixed point back to the output: y* = N21 v* + N22 S(v*)."""
-    v_vals = v_star.values[None]
-    return Signal(v_star.grid,
-                  _descatter(model.factors, v_vals, model.s(v_vals))[0])
-
-
 def simulate_r(model: ScatteredModel, u_star: Signal | Sequence[Signal],
                tol: float | None = None,
                max_iter: int = DEFAULT_MAX_ITER) -> Signal | list[Signal]:

@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ShapeError
-from .signals import Signal, _require_compatible, norm, truncate
+from .signals import Signal, _require_compatible, manifest_values, norm
 
 PROVEN = "proven"
 UNKNOWN = "unknown"
@@ -31,6 +31,11 @@ SCALAR_KINDS = (
     "inverse_power",
     "stable_spline",
 )
+
+# Batched kernel evaluations take lanes in chunks small enough that no
+# temporary of the batched kernel core (lanes x centers x steps x channels)
+# exceeds this many float64 values.
+LANE_BUDGET = 2**15
 
 
 @dataclass(frozen=True)
@@ -171,7 +176,7 @@ def _frozen_matrix(r, name: str) -> np.ndarray:
 
 
 class OperatorKernel(ABC):
-    """Common interface: per-sample matrices, certificates, Gram blocks."""
+    """Common interface: batched evaluation through row_terms, structure flags."""
 
     @property
     @abstractmethod
@@ -187,10 +192,6 @@ class OperatorKernel(ABC):
         return False
 
     @abstractmethod
-    def matrix_at(self, t: int, u: Signal, v: Signal) -> np.ndarray:
-        """Matrix acting on output sample t of K(u, v)."""
-
-    @abstractmethod
     def row_terms(self, centers: np.ndarray, uvals: np.ndarray,
                   pasts: bool = False) -> list[tuple[np.ndarray, np.ndarray]]:
         """K(u_b, c_j) for stacked inputs (B, steps, dim) against stacked
@@ -202,47 +203,16 @@ class OperatorKernel(ABC):
         pasts P_t u_b and P_t c_j instead, giving w of shape (B, n, steps).
         """
 
-    def matrix(self, u: Signal, v: Signal) -> np.ndarray:
-        if not self.is_uniform:
-            raise ShapeError("kernel acts differently per sample; use matrix_at")
-        return self.matrix_at(0, u, v)
-
-    def apply(self, u: Signal, v: Signal, y: Signal) -> Signal:
-        """Evaluate K(u, v) on an output-space signal y."""
-        if y.dim != self.output_dim:
-            raise ShapeError(f"expected {self.output_dim} channels, got {y.dim}")
-        if self.is_uniform:
-            return Signal(y.grid, y.values @ self.matrix(u, v).T)
-        out = np.empty_like(y.values)
-        for t in range(y.grid.size):
-            out[t] = self.matrix_at(t, u, v) @ y.values[t]
-        return Signal(y.grid, out)
-
     def block_matrix(self, u: Signal, v: Signal) -> np.ndarray:
         """Dense matrix of K(u, v) on the flattened output space."""
+        # Kept only for the benchmark's trace wrapper (perfbench/traced.py).
+        _require_compatible(u, v)
         steps, p = u.grid.size, self.output_dim
-        if self.is_uniform:
-            return np.kron(np.eye(steps), self.matrix(u, v))
+        blocks = sum(w.reshape(-1, 1, 1) * M
+                     for w, M in self.row_terms(v.values[None], u.values[None]))
         out = np.zeros((steps, p, steps, p))
-        for t in range(steps):
-            out[t, :, t, :] = self.matrix_at(t, u, v)
+        out[range(steps), :, range(steps)] = np.broadcast_to(blocks, (steps, p, p))
         return out.reshape(steps * p, steps * p)
-
-    def second_difference_norm(self, u: Signal, v: Signal) -> float:
-        """Operator norm of K(u,u) - K(u,v) - K(v,u) + K(v,v)."""
-        def diff(t):
-            return (self.matrix_at(t, u, u) - self.matrix_at(t, u, v)
-                    - self.matrix_at(t, v, u) + self.matrix_at(t, v, v))
-        if self.is_uniform:
-            return _spectral_norm_sym(diff(0))
-        return max(_spectral_norm_sym(diff(t)) for t in range(u.grid.size))
-
-    def diag_operator_norm(self, u: Signal) -> float:
-        """Operator norm of K(u, u)."""
-        if self.is_uniform:
-            return _spectral_norm_sym(self.matrix_at(0, u, u))
-        return max(_spectral_norm_sym(self.matrix_at(t, u, u))
-                   for t in range(u.grid.size))
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,18 +243,8 @@ class SeparableKernel(OperatorKernel):
     def is_uniform(self) -> bool:
         return True
 
-    def matrix_at(self, t: int, u: Signal, v: Signal) -> np.ndarray:
-        return eval_scalar(self.scalar, u, v) * self.R
-
     def row_terms(self, centers, uvals, pasts=False):
         return [(_scalar_batch(self.scalar, centers, uvals, pasts), self.R)]
-
-    def second_difference_norm(self, u: Signal, v: Signal) -> float:
-        # |k(u,u) - 2k(u,v) + k(v,v)| times the norm of R, computed exactly.
-        duu = eval_scalar(self.scalar, u, u)
-        duv = eval_scalar(self.scalar, u, v)
-        dvv = eval_scalar(self.scalar, v, v)
-        return abs(duu - 2.0 * duv + dvv) * _spectral_norm_sym(self.R)
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,10 +278,6 @@ class SumKernel(OperatorKernel):
     @property
     def is_uniform(self) -> bool:
         return all(child.is_uniform for child in self.children)
-
-    def matrix_at(self, t: int, u: Signal, v: Signal) -> np.ndarray:
-        return sum(w * child.matrix_at(t, u, v)
-                   for w, child in zip(self.weights, self.children))
 
     def row_terms(self, centers, uvals, pasts=False):
         # Terms with equal matrices share one weight array.
@@ -388,9 +344,6 @@ class CausalDiagonalKernel(OperatorKernel):
     def is_causal(self) -> bool:
         return True
 
-    def matrix_at(self, t: int, u: Signal, v: Signal) -> np.ndarray:
-        return self._child(t).matrix(truncate(u, t), truncate(v, t))
-
     def row_terms(self, centers, uvals, pasts=False):
         # Pasts of pasts are the pasts, so the flag changes nothing here.
         if isinstance(self.children, OperatorKernel):
@@ -421,10 +374,6 @@ def as_operator(kernel: AnyKernel) -> OperatorKernel:
     return kernel
 
 
-def eval_operator(kernel: AnyKernel, u: Signal, v: Signal, y: Signal) -> Signal:
-    return as_operator(kernel).apply(u, v, y)
-
-
 def certify_nonexpansive(kernel: AnyKernel) -> str:
     """Structural nonexpansiveness certificate: "proven" or "unknown"."""
     k = as_operator(kernel)
@@ -453,39 +402,45 @@ def certify_bounded(kernel: AnyKernel) -> str:
 
 def nonexpansive_defect(kernel: AnyKernel, u: Signal, v: Signal) -> float:
     """Positive values witness a violation of the kernel increment bound."""
+    return float(nonexpansive_defects(kernel, [(u, v)])[0])
+
+
+def nonexpansive_defects(kernel: AnyKernel,
+                         pairs: list[tuple[Signal, Signal]]) -> np.ndarray:
+    """nonexpansive_defect of every pair, in one batched sweep.
+
+    The second difference K(u,u) - K(u,v) - K(v,u) + K(v,v) of a pair acts
+    samplewise.  A chunk of c pairs is stacked as the lanes u_0..u_c-1,
+    v_0..v_c-1 and evaluated against itself through row_terms; the
+    diagonals of the four c x c quadrants of each term's weights give every
+    pair's second difference at every sample, and one eigvalsh of the
+    stacked p x p blocks its norm.  All signals must share one grid and one
+    channel count.
+    """
     k = as_operator(kernel)
-    return k.second_difference_norm(u, v) - norm(u - v) ** 2
-
-
-@dataclass(frozen=True)
-class BoundedReport:
-    max_defect: float
-    worst_probe: int
-    passed: bool
-
-
-def check_bounded(kernel: AnyKernel, probes: list[Signal],
-                  tol: float = 1e-10) -> BoundedReport:
-    """Numeric sweep of ||K(u, u)||^(1/2) - ||u|| over probe signals."""
-    k = as_operator(kernel)
-    worst, arg = -np.inf, -1
-    for idx, u in enumerate(probes):
-        defect = math.sqrt(max(k.diag_operator_norm(u), 0.0)) - norm(u)
-        if defect > worst:
-            worst, arg = defect, idx
-    return BoundedReport(float(worst), arg, bool(worst <= tol))
+    signals = [x for pair in pairs for x in pair]
+    for x in signals:
+        _require_compatible(x, signals[0])
+    steps, dim = signals[0].grid.size, signals[0].dim
+    X = np.stack([x.values for x in signals]).reshape(-1, 2, steps, dim)
+    # 2c lanes against 2c centers stay within the lane budget
+    width = LANE_BUDGET // (steps * max(dim, k.output_dim))
+    chunk = max(1, math.isqrt(width) // 2)
+    norms = []
+    for lo in range(0, len(X), chunk):
+        lanes = X[lo:lo + chunk].swapaxes(0, 1).reshape(-1, steps, dim)
+        c = len(lanes) // 2
+        iu, iv = np.arange(c), np.arange(c, 2 * c)
+        second = sum(
+            (w[iu, iu] - w[iu, iv] - w[iv, iu] + w[iv, iv]).reshape(c, -1, 1, 1) * M
+            for w, M in k.row_terms(lanes, lanes))
+        norms.append(np.abs(np.linalg.eigvalsh(second)).max(axis=(1, 2)))
+    gaps = [norm(u - v) ** 2 for u, v in pairs]
+    return np.concatenate(norms) - gaps
 
 
 def is_causal(kernel: AnyKernel) -> bool:
     return as_operator(kernel).is_causal
-
-
-def causal_check(kernel: AnyKernel, u: Signal, v: Signal, y: Signal, T: int) -> float:
-    """Size of P_T K(u, v) y - P_T K(P_T u, v) y; zero for causal kernels."""
-    k = as_operator(kernel)
-    full = truncate(k.apply(u, v, y), T)
-    cut = truncate(k.apply(truncate(u, T), v, y), T)
-    return norm(full - cut)
 
 
 def _scalar_to_json(spec: ScalarKernelSpec) -> dict:
@@ -513,12 +468,10 @@ def _matrix_to_json(R: np.ndarray):
     return R.tolist()
 
 
-def _matrix_from_json(obj, p: int | None) -> np.ndarray:
+def _matrix_from_json(obj, p: int) -> np.ndarray:
     if isinstance(obj, str):
         if obj != "identity":
             raise ValueError(f"unknown matrix shorthand {obj!r}")
-        if p is None:
-            raise ValueError("matrix shorthand 'identity' needs an explicit dim p")
         return np.eye(p)
     return np.array(obj, dtype=float)
 
@@ -538,27 +491,50 @@ def kernel_to_json(kernel: AnyKernel) -> dict:
             "children": [kernel_to_json(c) for c in k.children]}
 
 
-def kernel_from_json(obj: dict) -> OperatorKernel:
+def _malformed(obj, why) -> ValueError:
+    return ValueError(f"malformed kernel {reprlib.repr(obj)}: {why}")
+
+
+def _json_dim(obj: dict, p: int | None) -> int:
+    """A separable kernel's "p", by default p (else 1): an integer >= 1, and
+    equal to p when the caller knows the output dim."""
+    try:
+        (dim,) = manifest_values({"p": 1 if p is None else p, **obj}, p="integer")
+        if dim < 1 or p not in (None, dim):
+            raise ValueError(f"p must be {'at least 1' if p is None else p}, "
+                             f"got {dim}")
+    except ValueError as exc:
+        raise _malformed(obj, exc) from None
+    return dim
+
+
+def kernel_from_json(obj: dict, p: int | None = None) -> OperatorKernel:
     """Rebuild a kernel from its JSON form; certificates are re-derived.
 
-    A missing field or a value of the wrong type raises ValueError naming
-    the kernel object that holds it.
+    p is the output dim the caller expects, if it knows one; every
+    separable part is checked against it before its matrix is built.  A
+    missing field or a value of the wrong type raises ValueError naming the
+    kernel object that holds it.
     """
     try:
         structure = obj.get("structure", "separable")
         if structure in ("separable", "conjugated"):
-            R = _matrix_from_json(obj.get("R", "identity"), obj.get("p", 1))
+            R = _matrix_from_json(obj.get("R", "identity"), _json_dim(obj, p))
             build = SeparableKernel if structure == "separable" else ConjugatedKernel
             return build(_scalar_from_json(obj["scalar"]), R)
         if structure == "sum":
-            return SumKernel(tuple(obj["weights"]),
-                             tuple(kernel_from_json(c) for c in obj["children"]))
+            weights = obj["weights"]
+            if not isinstance(weights, list) or any(
+                    type(w) not in (int, float) for w in weights):
+                raise _malformed(obj, "weights must be a list of numbers, "
+                                      f"got {reprlib.repr(weights)}")
+            return SumKernel(tuple(weights), tuple(kernel_from_json(c, p)
+                                                   for c in obj["children"]))
         if structure == "causal_diagonal":
             if "child" in obj:
-                return CausalDiagonalKernel(kernel_from_json(obj["child"]))
-            return CausalDiagonalKernel(tuple(kernel_from_json(c)
+                return CausalDiagonalKernel(kernel_from_json(obj["child"], p))
+            return CausalDiagonalKernel(tuple(kernel_from_json(c, p)
                                               for c in obj["children"]))
-    except (TypeError, KeyError, AttributeError) as exc:
-        raise ValueError(f"malformed kernel {reprlib.repr(obj)}: "
-                         f"{type(exc).__name__} {exc}") from None
+    except (TypeError, KeyError, AttributeError, OverflowError) as exc:
+        raise _malformed(obj, f"{type(exc).__name__} {exc}") from None
     raise ValueError(f"unknown kernel structure {structure!r}")

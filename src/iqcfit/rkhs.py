@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError, ShapeError
-from .kernels import (OperatorKernel, as_operator, kernel_from_json,
-                      kernel_to_json)
+from .kernels import (LANE_BUDGET, OperatorKernel, as_operator,
+                      kernel_from_json, kernel_to_json)
 from .signals import (Dataset, Signal, TimeGrid, located, manifest_values,
                       norm, read_json, read_signal, write_signal)
 
@@ -29,10 +29,6 @@ DENSE_CAP = 4096
 # tune_gamma raises gamma at most this many times to bring the stored norm
 # under rho.
 NUDGE_LIMIT = 60
-# Gram assembly and the evaluator take lanes in chunks small enough that no
-# temporary of the batched kernel core (lanes x centers x steps x channels)
-# exceeds this many float64 values.
-LANE_BUDGET = 2**15
 
 
 def _stack(signals: tuple[Signal, ...]) -> np.ndarray:
@@ -466,10 +462,10 @@ def load_fitted(location: str | Path) -> FittedOperator:
                              f"refit the model to write format {BUNDLE_FORMAT}")
         if meta.get("format") != BUNDLE_FORMAT:
             raise ValueError("not a model bundle")
-        kernel = kernel_from_json(meta["kernel"])
         dt, n, tau, m, p, gamma, stored_norm = manifest_values(
             meta, dt="positive", n="integer", tau="integer", m="integer",
             p="integer", gamma="positive", rkhs_norm="finite")
+        kernel = kernel_from_json(meta["kernel"], p)
         steps = tau + 1
         extra = meta.get("extra") or {}
         if not isinstance(extra, dict):

@@ -93,19 +93,6 @@ def gain_supply(delta: float, m: int = 1, p: int | None = None) -> SupplyRate:
     return SupplyRate(phi, m, p)
 
 
-def supply_value(supply: SupplyRate, x1: np.ndarray, x2: np.ndarray) -> float:
-    """Evaluate [x1; x2]' Phi [x1; x2] for one input/output increment pair."""
-    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    if x1.shape != (supply.m,) or x2.shape != (supply.p,):
-        raise ShapeError(
-            f"expected increment dims ({supply.m},)/({supply.p},), "
-            f"got {x1.shape}/{x2.shape}"
-        )
-    x = np.concatenate([x1, x2])
-    return float(x @ supply.phi @ x)
-
-
 @dataclass(frozen=True, eq=False)
 class ScatteringFactors:
     """Invertible M with M' Sigma M = Phi, plus its inverse N, in blocks."""
@@ -189,14 +176,6 @@ def factor_phi(supply: SupplyRate) -> ScatteringFactors:
     return factors_from_matrix(M, supply.m, supply.p)
 
 
-def _apply_blocks(data: Dataset, a11, a12, a21, a22) -> Dataset:
-    new_in, new_out = [], []
-    for u, y in zip(data.inputs, data.outputs):
-        new_in.append(Signal(u.grid, u.values @ a11.T + y.values @ a12.T))
-        new_out.append(Signal(u.grid, u.values @ a21.T + y.values @ a22.T))
-    return Dataset(tuple(new_in), tuple(new_out))
-
-
 def scatter_dataset(data: Dataset, factors: ScatteringFactors) -> Dataset:
     """Map trajectories (u, y) to scattering coordinates (v, z) = M(u, y)."""
     if data.input_dim != factors.m or data.output_dim != factors.p:
@@ -204,12 +183,12 @@ def scatter_dataset(data: Dataset, factors: ScatteringFactors) -> Dataset:
             f"dataset dims ({data.input_dim}, {data.output_dim}) do not match "
             f"factor dims ({factors.m}, {factors.p})"
         )
-    return _apply_blocks(data, factors.m11, factors.m12, factors.m21, factors.m22)
-
-
-def unscatter_dataset(data: Dataset, factors: ScatteringFactors) -> Dataset:
-    """Invert scatter_dataset by applying the blocks of N."""
-    return _apply_blocks(data, factors.n11, factors.n12, factors.n21, factors.n22)
+    f = factors
+    return Dataset(
+        tuple(Signal(u.grid, u.values @ f.m11.T + y.values @ f.m12.T)
+              for u, y in zip(data.inputs, data.outputs)),
+        tuple(Signal(u.grid, u.values @ f.m21.T + y.values @ f.m22.T)
+              for u, y in zip(data.inputs, data.outputs)))
 
 
 def iiqc_residual(supply: SupplyRate, u: Signal, v: Signal, y: Signal, z: Signal,

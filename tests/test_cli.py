@@ -204,6 +204,7 @@ def _extra(**record):
     ("data", lambda _: []),
     ("data", lambda meta: {**meta, "dt": None}),
     ("model", lambda meta: {**meta, "kernel": {**meta["kernel"], "p": "x"}}),
+    ("model", lambda meta: {**meta, "kernel": {**meta["kernel"], "p": 10_000_000}}),
     ("model", lambda meta: {**meta, "extra": 5}),
     ("model", _extra(supply=5)),
     ("simulate", _extra(supply=5)),
@@ -212,6 +213,7 @@ def _extra(**record):
     ("simulate", _extra(scale=5)),
     ("simulate", _extra(scale={"a": 1})),
 ], ids=["sum-weights", "scalar-name", "manifest-list", "dt-null", "kernel-p",
+        "kernel-p-huge",
         "extra-not-object", "check-supply-number", "simulate-supply-number",
         "check-gain-delta-list", "simulate-gain-delta-list",
         "simulate-scale-number", "simulate-scale-without-b"])
@@ -242,6 +244,30 @@ def test_malformed_json_is_usage_error(ws, tmp_path, capsys, target, edit):
     assert "Traceback" not in err
     if target in ("model", "simulate"):
         assert str(path) in err
+
+
+@pytest.mark.parametrize("fields, says", [
+    ({"R": "identity", "p": 10_000_000}, "p"),
+    ({"R": "identity", "p": 0}, "p"),
+    ({"R": "identity", "p": -1}, "p"),
+    ({"structure": "sum", "weights": "ab",
+      "children": [{"scalar": {"kind": "bilinear"}}] * 2}, "weights"),
+], ids=["p-huge", "p-zero", "p-negative", "weights-text"])
+def test_kernel_json_faults_name_the_kernel(ws, tmp_path, capsys, fields, says):
+    # refused before any matrix of the kernel is built
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps({"structure": "separable",
+                                "scalar": {"kind": "scaled_laplacian"},
+                                **fields}))
+    capsys.readouterr()
+    rc = cli.main(["fit", "--data", str(ws / "gen" / "data"),
+                   "--kernel", str(path),
+                   "--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: malformed kernel")
+    assert f": {says} must be" in err
+    assert "Traceback" not in err
 
 
 def _manifest(**fields):

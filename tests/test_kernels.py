@@ -1,24 +1,26 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import oracle
+from iqcfit import hodgkin, kernels
 from iqcfit.errors import ShapeError
 from iqcfit.kernels import (
     PROVEN,
     UNKNOWN,
     CausalDiagonalKernel,
     ConjugatedKernel,
+    OperatorKernel,
     SeparableKernel,
     SumKernel,
     as_operator,
     bilinear,
-    causal_check,
     certify_bounded,
     certify_nonexpansive,
-    check_bounded,
-    eval_operator,
     eval_scalar,
     gaussian,
     inverse_power,
@@ -27,11 +29,12 @@ from iqcfit.kernels import (
     kernel_to_json,
     laplacian,
     nonexpansive_defect,
+    nonexpansive_defects,
     polynomial,
     scaled_laplacian,
     stable_spline,
 )
-from iqcfit.signals import Signal, TimeGrid, inner_product, norm, random_signal, truncate, zeros
+from iqcfit.signals import Signal, TimeGrid, norm, random_signal, truncate, zeros
 
 
 def _sig(values, dt=1.0):
@@ -98,9 +101,10 @@ def test_separable_applies_scalar_times_matrix():
     v = random_signal(grid, 1, rng)
     y = random_signal(grid, 2, rng)
     k = eval_scalar(gaussian(2.0), u, v)
-    got = eval_operator(kernel, u, v, y)
-    assert np.abs(got.values - k * (y.values @ R.T)).max() <= 1e-14
-    assert np.allclose(kernel.matrix(u, v), k * R)
+    ((w, M),) = kernel.row_terms(v.values[None], u.values[None])
+    assert w.shape == (1, 1) and w[0, 0] == k and np.array_equal(M, R)
+    got = kernel.block_matrix(u, v) @ y.values.reshape(-1)
+    assert np.abs(got - (k * (y.values @ R.T)).reshape(-1)).max() <= 1e-14
 
 
 def test_separable_validates_r():
@@ -117,7 +121,8 @@ def test_sum_of_identical_children_matches_child():
     total = SumKernel((0.5, 0.5), (child, child))
     u = random_signal(grid, 1, rng)
     v = random_signal(grid, 1, rng)
-    assert np.allclose(total.matrix(u, v), child.matrix(u, v), atol=1e-15)
+    assert np.allclose(total.block_matrix(u, v), child.block_matrix(u, v),
+                       atol=1e-15)
     with pytest.raises(ValueError):
         SumKernel((-0.1, 0.5), (child, child))
 
@@ -130,7 +135,8 @@ def test_conjugated_matrix():
     u = random_signal(grid, 1, rng)
     v = random_signal(grid, 1, rng)
     k = eval_scalar(gaussian(2.0), u, v)
-    assert np.allclose(kernel.matrix(u, v), k * (R @ R.T), atol=1e-15)
+    assert np.allclose(kernel.block_matrix(u, v),
+                       np.kron(np.eye(grid.size), k * (R @ R.T)), atol=1e-15)
 
 
 def test_conjugated_is_separable_with_r_r_transpose():
@@ -160,16 +166,28 @@ def test_conjugated_certificate_is_sigma_max(entries, sigma):
     assert certify_nonexpansive(ConjugatedKernel(scaled_laplacian(), R)) == want
 
 
+def _sample_weights(kernel, u, v):
+    """The weight of each row term of K(u, v) at every sample, (terms, steps)."""
+    return np.array([np.broadcast_to(w[0, 0], (u.grid.size,))
+                     for w, _ in kernel.row_terms(v.values[None], u.values[None])])
+
+
+def _truncation_gap(kernel, u, v, T):
+    """How far samples 0..T of K(u, v) move when u is cut after T."""
+    moved = _sample_weights(kernel, u, v) - _sample_weights(kernel, truncate(u, T), v)
+    return np.abs(moved[:, :T + 1]).max()
+
+
 def test_causal_diagonal_prefix_dependence():
     rng = np.random.default_rng(24)
     grid = TimeGrid(4)
     kernel = CausalDiagonalKernel(SeparableKernel(gaussian(2.0), np.eye(1)))
     u = random_signal(grid, 1, rng)
     v = random_signal(grid, 1, rng)
+    full = _sample_weights(kernel, u, v)
     for t in range(5):
-        full = kernel.matrix_at(t, u, v)
-        pref = kernel.matrix_at(t, truncate(u, t), truncate(v, t))
-        assert np.allclose(full, pref, atol=1e-15)
+        pref = _sample_weights(kernel, truncate(u, t), truncate(v, t))
+        assert np.allclose(full[:, :t + 1], pref[:, :t + 1], atol=1e-15)
     assert is_causal(kernel)
     assert not is_causal(SeparableKernel(gaussian(2.0), np.eye(1)))
 
@@ -178,20 +196,19 @@ def test_causal_check_values():
     rng = np.random.default_rng(25)
     grid = TimeGrid(5)
     u = random_signal(grid, 1, rng)
-    y = random_signal(grid, 1, rng)
     causal = CausalDiagonalKernel(SeparableKernel(gaussian(2.0), np.eye(1)))
     # same prefix, different tail: causal kernel shows nothing before T
     for T in range(6):
         w = random_signal(grid, 1, rng)
         spliced = truncate(u, T) + (w - truncate(w, T))
-        assert causal_check(causal, u, spliced, y, T) <= 1e-12
+        assert _truncation_gap(causal, u, spliced, T) <= 1e-12
     tail = Signal(grid, np.concatenate([np.zeros(3), rng.normal(size=3)]))
     v = u + tail
-    assert causal_check(causal, u, v, y, 2) <= 1e-12
+    assert _truncation_gap(causal, u, v, 2) <= 1e-12
     plain = SeparableKernel(gaussian(2.0), np.eye(1))
-    assert causal_check(plain, u, v, y, 2) > 1e-8
+    assert _truncation_gap(plain, u, v, 2) > 1e-8
     # full window is trivially causal for any kernel
-    assert causal_check(plain, u, u, y, grid.tau) == 0.0
+    assert _truncation_gap(plain, u, u, grid.tau) == 0.0
 
 
 def test_certificates():
@@ -290,25 +307,28 @@ def test_symmetry_of_operator_kernels():
         for _ in range(20):
             u = random_signal(grid, 1, rng)
             v = random_signal(grid, 1, rng)
-            y = random_signal(grid, 2, rng)
-            z = random_signal(grid, 2, rng)
-            lhs = inner_product(y, eval_operator(kernel, u, v, z))
-            rhs = inner_product(z, eval_operator(kernel, v, u, y))
+            y = random_signal(grid, 2, rng).values.reshape(-1)
+            z = random_signal(grid, 2, rng).values.reshape(-1)
+            lhs = y @ kernel.block_matrix(u, v) @ z
+            rhs = z @ kernel.block_matrix(v, u) @ y
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 def test_bounded_examples():
     rng = np.random.default_rng(29)
     grid = TimeGrid(3)
-    probes = [random_signal(grid, 1, rng) for _ in range(50)]
-    rep = check_bounded(SeparableKernel(bilinear(), np.eye(1)), probes)
-    assert rep.passed
-    assert rep.max_defect <= 1e-10
+
+    def bounded_defect(kernel, u):
+        # ||K(u, u)||^(1/2) - ||u||
+        size = np.abs(np.linalg.eigvalsh(kernel.block_matrix(u, u))).max()
+        return math.sqrt(size) - norm(u)
+
+    bilinear_kernel = SeparableKernel(bilinear(), np.eye(1))
+    for _ in range(50):
+        assert bounded_defect(bilinear_kernel, random_signal(grid, 1, rng)) <= 1e-10
     # a translation-invariant kernel cannot vanish at zero
-    bad = check_bounded(SeparableKernel(gaussian(1.0), np.eye(1)),
-                        [zeros(grid)])
-    assert not bad.passed
-    assert bad.max_defect == pytest.approx(1.0, abs=1e-12)
+    bad = bounded_defect(SeparableKernel(gaussian(1.0), np.eye(1)), zeros(grid))
+    assert bad == pytest.approx(1.0, abs=1e-12)
     assert certify_bounded(SeparableKernel(bilinear(), 0.5 * np.eye(2))) == PROVEN
     assert certify_bounded(SeparableKernel(gaussian(1.0), np.eye(1))) == UNKNOWN
     assert certify_bounded(SeparableKernel(bilinear(), 2.0 * np.eye(1))) == UNKNOWN
@@ -332,10 +352,76 @@ def test_kernel_json_round_trip():
         back = kernel_from_json(kernel_to_json(kernel))
         u = Signal(g, np.abs(rng.normal(size=(g.size, 1))))
         v = Signal(g, np.abs(rng.normal(size=(g.size, 1))))
-        if isinstance(kernel, CausalDiagonalKernel):
-            assert np.allclose(back.matrix_at(1, u, v),
-                               kernel.matrix_at(1, u, v), atol=1e-15)
-            continue
-        assert np.allclose(back.matrix(u, v), kernel.matrix(u, v), atol=1e-15)
+        assert np.allclose(back.block_matrix(u, v), kernel.block_matrix(u, v),
+                           atol=1e-15)
     with pytest.raises(ValueError):
         kernel_from_json({"structure": "mystery"})
+
+
+# One kernel of each scalar kind, and a channel matrix cut to p x p.
+SPECS = [bilinear(), polynomial(1.0, 2), gaussian(1.5), laplacian(1.5),
+         scaled_laplacian(), inverse_power(2.0, 1.0), stable_spline(0.7)]
+BASE_R = np.array([[1.0, 0.3, 0.1], [0.3, 0.6, 0.2], [0.1, 0.2, 0.8]])
+
+
+def _probe(spec, grid, m, rng, scale=1.0):
+    # the stable spline acts on nonnegative one-sample scalars only
+    values = rng.normal(scale=scale, size=(grid.size, m))
+    return Signal(grid, np.abs(values) if spec.kind == "stable_spline" else values)
+
+
+@settings(max_examples=80)
+@given(spec=st.sampled_from(SPECS), p=st.integers(1, 3),
+       size=st.sampled_from([0.5, 1.0, 2.0]), count=st.sampled_from([1, 7]),
+       tau=st.integers(0, 3), m=st.integers(1, 2),
+       scale=st.sampled_from([0.1, 1.0, 3.0]), seed=st.integers(0, 2**16),
+       lane_budget=st.sampled_from([1, 500, kernels.LANE_BUDGET]))
+def test_batched_defects_match_oracle(spec, p, size, count, tau, m, scale,
+                                      seed, lane_budget):
+    R = size * BASE_R[:p, :p] / np.linalg.eigvalsh(BASE_R[:p, :p]).max()
+    grid, m = (TimeGrid(0), 1) if spec.kind == "stable_spline" else (TimeGrid(tau), m)
+    rng = np.random.default_rng(seed)
+    pairs = [(_probe(spec, grid, m, rng, scale), _probe(spec, grid, m, rng, scale))
+             for _ in range(count)]
+    with pytest.MonkeyPatch.context() as mp:
+        # small budgets spread the pairs over several chunks
+        mp.setattr(kernels, "LANE_BUDGET", lane_budget)
+        for kernel in oracle.structures(spec, R):
+            got = nonexpansive_defects(kernel, pairs)
+            assert got.shape == (count,)
+            for defect, (u, v) in zip(got, pairs):
+                magnitude = max(oracle.diag_operator_norm(kernel, u),
+                                oracle.diag_operator_norm(kernel, v),
+                                norm(u - v) ** 2)
+                assert abs(defect - oracle.defect(kernel, u, v)) <= 1e-12 * magnitude
+                if certify_nonexpansive(kernel) == PROVEN:
+                    assert defect <= 1e-10
+
+
+def test_defect_sweep_needs_one_grid_and_channel_count():
+    rng = np.random.default_rng(32)
+    kernel = SeparableKernel(gaussian(2.0), np.eye(1))
+    u = random_signal(TimeGrid(3), 1, rng)
+    for other in (random_signal(TimeGrid(4), 1, rng),
+                  random_signal(TimeGrid(3, 0.5), 1, rng),
+                  random_signal(TimeGrid(3), 2, rng)):
+        with pytest.raises(ShapeError):
+            nonexpansive_defects(kernel, [(u, other)])
+        with pytest.raises(ShapeError):
+            nonexpansive_defects(kernel, [(u, u), (other, other)])
+
+
+def test_benchmark_trace_hooks_exist():
+    # the benchmark's trace wrapper patches both of these by name
+    assert callable(hodgkin._integrate_gating)
+    assert "block_matrix" in vars(OperatorKernel)
+    rng = np.random.default_rng(33)
+    for p in (1, 2, 3):
+        for spec in SPECS:
+            spline = spec.kind == "stable_spline"
+            grid, m = (TimeGrid(0), 1) if spline else (TimeGrid(3), 2)
+            u, v = _probe(spec, grid, m, rng), _probe(spec, grid, m, rng)
+            for kernel in oracle.structures(spec, BASE_R[:p, :p]):
+                want = oracle.block_matrix(kernel, u, v)
+                got = kernel.block_matrix(u, v)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

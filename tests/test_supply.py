@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from iqcfit.errors import ShapeError, SignatureError
 from iqcfit.signals import Dataset, Signal, TimeGrid, constant_signal, norm, random_signal
@@ -15,8 +17,6 @@ from iqcfit.supply import (
     scatter_dataset,
     supply_from_json,
     supply_to_json,
-    supply_value,
-    unscatter_dataset,
     verify_signature,
 )
 
@@ -35,14 +35,6 @@ def test_signature_examples():
         verify_signature(np.array([[0.0, 1.0], [0.5, 0.0]]), 1, 1)
     with pytest.raises(ShapeError):
         verify_signature(np.eye(3), 1, 1)
-
-
-def test_supply_values():
-    assert supply_value(passivity_supply(1), [1.0], [2.0]) == 4.0
-    assert supply_value(gain_supply(1.0), [3.0], [2.0]) == 5.0
-    assert supply_value(gain_supply(4.0), [0.0], [0.0]) == 0.0
-    with pytest.raises(ShapeError):
-        supply_value(passivity_supply(1), [1.0, 2.0], [0.0])
 
 
 def test_factor_passivity_is_canonical_scattering():
@@ -106,22 +98,30 @@ def test_scatter_constant_ones():
     assert np.allclose(out.outputs[0].values, 0.0, atol=1e-14)
 
 
-def test_scatter_round_trip():
-    rng = np.random.default_rng(13)
+@given(m=st.integers(1, 3), p=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_scatter_round_trip(m, p, seed):
+    # a supply of inertia (m, p): m positive and p negative eigenvalues
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.normal(size=(m + p, m + p)))[0]
+    eig = rng.uniform(0.5, 2.0, m + p) * np.repeat([1.0, -1.0], [m, p])
+    phi = (Q * eig) @ Q.T
+    phi = (phi + phi.T) / 2
+    f = factor_phi(SupplyRate(phi, m, p))
+    sigma = np.diag(np.repeat([1.0, -1.0], [m, p]))
+    assert np.abs(f.M.T @ sigma @ f.M - phi).max() <= 1e-12
     grid = TimeGrid(5)
     data = Dataset(
-        tuple(random_signal(grid, 2, rng) for _ in range(3)),
-        tuple(random_signal(grid, 1, rng) for _ in range(3)),
+        tuple(random_signal(grid, m, rng) for _ in range(3)),
+        tuple(random_signal(grid, p, rng) for _ in range(3)),
     )
-    supply = SupplyRate(
-        np.array([[2.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, -1.0]]), 2, 1
-    )
-    f = factor_phi(supply)
-    back = unscatter_dataset(scatter_dataset(data, f), f)
-    for a, b in zip(data.inputs, back.inputs):
-        assert np.abs(a.values - b.values).max() <= 1e-12
-    for a, b in zip(data.outputs, back.outputs):
-        assert np.abs(a.values - b.values).max() <= 1e-12
+    scattered = scatter_dataset(data, f)
+    for u, y, v, z in zip(data.inputs, data.outputs,
+                          scattered.inputs, scattered.outputs):
+        # N = M^-1 maps (v, z) back to (u, y)
+        back_u = v.values @ f.n11.T + z.values @ f.n12.T
+        back_y = v.values @ f.n21.T + z.values @ f.n22.T
+        assert np.abs(back_u - u.values).max() <= 1e-12 * max(1.0, np.abs(u.values).max())
+        assert np.abs(back_y - y.values).max() <= 1e-12 * max(1.0, np.abs(y.values).max())
 
 
 def test_iiqc_residual_zero_increment():
