@@ -706,17 +706,23 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """Flags generated from COMMANDS.  Each flag keeps its text as given
-    (argparse.SUPPRESS leaves unset ones out); _resolve types it."""
+    (argparse.SUPPRESS leaves unset ones out); _resolve types it.  Given a
+    command, only its subparser is built, and the usage line names every
+    command as the full parser's does."""
     parser = argparse.ArgumentParser(
         prog="iqcfit",
         description="kernel identification of operators with incremental "
                     "integral quadratic constraint certificates",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, _, options) in COMMANDS.items():
-        p = sub.add_parser(command, help=help_text,
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
+    for name, (help_text, _, options) in COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_text,
                            argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="JSON settings file; flags override")
         for opt in options:
@@ -733,8 +739,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a run pays for its own command's flags; anything else (--help, no
+    # command, an unknown one) goes to the full parser
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        flags = vars(build_parser().parse_args(argv))
+        flags = vars(build_parser(command).parse_args(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     command, config = flags.pop("command"), flags.pop("config", None)

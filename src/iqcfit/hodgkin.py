@@ -10,9 +10,8 @@ natural target for the constrained identification pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -218,8 +217,7 @@ def witness_inputs() -> tuple[Callable, Callable]:
     return u1, u2
 
 
-@dataclass(frozen=True)
-class WitnessResult:
+class WitnessResult(NamedTuple):
     continuous: float   # trapezoidal integral approximation of <du, dy>
     sampled: float      # plain sum over the subsampled working grid
 
@@ -253,8 +251,7 @@ def scale_dataset(data: Dataset, a: float = INPUT_SCALE,
                    tuple(y * (1.0 / b) for y in data.outputs))
 
 
-@dataclass(frozen=True)
-class OrderingReport:
+class OrderingReport(NamedTuple):
     ordered: bool
     max_violation: float
 

@@ -10,7 +10,7 @@ reading off y* = N21 v* + N22 S(v*).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,8 +30,7 @@ DEFAULT_MAX_ITER = 10_000
 STEP_FLOOR = 1e-11
 
 
-@dataclass(frozen=True, eq=False)
-class ScatteredModel:
+class ScatteredModel(NamedTuple):
     """Contraction S plus scattering factors, ready for fixed-point runs.
 
     s maps stacked inputs (B, steps, m) to stacked outputs (B, steps, p),
@@ -97,8 +96,7 @@ def scattered_from_operator(s: Callable[[Signal], Signal], lipschitz: float,
     return ScatteredModel(s_values, factors, float(lipschitz), eps, None)
 
 
-@dataclass(frozen=True, eq=False)
-class PicardResult:
+class PicardResult(NamedTuple):
     v_star: Signal
     # y* = N21 v* + N22 S(v*), from the S(v*) the residual evaluated.
     y_star: Signal
@@ -110,8 +108,7 @@ class PicardResult:
     iterates: tuple[Signal, ...] | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class PicardBatch:
+class PicardBatch(NamedTuple):
     """Results of one batched solve, one PicardResult per input, in order."""
 
     lanes: tuple[PicardResult, ...]

@@ -11,13 +11,13 @@ from __future__ import annotations
 import math
 import reprlib
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .errors import ShapeError
-from .signals import Signal, _require_compatible, manifest_values, norm
+from .signals import (Frozen, Signal, Value, _require_compatible,
+                      manifest_values, norm)
 
 PROVEN = "proven"
 UNKNOWN = "unknown"
@@ -38,36 +38,34 @@ SCALAR_KINDS = (
 LANE_BUDGET = 2**15
 
 
-@dataclass(frozen=True)
-class ScalarKernelSpec:
+class ScalarKernelSpec(Value):
     """One scalar kernel from the catalog, identified by kind plus parameters."""
 
-    kind: str
-    sigma: float | None = None
-    c: float | None = None
-    d: float | None = None
-    beta: float | None = None
+    __slots__ = ("kind", "sigma", "c", "d", "beta")
 
-    def __post_init__(self):
-        if self.kind not in SCALAR_KINDS:
-            raise ValueError(f"unknown scalar kernel kind {self.kind!r}")
-        if self.kind in ("gaussian", "laplacian"):
-            if self.sigma is None or self.sigma <= 0:
-                raise ValueError(f"{self.kind} kernel needs sigma > 0")
-        if self.kind == "polynomial":
-            if self.c is None or self.c < 0:
+    def __init__(self, kind: str, sigma: float | None = None,
+                 c: float | None = None, d: float | None = None,
+                 beta: float | None = None):
+        if kind not in SCALAR_KINDS:
+            raise ValueError(f"unknown scalar kernel kind {kind!r}")
+        if kind in ("gaussian", "laplacian"):
+            if sigma is None or sigma <= 0:
+                raise ValueError(f"{kind} kernel needs sigma > 0")
+        if kind == "polynomial":
+            if c is None or c < 0:
                 raise ValueError("polynomial kernel needs offset c >= 0")
-            if self.d is None or self.d != int(self.d) or self.d < 1:
+            if d is None or d != int(d) or d < 1:
                 raise ValueError("polynomial kernel needs integer degree d >= 1")
-        if self.kind == "inverse_power":
+        if kind == "inverse_power":
             # c = 0 would make k(u, u) singular
-            if self.c is None or self.c <= 0:
+            if c is None or c <= 0:
                 raise ValueError("inverse power kernel needs offset c > 0")
-            if self.d is None or self.d <= 0:
+            if d is None or d <= 0:
                 raise ValueError("inverse power kernel needs exponent d > 0")
-        if self.kind == "stable_spline":
-            if self.beta is None or self.beta <= 0:
+        if kind == "stable_spline":
+            if beta is None or beta <= 0:
                 raise ValueError("stable spline kernel needs beta > 0")
+        self._set(kind=kind, sigma=sigma, c=c, d=d, beta=beta)
 
 
 def bilinear() -> ScalarKernelSpec:
@@ -175,8 +173,11 @@ def _frozen_matrix(r, name: str) -> np.ndarray:
     return arr
 
 
-class OperatorKernel(ABC):
-    """Common interface: batched evaluation through row_terms, structure flags."""
+class OperatorKernel(Frozen, ABC):
+    """Common interface: batched evaluation through row_terms, structure
+    flags.  Kernels are immutable."""
+
+    __slots__ = ()
 
     @property
     @abstractmethod
@@ -215,21 +216,19 @@ class OperatorKernel(ABC):
         return out.reshape(steps * p, steps * p)
 
 
-@dataclass(frozen=True, eq=False)
 class SeparableKernel(OperatorKernel):
     """Scalar kernel times a fixed symmetric positive semidefinite matrix."""
 
-    scalar: ScalarKernelSpec
-    R: np.ndarray
+    __slots__ = ("scalar", "R")
 
-    def __post_init__(self):
-        R = _frozen_matrix(self.R, "R")
+    def __init__(self, scalar: ScalarKernelSpec, R: np.ndarray):
+        R = _frozen_matrix(R, "R")
         if np.abs(R - R.T).max() > 1e-12 * max(1.0, np.abs(R).max()):
             raise ShapeError("separable kernel matrix must be symmetric")
         eig = np.linalg.eigvalsh(R)
         if eig.min() < -1e-12 * max(1.0, np.abs(eig).max()):
             raise ValueError(f"separable kernel matrix has eigenvalue {eig.min():.3e} < 0")
-        object.__setattr__(self, "R", R)
+        self._set(scalar=scalar, R=R)
 
     @property
     def output_dim(self) -> int:
@@ -247,16 +246,15 @@ class SeparableKernel(OperatorKernel):
         return [(_scalar_batch(self.scalar, centers, uvals, pasts), self.R)]
 
 
-@dataclass(frozen=True, eq=False)
 class SumKernel(OperatorKernel):
     """Nonnegative combination sum_i alpha_i K_i of kernels with equal output dim."""
 
-    weights: tuple[float, ...]
-    children: tuple[OperatorKernel, ...]
+    __slots__ = ("weights", "children")
 
-    def __post_init__(self):
-        weights = tuple(float(w) for w in self.weights)
-        children = tuple(self.children)
+    def __init__(self, weights: tuple[float, ...],
+                 children: tuple[OperatorKernel, ...]):
+        weights = tuple(float(w) for w in weights)
+        children = tuple(children)
         if len(weights) != len(children) or not children:
             raise ShapeError("need one weight per child kernel")
         if any(w < 0 for w in weights):
@@ -264,8 +262,7 @@ class SumKernel(OperatorKernel):
         dims = {child.output_dim for child in children}
         if len(dims) != 1:
             raise ShapeError(f"children disagree on output dim: {sorted(dims)}")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "children", children)
+        self._set(weights=weights, children=children)
 
     @property
     def output_dim(self) -> int:
@@ -306,16 +303,15 @@ def ConjugatedKernel(scalar: ScalarKernelSpec, R) -> SeparableKernel:
     return SeparableKernel(scalar, R @ R.T)
 
 
-@dataclass(frozen=True, eq=False)
 class CausalDiagonalKernel(OperatorKernel):
     """Samplewise kernel acting on truncated pasts: sample t of K(u, v) y is
     K_t(u restricted to [0, t], v restricted to [0, t]) applied to y(t)."""
 
-    children: Union[OperatorKernel, tuple[OperatorKernel, ...]]
+    __slots__ = ("children",)
 
-    def __post_init__(self):
-        shared = isinstance(self.children, OperatorKernel)
-        per_time = (self.children,) if shared else tuple(self.children)
+    def __init__(self, children: OperatorKernel | tuple[OperatorKernel, ...]):
+        shared = isinstance(children, OperatorKernel)
+        per_time = (children,) if shared else tuple(children)
         if not per_time:
             raise ShapeError("need at least one per-sample child kernel")
         dims = {child.output_dim for child in per_time}
@@ -324,7 +320,7 @@ class CausalDiagonalKernel(OperatorKernel):
         for child in per_time:
             if not child.is_uniform:
                 raise ShapeError("per-sample children must act by a single matrix")
-        object.__setattr__(self, "children", per_time[0] if shared else per_time)
+        self._set(children=per_time[0] if shared else per_time)
 
     def _child(self, t: int) -> OperatorKernel:
         if isinstance(self.children, OperatorKernel):
@@ -468,11 +464,11 @@ def _matrix_to_json(R: np.ndarray):
     return R.tolist()
 
 
-def _matrix_from_json(obj, p: int) -> np.ndarray:
+def _matrix_from_json(obj, p: int | None) -> np.ndarray:
     if isinstance(obj, str):
         if obj != "identity":
             raise ValueError(f"unknown matrix shorthand {obj!r}")
-        return np.eye(p)
+        return np.eye(1 if p is None else p)
     return np.array(obj, dtype=float)
 
 
@@ -495,11 +491,13 @@ def _malformed(obj, why) -> ValueError:
     return ValueError(f"malformed kernel {reprlib.repr(obj)}: {why}")
 
 
-def _json_dim(obj: dict, p: int | None) -> int:
-    """A separable kernel's "p", by default p (else 1): an integer >= 1, and
-    equal to p when the caller knows the output dim."""
+def _json_dim(obj: dict, p: int | None) -> int | None:
+    """A separable kernel's "p", by default p: an integer >= 1, and equal to
+    p when the caller knows the output dim; None when neither gives one."""
+    if "p" not in obj:
+        return p
     try:
-        (dim,) = manifest_values({"p": 1 if p is None else p, **obj}, p="integer")
+        (dim,) = manifest_values(obj, p="integer")
         if dim < 1 or p not in (None, dim):
             raise ValueError(f"p must be {'at least 1' if p is None else p}, "
                              f"got {dim}")
@@ -512,14 +510,19 @@ def kernel_from_json(obj: dict, p: int | None = None) -> OperatorKernel:
     """Rebuild a kernel from its JSON form; certificates are re-derived.
 
     p is the output dim the caller expects, if it knows one; every
-    separable part is checked against it before its matrix is built.  A
-    missing field or a value of the wrong type raises ValueError naming the
-    kernel object that holds it.
+    separable part's "p" is checked against it before its matrix is built,
+    and an explicit R against that dim.  A missing field or a value of the
+    wrong type or size raises ValueError naming the kernel object that
+    holds it.
     """
     try:
         structure = obj.get("structure", "separable")
         if structure in ("separable", "conjugated"):
-            R = _matrix_from_json(obj.get("R", "identity"), _json_dim(obj, p))
+            dim = _json_dim(obj, p)
+            R = _matrix_from_json(obj.get("R", "identity"), dim)
+            if dim is not None and R.shape != (dim, dim):
+                raise _malformed(obj, f"R must be {dim} x {dim}, "
+                                      f"got shape {R.shape}")
             build = SeparableKernel if structure == "separable" else ConjugatedKernel
             return build(_scalar_from_json(obj["scalar"]), R)
         if structure == "sum":

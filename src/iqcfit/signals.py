@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -22,18 +22,66 @@ from .errors import ShapeError
 TIME_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+class Frozen:
+    """Base of the library's immutable classes: assigning or deleting an
+    attribute raises AttributeError.  __init__ sets each field once through
+    _set."""
+
+    __slots__ = ()
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # copy and pickle restore the fields here, not through __setattr__;
+        # state is the __dict__, or (the __dict__ or None, the slot values)
+        for fields in state if isinstance(state, tuple) else (state,):
+            self._set(**(fields or {}))
+
+
+class Value(Frozen):
+    """A Frozen class that compares, hashes and prints by its __slots__, as
+    a frozen dataclass does by its fields.  It needs at least two slots, so
+    that _values gives a tuple."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._values = operator.attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._values(self)))
+        return f"{type(self).__name__}({fields})"
+
+
+class TimeGrid(Value):
     """Uniform grid t_j = j*dt for j = 0, ..., tau."""
 
-    tau: int
-    dt: float = 1.0
+    __slots__ = ("tau", "dt")
 
-    def __post_init__(self):
-        if not isinstance(self.tau, int) or self.tau < 0:
-            raise ShapeError(f"tau must be a nonnegative integer, got {self.tau!r}")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+    def __init__(self, tau: int, dt: float = 1.0):
+        if not isinstance(tau, int) or tau < 0:
+            raise ShapeError(f"tau must be a nonnegative integer, got {tau!r}")
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {dt!r}")
+        self._set(tau=tau, dt=dt)
 
     @property
     def size(self) -> int:
@@ -43,22 +91,20 @@ class TimeGrid:
         return np.arange(self.size) * self.dt
 
 
-@dataclass(frozen=True, eq=False)
-class Signal:
+class Signal(Frozen):
     """Immutable trajectory with samples stacked as a (tau+1, dim) array."""
 
-    grid: TimeGrid
-    values: np.ndarray
+    __slots__ = ("grid", "values")
 
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+    def __init__(self, grid: TimeGrid, values: np.ndarray):
+        arr = np.asarray(values, dtype=float)
         if arr.ndim == 1:
             arr = arr[:, None]
         if arr.ndim != 2:
             raise ShapeError(f"signal values must be 1-d or 2-d, got ndim={arr.ndim}")
-        if arr.shape[0] != self.grid.size:
+        if arr.shape[0] != grid.size:
             raise ShapeError(
-                f"expected {self.grid.size} samples for tau={self.grid.tau}, "
+                f"expected {grid.size} samples for tau={grid.tau}, "
                 f"got {arr.shape[0]}"
             )
         if arr.shape[1] < 1:
@@ -67,7 +113,7 @@ class Signal:
             raise ValueError("signal contains non-finite samples")
         arr = arr.copy()
         arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        self._set(grid=grid, values=arr)
 
     @property
     def dim(self) -> int:
@@ -151,16 +197,13 @@ def truncate(f: Signal, T: int) -> Signal:
     return Signal(f.grid, out)
 
 
-@dataclass(frozen=True, eq=False)
-class Dataset:
+class Dataset(Frozen):
     """Paired input/output trajectories on one shared grid."""
 
-    inputs: tuple[Signal, ...]
-    outputs: tuple[Signal, ...]
+    __slots__ = ("inputs", "outputs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
+    def __init__(self, inputs: tuple[Signal, ...], outputs: tuple[Signal, ...]):
+        self._set(inputs=tuple(inputs), outputs=tuple(outputs))
         if len(self.inputs) == 0 or len(self.inputs) != len(self.outputs):
             raise ShapeError(
                 f"need matching nonempty input/output lists, got "

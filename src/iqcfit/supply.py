@@ -9,21 +9,19 @@ Phi into plain nonexpansiveness of the transformed operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ShapeError, SignatureError
-from .signals import Dataset, Signal, read_json
+from .signals import Dataset, Frozen, Signal, read_json
 
 # Relative eigenvalue floor below which Phi counts as singular.
 SINGULAR_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SignatureReport:
+class SignatureReport(NamedTuple):
     n_positive: int
     n_negative: int
     min_abs_eigenvalue: float
@@ -61,19 +59,16 @@ def verify_signature(phi: np.ndarray, m: int, p: int) -> SignatureReport:
     return report
 
 
-@dataclass(frozen=True, eq=False)
-class SupplyRate:
+class SupplyRate(Frozen):
     """Symmetric nonsingular supply matrix with inertia (m, p)."""
 
-    phi: np.ndarray
-    m: int
-    p: int
+    __slots__ = ("phi", "m", "p")
 
-    def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float).copy()
-        verify_signature(phi, self.m, self.p)
+    def __init__(self, phi: np.ndarray, m: int, p: int):
+        phi = np.asarray(phi, dtype=float).copy()
+        verify_signature(phi, m, p)
         phi.setflags(write=False)
-        object.__setattr__(self, "phi", phi)
+        self._set(phi=phi, m=m, p=p)
 
 
 def passivity_supply(m: int = 1) -> SupplyRate:
@@ -93,19 +88,15 @@ def gain_supply(delta: float, m: int = 1, p: int | None = None) -> SupplyRate:
     return SupplyRate(phi, m, p)
 
 
-@dataclass(frozen=True, eq=False)
-class ScatteringFactors:
+class ScatteringFactors(Frozen):
     """Invertible M with M' Sigma M = Phi, plus its inverse N, in blocks."""
 
-    M: np.ndarray
-    N: np.ndarray
-    m: int
-    p: int
+    __slots__ = ("M", "N", "m", "p")
 
-    def __post_init__(self):
-        M = np.asarray(self.M, dtype=float).copy()
-        N = np.asarray(self.N, dtype=float).copy()
-        d = self.m + self.p
+    def __init__(self, M: np.ndarray, N: np.ndarray, m: int, p: int):
+        M = np.asarray(M, dtype=float).copy()
+        N = np.asarray(N, dtype=float).copy()
+        d = m + p
         if M.shape != (d, d) or N.shape != (d, d):
             raise ShapeError(f"factor matrices must be {d}x{d}")
         scale = max(1.0, np.abs(M).max() * np.abs(N).max())
@@ -113,8 +104,7 @@ class ScatteringFactors:
             raise ShapeError("N is not the inverse of M within tolerance")
         for arr in (M, N):
             arr.setflags(write=False)
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "N", N)
+        self._set(M=M, N=N, m=m, p=p)
 
     # Block accessors, partitioned after the first m rows/columns.
     @property
@@ -207,8 +197,7 @@ def iiqc_residual(supply: SupplyRate, u: Signal, v: Signal, y: Signal, z: Signal
     return float(np.einsum("tj,jk,tk->", x, supply.phi, x))
 
 
-@dataclass(frozen=True)
-class IiqcReport:
+class IiqcReport(NamedTuple):
     min_residual: float
     worst_pair: int
     worst_horizon: int

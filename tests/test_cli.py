@@ -74,6 +74,67 @@ def test_help_exits_cleanly():
         assert cli.main([command, "--help"]) == 0
 
 
+def _parser_outcome(parser, argv):
+    """What parse_args gives for argv: the parsed flags or the exit code,
+    plus everything written to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _every_flag(command):
+    """argv for command giving each of its flags a value."""
+    argv = [command, "--config", "cfg.json"]
+    for opt in cli.COMMANDS[command][2]:
+        flag = "--" + opt.name.replace("_", "-")
+        if opt.parse is cli._flag:
+            argv.append(flag)
+        elif opt.parse is cli._texts:
+            argv += [flag[:-1], "a.csv", flag[:-1], "b.csv"]
+        else:
+            argv += [flag, "1"]
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_one_subparser_matches_the_full_parser(command):
+    # the full parser is the oracle for help, parses and usage errors
+    full, single = cli.build_parser(), cli.build_parser(command)
+    names = {opt.name for opt in cli.COMMANDS[command][2]}
+    for argv in ([command, "--help"], _every_flag(command),
+                 [command, "--bogus"], [command, "extra"],
+                 [command, "--config"]):
+        want = _parser_outcome(full, argv)
+        assert _parser_outcome(single, argv) == want
+        if argv[1] == "--help":
+            assert want[0] == 0
+            assert want[1].startswith(f"usage: iqcfit {command} [-h]")
+        elif isinstance(want[0], dict):
+            assert set(want[0]) == {"command", "config", *names}
+        else:
+            assert want[0] == 2 and "error:" in want[2]
+
+
+def test_main_builds_only_the_named_command(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: built.append(command)
+                        or build(command))
+    for argv in (["fit", "--help"], ["--help"], [], ["bogus"], ["-h", "fit"]):
+        cli.main(argv)
+    assert built == ["fit", None, None, None, None]
+    capsys.readouterr()
+    assert cli.main(["--help"]) == 0
+    listed = capsys.readouterr().out.split("positional arguments:")[1]
+    for command, (summary, _, _) in cli.COMMANDS.items():
+        assert f"    {command}" in listed and summary in listed
+
+
 def test_gen_data_defaults(tmp_path):
     out = tmp_path / "gen"
     assert cli.main(["gen-data", "--out", str(out), "--quiet"]) == 0
@@ -205,6 +266,8 @@ def _extra(**record):
     ("data", lambda meta: {**meta, "dt": None}),
     ("model", lambda meta: {**meta, "kernel": {**meta["kernel"], "p": "x"}}),
     ("model", lambda meta: {**meta, "kernel": {**meta["kernel"], "p": 10_000_000}}),
+    ("model", lambda meta: {**meta, "kernel": {**meta["kernel"],
+                                               "R": [[1, 0], [0, 1]]}}),
     ("model", lambda meta: {**meta, "extra": 5}),
     ("model", _extra(supply=5)),
     ("simulate", _extra(supply=5)),
@@ -213,7 +276,7 @@ def _extra(**record):
     ("simulate", _extra(scale=5)),
     ("simulate", _extra(scale={"a": 1})),
 ], ids=["sum-weights", "scalar-name", "manifest-list", "dt-null", "kernel-p",
-        "kernel-p-huge",
+        "kernel-p-huge", "kernel-R-side",
         "extra-not-object", "check-supply-number", "simulate-supply-number",
         "check-gain-delta-list", "simulate-gain-delta-list",
         "simulate-scale-number", "simulate-scale-without-b"])
@@ -252,7 +315,9 @@ def test_malformed_json_is_usage_error(ws, tmp_path, capsys, target, edit):
     ({"R": "identity", "p": -1}, "p"),
     ({"structure": "sum", "weights": "ab",
       "children": [{"scalar": {"kind": "bilinear"}}] * 2}, "weights"),
-], ids=["p-huge", "p-zero", "p-negative", "weights-text"])
+    ({"R": [[1, 0], [0, 1]]}, "R"),
+    ({"R": [[1, 0], [0, 1]], "p": 1}, "R"),
+], ids=["p-huge", "p-zero", "p-negative", "weights-text", "R-side", "R-side-p"])
 def test_kernel_json_faults_name_the_kernel(ws, tmp_path, capsys, fields, says):
     # refused before any matrix of the kernel is built
     path = tmp_path / "kernel.json"

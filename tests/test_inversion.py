@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +19,8 @@ from iqcfit.kernels import (CausalDiagonalKernel, SeparableKernel, SumKernel,
 from iqcfit.rkhs import evaluate, fit, tune_gamma, values_evaluator
 from iqcfit.signals import (Dataset, Signal, TimeGrid, constant_signal, norm,
                             random_signal, truncate, zeros)
-from iqcfit.supply import check_operator_iiqc, factor_phi, gain_supply, passivity_supply
+from iqcfit.supply import (SupplyRate, check_operator_iiqc, factor_phi,
+                           gain_supply, passivity_supply)
 
 ROOT2 = np.sqrt(2.0)
 
@@ -132,6 +131,64 @@ def test_picard_error_envelope():
         for k, it in enumerate(result.iterates):
             err = np.linalg.norm(it.values - v_star)
             assert err <= ell ** k * base * (1 + 1e-9) + 1e-13
+
+
+def _supply(kind, m, p, rng):
+    if kind == "passivity":
+        return passivity_supply(m)
+    if kind == "gain":
+        return gain_supply(float(rng.uniform(0.1, 10.0)), m, p)
+    M = np.eye(m + p) + 0.3 * rng.standard_normal((m + p, m + p))
+    sigma = np.diag([1.0] * m + [-1.0] * p)
+    return SupplyRate(M.T @ sigma @ M, m, p)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), tau=st.integers(0, 5),
+       dims=st.sampled_from([(1, 1), (2, 2), (1, 2), (2, 1)]),
+       kind=st.sampled_from(["passivity", "gain", "random"]),
+       ell=st.floats(0.0, 0.99, exclude_max=True),
+       operator=st.sampled_from(["gaussian", "+identity", "-identity"]),
+       lanes=st.lists(st.sampled_from([0.0, 0.1, 1.0, 5.0]), min_size=1,
+                      max_size=4),
+       tol=st.sampled_from([None, 1e-9]))
+def test_picard_error_bound_holds(seed, tau, dims, kind, ell, operator, lanes,
+                                  tol):
+    # S(v) = ell A v with ||A|| = 1; every lane's error_bound bounds its
+    # distance to the exact fixed point, solved one at a time and batched.
+    # A = +-I makes some iterations contract by exactly eps, where the
+    # bound is attained.
+    m, p = (dims[0], dims[0]) if kind == "passivity" else dims
+    rng = np.random.default_rng(seed)
+    grid, steps = TimeGrid(tau), tau + 1
+    factors = factor_phi(_supply(kind, m, p, rng))
+    n11_inv = np.linalg.inv(factors.n11)
+    coupling = np.linalg.svd(n11_inv @ factors.n12, compute_uv=False).max()
+    ell = ell / max(1.0, coupling)  # keeps eps = ell ||N11^-1 N12|| < 0.99
+    if operator == "gaussian":
+        A = rng.standard_normal((steps * p, steps * m))
+        A /= np.linalg.norm(A, 2)
+    else:
+        A = float(operator[0] + "1") * np.eye(steps * p, steps * m)
+    model = scattered_from_operator(
+        lambda v: Signal(grid, ell * (A @ v.values.ravel()).reshape(steps, p)),
+        ell, factors, grid)
+    inputs = [random_signal(grid, m, rng, scale=scale) for scale in lanes]
+    # (I + N11^-1 N12 ell A) v* = N11^-1 u, with N11^-1 N12 acting samplewise
+    system = (np.eye(steps * m)
+              + np.kron(np.eye(steps), n11_inv @ factors.n12) @ (ell * A))
+    single = [picard_solve(model, u, tol=tol) for u in inputs]
+    batch = picard_solve(model, inputs, tol=tol).lanes
+    for u, alone, lane in zip(inputs, single, batch):
+        base = np.kron(np.eye(steps), n11_inv) @ u.values.ravel()
+        v_star = np.linalg.solve(system, base)
+        # Rounding in each step and in the reference solve, amplified by
+        # at most 1 / (1 - eps), is not in the exact-arithmetic bound.
+        allowance = (16 * np.finfo(float).eps / (1.0 - model.epsilon)
+                     * (np.linalg.norm(base) + np.linalg.norm(v_star)))
+        for result in (alone, lane):
+            error = np.linalg.norm(result.v_star.values.ravel() - v_star)
+            assert error <= result.error_bound + allowance
 
 
 def test_picard_ends_on_zero_and_tiny_inputs():
@@ -342,7 +399,7 @@ def test_batched_solve_matches_single_solves(name, kinds, seed, tol, budget):
         # small budgets split the batch over several evaluator chunks
         mp.setattr(rkhs, "LANE_BUDGET", budget)
         if model.fitted is not None:
-            model = replace(model, s=values_evaluator(model.fitted))
+            model = model._replace(s=values_evaluator(model.fitted))
         batch = picard_solve(model, inputs, tol=tol)
     assert isinstance(batch, PicardBatch)
     assert len(batch.lanes) == len(inputs)
@@ -370,7 +427,7 @@ def test_each_lane_costs_iterations_plus_one_evaluations():
         seen.append(len(vals))
         return model.s(vals)
 
-    counted = replace(model, s=s)
+    counted = model._replace(s=s)
     rng = np.random.default_rng(89)
     grid = TimeGrid(5)
     inputs = [random_signal(grid, 1, rng) for _ in range(3)] + [zeros(grid)]

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +10,7 @@ from iqcfit.kernels import (
     SCALAR_KINDS,
     CausalDiagonalKernel,
     ConjugatedKernel,
+    OperatorKernel,
     SeparableKernel,
     SumKernel,
     bilinear,
@@ -23,6 +22,7 @@ from iqcfit.kernels import (
     stable_spline,
 )
 from iqcfit.rkhs import (
+    FittedOperator,
     GramOperator,
     Spectral,
     build_gram,
@@ -114,6 +114,30 @@ def test_gram_dense_cap(monkeypatch):
     monkeypatch.setattr(rkhs, "DENSE_CAP", 4)
     with pytest.raises(NumericalError, match="block side 5 exceeds cap 4"):
         build_gram(CausalDiagonalKernel(kernel), inputs)
+
+
+class _SkewedKernel(OperatorKernel):
+    """K(u, c) = u(0) I: not symmetric in its arguments, for the Gram check."""
+
+    output_dim = 2
+    is_causal = False
+    is_uniform = True
+
+    def row_terms(self, centers, uvals, pasts=False):
+        return [(np.repeat(uvals[:, :1, 0], len(centers), axis=1), np.eye(2))]
+
+
+@pytest.mark.parametrize("layout", ["kronecker", "dense"])
+@pytest.mark.parametrize("budget", [2**15, 16])
+def test_asymmetric_gram_raises(monkeypatch, layout, budget):
+    # rows of a chunk below its diagonal block are mirrored, so the
+    # asymmetry must be found inside the diagonal blocks (2 x 2 centers
+    # each under the small budget)
+    monkeypatch.setattr(rkhs, "LANE_BUDGET", budget)
+    inputs = tuple(Signal(TimeGrid(0), [float(x)]) for x in range(4))
+    with pytest.raises(NumericalError,
+                       match="^assembled Gram matrix is not symmetric$"):
+        build_gram(_SkewedKernel(), inputs, layout=layout)
 
 
 def test_fit_single_center_closed_form():
@@ -707,7 +731,9 @@ def test_save_fitted_reuses_the_fit_targets(tmp_path, monkeypatch):
     rng = np.random.default_rng(60)
     data = _random_dataset(rng, n=4, tau=3)
     model = fit(SeparableKernel(gaussian(2.0), np.eye(1)), data, gamma=0.05)
-    save_fitted(replace(model, targets=None), tmp_path / "rebuilt")
+    save_fitted(FittedOperator(model.kernel, model.centers, model.coefficients,
+                               model.gamma, model.rkhs_norm),
+                tmp_path / "rebuilt")
     builds = []
     monkeypatch.setattr(rkhs, "build_gram",
                         lambda *a, **k: builds.append(a) or build_gram(*a, **k))
