@@ -5,6 +5,10 @@ class ShapeError(ValueError):
     """Array or signal dimensions are inconsistent."""
 
 
+class KernelSpecError(ValueError):
+    """A kernel's JSON form is malformed; the message names the kernel."""
+
+
 class SignatureError(ValueError):
     """A supply matrix does not have the required inertia."""
 

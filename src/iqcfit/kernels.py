@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import KernelSpecError, ShapeError
 from .signals import (Frozen, Signal, Value, _require_compatible,
                       manifest_values, norm)
 
@@ -487,8 +487,8 @@ def kernel_to_json(kernel: AnyKernel) -> dict:
             "children": [kernel_to_json(c) for c in k.children]}
 
 
-def _malformed(obj, why) -> ValueError:
-    return ValueError(f"malformed kernel {reprlib.repr(obj)}: {why}")
+def _malformed(obj, why) -> KernelSpecError:
+    return KernelSpecError(f"malformed kernel {reprlib.repr(obj)}: {why}")
 
 
 def _json_dim(obj: dict, p: int | None) -> int | None:
@@ -511,9 +511,9 @@ def kernel_from_json(obj: dict, p: int | None = None) -> OperatorKernel:
 
     p is the output dim the caller expects, if it knows one; every
     separable part's "p" is checked against it before its matrix is built,
-    and an explicit R against that dim.  A missing field or a value of the
-    wrong type or size raises ValueError naming the kernel object that
-    holds it.
+    and an explicit R against that dim.  A missing field, a value of the
+    wrong type or size, or one the kernel refuses raises ValueError naming
+    the innermost kernel object that holds it.
     """
     try:
         structure = obj.get("structure", "separable")
@@ -538,6 +538,10 @@ def kernel_from_json(obj: dict, p: int | None = None) -> OperatorKernel:
                 return CausalDiagonalKernel(kernel_from_json(obj["child"], p))
             return CausalDiagonalKernel(tuple(kernel_from_json(c, p)
                                               for c in obj["children"]))
+        raise ValueError(f"unknown kernel structure {structure!r}")
+    except KernelSpecError:  # a child's fault, named already
+        raise
+    except ValueError as exc:  # a value the kernel's constructor refuses
+        raise _malformed(obj, exc) from None
     except (TypeError, KeyError, AttributeError, OverflowError) as exc:
         raise _malformed(obj, f"{type(exc).__name__} {exc}") from None
-    raise ValueError(f"unknown kernel structure {structure!r}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
@@ -20,7 +21,7 @@ from .errors import ConvergenceError, NumericalError, ShapeError
 from .kernels import (LANE_BUDGET, OperatorKernel, as_operator,
                       kernel_from_json, kernel_to_json)
 from .signals import (Dataset, Frozen, Signal, TimeGrid, located,
-                      manifest_values, norm, read_json, read_signal, write_signal)
+                      manifest_values, norm, read_json)
 
 # Gram blocks above this side length are refused: centers x channels in the
 # dense form, centers alone in the factored one.
@@ -129,8 +130,14 @@ def build_gram(kernel: OperatorKernel, inputs: tuple[Signal, ...],
         raise ValueError(f"unknown gram layout {layout!r}")
     X = _stack(inputs)
     n, steps, p = len(inputs), grid.size, kernel.output_dim
-    chunk = max(1, LANE_BUDGET // (n * steps * max(m, p)))
-    terms = kernel.row_terms(X, X[:chunk])
+    # rows lo:hi are evaluated against the n - lo centers from row lo on,
+    # so the chunks of rows grow as lo does
+    bounds = [0]
+    while bounds[-1] < n:
+        lo = bounds[-1]
+        bounds.append(min(n, lo + max(1, LANE_BUDGET
+                                      // ((n - lo) * steps * max(m, p)))))
+    terms = kernel.row_terms(X, X[:bounds[1]])
     factored = len(terms) == 1 and layout != "dense"
     if layout == "kronecker" and not factored:
         raise ShapeError("kronecker layout needs a kernel with one channel matrix")
@@ -139,26 +146,23 @@ def build_gram(kernel: OperatorKernel, inputs: tuple[Signal, ...],
     if n * q > DENSE_CAP:
         raise NumericalError(f"Gram block side {n * q} exceeds cap {DENSE_CAP}")
     blocks = np.zeros((1 if kernel.is_uniform else steps, n, q, n, q))
-    for lo in range(0, n, chunk):
-        hi = lo + chunk
+    asymmetry = 0.0
+    for lo, hi in zip(bounds, bounds[1:]):
         if lo:
             terms = kernel.row_terms(X[lo:], X[lo:hi])
-        # rows lo:hi against centers lo onward; a term uniform in time has
-        # one weight matrix for every block, and the factored form keeps its
-        # one matrix out of the blocks
+        # a term uniform in time has one weight matrix for every block, and
+        # the factored form keeps its one matrix out of the blocks
         for w, Mt in terms:
             w = w.reshape(len(w), n - lo, -1).transpose(2, 0, 1)
             blocks[:, lo:hi, :, lo:] += w[:, :, None, :, None] * (
                 1.0 if factored else Mt[:, None, :])
-        # G is symmetric: the rows below the chunk take its columns
+        # G is symmetric: the rows below the chunk take its columns, so
+        # only the chunk's own diagonal block can fail the check
         blocks[:, hi:, :, lo:hi] = blocks[:, lo:hi, :, hi:].transpose(0, 3, 4, 1, 2)
+        own = blocks[:, lo:hi, :, lo:hi]
+        asymmetry = max(asymmetry, float(
+            np.abs(own - own.transpose(0, 3, 4, 1, 2)).max()))
     blocks = blocks.reshape(len(blocks), n * q, n * q)
-    # Mirrored entries are symmetric by construction, so only the chunks'
-    # diagonal blocks can fail; they lie within chunk * q of the diagonal.
-    i, d = np.indices((n * q, min(chunk, n) * q))
-    band = i + d < n * q
-    i, j = i[band], (i + d)[band]
-    asymmetry = np.abs(blocks[:, i, j] - blocks[:, j, i]).max()
     if asymmetry > 1e-10 * max(1.0, float(blocks.max()), -float(blocks.min())):
         raise NumericalError("assembled Gram matrix is not symmetric")
     return GramOperator(kernel, inputs, blocks, M)
@@ -421,16 +425,17 @@ def tune_gamma(kernel: OperatorKernel, data: Dataset, rho: float,
     return finish(hi)
 
 
-# Bundle manifest tag.  Each per-trajectory array of a bundle is one CSV:
-# the (n, steps, d) stack as a signal of n*d channels, column i*d + c holding
-# channel c of trajectory i.
-BUNDLE_FORMAT = "iqcfit-model-2"
-BUNDLE_FILES = ("centers.csv", "coefficients.csv", "targets.csv")
+# Bundle manifest tag.  Each (n, steps, d) stack of a bundle is one .npy
+# file of little-endian float64 in C order.
+BUNDLE_FORMAT = "iqcfit-model-3"
+BUNDLE_FILES = ("centers.npy", "coefficients.npy", "targets.npy")
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
 
 
 def save_fitted(model: FittedOperator, directory: str | Path,
                 extra: dict | None = None) -> Path:
-    """Write the model as a JSON manifest plus three stacked-trajectory CSVs."""
+    """Write the model as a JSON manifest plus three stacked .npy arrays."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -452,11 +457,57 @@ def save_fitted(model: FittedOperator, directory: str | Path,
                    + model.gamma * coeff)
     for name, stack in zip(BUNDLE_FILES,
                            (_stack(model.centers), coeff, targets)):
-        values = stack.transpose(1, 0, 2).reshape(model.grid.size, -1)
-        write_signal(Signal(model.grid, values), directory / name)
+        np.save(directory / name, np.ascontiguousarray(stack, dtype="<f8"),
+                allow_pickle=False)
     path = directory / "model.json"
     path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def _read_stack(path: Path, shape: tuple[int, int, int],
+                manifest: Path) -> np.ndarray:
+    """The stack of one bundle .npy file, which must hold exactly shape.
+
+    The header is checked (format version, dtype <f8, C order, shape) and
+    the file's size against it before any data is read, so a forged header
+    costs no allocation.  Every fault, a non-finite value too, raises a
+    ValueError that starts with the path.
+    """
+    try:
+        with path.open("rb") as fh:
+            version = np.lib.format.read_magic(fh)
+            if version not in _NPY_HEADERS:
+                raise ValueError(f"unsupported .npy format version {version}")
+            try:
+                got, fortran, dtype = _NPY_HEADERS[version](fh)
+            # literal_eval of a hostile header raises more than ValueError
+            except (TypeError, MemoryError, RecursionError) as exc:
+                raise ValueError(f"unreadable .npy header: "
+                                 f"{type(exc).__name__} {exc}") from None
+            if dtype != np.dtype("<f8") or fortran:
+                raise ValueError(f"array must be little-endian float64 (<f8) "
+                                 f"in C order, got {dtype.str} with "
+                                 f"fortran_order {fortran}")
+            if got != shape:
+                raise ShapeError(
+                    f"array of shape {got}, but {manifest} declares "
+                    f"n={shape[0]} trajectories of {shape[1]} samples "
+                    f"x {shape[2]} channels")
+            size = 8 * math.prod(shape)
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if left != size:
+                raise ValueError(f"{left} bytes of data, but its header "
+                                 f"declares {size}")
+            stack = np.frombuffer(fh.read(), dtype="<f8").reshape(shape)
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror or exc}") from None
+    except ShapeError as exc:
+        raise ShapeError(f"{path}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not np.isfinite(stack).all():
+        raise ValueError(f"{path}: non-finite value")
+    return stack
 
 
 def load_fitted(location: str | Path) -> FittedOperator:
@@ -465,14 +516,18 @@ def load_fitted(location: str | Path) -> FittedOperator:
     base = path.parent
     meta = read_json(path)
     try:
-        if meta.get("format") == "iqcfit-model":
-            raise ValueError("model bundle in the old per-trajectory layout; "
-                             f"refit the model to write format {BUNDLE_FORMAT}")
+        if meta.get("format") in ("iqcfit-model", "iqcfit-model-2"):
+            raise ValueError(f"model bundle of the old format "
+                             f"{meta['format']!r}; refit the model to write "
+                             f"format {BUNDLE_FORMAT}")
         if meta.get("format") != BUNDLE_FORMAT:
             raise ValueError("not a model bundle")
         dt, n, tau, m, p, gamma, stored_norm = manifest_values(
             meta, dt="positive", n="integer", tau="integer", m="integer",
             p="integer", gamma="positive", rkhs_norm="finite")
+        if min(n, m, p) < 1 or tau < 0:
+            raise ValueError(f"n, m and p must be at least 1 and tau at "
+                             f"least 0, got n={n}, m={m}, p={p}, tau={tau}")
         kernel = kernel_from_json(meta["kernel"], p)
         steps = tau + 1
         extra = meta.get("extra") or {}
@@ -483,17 +538,9 @@ def load_fitted(location: str | Path) -> FittedOperator:
     except (TypeError, KeyError, AttributeError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed model manifest: "
                          f"{type(exc).__name__} {exc}") from None
-    stacks = []
-    for name, dim in zip(BUNDLE_FILES, (m, p, p)):
-        values = read_signal(base / name, dt=dt).values
-        if values.shape != (steps, n * dim):
-            raise ShapeError(
-                f"{base / name}: {values.shape[0]} samples of "
-                f"{values.shape[1]} channels, but {path} declares "
-                f"{steps} samples of n={n} trajectories x {dim} channels")
-        stacks.append(values.reshape(steps, n, dim).transpose(1, 0, 2).copy())
-    X, coeff, ybar = stacks
-    grid = TimeGrid(steps - 1, dt)
+    X, coeff, ybar = (_read_stack(base / name, (n, steps, dim), path)
+                      for name, dim in zip(BUNDLE_FILES, (m, p, p)))
+    grid = TimeGrid(tau, dt)
     centers = tuple(Signal(grid, x) for x in X)
     gram = build_gram(kernel, centers)
     residual = gram.apply(coeff) + gamma * coeff - ybar

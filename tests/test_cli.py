@@ -21,7 +21,6 @@ from iqcfit.signals import (
     TimeGrid,
     load_dataset,
     random_signal,
-    read_signal,
     save_dataset,
     write_signal,
     zeros,
@@ -268,6 +267,13 @@ def _extra(**record):
     ("model", lambda meta: {**meta, "kernel": {**meta["kernel"], "p": 10_000_000}}),
     ("model", lambda meta: {**meta, "kernel": {**meta["kernel"],
                                                "R": [[1, 0], [0, 1]]}}),
+    ("model", lambda meta: {**meta, "kernel": {**meta["kernel"],
+                                               "R": [[1, 0], [0]]}}),
+    ("model", lambda meta: {**meta, "kernel": {**meta["kernel"], "R": "eye"}}),
+    ("model", lambda meta: {**meta, "kernel": {**meta["kernel"], "scalar": {
+        "kind": "gaussian", "sigma": -2.0}}}),
+    ("model", lambda meta: {**meta, "kernel": {
+        "structure": "sum", "weights": [1.0], "children": [meta["kernel"]] * 2}}),
     ("model", lambda meta: {**meta, "extra": 5}),
     ("model", _extra(supply=5)),
     ("simulate", _extra(supply=5)),
@@ -276,7 +282,8 @@ def _extra(**record):
     ("simulate", _extra(scale=5)),
     ("simulate", _extra(scale={"a": 1})),
 ], ids=["sum-weights", "scalar-name", "manifest-list", "dt-null", "kernel-p",
-        "kernel-p-huge", "kernel-R-side",
+        "kernel-p-huge", "kernel-R-side", "kernel-R-ragged",
+        "kernel-R-shorthand", "kernel-sigma-negative", "kernel-sum-one-weight",
         "extra-not-object", "check-supply-number", "simulate-supply-number",
         "check-gain-delta-list", "simulate-gain-delta-list",
         "simulate-scale-number", "simulate-scale-without-b"])
@@ -307,19 +314,39 @@ def test_malformed_json_is_usage_error(ws, tmp_path, capsys, target, edit):
     assert "Traceback" not in err
     if target in ("model", "simulate"):
         assert str(path) in err
+    fitted = _read_json(ws / "fit" / "model" / "model.json")["kernel"]
+    if target == "kernel" or (target == "model"
+                              and _read_json(path)["kernel"] != fitted):
+        assert "malformed kernel" in err
+
+
+_GAUSSIAN_NEGATIVE = {"scalar": {"kind": "gaussian", "sigma": -2.0}}
 
 
 @pytest.mark.parametrize("fields, says", [
-    ({"R": "identity", "p": 10_000_000}, "p"),
-    ({"R": "identity", "p": 0}, "p"),
-    ({"R": "identity", "p": -1}, "p"),
+    ({"R": "identity", "p": 10_000_000}, "p must be"),
+    ({"R": "identity", "p": 0}, "p must be"),
+    ({"R": "identity", "p": -1}, "p must be"),
     ({"structure": "sum", "weights": "ab",
-      "children": [{"scalar": {"kind": "bilinear"}}] * 2}, "weights"),
-    ({"R": [[1, 0], [0, 1]]}, "R"),
-    ({"R": [[1, 0], [0, 1]], "p": 1}, "R"),
-], ids=["p-huge", "p-zero", "p-negative", "weights-text", "R-side", "R-side-p"])
+      "children": [{"scalar": {"kind": "bilinear"}}] * 2}, "weights must be"),
+    ({"R": [[1, 0], [0, 1]]}, "R must be"),
+    ({"R": [[1, 0], [0, 1]], "p": 1}, "R must be"),
+    ({"R": [[1, 0], [0]]}, "setting an array element with a sequence"),
+    ({"R": "eye"}, "unknown matrix shorthand 'eye'"),
+    (_GAUSSIAN_NEGATIVE, "gaussian kernel needs sigma > 0"),
+    ({"structure": "sum", "weights": [1.0],
+      "children": [{"scalar": {"kind": "bilinear"}}] * 2},
+     "need one weight per child kernel"),
+    ({"structure": "sum", "weights": [1.0], "children": [_GAUSSIAN_NEGATIVE]},
+     "gaussian kernel needs sigma > 0"),
+    ({"structure": "causal_diagonal", "child": {
+        "structure": "sum", "weights": [1.0], "children": [_GAUSSIAN_NEGATIVE]}},
+     "gaussian kernel needs sigma > 0"),
+], ids=["p-huge", "p-zero", "p-negative", "weights-text", "R-side", "R-side-p",
+        "R-ragged", "R-shorthand", "sigma-negative", "sum-one-weight",
+        "sum-child-sigma", "causal-sum-child-sigma"])
 def test_kernel_json_faults_name_the_kernel(ws, tmp_path, capsys, fields, says):
-    # refused before any matrix of the kernel is built
+    # the innermost kernel holding the fault is named, once
     path = tmp_path / "kernel.json"
     path.write_text(json.dumps({"structure": "separable",
                                 "scalar": {"kind": "scaled_laplacian"},
@@ -331,7 +358,11 @@ def test_kernel_json_faults_name_the_kernel(ws, tmp_path, capsys, fields, says):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: malformed kernel")
-    assert f": {says} must be" in err
+    assert f": {says}" in err
+    assert err.count("malformed kernel") == 1
+    if "structure" in fields and "sigma" in says:
+        # a fault inside a child names the child, not its parents
+        assert err.startswith(f"error: malformed kernel {_GAUSSIAN_NEGATIVE}: ")
     assert "Traceback" not in err
 
 
@@ -413,24 +444,20 @@ def test_invalid_json_file_names_it(ws, tmp_path, capsys, target):
 def _old_layout(model):
     """Rewrite a bundle in the per-trajectory layout of format iqcfit-model."""
     meta = _read_json(model / "model.json")
-    n, m, p = meta["n"], meta["m"], meta["p"]
-    for name, prefix, d in (("centers", "center", m),
-                            ("coefficients", "coeff", p),
-                            ("targets", "target", p)):
-        stacked = read_signal(model / f"{name}.csv", dt=meta["dt"])
-        for i in range(n):
-            write_signal(Signal(stacked.grid, stacked.values[:, i * d:(i + 1) * d]),
-                         model / f"{prefix}_{i:03d}.csv")
-        (model / f"{name}.csv").unlink()
+    grid = TimeGrid(meta["tau"], meta["dt"])
+    for name, prefix in (("centers", "center"), ("coefficients", "coeff"),
+                         ("targets", "target")):
+        for i, values in enumerate(np.load(model / f"{name}.npy")):
+            write_signal(Signal(grid, values), model / f"{prefix}_{i:03d}.csv")
+        (model / f"{name}.npy").unlink()
     (model / "model.json").write_text(
         json.dumps({**meta, "format": "iqcfit-model"}))
     return model / "model.json"
 
 
 def _drop_coefficient_column(model):
-    path = model / "coefficients.csv"
-    coeff = read_signal(path)
-    write_signal(Signal(coeff.grid, coeff.values[:, :-1]), path)
+    path = model / "coefficients.npy"
+    np.save(path, np.load(path)[:, :, :-1])
     return path
 
 
@@ -447,15 +474,8 @@ def _truncate_manifest(model):
     return path
 
 
-@pytest.mark.parametrize("command", ["check", "simulate"])
-@pytest.mark.parametrize("damage", [_old_layout, _drop_coefficient_column,
-                                    _miscount, _truncate_manifest],
-                         ids=["old-layout", "missing-column", "n-mismatch",
-                              "not-json"])
-def test_damaged_bundle_is_usage_error(ws, tmp_path, capsys, command, damage):
-    model = tmp_path / "model"
-    shutil.copytree(ws / "fit" / "model", model)
-    offending = damage(model)
+def _bundle_args(ws, tmp_path, command, model):
+    """argv of a check or a simulate run that loads the bundle at model."""
     if command == "check":
         args = ["check", "--target", "model", "--model", str(model)]
     else:
@@ -464,13 +484,92 @@ def test_damaged_bundle_is_usage_error(ws, tmp_path, capsys, command, damage):
                      tmp_path / "zero.csv")
         args = ["simulate", "--model", str(model),
                 "--input", str(tmp_path / "zero.csv")]
+    return args + ["--out", str(tmp_path / "out"), "--quiet"]
+
+
+def _resaved(name, change):
+    """Edit of a bundle: one stack saved again as change(stack)."""
+    def edit(model):
+        path = model / name
+        np.save(path, change(np.load(path)), allow_pickle=True)
+        return path
+    return edit
+
+
+def _rewritten(name, change):
+    """Edit of a bundle: the bytes of one file replaced by change(bytes)."""
+    def edit(model):
+        path = model / name
+        path.write_bytes(change(path.read_bytes()))
+        return path
+    return edit
+
+
+def _with(index, value):
+    def change(stack):
+        stack[index] = value
+        return stack
+    return change
+
+
+def _huge_header(data):
+    """A .npy header declaring 10^18 x 10^18 x 2 doubles, before data."""
+    buf = io.BytesIO(data)
+    np.lib.format.read_magic(buf)
+    np.lib.format.read_array_header_1_0(buf)
+    out = io.BytesIO()
+    np.lib.format.write_array_header_1_0(out, {
+        "descr": "<f8", "fortran_order": False, "shape": (10**18, 10**18, 2)})
+    return out.getvalue() + buf.read()
+
+
+def _format_2(model):
+    path = model / "model.json"
+    path.write_text(json.dumps({**_read_json(path), "format": "iqcfit-model-2"}))
+    return path
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize("damage, says", [
+    (_old_layout, "refit the model"),
+    (_drop_coefficient_column, "model.json declares"),
+    (_miscount, "model.json declares n=3"),
+    (_truncate_manifest, "not valid JSON"),
+    (_rewritten("coefficients.npy", lambda b: b[:-1]), "bytes of data, but"),
+    (_rewritten("centers.npy", lambda b: b[:20]), "EOF: reading array header"),
+    (_rewritten("targets.npy", _huge_header), "array of shape (1000000000"),
+    (_resaved("centers.npy", lambda a: a.astype(np.float32)), "got <f4"),
+    (_resaved("targets.npy", lambda a: a.astype(">f8")), "got >f8"),
+    (_resaved("coefficients.npy", np.asfortranarray), "fortran_order True"),
+    (_resaved("centers.npy", lambda a: a.astype(object)), "got |O"),
+    (_resaved("coefficients.npy", _with((0, 1, 0), np.nan)), "non-finite"),
+    (_resaved("targets.npy", _with((1, 0, 0), -np.inf)), "non-finite"),
+    (_rewritten("centers.npy", lambda _: b"t,ch1\r\n0,1\r\n"),
+     "magic string is not correct"),
+    (_rewritten("targets.npy", lambda _: b""), "EOF: reading magic string"),
+    (_rewritten("coefficients.npy", lambda b: b[:6] + b"\x03" + b[7:]),
+     "unsupported .npy format version (3, 0)"),
+    (_resaved("targets.npy", lambda a: a[:, :-1]), "model.json declares"),
+    (_format_2, "refit the model"),
+], ids=["old-layout", "missing-column", "n-mismatch", "not-json", "truncated",
+        "truncated-header", "huge-shape", "float32", "big-endian",
+        "fortran-order", "object", "nan", "inf", "csv-text", "empty",
+        "npy-version-3", "samples-mismatch", "format-2"])
+def test_damaged_bundle_is_usage_error(ws, tmp_path, capsys, command, damage,
+                                       says):
+    # every fault ends in exit 2 and an error that starts with the path of
+    # a bundle file and names the damaged one
+    model = tmp_path / "model"
+    shutil.copytree(ws / "fit" / "model", model)
+    offending = damage(model)
     capsys.readouterr()
-    rc = cli.main(args + ["--out", str(tmp_path / "out"), "--quiet"])
+    rc = cli.main(_bundle_args(ws, tmp_path, command, model))
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith("error:")
-    assert "Traceback" not in err
+    assert err.startswith(f"error: {model}/")
     assert str(offending) in err
+    assert says in err
+    assert "Traceback" not in err
 
 
 def test_simulate_zero_model_is_identity(zero_model, tmp_path):
@@ -637,7 +736,10 @@ def test_fit_is_deterministic(ws, tmp_path):
             "--quiet"]
     assert cli.main(args + ["--out", str(tmp_path / "a")]) == 0
     assert cli.main(args + ["--out", str(tmp_path / "b")]) == 0
-    for rel in ("fit_report.json", "model/model.json", "model/coefficients.csv"):
+    names = sorted(f.name for f in (tmp_path / "a" / "model").iterdir())
+    assert names == ["centers.npy", "coefficients.npy", "model.json",
+                     "targets.npy"]
+    for rel in ["fit_report.json"] + [f"model/{name}" for name in names]:
         assert (tmp_path / "a" / rel).read_bytes() == \
             (tmp_path / "b" / rel).read_bytes()
 

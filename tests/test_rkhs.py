@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -138,6 +141,51 @@ def test_asymmetric_gram_raises(monkeypatch, layout, budget):
     with pytest.raises(NumericalError,
                        match="^assembled Gram matrix is not symmetric$"):
         build_gram(_SkewedKernel(), inputs, layout=layout)
+
+
+def _fixed_chunk_gram(kernel, inputs, chunk):
+    """The Gram blocks and channel matrix assembled with one chunk of rows
+    for every step, each against the centers from its first row on, the
+    rows below each chunk mirrored from its columns."""
+    X = rkhs._stack(inputs)
+    n, steps = X.shape[:2]
+    terms = kernel.row_terms(X, X[:1])
+    factored = len(terms) == 1
+    M = terms[0][1] if factored else np.eye(1)
+    q = kernel.output_dim // len(M)
+    blocks = np.zeros((1 if kernel.is_uniform else steps, n, q, n, q))
+    for lo in range(0, n, chunk):
+        hi = lo + chunk
+        for w, Mt in kernel.row_terms(X[lo:], X[lo:hi]):
+            w = w.reshape(len(w), n - lo, -1).transpose(2, 0, 1)
+            blocks[:, lo:hi, :, lo:] += w[:, :, None, :, None] * (
+                1.0 if factored else Mt[:, None, :])
+        blocks[:, hi:, :, lo:hi] = blocks[:, lo:hi, :, hi:].transpose(0, 3, 4, 1, 2)
+    return blocks.reshape(len(blocks), n * q, n * q), M
+
+
+@pytest.mark.parametrize("structure", ["separable", "sum", "causal-per-sample"])
+@pytest.mark.parametrize("n", [1, 2, 12, 200])
+def test_gram_chunks_match_fixed_chunk_oracle(monkeypatch, structure, n):
+    # chunks sized by the centers they evaluate, n - lo, give the blocks of
+    # a chunk fixed for the full center count, bit for bit
+    rng = np.random.default_rng(63)
+    tau, m, p = (20, 2, 2) if n == 200 else (5, 1, 2)
+    data = _random_dataset(rng, n=n, tau=tau, m=m, p=p)
+    kernel = _bundle_kernel(structure, p, tau + 1, rng)
+    calls, row_terms = [], type(kernel).row_terms
+    monkeypatch.setattr(type(kernel), "row_terms", lambda self, X, U, *a: (
+        calls.append(len(U)) or row_terms(self, X, U, *a)))
+    gram = build_gram(kernel, data.inputs)
+    monkeypatch.undo()
+    chunk = max(1, rkhs.LANE_BUDGET // (n * (tau + 1) * max(m, p)))
+    blocks, M = _fixed_chunk_gram(kernel, data.inputs, chunk)
+    assert gram.blocks.tobytes() == blocks.tobytes()
+    assert np.array_equal(gram.M, M)
+    # every row once, in fewer chunks than a fixed chunk takes, unless one
+    # chunk holds every row
+    assert sum(calls) == n
+    assert len(calls) < -(-n // chunk) or len(calls) == 1
 
 
 def test_fit_single_center_closed_form():
@@ -652,14 +700,51 @@ def test_bundle_detects_tampering(tmp_path):
     kernel = SeparableKernel(gaussian(2.0), np.eye(1))
     model = fit(kernel, data, gamma=0.05)
     save_fitted(model, tmp_path / "bundle")
-    coeff = tmp_path / "bundle" / "coefficients.csv"
-    lines = coeff.read_text().splitlines()
-    cells = lines[2].split(",")
-    cells[2] = f"{float(cells[2]) + 0.5}"
-    lines[2] = ",".join(cells)
-    coeff.write_text("\n".join(lines) + "\n")
+    coeff = tmp_path / "bundle" / "coefficients.npy"
+    stack = np.load(coeff)
+    stack[1, 1, 0] += 0.5
+    np.save(coeff, stack)
     with pytest.raises(NumericalError):
         load_fitted(tmp_path / "bundle")
+
+
+def test_bundle_header_is_checked_before_data(tmp_path):
+    # a manifest and a header that agree on a huge shape: the size check
+    # refuses the file before any of its data is read or allocated
+    rng = np.random.default_rng(61)
+    model = fit(SeparableKernel(gaussian(2.0), np.eye(1)),
+                _random_dataset(rng, n=3, tau=2), gamma=0.05)
+    bundle = tmp_path / "bundle"
+    manifest = save_fitted(model, bundle)
+    n = 10**12
+    meta = json.loads(manifest.read_text())
+    manifest.write_text(json.dumps({**meta, "n": n}))
+    path = bundle / "centers.npy"
+    with path.open("rb") as fh:
+        np.lib.format.read_magic(fh)
+        np.lib.format.read_array_header_1_0(fh)
+        data = fh.read()
+    with path.open("wb") as fh:
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": "<f8", "fortran_order": False, "shape": (n, 3, 1)})
+        fh.write(data)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                                         f"{len(data)} bytes of data, but its "
+                                         f"header declares {8 * n * 3}$"):
+        load_fitted(bundle)
+
+
+def test_bundle_of_no_trajectories_names_its_manifest(tmp_path):
+    rng = np.random.default_rng(64)
+    model = fit(SeparableKernel(gaussian(2.0), np.eye(1)),
+                _random_dataset(rng, n=3, tau=2), gamma=0.05)
+    manifest = save_fitted(model, tmp_path)
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "n": 0}))
+    for name in ("centers.npy", "coefficients.npy", "targets.npy"):
+        np.save(tmp_path / name, np.zeros((0, 3, 1)))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(manifest))}: "
+                                         "n, m and p must be at least 1"):
+        load_fitted(tmp_path)
 
 
 def _bundle_kernel(structure, p, steps, rng):
@@ -688,7 +773,14 @@ def test_bundle_round_trip_property(tmp_path_factory, structure, n, tau, m, p,
     bundle = tmp_path_factory.mktemp("bundle")
     save_fitted(model, bundle)
     assert sorted(f.name for f in bundle.iterdir()) == [
-        "centers.csv", "coefficients.csv", "model.json", "targets.csv"]
+        "centers.npy", "coefficients.npy", "model.json", "targets.npy"]
+    for name, stack in (("centers.npy", rkhs._stack(model.centers)),
+                        ("coefficients.npy", rkhs._stack(model.coefficients)),
+                        ("targets.npy", model.targets)):
+        saved = np.load(bundle / name, allow_pickle=False)
+        assert saved.dtype.str == "<f8" and saved.flags.c_contiguous
+        assert saved.shape == (n, tau + 1, m if name == "centers.npy" else p)
+        assert saved.tobytes() == stack.tobytes()
     back = load_fitted(bundle)
     for a, b in ((model.centers, back.centers),
                  (model.coefficients, back.coefficients)):
@@ -697,16 +789,13 @@ def test_bundle_round_trip_property(tmp_path_factory, structure, n, tau, m, p,
     probe = random_signal(train.grid, m, rng)
     assert evaluate(back, probe).values.tobytes() == \
         evaluate(model, probe).values.tobytes()
-    # one cell of a stacked coefficient or target file moved by 0.5
-    path = bundle / data.draw(st.sampled_from(["coefficients.csv",
-                                               "targets.csv"]))
-    lines = path.read_text().splitlines()
-    row = data.draw(st.integers(1, tau + 1))
-    col = data.draw(st.integers(1, n * p))
-    cells = lines[row].split(",")
-    cells[col] = repr(float(cells[col]) + 0.5)
-    lines[row] = ",".join(cells)
-    path.write_text("\r\n".join(lines) + "\r\n")
+    # one element of a stacked coefficient or target file moved by 0.5
+    path = bundle / data.draw(st.sampled_from(["coefficients.npy",
+                                               "targets.npy"]))
+    stack = np.load(path)
+    stack[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, tau)),
+          data.draw(st.integers(0, p - 1))] += 0.5
+    np.save(path, stack)
     with pytest.raises(NumericalError):
         load_fitted(bundle)
 
@@ -739,6 +828,6 @@ def test_save_fitted_reuses_the_fit_targets(tmp_path, monkeypatch):
                         lambda *a, **k: builds.append(a) or build_gram(*a, **k))
     save_fitted(model, tmp_path / "carried")
     assert builds == []
-    name = "targets.csv"
+    name = "targets.npy"
     assert (tmp_path / "carried" / name).read_bytes() == \
         (tmp_path / "rebuilt" / name).read_bytes()
