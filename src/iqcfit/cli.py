@@ -40,12 +40,10 @@ from .inversion import (
 )
 from .kernels import (
     PROVEN,
-    SeparableKernel,
     certify_nonexpansive,
     is_causal,
     kernel_from_json,
     nonexpansive_defects,
-    scaled_laplacian,
 )
 from .rkhs import fit, fit_many, load_fitted, save_fitted, tune_gamma
 from .signals import (
@@ -53,6 +51,7 @@ from .signals import (
     csv_text,
     load_dataset,
     located,
+    manifest_values,
     norm,
     random_signal,
     read_json,
@@ -153,11 +152,12 @@ SUPPLY = (
     Option("supply", "passivity", _choice("passivity", "gain"), "supply rate"),
     Option("delta", None, _number, "gain bound, required by the gain supply"),
 )
+KERNEL = Option("kernel", {"structure": "separable", "R": "identity",
+                           "scalar": {"kind": "scaled_laplacian"}},
+                _kernel, "kernel JSON file (default: separable scaled Laplacian)")
 DATA = (
     Option("data", None, _text, "dataset directory"),
-    Option("kernel", {"structure": "separable",
-                      "scalar": {"kind": "scaled_laplacian"}, "R": "identity"},
-           _kernel, "kernel JSON file (default: separable scaled Laplacian)"),
+    KERNEL,
     *SUPPLY,
     Option("scale_a", None, _number, "input scale, paired with --scale-b"),
     Option("scale_b", None, _number, "output scale, paired with --scale-a"),
@@ -215,11 +215,13 @@ def _build_supply(cfg: dict, m: int, p: int):
     return gain_supply(cfg["delta"], m=m, p=p)
 
 
-def _probe_pairs(grid: TimeGrid, dim: int, count: int, rng, scale: float):
+def _probe_pairs(cfg: dict, grid: TimeGrid, dim: int, scale: float):
+    """--probes random input pairs, drawn from --seed."""
+    rng = np.random.default_rng(cfg["seed"])
     return [
         (random_signal(grid, dim, rng, scale=scale),
          random_signal(grid, dim, rng, scale=scale))
-        for _ in range(count)
+        for _ in range(cfg["probes"])
     ]
 
 
@@ -246,24 +248,38 @@ def _scattered_data(cfg: dict):
         data = scale_dataset(data, scale["a"], scale["b"])
     supply = _build_supply(cfg, m=data.input_dim, p=data.output_dim)
     scattered = scatter_dataset(data, factor_phi(supply))
-    spec = cfg["kernel"]
-    if isinstance(spec, str):
-        spec = read_json(spec)
-    if not isinstance(spec, dict):
-        raise ValueError("kernel config must be a JSON object or a path to one")
-    return supply, scale, scattered, kernel_from_json(spec, scattered.output_dim)
+    spec, where = cfg["kernel"], ""
+    if isinstance(spec, str):  # a file: its faults start with its path
+        spec, where = read_json(spec), f"{spec}: "
+    try:
+        if not isinstance(spec, dict):
+            raise ValueError("kernel file must hold a JSON object")
+        kernel = kernel_from_json(spec, scattered.output_dim)
+    except ValueError as exc:
+        raise ValueError(f"{where}{exc}") from None
+    return supply, scale, scattered, kernel
 
 
-def _save_bundle(cfg: dict, model, supply, scale, risk: float, cert: str,
-                 warnings: list[str]) -> None:
-    """Save the fit with the extra record that _load_bundle reads back."""
-    save_fitted(model, cfg["out"] / "model", extra={
-        "supply": supply_to_json(supply),
-        "scale": scale,
-        "risk": risk,
-        "certificate": cert,
-        "warnings": warnings,
-    })
+def _fit_bundle(cfg: dict, supply, scale, scattered, kernel):
+    """The fit stage of fit and reproduce (which has no --gamma): fit at
+    --gamma or tuned to --rho, saved under out/model with the extra record
+    that _load_bundle reads back.  Returns the model and that record."""
+    cert = certify_nonexpansive(kernel)
+    warnings: list[str] = []
+    if cfg.get("gamma") is not None:
+        model = fit(kernel, scattered, cfg["gamma"])
+    else:
+        if cert != PROVEN:
+            warnings.append(
+                "kernel nonexpansiveness is not structurally proven; the "
+                "norm target does not certify a contraction"
+            )
+        _, model = tune_gamma(kernel, scattered, rho=cfg["rho"])
+    record = {"supply": supply_to_json(supply), "scale": scale,
+              "risk": model.training_risk, "certificate": cert,
+              "warnings": warnings}
+    save_fitted(model, cfg["out"] / "model", extra=record)
+    return model, record
 
 
 def _load_bundle(cfg: dict, fallback: Callable):
@@ -276,14 +292,14 @@ def _load_bundle(cfg: dict, fallback: Callable):
     try:
         if not isinstance(supply, (dict, type(None))):
             raise TypeError(f"supply must be an object, got {supply!r}")
-        supply = None if supply is None else supply_from_json(supply)
-        if scale is not None and not (
-                isinstance(scale, dict) and sorted(scale) == ["a", "b"]
-                and all(type(x) in (int, float) and 0 < x < np.inf
-                        for x in scale.values())):
-            raise ValueError(f"scale must be null or {{a: >0, b: >0}}, "
-                             f"got {scale!r}")
-    except (TypeError, KeyError, ValueError) as exc:
+        supply = None if supply is None else supply_from_json(
+            supply, (model.input_dim, model.output_dim))
+        if scale is not None:
+            if not isinstance(scale, dict) or sorted(scale) != ["a", "b"]:
+                raise ValueError(f"scale must be null or {{a: >0, b: >0}}, "
+                                 f"got {scale!r}")
+            manifest_values(scale, a="positive", b="positive")
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise ValueError(f"{located(cfg['model'], 'model.json')}: malformed extra "
                          f"record: {type(exc).__name__} {exc}") from None
     return model, fallback(model) if supply is None else supply, scale
@@ -342,8 +358,7 @@ def _check_identity(cfg: dict) -> dict:
     grid = TimeGrid(cfg["tau"], cfg["dt"])
     dim = cfg["dim"]
     supply = _build_supply(cfg, m=dim, p=dim)
-    rng = np.random.default_rng(cfg["seed"])
-    pairs = _probe_pairs(grid, dim, cfg["probes"], rng, cfg["probe_scale"])
+    pairs = _probe_pairs(cfg, grid, dim, cfg["probe_scale"])
     report = check_operator_iiqc(lambda u: u, supply, pairs, tol=cfg["tol"])
     return {
         "target": "identity",
@@ -356,6 +371,17 @@ def _check_identity(cfg: dict) -> dict:
     }
 
 
+def _iiqc_of_r(cfg: dict, scattered, supply, pairs) -> dict:
+    """The iIQC check, within --tol, of R (the scattered model's inverse,
+    each run a Picard solve to --picard-tol) on the probe pairs."""
+    rep = check_operator_iiqc(
+        lambda us: simulate_r(scattered, us, tol=cfg["picard_tol"]),
+        supply, pairs, tol=cfg["tol"],
+    )
+    return {"min_residual": rep.min_residual, "tolerance": rep.tolerance,
+            "passed": bool(rep.passed)}
+
+
 def _check_model(cfg: dict) -> dict:
     model, supply, _ = _load_bundle(cfg, lambda model: _build_supply(
         cfg, m=model.input_dim, p=model.output_dim))
@@ -365,9 +391,7 @@ def _check_model(cfg: dict) -> dict:
         scattered = contraction_margin(model, factors)
     except ContractionError as exc:
         return {**results, "violations": [str(exc)], "passed": False}
-    rng = np.random.default_rng(cfg["seed"])
-    pairs = _probe_pairs(model.grid, model.input_dim, cfg["probes"],
-                         rng, cfg["probe_scale"])
+    pairs = _probe_pairs(cfg, model.grid, model.input_dim, cfg["probe_scale"])
     checks = cfg["checks"]
     if checks is None:
         # The truncation test only holds for structurally causal kernels.
@@ -375,15 +399,7 @@ def _check_model(cfg: dict) -> dict:
                                        if is_causal(model.kernel) else [])
     results["epsilon"] = scattered.epsilon
     if "iiqc" in checks:
-        rep = check_operator_iiqc(
-            lambda us: simulate_r(scattered, us, tol=cfg["picard_tol"]),
-            supply, pairs, tol=cfg["tol"],
-        )
-        results["iiqc"] = {
-            "min_residual": rep.min_residual,
-            "tolerance": rep.tolerance,
-            "passed": bool(rep.passed),
-        }
+        results["iiqc"] = _iiqc_of_r(cfg, scattered, supply, pairs)
     if "causality" in checks:
         rep = causality_check_r(scattered, pairs, tol=cfg["tol"],
                                 picard_tol=cfg["picard_tol"])
@@ -422,35 +438,28 @@ def run_check(cfg: dict) -> int:
 
 
 def run_fit(cfg: dict) -> int:
-    supply, scale, scattered, kernel = _scattered_data(cfg)
-    cert = certify_nonexpansive(kernel)
-    warnings: list[str] = []
-    if cfg["gamma"] is not None:
-        model = fit(kernel, scattered, cfg["gamma"])
-        gamma = model.gamma
-    else:
-        if cert != PROVEN:
-            warnings.append(
-                "kernel nonexpansiveness is not structurally proven; the "
-                "norm target does not certify a contraction"
-            )
-        gamma, model = tune_gamma(kernel, scattered, rho=cfg["rho"])
-    risk = model.training_risk
-    _save_bundle(cfg, model, supply, scale, risk, cert, warnings)
-    report = {
-        "gamma": gamma,
+    model, record = _fit_bundle(cfg, *_scattered_data(cfg))
+    _write_json(cfg["out"] / "fit_report.json", {
+        **record,
+        "gamma": model.gamma,
         "rkhs_norm": model.rkhs_norm,
-        "risk": risk,
-        "certificate": cert,
-        "warnings": warnings,
         "n": len(model.centers),
-        "scale": scale,
-        "supply": cfg["supply"],
-    }
-    _write_json(cfg["out"] / "fit_report.json", report)
-    _log(cfg["quiet"],
-         f"gamma={gamma:.6g} norm={model.rkhs_norm:.6g} risk={risk:.6g}")
+        "supply": cfg["supply"],  # its name, not the record's matrix
+    })
+    _log(cfg["quiet"], f"gamma={model.gamma:.6g} norm={model.rkhs_norm:.6g} "
+                       f"risk={record['risk']:.6g}")
     return 0
+
+
+def _scaled_picard(scattered, inputs, scale, **solve) -> list:
+    """Runs of R on inputs in raw units, as one batched Picard solve: each
+    input is scaled by 1/a into the fit's units and its output back by b
+    (neither when scale is None).  Returns (output, lane result) pairs."""
+    batch = picard_solve(scattered,
+                         [(1.0 / scale["a"]) * u if scale else u for u in inputs],
+                         **solve)
+    return [(scale["b"] * lane.y_star if scale else lane.y_star, lane)
+            for lane in batch.lanes]
 
 
 def run_simulate(cfg: dict) -> int:
@@ -481,14 +490,10 @@ def run_simulate(cfg: dict) -> int:
             raise ShapeError(f"{path}: grid does not match the model bundle")
         if u_raw.dim != factors.m:
             raise ShapeError(f"{path}: expected {factors.m} input channels")
-    batch = picard_solve(scattered,
-                         [(1.0 / scale["a"]) * u if scale else u for u in raw],
-                         tol=cfg["tol"], max_iter=cfg["max_iter"])
     runs = []
-    for path, u_raw, result in zip(cfg["inputs"], raw, batch.lanes):
-        y = result.y_star
-        if scale:
-            y = scale["b"] * y
+    solved = _scaled_picard(scattered, raw, scale, tol=cfg["tol"],
+                            max_iter=cfg["max_iter"])
+    for path, u_raw, (y, result) in zip(cfg["inputs"], raw, solved):
         stem = Path(path).stem
         _run_csv(out / f"sim_{stem}.csv", model.grid, u_raw.values, y.values)
         log = {
@@ -562,27 +567,24 @@ def run_reproduce(cfg: dict) -> int:
     wit = _witness(cfg)
 
     _log(quiet, "stage 3/6: scale and scatter")
-    a, b = cfg["scale_a"], cfg["scale_b"]
-    scaled = scale_dataset(data, a, b)
+    scale = {"a": cfg["scale_a"], "b": cfg["scale_b"]}
     supply = passivity_supply(data.input_dim)
     factors = factor_phi(supply)
-    scattered_data = scatter_dataset(scaled, factors)
+    scattered_data = scatter_dataset(
+        scale_dataset(data, scale["a"], scale["b"]), factors)
+    kernel = kernel_from_json(KERNEL.default, data.output_dim)
 
     _log(quiet, "stage 4/6: fit tuned to the norm target")
-    kernel = SeparableKernel(scaled_laplacian(), np.eye(data.output_dim))
-    gamma, model = tune_gamma(kernel, scattered_data, rho=cfg["rho"])
-    risk = model.training_risk
-    _save_bundle(cfg, model, supply, {"a": a, "b": b}, risk,
-                 certify_nonexpansive(kernel), [])
+    model, record = _fit_bundle(cfg, supply, scale, scattered_data, kernel)
     scattered = contraction_margin(model, factors)
 
     _log(quiet, "stage 5/6: reconstruction of the training levels")
     data_scale = max(norm(y) for y in data.outputs)
     recon, rows = [], []
-    batch = picard_solve(scattered, [(1.0 / a) * u for u in data.inputs],
-                         tol=cfg["picard_tol"])
-    for level, y_raw, result in zip(cfg["levels"], data.outputs, batch.lanes):
-        y_hat = b * result.y_star
+    solved = _scaled_picard(scattered, data.inputs, scale,
+                            tol=cfg["picard_tol"])
+    for level, y_raw, (y_hat, result) in zip(cfg["levels"], data.outputs,
+                                             solved):
         err = norm(y_hat - y_raw)
         traj = norm(y_raw)
         recon.append({
@@ -599,19 +601,14 @@ def run_reproduce(cfg: dict) -> int:
         csv_text(["t", "level", "y", "y_hat"], np.vstack(rows), "\n"))
 
     _log(quiet, "stage 6/6: monotonicity of the identified operator")
-    rng = np.random.default_rng(cfg["seed"])
-    pairs = _probe_pairs(model.grid, data.input_dim, cfg["probes"],
-                         rng, scale=0.1)
-    mono = check_operator_iiqc(
-        lambda us: simulate_r(scattered, us, tol=cfg["picard_tol"]),
-        supply, pairs, tol=cfg["tol"],
-    )
+    pairs = _probe_pairs(cfg, model.grid, data.input_dim, scale=0.1)
+    mono = _iiqc_of_r(cfg, scattered, supply, pairs)
 
     bound = cfg["error_bound"]
     flags = {
         "witness_negative": bool(wit.continuous < 0.0),
         "norm_contractive": bool(model.rkhs_norm < 1.0),
-        "identified_monotone": bool(mono.passed),
+        "identified_monotone": mono.pop("passed"),
         "reconstruction_ok": all(
             row["rel_error_scale"] <= bound for row in recon
         ),
@@ -621,21 +618,17 @@ def run_reproduce(cfg: dict) -> int:
         "rho": cfg["rho"],
         "seed": cfg["seed"],
         "witness": {"continuous": wit.continuous, "sampled": wit.sampled},
-        "scale": {"a": a, "b": b},
+        "scale": scale,
         "fit": {
-            "gamma": gamma,
+            "gamma": model.gamma,
             "rkhs_norm": model.rkhs_norm,
-            "risk": risk,
+            "risk": record["risk"],
             "epsilon": scattered.epsilon,
-            "certificate": certify_nonexpansive(kernel),
+            "certificate": record["certificate"],
         },
         "reconstruction": recon,
         "error_bound": bound,
-        "monotonicity": {
-            "probes": cfg["probes"],
-            "min_residual": mono.min_residual,
-            "tolerance": mono.tolerance,
-        },
+        "monotonicity": {"probes": cfg["probes"], **mono},
         "flags": flags,
         "passed": all(flags.values()),
     }

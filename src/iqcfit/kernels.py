@@ -496,13 +496,10 @@ def _json_dim(obj: dict, p: int | None) -> int | None:
     p when the caller knows the output dim; None when neither gives one."""
     if "p" not in obj:
         return p
-    try:
-        (dim,) = manifest_values(obj, p="integer")
-        if dim < 1 or p not in (None, dim):
-            raise ValueError(f"p must be {'at least 1' if p is None else p}, "
-                             f"got {dim}")
-    except ValueError as exc:
-        raise _malformed(obj, exc) from None
+    (dim,) = manifest_values(obj, p="integer")
+    if dim < 1 or p not in (None, dim):
+        raise ValueError(f"p must be {'at least 1' if p is None else p}, "
+                         f"got {dim}")
     return dim
 
 

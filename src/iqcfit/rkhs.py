@@ -283,17 +283,22 @@ def fit(kernel: OperatorKernel, data: Dataset, gamma: float,
 def fit_many(kernel: OperatorKernel, data: Dataset, gammas: Sequence[float],
              layout: str = "auto") -> list[FittedOperator]:
     """One fit per regularization weight, all from one Gram factorization."""
-    kernel = as_operator(kernel)
     for gamma in gammas:
         if gamma <= 0:
             raise ValueError(f"gamma must be positive, got {gamma}")
+    spectral = _spectral(kernel, data, layout)
+    return [_model_from_solution(spectral, data, gamma) for gamma in gammas]
+
+
+def _spectral(kernel: OperatorKernel, data: Dataset, layout: str) -> Spectral:
+    """The factored Gram of the data's inputs with its outputs as targets,
+    once the kernel's output dim is checked against the data's."""
+    kernel = as_operator(kernel)
     if kernel.output_dim != data.output_dim:
         raise ShapeError(
             f"kernel output dim {kernel.output_dim} != data {data.output_dim}"
         )
-    gram = build_gram(kernel, data.inputs, layout)
-    spectral = Spectral(gram, _stack(data.outputs))
-    return [_model_from_solution(spectral, data, gamma) for gamma in gammas]
+    return Spectral(build_gram(kernel, data.inputs, layout), _stack(data.outputs))
 
 
 # Weights of a row term: (B, n) for kernels uniform in time, (B, n, steps) else.
@@ -360,11 +365,9 @@ def tune_gamma(kernel: OperatorKernel, data: Dataset, rho: float,
     always satisfies norm <= rho, and sits within rel_tol of the crossing
     unless the target is reachable for every gamma.
     """
-    kernel = as_operator(kernel)
     if not 0 < rho <= 1:
         raise ValueError(f"norm target rho must be in (0, 1], got {rho}")
-    gram = build_gram(kernel, data.inputs, layout)
-    spectral = Spectral(gram, _stack(data.outputs))
+    spectral = _spectral(kernel, data, layout)
 
     def finish(gamma: float) -> tuple[float, FittedOperator]:
         # The curve and the stored norm (from quad) round differently, so
@@ -380,7 +383,7 @@ def tune_gamma(kernel: OperatorKernel, data: Dataset, rho: float,
         raise NumericalError(f"stored norm {model.rkhs_norm!r} stays above "
                              f"rho {rho!r} as gamma grows")
 
-    gamma0 = max(gram.trace() / gram.dim, 1e-300)
+    gamma0 = max(spectral.gram.trace() / spectral.gram.dim, 1e-300)
     if np.linalg.norm(spectral.targets) == 0:
         return finish(gamma0)
     curve = spectral.norm

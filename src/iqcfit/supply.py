@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ShapeError, SignatureError
-from .signals import Dataset, Frozen, Signal, read_json
+from .signals import Dataset, Frozen, Signal, manifest_values, read_json
 
 # Relative eigenvalue floor below which Phi counts as singular.
 SINGULAR_TOL = 1e-10
@@ -267,15 +267,21 @@ def supply_to_json(supply: SupplyRate) -> dict:
     return {"kind": "custom", "phi": phi.tolist(), "m": m, "p": p}
 
 
-def supply_from_json(obj: dict | str | Path) -> SupplyRate:
+def supply_from_json(obj: dict | str | Path,
+                     dims: tuple[int, int] | None = None) -> SupplyRate:
+    """Inverse of supply_to_json.  Integer m, p (default 1, m unless custom)
+    must equal dims if given, checked before any matrix is built."""
     if not isinstance(obj, dict):
         obj = read_json(obj)
     kind = obj.get("kind", "custom")
+    if kind not in ("passivity", "gain", "custom"):
+        raise ValueError(f"unknown supply kind {kind!r}")
+    defaults = {} if kind == "custom" else {"m": 1, "p": obj.get("m", 1)}
+    m, p = manifest_values({**defaults, **obj}, m="integer", p="integer")
+    if dims is not None and (m, p) != tuple(dims):
+        raise ValueError(f"supply is for (m, p) = ({m}, {p}), not {dims}")
     if kind == "passivity":
-        return passivity_supply(int(obj.get("m", 1)))
+        return passivity_supply(m)
     if kind == "gain":
-        return gain_supply(float(obj["delta"]), int(obj.get("m", 1)),
-                           int(obj["p"]) if "p" in obj else None)
-    if kind == "custom":
-        return SupplyRate(np.array(obj["phi"], dtype=float), int(obj["m"]), int(obj["p"]))
-    raise ValueError(f"unknown supply kind {kind!r}")
+        return gain_supply(*manifest_values(obj, delta="positive"), m, p)
+    return SupplyRate(np.array(obj["phi"], dtype=float), m, p)

@@ -261,6 +261,7 @@ def _extra(**record):
 @pytest.mark.parametrize("target, edit", [
     ("kernel", lambda _: {"structure": "sum", "weights": 5, "children": []}),
     ("kernel", lambda _: {"structure": "separable", "scalar": "gaussian"}),
+    ("kernel", lambda _: ["separable"]),
     ("data", lambda _: []),
     ("data", lambda meta: {**meta, "dt": None}),
     ("model", lambda meta: {**meta, "kernel": {**meta["kernel"], "p": "x"}}),
@@ -279,14 +280,27 @@ def _extra(**record):
     ("simulate", _extra(supply=5)),
     ("model", _extra(supply={"kind": "gain", "delta": [1]})),
     ("simulate", _extra(supply={"kind": "gain", "delta": [1]})),
+    ("model", _extra(supply={"kind": "passivity", "m": True})),
+    ("model", _extra(supply={"kind": "passivity", "m": 1.7})),
+    ("model", _extra(supply={"kind": "gain", "delta": "0.5", "m": 1, "p": 1})),
+    ("model", _extra(supply={"kind": "passivity", "m": 2, "p": 2})),
+    ("model", _extra(supply={"kind": "passivity", "m": 10**9})),
+    ("simulate", _extra(supply={"kind": "gain", "delta": 1.0, "m": 1, "p": 2})),
     ("simulate", _extra(scale=5)),
     ("simulate", _extra(scale={"a": 1})),
-], ids=["sum-weights", "scalar-name", "manifest-list", "dt-null", "kernel-p",
-        "kernel-p-huge", "kernel-R-side", "kernel-R-ragged",
-        "kernel-R-shorthand", "kernel-sigma-negative", "kernel-sum-one-weight",
-        "extra-not-object", "check-supply-number", "simulate-supply-number",
-        "check-gain-delta-list", "simulate-gain-delta-list",
-        "simulate-scale-number", "simulate-scale-without-b"])
+    ("simulate", _extra(scale={"a": 1, "b": -2})),
+    ("simulate", _extra(scale={"a": True, "b": 1})),
+    ("simulate", _extra(scale={"a": 10**400, "b": 1})),
+], ids=["sum-weights", "scalar-name", "kernel-not-object", "manifest-list",
+        "dt-null", "kernel-p", "kernel-p-huge", "kernel-R-side",
+        "kernel-R-ragged", "kernel-R-shorthand", "kernel-sigma-negative",
+        "kernel-sum-one-weight", "extra-not-object", "check-supply-number",
+        "simulate-supply-number", "check-gain-delta-list",
+        "simulate-gain-delta-list", "check-passivity-m-bool",
+        "check-passivity-m-fraction", "check-gain-delta-text",
+        "check-supply-dims", "check-supply-huge", "simulate-supply-dims", "simulate-scale-number",
+        "simulate-scale-without-b", "simulate-scale-negative",
+        "simulate-scale-bool", "simulate-scale-huge"])
 def test_malformed_json_is_usage_error(ws, tmp_path, capsys, target, edit):
     shutil.copytree(ws / "gen" / "data", tmp_path / "data")
     shutil.copytree(ws / "fit" / "model", tmp_path / "model")
@@ -312,11 +326,13 @@ def test_malformed_json_is_usage_error(ws, tmp_path, capsys, target, edit):
     assert rc == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
-    if target in ("model", "simulate"):
+    if target in ("kernel", "model", "simulate"):
         assert str(path) in err
     fitted = _read_json(ws / "fit" / "model" / "model.json")["kernel"]
-    if target == "kernel" or (target == "model"
-                              and _read_json(path)["kernel"] != fitted):
+    if target == "kernel":
+        assert err.startswith(f"error: {path}: ")
+        assert ("malformed kernel" in err) == isinstance(_read_json(path), dict)
+    if target == "model" and _read_json(path)["kernel"] != fitted:
         assert "malformed kernel" in err
 
 
@@ -346,7 +362,7 @@ _GAUSSIAN_NEGATIVE = {"scalar": {"kind": "gaussian", "sigma": -2.0}}
         "R-ragged", "R-shorthand", "sigma-negative", "sum-one-weight",
         "sum-child-sigma", "causal-sum-child-sigma"])
 def test_kernel_json_faults_name_the_kernel(ws, tmp_path, capsys, fields, says):
-    # the innermost kernel holding the fault is named, once
+    # the file, then the innermost kernel holding the fault, each named once
     path = tmp_path / "kernel.json"
     path.write_text(json.dumps({"structure": "separable",
                                 "scalar": {"kind": "scaled_laplacian"},
@@ -357,12 +373,14 @@ def test_kernel_json_faults_name_the_kernel(ws, tmp_path, capsys, fields, says):
                    "--out", str(tmp_path / "out"), "--quiet"])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith("error: malformed kernel")
+    assert err.startswith(f"error: {path}: malformed kernel")
     assert f": {says}" in err
     assert err.count("malformed kernel") == 1
+    assert err.count(str(path)) == 1
     if "structure" in fields and "sigma" in says:
         # a fault inside a child names the child, not its parents
-        assert err.startswith(f"error: malformed kernel {_GAUSSIAN_NEGATIVE}: ")
+        assert err.startswith(
+            f"error: {path}: malformed kernel {_GAUSSIAN_NEGATIVE}: ")
     assert "Traceback" not in err
 
 
@@ -636,6 +654,34 @@ def test_simulate_refuses_expansive_model(ws, tmp_path):
     report = _read_json(out / "simulate_report.json")
     assert report["passed"] is False
     assert ">= 1" in report["reason"]
+    # check refuses the same bundle before it draws a probe
+    rc = cli.main(["check", "--target", "model", "--model",
+                   str(fit_out / "model"), "--out", str(out), "--quiet"])
+    assert rc == 1
+    report = _read_json(out / "check_report.json")
+    assert report["passed"] is False
+    assert any(">= 1" in violation for violation in report["violations"])
+
+
+def test_fit_and_check_under_the_gain_supply(ws, tmp_path, capsys):
+    args = ["fit", "--data", str(ws / "gen" / "data"), "--supply", "gain",
+            "--quiet"]
+    capsys.readouterr()
+    assert cli.main(args + ["--out", str(tmp_path / "bare")]) == 2
+    assert "gain supply requires --delta" in capsys.readouterr().err
+    fit_out = tmp_path / "fit"
+    assert cli.main(args + ["--delta", "4", "--out", str(fit_out)]) == 0
+    assert _read_json(fit_out / "fit_report.json")["supply"] == "gain"
+    assert _read_json(fit_out / "model" / "model.json")["extra"]["supply"] \
+        == {"kind": "gain", "delta": 4.0, "m": 1, "p": 1}
+    out = tmp_path / "chk"
+    rc = cli.main(["check", "--target", "model", "--model",
+                   str(fit_out / "model"), "--probes", "10", "--out", str(out),
+                   "--quiet"])
+    assert rc == 0
+    report = _read_json(out / "check_report.json")
+    assert report["passed"] is True
+    assert report["epsilon"] == 0.0
 
 
 def test_sweep_gamma_monotone(ws, tmp_path):
@@ -757,6 +803,30 @@ def test_reproduce_smoke(tmp_path):
     assert (out / "report.md").exists()
     assert (out / "reconstruction.csv").exists()
     assert (out / "figure1.csv").exists()
+
+
+def test_reproduce_is_fit_then_check(tmp_path):
+    # reproduce runs fit's and check's stages, so with fit's flags its
+    # bundle is fit's, and with check's its iIQC block is check's
+    rep, fit_out, chk = tmp_path / "rep", tmp_path / "fit", tmp_path / "chk"
+    assert cli.main(["reproduce", "--levels=-6,-51,-109", "--probes", "7",
+                     "--seed", "5", "--out", str(rep), "--quiet"]) == 0
+    assert cli.main(["fit", "--data", str(rep / "data"),
+                     "--scale-a", "978.7", "--scale-b", "25390",
+                     "--rho", "0.99", "--out", str(fit_out), "--quiet"]) == 0
+    bundle = sorted(p.name for p in (rep / "model").iterdir())
+    assert bundle == sorted(p.name for p in (fit_out / "model").iterdir())
+    _same_files(rep / "model", fit_out / "model", bundle)
+    assert cli.main(["check", "--target", "model",
+                     "--model", str(fit_out / "model"), "--checks", "iiqc",
+                     "--probe-scale", "0.1", "--probes", "7", "--seed", "5",
+                     "--out", str(chk), "--quiet"]) == 0
+    report, check = _read_json(rep / "report.json"), \
+        _read_json(chk / "check_report.json")
+    assert report["monotonicity"] == {
+        "probes": 7, "min_residual": check["iiqc"]["min_residual"],
+        "tolerance": check["iiqc"]["tolerance"]}
+    assert report["fit"]["epsilon"] == check["epsilon"]
 
 
 def test_cli_import_loads_no_scipy():

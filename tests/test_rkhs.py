@@ -631,6 +631,20 @@ def test_tune_gamma_validations():
         tune_gamma(kernel, data, rho=1.5)
 
 
+@pytest.mark.parametrize("run", [
+    lambda kernel, data: fit(kernel, data, gamma=0.1),
+    lambda kernel, data: fit_many(kernel, data, [0.1, 1.0]),
+    lambda kernel, data: tune_gamma(kernel, data, rho=0.5),
+], ids=["fit", "fit_many", "tune_gamma"])
+@pytest.mark.parametrize("kernel_p, data_p", [(2, 1), (1, 2)])
+def test_kernel_output_dim_must_match_data(run, kernel_p, data_p):
+    data = _random_dataset(np.random.default_rng(55), p=data_p)
+    kernel = SeparableKernel(gaussian(2.0), np.eye(kernel_p))
+    with pytest.raises(ShapeError,
+                       match=f"kernel output dim {kernel_p} != data {data_p}"):
+        run(kernel, data)
+
+
 def test_objective_optimality():
     rng = np.random.default_rng(55)
     data = _random_dataset(rng, n=3, tau=2)

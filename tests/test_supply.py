@@ -246,6 +246,10 @@ def test_supply_json_round_trip():
         back = supply_from_json(supply_to_json(supply))
         assert back.m == supply.m and back.p == supply.p
         assert np.allclose(back.phi, supply.phi, atol=1e-15)
+        dims = (supply.m, supply.p)
+        assert supply_from_json(supply_to_json(supply), dims).m == supply.m
+        with pytest.raises(ValueError, match=r"supply is for \(m, p\)"):
+            supply_from_json(supply_to_json(supply), (supply.m + 1, supply.p))
     assert supply_to_json(passivity_supply(1))["kind"] == "passivity"
     assert supply_to_json(gain_supply(2.5))["kind"] == "gain"
 
