@@ -113,6 +113,13 @@ def _count(value) -> int:
     return count
 
 
+def _nonnegative(value) -> float:
+    number = _number(value)
+    if not number >= 0:  # NaN fails too
+        raise ValueError(f"must be a non-negative number, got {value!r}")
+    return number
+
+
 def _choice(*names: str) -> Callable:
     def parse(value) -> str:
         if value not in names:
@@ -165,7 +172,8 @@ DATA = (
 MODEL = Option("model", None, _text, "model bundle directory or its model.json")
 PROBES = Option("probes", 100, _count, "random probe pairs, at least 1")
 TOL = Option("tol", 1e-8, _number, "tolerance of the constraint check")
-PICARD_TOL = Option("picard_tol", None, _number, "Picard stopping tolerance")
+PICARD_TOL = Option("picard_tol", None, _nonnegative,
+                    "Picard stopping tolerance")
 RHO = Option("rho", 0.99, _number, "norm target when tuning")
 COMMON = (
     Option("seed", 0, _integer, "seed for randomized checks"),
@@ -664,7 +672,7 @@ COMMANDS = {
         Option("probe_scale", 1.0, _number, "amplitude of the probe signals"),
         Option("tau", 20, _integer, "probe horizon in samples (identity)"),
         Option("dt", 0.5, _number, "probe sample spacing (identity)"),
-        Option("dim", 1, _integer, "probe channels (identity)"),
+        Option("dim", 1, _count, "probe channels (identity), at least 1"),
         TOL,
         Option("defect_tol", 1e-10, _number, "nonexpansiveness defect bound"),
         Option("checks", None, _checks,
@@ -678,8 +686,8 @@ COMMANDS = {
     "simulate": ("run the identified operator on input CSVs", run_simulate, (
         MODEL,
         Option("inputs", [], _texts, "input signal CSV, repeatable"),
-        Option("tol", None, _number, "Picard stopping tolerance"),
-        Option("max_iter", 10_000, _integer, "Picard iteration cap"),
+        Option("tol", None, _nonnegative, "Picard stopping tolerance"),
+        Option("max_iter", 10_000, _count, "Picard iteration cap, at least 1"),
         *COMMON)),
     "reproduce": ("full pipeline: data, witness, fit, simulate",
                   run_reproduce, (
@@ -759,6 +767,9 @@ def main(argv=None) -> int:
     except (ContractionError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     except (OSError, ValueError, KeyError, ShapeError, SignatureError,
             NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -56,27 +56,12 @@ def steady_state_gating(u: float) -> float:
     return a / (a + b)
 
 
-InputLike = Union[float, Callable[[np.ndarray], np.ndarray], Signal]
+InputLike = Union[float, Callable[[np.ndarray], np.ndarray]]
 
 
 def _input_on_half_grid(u: InputLike, dt_ode: float,
-                        horizon: float | None) -> tuple[np.ndarray, int]:
+                        horizon: float) -> tuple[np.ndarray, int]:
     """Sample the input at every half step of the integration grid."""
-    if isinstance(u, Signal):
-        if u.dim != 1:
-            raise ShapeError("channel input must have one channel")
-        if abs(u.grid.dt - dt_ode) > 1e-12 * dt_ode:
-            raise ShapeError(
-                f"signal dt {u.grid.dt} does not match dt_ode {dt_ode}"
-            )
-        nodes = u.values[:, 0]
-        n = u.grid.tau
-        half = np.empty(2 * n + 1)
-        half[::2] = nodes
-        half[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
-        return half, n
-    if horizon is None:
-        raise ValueError("horizon is required for non-signal inputs")
     n = round(horizon / dt_ode)
     if n < 1 or abs(n * dt_ode - horizon) > 1e-9:
         raise ValueError(f"horizon {horizon} is not a multiple of dt_ode {dt_ode}")
@@ -85,28 +70,28 @@ def _input_on_half_grid(u: InputLike, dt_ode: float,
     t_half = np.arange(2 * n + 1) * (dt_ode / 2.0)
     half = np.asarray(u(t_half), dtype=float)
     if half.shape != t_half.shape:
-        half = np.array([float(u(t)) for t in t_half])
+        raise ShapeError(f"a callable input must map an array of times to "
+                         f"one value each, got shape {half.shape}")
     return half, n
 
 
-def _integrate_gating(u: InputLike, dt_ode: float, horizon: float | None,
-                      ) -> tuple[np.ndarray, np.ndarray]:
+def _integrate_gating(u: InputLike, dt_ode: float,
+                      horizon: float) -> tuple[np.ndarray, np.ndarray]:
     """Classical fourth-order fixed-step integration of the gating equation.
 
     The equation is linear in x, so every stage k_i = c_i + d_i x is affine
     in the state at the start of the step and the whole step is a map
     x <- A_k x + B_k.  A constant level gives the same map every step, and
     RK4's iterates from x(0) = 0 are then x_k = x_inf (1 - A^k) in closed
-    form.  A waveform (a callable or a sampled signal) gives one map per
-    step: all of them come from one vectorized pass over the half-step
-    rates, a doubling prefix scan composes them, and since x(0) = 0 the
-    composed offsets are x_1, ..., x_n.  Rounding error grows with log n
-    rather than n.
+    form.  A waveform (a callable of time) gives one map per step: all of
+    them come from one vectorized pass over the half-step rates, a doubling
+    prefix scan composes them, and since x(0) = 0 the composed offsets are
+    x_1, ..., x_n.  Rounding error grows with log n rather than n.
     """
     if dt_ode <= 0:
         raise ValueError(f"dt_ode must be positive, got {dt_ode}")
     half, n = _input_on_half_grid(u, dt_ode, horizon)
-    if isinstance(u, Signal) or callable(u):
+    if callable(u):
         xs = _scan_gating(half, n, dt_ode)
     else:
         xs = _constant_gating(float(u), n, dt_ode)
@@ -163,20 +148,18 @@ def _scan_gating(half: np.ndarray, n: int, h: float) -> np.ndarray:
     return np.concatenate(([0.0], b))
 
 
-def gating_trajectory(u: InputLike, dt_ode: float,
-                      horizon: float | None = None) -> Signal:
+def gating_trajectory(u: InputLike, dt_ode: float, horizon: float) -> Signal:
     """Gating state x on the integration grid."""
     xs, _ = _integrate_gating(u, dt_ode, horizon)
     return Signal(TimeGrid(len(xs) - 1, dt_ode), xs)
 
 
-def simulate_channel(u: InputLike, dt_ode: float,
-                     horizon: float | None = None) -> Signal:
-    """Channel current response on the integration grid.
+def simulate_channel(u: InputLike, dt_ode: float, horizon: float) -> Signal:
+    """Channel current response on the integration grid over [0, horizon].
 
-    The input may be a constant level (integrated in closed form), a
-    callable of time (evaluated exactly at the integrator's half steps), or
-    a signal already sampled at dt_ode; the last two take the prefix scan.
+    The input is a constant level (integrated in closed form) or a callable
+    of time, evaluated at the integrator's half steps and taken through the
+    prefix scan.
     """
     xs, u_nodes = _integrate_gating(u, dt_ode, horizon)
     y = G_MAX * xs**4 * (u_nodes - U_REV)
@@ -235,7 +218,10 @@ def monotonicity_witness(dt_ode: float = 1e-3, sample_dt: float = 0.5,
     t = y1.grid.times()
     du = Signal(y1.grid, u1(t) - u2(t))
     dy = y1 - y2
-    continuous = inner_product(du, dy, mode="sampled", trapezoid=True)
+    # trapezoid weights: dt at every sample, halved at both ends (tau >= 1)
+    w = np.full(y1.grid.size, dt_ode, dtype=float)
+    w[[0, -1]] *= 0.5
+    continuous = np.einsum("t,tc,tc->", w, du.values, dy.values)
     du_s = _subsample(du, sample_dt)
     dy_s = _subsample(dy, sample_dt)
     sampled = inner_product(du_s, dy_s)

@@ -247,26 +247,24 @@ class CausalityReport:
 
 def causality_check_r(model: ScatteredModel,
                       probes: list[tuple[Signal, Signal]],
-                      horizons: list[int] | None = None,
                       tol: float = 1e-8,
                       picard_tol: float | None = None) -> CausalityReport:
     """Probe whether R(u) up to time T depends on u after time T.
 
-    For each probe pair and horizon T the second input is spliced to agree
-    with the first on [0, T]; any difference of the outputs on [0, T] is a
-    causality violation.  Every probe and splice is solved in one batch.
+    For each probe pair and every horizon T the second input is spliced to
+    agree with the first on [0, T]; any difference of the outputs on [0, T]
+    is a causality violation.  Every probe and splice is solved in one batch.
     """
-    runs, inputs = [], []
+    inputs = []
     for u, w in probes:
-        ts = list(range(u.grid.tau + 1) if horizons is None else horizons)
-        runs.append(ts)
         inputs.append(u)
-        inputs += [truncate(u, T) + (w - truncate(w, T)) for T in ts]
+        inputs += [truncate(u, T) + (w - truncate(w, T))
+                   for T in range(u.grid.tau + 1)]
     outputs = iter(simulate_r(model, inputs, tol=picard_tol))
     worst, arg, arg_t = 0.0, -1, -1
-    for idx, ts in enumerate(runs):
+    for idx, (u, _) in enumerate(probes):
         y_u = next(outputs)
-        for T in ts:
+        for T in range(u.grid.tau + 1):
             violation = norm(truncate(y_u - next(outputs), T))
             if violation > worst:
                 worst, arg, arg_t = violation, idx, T

@@ -357,7 +357,7 @@ def empirical_risk(model: FittedOperator, data: Dataset) -> float:
 
 
 def tune_gamma(kernel: OperatorKernel, data: Dataset, rho: float,
-               layout: str = "auto", rel_tol: float = 1e-3,
+               rel_tol: float = 1e-3,
                max_iter: int = 200) -> tuple[float, FittedOperator]:
     """Find the smallest gamma whose fit has rkhs norm at most rho.
 
@@ -367,7 +367,7 @@ def tune_gamma(kernel: OperatorKernel, data: Dataset, rho: float,
     """
     if not 0 < rho <= 1:
         raise ValueError(f"norm target rho must be in (0, 1], got {rho}")
-    spectral = _spectral(kernel, data, layout)
+    spectral = _spectral(kernel, data, "auto")
 
     def finish(gamma: float) -> tuple[float, FittedOperator]:
         # The curve and the stored norm (from quad) round differently, so

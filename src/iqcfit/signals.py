@@ -1,9 +1,7 @@
 """Sampled vector-valued signals on uniform time grids.
 
 Everything downstream works with finite trajectories u : {0, ..., tau} -> R^d
-under the plain sum inner product.  For densely sampled continuous records the
-same operations can weight each term by the sampling period (optionally with
-trapezoidal end correction) so that inner products approximate integrals.
+under the plain sum inner product.
 """
 
 from __future__ import annotations
@@ -157,35 +155,17 @@ def random_signal(grid: TimeGrid, dim: int, rng: np.random.Generator,
     return Signal(grid, scale * rng.standard_normal((grid.size, dim)))
 
 
-def sample_weights(grid: TimeGrid, mode: str = "sequence",
-                   trapezoid: bool = False) -> np.ndarray:
-    """Quadrature weights over the samples of the grid.
-
-    mode "sequence" weights every sample by 1; mode "sampled" weights by dt,
-    with the first and last sample halved when trapezoid is set.
-    """
-    if mode == "sequence":
-        if trapezoid:
-            raise ValueError("trapezoid correction only applies to sampled mode")
-        return np.ones(grid.size)
-    if mode != "sampled":
-        raise ValueError(f"unknown quadrature mode {mode!r}")
-    w = np.full(grid.size, grid.dt)
-    if trapezoid and grid.tau >= 1:
-        w[0] *= 0.5
-        w[-1] *= 0.5
-    return w
-
-
-def inner_product(f: Signal, g: Signal, mode: str = "sequence",
-                  trapezoid: bool = False) -> float:
+def inner_product(f: Signal, g: Signal) -> float:
+    """The plain sum over samples and channels of f * g."""
     _require_compatible(f, g)
-    w = sample_weights(f.grid, mode, trapezoid)
-    return float(np.einsum("t,tc,tc->", w, f.values, g.values))
+    # three operands, unit weights first: the two-operand einsum sums in
+    # another order and rounds the last bits differently
+    return float(np.einsum("t,tc,tc->", np.ones(f.grid.size), f.values,
+                           g.values))
 
 
-def norm(f: Signal, mode: str = "sequence") -> float:
-    return math.sqrt(max(inner_product(f, f, mode), 0.0))
+def norm(f: Signal) -> float:
+    return math.sqrt(max(inner_product(f, f), 0.0))
 
 
 def truncate(f: Signal, T: int) -> Signal:

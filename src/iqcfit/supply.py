@@ -270,7 +270,8 @@ def supply_to_json(supply: SupplyRate) -> dict:
 def supply_from_json(obj: dict | str | Path,
                      dims: tuple[int, int] | None = None) -> SupplyRate:
     """Inverse of supply_to_json.  Integer m, p (default 1, m unless custom)
-    must equal dims if given, checked before any matrix is built."""
+    must equal dims if given, checked before any matrix is built; a
+    passivity record needs p = m."""
     if not isinstance(obj, dict):
         obj = read_json(obj)
     kind = obj.get("kind", "custom")
@@ -281,6 +282,8 @@ def supply_from_json(obj: dict | str | Path,
     if dims is not None and (m, p) != tuple(dims):
         raise ValueError(f"supply is for (m, p) = ({m}, {p}), not {dims}")
     if kind == "passivity":
+        if p != m:
+            raise ValueError(f"passivity supply needs p = m, got m={m}, p={p}")
         return passivity_supply(m)
     if kind == "gain":
         return gain_supply(*manifest_values(obj, delta="positive"), m, p)

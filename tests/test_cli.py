@@ -291,6 +291,7 @@ def _extra(**record):
     ("simulate", _extra(scale={"a": 1, "b": -2})),
     ("simulate", _extra(scale={"a": True, "b": 1})),
     ("simulate", _extra(scale={"a": 10**400, "b": 1})),
+    ("wide", _extra(supply={"kind": "passivity", "m": 2, "p": 1})),
 ], ids=["sum-weights", "scalar-name", "kernel-not-object", "manifest-list",
         "dt-null", "kernel-p", "kernel-p-huge", "kernel-R-side",
         "kernel-R-ragged", "kernel-R-shorthand", "kernel-sigma-negative",
@@ -300,16 +301,17 @@ def _extra(**record):
         "check-passivity-m-fraction", "check-gain-delta-text",
         "check-supply-dims", "check-supply-huge", "simulate-supply-dims", "simulate-scale-number",
         "simulate-scale-without-b", "simulate-scale-negative",
-        "simulate-scale-bool", "simulate-scale-huge"])
-def test_malformed_json_is_usage_error(ws, tmp_path, capsys, target, edit):
+        "simulate-scale-bool", "simulate-scale-huge", "wide-passivity-p"])
+def test_malformed_json_is_usage_error(ws, wide_model, tmp_path, capsys,
+                                       target, edit):
     shutil.copytree(ws / "gen" / "data", tmp_path / "data")
-    shutil.copytree(ws / "fit" / "model", tmp_path / "model")
+    shutil.copytree(wide_model if target == "wide" else ws / "fit" / "model",
+                    tmp_path / "model")
     path = {"kernel": tmp_path / "kernel.json",
-            "data": tmp_path / "data" / "manifest.json",
-            "model": tmp_path / "model" / "model.json",
-            "simulate": tmp_path / "model" / "model.json"}[target]
+            "data": tmp_path / "data" / "manifest.json"}.get(
+        target, tmp_path / "model" / "model.json")
     path.write_text(json.dumps(edit(_read_json(path) if path.exists() else None)))
-    if target == "model":
+    if target in ("model", "wide"):
         args = ["check", "--target", "model", "--model", str(tmp_path / "model")]
     elif target == "simulate":
         meta = _read_json(ws / "fit" / "model" / "model.json")
@@ -326,7 +328,7 @@ def test_malformed_json_is_usage_error(ws, tmp_path, capsys, target, edit):
     assert rc == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
-    if target in ("kernel", "model", "simulate"):
+    if target in ("kernel", "model", "simulate", "wide"):
         assert str(path) in err
     fitted = _read_json(ws / "fit" / "model" / "model.json")["kernel"]
     if target == "kernel":
@@ -846,6 +848,7 @@ _WRONG = {
     cli._number: [[1.0], {"a": 1}, True, "x"],
     cli._integer: [[1], {"a": 1}, True, "x", 2.5],
     cli._count: [[1], True, 2.5, 0, -3],
+    cli._nonnegative: [[1.0], {"a": 1}, True, "x", -1, float("nan")],
     cli._text: [5, [1], {"a": 1}, True],
     cli._path: [5, ["o"], True],
     cli._flag: ["yes", 1, [True]],
@@ -890,10 +893,14 @@ def test_wrong_config_type_is_usage_error(tmp_path, capsys, command, opt):
     ["check", "--target", "model", "--probes", "0"],
     ["check", "--target", "identity", "--probes", "0"],
     ["reproduce", "--probes", "-1"],
+    ["check", "--target", "identity", "--dim", "0"],
+    ["check", "--target", "identity", "--dim", "-1"],
 ], ids=["checks-bogus", "checks-partly-bogus", "checks-empty",
-        "model-probes-0", "identity-probes-0", "reproduce-probes-negative"])
+        "model-probes-0", "identity-probes-0", "reproduce-probes-negative",
+        "identity-dim-0", "identity-dim-negative"])
 def test_vacuous_check_is_usage_error(ws, tmp_path, capsys, args):
-    name = "probes" if "--probes" in args else "checks"
+    name = next((flag[2:] for flag in ("--probes", "--dim") if flag in args),
+                "checks")
     if "model" in args:
         args = args + ["--model", str(ws / "fit" / "model")]
     capsys.readouterr()
@@ -901,6 +908,42 @@ def test_vacuous_check_is_usage_error(ws, tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith(f"error: {name} must be")
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_of_memory_is_usage_error(tmp_path, capsys):
+    # 2e9 probe channels: the supply matrix alone cannot be allocated
+    capsys.readouterr()
+    rc = cli.main(["check", "--target", "identity", "--dim=1000000000",
+                   "--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: out of memory: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args, says", [
+    (["simulate", "--max-iter", "0"], "max_iter must be at least 1, got 0"),
+    (["simulate", "--max-iter", "-5"], "max_iter must be at least 1, got -5"),
+    (["simulate", "--tol", "-1"], "tol must be a non-negative number"),
+    (["simulate", "--tol", "nan"], "tol must be a non-negative number"),
+    (["check", "--target", "model", "--picard-tol", "-1"],
+     "picard_tol must be a non-negative number"),
+    (["reproduce", "--picard-tol=-1e-9"],
+     "picard_tol must be a non-negative number"),
+], ids=["max-iter-0", "max-iter-negative", "tol-negative", "tol-nan",
+        "check-picard-tol-negative", "reproduce-picard-tol-negative"])
+def test_picard_settings_out_of_range_are_usage_errors(ws, tmp_path, capsys,
+                                                       args, says):
+    if args[0] != "reproduce":
+        args = args + ["--model", str(ws / "fit" / "model")]
+    if args[0] == "simulate":
+        write_signal(zeros(TimeGrid(4, 0.5)), tmp_path / "zero.csv")
+        args = args + ["--input", str(tmp_path / "zero.csv")]
+    capsys.readouterr()
+    rc = cli.main(args + ["--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {says}")
     assert not (tmp_path / "out").exists()
 
 
@@ -997,6 +1040,17 @@ def wide_data(tmp_path_factory):
                          tuple(random_signal(grid, 1, rng) for _ in range(60))),
                  root)
     return root
+
+
+@pytest.fixture(scope="module")
+def wide_model(wide_data, tmp_path_factory):
+    """A fit of wide_data (m = 2, p = 1) under a gain supply."""
+    out = tmp_path_factory.mktemp("widefit")
+    rc = cli.main(["fit", "--data", str(wide_data), "--supply", "gain",
+                   "--delta", "4", "--gamma", "1", "--out", str(out),
+                   "--quiet"])
+    assert rc == 0
+    return out / "model"
 
 
 def _lines_edit(edit):

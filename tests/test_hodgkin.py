@@ -188,29 +188,11 @@ def test_figure_csv_format(tmp_path):
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        simulate_channel(-50.0, 1e-3)  # horizon required for constants
-    with pytest.raises(ValueError):
         simulate_channel(-50.0, 1e-3, horizon=0.0005)
     with pytest.raises(ValueError):
         simulate_channel(-50.0, -1e-3, horizon=1.0)
-    grid = TimeGrid(10, 0.5)
-    sig = Signal(grid, np.zeros(11))
-    with pytest.raises(ShapeError):
-        simulate_channel(sig, 1e-3)  # grid dt must equal dt_ode
-    wide = Signal(TimeGrid(10, 1e-3), np.zeros((11, 2)))
-    with pytest.raises(ShapeError):
-        simulate_channel(wide, 1e-3)
-
-
-def test_signal_input_matches_callable():
-    u1, _ = witness_inputs()
-    grid = TimeGrid(2000, 1e-3)
-    sig = Signal(grid, u1(grid.times()))
-    from_sig = simulate_channel(sig, 1e-3)
-    from_fn = simulate_channel(u1, 1e-3, horizon=2.0)
-    # midpoints differ: linear interpolation vs exact samples
-    gap = np.abs(from_sig.values - from_fn.values).max()
-    assert gap <= 1e-5 * np.abs(from_fn.values).max()
+    with pytest.raises(ShapeError):  # a callable maps an array of times
+        simulate_channel(lambda t: -50.0, 1e-3, horizon=1.0)
 
 
 def _reference_gating(u, dt_ode, horizon):
@@ -253,13 +235,13 @@ def _assert_matches_reference(u, dt_ode, horizon):
 
 def test_scan_matches_reference_loop():
     u1, u2 = witness_inputs()
-    grid = TimeGrid(1500, 1e-3)
-    # one step, odd and power-of-two step counts, every input kind, and a
-    # 2e5-step trajectory
+    knots = np.linspace(0.0, 1.5, 16)
+    ramps = lambda t: np.interp(t, knots, u2(knots))
+    # one step, odd and power-of-two step counts, every input kind (a
+    # piecewise linear waveform among them), and a 2e5-step trajectory
     cases = [(-6.0, 1e-3, 1e-3), (-6.0, 1e-3, 2.0), (-10.0, 2e-3, 3.0),
              (-19.0, 1e-3, 2.048), (-63.0, 0.1, 10.0), (u1, 1e-3, 2.0),
-             (u2, 5e-4, 1.0), (Signal(grid, u2(grid.times())), 1e-3, None),
-             (u1, 5e-4, 100.0)]
+             (u2, 5e-4, 1.0), (ramps, 1e-3, 1.5), (u1, 5e-4, 100.0)]
     for u, dt_ode, horizon in cases:
         _assert_matches_reference(u, dt_ode, horizon)
 
@@ -291,8 +273,8 @@ def test_constant_level_matches_reference_loop(level, dt_ode, steps):
 
 
 def test_only_waveforms_take_the_scan(monkeypatch):
-    # constant levels are integrated in closed form; callables and sampled
-    # signals go through the prefix scan
+    # constant levels are integrated in closed form; callables go through
+    # the prefix scan
     calls = []
     scan = hodgkin._scan_gating
     monkeypatch.setattr(hodgkin, "_scan_gating",
@@ -301,8 +283,7 @@ def test_only_waveforms_take_the_scan(monkeypatch):
     assert calls == []
     monotonicity_witness()
     assert len(calls) == 2
-    grid = TimeGrid(10, 1e-3)
-    simulate_channel(Signal(grid, np.full(11, -50.0)), 1e-3)
+    simulate_channel(lambda t: np.full(t.shape, -50.0), 1e-3, horizon=0.01)
     assert len(calls) == 3
 
 
@@ -311,10 +292,11 @@ def test_only_waveforms_take_the_scan(monkeypatch):
        dt_ode=st.sampled_from([5e-4, 1e-3, 2e-3, 0.1]),
        steps=st.integers(1, 1500))
 def test_sampled_signal_matches_reference_loop(knots, dt_ode, steps):
-    grid = TimeGrid(steps, dt_ode)
-    t = grid.times()
-    values = np.interp(t, np.linspace(0.0, t[-1], len(knots)), knots)
-    _assert_matches_reference(Signal(grid, values), dt_ode, None)
+    # the waveform through the knots, spread evenly over the horizon
+    horizon = steps * dt_ode
+    times = np.linspace(0.0, horizon, len(knots))
+    _assert_matches_reference(lambda t: np.interp(t, times, knots), dt_ode,
+                              horizon)
 
 
 def test_unstable_step_raises():

@@ -44,7 +44,7 @@ def _records() -> dict:
         verify_signature(rate.phi, 1, 1), rate, factors,
         check_operator_iiqc(lambda us: us, rate, [(u, y)]),
         scattered, picard_solve(scattered, u), picard_solve(scattered, [u, y]),
-        causality_check_r(scattered, [(u, y)], horizons=[1]),
+        causality_check_r(scattered, [(u, y)]),
         WitnessResult(-1.0, -2.0), check_step_ordering(data),
     ]
     return {type(obj).__name__: obj for obj in objects}

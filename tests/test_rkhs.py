@@ -540,7 +540,12 @@ def test_tune_gamma_stored_norm_within_rho(seed, p, layout, rho, rel_tol):
     data = _random_dataset(rng, n=3, tau=2, p=p, scale=float(rng.uniform(0.1, 5)))
     A = rng.normal(size=(p, p))
     kernel = SeparableKernel(gaussian(2.0), A @ A.T + 0.1 * np.eye(p))
-    gamma, model = tune_gamma(kernel, data, rho, layout=layout, rel_tol=rel_tol)
+    if layout == "dense":  # a second channel matrix: the Gram does not factor
+        kernel = SumKernel((0.5, 0.5), (kernel, SeparableKernel(gaussian(2.0),
+                                                                np.eye(p))))
+    if p > 1:  # at p = 1 the two layouts coincide
+        assert build_gram(kernel, data.inputs).layout == layout
+    gamma, model = tune_gamma(kernel, data, rho, rel_tol=rel_tol)
     assert model.gamma == gamma
     assert model.rkhs_norm <= rho
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iqcfit.errors import ShapeError, SignatureError
@@ -252,6 +252,33 @@ def test_supply_json_round_trip():
             supply_from_json(supply_to_json(supply), (supply.m + 1, supply.p))
     assert supply_to_json(passivity_supply(1))["kind"] == "passivity"
     assert supply_to_json(gain_supply(2.5))["kind"] == "gain"
+
+
+def test_passivity_record_needs_p_equal_m():
+    with pytest.raises(ValueError, match="passivity supply needs p = m"):
+        supply_from_json({"kind": "passivity", "m": 1, "p": 2}, (1, 2))
+    assert supply_from_json({"kind": "passivity", "m": 2}, (2, 2)).p == 2
+
+
+# passivity records ignore delta; a record without p means p = m
+_SUPPLY_RECORDS = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["passivity", "gain"]), "m": st.integers(1, 4),
+     "delta": st.floats(0.01, 100.0)},
+    optional={"p": st.integers(1, 4)})
+
+
+@settings(max_examples=200)
+@given(record=_SUPPLY_RECORDS, dims=st.tuples(st.integers(1, 4),
+                                              st.integers(1, 4)))
+def test_accepted_supply_records_keep_their_dims(record, dims):
+    try:
+        supply = supply_from_json(record, dims)
+    except ValueError:  # passivity with p != m, or other dims
+        return
+    want = (record["m"], record.get("p", record["m"]))
+    assert (supply.m, supply.p) == want == dims
+    back = supply_from_json(supply_to_json(supply), dims)
+    assert np.array_equal(back.phi, supply.phi)
 
 
 def test_supply_from_json_file(tmp_path):
