@@ -48,6 +48,7 @@ from .kernels import (
 from .rkhs import fit, fit_many, load_fitted, save_fitted, tune_gamma
 from .signals import (
     TimeGrid,
+    checked,
     csv_text,
     load_dataset,
     located,
@@ -85,39 +86,35 @@ class Option(NamedTuple):
 
 def _scalar(convert: Callable, types: tuple, what: str) -> Callable:
     """Accept a value of one of the JSON types (a flag's text is a str) and
-    convert it; bool, though an int in Python, counts only when listed."""
+    convert it."""
     def parse(value):
-        if isinstance(value, types) and (bool in types
-                                         or not isinstance(value, bool)):
-            try:
-                return convert(value)
-            except ValueError:
-                pass
-        raise ValueError(f"must be {what}, got {value!r}")
+        if not isinstance(value, types):
+            raise ValueError(f"must be {what}, got {value!r}")
+        return convert(value)
     return parse
 
 
-_number = _scalar(float, (str, int, float), "a number")
-_integer = _scalar(int, (str, int), "an integer")
+def _number(kind: str) -> Callable:
+    """checked(value, kind), a flag's text first read with int (for the
+    integer kinds) or float."""
+    read = int if kind in ("integer", "count") else float
+
+    def parse(value):
+        if isinstance(value, str):
+            try:
+                value = read(value)
+            except ValueError:
+                pass  # checked refuses the text
+        return checked(value, kind)
+    parse.kind = kind
+    return parse
+
+
 _text = _scalar(str, (str,), "a string")
 _path = _scalar(Path, (str,), "a path")
 _flag = _scalar(bool, (bool,), "true or false")
 # a kernel JSON file name, or (in a config file) the kernel object itself
 _kernel = _scalar(lambda spec: spec, (str, dict), "a file name or an object")
-
-
-def _count(value) -> int:
-    count = _integer(value)
-    if count < 1:
-        raise ValueError(f"must be at least 1, got {count}")
-    return count
-
-
-def _nonnegative(value) -> float:
-    number = _number(value)
-    if not number >= 0:  # NaN fails too
-        raise ValueError(f"must be a non-negative number, got {value!r}")
-    return number
 
 
 def _choice(*names: str) -> Callable:
@@ -143,21 +140,24 @@ def _listed(item: Callable, split: bool = True) -> Callable:
 
 
 CHECKS = ("iiqc", "causality", "defect")
-_numbers = _listed(_number)
+_numbers = _listed(_number("finite"))
 _texts = _listed(_text, split=False)
 _checks = _listed(_choice(*CHECKS))
 
 
 GRID = (
-    Option("horizon", 10.0, _number, "simulated time span"),
-    Option("sample_dt", 0.5, _number, "sample spacing of the working grid"),
-    Option("dt_ode", 1e-3, _number, "RK4 step of the channel simulation"),
+    Option("horizon", 10.0, _number("positive"), "simulated time span"),
+    Option("sample_dt", 0.5, _number("positive"),
+           "sample spacing of the working grid"),
+    Option("dt_ode", 1e-3, _number("positive"),
+           "RK4 step of the channel simulation"),
 )
 LEVELS = Option("levels", DEFAULT_LEVELS, _numbers,
                 "comma separated holding potentials, e.g. =-6,-10")
 SUPPLY = (
     Option("supply", "passivity", _choice("passivity", "gain"), "supply rate"),
-    Option("delta", None, _number, "gain bound, required by the gain supply"),
+    Option("delta", None, _number("positive"),
+           "gain bound, required by the gain supply"),
 )
 KERNEL = Option("kernel", {"structure": "separable", "R": "identity",
                            "scalar": {"kind": "scaled_laplacian"}},
@@ -166,17 +166,21 @@ DATA = (
     Option("data", None, _text, "dataset directory"),
     KERNEL,
     *SUPPLY,
-    Option("scale_a", None, _number, "input scale, paired with --scale-b"),
-    Option("scale_b", None, _number, "output scale, paired with --scale-a"),
+    Option("scale_a", None, _number("positive"),
+           "input scale, paired with --scale-b"),
+    Option("scale_b", None, _number("positive"),
+           "output scale, paired with --scale-a"),
 )
 MODEL = Option("model", None, _text, "model bundle directory or its model.json")
-PROBES = Option("probes", 100, _count, "random probe pairs, at least 1")
-TOL = Option("tol", 1e-8, _number, "tolerance of the constraint check")
-PICARD_TOL = Option("picard_tol", None, _nonnegative,
+PROBES = Option("probes", 100, _number("count"),
+                "random probe pairs, at least 1")
+TOL = Option("tol", 1e-8, _number("finite"),
+             "tolerance of the constraint check")
+PICARD_TOL = Option("picard_tol", None, _number("nonnegative"),
                     "Picard stopping tolerance")
-RHO = Option("rho", 0.99, _number, "norm target when tuning")
+RHO = Option("rho", 0.99, _number("positive"), "norm target when tuning")
 COMMON = (
-    Option("seed", 0, _integer, "seed for randomized checks"),
+    Option("seed", 0, _number("integer"), "seed for randomized checks"),
     Option("out", Path("iqcfit_out"), _path, "output directory"),
     Option("quiet", False, _flag, "suppress progress messages"),
 )
@@ -570,6 +574,11 @@ def run_reproduce(cfg: dict) -> int:
     out, quiet = cfg["out"], cfg["quiet"]
     _log(quiet, "stage 1/6: step-response dataset")
     data = _step_data(cfg)
+    # reconstruction errors are read relative to this scale
+    data_scale = max(norm(y) for y in data.outputs)
+    if data_scale == 0:
+        raise ValueError(f"levels {cfg['levels']} give only zero outputs, so "
+                         f"reconstruction errors have no scale")
 
     _log(quiet, "stage 2/6: monotonicity witness on the raw channel")
     wit = _witness(cfg)
@@ -587,7 +596,6 @@ def run_reproduce(cfg: dict) -> int:
     scattered = contraction_margin(model, factors)
 
     _log(quiet, "stage 5/6: reconstruction of the training levels")
-    data_scale = max(norm(y) for y in data.outputs)
     recon, rows = [], []
     solved = _scaled_picard(scattered, data.inputs, scale,
                             tol=cfg["picard_tol"])
@@ -669,40 +677,51 @@ COMMANDS = {
         Option("target", "identity", _choice("hh", "identity", "model"),
                "operator to check"),
         MODEL, *SUPPLY, PROBES,
-        Option("probe_scale", 1.0, _number, "amplitude of the probe signals"),
-        Option("tau", 20, _integer, "probe horizon in samples (identity)"),
-        Option("dt", 0.5, _number, "probe sample spacing (identity)"),
-        Option("dim", 1, _count, "probe channels (identity), at least 1"),
+        Option("probe_scale", 1.0, _number("positive"),
+               "amplitude of the probe signals"),
+        Option("tau", 20, _number("integer"),
+               "probe horizon in samples (identity)"),
+        Option("dt", 0.5, _number("positive"),
+               "probe sample spacing (identity)"),
+        Option("dim", 1, _number("count"),
+               "probe channels (identity), at least 1"),
         TOL,
-        Option("defect_tol", 1e-10, _number, "nonexpansiveness defect bound"),
+        Option("defect_tol", 1e-10, _number("finite"),
+               "nonexpansiveness defect bound"),
         Option("checks", None, _checks,
                f"comma separated subset of {','.join(CHECKS)} for model "
                f"targets (default: all that apply)"),
         PICARD_TOL, *GRID, *COMMON)),
     "fit": ("fit a kernel model in scattered coordinates", run_fit, (
         *DATA,
-        Option("gamma", None, _number, "fixed regularization weight"),
+        Option("gamma", None, _number("positive"),
+               "fixed regularization weight"),
         RHO, *COMMON)),
     "simulate": ("run the identified operator on input CSVs", run_simulate, (
         MODEL,
-        Option("inputs", [], _texts, "input signal CSV, repeatable"),
-        Option("tol", None, _nonnegative, "Picard stopping tolerance"),
-        Option("max_iter", 10_000, _count, "Picard iteration cap, at least 1"),
+        Option("inputs", None, _texts, "input signal CSV, repeatable"),
+        Option("tol", None, _number("nonnegative"),
+               "Picard stopping tolerance"),
+        Option("max_iter", 10_000, _number("count"),
+               "Picard iteration cap, at least 1"),
         *COMMON)),
     "reproduce": ("full pipeline: data, witness, fit, simulate",
                   run_reproduce, (
         LEVELS, *GRID, RHO,
-        Option("scale_a", INPUT_SCALE, _number, "input scale"),
-        Option("scale_b", OUTPUT_SCALE, _number, "output scale"),
+        Option("scale_a", INPUT_SCALE, _number("positive"), "input scale"),
+        Option("scale_b", OUTPUT_SCALE, _number("positive"), "output scale"),
         PROBES, TOL, PICARD_TOL,
-        Option("error_bound", 0.15, _number,
+        Option("error_bound", 0.15, _number("nonnegative"),
                "largest reconstruction error relative to the data scale"),
         *COMMON)),
     "sweep-gamma": ("tabulate gamma versus norm and risk", run_sweep_gamma, (
         *DATA,
-        Option("gamma_min", 1e-6, _number, "smallest regularization weight"),
-        Option("gamma_max", 1.0, _number, "largest regularization weight"),
-        Option("count", 25, _count, "number of weights, at least 1"),
+        Option("gamma_min", 1e-6, _number("positive"),
+               "smallest regularization weight"),
+        Option("gamma_max", 1.0, _number("positive"),
+               "largest regularization weight"),
+        Option("count", 25, _number("count"),
+               "number of weights, at least 1"),
         *COMMON)),
 }
 

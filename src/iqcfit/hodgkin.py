@@ -16,7 +16,8 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from .errors import NumericalError, ShapeError
-from .signals import Dataset, Signal, TimeGrid, csv_text, inner_product
+from .signals import (Dataset, Signal, TimeGrid, checked, csv_text,
+                      inner_product)
 
 # Voltage levels (mV) for the default step-response experiment.
 DEFAULT_LEVELS = (-6.0, -10.0, -19.0, -26.0, -32.0, -38.0, -51.0, -63.0,
@@ -88,8 +89,7 @@ def _integrate_gating(u: InputLike, dt_ode: float,
     prefix scan composes them, and since x(0) = 0 the composed offsets are
     x_1, ..., x_n.  Rounding error grows with log n rather than n.
     """
-    if dt_ode <= 0:
-        raise ValueError(f"dt_ode must be positive, got {dt_ode}")
+    dt_ode = checked(dt_ode, "positive", "dt_ode")
     half, n = _input_on_half_grid(u, dt_ode, horizon)
     if callable(u):
         xs = _scan_gating(half, n, dt_ode)
@@ -231,8 +231,7 @@ def monotonicity_witness(dt_ode: float = 1e-3, sample_dt: float = 0.5,
 def scale_dataset(data: Dataset, a: float = INPUT_SCALE,
                   b: float = OUTPUT_SCALE) -> Dataset:
     """Divide inputs by a and outputs by b."""
-    if a <= 0 or b <= 0:
-        raise ValueError("scale factors must be positive")
+    a, b = checked(a, "positive", "scale a"), checked(b, "positive", "scale b")
     return Dataset(tuple(u * (1.0 / a) for u in data.inputs),
                    tuple(y * (1.0 / b) for y in data.outputs))
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ContractionError, ConvergenceError, ShapeError
 from .kernels import PROVEN, certify_nonexpansive
 from .rkhs import FittedOperator
-from .signals import Signal, norm, truncate
+from .signals import Signal, checked, norm, truncate
 from .supply import ScatteringFactors
 
 DEFAULT_MAX_ITER = 10_000
@@ -66,12 +66,12 @@ def contraction_margin(model: FittedOperator,
             "cannot bound the fitted operator's increments"
         )
     ell = model.rkhs_norm
-    if ell >= 1.0:
+    if not ell < 1.0:  # NaN fails too
         raise ContractionError(f"fitted operator norm {ell:.6f} >= 1")
     if model.input_dim != factors.m or model.output_dim != factors.p:
         raise ShapeError("fitted dims do not match the scattering factors")
     eps = _epsilon(ell, factors)
-    if eps >= 1.0:
+    if not eps < 1.0:  # NaN fails too
         raise ContractionError(f"contraction factor eps = {eps:.6f} >= 1")
     return ScatteredModel(model.evaluator, factors, ell, eps, model)
 
@@ -84,16 +84,15 @@ def scattered_from_operator(s: Callable[[Signal], Signal], lipschitz: float,
     whose kernel certificate is unknown but whose bound is known by other
     means).  The caller vouches for the Lipschitz constant.
     """
-    if lipschitz < 0:
-        raise ValueError("lipschitz bound must be nonnegative")
+    lipschitz = checked(lipschitz, "nonnegative", "lipschitz bound")
     eps = _epsilon(lipschitz, factors)
-    if eps >= 1.0:
+    if not eps < 1.0:  # NaN fails too
         raise ContractionError(f"contraction factor eps = {eps:.6f} >= 1")
 
     def s_values(vals: np.ndarray) -> np.ndarray:
         return np.stack([s(Signal(grid, lane)).values for lane in vals])
 
-    return ScatteredModel(s_values, factors, float(lipschitz), eps, None)
+    return ScatteredModel(s_values, factors, lipschitz, eps, None)
 
 
 class PicardResult(NamedTuple):

@@ -16,21 +16,24 @@ from typing import Union
 import numpy as np
 
 from .errors import KernelSpecError, ShapeError
-from .signals import (Frozen, Signal, Value, _require_compatible,
-                      manifest_values, norm)
+from .signals import (Frozen, Signal, Value, _require_compatible, checked,
+                      norm)
 
 PROVEN = "proven"
 UNKNOWN = "unknown"
 
-SCALAR_KINDS = (
-    "bilinear",
-    "polynomial",
-    "gaussian",
-    "laplacian",
-    "scaled_laplacian",
-    "inverse_power",
-    "stable_spline",
-)
+# Each scalar kind's parameters, with the kind of number each must be (see
+# signals.checked); a polynomial's degree d must also be integral.
+SCALAR_KINDS = {
+    "bilinear": {},
+    "polynomial": {"c": "nonnegative", "d": "positive"},
+    "gaussian": {"sigma": "positive"},
+    "laplacian": {"sigma": "positive"},
+    "scaled_laplacian": {},
+    # c = 0 would make k(u, u) singular
+    "inverse_power": {"c": "positive", "d": "positive"},
+    "stable_spline": {"beta": "positive"},
+}
 
 # Batched kernel evaluations take lanes in chunks small enough that no
 # temporary of the batched kernel core (lanes x centers x steps x channels)
@@ -46,26 +49,15 @@ class ScalarKernelSpec(Value):
     def __init__(self, kind: str, sigma: float | None = None,
                  c: float | None = None, d: float | None = None,
                  beta: float | None = None):
-        if kind not in SCALAR_KINDS:
+        if not isinstance(kind, str) or kind not in SCALAR_KINDS:
             raise ValueError(f"unknown scalar kernel kind {kind!r}")
-        if kind in ("gaussian", "laplacian"):
-            if sigma is None or sigma <= 0:
-                raise ValueError(f"{kind} kernel needs sigma > 0")
-        if kind == "polynomial":
-            if c is None or c < 0:
-                raise ValueError("polynomial kernel needs offset c >= 0")
-            if d is None or d != int(d) or d < 1:
-                raise ValueError("polynomial kernel needs integer degree d >= 1")
-        if kind == "inverse_power":
-            # c = 0 would make k(u, u) singular
-            if c is None or c <= 0:
-                raise ValueError("inverse power kernel needs offset c > 0")
-            if d is None or d <= 0:
-                raise ValueError("inverse power kernel needs exponent d > 0")
-        if kind == "stable_spline":
-            if beta is None or beta <= 0:
-                raise ValueError("stable spline kernel needs beta > 0")
-        self._set(kind=kind, sigma=sigma, c=c, d=d, beta=beta)
+        given = {"sigma": sigma, "c": c, "d": d, "beta": beta}
+        params = dict.fromkeys(given)  # a kind's other parameters stay None
+        for name, number in SCALAR_KINDS[kind].items():
+            params[name] = checked(given[name], number, f"{kind} kernel {name}")
+        if kind == "polynomial" and not params["d"].is_integer():
+            raise ValueError(f"polynomial kernel d must be integral, got {d!r}")
+        self._set(kind=kind, **params)
 
 
 def bilinear() -> ScalarKernelSpec:
@@ -73,15 +65,15 @@ def bilinear() -> ScalarKernelSpec:
 
 
 def polynomial(c: float, d: int) -> ScalarKernelSpec:
-    return ScalarKernelSpec("polynomial", c=float(c), d=float(d))
+    return ScalarKernelSpec("polynomial", c=c, d=d)
 
 
 def gaussian(sigma: float) -> ScalarKernelSpec:
-    return ScalarKernelSpec("gaussian", sigma=float(sigma))
+    return ScalarKernelSpec("gaussian", sigma=sigma)
 
 
 def laplacian(sigma: float) -> ScalarKernelSpec:
-    return ScalarKernelSpec("laplacian", sigma=float(sigma))
+    return ScalarKernelSpec("laplacian", sigma=sigma)
 
 
 def scaled_laplacian() -> ScalarKernelSpec:
@@ -89,11 +81,11 @@ def scaled_laplacian() -> ScalarKernelSpec:
 
 
 def inverse_power(c: float, d: float) -> ScalarKernelSpec:
-    return ScalarKernelSpec("inverse_power", c=float(c), d=float(d))
+    return ScalarKernelSpec("inverse_power", c=c, d=d)
 
 
 def stable_spline(beta: float) -> ScalarKernelSpec:
-    return ScalarKernelSpec("stable_spline", beta=float(beta))
+    return ScalarKernelSpec("stable_spline", beta=beta)
 
 
 def eval_scalar(spec: ScalarKernelSpec, u: Signal, v: Signal) -> float:
@@ -169,6 +161,8 @@ def _frozen_matrix(r, name: str) -> np.ndarray:
     arr = np.asarray(r, dtype=float).copy()
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ShapeError(f"{name} must be a square 2-d matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has a non-finite entry")
     arr.setflags(write=False)
     return arr
 
@@ -253,12 +247,11 @@ class SumKernel(OperatorKernel):
 
     def __init__(self, weights: tuple[float, ...],
                  children: tuple[OperatorKernel, ...]):
-        weights = tuple(float(w) for w in weights)
+        weights = tuple(checked(w, "nonnegative", "sum kernel weight")
+                        for w in weights)
         children = tuple(children)
         if len(weights) != len(children) or not children:
             raise ShapeError("need one weight per child kernel")
-        if any(w < 0 for w in weights):
-            raise ValueError("sum kernel weights must be nonnegative")
         dims = {child.output_dim for child in children}
         if len(dims) != 1:
             raise ShapeError(f"children disagree on output dim: {sorted(dims)}")
@@ -440,22 +433,13 @@ def is_causal(kernel: AnyKernel) -> bool:
 
 
 def _scalar_to_json(spec: ScalarKernelSpec) -> dict:
-    out = {"kind": spec.kind}
-    for field in ("sigma", "c", "d", "beta"):
-        value = getattr(spec, field)
-        if value is not None:
-            out[field] = value
-    return out
+    return {"kind": spec.kind, **{name: getattr(spec, name)
+                                  for name in SCALAR_KINDS[spec.kind]}}
 
 
 def _scalar_from_json(obj: dict) -> ScalarKernelSpec:
-    return ScalarKernelSpec(
-        obj["kind"],
-        sigma=obj.get("sigma"),
-        c=obj.get("c"),
-        d=obj.get("d"),
-        beta=obj.get("beta"),
-    )
+    return ScalarKernelSpec(obj["kind"], **{
+        name: obj.get(name) for name in ScalarKernelSpec.__slots__[1:]})
 
 
 def _matrix_to_json(R: np.ndarray):
@@ -491,18 +475,6 @@ def _malformed(obj, why) -> KernelSpecError:
     return KernelSpecError(f"malformed kernel {reprlib.repr(obj)}: {why}")
 
 
-def _json_dim(obj: dict, p: int | None) -> int | None:
-    """A separable kernel's "p", by default p: an integer >= 1, and equal to
-    p when the caller knows the output dim; None when neither gives one."""
-    if "p" not in obj:
-        return p
-    (dim,) = manifest_values(obj, p="integer")
-    if dim < 1 or p not in (None, dim):
-        raise ValueError(f"p must be {'at least 1' if p is None else p}, "
-                         f"got {dim}")
-    return dim
-
-
 def kernel_from_json(obj: dict, p: int | None = None) -> OperatorKernel:
     """Rebuild a kernel from its JSON form; certificates are re-derived.
 
@@ -515,7 +487,9 @@ def kernel_from_json(obj: dict, p: int | None = None) -> OperatorKernel:
     try:
         structure = obj.get("structure", "separable")
         if structure in ("separable", "conjugated"):
-            dim = _json_dim(obj, p)
+            dim = checked(obj["p"], "count", "p") if "p" in obj else p
+            if p not in (None, dim):
+                raise ValueError(f"p must be {p}, got {dim}")
             R = _matrix_from_json(obj.get("R", "identity"), dim)
             if dim is not None and R.shape != (dim, dim):
                 raise _malformed(obj, f"R must be {dim} x {dim}, "
@@ -524,9 +498,8 @@ def kernel_from_json(obj: dict, p: int | None = None) -> OperatorKernel:
             return build(_scalar_from_json(obj["scalar"]), R)
         if structure == "sum":
             weights = obj["weights"]
-            if not isinstance(weights, list) or any(
-                    type(w) not in (int, float) for w in weights):
-                raise _malformed(obj, "weights must be a list of numbers, "
+            if not isinstance(weights, list):
+                raise _malformed(obj, "weights must be a list, "
                                       f"got {reprlib.repr(weights)}")
             return SumKernel(tuple(weights), tuple(kernel_from_json(c, p)
                                                    for c in obj["children"]))

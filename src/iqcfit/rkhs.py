@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConvergenceError, NumericalError, ShapeError
 from .kernels import (LANE_BUDGET, OperatorKernel, as_operator,
                       kernel_from_json, kernel_to_json)
-from .signals import (Dataset, Frozen, Signal, TimeGrid, located,
+from .signals import (Dataset, Frozen, Signal, TimeGrid, checked, located,
                       manifest_values, norm, read_json)
 
 # Gram blocks above this side length are refused: centers x channels in the
@@ -249,7 +249,13 @@ class FittedOperator(Frozen):
         the coefficients solve (G + gamma I) c = y, so the residual
         y - G c is gamma c and the risk is gamma^2 ||c||^2."""
         coeff = _stack(self.coefficients)
-        return self.gamma**2 * float(np.vdot(coeff, coeff))
+        try:
+            return self.gamma**2 * float(np.vdot(coeff, coeff))
+        except OverflowError:
+            # gamma^2 overflows, yet the risk ||y - G c||^2 = ||gamma c||^2
+            # is finite
+            scaled = self.gamma * coeff
+            return float(np.vdot(scaled, scaled))
 
 
 def _model_from_solution(spectral: Spectral, data: Dataset,
@@ -258,7 +264,7 @@ def _model_from_solution(spectral: Spectral, data: Dataset,
     coeff = spectral.solve(gamma)
     solved = gram.apply(coeff) + gamma * coeff
     rel = np.linalg.norm(solved - targets) / max(np.linalg.norm(targets), 1e-300)
-    if np.linalg.norm(targets) > 0 and rel > 1e-10:
+    if np.linalg.norm(targets) > 0 and not rel <= 1e-10:  # NaN fails too
         raise NumericalError(f"fit residual {rel:.3e} exceeds 1e-10")
     sq = max(gram.quad(coeff), 0.0)
     coeff_signals = tuple(Signal(data.grid, coeff[j]) for j in range(data.n))
@@ -283,9 +289,7 @@ def fit(kernel: OperatorKernel, data: Dataset, gamma: float,
 def fit_many(kernel: OperatorKernel, data: Dataset, gammas: Sequence[float],
              layout: str = "auto") -> list[FittedOperator]:
     """One fit per regularization weight, all from one Gram factorization."""
-    for gamma in gammas:
-        if gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {gamma}")
+    gammas = [checked(gamma, "positive", "gamma") for gamma in gammas]
     spectral = _spectral(kernel, data, layout)
     return [_model_from_solution(spectral, data, gamma) for gamma in gammas]
 
@@ -526,33 +530,29 @@ def load_fitted(location: str | Path) -> FittedOperator:
         if meta.get("format") != BUNDLE_FORMAT:
             raise ValueError("not a model bundle")
         dt, n, tau, m, p, gamma, stored_norm = manifest_values(
-            meta, dt="positive", n="integer", tau="integer", m="integer",
-            p="integer", gamma="positive", rkhs_norm="finite")
-        if min(n, m, p) < 1 or tau < 0:
-            raise ValueError(f"n, m and p must be at least 1 and tau at "
-                             f"least 0, got n={n}, m={m}, p={p}, tau={tau}")
+            meta, dt="positive", n="count", tau="integer", m="count",
+            p="count", gamma="positive", rkhs_norm="finite")
+        grid = TimeGrid(tau, dt)
         kernel = kernel_from_json(meta["kernel"], p)
-        steps = tau + 1
         extra = meta.get("extra") or {}
         if not isinstance(extra, dict):
             raise ValueError("extra must be a JSON object")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    except (TypeError, KeyError, AttributeError, OverflowError) as exc:
+    except (TypeError, KeyError, AttributeError) as exc:
         raise ValueError(f"{path}: malformed model manifest: "
                          f"{type(exc).__name__} {exc}") from None
-    X, coeff, ybar = (_read_stack(base / name, (n, steps, dim), path)
+    X, coeff, ybar = (_read_stack(base / name, (n, grid.size, dim), path)
                       for name, dim in zip(BUNDLE_FILES, (m, p, p)))
-    grid = TimeGrid(tau, dt)
     centers = tuple(Signal(grid, x) for x in X)
     gram = build_gram(kernel, centers)
     residual = gram.apply(coeff) + gamma * coeff - ybar
     rel = np.linalg.norm(residual) / max(np.linalg.norm(ybar), 1e-300)
-    if np.linalg.norm(ybar) > 0 and rel > 1e-10:
+    if np.linalg.norm(ybar) > 0 and not rel <= 1e-10:  # NaN fails too
         raise NumericalError(f"{path}: stored fit violates its linear system "
                              f"(relative residual {rel:.3e})")
     nrm = math.sqrt(max(gram.quad(coeff), 0.0))
-    if abs(nrm - stored_norm) > 1e-6 * max(1.0, nrm):
+    if not abs(nrm - stored_norm) <= 1e-6 * max(1.0, nrm):  # NaN fails too
         raise NumericalError(
             f"{path}: stored norm {meta['rkhs_norm']} != recomputed {nrm}"
         )

@@ -9,7 +9,10 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 import operator
+import reprlib
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -77,9 +80,7 @@ class TimeGrid(Value):
     def __init__(self, tau: int, dt: float = 1.0):
         if not isinstance(tau, int) or tau < 0:
             raise ShapeError(f"tau must be a nonnegative integer, got {tau!r}")
-        if not (math.isfinite(dt) and dt > 0):
-            raise ValueError(f"dt must be positive and finite, got {dt!r}")
-        self._set(tau=tau, dt=dt)
+        self._set(tau=tau, dt=checked(dt, "positive", "dt"))
 
     @property
     def size(self) -> int:
@@ -375,35 +376,41 @@ def save_dataset(data: Dataset, directory: str | Path) -> Path:
     return path
 
 
-# What manifest_values requires of each kind of field; a JSON boolean is
-# neither an integer nor a number.
-MANIFEST_KINDS = {
-    "integer": "an integer",
-    "positive": "a positive finite number",
-    "finite": "a finite number",
+# What checked requires of each kind of number: its description and the test
+# of its range.  Every kind is finite, and a JSON boolean, though an int in
+# Python, is no number.
+NUMBER_KINDS = {
+    "integer": ("an integer", lambda x: True),
+    "count": ("an integer at least 1", lambda x: x >= 1),
+    "finite": ("a finite number", lambda x: True),
+    "nonnegative": ("a non-negative finite number", lambda x: x >= 0),
+    "positive": ("a positive finite number", lambda x: x > 0),
 }
 
 
+def checked(value, kind: str, name: str = "") -> int | float:
+    """value as a number of its kind (a key of NUMBER_KINDS): an int for
+    "integer" and "count", else a float.  Any other value, an integer beyond
+    float range too, raises a ValueError "<name> must be <kind>, got ..."."""
+    what, in_range = NUMBER_KINDS[kind]
+    integral = kind in ("integer", "count")
+    if (isinstance(value, numbers.Integral if integral else numbers.Real)
+            and not isinstance(value, bool)):
+        # a Python int compares with a float exactly, so one beyond float
+        # range fails the test, as NaN does
+        number = (int(value) if isinstance(value, numbers.Integral)
+                  else float(value))
+        if (-sys.float_info.max <= number <= sys.float_info.max
+                and in_range(number)):
+            return number if integral else float(number)
+    raise ValueError(f"{name} must be {what}, got {reprlib.repr(value)}"
+                     .lstrip())
+
+
 def manifest_values(meta: dict, **kinds: str) -> list:
-    """meta[key] for each keyword key=kind, in order, checked to be of its
-    kind (a key of MANIFEST_KINDS); numbers come back as float.  A value of
-    the wrong kind raises a ValueError naming the key, a missing key a
-    KeyError, and an integer beyond float range an OverflowError."""
-    values = []
-    for key, kind in kinds.items():
-        value = meta[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            ok = False
-        elif kind == "integer":
-            ok = isinstance(value, int)
-        else:
-            value = float(value)
-            ok = math.isfinite(value) and (kind == "finite" or value > 0)
-        if not ok:
-            raise ValueError(f"{key} must be {MANIFEST_KINDS[kind]}, "
-                             f"got {meta[key]!r}")
-        values.append(value)
-    return values
+    """checked(meta[key], kind, key) for each keyword key=kind, in order; a
+    missing key raises a KeyError."""
+    return [checked(meta[key], kind, key) for key, kind in kinds.items()]
 
 
 def located(location: str | Path, name: str) -> Path:
@@ -426,7 +433,7 @@ def load_dataset(location: str | Path) -> Dataset:
                  for pair in meta["pairs"]]
     except ValueError as exc:
         raise ValueError(f"{manifest_path}: {exc}") from None
-    except (TypeError, KeyError, AttributeError, OverflowError) as exc:
+    except (TypeError, KeyError, AttributeError) as exc:
         raise ValueError(f"{manifest_path}: malformed manifest: "
                          f"{type(exc).__name__} {exc}") from None
     upaths, ypaths = zip(*pairs)

@@ -15,7 +15,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ShapeError, SignatureError
-from .signals import Dataset, Frozen, Signal, manifest_values, read_json
+from .signals import (Dataset, Frozen, Signal, checked, manifest_values,
+                      read_json)
 
 # Relative eigenvalue floor below which Phi counts as singular.
 SINGULAR_TOL = 1e-10
@@ -80,11 +81,10 @@ def passivity_supply(m: int = 1) -> SupplyRate:
 
 def gain_supply(delta: float, m: int = 1, p: int | None = None) -> SupplyRate:
     """Supply diag(delta*I, -I) encoding an incremental gain bound sqrt(delta)."""
-    if delta <= 0:
-        raise ValueError(f"gain parameter must be positive, got {delta}")
+    delta = checked(delta, "positive", "gain parameter")
     if p is None:
         p = m
-    phi = np.diag(np.concatenate([np.full(m, float(delta)), -np.ones(p)]))
+    phi = np.diag(np.concatenate([np.full(m, delta), -np.ones(p)]))
     return SupplyRate(phi, m, p)
 
 
@@ -278,7 +278,7 @@ def supply_from_json(obj: dict | str | Path,
     if kind not in ("passivity", "gain", "custom"):
         raise ValueError(f"unknown supply kind {kind!r}")
     defaults = {} if kind == "custom" else {"m": 1, "p": obj.get("m", 1)}
-    m, p = manifest_values({**defaults, **obj}, m="integer", p="integer")
+    m, p = manifest_values({**defaults, **obj}, m="count", p="count")
     if dims is not None and (m, p) != tuple(dims):
         raise ValueError(f"supply is for (m, p) = ({m}, {p}), not {dims}")
     if kind == "passivity":

@@ -253,6 +253,15 @@ def test_fit_usage_errors(ws, tmp_path):
     assert rc == 2
 
 
+def _kernel(**fields):
+    """Edit of a bundle's model.json that overrides fields of its kernel."""
+    return lambda meta: {**meta, "kernel": {**meta["kernel"], **fields}}
+
+
+def _sigma(value):
+    return _kernel(scalar={"kind": "gaussian", "sigma": value})
+
+
 def _extra(**record):
     """Edit of a bundle's model.json that overrides fields of its extra record."""
     return lambda meta: {**meta, "extra": {**meta["extra"], **record}}
@@ -292,6 +301,14 @@ def _extra(**record):
     ("simulate", _extra(scale={"a": True, "b": 1})),
     ("simulate", _extra(scale={"a": 10**400, "b": 1})),
     ("wide", _extra(supply={"kind": "passivity", "m": 2, "p": 1})),
+    ("model", _sigma(float("nan"))),
+    ("model", _sigma(float("inf"))),
+    ("model", _sigma(10**400)),
+    ("model", _sigma(True)),
+    ("model", _kernel(R=[[float("nan")]])),
+    ("model", lambda meta: {**meta, "kernel": {
+        "structure": "sum", "weights": [float("inf")],
+        "children": [meta["kernel"]]}}),
 ], ids=["sum-weights", "scalar-name", "kernel-not-object", "manifest-list",
         "dt-null", "kernel-p", "kernel-p-huge", "kernel-R-side",
         "kernel-R-ragged", "kernel-R-shorthand", "kernel-sigma-negative",
@@ -301,7 +318,9 @@ def _extra(**record):
         "check-passivity-m-fraction", "check-gain-delta-text",
         "check-supply-dims", "check-supply-huge", "simulate-supply-dims", "simulate-scale-number",
         "simulate-scale-without-b", "simulate-scale-negative",
-        "simulate-scale-bool", "simulate-scale-huge", "wide-passivity-p"])
+        "simulate-scale-bool", "simulate-scale-huge", "wide-passivity-p",
+        "kernel-sigma-nan", "kernel-sigma-inf", "kernel-sigma-huge",
+        "kernel-sigma-bool", "kernel-R-nan", "kernel-weight-inf"])
 def test_malformed_json_is_usage_error(ws, wide_model, tmp_path, capsys,
                                        target, edit):
     shutil.copytree(ws / "gen" / "data", tmp_path / "data")
@@ -351,18 +370,27 @@ _GAUSSIAN_NEGATIVE = {"scalar": {"kind": "gaussian", "sigma": -2.0}}
     ({"R": [[1, 0], [0, 1]], "p": 1}, "R must be"),
     ({"R": [[1, 0], [0]]}, "setting an array element with a sequence"),
     ({"R": "eye"}, "unknown matrix shorthand 'eye'"),
-    (_GAUSSIAN_NEGATIVE, "gaussian kernel needs sigma > 0"),
+    (_GAUSSIAN_NEGATIVE, "gaussian kernel sigma must be a positive finite number"),
     ({"structure": "sum", "weights": [1.0],
       "children": [{"scalar": {"kind": "bilinear"}}] * 2},
      "need one weight per child kernel"),
     ({"structure": "sum", "weights": [1.0], "children": [_GAUSSIAN_NEGATIVE]},
-     "gaussian kernel needs sigma > 0"),
+     "gaussian kernel sigma must be a positive finite number"),
     ({"structure": "causal_diagonal", "child": {
         "structure": "sum", "weights": [1.0], "children": [_GAUSSIAN_NEGATIVE]}},
-     "gaussian kernel needs sigma > 0"),
+     "gaussian kernel sigma must be a positive finite number"),
+    *(({"scalar": {"kind": "gaussian", "sigma": value}},
+       f"gaussian kernel sigma must be a positive finite number, got {shown}")
+      for value, shown in [(float("nan"), "nan"), (float("inf"), "inf"),
+                           (10**400, "1000"), (True, "True")]),
+    ({"R": [[float("nan")]]}, "R has a non-finite entry"),
+    ({"structure": "sum", "weights": [float("inf")],
+      "children": [{"scalar": {"kind": "bilinear"}}]},
+     "sum kernel weight must be a non-negative finite number, got inf"),
 ], ids=["p-huge", "p-zero", "p-negative", "weights-text", "R-side", "R-side-p",
         "R-ragged", "R-shorthand", "sigma-negative", "sum-one-weight",
-        "sum-child-sigma", "causal-sum-child-sigma"])
+        "sum-child-sigma", "causal-sum-child-sigma", "sigma-nan", "sigma-inf",
+        "sigma-huge", "sigma-bool", "R-nan", "weight-inf"])
 def test_kernel_json_faults_name_the_kernel(ws, tmp_path, capsys, fields, says):
     # the file, then the innermost kernel holding the fault, each named once
     path = tmp_path / "kernel.json"
@@ -379,6 +407,7 @@ def test_kernel_json_faults_name_the_kernel(ws, tmp_path, capsys, fields, says):
     assert f": {says}" in err
     assert err.count("malformed kernel") == 1
     assert err.count(str(path)) == 1
+    assert "0" * 100 not in err  # a huge value is shown shortened
     if "structure" in fields and "sigma" in says:
         # a fault inside a child names the child, not its parents
         assert err.startswith(
@@ -706,7 +735,8 @@ def test_sweep_gamma_rejects_empty_sweep(ws, tmp_path, capsys, count):
     rc = cli.main(["sweep-gamma", "--data", str(ws / "gen" / "data"),
                    "--count", count, "--out", str(tmp_path / "sweep"), "--quiet"])
     assert rc == 2
-    assert f"count must be at least 1, got {count}" in capsys.readouterr().err
+    assert (f"count must be an integer at least 1, got {count}"
+            in capsys.readouterr().err)
     assert not (tmp_path / "sweep" / "sweep.csv").exists()
 
 
@@ -844,16 +874,20 @@ def test_cli_import_loads_no_scipy():
 
 # JSON values each kind of option row refuses in a config file.  A row whose
 # default is not None also refuses null.
+_NOT_FINITE = [float("nan"), float("inf"), float("-inf"), 10**400]
+# the parse of a number option is keyed by its kind
 _WRONG = {
-    cli._number: [[1.0], {"a": 1}, True, "x"],
-    cli._integer: [[1], {"a": 1}, True, "x", 2.5],
-    cli._count: [[1], True, 2.5, 0, -3],
-    cli._nonnegative: [[1.0], {"a": 1}, True, "x", -1, float("nan")],
+    "integer": [[1], {"a": 1}, True, "x", 2.5, *_NOT_FINITE],
+    "count": [[1], True, 2.5, 0, -3, *_NOT_FINITE],
+    "finite": [[1.0], {"a": 1}, True, "x", *_NOT_FINITE],
+    "nonnegative": [[1.0], {"a": 1}, True, "x", -1, *_NOT_FINITE],
+    "positive": [[1.0], {"a": 1}, True, "x", 0, -1e-300, *_NOT_FINITE],
     cli._text: [5, [1], {"a": 1}, True],
     cli._path: [5, ["o"], True],
     cli._flag: ["yes", 1, [True]],
     cli._kernel: [5, [1], True],
-    cli._numbers: [5, {"a": 1}, True, [], ["x"], "x.csv"],
+    cli._numbers: [5, {"a": 1}, True, [], ["x"], "x.csv", "nan",
+                   *([x] for x in _NOT_FINITE)],
     cli._texts: [5, "x.csv", [], [1]],
     cli._checks: [5, "bogus", [], ["iiqc", "bogus"], "x.csv"],
 }
@@ -863,7 +897,7 @@ def _wrong_values(opt):
     if hasattr(opt.parse, "choices"):
         wrong = [5, [opt.parse.choices[0]], True, "bogus"]
     else:
-        wrong = list(_WRONG[opt.parse])
+        wrong = list(_WRONG[getattr(opt.parse, "kind", opt.parse)])
     return wrong + ([None] if opt.default is not None else [])
 
 
@@ -923,14 +957,16 @@ def test_out_of_memory_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args, says", [
-    (["simulate", "--max-iter", "0"], "max_iter must be at least 1, got 0"),
-    (["simulate", "--max-iter", "-5"], "max_iter must be at least 1, got -5"),
-    (["simulate", "--tol", "-1"], "tol must be a non-negative number"),
-    (["simulate", "--tol", "nan"], "tol must be a non-negative number"),
+    (["simulate", "--max-iter", "0"],
+     "max_iter must be an integer at least 1, got 0"),
+    (["simulate", "--max-iter", "-5"],
+     "max_iter must be an integer at least 1, got -5"),
+    (["simulate", "--tol", "-1"], "tol must be a non-negative finite number"),
+    (["simulate", "--tol", "nan"], "tol must be a non-negative finite number"),
     (["check", "--target", "model", "--picard-tol", "-1"],
-     "picard_tol must be a non-negative number"),
+     "picard_tol must be a non-negative finite number"),
     (["reproduce", "--picard-tol=-1e-9"],
-     "picard_tol must be a non-negative number"),
+     "picard_tol must be a non-negative finite number"),
 ], ids=["max-iter-0", "max-iter-negative", "tol-negative", "tol-nan",
         "check-picard-tol-negative", "reproduce-picard-tol-negative"])
 def test_picard_settings_out_of_range_are_usage_errors(ws, tmp_path, capsys,
@@ -945,6 +981,89 @@ def test_picard_settings_out_of_range_are_usage_errors(ws, tmp_path, capsys,
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {says}")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args, name", [
+    (["gen-data", "--horizon", "inf"], "horizon"),
+    (["gen-data", "--levels=nan"], "levels"),
+    (["fit", "--gamma", "inf"], "gamma"),
+    (["fit", "--rho", "1" + "0" * 400], "rho"),
+    (["check", "--target", "model", "--tol", "inf"], "tol"),
+    (["check", "--target", "model", "--defect-tol", "inf"], "defect_tol"),
+    (["check", "--target", "model", "--picard-tol", "inf"], "picard_tol"),
+    (["check", "--target", "model", "--probe-scale", "0"], "probe_scale"),
+], ids=["horizon-inf", "levels-nan", "gamma-inf", "rho-huge", "tol-inf",
+        "defect-tol-inf", "picard-tol-inf", "probe-scale-0"])
+def test_out_of_range_number_flags_are_usage_errors(ws, tmp_path, capsys,
+                                                    args, name):
+    # an infinite tolerance or a zero probe amplitude would pass any check
+    if args[0] == "fit":
+        args = args + ["--data", str(ws / "gen" / "data")]
+    if "model" in args:
+        args = args + ["--model", str(ws / "fit" / "model")]
+    capsys.readouterr()
+    rc = cli.main(args + ["--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {name} must be a")
+    assert "0" * 100 not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_option_defaults_pass_their_own_parse():
+    # resolved configs write the defaults, and --config reads them back
+    for _, _, options in cli.COMMANDS.values():
+        for opt in options:
+            if opt.default is not None:
+                written = json.dumps(opt.default, default=str)
+                assert json.dumps(opt.parse(json.loads(written)),
+                                  default=str) == written, opt.name
+
+
+def _scaled_centers(bundle):
+    np.save(bundle / "centers.npy", 1e200 * np.load(bundle / "centers.npy"))
+
+
+def _huge_degree(bundle):
+    meta = _read_json(bundle / "model.json")
+    meta["kernel"]["scalar"]["d"] = 1e300
+    (bundle / "model.json").write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize("scalar, edit", [
+    ({"kind": "bilinear"}, _scaled_centers),
+    ({"kind": "polynomial", "c": 1.0, "d": 1.0}, _huge_degree),
+], ids=["bilinear-centers-1e200", "polynomial-degree-1e300"])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_bundle_of_nan_norm_is_usage_error(ws, tmp_path, capsys, scalar, edit):
+    kernel = tmp_path / "kernel.json"
+    kernel.write_text(json.dumps({"structure": "separable", "R": "identity",
+                                  "scalar": scalar}))
+    assert cli.main(["fit", "--data", str(ws / "gen" / "data"),
+                     "--kernel", str(kernel), "--scale-a", "978.7",
+                     "--scale-b", "25390", "--out", str(tmp_path / "fit"),
+                     "--quiet"]) == 0
+    bundle = tmp_path / "fit" / "model"
+    edit(bundle)
+    capsys.readouterr()
+    rc = cli.main(["check", "--target", "model", "--model", str(bundle),
+                   "--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {bundle / 'model.json'}: ")
+    assert "Traceback" not in err
+
+
+def test_reproduce_of_zero_outputs_is_usage_error(tmp_path, capsys):
+    # at the reversal potential every output is 0: errors have no scale
+    capsys.readouterr()
+    rc = cli.main(["reproduce", "--levels=12", "--horizon", "2", "--probes",
+                   "2", "--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: levels [12.0] give only zero outputs")
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 @pytest.mark.parametrize("command", ["fit", "sweep-gamma"])

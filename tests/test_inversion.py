@@ -16,7 +16,8 @@ from iqcfit.inversion import (
 )
 from iqcfit.kernels import (CausalDiagonalKernel, SeparableKernel, SumKernel,
                             gaussian, scaled_laplacian)
-from iqcfit.rkhs import evaluate, fit, tune_gamma, values_evaluator
+from iqcfit.rkhs import (FittedOperator, evaluate, fit, tune_gamma,
+                         values_evaluator)
 from iqcfit.signals import (Dataset, Signal, TimeGrid, constant_signal, norm,
                             random_signal, truncate, zeros)
 from iqcfit.supply import (SupplyRate, check_operator_iiqc, factor_phi,
@@ -73,13 +74,19 @@ def test_contraction_margin_requirements():
     _, umodel = tune_gamma(unknown, data, rho=0.9)
     with pytest.raises(ContractionError):
         contraction_margin(umodel, factors)
+    # a NaN norm certifies nothing
+    nan_norm = FittedOperator(tuned.kernel, tuned.centers, tuned.coefficients,
+                              tuned.gamma, float("nan"))
+    with pytest.raises(ContractionError, match="norm nan"):
+        contraction_margin(nan_norm, factors)
 
 
 def test_scattered_from_operator_validations():
     grid = TimeGrid(2)
     factors = factor_phi(passivity_supply(1))
-    with pytest.raises(ValueError):
-        scattered_from_operator(lambda s: s, -0.1, factors, grid)
+    for lipschitz in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^lipschitz bound must be"):
+            scattered_from_operator(lambda s: s, lipschitz, factors, grid)
     with pytest.raises(ContractionError):
         scattered_from_operator(lambda s: s, 1.0, factors, grid)
 

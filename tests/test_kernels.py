@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from iqcfit.kernels import (
     CausalDiagonalKernel,
     ConjugatedKernel,
     OperatorKernel,
+    ScalarKernelSpec,
     SeparableKernel,
     SumKernel,
     as_operator,
@@ -356,6 +358,62 @@ def test_kernel_json_round_trip():
                            atol=1e-15)
     with pytest.raises(ValueError):
         kernel_from_json({"structure": "mystery"})
+
+
+def _accepted(value, number: str) -> bool:
+    """Whether a scalar kernel parameter of that kind may take value: a
+    finite number, not a bool, in the kind's range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        finite = math.isfinite(float(value))
+    except OverflowError:  # an int beyond float range
+        return False
+    return finite and (value > 0 if number == "positive" else value >= 0)
+
+
+# each scalar kind's parameters, and the range each must lie in
+_PARAMETERS = {
+    "bilinear": {}, "scaled_laplacian": {},
+    "polynomial": {"c": "nonnegative", "d": "positive"},  # d integral too
+    "gaussian": {"sigma": "positive"}, "laplacian": {"sigma": "positive"},
+    "inverse_power": {"c": "positive", "d": "positive"},
+    "stable_spline": {"beta": "positive"},
+}
+_PARAMETER = st.one_of(
+    st.floats(), st.integers(), st.sampled_from([10**400, -10**400, 2.0, 0]),
+    st.booleans(), st.none(), st.text(max_size=2), st.lists(st.floats(),
+                                                             max_size=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from([*_PARAMETERS, "bogus", ["gaussian"]]),
+       values=st.fixed_dictionaries({name: _PARAMETER
+                                     for name in ("sigma", "c", "d", "beta")}))
+def test_scalar_spec_accepts_exactly_in_range_finite_numbers(kind, values):
+    assert set(_PARAMETERS) == set(kernels.SCALAR_KINDS)
+    params = _PARAMETERS.get(kind, {}) if isinstance(kind, str) else {}
+    valid = (isinstance(kind, str) and kind in _PARAMETERS
+             and all(_accepted(values[name], number)
+                     for name, number in params.items()))
+    if valid and kind == "polynomial":
+        valid = float(values["d"]).is_integer()
+    if not valid:
+        with pytest.raises(ValueError):
+            ScalarKernelSpec(kind, **values)
+        return
+    spec = ScalarKernelSpec(kind, **values)
+    for name in ("sigma", "c", "d", "beta"):
+        got = getattr(spec, name)
+        if name in params:
+            assert type(got) is float and got == float(values[name])
+        else:
+            assert got is None
+    # the JSON text of an accepted spec gives it back, parameters as floats
+    text = json.dumps(kernel_to_json(SeparableKernel(spec, np.eye(1))))
+    back = kernel_from_json(json.loads(text)).scalar
+    assert back == spec
+    assert all(type(getattr(back, name)) is float for name in params)
 
 
 # One kernel of each scalar kind, and a channel matrix cut to p x p.

@@ -685,6 +685,19 @@ def test_risk_extremes():
     )
 
 
+def test_training_risk_past_gamma_squared_overflow():
+    # gamma^2 overflows a float beyond 1.34e154; the risk ||gamma c||^2 stays
+    # finite, and below that it is gamma^2 ||c||^2 to the last bit
+    rng = np.random.default_rng(57)
+    data = _random_dataset(rng, n=3)
+    kernel = SeparableKernel(gaussian(np.sqrt(2.0)), np.eye(1))
+    finite, huge = fit_many(kernel, data, [1e150, 1e300])
+    coeff = np.stack([c.values for c in finite.coefficients])
+    assert finite.training_risk == 1e150**2 * float(np.vdot(coeff, coeff))
+    assert huge.training_risk == pytest.approx(
+        sum(norm(y) ** 2 for y in data.outputs), rel=1e-12)
+
+
 @pytest.mark.parametrize("p", [1, 2])
 def test_training_risk_matches_empirical_risk(p):
     rng = np.random.default_rng(67)
@@ -762,7 +775,7 @@ def test_bundle_of_no_trajectories_names_its_manifest(tmp_path):
     for name in ("centers.npy", "coefficients.npy", "targets.npy"):
         np.save(tmp_path / name, np.zeros((0, 3, 1)))
     with pytest.raises(ValueError, match=f"^{re.escape(str(manifest))}: "
-                                         "n, m and p must be at least 1"):
+                                         "n must be an integer at least 1, got 0"):
         load_fitted(tmp_path)
 
 
