@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -47,6 +48,7 @@ from .kernels import (
 )
 from .rkhs import fit, fit_many, load_fitted, save_fitted, tune_gamma
 from .signals import (
+    Signal,
     TimeGrid,
     checked,
     csv_text,
@@ -54,7 +56,6 @@ from .signals import (
     located,
     manifest_values,
     norm,
-    random_signal,
     read_json,
     read_signals,
     save_dataset,
@@ -228,13 +229,18 @@ def _build_supply(cfg: dict, m: int, p: int):
 
 
 def _probe_pairs(cfg: dict, grid: TimeGrid, dim: int, scale: float):
-    """--probes random input pairs, drawn from --seed."""
-    rng = np.random.default_rng(cfg["seed"])
-    return [
-        (random_signal(grid, dim, rng, scale=scale),
-         random_signal(grid, dim, rng, scale=scale))
-        for _ in range(cfg["probes"])
-    ]
+    """--probes input pairs of standard Gaussian samples times scale.
+
+    The samples are random.Random(--seed).gauss(0.0, 1.0), from the standard
+    library's Mersenne Twister, drawn pair by pair, u before v, each
+    signal's (steps, dim) values in C order.  A seed gives the same probes
+    on every run of one Python version; numpy.random is never imported.
+    """
+    gauss = random.Random(cfg["seed"]).gauss  # its defaults are (0.0, 1.0)
+    values = np.array([gauss() for _ in range(
+        2 * cfg["probes"] * grid.size * dim)]).reshape(-1, 2, grid.size, dim)
+    return [(Signal(grid, scale * u), Signal(grid, scale * v))
+            for u, v in values]
 
 
 def _run_csv(path: Path, grid: TimeGrid, uvals: np.ndarray,

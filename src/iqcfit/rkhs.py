@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
@@ -137,34 +138,45 @@ def build_gram(kernel: OperatorKernel, inputs: tuple[Signal, ...],
         lo = bounds[-1]
         bounds.append(min(n, lo + max(1, LANE_BUDGET
                                       // ((n - lo) * steps * max(m, p)))))
-    terms = kernel.row_terms(X, X[:bounds[1]])
-    factored = len(terms) == 1 and layout != "dense"
-    if layout == "kronecker" and not factored:
-        raise ShapeError("kronecker layout needs a kernel with one channel matrix")
-    M = terms[0][1] if factored else np.eye(1)
-    q = p // len(M)
-    if n * q > DENSE_CAP:
-        raise NumericalError(f"Gram block side {n * q} exceeds cap {DENSE_CAP}")
-    blocks = np.zeros((1 if kernel.is_uniform else steps, n, q, n, q))
-    asymmetry = 0.0
-    for lo, hi in zip(bounds, bounds[1:]):
-        if lo:
-            terms = kernel.row_terms(X[lo:], X[lo:hi])
-        # a term uniform in time has one weight matrix for every block, and
-        # the factored form keeps its one matrix out of the blocks
-        for w, Mt in terms:
-            w = w.reshape(len(w), n - lo, -1).transpose(2, 0, 1)
-            blocks[:, lo:hi, :, lo:] += w[:, :, None, :, None] * (
-                1.0 if factored else Mt[:, None, :])
-        # G is symmetric: the rows below the chunk take its columns, so
-        # only the chunk's own diagonal block can fail the check
-        blocks[:, hi:, :, lo:hi] = blocks[:, lo:hi, :, hi:].transpose(0, 3, 4, 1, 2)
-        own = blocks[:, lo:hi, :, lo:hi]
-        asymmetry = max(asymmetry, float(
-            np.abs(own - own.transpose(0, 3, 4, 1, 2)).max()))
-    blocks = blocks.reshape(len(blocks), n * q, n * q)
-    if asymmetry > 1e-10 * max(1.0, float(blocks.max()), -float(blocks.min())):
-        raise NumericalError("assembled Gram matrix is not symmetric")
+    # one errstate for the whole Gram: an overflow leaves an inf or NaN
+    # entry, refused after assembly, not a warning per chunk
+    with np.errstate(all="ignore"):
+        terms = kernel.row_terms(X, X[:bounds[1]])
+        factored = len(terms) == 1 and layout != "dense"
+        if layout == "kronecker" and not factored:
+            raise ShapeError(
+                "kronecker layout needs a kernel with one channel matrix")
+        M = terms[0][1] if factored else np.eye(1)
+        q = p // len(M)
+        if n * q > DENSE_CAP:
+            raise NumericalError(
+                f"Gram block side {n * q} exceeds cap {DENSE_CAP}")
+        blocks = np.zeros((1 if kernel.is_uniform else steps, n, q, n, q))
+        asymmetry = 0.0
+        for lo, hi in zip(bounds, bounds[1:]):
+            if lo:
+                terms = kernel.row_terms(X[lo:], X[lo:hi])
+            # a term uniform in time has one weight matrix for every block,
+            # and the factored form keeps its one matrix out of the blocks
+            for w, Mt in terms:
+                w = w.reshape(len(w), n - lo, -1).transpose(2, 0, 1)
+                blocks[:, lo:hi, :, lo:] += w[:, :, None, :, None] * (
+                    1.0 if factored else Mt[:, None, :])
+            # G is symmetric: the rows below the chunk take its columns, so
+            # only the chunk's own diagonal block can fail the check
+            blocks[:, hi:, :, lo:hi] = \
+                blocks[:, lo:hi, :, hi:].transpose(0, 3, 4, 1, 2)
+            own = blocks[:, lo:hi, :, lo:hi]
+            # np.maximum keeps a NaN, which max(0.0, nan) would drop
+            asymmetry = np.maximum(asymmetry, np.abs(
+                own - own.transpose(0, 3, 4, 1, 2)).max())
+        blocks = blocks.reshape(len(blocks), n * q, n * q)
+        if not np.isfinite(blocks).all():
+            raise NumericalError(
+                f"the Gram of kernel {reprlib.repr(kernel_to_json(kernel))} "
+                f"has a non-finite entry: its values overflow")
+        if not asymmetry <= 1e-10 * max(1.0, blocks.max(), -blocks.min()):
+            raise NumericalError("assembled Gram matrix is not symmetric")
     return GramOperator(kernel, inputs, blocks, M)
 
 
@@ -545,7 +557,10 @@ def load_fitted(location: str | Path) -> FittedOperator:
     X, coeff, ybar = (_read_stack(base / name, (n, grid.size, dim), path)
                       for name, dim in zip(BUNDLE_FILES, (m, p, p)))
     centers = tuple(Signal(grid, x) for x in X)
-    gram = build_gram(kernel, centers)
+    try:
+        gram = build_gram(kernel, centers)
+    except NumericalError as exc:  # an overflowing Gram: name the bundle
+        raise NumericalError(f"{path}: {exc}") from None
     residual = gram.apply(coeff) + gamma * coeff - ybar
     rel = np.linalg.norm(residual) / max(np.linalg.norm(ybar), 1e-300)
     if np.linalg.norm(ybar) > 0 and not rel <= 1e-10:  # NaN fails too

@@ -380,7 +380,7 @@ def save_dataset(data: Dataset, directory: str | Path) -> Path:
 # of its range.  Every kind is finite, and a JSON boolean, though an int in
 # Python, is no number.
 NUMBER_KINDS = {
-    "integer": ("an integer", lambda x: True),
+    "integer": ("a non-negative integer", lambda x: x >= 0),
     "count": ("an integer at least 1", lambda x: x >= 1),
     "finite": ("a finite number", lambda x: True),
     "nonnegative": ("a non-negative finite number", lambda x: x >= 0),
@@ -426,7 +426,7 @@ def load_dataset(location: str | Path) -> Dataset:
     base = manifest_path.parent
     try:
         dt, tau, m, p = manifest_values(meta, dt="positive", tau="integer",
-                                        m="integer", p="integer")
+                                        m="count", p="count")
         if not isinstance(meta["pairs"], list) or not meta["pairs"]:
             raise ValueError("pairs must be a non-empty list")
         pairs = [(base / pair["input"], base / pair["output"])

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -444,16 +445,18 @@ def _not_utf8(data):
     (_manifest(dt=-1), "dt must be a positive finite number"),
     (_manifest(dt=0.0), "dt must be a positive finite number"),
     (_manifest(dt=True), "dt must be a positive finite number"),
-    (_manifest(tau="12"), "tau must be an integer"),
+    (_manifest(tau="12"), "tau must be a non-negative integer"),
+    (_manifest(tau=-1), "tau must be a non-negative integer, got -1"),
     (_manifest(m=1.0), "m must be an integer"),
+    (_manifest(m=0), "m must be an integer at least 1, got 0"),
     (_manifest(p=None), "p must be an integer"),
     (_manifest(pairs=[]), "pairs must be a non-empty list"),
     (_manifest(pairs={"a": 1}), "pairs must be a non-empty list"),
     (_cut_first_output, "all trajectories must share one grid"),
     (_not_utf8, "not UTF-8 text"),
 ], ids=["dt-text", "dt-negative", "dt-zero", "dt-bool", "tau-text",
-        "m-float", "p-null", "pairs-empty", "pairs-object", "ragged-grid",
-        "csv-not-utf8"])
+        "tau-negative", "m-float", "m-zero", "p-null", "pairs-empty",
+        "pairs-object", "ragged-grid", "csv-not-utf8"])
 def test_malformed_dataset_names_its_file(ws, tmp_path, capsys, edit, says):
     shutil.copytree(ws / "gen" / "data", tmp_path / "data")
     path = edit(tmp_path / "data")
@@ -861,15 +864,82 @@ def test_reproduce_is_fit_then_check(tmp_path):
     assert report["fit"]["epsilon"] == check["epsilon"]
 
 
-def test_cli_import_loads_no_scipy():
-    # numpy is the only runtime dependency; scipy must not come back
+def test_probing_commands_load_no_scipy_or_numpy_random(tmp_path):
+    # numpy is the only runtime dependency, and the probes come from the
+    # standard library: neither scipy nor numpy.random (with its secrets,
+    # hmac and OpenSSL imports) is loaded by the commands that draw them
     src = str(Path(iqcfit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = ("import sys, iqcfit.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = f"""
+import sys
+from iqcfit import cli
+out = {str(tmp_path)!r}
+for args in (["reproduce", "--levels=-6,-109", "--probes", "3",
+              "--out", out + "/rep"],
+             ["check", "--target", "model", "--model", out + "/rep/model",
+              "--probes", "3", "--out", out + "/model"],
+             ["check", "--target", "identity", "--out", out + "/identity"]):
+    assert cli.main(args + ["--quiet"]) == 0, args
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "secrets")
+             or m.startswith("numpy.random")))
+"""
     proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60, check=True)
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_probe_stream_is_seeded_standard_library_gauss():
+    # random.Random(seed).gauss(0.0, 1.0) times the scale, pair by pair, u
+    # before v, each signal's (steps, dim) values in C order
+    grid, dim, scale = TimeGrid(20, 0.5), 2, 0.3
+
+    def drawn(seed):
+        pairs = cli._probe_pairs({"seed": seed, "probes": 50}, grid, dim,
+                                 scale)
+        return np.stack([[u.values, v.values] for u, v in pairs])
+
+    probes = drawn(7)
+    assert probes.shape == (50, 2, 21, 2)
+    assert probes.tobytes() == drawn(7).tobytes()
+    assert not np.array_equal(probes, drawn(8))
+    gauss = random.Random(7).gauss
+    assert probes.ravel().tolist() == [scale * gauss(0.0, 1.0)
+                                       for _ in range(probes.size)]
+    assert abs(probes.std() / scale - 1.0) <= 0.05
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    # random.Random(-1) draws what Random(1) does, so a seed is non-negative
+    capsys.readouterr()
+    rc = cli.main([command, "--seed", "-1", "--out", str(tmp_path / "out"),
+                   "--quiet"])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: seed must be a non-negative integer, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_overflowing_kernel_is_one_error_line(ws, tmp_path):
+    # a polynomial kernel of degree 400 overflows on the step data: fit
+    # exits 2 with one line naming the kernel, and numpy prints no warning
+    kernel = tmp_path / "kernel.json"
+    kernel.write_text(json.dumps({
+        "structure": "separable", "R": "identity",
+        "scalar": {"kind": "polynomial", "c": 1, "d": 400}}))
+    src = str(Path(iqcfit.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "iqcfit.cli", "fit",
+         "--data", str(ws / "gen" / "data"), "--kernel", str(kernel),
+         "--gamma", "1", "--out", str(tmp_path / "out"), "--quiet"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: the Gram of kernel {")
+    assert lines[0].endswith("has a non-finite entry: its values overflow")
 
 
 # JSON values each kind of option row refuses in a config file.  A row whose
@@ -877,7 +947,7 @@ def test_cli_import_loads_no_scipy():
 _NOT_FINITE = [float("nan"), float("inf"), float("-inf"), 10**400]
 # the parse of a number option is keyed by its kind
 _WRONG = {
-    "integer": [[1], {"a": 1}, True, "x", 2.5, *_NOT_FINITE],
+    "integer": [[1], {"a": 1}, True, "x", 2.5, -1, *_NOT_FINITE],
     "count": [[1], True, 2.5, 0, -3, *_NOT_FINITE],
     "finite": [[1.0], {"a": 1}, True, "x", *_NOT_FINITE],
     "nonnegative": [[1.0], {"a": 1}, True, "x", -1, *_NOT_FINITE],
@@ -1034,8 +1104,6 @@ def _huge_degree(bundle):
     ({"kind": "bilinear"}, _scaled_centers),
     ({"kind": "polynomial", "c": 1.0, "d": 1.0}, _huge_degree),
 ], ids=["bilinear-centers-1e200", "polynomial-degree-1e300"])
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_bundle_of_nan_norm_is_usage_error(ws, tmp_path, capsys, scalar, edit):
     kernel = tmp_path / "kernel.json"
     kernel.write_text(json.dumps({"structure": "separable", "R": "identity",

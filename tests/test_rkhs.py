@@ -143,6 +143,26 @@ def test_asymmetric_gram_raises(monkeypatch, layout, budget):
         build_gram(_SkewedKernel(), inputs, layout=layout)
 
 
+_POWER_400 = SeparableKernel(polynomial(1.0, 400), np.eye(1))
+
+
+@pytest.mark.parametrize("kernel, layout", [
+    (_POWER_400, "kronecker"),
+    (_POWER_400, "dense"),
+    (SumKernel((0.0, 1.0), (_POWER_400, SeparableKernel(bilinear(),
+                                                        np.eye(1)))), "dense"),
+], ids=["inf-kronecker", "inf-dense", "nan-dense"])
+def test_overflowing_gram_raises(kernel, layout):
+    # (1 + 3600)^400 overflows to inf, and a zero sum weight makes it NaN:
+    # the Gram is refused naming its kernel, and numpy warns of nothing
+    # (every warning is an error in this suite)
+    grid = TimeGrid(3)
+    inputs = (Signal(grid, np.full(4, 30.0)), Signal(grid, np.full(4, -30.0)))
+    with pytest.raises(NumericalError, match=r"^the Gram of kernel \{.*"
+                       r"'polynomial'.*\} has a non-finite entry"):
+        build_gram(kernel, inputs, layout=layout)
+
+
 def _fixed_chunk_gram(kernel, inputs, chunk):
     """The Gram blocks and channel matrix assembled with one chunk of rows
     for every step, each against the centers from its first row on, the
