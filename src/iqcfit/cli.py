@@ -8,6 +8,7 @@ and all file contents are deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import sys
@@ -802,7 +803,14 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    code = main()
+    # Every output is closed before main returns, so exit has nothing to
+    # finish.  Freezing moves the import graph (about 22k objects, mostly
+    # numpy's) into the permanent generation, which the interpreter's final
+    # collections skip.  main() keeps normal collection for in-process
+    # callers.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -213,7 +213,8 @@ def check_operator_iiqc(op: Callable[[list[Signal]], list[Signal]],
     """Evaluate op on probe pairs and report the worst accumulated supply.
 
     op maps a list of input signals to the list of their outputs; it is
-    called once, on both inputs of every pair in probe order.  mode "full"
+    called once, on both inputs of every pair in probe order, and inputs and
+    outputs must share one grid (ShapeError otherwise).  mode "full"
     checks the complete horizon only; "all-horizons" also checks
     every truncation, which is the actual incremental dissipativity property.
     Passing means min residual >= -tol; by default tol scales with the largest
@@ -221,36 +222,35 @@ def check_operator_iiqc(op: Callable[[list[Signal]], list[Signal]],
     """
     if mode not in ("full", "all-horizons"):
         raise ValueError(f"unknown check mode {mode!r}")
-    mins, scale = [], 0.0
-    worst = (np.inf, -1, -1)
-    outputs = op([x for pair in probes for x in pair])
-    for idx, (u, v) in enumerate(probes):
-        y, z = outputs[2 * idx], outputs[2 * idx + 1]
-        du, dy = u - v, y - z
-        x = np.hstack([du.values, dy.values])
-        terms = np.einsum("tj,jk,tk->t", x, supply.phi, x)
-        scale = max(scale, float(np.abs(terms).sum()))
-        partial = np.cumsum(terms)
-        if mode == "full":
-            res = float(partial[-1])
-            horizon = du.grid.tau
-        else:
-            t_min = int(np.argmin(partial))
-            res = float(partial[t_min])
-            horizon = t_min
-        mins.append(res)
-        if res < worst[0]:
-            worst = (res, idx, horizon)
+    signals = [x for pair in probes for x in pair]
+    outputs = op(signals)
+    if not probes:
+        tol = 0.0 if tol is None else tol
+        return IiqcReport(0.0, -1, -1, float(tol), bool(0.0 >= -tol), ())
+    grid = signals[0].grid
+    if any(x.grid != grid for x in (*signals, *outputs)):
+        raise ShapeError("probe pairs and their outputs must share one grid")
+    # increments (du, dy) of every pair, stacked as (pairs, steps, m + p)
+    u = np.stack([x.values for x in signals])
+    y = np.stack([x.values for x in outputs])
+    x = np.concatenate([u[0::2] - u[1::2], y[0::2] - y[1::2]], axis=2)
+    terms = np.einsum("ptj,jk,ptk->pt", x, supply.phi, x)
     if tol is None:
-        tol = 1e-8 * scale
-    min_residual = worst[0] if mins else 0.0
+        tol = 1e-8 * float(np.abs(terms).sum(axis=1).max())
+    partial = np.cumsum(terms, axis=1)
+    # each pair's residual at the horizon, or at its worst truncation
+    ends = (np.full(len(probes), grid.tau) if mode == "full"
+            else np.argmin(partial, axis=1))
+    residuals = partial[np.arange(len(probes)), ends]
+    worst = int(np.argmin(residuals))
+    min_residual = float(residuals[worst])
     return IiqcReport(
-        min_residual=float(min_residual),
-        worst_pair=worst[1],
-        worst_horizon=worst[2],
+        min_residual=min_residual,
+        worst_pair=worst,
+        worst_horizon=int(ends[worst]),
         tolerance=float(tol),
         passed=bool(min_residual >= -tol),
-        residuals=tuple(mins),
+        residuals=tuple(residuals.tolist()),
     )
 
 

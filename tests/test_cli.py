@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -940,6 +941,57 @@ def test_overflowing_kernel_is_one_error_line(ws, tmp_path):
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith("error: the Gram of kernel {")
     assert lines[0].endswith("has a non-finite entry: its values overflow")
+
+
+@pytest.mark.parametrize("code", [0, 1, 2])
+def test_console_main_freezes_after_main_returns(monkeypatch, code):
+    # the process entry freezes the collector once, after main has returned,
+    # and exits with main's code
+    events = []
+    monkeypatch.setattr(cli, "main", lambda: events.append("main") or code)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    with pytest.raises(SystemExit) as exc:
+        cli.console_main()
+    assert exc.value.code == code
+    assert events == ["main", "freeze"]
+
+
+def test_main_in_process_freezes_nothing(tmp_path):
+    frozen = gc.get_freeze_count()
+    assert cli.main(["check", "--target", "identity", "--probes", "3",
+                     "--out", str(tmp_path), "--quiet"]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_commands_leave_nothing_for_the_collector(tmp_path):
+    # console_main exits without collecting the frozen objects, so every
+    # file must be closed before main returns: an object left to the
+    # collector would warn here, under a ResourceWarning turned error
+    src = str(Path(iqcfit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    data = str(tmp_path / "gen" / "data")
+    commands = [
+        (["reproduce", "--levels=-6,-109", "--probes", "3"], "rep", 0),
+        (["check", "--target", "model", "--probes", "3",
+          "--model", str(tmp_path / "rep" / "model")], "model", 0),
+        (["check", "--target", "identity", "--probes", "3"], "identity", 0),
+        (["check", "--target", "hh"], "hh", 1),
+        (["gen-data"], "gen", 0),
+        (["fit", "--data", data, "--scale-a", "978.7", "--scale-b", "25390",
+          "--rho", "0.9"], "fit", 0),
+        (["sweep-gamma", "--data", data, "--count", "3"], "sweep", 0),
+        (["simulate", "--model", str(tmp_path / "fit" / "model"),
+          "--input", str(Path(data) / "u_000.csv")], "sim", 0),
+    ]
+    for args, out, code in commands:
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+             "-m", "iqcfit.cli", *args, "--out", str(tmp_path / out),
+             "--quiet"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, (args, proc.stderr)
+        assert "ResourceWarning" not in proc.stderr, (args, proc.stderr)
+        assert "Exception ignored" not in proc.stderr, (args, proc.stderr)
 
 
 # JSON values each kind of option row refuses in a config file.  A row whose

@@ -185,6 +185,46 @@ def test_check_all_horizons_mode():
                             mode="partial")
 
 
+@pytest.mark.parametrize("mode", ["full", "all-horizons"])
+def test_check_matches_pairwise_residuals(mode):
+    # m = 2, p = 3 under a gain supply: every pair's residual is its
+    # accumulated supply at the horizon (full) or at its worst truncation,
+    # and the report names the first worst pair and where it ends
+    rng = np.random.default_rng(21)
+    grid = TimeGrid(6)
+    gain = rng.standard_normal((3, 2))
+    supply = gain_supply(0.7, m=2, p=3)
+    op = lambda us: [Signal(grid, u.values @ gain.T) for u in us]
+    probes = [(random_signal(grid, 2, rng), random_signal(grid, 2, rng))
+              for _ in range(12)]
+    rep = check_operator_iiqc(op, supply, probes, mode=mode)
+    outs = op([x for pair in probes for x in pair])
+    horizons = [grid.tau] if mode == "full" else range(grid.size)
+    expected = [min(iiqc_residual(supply, u, v, outs[2 * i], outs[2 * i + 1],
+                                  horizon=h) for h in horizons)
+                for i, (u, v) in enumerate(probes)]
+    np.testing.assert_allclose(rep.residuals, expected, rtol=1e-12,
+                               atol=1e-12)
+    assert rep.worst_pair == int(np.argmin(rep.residuals))
+    assert rep.min_residual == rep.residuals[rep.worst_pair]
+    u, v = probes[rep.worst_pair]
+    assert iiqc_residual(supply, u, v, outs[2 * rep.worst_pair],
+                         outs[2 * rep.worst_pair + 1],
+                         horizon=rep.worst_horizon) == \
+        pytest.approx(rep.min_residual, rel=1e-12, abs=1e-12)
+    assert rep.passed == (rep.min_residual >= -rep.tolerance)
+
+
+def test_check_of_no_probes_and_of_two_grids():
+    empty = check_operator_iiqc(lambda us: us, passivity_supply(1), [])
+    assert empty == (0.0, -1, -1, 0.0, True, ())
+    rng = np.random.default_rng(22)
+    probes = [(random_signal(TimeGrid(4, dt), 1, rng),
+               random_signal(TimeGrid(4, dt), 1, rng)) for dt in (1.0, 0.5)]
+    with pytest.raises(ShapeError):
+        check_operator_iiqc(lambda us: us, passivity_supply(1), probes)
+
+
 def _closed_form_s(factors: ScatteringFactors, r: float) -> float:
     m11 = float(factors.m11[0, 0])
     m12 = float(factors.m12[0, 0])
