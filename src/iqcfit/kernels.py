@@ -35,6 +35,15 @@ SCALAR_KINDS = {
     "stable_spline": {"beta": "positive"},
 }
 
+# The radial kinds, each psi(||u - v||^2) with psi completely monotone, and
+# each one's slope -psi'(0) as a ratio (top, bottom) of its parameters.
+RADIAL_SLOPES = {
+    "gaussian": lambda spec: (1.0, spec.sigma**2),
+    "laplacian": lambda spec: (1.0, 0.0),  # psi'(s) -> -inf as s -> 0
+    "scaled_laplacian": lambda spec: (1.0, 2.0),
+    "inverse_power": lambda spec: (spec.d, spec.c ** (spec.d + 1.0)),
+}
+
 # Batched kernel evaluations take lanes in chunks small enough that no
 # temporary of the batched kernel core (lanes x centers x steps x channels)
 # exceeds this many float64 values.
@@ -116,11 +125,11 @@ def _scalar_batch(spec: ScalarKernelSpec, centers: np.ndarray,
         # one sample, so the pasts are the signals themselves
         stat = np.maximum(centers[None, :, :, 0], uvals[:, None, :, 0])
         stat = stat if pasts else stat[..., 0]
-    elif kind in ("bilinear", "polynomial"):
-        stat = np.einsum(f"jtc,btc->{out}", centers, uvals)
-    else:
+    elif kind in RADIAL_SLOPES:
         diff = centers - uvals[:, None]
         stat = np.einsum(f"bjtc,bjtc->{out}", diff, diff)
+    else:  # bilinear and polynomial
+        stat = np.einsum(f"jtc,btc->{out}", centers, uvals)
     if pasts:
         stat = np.cumsum(stat, axis=-1)
     if kind == "bilinear":
@@ -141,16 +150,27 @@ def _scalar_batch(spec: ScalarKernelSpec, centers: np.ndarray,
 
 
 def _scalar_nonexpansive(spec: ScalarKernelSpec) -> bool:
-    """Structural rules granting the increment bound for scalar kernels."""
+    """The structural rule granting the increment bound for scalar kernels.
+
+    The bound is k(u, u) - 2 k(u, v) + k(v, v) <= ||u - v||^2 for every
+    pair, which the bilinear kernel meets with equality.  A radial kernel is
+    psi(s) of s = ||u - v||^2, so the left side is 2 (psi(0) - psi(s)).  Its
+    psi is completely monotone (Schoenberg), hence convex, so
+    psi(s) >= psi(0) + psi'(0) s and 2 (psi(0) - psi(s)) <= 2 (-psi'(0)) s:
+    the bound holds when the slope -psi'(0) is at most 1/2.  As s -> 0 the
+    left side is 2 (-psi'(0)) s + o(s), so it fails for every larger slope.
+    The slope is compared as its ratio, 2 top <= bottom, with no rounded
+    quotient in between.  Every other kind is left unproven.
+    """
     if spec.kind == "bilinear":
         return True
-    if spec.kind == "gaussian":
-        return spec.sigma >= math.sqrt(2.0)
-    if spec.kind == "scaled_laplacian":
+    if spec.kind not in RADIAL_SLOPES:
+        return False
+    try:
+        top, bottom = RADIAL_SLOPES[spec.kind](spec)
+    except OverflowError:  # a bottom beyond float range dwarfs every top
         return True
-    if spec.kind == "inverse_power":
-        return 2.0 * spec.d <= spec.c ** (spec.d + 1.0)
-    return False
+    return 2.0 * top <= bottom
 
 
 def _spectral_norm_sym(a: np.ndarray) -> float:
@@ -475,16 +495,31 @@ def _malformed(obj, why) -> KernelSpecError:
     return KernelSpecError(f"malformed kernel {reprlib.repr(obj)}: {why}")
 
 
+# The deepest a kernel read from JSON may nest its structures.  Every
+# recursive walk over a kernel (certificates, row_terms, kernel_to_json)
+# takes a few frames per level, so this keeps them all far inside the
+# interpreter's recursion limit.
+KERNEL_DEPTH = 100
+
+
 def kernel_from_json(obj: dict, p: int | None = None) -> OperatorKernel:
     """Rebuild a kernel from its JSON form; certificates are re-derived.
 
     p is the output dim the caller expects, if it knows one; every
     separable part's "p" is checked against it before its matrix is built,
     and an explicit R against that dim.  A missing field, a value of the
-    wrong type or size, or one the kernel refuses raises ValueError naming
-    the innermost kernel object that holds it.
+    wrong type or size, one the kernel refuses, or a structure nested more
+    than KERNEL_DEPTH levels deep raises ValueError naming the innermost
+    kernel object that holds it.
     """
+    return _kernel_from_json(obj, p, 0)
+
+
+def _kernel_from_json(obj: dict, p: int | None, level: int) -> OperatorKernel:
     try:
+        if level > KERNEL_DEPTH:
+            raise ValueError(
+                f"structures nest deeper than {KERNEL_DEPTH} levels")
         structure = obj.get("structure", "separable")
         if structure in ("separable", "conjugated"):
             dim = checked(obj["p"], "count", "p") if "p" in obj else p
@@ -501,13 +536,14 @@ def kernel_from_json(obj: dict, p: int | None = None) -> OperatorKernel:
             if not isinstance(weights, list):
                 raise _malformed(obj, "weights must be a list, "
                                       f"got {reprlib.repr(weights)}")
-            return SumKernel(tuple(weights), tuple(kernel_from_json(c, p)
-                                                   for c in obj["children"]))
+            return SumKernel(tuple(weights), tuple(
+                _kernel_from_json(c, p, level + 1) for c in obj["children"]))
         if structure == "causal_diagonal":
             if "child" in obj:
-                return CausalDiagonalKernel(kernel_from_json(obj["child"], p))
-            return CausalDiagonalKernel(tuple(kernel_from_json(c, p)
-                                              for c in obj["children"]))
+                return CausalDiagonalKernel(
+                    _kernel_from_json(obj["child"], p, level + 1))
+            return CausalDiagonalKernel(tuple(
+                _kernel_from_json(c, p, level + 1) for c in obj["children"]))
         raise ValueError(f"unknown kernel structure {structure!r}")
     except KernelSpecError:  # a child's fault, named already
         raise

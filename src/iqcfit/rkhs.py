@@ -223,16 +223,15 @@ class FittedOperator(Frozen):
     """Kernel expansion H(u) = sum_j K(u, u_j) c_j from a regularized fit.
 
     targets is G c + gamma c, shaped (n, steps, p): the targets the
-    coefficients solve for, as bundles store them; save_fitted rebuilds it
-    from the Gram when it is None.  extra is the manifest's "extra" record
-    (supply, scales, ...) of a loaded bundle.
+    coefficients solve for, as bundles store them.  extra is the manifest's
+    "extra" record (supply, scales, ...) of a loaded bundle.
     """
 
     # no __slots__: the cached evaluator lives in the instance __dict__
 
     def __init__(self, kernel: OperatorKernel, centers: tuple[Signal, ...],
                  coefficients: tuple[Signal, ...], gamma: float,
-                 rkhs_norm: float, targets: np.ndarray | None = None,
+                 rkhs_norm: float, targets: np.ndarray,
                  extra: dict | None = None):
         self._set(kernel=kernel, centers=centers, coefficients=coefficients,
                   gamma=gamma, rkhs_norm=rkhs_norm, targets=targets,
@@ -469,13 +468,8 @@ def save_fitted(model: FittedOperator, directory: str | Path,
         "n": len(model.centers),
         "extra": extra or {},
     }
-    coeff = _stack(model.coefficients)
-    targets = model.targets
-    if targets is None:
-        targets = (build_gram(model.kernel, model.centers).apply(coeff)
-                   + model.gamma * coeff)
-    for name, stack in zip(BUNDLE_FILES,
-                           (_stack(model.centers), coeff, targets)):
+    stacks = (_stack(model.centers), _stack(model.coefficients), model.targets)
+    for name, stack in zip(BUNDLE_FILES, stacks):
         np.save(directory / name, np.ascontiguousarray(stack, dtype="<f8"),
                 allow_pickle=False)
     path = directory / "model.json"
@@ -499,8 +493,9 @@ def _read_stack(path: Path, shape: tuple[int, int, int],
                 raise ValueError(f"unsupported .npy format version {version}")
             try:
                 got, fortran, dtype = _NPY_HEADERS[version](fh)
-            # literal_eval of a hostile header raises more than ValueError
-            except (TypeError, MemoryError, RecursionError) as exc:
+            # numpy's parser of hostile header bytes raises more than
+            # ValueError (TypeError, MemoryError, tokenize.TokenError, ...)
+            except Exception as exc:
                 raise ValueError(f"unreadable .npy header: "
                                  f"{type(exc).__name__} {exc}") from None
             if dtype != np.dtype("<f8") or fortran:

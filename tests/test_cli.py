@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import iqcfit
-from iqcfit import cli
+from iqcfit import cli, kernels
 from iqcfit.rkhs import load_fitted
 from iqcfit.signals import (
     Dataset,
@@ -417,6 +417,49 @@ def test_kernel_json_faults_name_the_kernel(ws, tmp_path, capsys, fields, says):
     assert "Traceback" not in err
 
 
+def _nested_sum(depth):
+    """A kernel JSON object: depth sums, each around the next, around a
+    separable kernel."""
+    kernel = {"structure": "separable", "scalar": {"kind": "scaled_laplacian"}}
+    for _ in range(depth):
+        kernel = {"structure": "sum", "weights": [1.0], "children": [kernel]}
+    return kernel
+
+
+@pytest.mark.parametrize("route", ["fit", "check"])
+def test_deeply_nested_kernel_is_refused(ws, tmp_path, capsys, route):
+    # past KERNEL_DEPTH levels a kernel is refused before any recursive
+    # walk over it, whether it comes from a --kernel file or a bundle
+    kernel = _nested_sum(450)
+    if route == "fit":
+        path = tmp_path / "kernel.json"
+        path.write_text(json.dumps(kernel))
+        args = ["fit", "--data", str(ws / "gen" / "data"),
+                "--kernel", str(path)]
+    else:
+        shutil.copytree(ws / "fit" / "model", tmp_path / "model")
+        path = tmp_path / "model" / "model.json"
+        path.write_text(json.dumps({**_read_json(path), "kernel": kernel}))
+        args = ["check", "--target", "model", "--model", str(path.parent)]
+    capsys.readouterr()
+    rc = cli.main(args + ["--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {path}: malformed kernel")
+    assert err.endswith(
+        f"structures nest deeper than {kernels.KERNEL_DEPTH} levels\n")
+    assert err.count("\n") == 1
+
+
+def test_kernel_at_the_depth_limit_fits(ws, tmp_path):
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(_nested_sum(kernels.KERNEL_DEPTH)))
+    rc = cli.main(["fit", "--data", str(ws / "gen" / "data"),
+                   "--kernel", str(path), "--out", str(tmp_path / "out"),
+                   "--quiet"])
+    assert rc == 0
+
+
 def _manifest(**fields):
     """Edit of a dataset: override fields of its manifest.json."""
     def edit(data):
@@ -604,10 +647,12 @@ def _format_2(model):
      "unsupported .npy format version (3, 0)"),
     (_resaved("targets.npy", lambda a: a[:, :-1]), "model.json declares"),
     (_format_2, "refit the model"),
+    (_rewritten("coefficients.npy", lambda b: b.replace(b"}", b"(", 1)),
+     "unreadable .npy header: TokenError"),
 ], ids=["old-layout", "missing-column", "n-mismatch", "not-json", "truncated",
         "truncated-header", "huge-shape", "float32", "big-endian",
         "fortran-order", "object", "nan", "inf", "csv-text", "empty",
-        "npy-version-3", "samples-mismatch", "format-2"])
+        "npy-version-3", "samples-mismatch", "format-2", "header-brace"])
 def test_damaged_bundle_is_usage_error(ws, tmp_path, capsys, command, damage,
                                        says):
     # every fault ends in exit 2 and an error that starts with the path of

@@ -76,7 +76,7 @@ def test_contraction_margin_requirements():
         contraction_margin(umodel, factors)
     # a NaN norm certifies nothing
     nan_norm = FittedOperator(tuned.kernel, tuned.centers, tuned.coefficients,
-                              tuned.gamma, float("nan"))
+                              tuned.gamma, float("nan"), tuned.targets)
     with pytest.raises(ContractionError, match="norm nan"):
         contraction_margin(nan_norm, factors)
 

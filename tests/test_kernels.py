@@ -240,6 +240,77 @@ def test_structure_certificates():
     assert certify_nonexpansive(causal) == UNKNOWN
 
 
+def _per_kind_rule(spec):
+    """The per-kind certificate rules the slope rule replaced, as written."""
+    if spec.kind in ("bilinear", "scaled_laplacian"):
+        return True
+    if spec.kind == "gaussian":
+        return spec.sigma >= math.sqrt(2.0)
+    if spec.kind == "inverse_power":
+        return 2.0 * spec.d <= spec.c ** (spec.d + 1.0)
+    return False
+
+
+def _near(x, ulps=8):
+    """The floats from ulps below x to ulps above it, in order."""
+    below, above = [x], [x]
+    for _ in range(ulps):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(d=st.floats(1e-3, 100.0), x=st.floats(1e-3, 100.0))
+def test_slope_rule_keeps_every_per_kind_boundary(d, x):
+    # each spec within 8 ulps of the gaussian boundary sigma = sqrt(2) and
+    # of the inverse power boundary c^(d+1) = 2d, c and d moved apart; then
+    # every kind at parameters whose slope stays in float range
+    specs = [gaussian(sigma) for sigma in _near(math.sqrt(2.0))]
+    specs += [inverse_power(c, e)
+              for c in _near((2.0 * d) ** (1.0 / (d + 1.0))) for e in _near(d)]
+    specs += [bilinear(), polynomial(x, 3), laplacian(x), scaled_laplacian(),
+              stable_spline(x), gaussian(x), inverse_power(x, x)]
+    for spec in specs:
+        assert (certify_nonexpansive(spec) == PROVEN) == _per_kind_rule(spec)
+
+
+def test_slope_beyond_float_range_is_proven():
+    # a bottom that overflows makes the slope far below 1/2; one that
+    # underflows to 0 makes it far above
+    assert certify_nonexpansive(gaussian(1e200)) == PROVEN
+    assert certify_nonexpansive(inverse_power(10.0, 400.0)) == PROVEN
+    assert certify_nonexpansive(inverse_power(0.5, 1e300)) == UNKNOWN
+
+
+_RADIAL = st.one_of(
+    st.floats(0.5, 5.0).map(gaussian), st.floats(0.5, 5.0).map(laplacian),
+    st.just(scaled_laplacian()),
+    st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0)).map(
+        lambda cd: inverse_power(*cd)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_RADIAL)
+def test_radial_slopes_match_finite_differences(spec):
+    grid = TimeGrid(0)
+
+    def quotient(s):
+        # (psi(0) - psi(s)) / s, at the squared distance the kernel sees
+        v = Signal(grid, [math.sqrt(s)])
+        gap = eval_scalar(spec, zeros(grid), zeros(grid)) \
+            - eval_scalar(spec, zeros(grid), v)
+        return gap / norm(v) ** 2
+
+    top, bottom = kernels.RADIAL_SLOPES[spec.kind](spec)
+    if bottom == 0.0:  # an infinite slope: the quotient grows as s -> 0
+        assert quotient(1e-8) > 9.0 * quotient(1e-6)
+    else:
+        # psi(s) = psi(0) + psi'(0) s + O(s^(3/2)) at worst (the scaled
+        # laplacian), so at s = 1e-6 the quotient is within 1e-3 of -psi'(0)
+        assert quotient(1e-6) == pytest.approx(top / bottom, rel=1e-3)
+
+
 def test_defect_examples():
     grid = TimeGrid(0)
     u = Signal(grid, [0.0])
@@ -416,9 +487,13 @@ def test_scalar_spec_accepts_exactly_in_range_finite_numbers(kind, values):
     assert all(type(getattr(back, name)) is float for name in params)
 
 
-# One kernel of each scalar kind, and a channel matrix cut to p x p.
+# One kernel of each scalar kind, then radial kernels on both sides of the
+# slope rule's boundary -psi'(0) = 1/2 (gaussian(sqrt 2) and
+# inverse_power(1, 0.5) lie on it), and a channel matrix cut to p x p.
 SPECS = [bilinear(), polynomial(1.0, 2), gaussian(1.5), laplacian(1.5),
-         scaled_laplacian(), inverse_power(2.0, 1.0), stable_spline(0.7)]
+         scaled_laplacian(), inverse_power(2.0, 1.0), stable_spline(0.7),
+         gaussian(np.sqrt(2.0)), gaussian(1.4), inverse_power(1.0, 0.5),
+         inverse_power(0.99, 0.5)]
 BASE_R = np.array([[1.0, 0.3, 0.1], [0.3, 0.6, 0.2], [0.1, 0.2, 0.8]])
 
 
@@ -454,6 +529,22 @@ def test_batched_defects_match_oracle(spec, p, size, count, tau, m, scale,
                 assert abs(defect - oracle.defect(kernel, u, v)) <= 1e-12 * magnitude
                 if certify_nonexpansive(kernel) == PROVEN:
                     assert defect <= 1e-10
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(spec=st.sampled_from([s for s in SPECS
+                             if s.kind in kernels.RADIAL_SLOPES]),
+       values=arrays(float, (3, 2), elements=st.floats(-1e3, 1e3)))
+def test_radial_kernels_are_constant_on_the_diagonal(spec, values):
+    grid = TimeGrid(2)
+    u = Signal(grid, values)
+    assert eval_scalar(spec, u, u) == eval_scalar(spec, zeros(grid, 2),
+                                                  zeros(grid, 2))
+
+
+def test_every_radial_kind_is_swept():
+    assert set(kernels.RADIAL_SLOPES) <= set(kernels.SCALAR_KINDS)
+    assert {s.kind for s in SPECS} >= set(kernels.RADIAL_SLOPES)
 
 
 def test_defect_sweep_needs_one_grid_and_channel_count():

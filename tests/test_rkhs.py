@@ -25,7 +25,6 @@ from iqcfit.kernels import (
     stable_spline,
 )
 from iqcfit.rkhs import (
-    FittedOperator,
     GramOperator,
     Spectral,
     build_gram,
@@ -872,14 +871,14 @@ def test_save_fitted_reuses_the_fit_targets(tmp_path, monkeypatch):
     rng = np.random.default_rng(60)
     data = _random_dataset(rng, n=4, tau=3)
     model = fit(SeparableKernel(gaussian(2.0), np.eye(1)), data, gamma=0.05)
-    save_fitted(FittedOperator(model.kernel, model.centers, model.coefficients,
-                               model.gamma, model.rkhs_norm),
-                tmp_path / "rebuilt")
     builds = []
     monkeypatch.setattr(rkhs, "build_gram",
                         lambda *a, **k: builds.append(a) or build_gram(*a, **k))
     save_fitted(model, tmp_path / "carried")
     assert builds == []
-    name = "targets.npy"
-    assert (tmp_path / "carried" / name).read_bytes() == \
-        (tmp_path / "rebuilt" / name).read_bytes()
+    # the stored targets are G c + gamma c of a Gram built afresh
+    coeff = rkhs._stack(model.coefficients)
+    rebuilt = build_gram(model.kernel, model.centers).apply(coeff) \
+        + model.gamma * coeff
+    assert np.load(tmp_path / "carried" / "targets.npy").tobytes() == \
+        rebuilt.tobytes()
