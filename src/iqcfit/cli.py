@@ -22,7 +22,6 @@ from .errors import (
     ConvergenceError,
     NumericalError,
     ShapeError,
-    SignatureError,
 )
 from .hodgkin import (
     DEFAULT_LEVELS,
@@ -796,8 +795,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, KeyError, ShapeError, SignatureError,
-            NumericalError) as exc:
+    except (OSError, ValueError, KeyError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -45,12 +45,17 @@ class ScatteredModel(NamedTuple):
 
 
 def _epsilon(lipschitz: float, factors: ScatteringFactors) -> float:
+    """The contraction factor lipschitz * ||N11^-1 N12||, refused unless
+    below 1."""
     n11 = factors.n11
     if np.linalg.cond(n11) > 1e12:
         raise ContractionError("leading inverse-factor block is singular")
     coupling = np.linalg.svd(np.linalg.solve(n11, factors.n12),
                              compute_uv=False)
-    return float(lipschitz * (coupling.max() if coupling.size else 0.0))
+    eps = float(lipschitz * (coupling.max() if coupling.size else 0.0))
+    if not eps < 1.0:  # NaN fails too
+        raise ContractionError(f"contraction factor eps = {eps:.6f} >= 1")
+    return eps
 
 
 def contraction_margin(model: FittedOperator,
@@ -70,10 +75,8 @@ def contraction_margin(model: FittedOperator,
         raise ContractionError(f"fitted operator norm {ell:.6f} >= 1")
     if model.input_dim != factors.m or model.output_dim != factors.p:
         raise ShapeError("fitted dims do not match the scattering factors")
-    eps = _epsilon(ell, factors)
-    if not eps < 1.0:  # NaN fails too
-        raise ContractionError(f"contraction factor eps = {eps:.6f} >= 1")
-    return ScatteredModel(model.evaluator, factors, ell, eps, model)
+    return ScatteredModel(model.evaluator, factors, ell,
+                          _epsilon(ell, factors), model)
 
 
 def scattered_from_operator(s: Callable[[Signal], Signal], lipschitz: float,
@@ -86,8 +89,6 @@ def scattered_from_operator(s: Callable[[Signal], Signal], lipschitz: float,
     """
     lipschitz = checked(lipschitz, "nonnegative", "lipschitz bound")
     eps = _epsilon(lipschitz, factors)
-    if not eps < 1.0:  # NaN fails too
-        raise ContractionError(f"contraction factor eps = {eps:.6f} >= 1")
 
     def s_values(vals: np.ndarray) -> np.ndarray:
         return np.stack([s(Signal(grid, lane)).values for lane in vals])

@@ -139,7 +139,11 @@ def _scalar_batch(spec: ScalarKernelSpec, centers: np.ndarray,
     if kind == "stable_spline":
         return np.exp(-spec.beta * stat)
     if kind == "gaussian":
-        return np.exp(-stat / spec.sigma**2)
+        try:
+            width = spec.sigma**2
+        except OverflowError:  # sigma beyond 1.3e154: the limit k = 1
+            width = math.inf
+        return np.exp(-stat / width)
     if kind == "laplacian":
         return np.exp(-np.sqrt(stat) / spec.sigma)
     if kind == "scaled_laplacian":
@@ -171,10 +175,6 @@ def _scalar_nonexpansive(spec: ScalarKernelSpec) -> bool:
     except OverflowError:  # a bottom beyond float range dwarfs every top
         return True
     return 2.0 * top <= bottom
-
-
-def _spectral_norm_sym(a: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvalsh(a)).max()) if a.size else 0.0
 
 
 def _frozen_matrix(r, name: str) -> np.ndarray:
@@ -231,9 +231,13 @@ class OperatorKernel(Frozen, ABC):
 
 
 class SeparableKernel(OperatorKernel):
-    """Scalar kernel times a fixed symmetric positive semidefinite matrix."""
+    """Scalar kernel times a fixed symmetric positive semidefinite matrix.
 
-    __slots__ = ("scalar", "R")
+    radius is the spectral norm of R, the largest |eigenvalue|, from the
+    eigenvalues that check R.
+    """
+
+    __slots__ = ("scalar", "R", "radius")
 
     def __init__(self, scalar: ScalarKernelSpec, R: np.ndarray):
         R = _frozen_matrix(R, "R")
@@ -242,7 +246,7 @@ class SeparableKernel(OperatorKernel):
         eig = np.linalg.eigvalsh(R)
         if eig.min() < -1e-12 * max(1.0, np.abs(eig).max()):
             raise ValueError(f"separable kernel matrix has eigenvalue {eig.min():.3e} < 0")
-        self._set(scalar=scalar, R=R)
+        self._set(scalar=scalar, R=R, radius=float(np.abs(eig).max()))
 
     @property
     def output_dim(self) -> int:
@@ -387,7 +391,7 @@ def certify_nonexpansive(kernel: AnyKernel) -> str:
     """Structural nonexpansiveness certificate: "proven" or "unknown"."""
     k = as_operator(kernel)
     if isinstance(k, SeparableKernel):
-        if _scalar_nonexpansive(k.scalar) and _spectral_norm_sym(k.R) <= 1.0:
+        if _scalar_nonexpansive(k.scalar) and k.radius <= 1.0:
             return PROVEN
         return UNKNOWN
     if isinstance(k, SumKernel):
@@ -404,7 +408,7 @@ def certify_bounded(kernel: AnyKernel) -> str:
     """Certificate that ||K(u, u)||^(1/2) <= ||u|| for all u."""
     k = as_operator(kernel)
     if (isinstance(k, SeparableKernel) and k.scalar.kind == "bilinear"
-            and _spectral_norm_sym(k.R) <= 1.0):
+            and k.radius <= 1.0):
         return PROVEN
     return UNKNOWN
 

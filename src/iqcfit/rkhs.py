@@ -30,6 +30,9 @@ DENSE_CAP = 4096
 # tune_gamma raises gamma at most this many times to bring the stored norm
 # under rho.
 NUDGE_LIMIT = 60
+# tune_gamma's steps in each of its searches: growing gamma, halving it and
+# bisecting.
+SEARCH_LIMIT = 200
 
 
 def _stack(signals: tuple[Signal, ...]) -> np.ndarray:
@@ -273,11 +276,12 @@ def _model_from_solution(spectral: Spectral, data: Dataset,
                          gamma: float) -> FittedOperator:
     gram, targets = spectral.gram, spectral.targets
     coeff = spectral.solve(gamma)
-    solved = gram.apply(coeff) + gamma * coeff
+    gc = gram.apply(coeff)
+    solved = gc + gamma * coeff
     rel = np.linalg.norm(solved - targets) / max(np.linalg.norm(targets), 1e-300)
     if np.linalg.norm(targets) > 0 and not rel <= 1e-10:  # NaN fails too
         raise NumericalError(f"fit residual {rel:.3e} exceeds 1e-10")
-    sq = max(gram.quad(coeff), 0.0)
+    sq = max(float(np.vdot(coeff, gc)), 0.0)
     coeff_signals = tuple(Signal(data.grid, coeff[j]) for j in range(data.n))
     return FittedOperator(gram.kernel, data.inputs, coeff_signals,
                           float(gamma), math.sqrt(sq), solved)
@@ -372,13 +376,14 @@ def empirical_risk(model: FittedOperator, data: Dataset) -> float:
 
 
 def tune_gamma(kernel: OperatorKernel, data: Dataset, rho: float,
-               rel_tol: float = 1e-3,
-               max_iter: int = 200) -> tuple[float, FittedOperator]:
+               rel_tol: float = 1e-3) -> tuple[float, FittedOperator]:
     """Find the smallest gamma whose fit has rkhs norm at most rho.
 
     Bisection on log gamma against the monotone norm curve; the returned fit
     always satisfies norm <= rho, and sits within rel_tol of the crossing
-    unless the target is reachable for every gamma.
+    unless the target is reachable for every gamma.  A Gram with no
+    positive eigenvalue gives the norm 0 at every gamma, so no gamma is
+    smallest, and nonzero targets are refused (ValueError).
     """
     if not 0 < rho <= 1:
         raise ValueError(f"norm target rho must be in (0, 1], got {rho}")
@@ -401,11 +406,15 @@ def tune_gamma(kernel: OperatorKernel, data: Dataset, rho: float,
     gamma0 = max(spectral.gram.trace() / spectral.gram.dim, 1e-300)
     if np.linalg.norm(spectral.targets) == 0:
         return finish(gamma0)
+    if not spectral._lam.max() > 0:
+        raise ValueError("the Gram matrix has no positive eigenvalue, so "
+                         "every gamma meets rho and none is smallest; fit "
+                         "at a fixed --gamma instead")
     curve = spectral.norm
 
     if curve(gamma0) > rho:
         lo = hi = gamma0
-        for _ in range(max_iter):
+        for _ in range(SEARCH_LIMIT):
             hi *= 2.0
             if curve(hi) <= rho:
                 break
@@ -416,7 +425,7 @@ def tune_gamma(kernel: OperatorKernel, data: Dataset, rho: float,
         hi = gamma0
         lo = None
         prev = curve(gamma0)
-        for _ in range(max_iter):
+        for _ in range(SEARCH_LIMIT):
             g = hi / 2.0
             value = curve(g)
             if value > rho:
@@ -430,7 +439,7 @@ def tune_gamma(kernel: OperatorKernel, data: Dataset, rho: float,
         if lo is None:
             return finish(hi)
 
-    for _ in range(max_iter):
+    for _ in range(SEARCH_LIMIT):
         tight = (hi - lo) <= rel_tol * hi
         close = curve(hi) >= rho * (1.0 - rel_tol)
         if tight and close:
@@ -556,12 +565,13 @@ def load_fitted(location: str | Path) -> FittedOperator:
         gram = build_gram(kernel, centers)
     except NumericalError as exc:  # an overflowing Gram: name the bundle
         raise NumericalError(f"{path}: {exc}") from None
-    residual = gram.apply(coeff) + gamma * coeff - ybar
+    gc = gram.apply(coeff)
+    residual = gc + gamma * coeff - ybar
     rel = np.linalg.norm(residual) / max(np.linalg.norm(ybar), 1e-300)
     if np.linalg.norm(ybar) > 0 and not rel <= 1e-10:  # NaN fails too
         raise NumericalError(f"{path}: stored fit violates its linear system "
                              f"(relative residual {rel:.3e})")
-    nrm = math.sqrt(max(gram.quad(coeff), 0.0))
+    nrm = math.sqrt(max(float(np.vdot(coeff, gc)), 0.0))
     if not abs(nrm - stored_norm) <= 1e-6 * max(1.0, nrm):  # NaN fails too
         raise NumericalError(
             f"{path}: stored norm {meta['rkhs_norm']} != recomputed {nrm}"

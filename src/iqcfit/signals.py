@@ -265,8 +265,7 @@ def _csv_body(path: Path) -> str:
     return body if body.endswith("\n") else body + "\n"
 
 
-def _parsed(paths: list[Path], bodies: list[str],
-            dt: float | None) -> list[Signal]:
+def _parsed(paths: list[Path], bodies: list[str], dt: float) -> list[Signal]:
     """Signals of CSV bodies, parsed by one call of numpy's C reader.
 
     The reader rounds every decimal correctly, as float() does.  A line
@@ -292,40 +291,29 @@ def _parsed(paths: list[Path], bodies: list[str],
     # the time columns are checked against j*dt on the stacked rows
     starts = np.cumsum(rows) - rows
     times = table[:, 0]
-    with np.errstate(all="ignore"):  # the loop rejects non-finite steps
-        if dt is None:  # each file's own step, undefined for a single row
-            second = np.minimum(starts + 1, len(times) - 1)
-            steps = np.where(rows > 1, times[second] - times[starts], np.nan)
-        else:
-            steps = np.full(len(rows), dt, dtype=float)
+    with np.errstate(all="ignore"):  # the loop rejects a NaN deviation
         j = np.arange(len(times)) - np.repeat(starts, rows)
-        worst = np.maximum.reduceat(
-            np.abs(times - j * np.repeat(steps, rows)), starts)
+        worst = np.maximum.reduceat(np.abs(times - j * dt), starts)
     block = np.ascontiguousarray(table[:, 1:])  # contiguous rows per file
     signals = []
-    for path, start, count, step, deviation in zip(
-            paths, starts.tolist(), rows.tolist(), steps.tolist(),
-            worst.tolist()):
+    for path, start, count, deviation in zip(
+            paths, starts.tolist(), rows.tolist(), worst.tolist()):
         values = block[start:start + count]
         if values.shape[1] < 1:
             raise ShapeError(f"{path}: no channel columns")
-        if dt is None and count < 2:
-            raise ValueError(f"{path}: cannot infer dt from a single row")
-        step = step if dt is None else dt
         try:
-            grid = TimeGrid(count - 1, step)
+            grid = TimeGrid(count - 1, dt)
             # written as "not <=" so that a NaN in the time column fails too
             if not deviation <= TIME_TOLERANCE:
-                raise ValueError(f"time column deviates from j*dt (dt={step})")
+                raise ValueError(f"time column deviates from j*dt (dt={dt})")
             signals.append(Signal(grid, values))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     return signals
 
 
-def read_signals(paths, dt: float | None = None) -> list[Signal]:
-    """Read trajectory CSVs, validating each time column against j*dt
-    (inferred per file from its first two rows when dt is None).
+def read_signals(paths, dt: float) -> list[Signal]:
+    """Read trajectory CSVs, validating each time column against j*dt.
 
     Each file is read once and its header checked on its own; then all
     bodies are parsed in one pass (see _parsed).  An unreadable or
@@ -336,11 +324,6 @@ def read_signals(paths, dt: float | None = None) -> list[Signal]:
     # Path() of a Path parses it again, a cost per file
     paths = [p if isinstance(p, Path) else Path(p) for p in paths]
     return _parsed(paths, [_csv_body(path) for path in paths], dt)
-
-
-def read_signal(path: str | Path, dt: float | None = None) -> Signal:
-    """Read one trajectory CSV: the one-file case of read_signals."""
-    return read_signals([path], dt)[0]
 
 
 def read_json(path: str | Path):

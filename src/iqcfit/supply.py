@@ -9,74 +9,78 @@ Phi into plain nonexpansiveness of the transformed operator.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ShapeError, SignatureError
-from .signals import (Dataset, Frozen, Signal, checked, manifest_values,
-                      read_json)
+from .signals import Dataset, Frozen, Signal, checked, manifest_values
 
 # Relative eigenvalue floor below which Phi counts as singular.
 SINGULAR_TOL = 1e-10
 
 
-class SignatureReport(NamedTuple):
-    n_positive: int
-    n_negative: int
-    min_abs_eigenvalue: float
-    tolerance: float
-
-
-def verify_signature(phi: np.ndarray, m: int, p: int) -> SignatureReport:
-    """Check that phi is symmetric, nonsingular, with inertia (m, p).
-
-    Returns the eigenvalue counts on success; raises SignatureError when the
-    counts disagree or an eigenvalue sits inside the singularity tolerance.
-    """
-    phi = np.asarray(phi, dtype=float)
-    if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
-        raise ShapeError(f"supply matrix must be square, got shape {phi.shape}")
-    if phi.shape[0] != m + p:
-        raise ShapeError(f"supply matrix is {phi.shape[0]}x{phi.shape[0]}, need {m + p}")
-    if not np.allclose(phi, phi.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(phi).max())):
-        raise ShapeError("supply matrix must be symmetric")
-    eig = np.linalg.eigvalsh(phi)
-    tol = SINGULAR_TOL * np.abs(eig).max()
-    n_pos = int((eig > tol).sum())
-    n_neg = int((eig < -tol).sum())
-    report = SignatureReport(n_pos, n_neg, float(np.abs(eig).min()), float(tol))
-    if np.abs(eig).min() <= tol:
-        raise SignatureError(
-            f"supply matrix is singular within tolerance {tol:.3e} "
-            f"(min |eigenvalue| {report.min_abs_eigenvalue:.3e})"
-        )
-    if (n_pos, n_neg) != (m, p):
-        raise SignatureError(
-            f"supply matrix has {n_pos} positive / {n_neg} negative eigenvalues, "
-            f"need {m} / {p}"
-        )
-    return report
-
-
 class SupplyRate(Frozen):
-    """Symmetric nonsingular supply matrix with inertia (m, p)."""
+    """Symmetric nonsingular supply matrix with inertia (m, p), and its
+    scattering factors.
 
-    __slots__ = ("phi", "m", "p")
+    One eigendecomposition Phi = V diag(e) V' serves both.  The eigenvalues
+    give the inertia, and Phi counts as singular when some |e| is within
+    SINGULAR_TOL of the largest (SignatureError).  Sorted descending, with
+    each eigenvector's first nonzero entry made positive so that equal
+    matrices give identical factors, they give M = diag(sqrt|e|) V', for
+    which M' Sigma M = Phi; factors holds M and its inverse.
+    """
+
+    __slots__ = ("phi", "m", "p", "factors")
 
     def __init__(self, phi: np.ndarray, m: int, p: int):
         phi = np.asarray(phi, dtype=float).copy()
-        verify_signature(phi, m, p)
+        if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
+            raise ShapeError(f"supply matrix must be square, got shape {phi.shape}")
+        if phi.shape[0] != m + p:
+            raise ShapeError(f"supply matrix is {phi.shape[0]}x{phi.shape[0]}, need {m + p}")
+        if not np.allclose(phi, phi.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(phi).max())):
+            raise ShapeError("supply matrix must be symmetric")
+        eig, vec = np.linalg.eigh(phi)
+        size = np.abs(eig)
+        tol = SINGULAR_TOL * size.max()
+        n_pos = int((eig > tol).sum())
+        n_neg = int((eig < -tol).sum())
+        if size.min() <= tol:
+            raise SignatureError(
+                f"supply matrix is singular within tolerance {tol:.3e} "
+                f"(min |eigenvalue| {size.min():.3e})"
+            )
+        if (n_pos, n_neg) != (m, p):
+            raise SignatureError(
+                f"supply matrix has {n_pos} positive / {n_neg} negative eigenvalues, "
+                f"need {m} / {p}"
+            )
+        order = np.argsort(eig)[::-1]
+        vec = vec[:, order]
+        for k in range(vec.shape[1]):
+            col = vec[:, k]
+            lead = col[np.abs(col) > 1e-12 * np.abs(col).max()][0]
+            if lead < 0:
+                vec[:, k] = -col
+        M = np.diag(np.sqrt(size[order])) @ vec.T
+        sigma = np.diag(np.concatenate([np.ones(m), -np.ones(p)]))
+        if np.abs(M.T @ sigma @ M - phi).max() > 1e-10 * max(1.0, np.abs(phi).max()):
+            raise SignatureError("factorization failed to reproduce the supply matrix")
         phi.setflags(write=False)
-        self._set(phi=phi, m=m, p=p)
+        self._set(phi=phi, m=m, p=p,
+                  factors=ScatteringFactors(M, np.linalg.inv(M), m, p))
+
+
+def _passivity_phi(m: int) -> np.ndarray:
+    zero, eye = np.zeros((m, m)), np.eye(m)
+    return np.block([[zero, eye], [eye, zero]])
 
 
 def passivity_supply(m: int = 1) -> SupplyRate:
     """Supply [[0, I], [I, 0]] whose rate is twice the input-output product."""
-    zero, eye = np.zeros((m, m)), np.eye(m)
-    phi = np.block([[zero, eye], [eye, zero]])
-    return SupplyRate(phi, m, m)
+    return SupplyRate(_passivity_phi(m), m, m)
 
 
 def gain_supply(delta: float, m: int = 1, p: int | None = None) -> SupplyRate:
@@ -140,30 +144,9 @@ class ScatteringFactors(Frozen):
         return self.N[self.m:, self.m:]
 
 
-def factors_from_matrix(M: np.ndarray, m: int, p: int) -> ScatteringFactors:
-    return ScatteringFactors(M, np.linalg.inv(np.asarray(M, dtype=float)), m, p)
-
-
 def factor_phi(supply: SupplyRate) -> ScatteringFactors:
-    """Deterministic factorization Phi = M' Sigma M via eigendecomposition.
-
-    Eigenvalues are sorted descending and each eigenvector's first nonzero
-    entry is made positive, so repeated calls return identical factors.
-    """
-    eig, vec = np.linalg.eigh(supply.phi)
-    order = np.argsort(eig)[::-1]
-    eig, vec = eig[order], vec[:, order]
-    for k in range(vec.shape[1]):
-        col = vec[:, k]
-        lead = col[np.abs(col) > 1e-12 * np.abs(col).max()][0]
-        if lead < 0:
-            vec[:, k] = -col
-    M = np.diag(np.sqrt(np.abs(eig))) @ vec.T
-    sigma = np.diag(np.concatenate([np.ones(supply.m), -np.ones(supply.p)]))
-    recon = M.T @ sigma @ M
-    if np.abs(recon - supply.phi).max() > 1e-10 * max(1.0, np.abs(supply.phi).max()):
-        raise SignatureError("factorization failed to reproduce the supply matrix")
-    return factors_from_matrix(M, supply.m, supply.p)
+    """The factorization Phi = M' Sigma M that the supply rate made."""
+    return supply.factors
 
 
 def scatter_dataset(data: Dataset, factors: ScatteringFactors) -> Dataset:
@@ -258,7 +241,7 @@ def supply_to_json(supply: SupplyRate) -> dict:
     """JSON-friendly description; built-in kinds keep their parameters."""
     phi = supply.phi
     m, p = supply.m, supply.p
-    if m == p and np.array_equal(phi, passivity_supply(m).phi):
+    if m == p and np.array_equal(phi, _passivity_phi(m)):
         return {"kind": "passivity", "m": m, "p": p}
     diag = np.diag(phi)
     if (np.count_nonzero(phi - np.diag(diag)) == 0
@@ -267,13 +250,11 @@ def supply_to_json(supply: SupplyRate) -> dict:
     return {"kind": "custom", "phi": phi.tolist(), "m": m, "p": p}
 
 
-def supply_from_json(obj: dict | str | Path,
+def supply_from_json(obj: dict,
                      dims: tuple[int, int] | None = None) -> SupplyRate:
     """Inverse of supply_to_json.  Integer m, p (default 1, m unless custom)
     must equal dims if given, checked before any matrix is built; a
     passivity record needs p = m."""
-    if not isinstance(obj, dict):
-        obj = read_json(obj)
     kind = obj.get("kind", "custom")
     if kind not in ("passivity", "gain", "custom"):
         raise ValueError(f"unknown supply kind {kind!r}")

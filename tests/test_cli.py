@@ -7,6 +7,7 @@ import random
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -986,6 +987,58 @@ def test_overflowing_kernel_is_one_error_line(ws, tmp_path):
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith("error: the Gram of kernel {")
     assert lines[0].endswith("has a non-finite entry: its values overflow")
+
+
+def test_gaussian_wider_than_float_range_fits(ws, tmp_path):
+    # sigma^2 overflows beyond sigma = 1.3e154: the kernel is its limit
+    # k = 1, which the slope rule proves, so fit exits 0 with no warning and
+    # fits what sigma = 1e150 (k = 1 to the last bit on this data) fits
+    coefficients = []
+    for sigma in (1e200, 1e150):
+        kernel = tmp_path / f"kernel_{sigma:g}.json"
+        kernel.write_text(json.dumps({"scalar": {"kind": "gaussian",
+                                                 "sigma": sigma}}))
+        out = tmp_path / f"out_{sigma:g}"
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            rc = cli.main(["fit", "--data", str(ws / "gen" / "data"),
+                           "--kernel", str(kernel), "--scale-a", "978.7",
+                           "--scale-b", "25390", "--gamma", "1",
+                           "--out", str(out), "--quiet"])
+        assert (rc, seen) == (0, [])
+        assert _read_json(out / "fit_report.json")["certificate"] == "proven"
+        coefficients.append((out / "model" / "coefficients.npy").read_bytes())
+    assert coefficients[0] == coefficients[1]
+
+
+@pytest.mark.parametrize("scalar", [
+    {"kind": "bilinear"},
+    # (10 + 0)^-400 underflows to 0
+    {"kind": "inverse_power", "c": 10, "d": 400},
+])
+def test_tuning_refuses_a_gram_without_positive_eigenvalue(tmp_path, capsys,
+                                                            scalar):
+    # y = -u: the scattered inputs vanish under passivity, so the Gram is 0
+    # and every gamma gives the norm 0; --rho names no smallest gamma, and
+    # --gamma still fits
+    grid = TimeGrid(4, 0.5)
+    rng = np.random.default_rng(3)
+    inputs = tuple(random_signal(grid, 1, rng) for _ in range(3))
+    save_dataset(Dataset(inputs, tuple(-1.0 * u for u in inputs)),
+                 tmp_path / "data")
+    kernel = tmp_path / "kernel.json"
+    kernel.write_text(json.dumps({"scalar": scalar}))
+    args = ["fit", "--data", str(tmp_path / "data"), "--kernel", str(kernel),
+            "--quiet"]
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        rc = cli.main(args + ["--rho", "0.9", "--out", str(tmp_path / "rho")])
+    assert (rc, seen) == (2, [])
+    assert capsys.readouterr().err == (
+        "error: the Gram matrix has no positive eigenvalue, so every gamma "
+        "meets rho and none is smallest; fit at a fixed --gamma instead\n")
+    assert cli.main(args + ["--gamma", "1", "--out", str(tmp_path / "g")]) == 0
 
 
 @pytest.mark.parametrize("code", [0, 1, 2])

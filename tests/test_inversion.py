@@ -21,7 +21,7 @@ from iqcfit.rkhs import (FittedOperator, evaluate, fit, tune_gamma,
 from iqcfit.signals import (Dataset, Signal, TimeGrid, constant_signal, norm,
                             random_signal, truncate, zeros)
 from iqcfit.supply import (SupplyRate, check_operator_iiqc, factor_phi,
-                           gain_supply, passivity_supply)
+                           gain_supply, passivity_supply, scatter_dataset)
 
 ROOT2 = np.sqrt(2.0)
 
@@ -89,6 +89,20 @@ def test_scattered_from_operator_validations():
             scattered_from_operator(lambda s: s, lipschitz, factors, grid)
     with pytest.raises(ContractionError):
         scattered_from_operator(lambda s: s, 1.0, factors, grid)
+
+
+def test_singular_leading_block_is_refused_only_when_inverted():
+    # diag(-1, 1) is a valid supply whose factor swaps u and y, so N11 = 0:
+    # the data scatter, and only the fixed-point setup refuses it
+    grid = TimeGrid(3)
+    rng = np.random.default_rng(8)
+    supply = SupplyRate(np.diag([-1.0, 1.0]), 1, 1)
+    assert np.array_equal(supply.factors.n11, [[0.0]])
+    u, y = random_signal(grid, 1, rng), random_signal(grid, 1, rng)
+    scattered = scatter_dataset(Dataset((u,), (y,)), factor_phi(supply))
+    assert np.array_equal(scattered.inputs[0].values, y.values)
+    with pytest.raises(ContractionError, match="inverse-factor block"):
+        scattered_from_operator(lambda s: 0.5 * s, 0.5, supply.factors, grid)
 
 
 def test_picard_zero_s():

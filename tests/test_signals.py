@@ -20,7 +20,6 @@ from iqcfit.signals import (
     manifest_values,
     norm,
     random_signal,
-    read_signal,
     read_signals,
     save_dataset,
     truncate,
@@ -144,7 +143,7 @@ def test_signal_csv_round_trip(tmp_path):
     f = random_signal(TimeGrid(7, dt=0.25), 3, rng, scale=100.0)
     path = tmp_path / "sig.csv"
     write_signal(f, path)
-    g = read_signal(path)
+    g = read_signals([path], 0.25)[0]
     # %.17g rendering preserves float64 exactly
     assert g.grid == f.grid
     assert np.array_equal(g.values, f.values)
@@ -153,10 +152,9 @@ def test_signal_csv_round_trip(tmp_path):
 def test_read_signal_validates_grid(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,ch1\n0,1\n0.5,2\n1.2,3\n")
-    with pytest.raises(ValueError):
-        read_signal(path)
-    with pytest.raises(ValueError):
-        read_signal(path, dt=0.4)
+    for dt in (0.5, 0.4):
+        with pytest.raises(ValueError, match="time column deviates"):
+            read_signals([path], dt)
 
 
 def test_dataset_requires_shared_grid():
@@ -224,7 +222,7 @@ def test_write_signal_matches_csv_writer_and_round_trips(tmp_path_factory,
     write_signal(f, root / "new.csv")
     _write_signal_csv_writer(f, root / "ref.csv")
     assert (root / "new.csv").read_bytes() == (root / "ref.csv").read_bytes()
-    back = read_signal(root / "new.csv", dt=dt)
+    back = read_signals([root / "new.csv"], dt)[0]
     assert back.grid == f.grid
     assert back.values.tobytes() == f.values.tobytes()
 
@@ -246,7 +244,7 @@ def test_read_signal_errors_name_the_file(tmp_path, name, text, error):
     path = tmp_path / f"{name}.csv"
     path.write_bytes(text.encode())
     with pytest.raises(error, match=re.escape(str(path))):
-        read_signal(path)
+        read_signals([path], 1.0)
 
 
 _CSV_ALPHABET = list(b"0123456789.,-+eEtnaifx\t \r\n") + [0, 0xff, 0xc3]
@@ -266,21 +264,21 @@ def _numbered_rows(rows):
                lambda body: b"t,ch1\r\n0,1\r\n" + bytes(body)),
            st.lists(st.lists(st.floats(), min_size=1, max_size=2),
                     max_size=6).map(_numbered_rows)),
-       dt=st.sampled_from([None, 1.0, 0.5]))
+       dt=st.sampled_from([1.0, 0.5]))
 def test_read_signal_fuzz(tmp_path_factory, raw, dt):
     # any bytes: a Signal, or a ValueError (ShapeError included) naming
     # the file, and nothing else
     path = tmp_path_factory.mktemp("fuzz") / "f.csv"
     path.write_bytes(raw)
     try:
-        f = read_signal(path, dt=dt)
+        f = read_signals([path], dt)[0]
     except ValueError as exc:
         assert str(exc).startswith(f"{path}: ")
     else:
         assert isinstance(f, Signal)
 
 
-def _read_signal_reference(path, dt=None):
+def _read_signal_reference(path, dt):
     """Reference: the one-file reader read_signals replaced, kept verbatim."""
     path = Path(path)
     try:
@@ -300,10 +298,6 @@ def _read_signal_reference(path, dt=None):
     times, values = data[:, 0], data[:, 1:]
     if values.shape[1] < 1:
         raise ShapeError(f"{path}: no channel columns")
-    if dt is None:
-        if len(times) < 2:
-            raise ValueError(f"{path}: cannot infer dt from a single row")
-        dt = float(times[1] - times[0])
     try:
         grid = TimeGrid(len(times) - 1, dt)
         if not np.abs(times - grid.times()).max() <= 1e-9:
@@ -389,7 +383,7 @@ def _assert_matches_reference(root, files, dt):
 
 @settings(max_examples=200)
 @given(files=st.lists(_CSV_FILES, min_size=1, max_size=4),
-       dt=st.sampled_from([None, 1, 1.0, 0.5]))
+       dt=st.sampled_from([1, 1.0, 0.5]))
 def test_read_signals_matches_one_file_reference(tmp_path_factory, files, dt):
     _assert_matches_reference(tmp_path_factory.mktemp("many"), files, dt)
 
@@ -400,9 +394,10 @@ def test_read_signals_matches_one_file_reference(tmp_path_factory, files, dt):
                                 st.lists(st.floats(-9, 9), min_size=2,
                                          max_size=3)),
                       min_size=2, max_size=4),
-       dt=st.sampled_from([None, 1, 0.5]))
+       dt=st.sampled_from([1, 0.5]))
 def test_read_signals_time_columns_per_file(tmp_path_factory, files, dt):
-    # files of different steps and starts: with dt None each gets its own
+    # files of different steps and starts: the first file whose time column
+    # is not j*dt is the one named
     _assert_matches_reference(tmp_path_factory.mktemp("steps"), files, dt)
 
 
@@ -458,7 +453,7 @@ def test_decoding_error_counts_bytes_from_the_file_start(tmp_path):
     path = tmp_path / "cut.csv"
     path.write_bytes(b"t,ch1\r\n0,1\r\n\xc3")
     with pytest.raises(ValueError) as info:
-        read_signal(path)
+        read_signals([path], 1.0)
     assert str(info.value) == (f"{path}: not UTF-8 text: 'utf-8' codec can't "
                                "decode byte 0xc3 in position 12: unexpected "
                                "end of data")

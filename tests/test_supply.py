@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iqcfit import kernels
 from iqcfit.errors import ShapeError, SignatureError
 from iqcfit.signals import Dataset, Signal, TimeGrid, constant_signal, norm, random_signal
 from iqcfit.supply import (
@@ -10,31 +11,86 @@ from iqcfit.supply import (
     SupplyRate,
     check_operator_iiqc,
     factor_phi,
-    factors_from_matrix,
     gain_supply,
     iiqc_residual,
     passivity_supply,
     scatter_dataset,
     supply_from_json,
     supply_to_json,
-    verify_signature,
 )
 
 ROOT2 = np.sqrt(2.0)
 
 
 def test_signature_examples():
-    rep = verify_signature(np.array([[0.0, 1.0], [1.0, 0.0]]), 1, 1)
-    assert (rep.n_positive, rep.n_negative) == (1, 1)
-    verify_signature(np.diag([4.0, -1.0]), 1, 1)
-    with pytest.raises(SignatureError):
-        verify_signature(np.diag([1.0, 1.0]), 1, 1)
-    with pytest.raises(SignatureError):
-        verify_signature(np.diag([1.0, 0.0]), 1, 1)
+    SupplyRate(np.array([[0.0, 1.0], [1.0, 0.0]]), 1, 1)
+    SupplyRate(np.diag([4.0, -1.0]), 1, 1)
+    with pytest.raises(SignatureError, match="2 positive / 0 negative"):
+        SupplyRate(np.diag([1.0, 1.0]), 1, 1)
+    with pytest.raises(SignatureError, match="singular within tolerance"):
+        SupplyRate(np.diag([1.0, 0.0]), 1, 1)
     with pytest.raises(ShapeError):
-        verify_signature(np.array([[0.0, 1.0], [0.5, 0.0]]), 1, 1)
+        SupplyRate(np.array([[0.0, 1.0], [0.5, 0.0]]), 1, 1)
     with pytest.raises(ShapeError):
-        verify_signature(np.eye(3), 1, 1)
+        SupplyRate(np.eye(3), 1, 1)
+
+
+@settings(max_examples=150)
+@given(m=st.integers(1, 3), data=st.data())
+def test_one_decomposition_checks_and_factors(m, data):
+    # Phi = Q diag(e) Q' of any inertia (m', p') with m' + p' = m + p: the
+    # rate accepts exactly the requested inertia, and then M' Sigma M = Phi
+    # and M N = I; an eigenvalue shrunk below the singularity floor is
+    # refused whatever the inertia
+    p = data.draw(st.integers(1, 4 - m), label="p")
+    d = m + p
+    positive = data.draw(st.integers(0, d), label="m'")
+    size = np.array(data.draw(st.lists(st.floats(0.5, 2.0), min_size=d,
+                                       max_size=d), label="|e|"))
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    Q = np.linalg.qr(np.random.default_rng(seed).normal(size=(d, d)))[0]
+    eig = size * np.repeat([1.0, -1.0], [positive, d - positive])
+
+    def matrix(e):
+        phi = (Q * e) @ Q.T
+        return (phi + phi.T) / 2
+
+    phi = matrix(eig)
+    if positive != m:
+        with pytest.raises(SignatureError, match="positive / "):
+            SupplyRate(phi, m, p)
+    else:
+        f = factor_phi(SupplyRate(phi, m, p))
+        sigma = np.diag(np.repeat([1.0, -1.0], [m, p]))
+        assert np.abs(f.M.T @ sigma @ f.M - phi).max() <= 1e-10 * np.abs(phi).max()
+        assert np.abs(f.M @ f.N - np.eye(d)).max() <= 1e-12
+    k = data.draw(st.integers(0, d - 1), label="shrunk")
+    eig[k] = np.copysign(1e-12 * size.max(), eig[k])
+    with pytest.raises(SignatureError, match="singular within tolerance"):
+        SupplyRate(matrix(eig), m, p)
+
+
+def test_each_matrix_is_decomposed_once(monkeypatch):
+    # building a supply takes one eigh, factoring it none, and a kernel
+    # certificate reads the spectral radius its kernel kept
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(a, *args, _real=getattr(np.linalg, name), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    supply = SupplyRate(np.array([[2.0, 1.0], [1.0, -1.0]]), 1, 1)
+    assert calls == {"eigh": 1, "eigvalsh": 0}
+    for _ in range(3):
+        assert factor_phi(supply) is supply.factors
+    assert calls == {"eigh": 1, "eigvalsh": 0}
+    kernel = kernels.SeparableKernel(kernels.bilinear(), np.diag([0.5, 1.0]))
+    assert calls == {"eigh": 1, "eigvalsh": 1}
+    assert kernel.radius == 1.0
+    assert kernels.certify_nonexpansive(kernel) == kernels.PROVEN
+    assert kernels.certify_bounded(kernel) == kernels.PROVEN
+    assert calls == {"eigh": 1, "eigvalsh": 1}
 
 
 def test_factor_passivity_is_canonical_scattering():
@@ -81,7 +137,7 @@ def test_scatter_identity_factor_keeps_dataset():
     data = Dataset(
         (random_signal(grid, 1, rng),), (random_signal(grid, 1, rng),)
     )
-    f = factors_from_matrix(np.eye(2), 1, 1)
+    f = ScatteringFactors(np.eye(2), np.eye(2), 1, 1)
     out = scatter_dataset(data, f)
     assert np.array_equal(out.inputs[0].values, data.inputs[0].values)
     assert np.array_equal(out.outputs[0].values, data.outputs[0].values)
@@ -319,13 +375,3 @@ def test_accepted_supply_records_keep_their_dims(record, dims):
     assert (supply.m, supply.p) == want == dims
     back = supply_from_json(supply_to_json(supply), dims)
     assert np.array_equal(back.phi, supply.phi)
-
-
-def test_supply_from_json_file(tmp_path):
-    path = tmp_path / "supply.json"
-    path.write_text('{"kind": "gain", "delta": 2.0, "m": 1, "p": 2}')
-    supply = supply_from_json(path)
-    assert (supply.m, supply.p) == (1, 2)
-    path.write_text('{"kind": "gain",')
-    with pytest.raises(ValueError, match="supply.json: not valid JSON"):
-        supply_from_json(path)
