@@ -4,8 +4,7 @@ from .signals import (TimeGrid, Signal, Dataset, inner_product, norm, truncate,
                       zeros, constant_signal, random_signal,
                       read_signals, write_signal,
                       save_dataset, load_dataset)
-from .supply import (SupplyRate, ScatteringFactors, passivity_supply,
-                     gain_supply, factor_phi,
+from .supply import (SupplyRate, passivity_supply, gain_supply, factor_phi,
                      scatter_dataset, iiqc_residual,
                      check_operator_iiqc, supply_to_json, supply_from_json)
 from .kernels import (ScalarKernelSpec, OperatorKernel, SeparableKernel,

@@ -62,7 +62,6 @@ from .signals import (
 )
 from .supply import (
     check_operator_iiqc,
-    factor_phi,
     gain_supply,
     passivity_supply,
     scatter_dataset,
@@ -265,7 +264,7 @@ def _scattered_data(cfg: dict):
         scale = {"a": cfg["scale_a"], "b": cfg["scale_b"]}
         data = scale_dataset(data, scale["a"], scale["b"])
     supply = _build_supply(cfg, m=data.input_dim, p=data.output_dim)
-    scattered = scatter_dataset(data, factor_phi(supply))
+    scattered = scatter_dataset(data, supply)
     spec, where = cfg["kernel"], ""
     if isinstance(spec, str):  # a file: its faults start with its path
         spec, where = read_json(spec), f"{spec}: "
@@ -281,7 +280,8 @@ def _scattered_data(cfg: dict):
 def _fit_bundle(cfg: dict, supply, scale, scattered, kernel):
     """The fit stage of fit and reproduce (which has no --gamma): fit at
     --gamma or tuned to --rho, saved under out/model with the extra record
-    that _load_bundle reads back.  Returns the model and that record."""
+    (supply and scale) that _load_bundle reads back.  Returns the model and
+    that record plus the fit's risk, certificate and warnings."""
     cert = certify_nonexpansive(kernel)
     warnings: list[str] = []
     if cfg.get("gamma") is not None:
@@ -293,11 +293,10 @@ def _fit_bundle(cfg: dict, supply, scale, scattered, kernel):
                 "norm target does not certify a contraction"
             )
         _, model = tune_gamma(kernel, scattered, rho=cfg["rho"])
-    record = {"supply": supply_to_json(supply), "scale": scale,
-              "risk": model.training_risk, "certificate": cert,
-              "warnings": warnings}
+    record = {"supply": supply_to_json(supply), "scale": scale}
     save_fitted(model, cfg["out"] / "model", extra=record)
-    return model, record
+    return model, {**record, "risk": model.training_risk, "certificate": cert,
+                   "warnings": warnings}
 
 
 def _load_bundle(cfg: dict, fallback: Callable):
@@ -389,12 +388,13 @@ def _check_identity(cfg: dict) -> dict:
     }
 
 
-def _iiqc_of_r(cfg: dict, scattered, supply, pairs) -> dict:
-    """The iIQC check, within --tol, of R (the scattered model's inverse,
-    each run a Picard solve to --picard-tol) on the probe pairs."""
+def _iiqc_of_r(cfg: dict, scattered, pairs) -> dict:
+    """The iIQC check, within --tol and under the scattered model's supply,
+    of R (the model's inverse, each run a Picard solve to --picard-tol) on
+    the probe pairs."""
     rep = check_operator_iiqc(
         lambda us: simulate_r(scattered, us, tol=cfg["picard_tol"]),
-        supply, pairs, tol=cfg["tol"],
+        scattered.supply, pairs, tol=cfg["tol"],
     )
     return {"min_residual": rep.min_residual, "tolerance": rep.tolerance,
             "passed": bool(rep.passed)}
@@ -403,10 +403,9 @@ def _iiqc_of_r(cfg: dict, scattered, supply, pairs) -> dict:
 def _check_model(cfg: dict) -> dict:
     model, supply, _ = _load_bundle(cfg, lambda model: _build_supply(
         cfg, m=model.input_dim, p=model.output_dim))
-    factors = factor_phi(supply)
     results: dict = {"target": "model", "model": str(Path(cfg["model"]))}
     try:
-        scattered = contraction_margin(model, factors)
+        scattered = contraction_margin(model, supply)
     except ContractionError as exc:
         return {**results, "violations": [str(exc)], "passed": False}
     pairs = _probe_pairs(cfg, model.grid, model.input_dim, cfg["probe_scale"])
@@ -416,16 +415,20 @@ def _check_model(cfg: dict) -> dict:
         checks = ["iiqc", "defect"] + (["causality"]
                                        if is_causal(model.kernel) else [])
     results["epsilon"] = scattered.epsilon
-    if "iiqc" in checks:
-        results["iiqc"] = _iiqc_of_r(cfg, scattered, supply, pairs)
-    if "causality" in checks:
-        rep = causality_check_r(scattered, pairs, tol=cfg["tol"],
-                                picard_tol=cfg["picard_tol"])
-        results["causality"] = {
-            "max_violation": rep.max_violation,
-            "tolerance": rep.tolerance,
-            "passed": bool(rep.passed),
-        }
+    try:
+        if "iiqc" in checks:
+            results["iiqc"] = _iiqc_of_r(cfg, scattered, pairs)
+        if "causality" in checks:
+            rep = causality_check_r(scattered, pairs, tol=cfg["tol"],
+                                    picard_tol=cfg["picard_tol"])
+            results["causality"] = {
+                "max_violation": rep.max_violation,
+                "tolerance": rep.tolerance,
+                "passed": bool(rep.passed),
+            }
+    except NumericalError as exc:  # R of this bundle cannot run the probes
+        bundle = located(cfg["model"], "model.json")
+        raise NumericalError(f"{bundle}: {exc}") from None
     if "defect" in checks:
         defects = nonexpansive_defects(model.kernel, pairs)
         worst = int(np.argmax(defects))
@@ -494,9 +497,8 @@ def run_simulate(cfg: dict) -> int:
         stems[stem] = path
     model, supply, scale = _load_bundle(
         cfg, lambda model: passivity_supply(model.input_dim))
-    factors = factor_phi(supply)
     try:
-        scattered = contraction_margin(model, factors)
+        scattered = contraction_margin(model, supply)
     except ContractionError as exc:
         _write_json(out / "simulate_report.json",
                     {"passed": False, "reason": str(exc)})
@@ -506,8 +508,8 @@ def run_simulate(cfg: dict) -> int:
     for path, u_raw in zip(cfg["inputs"], raw):
         if u_raw.grid != model.grid:
             raise ShapeError(f"{path}: grid does not match the model bundle")
-        if u_raw.dim != factors.m:
-            raise ShapeError(f"{path}: expected {factors.m} input channels")
+        if u_raw.dim != supply.m:
+            raise ShapeError(f"{path}: expected {supply.m} input channels")
     runs = []
     solved = _scaled_picard(scattered, raw, scale, tol=cfg["tol"],
                             max_iter=cfg["max_iter"])
@@ -592,14 +594,13 @@ def run_reproduce(cfg: dict) -> int:
     _log(quiet, "stage 3/6: scale and scatter")
     scale = {"a": cfg["scale_a"], "b": cfg["scale_b"]}
     supply = passivity_supply(data.input_dim)
-    factors = factor_phi(supply)
     scattered_data = scatter_dataset(
-        scale_dataset(data, scale["a"], scale["b"]), factors)
+        scale_dataset(data, scale["a"], scale["b"]), supply)
     kernel = kernel_from_json(KERNEL.default, data.output_dim)
 
     _log(quiet, "stage 4/6: fit tuned to the norm target")
     model, record = _fit_bundle(cfg, supply, scale, scattered_data, kernel)
-    scattered = contraction_margin(model, factors)
+    scattered = contraction_margin(model, supply)
 
     _log(quiet, "stage 5/6: reconstruction of the training levels")
     recon, rows = [], []
@@ -624,7 +625,7 @@ def run_reproduce(cfg: dict) -> int:
 
     _log(quiet, "stage 6/6: monotonicity of the identified operator")
     pairs = _probe_pairs(cfg, model.grid, data.input_dim, scale=0.1)
-    mono = _iiqc_of_r(cfg, scattered, supply, pairs)
+    mono = _iiqc_of_r(cfg, scattered, pairs)
 
     bound = cfg["error_bound"]
     flags = {

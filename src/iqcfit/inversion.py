@@ -14,11 +14,12 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ContractionError, ConvergenceError, ShapeError
+from .errors import (ContractionError, ConvergenceError, NumericalError,
+                     ShapeError)
 from .kernels import PROVEN, certify_nonexpansive
 from .rkhs import FittedOperator
 from .signals import Signal, checked, norm, truncate
-from .supply import ScatteringFactors
+from .supply import SupplyRate
 
 DEFAULT_MAX_ITER = 10_000
 # Rounding keeps Picard steps from shrinking below about machine epsilon
@@ -31,26 +32,27 @@ STEP_FLOOR = 1e-11
 
 
 class ScatteredModel(NamedTuple):
-    """Contraction S plus scattering factors, ready for fixed-point runs.
+    """Contraction S plus the supply rate whose factors scatter it, ready
+    for fixed-point runs.
 
     s maps stacked inputs (B, steps, m) to stacked outputs (B, steps, p),
     one lane per signal.
     """
 
     s: Callable[[np.ndarray], np.ndarray]
-    factors: ScatteringFactors
+    supply: SupplyRate
     lipschitz: float
     epsilon: float
     fitted: FittedOperator | None = None
 
 
-def _epsilon(lipschitz: float, factors: ScatteringFactors) -> float:
+def _epsilon(lipschitz: float, supply: SupplyRate) -> float:
     """The contraction factor lipschitz * ||N11^-1 N12||, refused unless
     below 1."""
-    n11 = factors.n11
+    n11 = supply.n11
     if np.linalg.cond(n11) > 1e12:
         raise ContractionError("leading inverse-factor block is singular")
-    coupling = np.linalg.svd(np.linalg.solve(n11, factors.n12),
+    coupling = np.linalg.svd(np.linalg.solve(n11, supply.n12),
                              compute_uv=False)
     eps = float(lipschitz * (coupling.max() if coupling.size else 0.0))
     if not eps < 1.0:  # NaN fails too
@@ -59,7 +61,7 @@ def _epsilon(lipschitz: float, factors: ScatteringFactors) -> float:
 
 
 def contraction_margin(model: FittedOperator,
-                       factors: ScatteringFactors) -> ScatteredModel:
+                       supply: SupplyRate) -> ScatteredModel:
     """Certify the fixed-point setup for a fitted operator.
 
     Requires a structurally proven nonexpansive kernel, rkhs norm < 1, and
@@ -73,14 +75,14 @@ def contraction_margin(model: FittedOperator,
     ell = model.rkhs_norm
     if not ell < 1.0:  # NaN fails too
         raise ContractionError(f"fitted operator norm {ell:.6f} >= 1")
-    if model.input_dim != factors.m or model.output_dim != factors.p:
-        raise ShapeError("fitted dims do not match the scattering factors")
-    return ScatteredModel(model.evaluator, factors, ell,
-                          _epsilon(ell, factors), model)
+    if model.input_dim != supply.m or model.output_dim != supply.p:
+        raise ShapeError("fitted dims do not match the supply rate")
+    return ScatteredModel(model.evaluator, supply, ell,
+                          _epsilon(ell, supply), model)
 
 
 def scattered_from_operator(s: Callable[[Signal], Signal], lipschitz: float,
-                            factors: ScatteringFactors, grid) -> ScatteredModel:
+                            supply: SupplyRate, grid) -> ScatteredModel:
     """Wrap an arbitrary operator with a caller-supplied increment bound.
 
     For operators outside the fitted family (closed-form contractions, fits
@@ -88,12 +90,12 @@ def scattered_from_operator(s: Callable[[Signal], Signal], lipschitz: float,
     means).  The caller vouches for the Lipschitz constant.
     """
     lipschitz = checked(lipschitz, "nonnegative", "lipschitz bound")
-    eps = _epsilon(lipschitz, factors)
+    eps = _epsilon(lipschitz, supply)
 
     def s_values(vals: np.ndarray) -> np.ndarray:
         return np.stack([s(Signal(grid, lane)).values for lane in vals])
 
-    return ScatteredModel(s_values, factors, lipschitz, eps, None)
+    return ScatteredModel(s_values, supply, lipschitz, eps, None)
 
 
 class PicardResult(NamedTuple):
@@ -134,7 +136,8 @@ def picard_solve(model: ScatteredModel, u_star: Signal | Sequence[Signal],
     contraction a-posteriori bound; tol defaults to 1e-8 times ||u*||, and
     then a step that stalls at the rounding floor (STEP_FLOOR) also stops
     it.  Either way the result's error_bound, eps / (1 - eps) times the
-    last step, bounds ||v - v*||.
+    last step, bounds ||v - v*||.  A step that leaves the float range (an
+    input too large for S) raises NumericalError.
 
     Given a list of signals on one grid, iterates them together as lanes of
     one stack, each lane under its own stopping rule and frozen once it
@@ -147,13 +150,16 @@ def picard_solve(model: ScatteredModel, u_star: Signal | Sequence[Signal],
                                           record)))
 
 
+# An iterate beyond float range makes a step non-finite, which ends the
+# iteration with a NumericalError naming its input; numpy need not warn too.
+@np.errstate(over="ignore", invalid="ignore")
 def _solve_lanes(model: ScatteredModel, inputs: list[Signal],
                  tol: float | None, max_iter: int,
                  record: bool) -> list[PicardResult]:
-    factors = model.factors
+    supply = model.supply
     for u in inputs:
-        if u.dim != factors.m:
-            raise ShapeError(f"expected {factors.m} input channels, got {u.dim}")
+        if u.dim != supply.m:
+            raise ShapeError(f"expected {supply.m} input channels, got {u.dim}")
     if not inputs:
         return []
     grid = inputs[0].grid
@@ -168,8 +174,8 @@ def _solve_lanes(model: ScatteredModel, inputs: list[Signal],
     eps = model.epsilon
     # Successive-step threshold that certifies the error bound tol.
     threshold = tols * (1.0 - eps) / eps if eps > 0 else np.full(lanes, np.inf)
-    n11_inv = np.linalg.inv(factors.n11)
-    coupling = n11_inv @ factors.n12
+    n11_inv = np.linalg.inv(supply.n11)
+    coupling = n11_inv @ supply.n12
     u_vals = np.stack([u.values for u in inputs])
     base = u_vals @ n11_inv.T
     v = base.copy()
@@ -182,6 +188,10 @@ def _solve_lanes(model: ScatteredModel, inputs: list[Signal],
         feedback = model.s(v_act) @ coupling.T
         v_next = base[active] - feedback
         prev, now = step[active], _lane_norms(v_next - v_act)
+        if not np.isfinite(now).all():
+            bad = active[np.flatnonzero(~np.isfinite(now))[0]]
+            raise NumericalError(f"fixed-point iteration of input {bad} "
+                                 f"left the float range at step {it}")
         v[active], step[active], iterations[active] = v_next, now, it
         if record:
             for i, lane in zip(active, v_next):
@@ -198,8 +208,8 @@ def _solve_lanes(model: ScatteredModel, inputs: list[Signal],
         if not len(active):
             break
     s_star = model.s(v)
-    residuals = _lane_norms(v @ factors.n11.T + s_star @ factors.n12.T - u_vals)
-    outputs = _descatter(factors, v, s_star)
+    residuals = _lane_norms(v @ supply.n11.T + s_star @ supply.n12.T - u_vals)
+    outputs = v @ supply.n21.T + s_star @ supply.n22.T
     if len(active):
         raise ConvergenceError(
             f"fixed-point iteration hit {max_iter} steps "
@@ -218,11 +228,6 @@ def _solve_lanes(model: ScatteredModel, inputs: list[Signal],
         )
         for i in range(lanes)
     ]
-
-
-def _descatter(factors: ScatteringFactors, v_vals: np.ndarray,
-               s_vals: np.ndarray) -> np.ndarray:
-    return v_vals @ factors.n21.T + s_vals @ factors.n22.T
 
 
 def simulate_r(model: ScatteredModel, u_star: Signal | Sequence[Signal],

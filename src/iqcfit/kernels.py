@@ -16,8 +16,8 @@ from typing import Union
 import numpy as np
 
 from .errors import KernelSpecError, ShapeError
-from .signals import (Frozen, Signal, Value, _require_compatible, checked,
-                      norm)
+from .signals import (Frozen, Signal, Value, _frozen_matrix, _json_matrix,
+                      _require_compatible, checked, norm)
 
 PROVEN = "proven"
 UNKNOWN = "unknown"
@@ -177,34 +177,13 @@ def _scalar_nonexpansive(spec: ScalarKernelSpec) -> bool:
     return 2.0 * top <= bottom
 
 
-def _frozen_matrix(r, name: str) -> np.ndarray:
-    arr = np.asarray(r, dtype=float).copy()
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ShapeError(f"{name} must be a square 2-d matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} has a non-finite entry")
-    arr.setflags(write=False)
-    return arr
-
-
 class OperatorKernel(Frozen, ABC):
-    """Common interface: batched evaluation through row_terms, structure
-    flags.  Kernels are immutable."""
+    """Common interface: batched evaluation through row_terms, and the
+    structure each constructor works out once: output_dim, is_causal, and
+    is_uniform, true when K(u, v) acts by a single matrix on every sample.
+    Kernels are immutable."""
 
-    __slots__ = ()
-
-    @property
-    @abstractmethod
-    def output_dim(self) -> int: ...
-
-    @property
-    @abstractmethod
-    def is_causal(self) -> bool: ...
-
-    @property
-    def is_uniform(self) -> bool:
-        """True when K(u, v) acts by a single matrix on every sample."""
-        return False
+    __slots__ = ("output_dim", "is_causal", "is_uniform")
 
     @abstractmethod
     def row_terms(self, centers: np.ndarray, uvals: np.ndarray,
@@ -240,25 +219,12 @@ class SeparableKernel(OperatorKernel):
     __slots__ = ("scalar", "R", "radius")
 
     def __init__(self, scalar: ScalarKernelSpec, R: np.ndarray):
-        R = _frozen_matrix(R, "R")
-        if np.abs(R - R.T).max() > 1e-12 * max(1.0, np.abs(R).max()):
-            raise ShapeError("separable kernel matrix must be symmetric")
+        R = _frozen_matrix(R, "R", symmetric=True)
         eig = np.linalg.eigvalsh(R)
         if eig.min() < -1e-12 * max(1.0, np.abs(eig).max()):
             raise ValueError(f"separable kernel matrix has eigenvalue {eig.min():.3e} < 0")
-        self._set(scalar=scalar, R=R, radius=float(np.abs(eig).max()))
-
-    @property
-    def output_dim(self) -> int:
-        return self.R.shape[0]
-
-    @property
-    def is_causal(self) -> bool:
-        return False
-
-    @property
-    def is_uniform(self) -> bool:
-        return True
+        self._set(scalar=scalar, R=R, radius=float(np.abs(eig).max()),
+                  output_dim=R.shape[0], is_causal=False, is_uniform=True)
 
     def row_terms(self, centers, uvals, pasts=False):
         return [(_scalar_batch(self.scalar, centers, uvals, pasts), self.R)]
@@ -279,19 +245,9 @@ class SumKernel(OperatorKernel):
         dims = {child.output_dim for child in children}
         if len(dims) != 1:
             raise ShapeError(f"children disagree on output dim: {sorted(dims)}")
-        self._set(weights=weights, children=children)
-
-    @property
-    def output_dim(self) -> int:
-        return self.children[0].output_dim
-
-    @property
-    def is_causal(self) -> bool:
-        return all(child.is_causal for child in self.children)
-
-    @property
-    def is_uniform(self) -> bool:
-        return all(child.is_uniform for child in self.children)
+        self._set(weights=weights, children=children, output_dim=dims.pop(),
+                  is_causal=all(child.is_causal for child in children),
+                  is_uniform=all(child.is_uniform for child in children))
 
     def row_terms(self, centers, uvals, pasts=False):
         # Terms with equal matrices share one weight array.
@@ -337,7 +293,8 @@ class CausalDiagonalKernel(OperatorKernel):
         for child in per_time:
             if not child.is_uniform:
                 raise ShapeError("per-sample children must act by a single matrix")
-        self._set(children=per_time[0] if shared else per_time)
+        self._set(children=per_time[0] if shared else per_time,
+                  output_dim=dims.pop(), is_causal=True, is_uniform=False)
 
     def _child(self, t: int) -> OperatorKernel:
         if isinstance(self.children, OperatorKernel):
@@ -348,14 +305,6 @@ class CausalDiagonalKernel(OperatorKernel):
                 f"grid needs index {t}"
             )
         return self.children[t]
-
-    @property
-    def output_dim(self) -> int:
-        return self._child(0).output_dim
-
-    @property
-    def is_causal(self) -> bool:
-        return True
 
     def row_terms(self, centers, uvals, pasts=False):
         # Pasts of pasts are the pasts, so the flag changes nothing here.
@@ -477,7 +426,7 @@ def _matrix_from_json(obj, p: int | None) -> np.ndarray:
         if obj != "identity":
             raise ValueError(f"unknown matrix shorthand {obj!r}")
         return np.eye(1 if p is None else p)
-    return np.array(obj, dtype=float)
+    return _json_matrix(obj, "R")
 
 
 def kernel_to_json(kernel: AnyKernel) -> dict:

@@ -565,13 +565,16 @@ def load_fitted(location: str | Path) -> FittedOperator:
         gram = build_gram(kernel, centers)
     except NumericalError as exc:  # an overflowing Gram: name the bundle
         raise NumericalError(f"{path}: {exc}") from None
-    gc = gram.apply(coeff)
-    residual = gc + gamma * coeff - ybar
-    rel = np.linalg.norm(residual) / max(np.linalg.norm(ybar), 1e-300)
+    # a Gram far from the stored fit's may overflow these sums; the tests
+    # below refuse an infinite or NaN result, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        gc = gram.apply(coeff)
+        residual = gc + gamma * coeff - ybar
+        rel = np.linalg.norm(residual) / max(np.linalg.norm(ybar), 1e-300)
+        nrm = math.sqrt(max(float(np.vdot(coeff, gc)), 0.0))
     if np.linalg.norm(ybar) > 0 and not rel <= 1e-10:  # NaN fails too
         raise NumericalError(f"{path}: stored fit violates its linear system "
                              f"(relative residual {rel:.3e})")
-    nrm = math.sqrt(max(float(np.vdot(coeff, gc)), 0.0))
     if not abs(nrm - stored_norm) <= 1e-6 * max(1.0, nrm):  # NaN fails too
         raise NumericalError(
             f"{path}: stored norm {meta['rkhs_norm']} != recomputed {nrm}"

@@ -179,45 +179,32 @@ def truncate(f: Signal, T: int) -> Signal:
 
 
 class Dataset(Frozen):
-    """Paired input/output trajectories on one shared grid."""
+    """Paired input/output trajectories on one shared grid: n pairs of
+    input_dim and output_dim channels."""
 
-    __slots__ = ("inputs", "outputs")
+    __slots__ = ("inputs", "outputs", "n", "grid", "input_dim", "output_dim")
 
     def __init__(self, inputs: tuple[Signal, ...], outputs: tuple[Signal, ...]):
-        self._set(inputs=tuple(inputs), outputs=tuple(outputs))
-        if len(self.inputs) == 0 or len(self.inputs) != len(self.outputs):
+        inputs, outputs = tuple(inputs), tuple(outputs)
+        if len(inputs) == 0 or len(inputs) != len(outputs):
             raise ShapeError(
                 f"need matching nonempty input/output lists, got "
-                f"{len(self.inputs)}/{len(self.outputs)}"
+                f"{len(inputs)}/{len(outputs)}"
             )
-        grid = self.inputs[0].grid
-        m = self.inputs[0].dim
-        p = self.outputs[0].dim
-        for s in self.inputs + self.outputs:
+        grid = inputs[0].grid
+        m = inputs[0].dim
+        p = outputs[0].dim
+        for s in inputs + outputs:
             if s.grid != grid:
                 raise ShapeError("all trajectories must share one grid")
-        for s in self.inputs:
+        for s in inputs:
             if s.dim != m:
                 raise ShapeError("input channel counts differ across trajectories")
-        for s in self.outputs:
+        for s in outputs:
             if s.dim != p:
                 raise ShapeError("output channel counts differ across trajectories")
-
-    @property
-    def n(self) -> int:
-        return len(self.inputs)
-
-    @property
-    def grid(self) -> TimeGrid:
-        return self.inputs[0].grid
-
-    @property
-    def input_dim(self) -> int:
-        return self.inputs[0].dim
-
-    @property
-    def output_dim(self) -> int:
-        return self.outputs[0].dim
+        self._set(inputs=inputs, outputs=outputs, n=len(inputs), grid=grid,
+                  input_dim=m, output_dim=p)
 
 
 def csv_text(header: list[str], table: np.ndarray, newline: str) -> str:
@@ -388,6 +375,38 @@ def checked(value, kind: str, name: str = "") -> int | float:
             return number if integral else float(number)
     raise ValueError(f"{name} must be {what}, got {reprlib.repr(value)}"
                      .lstrip())
+
+
+def _json_matrix(obj, name: str) -> np.ndarray:
+    """A matrix read from JSON: a non-empty list of rows, each a list of as
+    many entries as there are rows, and each entry a number that checked
+    takes as "finite" (so no bool or string).  Anything else raises a
+    ShapeError or ValueError naming name or the entry."""
+    if not (isinstance(obj, list) and obj and all(
+            isinstance(row, list) and len(row) == len(obj) for row in obj)):
+        raise ShapeError(f"{name} must be a square list of lists, "
+                         f"got {reprlib.repr(obj)}")
+    return np.array([[checked(x, "finite", f"{name}[{i}][{j}]")
+                      for j, x in enumerate(row)] for i, row in enumerate(obj)])
+
+
+def _frozen_matrix(a, name: str, symmetric: bool = False) -> np.ndarray:
+    """A read-only float copy of a, which must be a square 2-d matrix of
+    finite entries, and with symmetric set also satisfy
+    max|A - A'| <= 1e-12 max(1, max|A|).  ShapeError or ValueError
+    otherwise."""
+    arr = np.asarray(a, dtype=float).copy()
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ShapeError(f"{name} must be a square 2-d matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has a non-finite entry")
+    if symmetric:
+        with np.errstate(over="ignore"):  # an overflowing difference is inf
+            gap = np.abs(arr - arr.T).max()
+        if gap > 1e-12 * max(1.0, np.abs(arr).max()):
+            raise ShapeError(f"{name} must be symmetric")
+    arr.setflags(write=False)
+    return arr
 
 
 def manifest_values(meta: dict, **kinds: str) -> list:

@@ -9,12 +9,14 @@ Phi into plain nonexpansiveness of the transformed operator.
 
 from __future__ import annotations
 
+import reprlib
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ShapeError, SignatureError
-from .signals import Dataset, Frozen, Signal, checked, manifest_values
+from .signals import (Dataset, Frozen, Signal, _frozen_matrix, _json_matrix,
+                      checked, manifest_values)
 
 # Relative eigenvalue floor below which Phi counts as singular.
 SINGULAR_TOL = 1e-10
@@ -29,19 +31,16 @@ class SupplyRate(Frozen):
     SINGULAR_TOL of the largest (SignatureError).  Sorted descending, with
     each eigenvector's first nonzero entry made positive so that equal
     matrices give identical factors, they give M = diag(sqrt|e|) V', for
-    which M' Sigma M = Phi; factors holds M and its inverse.
+    which M' Sigma M = Phi, and its inverse N.  The blocks m11 .. n22 of M
+    and N are partitioned after the first m rows and columns.
     """
 
-    __slots__ = ("phi", "m", "p", "factors")
+    __slots__ = ("phi", "m", "p", "M", "N")
 
     def __init__(self, phi: np.ndarray, m: int, p: int):
-        phi = np.asarray(phi, dtype=float).copy()
-        if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
-            raise ShapeError(f"supply matrix must be square, got shape {phi.shape}")
+        phi = _frozen_matrix(phi, "supply matrix", symmetric=True)
         if phi.shape[0] != m + p:
             raise ShapeError(f"supply matrix is {phi.shape[0]}x{phi.shape[0]}, need {m + p}")
-        if not np.allclose(phi, phi.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(phi).max())):
-            raise ShapeError("supply matrix must be symmetric")
         eig, vec = np.linalg.eigh(phi)
         size = np.abs(eig)
         tol = SINGULAR_TOL * size.max()
@@ -68,49 +67,14 @@ class SupplyRate(Frozen):
         sigma = np.diag(np.concatenate([np.ones(m), -np.ones(p)]))
         if np.abs(M.T @ sigma @ M - phi).max() > 1e-10 * max(1.0, np.abs(phi).max()):
             raise SignatureError("factorization failed to reproduce the supply matrix")
-        phi.setflags(write=False)
-        self._set(phi=phi, m=m, p=p,
-                  factors=ScatteringFactors(M, np.linalg.inv(M), m, p))
-
-
-def _passivity_phi(m: int) -> np.ndarray:
-    zero, eye = np.zeros((m, m)), np.eye(m)
-    return np.block([[zero, eye], [eye, zero]])
-
-
-def passivity_supply(m: int = 1) -> SupplyRate:
-    """Supply [[0, I], [I, 0]] whose rate is twice the input-output product."""
-    return SupplyRate(_passivity_phi(m), m, m)
-
-
-def gain_supply(delta: float, m: int = 1, p: int | None = None) -> SupplyRate:
-    """Supply diag(delta*I, -I) encoding an incremental gain bound sqrt(delta)."""
-    delta = checked(delta, "positive", "gain parameter")
-    if p is None:
-        p = m
-    phi = np.diag(np.concatenate([np.full(m, delta), -np.ones(p)]))
-    return SupplyRate(phi, m, p)
-
-
-class ScatteringFactors(Frozen):
-    """Invertible M with M' Sigma M = Phi, plus its inverse N, in blocks."""
-
-    __slots__ = ("M", "N", "m", "p")
-
-    def __init__(self, M: np.ndarray, N: np.ndarray, m: int, p: int):
-        M = np.asarray(M, dtype=float).copy()
-        N = np.asarray(N, dtype=float).copy()
-        d = m + p
-        if M.shape != (d, d) or N.shape != (d, d):
-            raise ShapeError(f"factor matrices must be {d}x{d}")
+        N = np.linalg.inv(M)
         scale = max(1.0, np.abs(M).max() * np.abs(N).max())
-        if np.abs(M @ N - np.eye(d)).max() > 1e-10 * scale:
-            raise ShapeError("N is not the inverse of M within tolerance")
+        if np.abs(M @ N - np.eye(m + p)).max() > 1e-10 * scale:
+            raise SignatureError("factorization failed to invert the factor")
         for arr in (M, N):
             arr.setflags(write=False)
-        self._set(M=M, N=N, m=m, p=p)
+        self._set(phi=phi, m=m, p=p, M=M, N=N)
 
-    # Block accessors, partitioned after the first m rows/columns.
     @property
     def m11(self) -> np.ndarray:
         return self.M[: self.m, : self.m]
@@ -144,23 +108,42 @@ class ScatteringFactors(Frozen):
         return self.N[self.m:, self.m:]
 
 
-def factor_phi(supply: SupplyRate) -> ScatteringFactors:
-    """The factorization Phi = M' Sigma M that the supply rate made."""
-    return supply.factors
+def _passivity_phi(m: int) -> np.ndarray:
+    zero, eye = np.zeros((m, m)), np.eye(m)
+    return np.block([[zero, eye], [eye, zero]])
 
 
-def scatter_dataset(data: Dataset, factors: ScatteringFactors) -> Dataset:
+def passivity_supply(m: int = 1) -> SupplyRate:
+    """Supply [[0, I], [I, 0]] whose rate is twice the input-output product."""
+    return SupplyRate(_passivity_phi(m), m, m)
+
+
+def gain_supply(delta: float, m: int = 1, p: int | None = None) -> SupplyRate:
+    """Supply diag(delta*I, -I) encoding an incremental gain bound sqrt(delta)."""
+    delta = checked(delta, "positive", "gain parameter")
+    if p is None:
+        p = m
+    phi = np.diag(np.concatenate([np.full(m, delta), -np.ones(p)]))
+    return SupplyRate(phi, m, p)
+
+
+def factor_phi(supply: SupplyRate) -> SupplyRate:
+    """The factorization Phi = M' Sigma M: the supply rate itself, which
+    holds M and N."""
+    return supply
+
+
+def scatter_dataset(data: Dataset, supply: SupplyRate) -> Dataset:
     """Map trajectories (u, y) to scattering coordinates (v, z) = M(u, y)."""
-    if data.input_dim != factors.m or data.output_dim != factors.p:
+    if data.input_dim != supply.m or data.output_dim != supply.p:
         raise ShapeError(
             f"dataset dims ({data.input_dim}, {data.output_dim}) do not match "
-            f"factor dims ({factors.m}, {factors.p})"
+            f"supply dims ({supply.m}, {supply.p})"
         )
-    f = factors
     return Dataset(
-        tuple(Signal(u.grid, u.values @ f.m11.T + y.values @ f.m12.T)
+        tuple(Signal(u.grid, u.values @ supply.m11.T + y.values @ supply.m12.T)
               for u, y in zip(data.inputs, data.outputs)),
-        tuple(Signal(u.grid, u.values @ f.m21.T + y.values @ f.m22.T)
+        tuple(Signal(u.grid, u.values @ supply.m21.T + y.values @ supply.m22.T)
               for u, y in zip(data.inputs, data.outputs)))
 
 
@@ -257,7 +240,7 @@ def supply_from_json(obj: dict,
     passivity record needs p = m."""
     kind = obj.get("kind", "custom")
     if kind not in ("passivity", "gain", "custom"):
-        raise ValueError(f"unknown supply kind {kind!r}")
+        raise ValueError(f"unknown supply kind {reprlib.repr(kind)}")
     defaults = {} if kind == "custom" else {"m": 1, "p": obj.get("m", 1)}
     m, p = manifest_values({**defaults, **obj}, m="count", p="count")
     if dims is not None and (m, p) != tuple(dims):
@@ -268,4 +251,4 @@ def supply_from_json(obj: dict,
         return passivity_supply(m)
     if kind == "gain":
         return gain_supply(*manifest_values(obj, delta="positive"), m, p)
-    return SupplyRate(np.array(obj["phi"], dtype=float), m, p)
+    return SupplyRate(_json_matrix(obj["phi"], "phi"), m, p)

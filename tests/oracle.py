@@ -38,6 +38,25 @@ def structures(spec, R):
             SumKernel((0.5, 0.5), (sep, CausalDiagonalKernel(per_sample)))]
 
 
+def structure_flags(kernel) -> tuple[int, bool, bool]:
+    """(output_dim, is_causal, is_uniform) of a kernel, from the definitions:
+    a separable kernel acts by R on every sample and looks at whole signals;
+    a sum has its children's dim and is causal or uniform when every child
+    is; a causal diagonal kernel is causal and acts samplewise."""
+    kernel = as_operator(kernel)
+    if isinstance(kernel, SeparableKernel):
+        return kernel.R.shape[0], False, True
+    children = kernel.children
+    if isinstance(children, OperatorKernel):
+        children = (children,)
+    flags = [structure_flags(child) for child in children]
+    if isinstance(kernel, SumKernel):
+        return (flags[0][0], all(f[1] for f in flags),
+                all(f[2] for f in flags))
+    assert isinstance(kernel, CausalDiagonalKernel)
+    return flags[0][0], True, False
+
+
 def matrix_at(kernel, t: int, u: Signal, v: Signal) -> np.ndarray:
     """Matrix acting on output sample t of K(u, v)."""
     kernel = as_operator(kernel)

@@ -1,0 +1,73 @@
+"""The benchmark's entry points, run as the benchmark runs them.
+
+perfbench/ drives the library from outside: causal_check.py is a script of
+its own, and traced.py reads attributes of the library's results.  These
+tests run both files unedited, so that a change of the library that would
+break a benchmark job fails here first.
+"""
+
+import json
+import runpy
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from iqcfit import cli
+from iqcfit.inversion import picard_solve, scattered_from_operator
+from iqcfit.kernels import CausalDiagonalKernel, SeparableKernel, gaussian
+from iqcfit.rkhs import build_gram
+from iqcfit.signals import Dataset, TimeGrid, random_signal, save_dataset
+from iqcfit.supply import passivity_supply
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_causal_check_script_reports(tmp_path, monkeypatch):
+    # a tiny causal fit, then the benchmark's check script on its bundle
+    grid, rng = TimeGrid(4, 0.5), np.random.default_rng(41)
+    inputs = tuple(random_signal(grid, 1, rng) for _ in range(4))
+    save_dataset(Dataset(inputs, tuple(0.5 * u for u in inputs)),
+                 tmp_path / "data")
+    (tmp_path / "kernel.json").write_text(json.dumps({
+        "structure": "causal_diagonal",
+        "child": {"structure": "separable", "R": "identity",
+                  "scalar": {"kind": "gaussian", "sigma": 2.0}}}))
+    assert cli.main(["fit", "--data", str(tmp_path / "data"),
+                     "--kernel", str(tmp_path / "kernel.json"), "--rho", "0.9",
+                     "--out", str(tmp_path / "fit"), "--quiet"]) == 0
+    script = PERFBENCH / "causal_check.py"
+    monkeypatch.setattr("sys.argv", [
+        str(script), "--model", str(tmp_path / "fit" / "model"),
+        "--pairs", "2", "--seed", "7", "--out", str(tmp_path / "check")])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(script), run_name="__main__")
+    report = json.loads((tmp_path / "check" / "causality_report.json")
+                        .read_text())
+    assert done.value.code == (0 if report["passed"] else 1)
+    assert report["passed"] is True
+    assert report["tolerance"] == 1e-8
+    assert 0.0 < report["epsilon"] < 1.0
+
+
+def test_trace_attributes_read_the_results():
+    # traced.py's attribute readers, called on real results as its wrappers
+    # call them
+    attrs = runpy.run_path(str(PERFBENCH / "traced.py"))["ATTRS"]
+    grid, rng = TimeGrid(3), np.random.default_rng(42)
+    inputs = [random_signal(grid, 1, rng) for _ in range(3)]
+    for kernel in (SeparableKernel(gaussian(2.0), np.eye(1)),
+                   CausalDiagonalKernel(SeparableKernel(gaussian(2.0),
+                                                        np.eye(1)))):
+        gram = build_gram(kernel, inputs)
+        assert attrs["rkhs.build_gram"](gram, (), {}) == {
+            "layout": gram.layout, "side": gram.dim}
+    model = scattered_from_operator(lambda s: 0.5 * s, 0.5,
+                                    passivity_supply(1), grid)
+    single = picard_solve(model, inputs[0])
+    batch = picard_solve(model, inputs)
+    assert attrs["inversion.picard_solve"](single, (), {}) == {
+        "iterations": single.iterations}
+    assert attrs["inversion.picard_solve"](batch, (), {}) == {
+        "iterations": sum(lane.iterations for lane in batch.lanes)}
+    assert single.iterations > 0

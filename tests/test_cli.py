@@ -7,12 +7,13 @@ import random
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import iqcfit
@@ -371,7 +372,7 @@ _GAUSSIAN_NEGATIVE = {"scalar": {"kind": "gaussian", "sigma": -2.0}}
       "children": [{"scalar": {"kind": "bilinear"}}] * 2}, "weights must be"),
     ({"R": [[1, 0], [0, 1]]}, "R must be"),
     ({"R": [[1, 0], [0, 1]], "p": 1}, "R must be"),
-    ({"R": [[1, 0], [0]]}, "setting an array element with a sequence"),
+    ({"R": [[1, 0], [0]]}, "R must be a square list of lists"),
     ({"R": "eye"}, "unknown matrix shorthand 'eye'"),
     (_GAUSSIAN_NEGATIVE, "gaussian kernel sigma must be a positive finite number"),
     ({"structure": "sum", "weights": [1.0],
@@ -386,7 +387,7 @@ _GAUSSIAN_NEGATIVE = {"scalar": {"kind": "gaussian", "sigma": -2.0}}
        f"gaussian kernel sigma must be a positive finite number, got {shown}")
       for value, shown in [(float("nan"), "nan"), (float("inf"), "inf"),
                            (10**400, "1000"), (True, "True")]),
-    ({"R": [[float("nan")]]}, "R has a non-finite entry"),
+    ({"R": [[float("nan")]]}, "R[0][0] must be a finite number, got nan"),
     ({"structure": "sum", "weights": [float("inf")],
       "children": [{"scalar": {"kind": "bilinear"}}]},
      "sum kernel weight must be a non-negative finite number, got inf"),
@@ -702,6 +703,44 @@ def test_simulate_zero_input_ends(ws, tmp_path):
     log = _read_json(out / "sim_zero_log.json")
     assert log["converged"] is True
     assert log["residual"] <= 1e-12
+
+
+def test_simulate_past_float_range_is_one_error_line(ws, tmp_path, capsys):
+    # an input of 1e160 sends the scaled Laplacian's r to inf: simulate
+    # exits 2 with one line naming the input, and numpy warns of nothing
+    meta = _read_json(ws / "fit" / "model" / "model.json")
+    grid = TimeGrid(meta["tau"], meta["dt"])
+    write_signal(Signal(grid, np.full(grid.size, 1e160)), tmp_path / "big.csv")
+    capsys.readouterr()
+    rc = cli.main(["simulate", "--model", str(ws / "fit" / "model"),
+                   "--input", str(tmp_path / "big.csv"),
+                   "--out", str(tmp_path / "sim"), "--quiet"])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: fixed-point iteration of "
+                                       "input 0 left the float range at "
+                                       "step 1\n")
+
+
+def test_bundle_extra_is_supply_and_scale(ws, tmp_path):
+    # model.json keeps what check and simulate read back; the fit's risk,
+    # certificate and warnings go to fit_report.json only, and a bundle
+    # that still carries them loads and checks as before
+    model = ws / "fit" / "model"
+    extra = _read_json(model / "model.json")["extra"]
+    assert sorted(extra) == ["scale", "supply"]
+    report = _read_json(ws / "fit" / "fit_report.json")
+    assert {"risk", "certificate", "warnings"} <= set(report)
+    shutil.copytree(model, tmp_path / "model")
+    meta = _read_json(model / "model.json")
+    meta["extra"].update(risk=report["risk"], certificate="proven", warnings=[])
+    (tmp_path / "model" / "model.json").write_text(json.dumps(meta))
+    for bundle, out in ((model, "new"), (tmp_path / "model", "old")):
+        assert cli.main(["check", "--target", "model", "--model", str(bundle),
+                         "--probes", "5", "--out", str(tmp_path / out),
+                         "--quiet"]) == 0
+    assert (tmp_path / "new" / "check_report.json").read_text().replace(
+        str(model), "M") == (tmp_path / "old" / "check_report.json") \
+        .read_text().replace(str(tmp_path / "model"), "M")
 
 
 def test_simulate_usage_errors(ws, tmp_path):
@@ -1514,3 +1553,90 @@ def test_generated_manifest_faults_name_a_file(ws, tmp_path_factory, faults):
     assert rc == 2
     assert any(err.startswith(f"error: {path}: ") for path in named), err
     assert "Traceback" not in err
+
+
+# Leaves a bundle's supply record or kernel matrix may be edited to: wrong
+# JSON types, numbers past float range or at its edge, and nested lists.
+_LEAVES = st.sampled_from([
+    True, False, "1", None, float("nan"), float("inf"), -float("inf"), 1e308,
+    -1e308, 10**400, 0.5, 2, [], [1.0], [[1.0]], {"a": 1}])
+_SUPPLIES = ({"kind": "custom", "phi": [[0.0, 1.0], [1.0, 0.0]], "m": 1, "p": 1},
+             {"kind": "gain", "delta": 4.0, "m": 1, "p": 1},
+             {"kind": "passivity", "m": 1, "p": 1})
+_DELETE = object()
+_PHI_PATHS = ([["phi"]], [["phi", 1]], [["phi", 0, 0]], [["phi", 0, 1]],
+              [["phi", 0, 1], ["phi", 1, 0]])
+
+
+@st.composite
+def _bundle_edits(draw):
+    """(supply record, kernel R or None, paths, leaf): a bundle's
+    extra.supply, and its kernel's R unless None, are set to these, then the
+    leaf (or _DELETE) is put at every path, a key path into the supply
+    record or, from "R", into the kernel."""
+    target = draw(st.sampled_from(["R", "supply", "phi"]))
+    supply = draw(st.sampled_from(_SUPPLIES[:1] if target == "phi"
+                                  else _SUPPLIES))
+    if target == "R":
+        paths = [draw(st.sampled_from([["R"], ["R", 0], ["R", 0, 0]]))]
+    elif target == "phi":
+        paths = draw(st.sampled_from(_PHI_PATHS))
+    else:
+        paths = [[draw(st.sampled_from(sorted(supply)))]]
+    value = draw(st.one_of(_LEAVES, st.just(_DELETE)))
+    return supply, [[1.0]] if target == "R" else None, paths, value
+
+
+def _apply_edit(meta, supply, R, paths, value):
+    meta["extra"]["supply"] = supply = json.loads(json.dumps(supply))
+    if R is not None:
+        meta["kernel"]["R"] = R
+    for path in paths:
+        node = meta["kernel"] if path[0] == "R" else supply
+        for key in path[:-1]:
+            node = node[key]
+        if value is _DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    return meta
+
+
+@settings(max_examples=60)
+@given(edit=_bundle_edits())
+# edits that once loaded silently or made numpy warn
+@example(edit=(_SUPPLIES[0], None, [["phi", 0, 0]], float("inf")))
+@example(edit=(_SUPPLIES[0], None, [["phi", 0, 1]], "1"))
+@example(edit=(_SUPPLIES[0], None, [["phi", 0, 1]], True))
+@example(edit=(_SUPPLIES[0], None, _PHI_PATHS[-1], 1e308))
+@example(edit=(_SUPPLIES[0], [[1.0]], [["R", 0, 0]], "1"))
+@example(edit=(_SUPPLIES[0], [[1.0]], [["R", 0, 0]], True))
+def test_edited_supply_or_kernel_matrix_is_refused_or_checked(ws, edit):
+    # an edit of the bundle's supply record or kernel matrix gives exit 2
+    # with one error line naming model.json, or exit 0/1 with a complete
+    # report; never a warning or a traceback
+    with contextlib.ExitStack() as stack:
+        root = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+        shutil.copytree(ws / "fit" / "model", root / "model")
+        meta = root / "model" / "model.json"
+        meta.write_text(json.dumps(_apply_edit(_read_json(meta), *edit)))
+        err = stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
+        seen = stack.enter_context(warnings.catch_warnings(record=True))
+        warnings.simplefilter("always")
+        rc = cli.main(["check", "--target", "model", "--model",
+                       str(root / "model"), "--probes", "3",
+                       "--out", str(root / "out"), "--quiet"])
+        assert not seen, [str(w.message) for w in seen]
+        if rc == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1, err.getvalue()
+            assert lines[0].startswith(f"error: {meta}: ")
+            assert "0" * 100 not in lines[0]  # a huge value is shortened
+            return
+        assert rc in (0, 1) and not err.getvalue()
+        report = _read_json(root / "out" / "check_report.json")
+        assert report["passed"] == (rc == 0) == (not report["violations"])
+        if "epsilon" in report:  # the contraction holds: every check ran
+            assert {"iiqc", "defect"} <= set(report)
+        else:  # refused before any probe, for one stated reason
+            assert len(report["violations"]) == 1 and rc == 1

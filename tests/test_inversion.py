@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iqcfit import rkhs
-from iqcfit.errors import ContractionError, ConvergenceError, ShapeError
+from iqcfit.errors import (ContractionError, ConvergenceError, NumericalError,
+                           ShapeError)
 from iqcfit.inversion import (
     PicardBatch,
     ScatteredModel,
@@ -33,7 +34,7 @@ def _linear_s(ell, grid, supply=None):
 
 def _descattered(model, v_star):
     """The output y* = N21 v* + N22 S(v*) of a fixed point v*."""
-    v, f = v_star.values[None], model.factors
+    v, f = v_star.values[None], model.supply
     return (v @ f.n21.T + model.s(v) @ f.n22.T)[0]
 
 
@@ -97,12 +98,12 @@ def test_singular_leading_block_is_refused_only_when_inverted():
     grid = TimeGrid(3)
     rng = np.random.default_rng(8)
     supply = SupplyRate(np.diag([-1.0, 1.0]), 1, 1)
-    assert np.array_equal(supply.factors.n11, [[0.0]])
+    assert np.array_equal(supply.n11, [[0.0]])
     u, y = random_signal(grid, 1, rng), random_signal(grid, 1, rng)
     scattered = scatter_dataset(Dataset((u,), (y,)), factor_phi(supply))
     assert np.array_equal(scattered.inputs[0].values, y.values)
     with pytest.raises(ContractionError, match="inverse-factor block"):
-        scattered_from_operator(lambda s: 0.5 * s, 0.5, supply.factors, grid)
+        scattered_from_operator(lambda s: 0.5 * s, 0.5, supply, grid)
 
 
 def test_picard_zero_s():
@@ -115,6 +116,29 @@ def test_picard_zero_s():
     assert result.converged
     assert np.abs(result.v_star.values - ROOT2 * u.values).max() <= 1e-12
     assert norm(result.y_star - u) <= 1e-12
+
+
+def test_picard_stops_at_an_iterate_past_float_range():
+    # an input of 1e308 makes a first step whose norm overflows, as a
+    # fitted S on an input of 1e160 overflows inside its kernel: the solve
+    # raises naming that input at step 1, and numpy warns of nothing
+    # (warnings are errors in this suite)
+    rng = np.random.default_rng(63)
+    grid = TimeGrid(4)
+    fine = [random_signal(grid, 1, rng) for _ in range(2)]
+    huge = constant_signal(grid, 1e308)
+    model = _linear_s(0.5, grid)
+    for inputs, lane in (([huge], 0), (fine + [huge], 2), ([huge] + fine, 0)):
+        with pytest.raises(NumericalError, match=(
+                f"^fixed-point iteration of input {lane} left the float "
+                f"range at step 1$")):
+            picard_solve(model, inputs)
+    data = _dataset(rng, n=3, tau=4)
+    _, tuned = tune_gamma(SeparableKernel(scaled_laplacian(), np.eye(1)),
+                          data, rho=0.9)
+    fitted = contraction_margin(tuned, passivity_supply(1))
+    with pytest.raises(NumericalError, match="input 0 left the float range"):
+        picard_solve(fitted, constant_signal(grid, 1e160))
 
 
 def test_picard_linear_half():
@@ -265,7 +289,7 @@ def test_descatter_matches_blocks():
     grid = TimeGrid(3)
     model = _linear_s(0.5, grid)
     result = picard_solve(model, random_signal(grid, 1, rng))
-    v, f = result.v_star, model.factors
+    v, f = result.v_star, model.supply
     want = v.values @ f.n21.T + (0.5 * v.values) @ f.n22.T
     assert np.abs(result.y_star.values - want).max() <= 1e-14
 
@@ -413,7 +437,7 @@ def _lane(kind, grid, m, rng):
 def test_batched_solve_matches_single_solves(name, kinds, seed, tol, budget):
     model = BATCH_MODELS[name]
     rng = np.random.default_rng(seed)
-    grid, m = TimeGrid(5), model.factors.m
+    grid, m = TimeGrid(5), model.supply.m
     inputs = [_lane(kind, grid, m, rng) for kind in kinds]
     with pytest.MonkeyPatch.context() as mp:
         # small budgets split the batch over several evaluator chunks

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -574,3 +576,32 @@ def test_benchmark_trace_hooks_exist():
                 want = oracle.block_matrix(kernel, u, v)
                 got = kernel.block_matrix(u, v)
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _nested_sums(spec, R):
+    """Sums of sums over the oracle's structures, causal and not."""
+    sep, *_, causal, per_sample, mixed = oracle.structures(spec, R)
+    causal_sum = SumKernel((0.5, 0.5), (causal, per_sample))
+    uniform_sum = SumKernel((1.0,), (SumKernel((0.4, 0.6), (sep, sep)),))
+    return [causal_sum, uniform_sum,
+            SumKernel((0.3, 0.3, 0.4), (causal_sum, mixed, uniform_sum)),
+            SumKernel((0.5, 0.5), (causal_sum, SumKernel((1.0,), (causal,)))),
+            CausalDiagonalKernel(uniform_sum)]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_stored_structure_matches_its_definition(p):
+    # each constructor stores output_dim, is_causal and is_uniform once; they
+    # equal the recursive definitions and survive JSON, copy and pickle
+    R = BASE_R[:p, :p]
+    for spec in (gaussian(1.5), stable_spline(0.7)):
+        for kernel in oracle.structures(spec, R) + _nested_sums(spec, R):
+            want = oracle.structure_flags(kernel)
+            assert want[0] == p
+            for twin in (kernel, kernel_from_json(kernel_to_json(kernel)),
+                         copy.copy(kernel), copy.deepcopy(kernel),
+                         pickle.loads(pickle.dumps(kernel))):
+                assert type(twin) is type(kernel)
+                assert (twin.output_dim, twin.is_causal,
+                        twin.is_uniform) == want
+                assert is_causal(twin) == want[1]

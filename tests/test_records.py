@@ -20,7 +20,7 @@ from iqcfit.kernels import (CausalDiagonalKernel, ScalarKernelSpec,
                             SeparableKernel, SumKernel, gaussian, laplacian)
 from iqcfit.rkhs import build_gram, fit
 from iqcfit.signals import Dataset, Signal, TimeGrid, random_signal, zeros
-from iqcfit.supply import check_operator_iiqc, factor_phi, passivity_supply
+from iqcfit.supply import check_operator_iiqc, passivity_supply
 
 
 def _records() -> dict:
@@ -31,8 +31,7 @@ def _records() -> dict:
     data = Dataset((u, y), (y, u))
     separable = SeparableKernel(gaussian(2.0), np.eye(1))
     rate = passivity_supply(1)
-    factors = factor_phi(rate)
-    scattered = scattered_from_operator(lambda s: 0.5 * s, 0.5, factors, grid)
+    scattered = scattered_from_operator(lambda s: 0.5 * s, 0.5, rate, grid)
     model = fit(separable, data, gamma=0.1)
     model.evaluator  # the cached evaluator is in place, and stays immutable
     objects = [
@@ -40,7 +39,7 @@ def _records() -> dict:
         SumKernel((0.5, 0.5), (separable, separable)),
         CausalDiagonalKernel(separable),
         build_gram(separable, data.inputs), model,
-        rate, factors,
+        rate,
         check_operator_iiqc(lambda us: us, rate, [(u, y)]),
         scattered, picard_solve(scattered, u), picard_solve(scattered, [u, y]),
         causality_check_r(scattered, [(u, y)]),
@@ -53,7 +52,7 @@ RECORDS = _records()
 # classes that compare by identity, as their eq=False dataclasses did
 BY_IDENTITY = ("Signal", "Dataset", "SeparableKernel", "SumKernel",
                "CausalDiagonalKernel", "GramOperator", "FittedOperator",
-               "SupplyRate", "ScatteringFactors")
+               "SupplyRate")
 
 
 def _field_names(obj) -> tuple:

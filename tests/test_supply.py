@@ -7,7 +7,6 @@ from iqcfit import kernels
 from iqcfit.errors import ShapeError, SignatureError
 from iqcfit.signals import Dataset, Signal, TimeGrid, constant_signal, norm, random_signal
 from iqcfit.supply import (
-    ScatteringFactors,
     SupplyRate,
     check_operator_iiqc,
     factor_phi,
@@ -83,7 +82,7 @@ def test_each_matrix_is_decomposed_once(monkeypatch):
     supply = SupplyRate(np.array([[2.0, 1.0], [1.0, -1.0]]), 1, 1)
     assert calls == {"eigh": 1, "eigvalsh": 0}
     for _ in range(3):
-        assert factor_phi(supply) is supply.factors
+        assert factor_phi(supply) is supply
     assert calls == {"eigh": 1, "eigvalsh": 0}
     kernel = kernels.SeparableKernel(kernels.bilinear(), np.diag([0.5, 1.0]))
     assert calls == {"eigh": 1, "eigvalsh": 1}
@@ -126,18 +125,14 @@ def test_factor_identity_sweep():
         assert np.abs(f.M @ f.N - np.eye(d)).max() <= 1e-10
 
 
-def test_factors_validate_inverse():
-    with pytest.raises(ShapeError):
-        ScatteringFactors(np.eye(2), 2 * np.eye(2), 1, 1)
-
-
 def test_scatter_identity_factor_keeps_dataset():
     rng = np.random.default_rng(12)
     grid = TimeGrid(4)
     data = Dataset(
         (random_signal(grid, 1, rng),), (random_signal(grid, 1, rng),)
     )
-    f = ScatteringFactors(np.eye(2), np.eye(2), 1, 1)
+    f = SupplyRate(np.diag([1.0, -1.0]), 1, 1)  # Phi = Sigma factors as I
+    assert np.array_equal(f.M, np.eye(2)) and np.array_equal(f.N, np.eye(2))
     out = scatter_dataset(data, f)
     assert np.array_equal(out.inputs[0].values, data.inputs[0].values)
     assert np.array_equal(out.outputs[0].values, data.outputs[0].values)
@@ -281,7 +276,7 @@ def test_check_of_no_probes_and_of_two_grids():
         check_operator_iiqc(lambda us: us, passivity_supply(1), probes)
 
 
-def _closed_form_s(factors: ScatteringFactors, r: float) -> float:
+def _closed_form_s(factors: SupplyRate, r: float) -> float:
     m11 = float(factors.m11[0, 0])
     m12 = float(factors.m12[0, 0])
     m21 = float(factors.m21[0, 0])
@@ -375,3 +370,52 @@ def test_accepted_supply_records_keep_their_dims(record, dims):
     assert (supply.m, supply.p) == want == dims
     back = supply_from_json(supply_to_json(supply), dims)
     assert np.array_equal(back.phi, supply.phi)
+
+
+_MATRIX_FAULTS = [
+    ([[0, "1"], [1, 0]], r"\[0\]\[1\] must be a finite number, got '1'"),
+    ([[0, True], [1, 0]], r"\[0\]\[1\] must be a finite number, got True"),
+    ([[float("inf"), 0], [0, -1]],
+     r"\[0\]\[0\] must be a finite number, got inf"),
+    ([[0, 1], [1, float("nan")]], r"\[1\]\[1\] must be a finite number, got nan"),
+    ([[0, 10**400], [1, 0]], r"\[0\]\[1\] must be a finite number"),
+    ([[0, [1]], [1, 0]], r"\[0\]\[1\] must be a finite number, got \[1\]"),
+    ([[0, 1], [1]], " must be a square list of lists"),
+    ([[0, 1]], " must be a square list of lists"),
+    ([], " must be a square list of lists"),
+    ([0, 1], " must be a square list of lists"),
+]
+
+
+@pytest.mark.parametrize("matrix, says", _MATRIX_FAULTS)
+def test_json_matrices_hold_only_finite_numbers(matrix, says):
+    # a supply's phi and a kernel's R are read by one rule, which refuses
+    # strings and booleans as every other number read from a file is
+    # refused, and names the entry; numpy warns of nothing on the way
+    with pytest.raises(ValueError, match="^phi" + says):
+        supply_from_json({"kind": "custom", "phi": matrix, "m": 1, "p": 1})
+    with pytest.raises(kernels.KernelSpecError, match=": R" + says):
+        kernels.kernel_from_json({"scalar": {"kind": "bilinear"},
+                                  "R": matrix})
+
+
+def test_one_symmetry_and_finiteness_rule():
+    # an infinite or NaN supply matrix is refused before any eigenvalue,
+    # and supply and kernel matrices share the symmetry tolerance
+    for bad in (np.diag([np.inf, -1.0]), np.array([[0.0, np.nan], [1.0, 0.0]])):
+        with pytest.raises(ValueError, match="supply matrix has a non-finite"):
+            SupplyRate(bad, 1, 1)
+    for gap, symmetric in ((1e-13, True), (1e-11, False)):
+        phi = np.array([[0.0, 1.0], [1.0 + gap, 0.0]])
+        R = np.array([[1.0, 0.0], [gap, 1.0]])
+        if symmetric:
+            SupplyRate(phi, 1, 1)
+            kernels.SeparableKernel(kernels.bilinear(), R)
+        else:
+            with pytest.raises(ShapeError, match="must be symmetric"):
+                SupplyRate(phi, 1, 1)
+            with pytest.raises(ShapeError, match="must be symmetric"):
+                kernels.SeparableKernel(kernels.bilinear(), R)
+    huge = np.array([[0.0, 1e308], [-1e308, 0.0]])  # the gap overflows
+    with pytest.raises(ShapeError, match="must be symmetric"):
+        SupplyRate(huge, 1, 1)
