@@ -2,7 +2,7 @@
 
 from .signals import (TimeGrid, Signal, Dataset, inner_product, norm, truncate,
                       zeros, constant_signal, random_signal,
-                      read_signals, write_signal,
+                      read_signals, write_signal, norms, stacked, pair_stack,
                       save_dataset, load_dataset)
 from .supply import (SupplyRate, passivity_supply, gain_supply, factor_phi,
                      scatter_dataset, iiqc_residual,

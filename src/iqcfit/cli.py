@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     ContractionError,
     ConvergenceError,
+    DivergenceError,
     NumericalError,
     ShapeError,
 )
@@ -48,17 +49,17 @@ from .kernels import (
 )
 from .rkhs import fit, fit_many, load_fitted, save_fitted, tune_gamma
 from .signals import (
-    Signal,
     TimeGrid,
     checked,
     csv_text,
     load_dataset,
     located,
     manifest_values,
-    norm,
+    norms,
     read_json,
     read_signals,
     save_dataset,
+    stacked,
 )
 from .supply import (
     check_operator_iiqc,
@@ -227,8 +228,10 @@ def _build_supply(cfg: dict, m: int, p: int):
     return gain_supply(cfg["delta"], m=m, p=p)
 
 
-def _probe_pairs(cfg: dict, grid: TimeGrid, dim: int, scale: float):
-    """--probes input pairs of standard Gaussian samples times scale.
+def _probe_pairs(cfg: dict, grid: TimeGrid, dim: int,
+                 scale: float) -> np.ndarray:
+    """--probes input pairs of standard Gaussian samples times scale, as
+    one (probes, 2, steps, dim) array.
 
     The samples are random.Random(--seed).gauss(0.0, 1.0), from the standard
     library's Mersenne Twister, drawn pair by pair, u before v, each
@@ -238,8 +241,7 @@ def _probe_pairs(cfg: dict, grid: TimeGrid, dim: int, scale: float):
     gauss = random.Random(cfg["seed"]).gauss  # its defaults are (0.0, 1.0)
     values = np.array([gauss() for _ in range(
         2 * cfg["probes"] * grid.size * dim)]).reshape(-1, 2, grid.size, dim)
-    return [(Signal(grid, scale * u), Signal(grid, scale * v))
-            for u, v in values]
+    return scale * values
 
 
 def _run_csv(path: Path, grid: TimeGrid, uvals: np.ndarray,
@@ -472,15 +474,15 @@ def run_fit(cfg: dict) -> int:
     return 0
 
 
-def _scaled_picard(scattered, inputs, scale, **solve) -> list:
-    """Runs of R on inputs in raw units, as one batched Picard solve: each
-    input is scaled by 1/a into the fit's units and its output back by b
-    (neither when scale is None).  Returns (output, lane result) pairs."""
+def _scaled_picard(scattered, inputs: np.ndarray, scale, **solve):
+    """Runs of R on a stack of inputs in raw units, as one batched Picard
+    solve: the inputs are scaled by 1/a into the fit's units and the
+    outputs back by b (neither when scale is None).  Returns the stack of
+    outputs and the PicardBatch."""
     batch = picard_solve(scattered,
-                         [(1.0 / scale["a"]) * u if scale else u for u in inputs],
+                         (1.0 / scale["a"]) * inputs if scale else inputs,
                          **solve)
-    return [(scale["b"] * lane.y_star if scale else lane.y_star, lane)
-            for lane in batch.lanes]
+    return scale["b"] * batch.y_star if scale else batch.y_star, batch
 
 
 def run_simulate(cfg: dict) -> int:
@@ -510,23 +512,31 @@ def run_simulate(cfg: dict) -> int:
             raise ShapeError(f"{path}: grid does not match the model bundle")
         if u_raw.dim != supply.m:
             raise ShapeError(f"{path}: expected {supply.m} input channels")
+    raw = stacked(raw)
+    try:
+        outputs, batch = _scaled_picard(scattered, raw, scale, tol=cfg["tol"],
+                                        max_iter=cfg["max_iter"])
+    except DivergenceError as exc:  # name the input's file, not its lane
+        raise NumericalError(f"{cfg['inputs'][exc.lane]}: fixed-point "
+                             f"iteration left the float range at step "
+                             f"{exc.step}") from None
     runs = []
-    solved = _scaled_picard(scattered, raw, scale, tol=cfg["tol"],
-                            max_iter=cfg["max_iter"])
-    for path, u_raw, (y, result) in zip(cfg["inputs"], raw, solved):
+    for path, u_raw, y, iterations, residual in zip(
+            cfg["inputs"], raw, outputs, batch.lane_iterations.tolist(),
+            batch.residuals.tolist()):
         stem = Path(path).stem
-        _run_csv(out / f"sim_{stem}.csv", model.grid, u_raw.values, y.values)
+        _run_csv(out / f"sim_{stem}.csv", model.grid, u_raw, y)
         log = {
             "input": stem,
-            "epsilon": result.epsilon,
-            "iterations": result.iterations,
-            "residual": result.residual,
-            "converged": result.converged,
+            "epsilon": batch.epsilon,
+            "iterations": iterations,
+            "residual": residual,
+            "converged": True,
         }
         _write_json(out / f"sim_{stem}_log.json", log)
         runs.append(log)
-        _log(quiet, f"{stem}: {result.iterations} iterations, "
-                    f"residual {result.residual:.3e}")
+        _log(quiet, f"{stem}: {iterations} iterations, "
+                    f"residual {residual:.3e}")
     _write_json(out / "simulate_report.json", {"runs": runs, "passed": True})
     return 0
 
@@ -583,7 +593,8 @@ def run_reproduce(cfg: dict) -> int:
     _log(quiet, "stage 1/6: step-response dataset")
     data = _step_data(cfg)
     # reconstruction errors are read relative to this scale
-    data_scale = max(norm(y) for y in data.outputs)
+    traj = norms(data.outputs).tolist()
+    data_scale = max(traj)
     if data_scale == 0:
         raise ValueError(f"levels {cfg['levels']} give only zero outputs, so "
                          f"reconstruction errors have no scale")
@@ -603,25 +614,22 @@ def run_reproduce(cfg: dict) -> int:
     scattered = contraction_margin(model, supply)
 
     _log(quiet, "stage 5/6: reconstruction of the training levels")
-    recon, rows = [], []
-    solved = _scaled_picard(scattered, data.inputs, scale,
-                            tol=cfg["picard_tol"])
-    for level, y_raw, (y_hat, result) in zip(cfg["levels"], data.outputs,
-                                             solved):
-        err = norm(y_hat - y_raw)
-        traj = norm(y_raw)
-        recon.append({
-            "level": level,
-            "error": err,
-            "rel_error_scale": err / data_scale,
-            "rel_error_traj": err / traj if traj > 0 else 0.0,
-            "iterations": result.iterations,
-        })
-        rows.append(np.column_stack([
-            data.grid.times(), np.full(data.grid.size, level),
-            y_raw.values[:, 0], y_hat.values[:, 0]]))
-    (out / "reconstruction.csv").write_text(
-        csv_text(["t", "level", "y", "y_hat"], np.vstack(rows), "\n"))
+    y_hat, batch = _scaled_picard(scattered, data.inputs, scale,
+                                  tol=cfg["picard_tol"])
+    errors = norms(y_hat - data.outputs).tolist()
+    recon = [{
+        "level": level,
+        "error": err,
+        "rel_error_scale": err / data_scale,
+        "rel_error_traj": err / size if size > 0 else 0.0,
+        "iterations": iterations,
+    } for level, err, size, iterations in zip(
+        cfg["levels"], errors, traj, batch.lane_iterations.tolist())]
+    (out / "reconstruction.csv").write_text(csv_text(
+        ["t", "level", "y", "y_hat"], np.column_stack([
+            np.tile(data.grid.times(), data.n),
+            np.repeat(cfg["levels"], data.grid.size),
+            data.outputs[:, :, 0].ravel(), y_hat[:, :, 0].ravel()]), "\n"))
 
     _log(quiet, "stage 6/6: monotonicity of the identified operator")
     pairs = _probe_pairs(cfg, model.grid, data.input_dim, scale=0.1)

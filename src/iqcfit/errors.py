@@ -23,3 +23,12 @@ class NumericalError(ArithmeticError):
 
 class ConvergenceError(RuntimeError):
     """An iteration hit its step limit before reaching tolerance."""
+
+
+class DivergenceError(NumericalError):
+    """A fixed-point iteration of input number lane left the float range."""
+
+    def __init__(self, lane: int, step: int):
+        super().__init__(f"fixed-point iteration of input {lane} left the "
+                         f"float range at step {step}")
+        self.lane, self.step = lane, step

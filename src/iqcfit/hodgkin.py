@@ -183,14 +183,10 @@ def step_dataset(levels=DEFAULT_LEVELS, horizon: float = 10.0,
     Each level is a constant input, so its RK4 trajectory is computed in
     closed form rather than scanned.
     """
-    inputs, outputs = [], []
-    for level in levels:
-        fine = simulate_channel(float(level), dt_ode, horizon)
-        y = _subsample(fine, sample_dt)
-        u = Signal(y.grid, np.full((y.grid.size, 1), float(level)))
-        inputs.append(u)
-        outputs.append(y)
-    return Dataset(tuple(inputs), tuple(outputs))
+    outputs = [_subsample(simulate_channel(float(level), dt_ode, horizon),
+                          sample_dt) for level in levels]
+    return Dataset([Signal(y.grid, np.full((y.grid.size, 1), float(level)))
+                    for y, level in zip(outputs, levels)], outputs)
 
 
 def witness_inputs() -> tuple[Callable, Callable]:
@@ -232,8 +228,8 @@ def scale_dataset(data: Dataset, a: float = INPUT_SCALE,
                   b: float = OUTPUT_SCALE) -> Dataset:
     """Divide inputs by a and outputs by b."""
     a, b = checked(a, "positive", "scale a"), checked(b, "positive", "scale b")
-    return Dataset(tuple(u * (1.0 / a) for u in data.inputs),
-                   tuple(y * (1.0 / b) for y in data.outputs))
+    return Dataset(data.inputs * (1.0 / a), data.outputs * (1.0 / b),
+                   data.grid)
 
 
 class OrderingReport(NamedTuple):
@@ -243,21 +239,16 @@ class OrderingReport(NamedTuple):
 
 def check_step_ordering(data: Dataset, tol: float = 1e-9) -> OrderingReport:
     """Report whether step responses stay pointwise ordered with their levels."""
-    levels = [float(u.values[0, 0]) for u in data.inputs]
-    order = np.argsort(levels)
-    worst = 0.0
-    for lo, hi in zip(order[:-1], order[1:]):
-        gap = float((data.outputs[lo].values - data.outputs[hi].values).max())
-        worst = max(worst, gap)
+    y = data.outputs[np.argsort(data.inputs[:, 0, 0].tolist())]
+    worst = float(np.max(y[:-1] - y[1:], initial=0.0))
     return OrderingReport(bool(worst <= tol), worst)
 
 
 def write_figure1(data: Dataset, path: str | Path):
     """Long-format CSV (t, level, y) of the step-response sweep."""
-    table = np.vstack([
-        np.column_stack([data.grid.times(), np.full(data.grid.size, u.values[0, 0]),
-                         y.values[:, 0]])
-        for u, y in zip(data.inputs, data.outputs)])
+    table = np.column_stack([np.tile(data.grid.times(), data.n),
+                             np.repeat(data.inputs[:, 0, 0], data.grid.size),
+                             data.outputs[:, :, 0].ravel()])
     with Path(path).open("w", newline="") as fh:
         fh.write(csv_text(["t", "level", "y"], table, "\r\n"))
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import KernelSpecError, ShapeError
 from .signals import (Frozen, Signal, Value, _frozen_matrix, _json_matrix,
-                      _require_compatible, checked, norm)
+                      _require_compatible, checked, norms, pair_stack)
 
 PROVEN = "proven"
 UNKNOWN = "unknown"
@@ -367,28 +367,24 @@ def nonexpansive_defect(kernel: AnyKernel, u: Signal, v: Signal) -> float:
     return float(nonexpansive_defects(kernel, [(u, v)])[0])
 
 
-def nonexpansive_defects(kernel: AnyKernel,
-                         pairs: list[tuple[Signal, Signal]]) -> np.ndarray:
+def nonexpansive_defects(kernel: AnyKernel, pairs) -> np.ndarray:
     """nonexpansive_defect of every pair, in one batched sweep.
 
-    The second difference K(u,u) - K(u,v) - K(v,u) + K(v,v) of a pair acts
-    samplewise.  A chunk of c pairs is stacked as the lanes u_0..u_c-1,
-    v_0..v_c-1 and evaluated against itself through row_terms; the
-    diagonals of the four c x c quadrants of each term's weights give every
-    pair's second difference at every sample, and one eigvalsh of the
-    stacked p x p blocks its norm.  All signals must share one grid and one
-    channel count.
+    pairs is a (pairs, 2, steps, dim) array, or (u, v) Signal pairs on one
+    grid (see signals.pair_stack).  The second difference
+    K(u,u) - K(u,v) - K(v,u) + K(v,v) of a pair acts samplewise.  A chunk
+    of c pairs is stacked as the lanes u_0..u_c-1, v_0..v_c-1 and evaluated
+    against itself through row_terms; the diagonals of the four c x c
+    quadrants of each term's weights give every pair's second difference at
+    every sample, and one eigvalsh of the stacked p x p blocks its norm.
     """
     k = as_operator(kernel)
-    signals = [x for pair in pairs for x in pair]
-    for x in signals:
-        _require_compatible(x, signals[0])
-    steps, dim = signals[0].grid.size, signals[0].dim
-    X = np.stack([x.values for x in signals]).reshape(-1, 2, steps, dim)
+    X = pair_stack(pairs)
+    _, _, steps, dim = X.shape
     # 2c lanes against 2c centers stay within the lane budget
     width = LANE_BUDGET // (steps * max(dim, k.output_dim))
     chunk = max(1, math.isqrt(width) // 2)
-    norms = []
+    sizes = []
     for lo in range(0, len(X), chunk):
         lanes = X[lo:lo + chunk].swapaxes(0, 1).reshape(-1, steps, dim)
         c = len(lanes) // 2
@@ -396,9 +392,8 @@ def nonexpansive_defects(kernel: AnyKernel,
         second = sum(
             (w[iu, iu] - w[iu, iv] - w[iv, iu] + w[iv, iv]).reshape(c, -1, 1, 1) * M
             for w, M in k.row_terms(lanes, lanes))
-        norms.append(np.abs(np.linalg.eigvalsh(second)).max(axis=(1, 2)))
-    gaps = [norm(u - v) ** 2 for u, v in pairs]
-    return np.concatenate(norms) - gaps
+        sizes.append(np.abs(np.linalg.eigvalsh(second)).max(axis=(1, 2)))
+    return np.concatenate(sizes) - norms(X[:, 0] - X[:, 1]) ** 2
 
 
 def is_causal(kernel: AnyKernel) -> bool:

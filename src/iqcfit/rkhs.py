@@ -22,7 +22,7 @@ from .errors import ConvergenceError, NumericalError, ShapeError
 from .kernels import (LANE_BUDGET, OperatorKernel, as_operator,
                       kernel_from_json, kernel_to_json)
 from .signals import (Dataset, Frozen, Signal, TimeGrid, checked, located,
-                      manifest_values, norm, read_json)
+                      manifest_values, norms, read_json)
 
 # Gram blocks above this side length are refused: centers x channels in the
 # dense form, centers alone in the factored one.
@@ -33,10 +33,6 @@ NUDGE_LIMIT = 60
 # tune_gamma's steps in each of its searches: growing gamma, halving it and
 # bisecting.
 SEARCH_LIMIT = 200
-
-
-def _stack(signals: tuple[Signal, ...]) -> np.ndarray:
-    return np.stack([s.values for s in signals])
 
 
 def _per_sample(B: np.ndarray, M: np.ndarray, coeff: np.ndarray) -> np.ndarray:
@@ -53,7 +49,7 @@ def _per_sample(B: np.ndarray, M: np.ndarray, coeff: np.ndarray) -> np.ndarray:
 
 
 class GramOperator(Frozen):
-    """Gram operator of a kernel over n center signals.
+    """Gram operator of a kernel over an (n, steps, m) stack of centers.
 
     Every kernel structure acts samplewise, so G is block diagonal over
     time, and its block at sample t is blocks[t] (x) M.  blocks is a
@@ -61,34 +57,19 @@ class GramOperator(Frozen):
     uniform in time, else k = steps; M is an r x r channel matrix and
     N = n p / r.  The kronecker layout is the factored case, r = p, taken
     when the kernel's row terms carry one channel matrix; the dense layout
-    has r = 1 and M = [[1]].  At p = 1 the two coincide.
+    has r = 1 and M = [[1]].  At p = 1 the two coincide.  The constructor
+    works out n, steps, p, the side dim = n steps p of G, and the layout.
     """
 
-    __slots__ = ("kernel", "centers", "blocks", "M")
+    __slots__ = ("kernel", "centers", "blocks", "M", "n", "steps", "p", "dim",
+                 "layout")
 
-    def __init__(self, kernel: OperatorKernel, centers: tuple[Signal, ...],
+    def __init__(self, kernel: OperatorKernel, centers: np.ndarray,
                  blocks: np.ndarray, M: np.ndarray):
-        self._set(kernel=kernel, centers=centers, blocks=blocks, M=M)
-
-    @property
-    def n(self) -> int:
-        return len(self.centers)
-
-    @property
-    def steps(self) -> int:
-        return self.centers[0].grid.size
-
-    @property
-    def p(self) -> int:
-        return self.kernel.output_dim
-
-    @property
-    def dim(self) -> int:
-        return self.n * self.steps * self.p
-
-    @property
-    def layout(self) -> str:
-        return "kronecker" if self.blocks.shape[1] == self.n else "dense"
+        (n, steps), p = centers.shape[:2], kernel.output_dim
+        self._set(kernel=kernel, centers=centers, blocks=blocks, M=M, n=n,
+                  steps=steps, p=p, dim=n * steps * p,
+                  layout="kronecker" if blocks.shape[1] == n else "dense")
 
     def apply(self, coeff: np.ndarray) -> np.ndarray:
         """Apply G to coefficients shaped (n, steps, p)."""
@@ -112,28 +93,23 @@ class GramOperator(Frozen):
         return full.reshape(self.dim, self.dim)
 
 
-def build_gram(kernel: OperatorKernel, inputs: tuple[Signal, ...],
+def build_gram(kernel: OperatorKernel, X: np.ndarray,
                layout: str = "auto") -> GramOperator:
-    """Assemble the Gram operator, factored when the kernel has one row term.
+    """Assemble the Gram operator of an (n, steps, m) stack of centers,
+    factored when the kernel has one row term.
 
     Block t of G is the sum over the kernel's row terms (w, M) of
     w[:, :, t] (x) M.  With a single term the blocks hold w and the term's
     M is the channel matrix; else ("dense") the blocks hold the whole sum.
     """
     kernel = as_operator(kernel)
-    inputs = tuple(inputs)
-    if not inputs:
-        raise ShapeError("need at least one center signal")
-    grid, m = inputs[0].grid, inputs[0].dim
-    for u in inputs:
-        if u.grid != grid:
-            raise ShapeError("center signals must share one grid")
-        if u.dim != m:
-            raise ShapeError("center signals must share one channel count")
+    if X.ndim != 3 or not len(X):
+        raise ShapeError(f"centers must be a nonempty (n, steps, m) stack, "
+                         f"got shape {X.shape}")
     if layout not in ("auto", "dense", "kronecker"):
         raise ValueError(f"unknown gram layout {layout!r}")
-    X = _stack(inputs)
-    n, steps, p = len(inputs), grid.size, kernel.output_dim
+    n, steps, m = X.shape
+    p = kernel.output_dim
     # rows lo:hi are evaluated against the n - lo centers from row lo on,
     # so the chunks of rows grow as lo does
     bounds = [0]
@@ -180,7 +156,7 @@ def build_gram(kernel: OperatorKernel, inputs: tuple[Signal, ...],
                 f"has a non-finite entry: its values overflow")
         if not asymmetry <= 1e-10 * max(1.0, blocks.max(), -blocks.min()):
             raise NumericalError("assembled Gram matrix is not symmetric")
-    return GramOperator(kernel, inputs, blocks, M)
+    return GramOperator(kernel, X, blocks, M)
 
 
 class Spectral:
@@ -225,32 +201,22 @@ class Spectral:
 class FittedOperator(Frozen):
     """Kernel expansion H(u) = sum_j K(u, u_j) c_j from a regularized fit.
 
-    targets is G c + gamma c, shaped (n, steps, p): the targets the
-    coefficients solve for, as bundles store them.  extra is the manifest's
-    "extra" record (supply, scales, ...) of a loaded bundle.
+    centers u_j (n, steps, input_dim), coefficients c_j and targets
+    (n, steps, output_dim) are stacks on grid, as bundles store them;
+    targets is G c + gamma c, what the coefficients solve for.  extra is the
+    manifest's "extra" record (supply, scales, ...) of a loaded bundle.
     """
 
     # no __slots__: the cached evaluator lives in the instance __dict__
 
-    def __init__(self, kernel: OperatorKernel, centers: tuple[Signal, ...],
-                 coefficients: tuple[Signal, ...], gamma: float,
+    def __init__(self, kernel: OperatorKernel, grid: TimeGrid,
+                 centers: np.ndarray, coefficients: np.ndarray, gamma: float,
                  rkhs_norm: float, targets: np.ndarray,
                  extra: dict | None = None):
-        self._set(kernel=kernel, centers=centers, coefficients=coefficients,
-                  gamma=gamma, rkhs_norm=rkhs_norm, targets=targets,
-                  extra={} if extra is None else extra)
-
-    @property
-    def grid(self) -> TimeGrid:
-        return self.centers[0].grid
-
-    @property
-    def input_dim(self) -> int:
-        return self.centers[0].dim
-
-    @property
-    def output_dim(self) -> int:
-        return self.kernel.output_dim
+        self._set(kernel=kernel, grid=grid, centers=centers,
+                  coefficients=coefficients, gamma=gamma, rkhs_norm=rkhs_norm,
+                  targets=targets, extra={} if extra is None else extra,
+                  input_dim=centers.shape[2], output_dim=kernel.output_dim)
 
     @cached_property
     def evaluator(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -262,7 +228,7 @@ class FittedOperator(Frozen):
         """empirical_risk on the data the model was fit to, in closed form:
         the coefficients solve (G + gamma I) c = y, so the residual
         y - G c is gamma c and the risk is gamma^2 ||c||^2."""
-        coeff = _stack(self.coefficients)
+        coeff = self.coefficients
         try:
             return self.gamma**2 * float(np.vdot(coeff, coeff))
         except OverflowError:
@@ -282,8 +248,8 @@ def _model_from_solution(spectral: Spectral, data: Dataset,
     if np.linalg.norm(targets) > 0 and not rel <= 1e-10:  # NaN fails too
         raise NumericalError(f"fit residual {rel:.3e} exceeds 1e-10")
     sq = max(float(np.vdot(coeff, gc)), 0.0)
-    coeff_signals = tuple(Signal(data.grid, coeff[j]) for j in range(data.n))
-    return FittedOperator(gram.kernel, data.inputs, coeff_signals,
+    coeff.setflags(write=False)
+    return FittedOperator(gram.kernel, data.grid, data.inputs, coeff,
                           float(gamma), math.sqrt(sq), solved)
 
 
@@ -317,7 +283,7 @@ def _spectral(kernel: OperatorKernel, data: Dataset, layout: str) -> Spectral:
         raise ShapeError(
             f"kernel output dim {kernel.output_dim} != data {data.output_dim}"
         )
-    return Spectral(build_gram(kernel, data.inputs, layout), _stack(data.outputs))
+    return Spectral(build_gram(kernel, data.inputs, layout), data.outputs)
 
 
 # Weights of a row term: (B, n) for kernels uniform in time, (B, n, steps) else.
@@ -330,8 +296,7 @@ def values_evaluator(model: FittedOperator) -> Callable[[np.ndarray], np.ndarray
     Each lane is evaluated exactly as it would be alone.
     """
     row_terms = model.kernel.row_terms
-    centers = _stack(model.centers)
-    coeff = _stack(model.coefficients)
+    centers, coeff = model.centers, model.coefficients
     n, steps, m = centers.shape
     chunk = max(1, LANE_BUDGET // (n * steps * max(m, model.output_dim)))
 
@@ -360,7 +325,7 @@ def evaluate(model: FittedOperator, u: Signal) -> Signal:
 def rkhs_norm(model: FittedOperator) -> float:
     """Recompute sqrt(<c, G c>) from scratch."""
     gram = build_gram(model.kernel, model.centers)
-    return math.sqrt(max(gram.quad(_stack(model.coefficients)), 0.0))
+    return math.sqrt(max(gram.quad(model.coefficients), 0.0))
 
 
 def empirical_risk(model: FittedOperator, data: Dataset) -> float:
@@ -370,9 +335,7 @@ def empirical_risk(model: FittedOperator, data: Dataset) -> float:
     if data.input_dim != model.input_dim:
         raise ShapeError(f"expected {model.input_dim} input channels, "
                          f"got {data.input_dim}")
-    fitted = model.evaluator(_stack(data.inputs))
-    return sum(norm(y - Signal(y.grid, y_hat)) ** 2
-               for y, y_hat in zip(data.outputs, fitted))
+    return float(sum(norms(data.outputs - model.evaluator(data.inputs)) ** 2))
 
 
 def tune_gamma(kernel: OperatorKernel, data: Dataset, rho: float,
@@ -477,7 +440,7 @@ def save_fitted(model: FittedOperator, directory: str | Path,
         "n": len(model.centers),
         "extra": extra or {},
     }
-    stacks = (_stack(model.centers), _stack(model.coefficients), model.targets)
+    stacks = (model.centers, model.coefficients, model.targets)
     for name, stack in zip(BUNDLE_FILES, stacks):
         np.save(directory / name, np.ascontiguousarray(stack, dtype="<f8"),
                 allow_pickle=False)
@@ -560,9 +523,8 @@ def load_fitted(location: str | Path) -> FittedOperator:
                          f"{type(exc).__name__} {exc}") from None
     X, coeff, ybar = (_read_stack(base / name, (n, grid.size, dim), path)
                       for name, dim in zip(BUNDLE_FILES, (m, p, p)))
-    centers = tuple(Signal(grid, x) for x in X)
     try:
-        gram = build_gram(kernel, centers)
+        gram = build_gram(kernel, X)
     except NumericalError as exc:  # an overflowing Gram: name the bundle
         raise NumericalError(f"{path}: {exc}") from None
     # a Gram far from the stored fit's may overflow these sums; the tests
@@ -570,15 +532,14 @@ def load_fitted(location: str | Path) -> FittedOperator:
     with np.errstate(over="ignore", invalid="ignore"):
         gc = gram.apply(coeff)
         residual = gc + gamma * coeff - ybar
-        rel = np.linalg.norm(residual) / max(np.linalg.norm(ybar), 1e-300)
+        size = np.linalg.norm(ybar)
+        rel = np.linalg.norm(residual) / max(size, 1e-300)
         nrm = math.sqrt(max(float(np.vdot(coeff, gc)), 0.0))
-    if np.linalg.norm(ybar) > 0 and not rel <= 1e-10:  # NaN fails too
+    if size > 0 and not rel <= 1e-10:  # NaN fails too
         raise NumericalError(f"{path}: stored fit violates its linear system "
                              f"(relative residual {rel:.3e})")
     if not abs(nrm - stored_norm) <= 1e-6 * max(1.0, nrm):  # NaN fails too
         raise NumericalError(
             f"{path}: stored norm {meta['rkhs_norm']} != recomputed {nrm}"
         )
-    return FittedOperator(kernel, centers,
-                          tuple(Signal(grid, c) for c in coeff), gamma, nrm,
-                          ybar, extra)
+    return FittedOperator(kernel, grid, X, coeff, gamma, nrm, ybar, extra)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import numbers
 import operator
 import reprlib
@@ -165,8 +164,15 @@ def inner_product(f: Signal, g: Signal) -> float:
                            g.values))
 
 
+def norms(x: np.ndarray) -> np.ndarray:
+    """The norm of every lane of an (n, steps, dim) stack, each sum taken as
+    inner_product takes it: for lanes in C order, the same bits as each
+    lane alone."""
+    return np.sqrt(np.einsum("t,btc,btc->b", np.ones(x.shape[1]), x, x))
+
+
 def norm(f: Signal) -> float:
-    return math.sqrt(max(inner_product(f, f), 0.0))
+    return float(norms(f.values[None])[0])
 
 
 def truncate(f: Signal, T: int) -> Signal:
@@ -180,31 +186,68 @@ def truncate(f: Signal, T: int) -> Signal:
 
 class Dataset(Frozen):
     """Paired input/output trajectories on one shared grid: n pairs of
-    input_dim and output_dim channels."""
+    input_dim and output_dim channels, held as the read-only stacks inputs
+    (n, steps, input_dim) and outputs (n, steps, output_dim).  Built from
+    stacks, or lists of (steps, dim) arrays, on a grid, or from two
+    sequences of Signals on one grid."""
 
     __slots__ = ("inputs", "outputs", "n", "grid", "input_dim", "output_dim")
 
-    def __init__(self, inputs: tuple[Signal, ...], outputs: tuple[Signal, ...]):
-        inputs, outputs = tuple(inputs), tuple(outputs)
+    def __init__(self, inputs, outputs, grid: TimeGrid | None = None):
+        if grid is None:  # Signals
+            grid = next((s.grid for s in (*inputs, *outputs)), None)
+            if any(s.grid != grid for s in (*inputs, *outputs)):
+                raise ShapeError("all trajectories must share one grid")
+            inputs, outputs = ([s.values for s in side]
+                               for side in (inputs, outputs))
+        inputs = _stacked(inputs, "input", grid)
+        outputs = _stacked(outputs, "output", grid)
         if len(inputs) == 0 or len(inputs) != len(outputs):
             raise ShapeError(
                 f"need matching nonempty input/output lists, got "
                 f"{len(inputs)}/{len(outputs)}"
             )
-        grid = inputs[0].grid
-        m = inputs[0].dim
-        p = outputs[0].dim
-        for s in inputs + outputs:
-            if s.grid != grid:
-                raise ShapeError("all trajectories must share one grid")
-        for s in inputs:
-            if s.dim != m:
-                raise ShapeError("input channel counts differ across trajectories")
-        for s in outputs:
-            if s.dim != p:
-                raise ShapeError("output channel counts differ across trajectories")
         self._set(inputs=inputs, outputs=outputs, n=len(inputs), grid=grid,
-                  input_dim=m, output_dim=p)
+                  input_dim=inputs.shape[2], output_dim=outputs.shape[2])
+
+
+def _stacked(values, side: str, grid: TimeGrid | None) -> np.ndarray:
+    """A read-only float copy of an (n, grid.size, dim) stack, or of a list
+    of (grid.size, dim) arrays stacked; ShapeError on any other shape (and
+    on dims that differ across a list), ValueError on a non-finite sample."""
+    if isinstance(values, (list, tuple)):
+        if any(len(x) != grid.size for x in values):
+            raise ShapeError("all trajectories must share one grid")
+        if any(x.shape[1:] != values[0].shape[1:] for x in values):
+            raise ShapeError(f"{side} channel counts differ across trajectories")
+        values = (np.concatenate(values).reshape(len(values), grid.size, -1)
+                  if values else np.zeros((0, 0, 1)))
+    arr = np.array(values, dtype=float)
+    if arr.ndim != 3 or arr.shape[2] < 1 or (len(arr) and arr.shape[1] != grid.size):
+        raise ShapeError(f"{side}s must be (n, {grid.size}, dim) stacks with "
+                         f"dim >= 1, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{side} trajectories contain non-finite samples")
+    arr.setflags(write=False)
+    return arr
+
+
+def stacked(signals) -> np.ndarray:
+    """The values of Signals on one grid and of one channel count as one
+    (n, steps, dim) stack; ShapeError otherwise."""
+    for x in signals:
+        _require_compatible(x, signals[0])
+    return np.stack([x.values for x in signals])
+
+
+def pair_stack(pairs) -> np.ndarray:
+    """Input pairs as one (pairs, 2, steps, dim) array: such an array as it
+    is, or (u, v) Signal pairs on one grid, stacked."""
+    if isinstance(pairs, np.ndarray):
+        return pairs
+    signals = [x for pair in pairs for x in pair]
+    values = stacked(signals) if signals else np.zeros((0, 0, 1))
+    return values.reshape(len(values) // 2, 2, *values.shape[1:])
 
 
 def csv_text(header: list[str], table: np.ndarray, newline: str) -> str:
@@ -236,7 +279,7 @@ def _csv_body(path: Path) -> str:
     The file is read as bytes in one call and decoded as UTF-8, and its
     \\r\\n and \\r line ends become \\n, as text-mode reading gives them."""
     try:
-        with path.open("rb", buffering=0) as fh:  # no buffer object per file
+        with open(path, "rb", buffering=0) as fh:  # no buffer object per file
             text = fh.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
@@ -252,16 +295,24 @@ def _csv_body(path: Path) -> str:
     return body if body.endswith("\n") else body + "\n"
 
 
-def _parsed(paths: list[Path], bodies: list[str], dt: float) -> list[Signal]:
-    """Signals of CSV bodies, parsed by one call of numpy's C reader.
+def _parsed(paths, dt: float, bodies: list[str] | None = None
+            ) -> list[np.ndarray]:
+    """The (samples, channels) values of trajectory CSVs, one array per
+    file.  Each file is read once (unless bodies holds them) and its header
+    checked on its own (see _csv_body); then all bodies are parsed by one
+    call of numpy's C reader.
 
     The reader rounds every decimal correctly, as float() does.  A line
     gives at most one row and each body ends in a newline, so when the rows
     number the lines, every file got exactly its own.  Otherwise (an empty
     line was skipped, or the joined parse raised, whose message would count
     rows of the joined text) each body is parsed alone, in order, and the
-    first error names its file.
+    first error names its file.  The time columns (against j*dt) and the
+    samples (for finiteness) are checked on the stacked rows, and the first
+    file that fails is named.
     """
+    if bodies is None:
+        bodies = [_csv_body(path) for path in paths]
     try:
         table = np.loadtxt(io.StringIO("".join(bodies)), delimiter=",",
                            ndmin=2, comments=None)
@@ -273,44 +324,38 @@ def _parsed(paths: list[Path], bodies: list[str], dt: float) -> list[Signal]:
     if len(paths) == 1:  # a lone file owns every row, empty lines or not
         rows[0] = len(table)
     elif table is None or len(table) != rows.sum():
-        return [signal for path, body in zip(paths, bodies)
-                for signal in _parsed([path], [body], dt)]
-    # the time columns are checked against j*dt on the stacked rows
+        return [values for path, body in zip(paths, bodies)
+                for values in _parsed([path], dt, [body])]
+    if table.shape[1] < 2:
+        raise ShapeError(f"{paths[0]}: no channel columns")
     starts = np.cumsum(rows) - rows
-    times = table[:, 0]
-    with np.errstate(all="ignore"):  # the loop rejects a NaN deviation
+    times, block = table[:, 0], np.ascontiguousarray(table[:, 1:])
+    with np.errstate(all="ignore"):  # a NaN deviation fails the test below
         j = np.arange(len(times)) - np.repeat(starts, rows)
         worst = np.maximum.reduceat(np.abs(times - j * dt), starts)
-    block = np.ascontiguousarray(table[:, 1:])  # contiguous rows per file
-    signals = []
-    for path, start, count, deviation in zip(
-            paths, starts.tolist(), rows.tolist(), worst.tolist()):
-        values = block[start:start + count]
-        if values.shape[1] < 1:
-            raise ShapeError(f"{path}: no channel columns")
-        try:
-            grid = TimeGrid(count - 1, dt)
-            # written as "not <=" so that a NaN in the time column fails too
-            if not deviation <= TIME_TOLERANCE:
-                raise ValueError(f"time column deviates from j*dt (dt={dt})")
-            signals.append(Signal(grid, values))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    return signals
+    # written as "not <=" so that a NaN in the time column fails too
+    drifts = ~(worst <= TIME_TOLERANCE)
+    faults = drifts | ~np.logical_and.reduceat(
+        np.isfinite(block).all(axis=1), starts)
+    if faults.any():
+        first = int(np.argmax(faults))
+        raise ValueError(f"{paths[first]}: " + (
+            f"time column deviates from j*dt (dt={dt})" if drifts[first]
+            else "signal contains non-finite samples"))
+    return [block[start:start + count]
+            for start, count in zip(starts.tolist(), rows.tolist())]
 
 
 def read_signals(paths, dt: float) -> list[Signal]:
     """Read trajectory CSVs, validating each time column against j*dt.
 
-    Each file is read once and its header checked on its own; then all
-    bodies are parsed in one pass (see _parsed).  An unreadable or
+    All files are parsed in one pass (see _parsed).  An unreadable or
     malformed file (not UTF-8, ragged rows, a non-numeric field, a
     non-finite value, no samples, a drifting time column) raises a
     ValueError that starts with its path.
     """
-    # Path() of a Path parses it again, a cost per file
-    paths = [p if isinstance(p, Path) else Path(p) for p in paths]
-    return _parsed(paths, [_csv_body(path) for path in paths], dt)
+    return [Signal(TimeGrid(len(values) - 1, dt), values)
+            for values in _parsed(paths, dt)]
 
 
 def read_json(path: str | Path):
@@ -331,8 +376,8 @@ def save_dataset(data: Dataset, directory: str | Path) -> Path:
     pairs = []
     for i, (u, y) in enumerate(zip(data.inputs, data.outputs)):
         uname, yname = f"u_{i:03d}.csv", f"y_{i:03d}.csv"
-        write_signal(u, directory / uname)
-        write_signal(y, directory / yname)
+        write_signal(Signal(data.grid, u), directory / uname)
+        write_signal(Signal(data.grid, y), directory / yname)
         pairs.append({"input": uname, "output": yname})
     manifest = {
         "m": data.input_dim,
@@ -439,9 +484,9 @@ def load_dataset(location: str | Path) -> Dataset:
         raise ValueError(f"{manifest_path}: malformed manifest: "
                          f"{type(exc).__name__} {exc}") from None
     upaths, ypaths = zip(*pairs)
-    inputs, outputs = read_signals(upaths, dt), read_signals(ypaths, dt)
+    inputs, outputs = _parsed(upaths, dt), _parsed(ypaths, dt)
     try:
-        data = Dataset(inputs, outputs)
+        data = Dataset(inputs, outputs, TimeGrid(len(inputs[0]) - 1, dt))
     except ShapeError as exc:
         raise ShapeError(f"{manifest_path}: {exc}") from None
     if data.input_dim != m or data.output_dim != p:

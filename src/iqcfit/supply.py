@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ShapeError, SignatureError
 from .signals import (Dataset, Frozen, Signal, _frozen_matrix, _json_matrix,
-                      checked, manifest_values)
+                      checked, manifest_values, pair_stack)
 
 # Relative eigenvalue floor below which Phi counts as singular.
 SINGULAR_TOL = 1e-10
@@ -35,7 +35,8 @@ class SupplyRate(Frozen):
     and N are partitioned after the first m rows and columns.
     """
 
-    __slots__ = ("phi", "m", "p", "M", "N")
+    __slots__ = ("phi", "m", "p", "M", "N",
+                 "m11", "m12", "m21", "m22", "n11", "n12", "n21", "n22")
 
     def __init__(self, phi: np.ndarray, m: int, p: int):
         phi = _frozen_matrix(phi, "supply matrix", symmetric=True)
@@ -73,39 +74,11 @@ class SupplyRate(Frozen):
             raise SignatureError("factorization failed to invert the factor")
         for arr in (M, N):
             arr.setflags(write=False)
-        self._set(phi=phi, m=m, p=p, M=M, N=N)
-
-    @property
-    def m11(self) -> np.ndarray:
-        return self.M[: self.m, : self.m]
-
-    @property
-    def m12(self) -> np.ndarray:
-        return self.M[: self.m, self.m:]
-
-    @property
-    def m21(self) -> np.ndarray:
-        return self.M[self.m:, : self.m]
-
-    @property
-    def m22(self) -> np.ndarray:
-        return self.M[self.m:, self.m:]
-
-    @property
-    def n11(self) -> np.ndarray:
-        return self.N[: self.m, : self.m]
-
-    @property
-    def n12(self) -> np.ndarray:
-        return self.N[: self.m, self.m:]
-
-    @property
-    def n21(self) -> np.ndarray:
-        return self.N[self.m:, : self.m]
-
-    @property
-    def n22(self) -> np.ndarray:
-        return self.N[self.m:, self.m:]
+        halves = (slice(m), slice(m, None))
+        self._set(phi=phi, m=m, p=p, M=M, N=N, **{
+            f"{name}{i}{j}": F[rows, cols] for name, F in (("m", M), ("n", N))
+            for i, rows in enumerate(halves, 1)
+            for j, cols in enumerate(halves, 1)})
 
 
 def _passivity_phi(m: int) -> np.ndarray:
@@ -140,11 +113,9 @@ def scatter_dataset(data: Dataset, supply: SupplyRate) -> Dataset:
             f"dataset dims ({data.input_dim}, {data.output_dim}) do not match "
             f"supply dims ({supply.m}, {supply.p})"
         )
-    return Dataset(
-        tuple(Signal(u.grid, u.values @ supply.m11.T + y.values @ supply.m12.T)
-              for u, y in zip(data.inputs, data.outputs)),
-        tuple(Signal(u.grid, u.values @ supply.m21.T + y.values @ supply.m22.T)
-              for u, y in zip(data.inputs, data.outputs)))
+    u, y = data.inputs, data.outputs
+    return Dataset(u @ supply.m11.T + y @ supply.m12.T,
+                   u @ supply.m21.T + y @ supply.m22.T, data.grid)
 
 
 def iiqc_residual(supply: SupplyRate, u: Signal, v: Signal, y: Signal, z: Signal,
@@ -172,15 +143,16 @@ class IiqcReport(NamedTuple):
     residuals: tuple[float, ...]
 
 
-def check_operator_iiqc(op: Callable[[list[Signal]], list[Signal]],
-                        supply: SupplyRate,
-                        probes: list[tuple[Signal, Signal]], mode: str = "full",
+def check_operator_iiqc(op: Callable[[np.ndarray], np.ndarray],
+                        supply: SupplyRate, probes, mode: str = "full",
                         tol: float | None = None) -> IiqcReport:
     """Evaluate op on probe pairs and report the worst accumulated supply.
 
-    op maps a list of input signals to the list of their outputs; it is
-    called once, on both inputs of every pair in probe order, and inputs and
-    outputs must share one grid (ShapeError otherwise).  mode "full"
+    probes is a (pairs, 2, steps, m) array, or (u, v) Signal pairs on one
+    grid (see signals.pair_stack).  op maps a stack of inputs
+    (B, steps, m) to the stack of their outputs (B, steps, p); it is
+    called once, on both inputs of every pair in probe order, and must keep
+    the stack's lanes and steps (ShapeError otherwise).  mode "full"
     checks the complete horizon only; "all-horizons" also checks
     every truncation, which is the actual incremental dissipativity property.
     Passing means min residual >= -tol; by default tol scales with the largest
@@ -188,24 +160,22 @@ def check_operator_iiqc(op: Callable[[list[Signal]], list[Signal]],
     """
     if mode not in ("full", "all-horizons"):
         raise ValueError(f"unknown check mode {mode!r}")
-    signals = [x for pair in probes for x in pair]
-    outputs = op(signals)
-    if not probes:
+    probes = pair_stack(probes)
+    if not len(probes):
         tol = 0.0 if tol is None else tol
         return IiqcReport(0.0, -1, -1, float(tol), bool(0.0 >= -tol), ())
-    grid = signals[0].grid
-    if any(x.grid != grid for x in (*signals, *outputs)):
+    u = probes.reshape(-1, *probes.shape[2:])
+    y = np.asarray(op(u), dtype=float)
+    if y.ndim != 3 or y.shape[:2] != u.shape[:2]:
         raise ShapeError("probe pairs and their outputs must share one grid")
     # increments (du, dy) of every pair, stacked as (pairs, steps, m + p)
-    u = np.stack([x.values for x in signals])
-    y = np.stack([x.values for x in outputs])
     x = np.concatenate([u[0::2] - u[1::2], y[0::2] - y[1::2]], axis=2)
     terms = np.einsum("ptj,jk,ptk->pt", x, supply.phi, x)
     if tol is None:
         tol = 1e-8 * float(np.abs(terms).sum(axis=1).max())
     partial = np.cumsum(terms, axis=1)
     # each pair's residual at the horizon, or at its worst truncation
-    ends = (np.full(len(probes), grid.tau) if mode == "full"
+    ends = (np.full(len(probes), u.shape[1] - 1) if mode == "full"
             else np.argmin(partial, axis=1))
     residuals = partial[np.arange(len(probes)), ends]
     worst = int(np.argmin(residuals))

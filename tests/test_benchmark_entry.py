@@ -17,7 +17,8 @@ from iqcfit import cli
 from iqcfit.inversion import picard_solve, scattered_from_operator
 from iqcfit.kernels import CausalDiagonalKernel, SeparableKernel, gaussian
 from iqcfit.rkhs import build_gram
-from iqcfit.signals import Dataset, TimeGrid, random_signal, save_dataset
+from iqcfit.signals import (Dataset, TimeGrid, random_signal, save_dataset,
+                            stacked)
 from iqcfit.supply import passivity_supply
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -59,7 +60,7 @@ def test_trace_attributes_read_the_results():
     for kernel in (SeparableKernel(gaussian(2.0), np.eye(1)),
                    CausalDiagonalKernel(SeparableKernel(gaussian(2.0),
                                                         np.eye(1)))):
-        gram = build_gram(kernel, inputs)
+        gram = build_gram(kernel, stacked(inputs))
         assert attrs["rkhs.build_gram"](gram, (), {}) == {
             "layout": gram.layout, "side": gram.dim}
     model = scattered_from_operator(lambda s: 0.5 * s, 0.5,
@@ -71,3 +72,8 @@ def test_trace_attributes_read_the_results():
     assert attrs["inversion.picard_solve"](batch, (), {}) == {
         "iterations": sum(lane.iterations for lane in batch.lanes)}
     assert single.iterations > 0
+    # the CLI solves stacks; traced.py writes the count to JSON
+    stack = picard_solve(model, stacked(inputs))
+    spans = attrs["inversion.picard_solve"](stack, (), {})
+    assert spans == {"iterations": batch.iterations}
+    assert json.loads(json.dumps(spans)) == spans

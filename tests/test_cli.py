@@ -705,20 +705,39 @@ def test_simulate_zero_input_ends(ws, tmp_path):
     assert log["residual"] <= 1e-12
 
 
-def test_simulate_past_float_range_is_one_error_line(ws, tmp_path, capsys):
-    # an input of 1e160 sends the scaled Laplacian's r to inf: simulate
-    # exits 2 with one line naming the input, and numpy warns of nothing
+def _simulate_levels(ws, tmp_path, names):
+    """simulate on one CSV per name, each a constant level: "fine" at
+    -20, "big" at 1e160; returns the exit code."""
     meta = _read_json(ws / "fit" / "model" / "model.json")
     grid = TimeGrid(meta["tau"], meta["dt"])
-    write_signal(Signal(grid, np.full(grid.size, 1e160)), tmp_path / "big.csv")
+    args = ["simulate", "--model", str(ws / "fit" / "model")]
+    for name in names:
+        level = {"fine": -20.0, "big": 1e160}[name]
+        write_signal(Signal(grid, np.full(grid.size, level)),
+                     tmp_path / f"{name}.csv")
+        args += ["--input", str(tmp_path / f"{name}.csv")]
+    return cli.main(args + ["--out", str(tmp_path / "sim"), "--quiet"])
+
+
+def test_simulate_past_float_range_is_one_error_line(ws, tmp_path, capsys):
+    # an input of 1e160 sends the scaled Laplacian's r to inf: simulate
+    # exits 2 with one line naming the input's CSV, and numpy warns of
+    # nothing
     capsys.readouterr()
-    rc = cli.main(["simulate", "--model", str(ws / "fit" / "model"),
-                   "--input", str(tmp_path / "big.csv"),
-                   "--out", str(tmp_path / "sim"), "--quiet"])
-    assert rc == 2
-    assert capsys.readouterr().err == ("error: fixed-point iteration of "
-                                       "input 0 left the float range at "
-                                       "step 1\n")
+    assert _simulate_levels(ws, tmp_path, ["big"]) == 2
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'big.csv'}: "
+                                       "fixed-point iteration left the float "
+                                       "range at step 1\n")
+
+
+def test_simulate_names_the_csv_past_float_range(ws, tmp_path, capsys):
+    # the second of two inputs leaves the float range: the one error line
+    # starts with its CSV, not with its lane index
+    capsys.readouterr()
+    assert _simulate_levels(ws, tmp_path, ["fine", "big"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {tmp_path / 'big.csv'}: ")
 
 
 def test_bundle_extra_is_supply_and_scale(ws, tmp_path):
@@ -981,9 +1000,8 @@ def test_probe_stream_is_seeded_standard_library_gauss():
     grid, dim, scale = TimeGrid(20, 0.5), 2, 0.3
 
     def drawn(seed):
-        pairs = cli._probe_pairs({"seed": seed, "probes": 50}, grid, dim,
-                                 scale)
-        return np.stack([[u.values, v.values] for u, v in pairs])
+        return cli._probe_pairs({"seed": seed, "probes": 50}, grid, dim,
+                                scale)
 
     probes = drawn(7)
     assert probes.shape == (50, 2, 21, 2)
@@ -1465,10 +1483,10 @@ def test_one_file_edit_moves_no_sample(wide_data, tmp_path, capsys, case):
     if named is None:
         data = load_dataset(root)
         for i in range(60):
-            for side, signal in (("u", data.inputs[i]), ("y", data.outputs[i])):
+            for side, values in (("u", data.inputs[i]), ("y", data.outputs[i])):
                 alone = np.loadtxt(root / f"{side}_{i:03d}.csv",
                                    delimiter=",", skiprows=1, ndmin=2)
-                assert signal.values.tobytes() == alone[:, 1:].tobytes()
+                assert values.tobytes() == alone[:, 1:].tobytes()
         return
     capsys.readouterr()
     rc = cli.main(["fit", "--data", str(root), "--out", str(tmp_path / "out"),
@@ -1640,3 +1658,127 @@ def test_edited_supply_or_kernel_matrix_is_refused_or_checked(ws, edit):
             assert {"iiqc", "defect"} <= set(report)
         else:  # refused before any probe, for one stated reason
             assert len(report["violations"]) == 1 and rc == 1
+
+
+@st.composite
+def _npy_edits(draw):
+    """(file, kind, where, byte): a byte edit of one of a bundle's .npy
+    files, its byte at the fraction where of the file set to byte, or the
+    file cut to that fraction of its length."""
+    return (draw(st.sampled_from(["centers.npy", "coefficients.npy",
+                                  "targets.npy"])),
+            draw(st.sampled_from(["byte", "cut"])),
+            draw(st.floats(0.0, 1.0, exclude_max=True)),
+            draw(st.integers(0, 255)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(edit=_npy_edits())
+# a target's exponent byte set to 0x60 (about 1e308): its norm overflowed
+# outside the residual check's errstate, and numpy warned
+@example(edit=("targets.npy", "byte", 0.99609375, 96))
+def test_edited_npy_file_is_refused_or_checked(ws, edit):
+    # a byte edit or truncation of a bundle .npy file gives exit 2 with one
+    # error line naming that file, or exit 0/1 with a complete report; only
+    # an edit of the data that leaves the header whole may instead fail the
+    # stored fit's checks, which span every stack and name the bundle's
+    # model.json; never a warning or a traceback
+    name, kind, where, byte = edit
+    with contextlib.ExitStack() as stack:
+        root = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+        shutil.copytree(ws / "fit" / "model", root / "model")
+        path = root / "model" / name
+        raw = bytearray(path.read_bytes())
+        data_start = len(raw) - np.load(path).nbytes
+        at = int(where * len(raw))
+        if kind == "byte":
+            raw[at] = byte
+        else:
+            del raw[at:]
+        path.write_bytes(bytes(raw))
+        err = stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
+        seen = stack.enter_context(warnings.catch_warnings(record=True))
+        warnings.simplefilter("always")
+        rc = cli.main(["check", "--target", "model", "--model",
+                       str(root / "model"), "--probes", "3",
+                       "--out", str(root / "out"), "--quiet"])
+        assert not seen, [str(w.message) for w in seen]
+        if rc == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1, err.getvalue()
+            named = [path]
+            if kind == "byte" and at >= data_start:
+                named.append(root / "model" / "model.json")
+            assert any(lines[0].startswith(f"error: {p}: ") for p in named), \
+                lines[0]
+            return
+        assert rc in (0, 1) and not err.getvalue()
+        report = _read_json(root / "out" / "check_report.json")
+        assert report["passed"] == (rc == 0) == (not report["violations"])
+        assert {"iiqc", "defect"} <= set(report)
+
+
+def _csv_edit(kind: str, text: str, draw) -> bytes:
+    """A dataset CSV's text after one edit of the kind, its places drawn."""
+    lines = text.split("\r\n")[:-1]
+    row = draw(st.integers(1, len(lines) - 1))
+    cells = lines[row].split(",")
+    col = draw(st.integers(0, len(cells) - 1))
+    if kind == "digit":  # a digit of a mantissa, so no exponent grows
+        mantissa = cells[col].lower().split("e")[0]
+        spots = [i for i, c in enumerate(mantissa) if c.isdigit()]
+        i = draw(st.sampled_from(spots))
+        new = draw(st.sampled_from([d for d in "0123456789"
+                                    if d != mantissa[i]]))
+        cells[col] = cells[col][:i] + new + cells[col][i + 1:]
+    elif kind == "drop-cell":
+        row = draw(st.integers(0, len(lines) - 1))
+        cells = lines[row].split(",")
+        del cells[draw(st.integers(0, len(cells) - 1))]
+    elif kind in ("nan", "inf", "-inf"):
+        cells[col] = kind
+    elif kind == "drift":
+        cells[0] = repr(float(cells[0]) + draw(st.sampled_from([1e-6, 0.1])))
+    lines[row] = ",".join(cells)
+    if kind in ("empty-line", "blank-line"):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     "" if kind == "empty-line" else "  ")
+    raw = ("\r\n".join(lines) + "\r\n").encode()
+    if kind == "not-utf8":
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    return raw
+
+
+_CSV_KINDS = ["digit", "drop-cell", "empty-line", "blank-line", "nan", "inf",
+              "-inf", "not-utf8", "drift"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["u_000.csv", "u_001.csv", "y_000.csv",
+                             "y_001.csv"]),
+       kind=st.sampled_from(_CSV_KINDS), data=st.data())
+def test_edited_dataset_csv_is_refused_or_fit(ws, name, kind, data):
+    # one edit of one CSV of a dataset gives exit 2 with one error line
+    # naming that CSV, or a fit; never a warning or a traceback
+    with contextlib.ExitStack() as stack:
+        root = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+        shutil.copytree(ws / "gen" / "data", root / "data")
+        path = root / "data" / name
+        path.write_bytes(_csv_edit(kind, path.read_bytes().decode(),
+                                   data.draw))
+        err = stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
+        seen = stack.enter_context(warnings.catch_warnings(record=True))
+        warnings.simplefilter("always")
+        rc = cli.main(["fit", "--data", str(root / "data"),
+                       "--scale-a", "978.7", "--scale-b", "25390",
+                       "--rho", "0.9", "--out", str(root / "out"), "--quiet"])
+        assert not seen, [str(w.message) for w in seen]
+        if rc == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1, err.getvalue()
+            assert lines[0].startswith(f"error: {path}: "), lines[0]
+            return
+        assert rc == 0 and not err.getvalue()
+        assert (root / "out" / "model" / "model.json").is_file()
+        assert "rkhs_norm" in _read_json(root / "out" / "fit_report.json")

@@ -96,7 +96,7 @@ def test_step_dataset_defaults():
     assert data.grid.dt == 0.5
     assert data.grid.size == 21
     for u, level in zip(data.inputs, DEFAULT_LEVELS):
-        assert np.all(u.values == level)
+        assert np.all(u == level)
     assert DEFAULT_LEVELS[0] == -6.0
     assert DEFAULT_LEVELS[-1] == -109.0
     report = check_step_ordering(data)
@@ -115,7 +115,7 @@ def test_step_dataset_matches_fine_simulation():
     data = step_dataset(levels=(-51.0,), horizon=2.0)
     fine = simulate_channel(-51.0, 1e-3, horizon=2.0)
     stride = round(0.5 / 1e-3)
-    assert np.abs(data.outputs[0].values[:, 0] - fine.values[::stride, 0]).max() == 0.0
+    assert np.abs(data.outputs[0][:, 0] - fine.values[::stride, 0]).max() == 0.0
 
 
 def test_witness_values():
@@ -150,13 +150,13 @@ def test_scale_dataset():
     data = step_dataset(levels=(-20.0, -60.0), horizon=2.0)
     same = scale_dataset(data, 1.0, 1.0)
     for a, b in zip(same.inputs, data.inputs):
-        assert np.abs(a.values - b.values).max() == 0.0
+        assert np.abs(a - b).max() == 0.0
     scaled = scale_dataset(data, 2.0, 4.0)
     for a, b in zip(scaled.inputs, data.inputs):
-        assert np.abs(a.values - b.values / 2.0).max() == 0.0
+        assert np.abs(a - b / 2.0).max() == 0.0
     for a, b in zip(scaled.outputs, data.outputs):
-        assert np.abs(a.values - b.values / 4.0).max() == 0.0
-        assert np.all(np.sign(a.values) == np.sign(b.values))
+        assert np.abs(a - b / 4.0).max() == 0.0
+        assert np.all(np.sign(a) == np.sign(b))
     with pytest.raises(ValueError):
         scale_dataset(data, 0.0, 1.0)
     with pytest.raises(ValueError):
@@ -179,11 +179,11 @@ def test_figure_csv_format(tmp_path):
     t, level, y = (float(x) for x in rows[1])
     assert t == 0.0
     assert level == -6.0
-    assert y == data.outputs[0].values[0, 0]
+    assert y == data.outputs[0][0, 0]
     t, level, y = (float(x) for x in rows[-1])
     assert t == 10.0
     assert level == -109.0
-    assert y == data.outputs[-1].values[-1, 0]
+    assert y == data.outputs[-1][-1, 0]
 
 
 def test_input_validation():

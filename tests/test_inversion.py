@@ -20,7 +20,7 @@ from iqcfit.kernels import (CausalDiagonalKernel, SeparableKernel, SumKernel,
 from iqcfit.rkhs import (FittedOperator, evaluate, fit, tune_gamma,
                          values_evaluator)
 from iqcfit.signals import (Dataset, Signal, TimeGrid, constant_signal, norm,
-                            random_signal, truncate, zeros)
+                            random_signal, stacked, truncate, zeros)
 from iqcfit.supply import (SupplyRate, check_operator_iiqc, factor_phi,
                            gain_supply, passivity_supply, scatter_dataset)
 
@@ -76,8 +76,9 @@ def test_contraction_margin_requirements():
     with pytest.raises(ContractionError):
         contraction_margin(umodel, factors)
     # a NaN norm certifies nothing
-    nan_norm = FittedOperator(tuned.kernel, tuned.centers, tuned.coefficients,
-                              tuned.gamma, float("nan"), tuned.targets)
+    nan_norm = FittedOperator(tuned.kernel, tuned.grid, tuned.centers,
+                              tuned.coefficients, tuned.gamma, float("nan"),
+                              tuned.targets)
     with pytest.raises(ContractionError, match="norm nan"):
         contraction_margin(nan_norm, factors)
 
@@ -101,7 +102,7 @@ def test_singular_leading_block_is_refused_only_when_inverted():
     assert np.array_equal(supply.n11, [[0.0]])
     u, y = random_signal(grid, 1, rng), random_signal(grid, 1, rng)
     scattered = scatter_dataset(Dataset((u,), (y,)), factor_phi(supply))
-    assert np.array_equal(scattered.inputs[0].values, y.values)
+    assert np.array_equal(scattered.inputs[0], y.values)
     with pytest.raises(ContractionError, match="inverse-factor block"):
         scattered_from_operator(lambda s: 0.5 * s, 0.5, supply, grid)
 
@@ -461,6 +462,14 @@ def test_batched_solve_matches_single_solves(name, kinds, seed, tol, budget):
     outputs = simulate_r(model, inputs, tol=tol)
     for u, y in zip(inputs, outputs):
         assert np.array_equal(y.values, simulate_r(model, u, tol=tol).values)
+    # the stacked entry point gives the same lanes
+    stack = picard_solve(model, stacked(inputs), tol=tol)
+    assert np.array_equal(stack.v_star, [r.v_star.values for r in batch.lanes])
+    assert np.array_equal(stack.lane_iterations,
+                          [r.iterations for r in batch.lanes])
+    assert np.array_equal(stack.residuals, [r.residual for r in batch.lanes])
+    assert np.array_equal(simulate_r(model, stacked(inputs), tol=tol),
+                          [y.values for y in outputs])
 
 
 def test_each_lane_costs_iterations_plus_one_evaluations():
@@ -535,13 +544,14 @@ def test_check_operator_iiqc_calls_op_once():
     calls = []
 
     def op(inputs):
-        calls.append(list(inputs))
+        calls.append(inputs)
         return simulate_r(model, inputs)
 
     report = check_operator_iiqc(op, passivity_supply(1), pairs)
     assert len(calls) == 1
-    assert calls[0] == [x for pair in pairs for x in pair]
+    assert np.array_equal(calls[0],
+                          stacked([x for pair in pairs for x in pair]))
     one_by_one = check_operator_iiqc(
-        lambda us: [simulate_r(model, u) for u in us], passivity_supply(1),
-        pairs)
+        lambda us: [simulate_r(model, Signal(grid, u)).values for u in us],
+        passivity_supply(1), pairs)
     assert report.residuals == one_by_one.residuals

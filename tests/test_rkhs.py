@@ -44,6 +44,7 @@ from iqcfit.signals import (
     TimeGrid,
     norm,
     random_signal,
+    stacked,
     truncate,
     zeros,
 )
@@ -62,7 +63,7 @@ def test_gram_single_center_is_kernel_value():
     grid = TimeGrid(2)
     u = random_signal(grid, 1, rng)
     kernel = SeparableKernel(gaussian(1.0), np.eye(1))
-    gram = build_gram(kernel, (u,))
+    gram = build_gram(kernel, stacked([u]))
     from iqcfit.kernels import eval_scalar
 
     k = eval_scalar(gaussian(1.0), u, u)
@@ -74,14 +75,14 @@ def test_gram_bilinear_orthogonal_inputs():
     u1 = Signal(grid, [1.0, 0.0])
     u2 = Signal(grid, [0.0, 2.0])
     kernel = SeparableKernel(bilinear(), np.eye(1))
-    gram = build_gram(kernel, (u1, u2))
+    gram = build_gram(kernel, stacked([u1, u2]))
     assert np.allclose(gram.blocks[0], np.diag([1.0, 4.0]), atol=1e-15)
 
 
 def test_gram_layouts_agree():
     rng = np.random.default_rng(41)
     grid = TimeGrid(3)
-    inputs = tuple(random_signal(grid, 2, rng) for _ in range(4))
+    inputs = stacked([random_signal(grid, 2, rng) for _ in range(4)])
     R = np.array([[1.0, 0.3], [0.3, 0.7]])
     kernel = SeparableKernel(gaussian(2.0), R)
     dense = build_gram(kernel, inputs, layout="dense")
@@ -98,7 +99,7 @@ def test_gram_dense_cap(monkeypatch):
     # the factored one
     rng = np.random.default_rng(42)
     grid = TimeGrid(99)
-    inputs = tuple(random_signal(grid, 1, rng) for _ in range(5))
+    inputs = stacked([random_signal(grid, 1, rng) for _ in range(5)])
     kernel = SeparableKernel(gaussian(2.0), np.eye(10))
     assert 5 * 100 * 10 > rkhs.DENSE_CAP
     monkeypatch.setattr(rkhs, "DENSE_CAP", 5 * 10)
@@ -136,7 +137,7 @@ def test_asymmetric_gram_raises(monkeypatch, layout, budget):
     # asymmetry must be found inside the diagonal blocks (2 x 2 centers
     # each under the small budget)
     monkeypatch.setattr(rkhs, "LANE_BUDGET", budget)
-    inputs = tuple(Signal(TimeGrid(0), [float(x)]) for x in range(4))
+    inputs = stacked([Signal(TimeGrid(0), [float(x)]) for x in range(4)])
     with pytest.raises(NumericalError,
                        match="^assembled Gram matrix is not symmetric$"):
         build_gram(_SkewedKernel(), inputs, layout=layout)
@@ -156,7 +157,8 @@ def test_overflowing_gram_raises(kernel, layout):
     # the Gram is refused naming its kernel, and numpy warns of nothing
     # (every warning is an error in this suite)
     grid = TimeGrid(3)
-    inputs = (Signal(grid, np.full(4, 30.0)), Signal(grid, np.full(4, -30.0)))
+    inputs = stacked([Signal(grid, np.full(4, 30.0)),
+                      Signal(grid, np.full(4, -30.0))])
     with pytest.raises(NumericalError, match=r"^the Gram of kernel \{.*"
                        r"'polynomial'.*\} has a non-finite entry"):
         build_gram(kernel, inputs, layout=layout)
@@ -166,7 +168,7 @@ def _fixed_chunk_gram(kernel, inputs, chunk):
     """The Gram blocks and channel matrix assembled with one chunk of rows
     for every step, each against the centers from its first row on, the
     rows below each chunk mirrored from its columns."""
-    X = rkhs._stack(inputs)
+    X = inputs
     n, steps = X.shape[:2]
     terms = kernel.row_terms(X, X[:1])
     factored = len(terms) == 1
@@ -213,7 +215,7 @@ def test_fit_single_center_closed_form():
     y = Signal(grid, [1.0])
     kernel = SeparableKernel(gaussian(1.0), np.eye(1))  # k(u,u) = 1
     model = fit(kernel, Dataset((u,), (y,)), gamma=1.0)
-    assert model.coefficients[0].values[0, 0] == pytest.approx(0.5, rel=1e-14)
+    assert model.coefficients[0, 0, 0] == pytest.approx(0.5, rel=1e-14)
     assert model.rkhs_norm == pytest.approx(0.5, rel=1e-14)
     assert rkhs_norm(model) == pytest.approx(0.5, rel=1e-14)
 
@@ -224,7 +226,7 @@ def test_fit_large_gamma_washes_out():
     kernel = SeparableKernel(gaussian(2.0), np.eye(1))
     model = fit(kernel, data, gamma=1e9)
     assert model.rkhs_norm <= 1e-3
-    total = sum(norm(y) ** 2 for y in data.outputs)
+    total = sum(norm(Signal(data.grid, y)) ** 2 for y in data.outputs)
     assert empirical_risk(model, data) == pytest.approx(total, rel=1e-6)
 
 
@@ -310,7 +312,8 @@ def test_evaluator_matches_direct_sum():
         u = random_signal(data.grid, 1, rng)
         direct = zeros(data.grid, 2)
         for uj, cj in zip(model.centers, model.coefficients):
-            direct = direct + oracle.apply(kernel, u, uj, cj)
+            direct = direct + oracle.apply(kernel, u, Signal(data.grid, uj),
+                                           Signal(data.grid, cj))
         gap = norm(evaluate(model, u) - direct)
         assert gap <= 1e-12
         assert gap <= 1e-12 * norm(direct)
@@ -357,7 +360,7 @@ def test_gram_matches_per_pair_blocks(p):
             scale = np.abs(want).max()
             # the auto form is the factored one wherever the kernel allows
             for layout in ("dense", "auto"):
-                gram = build_gram(kernel, inputs, layout=layout)
+                gram = build_gram(kernel, stacked(inputs), layout=layout)
                 assert np.abs(gram.dense - want).max() <= 1e-12 * scale, \
                     (kind, kernel, layout)
 
@@ -428,14 +431,14 @@ def test_fit_many_matches_dense_solve(layout, conjugated):
     kernel = _layout_kernel(layout, conjugated)
     assert build_gram(kernel, data.inputs).layout == layout
     G = build_gram(kernel, data.inputs, layout="dense").dense
-    y = np.stack([s.values for s in data.outputs]).reshape(-1)
+    y = data.outputs.reshape(-1)
     lam, Q = np.linalg.eigh(G)
     lam = np.clip(lam, 0.0, None)
     w = Q.T @ y
     gammas = [1e-3, 1e-1, 10.0]
     for gamma, model in zip(gammas, fit_many(kernel, data, gammas)):
         want = np.linalg.solve(G + gamma * np.eye(len(y)), y)
-        c = np.stack([s.values for s in model.coefficients]).reshape(-1)
+        c = model.coefficients.reshape(-1)
         assert model.gamma == gamma
         assert np.abs(c - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
         norm_eig = np.linalg.norm(np.sqrt(lam) / (lam + gamma) * w)
@@ -454,7 +457,7 @@ def test_singular_gram_raises(layout):
     # an indefinite matrix in the Gram's place: eigenvalues -1 and 3
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])
     kernel = SeparableKernel(gaussian(2.0), np.eye(2))
-    centers = (zeros(TimeGrid(0)),) * 2
+    centers = np.zeros((2, 1, 1))
     gram = (GramOperator(kernel, centers, np.kron(bad, kernel.R)[None],
                          np.eye(1))
             if layout == "dense" else
@@ -481,7 +484,7 @@ def test_kronecker_products_match_dense(p):
 
     assert rel_err(gram.apply(c).reshape(-1), D @ c.reshape(-1)) <= 1e-12
     assert rel_err(gram.quad(c), c.reshape(-1) @ D @ c.reshape(-1)) <= 1e-12
-    y = np.stack([s.values for s in data.outputs])
+    y = data.outputs
     spectral = Spectral(gram, y)
     for gamma in (1e-2, 1.0, 10.0):
         want = np.linalg.solve(D + gamma * np.eye(len(D)), y.reshape(-1))
@@ -543,7 +546,7 @@ def test_factored_and_dense_forms_agree(seed, p, n, tau, spec, structure,
     close(auto.quad(c), dense.quad(c))
     close(auto.trace(), dense.trace())
     close(auto.dense, dense.dense)
-    y = np.stack([s.values for s in data.outputs])
+    y = data.outputs
     fast, slow = Spectral(auto, y), Spectral(dense, y)
     close(fast.solve(gamma), slow.solve(gamma))
     close(fast.norm(gamma), slow.norm(gamma))
@@ -580,12 +583,13 @@ def test_evaluator_built_once_per_model(monkeypatch):
         return values_evaluator(m)
 
     monkeypatch.setattr(rkhs, "values_evaluator", counted)
-    first = evaluate(model, data.inputs[0])
+    u0 = Signal(data.grid, data.inputs[0])
+    first = evaluate(model, u0)
     for u in data.inputs:
-        evaluate(model, u)
+        evaluate(model, Signal(data.grid, u))
     empirical_risk(model, data)
     assert built == [model]
-    assert np.array_equal(evaluate(model, data.inputs[0]).values, first.values)
+    assert np.array_equal(evaluate(model, u0).values, first.values)
 
 
 def test_increment_bound_from_norm():
@@ -680,12 +684,12 @@ def test_objective_optimality():
         gram = build_gram(kernel, data.inputs)
         pred = gram.apply(coeffs)
         resid = sum(
-            np.sum((pred[j] - data.outputs[j].values) ** 2)
+            np.sum((pred[j] - data.outputs[j]) ** 2)
             for j in range(data.n)
         )
         return resid + gamma * gram.quad(coeffs)
 
-    base = np.stack([c.values for c in model.coefficients])
+    base = np.array(model.coefficients)
     best = objective(base)
     for _ in range(10):
         trial = base + 1e-2 * rng.normal(size=base.shape)
@@ -700,7 +704,7 @@ def test_risk_extremes():
     assert empirical_risk(tight, data) <= 1e-8
     loose = fit(kernel, data, gamma=1e12)
     assert empirical_risk(loose, data) == pytest.approx(
-        sum(norm(y) ** 2 for y in data.outputs), rel=1e-9
+        sum(norm(Signal(data.grid, y)) ** 2 for y in data.outputs), rel=1e-9
     )
 
 
@@ -711,10 +715,10 @@ def test_training_risk_past_gamma_squared_overflow():
     data = _random_dataset(rng, n=3)
     kernel = SeparableKernel(gaussian(np.sqrt(2.0)), np.eye(1))
     finite, huge = fit_many(kernel, data, [1e150, 1e300])
-    coeff = np.stack([c.values for c in finite.coefficients])
+    coeff = finite.coefficients
     assert finite.training_risk == 1e150**2 * float(np.vdot(coeff, coeff))
     assert huge.training_risk == pytest.approx(
-        sum(norm(y) ** 2 for y in data.outputs), rel=1e-12)
+        sum(norm(Signal(data.grid, y)) ** 2 for y in data.outputs), rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -739,8 +743,7 @@ def test_bundle_round_trip(tmp_path):
     back = load_fitted(tmp_path / "bundle")
     assert back.gamma == model.gamma
     assert back.rkhs_norm == pytest.approx(model.rkhs_norm, rel=1e-12)
-    for a, b in zip(model.coefficients, back.coefficients):
-        assert np.array_equal(a.values, b.values)
+    assert np.array_equal(model.coefficients, back.coefficients)
     probe = random_signal(data.grid, 1, rng)
     assert norm(evaluate(model, probe) - evaluate(back, probe)) == 0.0
 
@@ -825,8 +828,8 @@ def test_bundle_round_trip_property(tmp_path_factory, structure, n, tau, m, p,
     save_fitted(model, bundle)
     assert sorted(f.name for f in bundle.iterdir()) == [
         "centers.npy", "coefficients.npy", "model.json", "targets.npy"]
-    for name, stack in (("centers.npy", rkhs._stack(model.centers)),
-                        ("coefficients.npy", rkhs._stack(model.coefficients)),
+    for name, stack in (("centers.npy", model.centers),
+                        ("coefficients.npy", model.coefficients),
                         ("targets.npy", model.targets)):
         saved = np.load(bundle / name, allow_pickle=False)
         assert saved.dtype.str == "<f8" and saved.flags.c_contiguous
@@ -835,7 +838,7 @@ def test_bundle_round_trip_property(tmp_path_factory, structure, n, tau, m, p,
     back = load_fitted(bundle)
     for a, b in ((model.centers, back.centers),
                  (model.coefficients, back.coefficients)):
-        assert rkhs._stack(a).tobytes() == rkhs._stack(b).tobytes()
+        assert a.tobytes() == b.tobytes()
     assert back.targets.tobytes() == model.targets.tobytes()
     probe = random_signal(train.grid, m, rng)
     assert evaluate(back, probe).values.tobytes() == \
@@ -877,7 +880,7 @@ def test_save_fitted_reuses_the_fit_targets(tmp_path, monkeypatch):
     save_fitted(model, tmp_path / "carried")
     assert builds == []
     # the stored targets are G c + gamma c of a Gram built afresh
-    coeff = rkhs._stack(model.coefficients)
+    coeff = model.coefficients
     rebuilt = build_gram(model.kernel, model.centers).apply(coeff) \
         + model.gamma * coeff
     assert np.load(tmp_path / "carried" / "targets.npy").tobytes() == \

@@ -176,10 +176,8 @@ def test_dataset_round_trip(tmp_path):
     save_dataset(data, tmp_path / "ds")
     back = load_dataset(tmp_path / "ds")
     assert back.n == 3 and back.input_dim == 2 and back.output_dim == 1
-    for a, b in zip(data.inputs, back.inputs):
-        assert np.array_equal(a.values, b.values)
-    for a, b in zip(data.outputs, back.outputs):
-        assert np.array_equal(a.values, b.values)
+    assert np.array_equal(data.inputs, back.inputs)
+    assert np.array_equal(data.outputs, back.outputs)
 
 
 def test_load_dataset_rejects_tampered_manifest(tmp_path):
@@ -426,10 +424,10 @@ def test_load_dataset_matches_each_file_parsed_alone(tmp_path_factory, n, tau,
     back = load_dataset(root)
     assert back.grid == grid and back.n == n
     for i in range(n):
-        for side, signal in (("u", back.inputs[i]), ("y", back.outputs[i])):
+        for side, values in (("u", back.inputs[i]), ("y", back.outputs[i])):
             alone = np.loadtxt(root / f"{side}_{i:03d}.csv", delimiter=",",
                                skiprows=1, ndmin=2)[:, 1:]
-            assert np.array_equal(signal.values.view(np.int64),
+            assert np.array_equal(values.view(np.int64),
                                   alone.view(np.int64))
 
 
