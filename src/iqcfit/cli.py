@@ -8,8 +8,10 @@ and all file contents are deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -228,6 +230,30 @@ def _build_supply(cfg: dict, m: int, p: int):
     return gain_supply(cfg["delta"], m=m, p=p)
 
 
+def _gauss_stream(seed: int, count: int) -> np.ndarray:
+    """The first count values of random.Random(seed).gauss(), bit for bit,
+    from one draw of the generator's stream.
+
+    gauss() makes its samples in pairs from two random() values r0, r1:
+    with x = 2 pi r0 and g = sqrt(-2 log(1 - r1)), first cos(x) g, then
+    sin(x) g, each returned as 0.0 + z.  A random() value is
+    ((a >> 5) 2^26 + (b >> 6)) / 2^53 for the next two 32-bit words a, b of
+    the Mersenne Twister, and getrandbits(32 w) holds the next w words, the
+    first lowest.  numpy does only correctly rounded steps (+, -, *, sqrt);
+    log, cos and sin are the math module's, which gauss() calls.
+    """
+    pairs = -(-count // 2)
+    bits = random.Random(seed).getrandbits(128 * pairs)
+    words = np.frombuffer(bits.to_bytes(16 * pairs, "little"),
+                          dtype="<u4").astype(np.uint64)
+    r = ((words[0::2] >> 5) * 67108864 + (words[1::2] >> 6)) * 2.0**-53
+    x = (r[0::2] * (2.0 * math.pi)).tolist()
+    g = np.sqrt(-2.0 * np.array(list(map(math.log, (1.0 - r[1::2]).tolist()))))
+    z = np.stack([np.array(list(map(trig, x))) * g
+                  for trig in (math.cos, math.sin)], axis=1)
+    return 0.0 + z.reshape(-1)[:count]
+
+
 def _probe_pairs(cfg: dict, grid: TimeGrid, dim: int,
                  scale: float) -> np.ndarray:
     """--probes input pairs of standard Gaussian samples times scale, as
@@ -235,13 +261,12 @@ def _probe_pairs(cfg: dict, grid: TimeGrid, dim: int,
 
     The samples are random.Random(--seed).gauss(0.0, 1.0), from the standard
     library's Mersenne Twister, drawn pair by pair, u before v, each
-    signal's (steps, dim) values in C order.  A seed gives the same probes
-    on every run of one Python version; numpy.random is never imported.
+    signal's (steps, dim) values in C order (see _gauss_stream).  A seed
+    gives the same probes on every run of one Python version; numpy.random
+    is never imported.
     """
-    gauss = random.Random(cfg["seed"]).gauss  # its defaults are (0.0, 1.0)
-    values = np.array([gauss() for _ in range(
-        2 * cfg["probes"] * grid.size * dim)]).reshape(-1, 2, grid.size, dim)
-    return scale * values
+    values = _gauss_stream(cfg["seed"], 2 * cfg["probes"] * grid.size * dim)
+    return scale * values.reshape(-1, 2, grid.size, dim)
 
 
 def _run_csv(path: Path, grid: TimeGrid, uvals: np.ndarray,
@@ -279,6 +304,22 @@ def _scattered_data(cfg: dict):
     return supply, scale, scattered, kernel
 
 
+@contextlib.contextmanager
+def _naming_data(cfg: dict):
+    """Start a numerical fault of fitting --data (an overflowing Gram, a
+    norm target out of reach) with the dataset's manifest path.  fit's norm
+    search and sweep-gamma's fits take it; a fit at a fixed --gamma reports
+    a kernel's overflow naming only the kernel, and reproduce, which has no
+    --data, passes its faults on as they are."""
+    try:
+        yield
+    except NumericalError as exc:
+        if not cfg.get("data"):
+            raise
+        manifest = located(cfg["data"], "manifest.json")
+        raise NumericalError(f"{manifest}: {exc}") from None
+
+
 def _fit_bundle(cfg: dict, supply, scale, scattered, kernel):
     """The fit stage of fit and reproduce (which has no --gamma): fit at
     --gamma or tuned to --rho, saved under out/model with the extra record
@@ -294,7 +335,8 @@ def _fit_bundle(cfg: dict, supply, scale, scattered, kernel):
                 "kernel nonexpansiveness is not structurally proven; the "
                 "norm target does not certify a contraction"
             )
-        _, model = tune_gamma(kernel, scattered, rho=cfg["rho"])
+        with _naming_data(cfg):
+            _, model = tune_gamma(kernel, scattered, rho=cfg["rho"])
     record = {"supply": supply_to_json(supply), "scale": scale}
     save_fitted(model, cfg["out"] / "model", extra=record)
     return model, {**record, "risk": model.training_risk, "certificate": cert,
@@ -672,7 +714,8 @@ def run_reproduce(cfg: dict) -> int:
 def run_sweep_gamma(cfg: dict) -> int:
     _, _, scattered, kernel = _scattered_data(cfg)
     gammas = np.geomspace(cfg["gamma_min"], cfg["gamma_max"], cfg["count"])
-    models = fit_many(kernel, scattered, [float(g) for g in gammas])
+    with _naming_data(cfg):
+        models = fit_many(kernel, scattered, [float(g) for g in gammas])
     table = [(model.gamma, model.rkhs_norm, model.training_risk)
              for model in models]
     (cfg["out"] / "sweep.csv").write_text(csv_text(

@@ -45,9 +45,15 @@ RADIAL_SLOPES = {
 }
 
 # Batched kernel evaluations take lanes in chunks small enough that no
-# temporary of the batched kernel core (lanes x centers x steps x channels)
-# exceeds this many float64 values.
+# temporary of the batched kernel core exceeds this many float64 values:
+# lanes x centers x steps x channels on pasts, lanes x centers otherwise.
 LANE_BUDGET = 2**15
+
+# A radial statistic ||u - c||^2 is kept from its expansion
+# ||u||^2 + ||c||^2 - 2 <u, c> only where it exceeds this fraction of
+# ||u||^2 + ||c||^2; smaller ones are recomputed from u - c (see
+# _squared_distances).
+RADIAL_GUARD = 1.0 / 64.0
 
 
 class ScalarKernelSpec(Value):
@@ -112,7 +118,8 @@ def _scalar_batch(spec: ScalarKernelSpec, centers: np.ndarray,
     product, the squared distance, or (stable spline) the larger point.  The
     statistic is a sum of per-sample terms, so with pasts set its prefix sums
     give k(P_t c_j, P_t u_b) for every t at once, shape (B, n, steps);
-    otherwise the result is k(c_j, u_b), shape (B, n).
+    otherwise the result is k(c_j, u_b), shape (B, n), and a squared
+    distance comes from norms (see _squared_distances).
     """
     kind = spec.kind
     out = "bjt" if pasts else "bj"
@@ -125,9 +132,11 @@ def _scalar_batch(spec: ScalarKernelSpec, centers: np.ndarray,
         # one sample, so the pasts are the signals themselves
         stat = np.maximum(centers[None, :, :, 0], uvals[:, None, :, 0])
         stat = stat if pasts else stat[..., 0]
+    elif kind in RADIAL_SLOPES and not pasts:
+        stat = _squared_distances(centers, uvals)
     elif kind in RADIAL_SLOPES:
         diff = centers - uvals[:, None]
-        stat = np.einsum(f"bjtc,bjtc->{out}", diff, diff)
+        stat = np.einsum("bjtc,bjtc->bjt", diff, diff)
     else:  # bilinear and polynomial
         stat = np.einsum(f"jtc,btc->{out}", centers, uvals)
     if pasts:
@@ -151,6 +160,37 @@ def _scalar_batch(spec: ScalarKernelSpec, centers: np.ndarray,
         return (1.0 + r) * np.exp(-r)
     assert kind == "inverse_power"
     return (spec.c + stat) ** (-spec.d)
+
+
+def _squared_distances(centers: np.ndarray, uvals: np.ndarray) -> np.ndarray:
+    """||u_b - c_j||^2 for stacked inputs (B, steps, dim) against stacked
+    centers (n, steps, dim), shape (B, n), with no temporary above B x n.
+
+    Each entry is ||u_b||^2 + ||c_j||^2 - 2 <u_b, c_j>, the three sums over
+    the K = steps x dim samples, unless it is not finite or not above
+    RADIAL_GUARD (||u_b||^2 + ||c_j||^2): such entries, where the expansion
+    cancels, are recomputed from the differences u_b - c_j, LANE_BUDGET
+    values at a time.  Each sum is off by at most about K u of its size, for
+    the unit roundoff u, so a kept entry is within (2K + 3) u / RADIAL_GUARD
+    of the exact distance, relatively (about 6e-13 at K = 42); a recomputed
+    one is a sum of K squares, exactly 0 for equal signals.  The cross term
+    is one np.einsum, not a BLAS product, which would round an entry
+    differently with the shape of the call: each lane evaluates bit for bit
+    as it does alone.
+    """
+    k = math.prod(uvals.shape[1:])
+    U, C = uvals.reshape(-1, k), centers.reshape(-1, k)
+    # norms past float range leave inf or NaN entries, recomputed below
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = np.einsum("bk,bk->b", U, U)[:, None] + np.einsum("jk,jk->j", C, C)
+        stat = size - 2.0 * np.einsum("bk,jk->bj", U, C)
+        rows, cols = np.nonzero(~(stat > RADIAL_GUARD * size))
+    step = max(1, LANE_BUDGET // k)
+    for lo in range(0, len(rows), step):
+        b, j = rows[lo:lo + step], cols[lo:lo + step]
+        diff = C[j] - U[b]
+        stat[b, j] = np.einsum("ek,ek->e", diff, diff)
+    return stat
 
 
 def _scalar_nonexpansive(spec: ScalarKernelSpec) -> bool:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericalError, ShapeError
+from .errors import NumericalError, ShapeError
 from .kernels import (LANE_BUDGET, OperatorKernel, as_operator,
                       kernel_from_json, kernel_to_json)
 from .signals import (Dataset, Frozen, Signal, TimeGrid, checked, located,
@@ -93,6 +93,12 @@ class GramOperator(Frozen):
         return full.reshape(self.dim, self.dim)
 
 
+def _lane_width(kernel: OperatorKernel, steps: int, m: int) -> int:
+    """Values per lane and center of a batched evaluation's largest
+    temporary: a kernel uniform in time needs none over steps."""
+    return max(m, kernel.output_dim) * (1 if kernel.is_uniform else steps)
+
+
 def build_gram(kernel: OperatorKernel, X: np.ndarray,
                layout: str = "auto") -> GramOperator:
     """Assemble the Gram operator of an (n, steps, m) stack of centers,
@@ -112,11 +118,11 @@ def build_gram(kernel: OperatorKernel, X: np.ndarray,
     p = kernel.output_dim
     # rows lo:hi are evaluated against the n - lo centers from row lo on,
     # so the chunks of rows grow as lo does
+    width = _lane_width(kernel, steps, m)
     bounds = [0]
     while bounds[-1] < n:
         lo = bounds[-1]
-        bounds.append(min(n, lo + max(1, LANE_BUDGET
-                                      // ((n - lo) * steps * max(m, p)))))
+        bounds.append(min(n, lo + max(1, LANE_BUDGET // ((n - lo) * width))))
     # one errstate for the whole Gram: an overflow leaves an inf or NaN
     # entry, refused after assembly, not a warning per chunk
     with np.errstate(all="ignore"):
@@ -298,7 +304,7 @@ def values_evaluator(model: FittedOperator) -> Callable[[np.ndarray], np.ndarray
     row_terms = model.kernel.row_terms
     centers, coeff = model.centers, model.coefficients
     n, steps, m = centers.shape
-    chunk = max(1, LANE_BUDGET // (n * steps * max(m, model.output_dim)))
+    chunk = max(1, LANE_BUDGET // (n * _lane_width(model.kernel, steps, m)))
 
     def run(uvals: np.ndarray) -> np.ndarray:
         out = np.empty(uvals.shape[:2] + coeff.shape[2:])
@@ -346,7 +352,9 @@ def tune_gamma(kernel: OperatorKernel, data: Dataset, rho: float,
     always satisfies norm <= rho, and sits within rel_tol of the crossing
     unless the target is reachable for every gamma.  A Gram with no
     positive eigenvalue gives the norm 0 at every gamma, so no gamma is
-    smallest, and nonzero targets are refused (ValueError).
+    smallest, and nonzero targets are refused (ValueError).  Targets too
+    large for any gamma the growing search reaches (2^SEARCH_LIMIT times
+    the mean Gram diagonal) raise NumericalError.
     """
     if not 0 < rho <= 1:
         raise ValueError(f"norm target rho must be in (0, 1], got {rho}")
@@ -383,7 +391,8 @@ def tune_gamma(kernel: OperatorKernel, data: Dataset, rho: float,
                 break
             lo = hi
         else:
-            raise ConvergenceError("norm target not reached while growing gamma")
+            raise NumericalError(
+                f"norm target not reached while growing gamma to {hi:.6g}")
     else:
         hi = gamma0
         lo = None

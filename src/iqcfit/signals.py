@@ -485,8 +485,16 @@ def load_dataset(location: str | Path) -> Dataset:
                          f"{type(exc).__name__} {exc}") from None
     upaths, ypaths = zip(*pairs)
     inputs, outputs = _parsed(upaths, dt), _parsed(ypaths, dt)
+    # pair by pair, input before output
+    files = zip((path for pair in pairs for path in pair),
+                (values for pair in zip(inputs, outputs) for values in pair))
+    for path, values in files:
+        if len(values) != tau + 1:
+            raise ShapeError(f"{path}: {len(values)} samples, but "
+                             f"{manifest_path} declares tau={tau} "
+                             f"({tau + 1} samples)")
     try:
-        data = Dataset(inputs, outputs, TimeGrid(len(inputs[0]) - 1, dt))
+        data = Dataset(inputs, outputs, TimeGrid(tau, dt))
     except ShapeError as exc:
         raise ShapeError(f"{manifest_path}: {exc}") from None
     if data.input_dim != m or data.output_dim != p:
@@ -494,6 +502,4 @@ def load_dataset(location: str | Path) -> Dataset:
             f"{manifest_path}: manifest declares m={m}, p={p} "
             f"but files have m={data.input_dim}, p={data.output_dim}"
         )
-    if data.grid.tau != tau:
-        raise ShapeError(f"{manifest_path}: manifest tau {tau} != {data.grid.tau}")
     return data

@@ -10,6 +10,9 @@ against: the matrix of K(u, v) at sample t is
 - causal diagonal: child t (or the shared child) on the pasts P_t u, P_t v.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from iqcfit.kernels import (
@@ -108,3 +111,25 @@ def defect(kernel, u: Signal, v: Signal) -> float:
     """The nonexpansiveness defect ||K(u,u) - K(u,v) - K(v,u) + K(v,v)||
     - ||u - v||^2 of one pair."""
     return second_difference_norm(kernel, u, v) - norm(u - v) ** 2
+
+
+def squared_distances(centers: np.ndarray, uvals: np.ndarray) -> np.ndarray:
+    """||u_b - c_j||^2 for stacked inputs (B, steps, dim) against stacked
+    centers (n, steps, dim), shape (B, n): each the float nearest the exact
+    value, the differences of the samples squared and summed as fractions."""
+    return np.array([[float(sum((Fraction(a) - Fraction(c)) ** 2
+                                for a, c in zip(u.ravel().tolist(),
+                                                center.ravel().tolist())))
+                      for center in centers] for u in uvals])
+
+
+def radial(spec, s: float) -> float:
+    """psi(s) of a radial scalar kernel at the squared distance s."""
+    if spec.kind == "gaussian":
+        return math.exp(-s / spec.sigma**2)
+    if spec.kind == "laplacian":
+        return math.exp(-math.sqrt(s) / spec.sigma)
+    if spec.kind == "scaled_laplacian":
+        return (1.0 + math.sqrt(s)) * math.exp(-math.sqrt(s))
+    assert spec.kind == "inverse_power"
+    return (spec.c + s) ** -spec.d

@@ -475,7 +475,7 @@ def _cut_first_output(data):
     """Edit of a dataset: drop the last sample of y_000.csv."""
     path = data / "y_000.csv"
     path.write_bytes(b"".join(path.read_bytes().splitlines(True)[:-1]))
-    return data / "manifest.json"
+    return path
 
 
 def _not_utf8(data):
@@ -498,7 +498,7 @@ def _not_utf8(data):
     (_manifest(p=None), "p must be an integer"),
     (_manifest(pairs=[]), "pairs must be a non-empty list"),
     (_manifest(pairs={"a": 1}), "pairs must be a non-empty list"),
-    (_cut_first_output, "all trajectories must share one grid"),
+    (_cut_first_output, "4 samples, but "),
     (_not_utf8, "not UTF-8 text"),
 ], ids=["dt-text", "dt-negative", "dt-zero", "dt-bool", "tau-text",
         "tau-negative", "m-float", "m-zero", "p-null", "pairs-empty",
@@ -513,6 +513,28 @@ def test_malformed_dataset_names_its_file(ws, tmp_path, capsys, edit, says):
     assert rc == 2
     assert err.startswith(f"error: {path}: {says}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, level, says", [
+    ("fit", 1e150, "norm target not reached while growing gamma"),
+    ("fit", 1e200, "the Gram of kernel "),
+    ("sweep-gamma", 1e200, "the Gram of kernel "),
+])
+def test_data_past_float_range_names_its_manifest(tmp_path, capsys, command,
+                                                  level, says):
+    # three pairs of 5 samples; the second output is constant at level
+    grid, rng = TimeGrid(4, 0.5), np.random.default_rng(0)
+    inputs = tuple(random_signal(grid, 1, rng) for _ in range(3))
+    outputs = [random_signal(grid, 1, rng) for _ in range(3)]
+    outputs[1] = Signal(grid, np.full((5, 1), level))
+    manifest = save_dataset(Dataset(inputs, tuple(outputs)), tmp_path / "data")
+    capsys.readouterr()
+    rc = cli.main([command, "--data", str(tmp_path / "data"),
+                   "--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {manifest}: {says}")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("target", ["manifest", "config", "kernel",
@@ -1013,6 +1035,19 @@ def test_probe_stream_is_seeded_standard_library_gauss():
     assert abs(probes.std() / scale - 1.0) <= 0.05
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.one_of(st.integers(0, 2**32), st.integers(0, 2**80)),
+       probes=st.integers(1, 5), tau=st.integers(0, 12), dim=st.integers(1, 3))
+@example(seed=2**70, probes=3, tau=4, dim=1)
+def test_probe_draws_are_the_gauss_loop_bit_for_bit(seed, probes, tau, dim):
+    grid = TimeGrid(tau, 0.5)
+    got = cli._probe_pairs({"seed": seed, "probes": probes}, grid, dim, 1.0)
+    gauss = random.Random(seed).gauss
+    want = np.array([gauss(0.0, 1.0) for _ in range(got.size)])
+    assert got.shape == (probes, 2, tau + 1, dim)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
 def test_negative_seed_is_usage_error(tmp_path, capsys, command):
     # random.Random(-1) draws what Random(1) does, so a seed is non-negative
@@ -1466,9 +1501,9 @@ _ONE_FILE_EDITS = {
     "abc-field": (_lines_edit(lambda ls: ls[:4] + [ls[4].split(",")[0]
                                                    + ",abc"] + ls[5:]),
                   "y_037.csv"),
-    "drop-last-row": (_lines_edit(lambda ls: ls[:-1]), "manifest.json"),
+    "drop-last-row": (_lines_edit(lambda ls: ls[:-1]), "y_037.csv"),
     "drop-middle-row": (_lines_edit(lambda ls: ls[:3] + ls[4:]), "y_037.csv"),
-    "add-row": (_lines_edit(lambda ls: ls + ["3.5,0.25"]), "manifest.json"),
+    "add-row": (_lines_edit(lambda ls: ls + ["3.5,0.25"]), "y_037.csv"),
     "lf-line-ends": (lambda text: text.replace("\r\n", "\n"), None),
 }
 

@@ -510,20 +510,24 @@ def _probe(spec, grid, m, rng, scale=1.0):
        size=st.sampled_from([0.5, 1.0, 2.0]), count=st.sampled_from([1, 7]),
        tau=st.integers(0, 3), m=st.integers(1, 2),
        scale=st.sampled_from([0.1, 1.0, 3.0]), seed=st.integers(0, 2**16),
-       lane_budget=st.sampled_from([1, 500, kernels.LANE_BUDGET]))
+       lane_budget=st.sampled_from([1, 500, kernels.LANE_BUDGET]),
+       near=st.sampled_from([0.0, 1e-15, 1e-9, 1e-4]))
 def test_batched_defects_match_oracle(spec, p, size, count, tau, m, scale,
-                                      seed, lane_budget):
+                                      seed, lane_budget, near):
     R = size * BASE_R[:p, :p] / np.linalg.eigvalsh(BASE_R[:p, :p]).max()
     grid, m = (TimeGrid(0), 1) if spec.kind == "stable_spline" else (TimeGrid(tau), m)
     rng = np.random.default_rng(seed)
     pairs = [(_probe(spec, grid, m, rng, scale), _probe(spec, grid, m, rng, scale))
              for _ in range(count)]
+    # and near pairs (u, u + delta), where a radial statistic cancels
+    pairs += [(u, u + _probe(spec, grid, m, rng, near * scale))
+              for u, _ in pairs]
     with pytest.MonkeyPatch.context() as mp:
         # small budgets spread the pairs over several chunks
         mp.setattr(kernels, "LANE_BUDGET", lane_budget)
         for kernel in oracle.structures(spec, R):
             got = nonexpansive_defects(kernel, pairs)
-            assert got.shape == (count,)
+            assert got.shape == (len(pairs),)
             for defect, (u, v) in zip(got, pairs):
                 magnitude = max(oracle.diag_operator_norm(kernel, u),
                                 oracle.diag_operator_norm(kernel, v),
@@ -542,6 +546,44 @@ def test_radial_kernels_are_constant_on_the_diagonal(spec, values):
     u = Signal(grid, values)
     assert eval_scalar(spec, u, u) == eval_scalar(spec, zeros(grid, 2),
                                                   zeros(grid, 2))
+
+
+RADIAL_SPECS = [spec for spec in SPECS if spec.kind in kernels.RADIAL_SLOPES]
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=st.sampled_from(RADIAL_SPECS), steps=st.integers(1, 21),
+       dim=st.integers(1, 2), exponent=st.floats(-3.0, 3.0),
+       near=st.sampled_from([0.0, 1e-15, 1e-9, 1e-4, 1.0]),
+       seed=st.integers(0, 2**16))
+def test_radial_statistic_is_within_its_bound(spec, steps, dim, exponent,
+                                               near, seed):
+    # lanes u and near duplicates u + delta, against themselves and two
+    # independent centers, at input scales from 1e-3 to 1e3
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    u = scale * rng.normal(size=(3, steps, dim))
+    lanes = np.concatenate([u, u + near * scale * rng.normal(size=u.shape)])
+    centers = np.concatenate([lanes, scale * rng.normal(size=(2, steps, dim))])
+    stat = kernels._squared_distances(centers, lanes)
+    exact = oracle.squared_distances(centers, lanes)
+    # the docstring's bound, (2K + 3) u / RADIAL_GUARD for K samples
+    bound = (2 * steps * dim + 3) * 2.0**-53 / kernels.RADIAL_GUARD
+    assert np.all(np.abs(stat - exact) <= bound * exact)
+    # psi of the statistic, within psi's range over the bound (widened by
+    # the rounding of psi's own steps), and psi(0) exactly on equal lanes
+    values = kernels._scalar_batch(spec, centers, lanes)
+    at_zero = kernels._scalar_batch(spec, np.zeros((1, steps, dim)),
+                                    np.zeros((1, steps, dim)))[0, 0]
+    wide = bound + 2.0**-50
+    for b, j in np.ndindex(values.shape):
+        s = exact[b, j]
+        spread = (oracle.radial(spec, s * (1 - wide))
+                  - oracle.radial(spec, s * (1 + wide)))
+        assert abs(values[b, j] - oracle.radial(spec, s)) <= \
+            spread + 2.0**-49 * oracle.radial(spec, s) + 1e-300
+        if lanes[b].tobytes() == centers[j].tobytes():
+            assert values[b, j] == at_zero
 
 
 def test_every_radial_kind_is_swept():

@@ -16,15 +16,23 @@ Every command runs with relative paths from its work directory.  Every file
 the jobs write, and each command's exit code and standard error, must be
 byte-identical between the checkouts; in *_config.json files the work
 directory's path is masked first.  Prints each difference and exits 1 if
-there is any, else 0.  Uses the standard library only.
+there is any, else 0.  For a differing JSON, CSV or .npy file whose other
+parts agree, it also prints the largest relative difference of its numbers
+(JSON leaves, CSV cells, .npy values), |a - b| / max(|a|, |b|).  Uses the
+standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import csv
+import io
 import json
+import math
 import os
 import random
+import struct
 import subprocess
 import sys
 import tempfile
@@ -103,6 +111,76 @@ def run_checkout(checkout: Path, work: Path, seed: int) -> dict[str, bytes]:
     return seen
 
 
+def _leaves(obj) -> list:
+    """A JSON value's keys and leaves, in order, numbers as floats."""
+    if isinstance(obj, dict):
+        return [leaf for key in sorted(obj) for leaf in [key, *_leaves(obj[key])]]
+    if isinstance(obj, list):
+        return [leaf for item in obj for leaf in _leaves(item)]
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        return [float(obj)]
+    return [obj]
+
+
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _npy_values(data: bytes) -> list[float]:
+    """The values of a little-endian float64 .npy file (format 1 or 2)."""
+    if data[:6] != b"\x93NUMPY" or data[6] not in (1, 2):
+        raise ValueError("not a .npy file")
+    width = 2 if data[6] == 1 else 4
+    start = 8 + width + int.from_bytes(data[8:8 + width], "little")
+    header = ast.literal_eval(data[8 + width:start].decode("latin1"))
+    if header["descr"] != "<f8":
+        raise ValueError(f"dtype {header['descr']}")
+    return list(struct.unpack(f"<{(len(data) - start) // 8}d", data[start:]))
+
+
+def _parts(name: str, data: bytes) -> list:
+    """The leaves of one JSON, CSV or .npy output, numbers as floats."""
+    if name.endswith(".npy"):
+        return _npy_values(data)
+    if name.endswith(".json"):
+        return _leaves(json.loads(data))
+    if name.endswith(".csv"):
+        rows = csv.reader(io.StringIO(data.decode()))
+        return [_cell(text) for row in rows for text in row]
+    raise ValueError("neither JSON, CSV nor .npy")
+
+
+def _relative(a: float, b: float) -> float:
+    if a == b:
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def largest_relative_difference(name: str, first: bytes,
+                                second: bytes) -> float | None:
+    """The largest relative difference of the numbers of two versions of
+    one output, or None when they are not both readable as JSON, CSV or
+    .npy with the same parts apart from their numbers."""
+    try:
+        a, b = _parts(name, first), _parts(name, second)
+    except (ValueError, KeyError, SyntaxError, struct.error):
+        return None
+    if len(a) != len(b):
+        return None
+    worst = 0.0
+    for x, y in zip(a, b):
+        if isinstance(x, float) and isinstance(y, float):
+            worst = max(worst, _relative(x, y))
+        elif type(x) is not type(y) or x != y:
+            return None
+    return worst
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", action="append", required=True,
@@ -125,7 +203,11 @@ def main(argv=None) -> int:
     differ = sorted(key for key in first.keys() | second.keys()
                     if first.get(key) != second.get(key))
     for key in differ:
-        print(f"differs: {key}")
+        worst = None
+        if key in first and key in second:
+            worst = largest_relative_difference(key, first[key], second[key])
+        print(f"differs: {key}" if worst is None else
+              f"differs: {key} (largest relative difference {worst:.2g})")
     print(f"{len(first.keys() | second.keys()) - len(differ)} outputs "
           f"identical, {len(differ)} differ")
     return 1 if differ else 0
