@@ -307,10 +307,9 @@ def _scattered_data(cfg: dict):
 @contextlib.contextmanager
 def _naming_data(cfg: dict):
     """Start a numerical fault of fitting --data (an overflowing Gram, a
-    norm target out of reach) with the dataset's manifest path.  fit's norm
-    search and sweep-gamma's fits take it; a fit at a fixed --gamma reports
-    a kernel's overflow naming only the kernel, and reproduce, which has no
-    --data, passes its faults on as they are."""
+    norm target out of reach) with the dataset's manifest path.  fit, at a
+    fixed --gamma or tuned, and sweep-gamma take it; reproduce, which has
+    no --data, passes its faults on as they are."""
     try:
         yield
     except NumericalError as exc:
@@ -327,15 +326,13 @@ def _fit_bundle(cfg: dict, supply, scale, scattered, kernel):
     that record plus the fit's risk, certificate and warnings."""
     cert = certify_nonexpansive(kernel)
     warnings: list[str] = []
-    if cfg.get("gamma") is not None:
-        model = fit(kernel, scattered, cfg["gamma"])
-    else:
-        if cert != PROVEN:
-            warnings.append(
-                "kernel nonexpansiveness is not structurally proven; the "
-                "norm target does not certify a contraction"
-            )
-        with _naming_data(cfg):
+    if cfg.get("gamma") is None and cert != PROVEN:
+        warnings.append("kernel nonexpansiveness is not structurally proven; "
+                        "the norm target does not certify a contraction")
+    with _naming_data(cfg):
+        if cfg.get("gamma") is not None:
+            model = fit(kernel, scattered, cfg["gamma"])
+        else:
             _, model = tune_gamma(kernel, scattered, rho=cfg["rho"])
     record = {"supply": supply_to_json(supply), "scale": scale}
     save_fitted(model, cfg["out"] / "model", extra=record)

@@ -207,22 +207,37 @@ class Spectral:
 class FittedOperator(Frozen):
     """Kernel expansion H(u) = sum_j K(u, u_j) c_j from a regularized fit.
 
-    centers u_j (n, steps, input_dim), coefficients c_j and targets
-    (n, steps, output_dim) are stacks on grid, as bundles store them;
-    targets is G c + gamma c, what the coefficients solve for.  extra is the
-    manifest's "extra" record (supply, scales, ...) of a loaded bundle.
+    The kernel and the centers u_j (n, steps, input_dim) are the Gram's;
+    coefficients c_j and targets y (n, steps, output_dim) are stacks on
+    grid, as bundles store them.  The constructor applies G once: it
+    refuses (NumericalError) coefficients that do not solve
+    (G + gamma I) c = y to 1e-10 relative, unless y = 0, and stores
+    targets = G c + gamma c and rkhs_norm = sqrt(<c, G c>), the exact norm
+    that every certificate rests on.  extra is the manifest's "extra"
+    record (supply, scales, ...) of a loaded bundle.
     """
 
     # no __slots__: the cached evaluator lives in the instance __dict__
 
-    def __init__(self, kernel: OperatorKernel, grid: TimeGrid,
-                 centers: np.ndarray, coefficients: np.ndarray, gamma: float,
-                 rkhs_norm: float, targets: np.ndarray,
+    def __init__(self, gram: GramOperator, grid: TimeGrid,
+                 coefficients: np.ndarray, gamma: float, targets: np.ndarray,
                  extra: dict | None = None):
-        self._set(kernel=kernel, grid=grid, centers=centers,
-                  coefficients=coefficients, gamma=gamma, rkhs_norm=rkhs_norm,
-                  targets=targets, extra={} if extra is None else extra,
-                  input_dim=centers.shape[2], output_dim=kernel.output_dim)
+        # a Gram far from a stored fit's may overflow these sums; the tests
+        # below refuse an infinite or NaN result, so numpy need not warn of it
+        with np.errstate(over="ignore", invalid="ignore"):
+            gc = gram.apply(coefficients)
+            solved = gc + gamma * coefficients
+            size = np.linalg.norm(targets)
+            rel = np.linalg.norm(solved - targets) / max(size, 1e-300)
+            sq = max(float(np.vdot(coefficients, gc)), 0.0)
+        if size > 0 and not rel <= 1e-10:  # NaN fails too
+            raise NumericalError(f"fit residual {rel:.3e} exceeds 1e-10")
+        coefficients.setflags(write=False)
+        self._set(kernel=gram.kernel, grid=grid, centers=gram.centers,
+                  coefficients=coefficients, gamma=float(gamma),
+                  rkhs_norm=math.sqrt(sq), targets=solved,
+                  extra={} if extra is None else extra,
+                  input_dim=gram.centers.shape[2], output_dim=gram.p)
 
     @cached_property
     def evaluator(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -244,21 +259,6 @@ class FittedOperator(Frozen):
             return float(np.vdot(scaled, scaled))
 
 
-def _model_from_solution(spectral: Spectral, data: Dataset,
-                         gamma: float) -> FittedOperator:
-    gram, targets = spectral.gram, spectral.targets
-    coeff = spectral.solve(gamma)
-    gc = gram.apply(coeff)
-    solved = gc + gamma * coeff
-    rel = np.linalg.norm(solved - targets) / max(np.linalg.norm(targets), 1e-300)
-    if np.linalg.norm(targets) > 0 and not rel <= 1e-10:  # NaN fails too
-        raise NumericalError(f"fit residual {rel:.3e} exceeds 1e-10")
-    sq = max(float(np.vdot(coeff, gc)), 0.0)
-    coeff.setflags(write=False)
-    return FittedOperator(gram.kernel, data.grid, data.inputs, coeff,
-                          float(gamma), math.sqrt(sq), solved)
-
-
 def fit(kernel: OperatorKernel, data: Dataset, gamma: float,
         layout: str = "auto") -> FittedOperator:
     """Regularized least-squares fit of an operator to the dataset.
@@ -278,7 +278,8 @@ def fit_many(kernel: OperatorKernel, data: Dataset, gammas: Sequence[float],
     """One fit per regularization weight, all from one Gram factorization."""
     gammas = [checked(gamma, "positive", "gamma") for gamma in gammas]
     spectral = _spectral(kernel, data, layout)
-    return [_model_from_solution(spectral, data, gamma) for gamma in gammas]
+    return [FittedOperator(spectral.gram, data.grid, spectral.solve(gamma),
+                           gamma, spectral.targets) for gamma in gammas]
 
 
 def _spectral(kernel: OperatorKernel, data: Dataset, layout: str) -> Spectral:
@@ -330,8 +331,9 @@ def evaluate(model: FittedOperator, u: Signal) -> Signal:
 
 def rkhs_norm(model: FittedOperator) -> float:
     """Recompute sqrt(<c, G c>) from scratch."""
-    gram = build_gram(model.kernel, model.centers)
-    return math.sqrt(max(gram.quad(model.coefficients), 0.0))
+    return FittedOperator(build_gram(model.kernel, model.centers), model.grid,
+                          model.coefficients, model.gamma,
+                          model.targets).rkhs_norm
 
 
 def empirical_risk(model: FittedOperator, data: Dataset) -> float:
@@ -366,7 +368,9 @@ def tune_gamma(kernel: OperatorKernel, data: Dataset, rho: float,
         # relative step that starts at 4 ulp and doubles, until it does not.
         step = 4 * np.finfo(float).eps
         for _ in range(NUDGE_LIMIT):
-            model = _model_from_solution(spectral, data, gamma)
+            model = FittedOperator(spectral.gram, data.grid,
+                                   spectral.solve(gamma), gamma,
+                                   spectral.targets)
             if model.rkhs_norm <= rho:
                 return gamma, model
             gamma *= 1.0 + step
@@ -532,23 +536,14 @@ def load_fitted(location: str | Path) -> FittedOperator:
                          f"{type(exc).__name__} {exc}") from None
     X, coeff, ybar = (_read_stack(base / name, (n, grid.size, dim), path)
                       for name, dim in zip(BUNDLE_FILES, (m, p, p)))
-    try:
-        gram = build_gram(kernel, X)
-    except NumericalError as exc:  # an overflowing Gram: name the bundle
+    try:  # an overflowing Gram or a broken fit: name the bundle
+        model = FittedOperator(build_gram(kernel, X), grid, coeff, gamma,
+                               ybar, extra)
+    except NumericalError as exc:
         raise NumericalError(f"{path}: {exc}") from None
-    # a Gram far from the stored fit's may overflow these sums; the tests
-    # below refuse an infinite or NaN result, so numpy need not warn of it
-    with np.errstate(over="ignore", invalid="ignore"):
-        gc = gram.apply(coeff)
-        residual = gc + gamma * coeff - ybar
-        size = np.linalg.norm(ybar)
-        rel = np.linalg.norm(residual) / max(size, 1e-300)
-        nrm = math.sqrt(max(float(np.vdot(coeff, gc)), 0.0))
-    if size > 0 and not rel <= 1e-10:  # NaN fails too
-        raise NumericalError(f"{path}: stored fit violates its linear system "
-                             f"(relative residual {rel:.3e})")
+    nrm = model.rkhs_norm
     if not abs(nrm - stored_norm) <= 1e-6 * max(1.0, nrm):  # NaN fails too
         raise NumericalError(
             f"{path}: stored norm {meta['rkhs_norm']} != recomputed {nrm}"
         )
-    return FittedOperator(kernel, grid, X, coeff, gamma, nrm, ybar, extra)
+    return model

@@ -17,8 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import iqcfit
-from iqcfit import cli, kernels
-from iqcfit.rkhs import load_fitted
+import oracle
+from iqcfit import cli, kernels, rkhs
+from iqcfit.rkhs import build_gram, load_fitted
 from iqcfit.signals import (
     Dataset,
     Signal,
@@ -1062,7 +1063,8 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, command):
 
 def test_overflowing_kernel_is_one_error_line(ws, tmp_path):
     # a polynomial kernel of degree 400 overflows on the step data: fit
-    # exits 2 with one line naming the kernel, and numpy prints no warning
+    # exits 2 with one line naming the manifest and the kernel, and numpy
+    # prints no warning
     kernel = tmp_path / "kernel.json"
     kernel.write_text(json.dumps({
         "structure": "separable", "R": "identity",
@@ -1077,7 +1079,8 @@ def test_overflowing_kernel_is_one_error_line(ws, tmp_path):
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
-    assert lines[0].startswith("error: the Gram of kernel {")
+    assert lines[0].startswith(
+        f"error: {ws / 'gen' / 'data' / 'manifest.json'}: the Gram of kernel {{")
     assert lines[0].endswith("has a non-finite entry: its values overflow")
 
 
@@ -1320,6 +1323,16 @@ def test_out_of_range_number_flags_are_usage_errors(ws, tmp_path, capsys,
     assert err.startswith(f"error: {name} must be a")
     assert "0" * 100 not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_rho_out_of_range_is_usage_error(ws, tmp_path, capsys):
+    # the flag is at fault, not the --data file, so no manifest is named
+    capsys.readouterr()
+    rc = cli.main(["fit", "--data", str(ws / "gen" / "data"), "--rho", "1.5",
+                   "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: norm target rho must be in (0, 1], got 1.5\n"
 
 
 def test_option_defaults_pass_their_own_parse():
@@ -1693,6 +1706,94 @@ def test_edited_supply_or_kernel_matrix_is_refused_or_checked(ws, edit):
             assert {"iiqc", "defect"} <= set(report)
         else:  # refused before any probe, for one stated reason
             assert len(report["violations"]) == 1 and rc == 1
+
+
+@pytest.fixture(scope="module")
+def tiny_model(tmp_path_factory):
+    """A norm-tuned fit of 4 trajectories on a 4-sample grid, m = p = 1."""
+    root = tmp_path_factory.mktemp("tiny")
+    grid = TimeGrid(3)
+    rng = np.random.default_rng(12)
+    inputs = rng.normal(size=(4, grid.size, 1))
+    save_dataset(Dataset(inputs, 0.5 * inputs + 0.1 * np.tanh(inputs), grid),
+                 root / "data")
+    rc = cli.main(["fit", "--data", str(root / "data"), "--rho", "0.9",
+                   "--out", str(root / "fit"), "--quiet"])
+    assert rc == 0
+    return root / "fit" / "model"
+
+
+# Scalar kernels a forger may put in a bundle: the default, a gaussian the
+# slope rule proves (sigma = 2) and one it does not (sigma = 1), and the
+# bilinear kernel, proven only while its channel matrix R is.
+_FORGED_SCALARS = [None, {"kind": "gaussian", "sigma": 2.0},
+                   {"kind": "gaussian", "sigma": 1.0}, {"kind": "bilinear"}]
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalar=st.sampled_from(_FORGED_SCALARS),
+       radius=st.sampled_from([None, 0.5, 2.0]),
+       consistent=st.sampled_from([True, True, False]),
+       scale=st.sampled_from([1e-3, 0.5, 1.0, 1.2, 1e3]),
+       gamma_factor=st.sampled_from([1.0, 0.25, 4.0]),
+       stored_norm=st.sampled_from([None, None, None, 0.5, 1.5]),
+       gain=st.booleans())
+# a forged fit of norm 1.08 under the gain supply: only the norm refuses it
+@example(scalar=None, radius=None, consistent=True, scale=1.2,
+         gamma_factor=1.0, stored_norm=None, gain=True)
+def test_passing_check_of_edited_bundle_is_sound(tiny_model, scalar, radius,
+                                                 consistent, scale,
+                                                 gamma_factor, stored_norm,
+                                                 gain):
+    # A bundle's kernel, channel matrix, gamma, norm and supply (to a gain
+    # supply, whose contraction factor is 0 at any norm) are edited; when
+    # consistent, targets and norm are then forged to solve the edited fit,
+    # and coefficients, targets and norm are scaled together, which keeps
+    # a forged fit solving.  Whenever check passes the bundle, the loaded
+    # kernel is PROVEN and an independent per-pair recomputation of the
+    # norm sqrt(c' G c) is below 1.
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = Path(tmp) / "model"
+        shutil.copytree(tiny_model, bundle)
+        meta = _read_json(bundle / "model.json")
+        if scalar is not None:
+            meta["kernel"]["scalar"] = scalar
+        if radius is not None:
+            meta["kernel"]["R"] = [[radius]]
+        meta["gamma"] *= gamma_factor
+        if gain:
+            meta["extra"]["supply"] = {"kind": "gain", "delta": 4.0,
+                                       "m": 1, "p": 1}
+        X, c, y = (np.load(bundle / name) for name in rkhs.BUNDLE_FILES)
+        if consistent:
+            gram = build_gram(kernels.kernel_from_json(meta["kernel"], 1), X)
+            gc = gram.apply(c)
+            y = gc + meta["gamma"] * c
+            meta["rkhs_norm"] = float(np.sqrt(max(np.vdot(c, gc), 0.0)))
+        c, y = scale * c, scale * y
+        meta["rkhs_norm"] *= scale
+        if stored_norm is not None:
+            meta["rkhs_norm"] = stored_norm
+        np.save(bundle / "coefficients.npy", c)
+        np.save(bundle / "targets.npy", y)
+        (bundle / "model.json").write_text(json.dumps(meta))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(["check", "--target", "model", "--model",
+                           str(bundle), "--probes", "5",
+                           "--out", str(Path(tmp) / "out"), "--quiet"])
+        if rc == 2:
+            assert err.getvalue().startswith(f"error: {bundle}"), \
+                err.getvalue()
+        if rc != 0:
+            return
+        kernel = load_fitted(bundle).kernel
+        assert kernels.certify_nonexpansive(kernel) == kernels.PROVEN
+        grid = TimeGrid(meta["tau"], meta["dt"])
+        G = np.block([[oracle.block_matrix(kernel, Signal(grid, a),
+                                           Signal(grid, b)) for b in X]
+                      for a in X])
+        assert np.sqrt(c.reshape(-1) @ G @ c.reshape(-1)) < 1.0
 
 
 @st.composite

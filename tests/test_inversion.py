@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,8 +19,7 @@ from iqcfit.inversion import (
 )
 from iqcfit.kernels import (CausalDiagonalKernel, SeparableKernel, SumKernel,
                             gaussian, scaled_laplacian)
-from iqcfit.rkhs import (FittedOperator, evaluate, fit, tune_gamma,
-                         values_evaluator)
+from iqcfit.rkhs import evaluate, fit, tune_gamma, values_evaluator
 from iqcfit.signals import (Dataset, Signal, TimeGrid, constant_signal, norm,
                             random_signal, stacked, truncate, zeros)
 from iqcfit.supply import (SupplyRate, check_operator_iiqc, factor_phi,
@@ -76,9 +77,9 @@ def test_contraction_margin_requirements():
     with pytest.raises(ContractionError):
         contraction_margin(umodel, factors)
     # a NaN norm certifies nothing
-    nan_norm = FittedOperator(tuned.kernel, tuned.grid, tuned.centers,
-                              tuned.coefficients, tuned.gamma, float("nan"),
-                              tuned.targets)
+    # (a fit's constructor never stores one, so set it on a copy)
+    nan_norm = copy.copy(tuned)
+    nan_norm._set(rkhs_norm=float("nan"))
     with pytest.raises(ContractionError, match="norm nan"):
         contraction_margin(nan_norm, factors)
 

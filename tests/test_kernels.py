@@ -591,6 +591,22 @@ def test_every_radial_kind_is_swept():
     assert {s.kind for s in SPECS} >= set(kernels.RADIAL_SLOPES)
 
 
+def test_batched_defects_are_each_pairs_own():
+    # 100 pairs of 21 samples x 2 channels, as the wide check sweeps them in
+    # chunks of 13: each pair's defect is bit for bit the one it has alone,
+    # so the chunk size moves no report
+    pairs = np.random.default_rng(34).normal(size=(100, 2, 21, 2))
+    R = BASE_R[:2, :2]
+    for kernel in (SeparableKernel(scaled_laplacian(), np.eye(2)),
+                   SeparableKernel(gaussian(1.5), R),
+                   SumKernel((0.5, 0.5), (SeparableKernel(bilinear(), R),
+                                          SeparableKernel(gaussian(2.0), R))),
+                   CausalDiagonalKernel(SeparableKernel(gaussian(2.0), R))):
+        alone = [nonexpansive_defects(kernel, pair[None]) for pair in pairs]
+        assert np.array_equal(nonexpansive_defects(kernel, pairs),
+                              np.concatenate(alone))
+
+
 def test_defect_sweep_needs_one_grid_and_channel_count():
     rng = np.random.default_rng(32)
     kernel = SeparableKernel(gaussian(2.0), np.eye(1))

@@ -7,7 +7,8 @@ jobs with one BLAS thread, each in a work directory of its own:
 
   reproduce   `reproduce`, then `check --target model` of its bundle
   wide        perfbench/gen.py passive data (n=200, tau=20, dim=2), then
-              `fit` and `check --target model`
+              `fit` and `check --target model`, `sweep-gamma` (one fit per
+              gamma from one factorization) and `fit --gamma 0.01`
   causal      perfbench/gen.py causal data (n=16, tau=12), a fit with the
               benchmark's causal kernel, then perfbench/causal_check.py
   simulate    `simulate` of the reproduce bundle on two input CSVs
@@ -59,6 +60,10 @@ def _jobs(seed: int) -> list[list[str]]:
          *seed_flag],
         ["cli", "check", "--target", "model", "--model", "wide_fit/model",
          "--out", "wide_check", "--quiet", *seed_flag],
+        ["cli", "sweep-gamma", "--data", "wide_data", "--out", "wide_sweep",
+         "--quiet", *seed_flag],
+        ["cli", "fit", "--data", "wide_data", "--gamma", "0.01", "--out",
+         "wide_fixed", "--quiet", *seed_flag],
         ["gen", "--kind", "causal", "--n", "16", "--tau", "12", "--out",
          "causal_data", *seed_flag],
         ["cli", "fit", "--data", "causal_data", "--kernel", "causal.json",
