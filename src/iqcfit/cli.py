@@ -7,11 +7,11 @@ and all file contents are deterministic for a fixed config and seed.
 
 from __future__ import annotations
 
-import argparse
+import atexit
 import contextlib
-import gc
 import json
 import math
+import os
 import random
 import sys
 from pathlib import Path
@@ -181,7 +181,8 @@ TOL = Option("tol", 1e-8, _number("finite"),
              "tolerance of the constraint check")
 PICARD_TOL = Option("picard_tol", None, _number("nonnegative"),
                     "Picard stopping tolerance")
-RHO = Option("rho", 0.99, _number("positive"), "norm target when tuning")
+RHO = Option("rho", 0.99, _number("fraction"),
+             "norm target when tuning, in (0, 1]")
 COMMON = (
     Option("seed", 0, _number("integer"), "seed for randomized checks"),
     Option("out", Path("iqcfit_out"), _path, "output directory"),
@@ -722,7 +723,7 @@ def run_sweep_gamma(cfg: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and dispatch
+# flags, help and dispatch
 
 # command: (help, runner, options)
 COMMANDS = {
@@ -781,49 +782,100 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """Flags generated from COMMANDS.  Each flag keeps its text as given
-    (argparse.SUPPRESS leaves unset ones out); _resolve types it.  Given a
-    command, only its subparser is built, and the usage line names every
-    command as the full parser's does."""
-    parser = argparse.ArgumentParser(
-        prog="iqcfit",
-        description="kernel identification of operators with incremental "
-                    "integral quadratic constraint certificates",
-    )
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
-    for name, (help_text, _, options) in COMMANDS.items():
-        if command not in (None, name):
+CONFIG = Option("config", None, _text, "JSON settings file; flags override")
+
+
+class UsageError(ValueError):
+    """argv names no command, or flags its command does not take."""
+
+
+def _flag_name(opt: Option) -> str:
+    """--name with dashes; a repeatable flag is named in the singular:
+    --input FILE, once per file, fills the list "inputs"."""
+    flag = "--" + opt.name.replace("_", "-")
+    return flag[:-1] if opt.parse is _texts else flag
+
+
+def read_flags(options, args: list[str]) -> tuple[str | None, dict]:
+    """The --config file and the flags in args, by option name, each value
+    its text as given (a store-true flag True, a repeatable one the list of
+    its texts); _resolve types them.  Flags are exact names, each followed
+    by its value or joined to it by "="; a value may not start with "--".
+    Raises UsageError on anything else."""
+    table = {_flag_name(opt): opt for opt in (CONFIG, *options)}
+    flags: dict = {}
+    tokens = iter(args)
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        opt = table.get(name)
+        if opt is None:
+            raise UsageError(f"unknown flag {name}" if name.startswith("--")
+                             else f"unexpected argument {token!r}")
+        if opt.parse is _flag:
+            if eq:
+                raise UsageError(f"{name} takes no value")
+            flags[opt.name] = True
             continue
-        p = sub.add_parser(name, help=help_text,
-                           argument_default=argparse.SUPPRESS)
-        p.add_argument("--config", help="JSON settings file; flags override")
-        for opt in options:
-            flag, kwargs = "--" + opt.name.replace("_", "-"), {}
-            if opt.parse is _flag:
-                kwargs["action"] = "store_true"
-            elif opt.parse is _texts:
-                # a repeatable flag is named in the singular: --input FILE
-                flag, kwargs["action"] = flag[:-1], "append"
-            elif hasattr(opt.parse, "choices"):
-                kwargs["metavar"] = "{" + ",".join(opt.parse.choices) + "}"
-            p.add_argument(flag, dest=opt.name, help=opt.help, **kwargs)
-    return parser
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise UsageError(f"{name} needs a value")
+        if opt.parse is _texts:
+            flags.setdefault(opt.name, []).append(value)
+        else:
+            flags[opt.name] = value
+    return flags.pop("config", None), flags
+
+
+def _usage(command: str | None) -> str:
+    name = command or "{" + ",".join(COMMANDS) + "}"
+    return f"usage: iqcfit {name} [--flag value | --flag=value ...]"
+
+
+def _help(command: str | None) -> str:
+    """--help, from COMMANDS alone: the commands with their summaries, or
+    one command's flags with their help."""
+    if command is None:
+        head = ["kernel identification of operators with incremental "
+                "integral", "quadratic constraint certificates", "",
+                "commands (iqcfit COMMAND --help lists its flags):"]
+        rows = [(name, summary) for name, (summary, _, _) in COMMANDS.items()]
+    else:
+        summary, _, options = COMMANDS[command]
+        head = [summary, "", "flags (exact names; --flag=value for a value "
+                "that starts with -):"]
+        rows = [(_flag_name(opt) + _metavar(opt), opt.help)
+                for opt in (CONFIG, *options)]
+        rows.append(("-h, --help", "show this help and exit"))
+    width = max(len(left) for left, _ in rows) + 2
+    return "\n".join([_usage(command), "", *head, *(
+        f"  {left:<{width}}{right}" for left, right in rows)])
+
+
+def _metavar(opt: Option) -> str:
+    if opt.parse is _flag:
+        return ""
+    choices = getattr(opt.parse, "choices", None)
+    return " " + ("{" + ",".join(choices) + "}" if choices
+                  else _flag_name(opt)[2:].replace("-", "_").upper())
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a run pays for its own command's flags; anything else (--help, no
-    # command, an unknown one) goes to the full parser
     command = argv[0] if argv and argv[0] in COMMANDS else None
+    if "-h" in argv or "--help" in argv:
+        print(_help(command))
+        return 0
     try:
-        flags = vars(build_parser(command).parse_args(argv))
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    command, config = flags.pop("command"), flags.pop("config", None)
-    _, runner, options = COMMANDS[command]
+        if command is None:
+            raise UsageError("a command is required" if not argv
+                             or argv[0].startswith("-")
+                             else f"unknown command {argv[0]!r}")
+        _, runner, options = COMMANDS[command]
+        config, flags = read_flags(options, argv[1:])
+    except UsageError as exc:
+        print(f"{_usage(command)}\nerror: {exc}", file=sys.stderr)
+        return 2
     try:
         file_cfg = {}
         if config:
@@ -849,14 +901,29 @@ def main(argv=None) -> int:
         return 2
 
 
+def _leave(code: int) -> None:
+    """Flush stdout and stderr and end the process with code, skipping the
+    interpreter's teardown.  A stream whose reader has gone (a closed pipe)
+    is left unflushed, without a traceback."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (OSError, ValueError):
+            pass
+    os._exit(code)
+
+
 def console_main() -> None:
+    """The process entry: the iqcfit script and python -m iqcfit.cli.
+
+    Every output is written and closed before main returns, so the
+    interpreter's teardown (module cleanup and final collections over
+    numpy's import graph) is pure cost.  The process leaves through
+    os._exit from the first exit hook: code that runs this entry in
+    process and catches its SystemExit finishes its own work first.
+    """
     code = main()
-    # Every output is closed before main returns, so exit has nothing to
-    # finish.  Freezing moves the import graph (about 22k objects, mostly
-    # numpy's) into the permanent generation, which the interpreter's final
-    # collections skip.  main() keeps normal collection for in-process
-    # callers.
-    gc.freeze()
+    atexit.register(_leave, code)
     sys.exit(code)
 
 

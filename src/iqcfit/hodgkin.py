@@ -60,12 +60,19 @@ def steady_state_gating(u: float) -> float:
 InputLike = Union[float, Callable[[np.ndarray], np.ndarray]]
 
 
+def _multiple(span: float, dt_ode: float, name: str) -> int:
+    """The number of integration steps in span, which must be a positive
+    multiple of dt_ode."""
+    n = round(span / dt_ode)
+    if n < 1 or abs(n * dt_ode - span) > 1e-9:
+        raise ValueError(f"{name} {span} is not a multiple of dt_ode {dt_ode}")
+    return n
+
+
 def _input_on_half_grid(u: InputLike, dt_ode: float,
                         horizon: float) -> tuple[np.ndarray, int]:
     """Sample the input at every half step of the integration grid."""
-    n = round(horizon / dt_ode)
-    if n < 1 or abs(n * dt_ode - horizon) > 1e-9:
-        raise ValueError(f"horizon {horizon} is not a multiple of dt_ode {dt_ode}")
+    n = _multiple(horizon, dt_ode, "horizon")
     if not callable(u):
         return np.full(2 * n + 1, float(u)), n
     t_half = np.arange(2 * n + 1) * (dt_ode / 2.0)
@@ -94,14 +101,19 @@ def _integrate_gating(u: InputLike, dt_ode: float,
     if callable(u):
         xs = _scan_gating(half, n, dt_ode)
     else:
-        xs = _constant_gating(float(u), n, dt_ode)
+        xs = _constant_gating(float(u), np.arange(n + 1), dt_ode)
+    return _finite(xs), half[::2]
+
+
+def _finite(xs: np.ndarray) -> np.ndarray:
     if not np.isfinite(xs).all():
         raise NumericalError("gating integration produced non-finite values")
-    return xs, half[::2]
+    return xs
 
 
-def _constant_gating(level: float, n: int, h: float) -> np.ndarray:
-    """RK4 iterates x_0, ..., x_n at a constant level, in closed form.
+def _constant_gating(level: float, ks: np.ndarray, h: float) -> np.ndarray:
+    """RK4 iterates x_k at a constant level, in closed form, for the steps
+    ks: ks[0] = 0, where x_0 = 0, then any steps k >= 1.
 
     With z = (alpha + beta) h each step multiplies the distance to
     x_inf = alpha / (alpha + beta) by A = T4(-z), the degree-4 Taylor
@@ -114,10 +126,9 @@ def _constant_gating(level: float, n: int, h: float) -> np.ndarray:
     alpha = rate_alpha(level)
     rate = alpha + rate_beta(level)
     z = rate * h
-    k = np.arange(1, n + 1)
     with np.errstate(over="ignore"):
         a_minus_1 = z * (-1.0 + z * (0.5 + z * (-1.0 / 6.0 + z / 24.0)))
-        xs = -(alpha / rate) * np.expm1(k * np.log1p(a_minus_1))
+        xs = -(alpha / rate) * np.expm1(ks[1:] * np.log1p(a_minus_1))
     return np.concatenate(([0.0], xs))
 
 
@@ -167,26 +178,30 @@ def simulate_channel(u: InputLike, dt_ode: float, horizon: float) -> Signal:
 
 
 def _subsample(fine: Signal, sample_dt: float) -> Signal:
-    stride = round(sample_dt / fine.grid.dt)
-    if stride < 1 or abs(stride * fine.grid.dt - sample_dt) > 1e-9:
-        raise ValueError(
-            f"sample_dt {sample_dt} is not a multiple of dt_ode {fine.grid.dt}"
-        )
-    values = fine.values[::stride]
+    values = fine.values[::_multiple(sample_dt, fine.grid.dt, "sample_dt")]
     return Signal(TimeGrid(len(values) - 1, sample_dt), values)
 
 
 def step_dataset(levels=DEFAULT_LEVELS, horizon: float = 10.0,
                  sample_dt: float = 0.5, dt_ode: float = 1e-3) -> Dataset:
-    """Constant-voltage step responses, subsampled to the working grid.
+    """Constant-voltage step responses on the working grid.
 
-    Each level is a constant input, so its RK4 trajectory is computed in
-    closed form rather than scanned.
+    Each level is a constant input, so its RK4 iterates have a closed form,
+    evaluated only at the steps on the working grid: the data are bit for
+    bit those of simulate_channel subsampled.  The last step n is evaluated
+    too, though the grid may end before it: |x_k| grows with k, so x_n is
+    finite whenever the unsampled iterates are.
     """
-    outputs = [_subsample(simulate_channel(float(level), dt_ode, horizon),
-                          sample_dt) for level in levels]
-    return Dataset([Signal(y.grid, np.full((y.grid.size, 1), float(level)))
-                    for y, level in zip(outputs, levels)], outputs)
+    dt_ode = checked(dt_ode, "positive", "dt_ode")
+    n = _multiple(horizon, dt_ode, "horizon")
+    ks = np.arange(0, n + 1, _multiple(sample_dt, dt_ode, "sample_dt"))
+    grid = TimeGrid(len(ks) - 1, sample_dt)
+    inputs, outputs = [], []
+    for level in map(float, levels):
+        xs = _finite(_constant_gating(level, np.append(ks, n), dt_ode))[:-1]
+        inputs.append(Signal(grid, np.full((grid.size, 1), level)))
+        outputs.append(Signal(grid, G_MAX * xs**4 * (level - U_REV)))
+    return Dataset(inputs, outputs)
 
 
 def witness_inputs() -> tuple[Callable, Callable]:

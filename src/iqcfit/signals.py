@@ -400,6 +400,7 @@ NUMBER_KINDS = {
     "finite": ("a finite number", lambda x: True),
     "nonnegative": ("a non-negative finite number", lambda x: x >= 0),
     "positive": ("a positive finite number", lambda x: x > 0),
+    "fraction": ("a number in (0, 1]", lambda x: 0 < x <= 1),
 }
 
 

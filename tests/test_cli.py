@@ -1,3 +1,4 @@
+import atexit
 import contextlib
 import gc
 import io
@@ -78,65 +79,123 @@ def test_help_exits_cleanly():
         assert cli.main([command, "--help"]) == 0
 
 
-def _parser_outcome(parser, argv):
-    """What parse_args gives for argv: the parsed flags or the exit code,
-    plus everything written to stdout and stderr."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            result = vars(parser.parse_args(argv))
-        except SystemExit as exc:
-            result = exc.code
-    return result, out.getvalue(), err.getvalue()
-
-
-def _every_flag(command):
-    """argv for command giving each of its flags a value."""
-    argv = [command, "--config", "cfg.json"]
+def _every_flag(command, out, joined=False):
+    """argv for command giving each of its flags a value it takes, as
+    --flag value or, joined, as --flag=value."""
+    argv = [command]
     for opt in cli.COMMANDS[command][2]:
-        flag = "--" + opt.name.replace("_", "-")
+        flag = cli._flag_name(opt)
         if opt.parse is cli._flag:
             argv.append(flag)
-        elif opt.parse is cli._texts:
-            argv += [flag[:-1], "a.csv", flag[:-1], "b.csv"]
+            continue
+        if opt.parse is cli._texts:
+            values = ["a.csv", "b.csv"]
+        elif opt.name == "out":
+            values = [str(out)]
+        elif hasattr(opt.parse, "choices"):
+            values = [opt.parse.choices[0]]
         else:
-            argv += [flag, "1"]
+            values = ["iiqc" if opt.parse is cli._checks else "1"]
+        for value in values:
+            argv += [f"{flag}={value}"] if joined else [flag, value]
     return argv
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
-def test_one_subparser_matches_the_full_parser(command):
-    # the full parser is the oracle for help, parses and usage errors
-    full, single = cli.build_parser(), cli.build_parser(command)
-    names = {opt.name for opt in cli.COMMANDS[command][2]}
-    for argv in ([command, "--help"], _every_flag(command),
-                 [command, "--bogus"], [command, "extra"],
-                 [command, "--config"]):
-        want = _parser_outcome(full, argv)
-        assert _parser_outcome(single, argv) == want
-        if argv[1] == "--help":
-            assert want[0] == 0
-            assert want[1].startswith(f"usage: iqcfit {command} [-h]")
-        elif isinstance(want[0], dict):
-            assert set(want[0]) == {"command", "config", *names}
-        else:
-            assert want[0] == 2 and "error:" in want[2]
+def test_every_flag_reads_as_its_config_key(monkeypatch, tmp_path, command):
+    # --flag value, --flag=value and the resolved config fed back through
+    # --config give the runner the same settings
+    summary, _, options = cli.COMMANDS[command]
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, command,
+                        (summary, lambda cfg: seen.append(cfg) or 0, options))
+    out = tmp_path / "out"
+    assert cli.main(_every_flag(command, out)) == 0
+    assert cli.main(_every_flag(command, out, joined=True)) == 0
+    # the resolved config leaves --quiet out
+    written = out / f"{command.replace('-', '_')}_config.json"
+    assert cli.main([command, "--config", str(written), "--quiet"]) == 0
+    assert cli.main([command, f"--config={written}", "--out", str(out),
+                     "--quiet"]) == 0
+    assert len(seen) == 4 and seen[0] == seen[1] == seen[2] == seen[3]
+    _, flags = cli.read_flags(options, _every_flag(command, out)[1:])
+    assert set(flags) == {opt.name for opt in options}
 
 
-def test_main_builds_only_the_named_command(monkeypatch, capsys):
-    built = []
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser",
-                        lambda command=None: built.append(command)
-                        or build(command))
-    for argv in (["fit", "--help"], ["--help"], [], ["bogus"], ["-h", "fit"]):
-        cli.main(argv)
-    assert built == ["fit", None, None, None, None]
+@pytest.mark.parametrize("argv, says", [
+    (["fit", "--bogus", "1"], "unknown flag --bogus"),
+    (["gen-data", "--hor", "5"], "unknown flag --hor"),
+    (["fit", "--dat=x"], "unknown flag --dat"),
+    (["gen-data", "--horizon"], "--horizon needs a value"),
+    (["gen-data", "--horizon", "--quiet"], "--horizon needs a value"),
+    (["simulate", "--input"], "--input needs a value"),
+    (["gen-data", "--quiet=yes"], "--quiet takes no value"),
+    (["gen-data", "extra"], "unexpected argument 'extra'"),
+    (["gen-data", "-x"], "unexpected argument '-x'"),
+    (["bogus"], "unknown command 'bogus'"),
+    ([], "a command is required"),
+], ids=["unknown", "abbreviated", "abbreviated-joined", "missing-value",
+        "flag-as-value", "missing-input", "value-of-store-true", "positional",
+        "single-dash", "unknown-command", "no-command"])
+def test_usage_errors_exit_2_with_one_error_line(tmp_path, capsys, argv,
+                                                 says):
+    # the reader refuses what argparse once took by prefix (--hor)
+    out = tmp_path / "out"
     capsys.readouterr()
-    assert cli.main(["--help"]) == 0
-    listed = capsys.readouterr().out.split("positional arguments:")[1]
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    named = argv[0] if argv and argv[0] in cli.COMMANDS else "{gen-data,"
+    assert usage.startswith(f"usage: iqcfit {named}")
+    assert error == f"error: {says}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["-h"], ["-h", "fit"], ["--out", "x", "--help"],
+    ["bogus", "-h"]])
+def test_help_lists_every_command(capsys, argv):
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("usage: iqcfit {" + ",".join(cli.COMMANDS) + "}")
     for command, (summary, _, _) in cli.COMMANDS.items():
-        assert f"    {command}" in listed and summary in listed
+        assert f"\n  {command} " in text and text.count(summary) == 1
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_command_help_lists_every_flag(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    for argv in ([command, "--help"], [command, "-h"],
+                 [command, "--out", str(out), "--bogus", "--help"],
+                 [command, "--data", "-h"]):
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        text = capsys.readouterr().out
+        assert text.startswith(f"usage: iqcfit {command} ")
+        for opt in (cli.CONFIG, *cli.COMMANDS[command][2]):
+            row = next(line for line in text.splitlines()
+                       if line.startswith(f"  {cli._flag_name(opt)} "))
+            assert row.endswith(opt.help)
+        assert "-h, --help" in text
+    assert not out.exists()
+
+
+def test_cli_imports_no_argparse(tmp_path):
+    src = str(Path(iqcfit.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "iqcfit.cli", "check",
+         "--target", "identity", "--probes", "3", "--out",
+         str(tmp_path / "out"), "--quiet"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "iqcfit.rkhs" in imported and "numpy" in imported
+    assert not imported & {"argparse", "gettext", "locale"}
 
 
 def test_gen_data_defaults(tmp_path):
@@ -1136,30 +1195,89 @@ def test_tuning_refuses_a_gram_without_positive_eigenvalue(tmp_path, capsys,
     assert cli.main(args + ["--gamma", "1", "--out", str(tmp_path / "g")]) == 0
 
 
+class _Stream:
+    """A stand-in for sys.stdout or sys.stderr that records its flushes."""
+
+    def __init__(self, name, events, fault=None):
+        self.name, self.events, self.fault = name, events, fault
+
+    def flush(self):
+        self.events.append(f"flush {self.name}")
+        if self.fault is not None:
+            raise self.fault
+
+
 @pytest.mark.parametrize("code", [0, 1, 2])
-def test_console_main_freezes_after_main_returns(monkeypatch, code):
-    # the process entry freezes the collector once, after main has returned,
-    # and exits with main's code
-    events = []
+def test_console_main_flushes_then_leaves_through_os_exit(monkeypatch, code):
+    # the process entry raises SystemExit(code) as before, and its exit
+    # hook, the first to run, flushes both streams, then calls os._exit
+    # with main's code (unpatched, os._exit would end this process)
+    events, hooks = [], []
     monkeypatch.setattr(cli, "main", lambda: events.append("main") or code)
-    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(atexit, "register",
+                        lambda *hook: hooks.append(hook))
     with pytest.raises(SystemExit) as exc:
         cli.console_main()
     assert exc.value.code == code
-    assert events == ["main", "freeze"]
+    assert events == ["main"] and hooks == [(cli._leave, code)]
+    monkeypatch.setattr(sys, "stdout", _Stream("stdout", events))
+    monkeypatch.setattr(sys, "stderr", _Stream("stderr", events))
+    monkeypatch.setattr(os, "_exit", lambda status: events.append(status))
+    cli._leave(code)
+    assert events == ["main", "flush stdout", "flush stderr", code]
 
 
-def test_main_in_process_freezes_nothing(tmp_path):
-    frozen = gc.get_freeze_count()
+def test_flush_onto_a_closed_pipe_ends_without_traceback(monkeypatch):
+    events = []
+    monkeypatch.setattr(sys, "stdout",
+                        _Stream("stdout", events, BrokenPipeError(32, "")))
+    monkeypatch.setattr(sys, "stderr", _Stream("stderr", events))
+    monkeypatch.setattr(os, "_exit", lambda status: events.append(status))
+    cli._leave(0)
+    assert events == ["flush stdout", "flush stderr", 0]
+    # the same in a process whose standard output has no reader: the help
+    # text is still in its buffer (stdout is a buffered pipe) when the
+    # process leaves
+    src = str(Path(iqcfit.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "iqcfit.cli", "fit", "--help"],
+            env={**env, "PYTHONPATH": src}, stdout=write_end,
+            stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_main_in_process_freezes_nothing(monkeypatch, tmp_path):
+    # main() called in process leaves the host's collector and exit alone
+    frozen, hooks = gc.get_freeze_count(), []
+    monkeypatch.setattr(atexit, "register", lambda *hook: hooks.append(hook))
     assert cli.main(["check", "--target", "identity", "--probes", "3",
                      "--out", str(tmp_path), "--quiet"]) == 0
-    assert gc.get_freeze_count() == frozen
+    assert gc.get_freeze_count() == frozen and hooks == []
 
 
-def test_commands_leave_nothing_for_the_collector(tmp_path):
-    # console_main exits without collecting the frozen objects, so every
-    # file must be closed before main returns: an object left to the
-    # collector would warn here, under a ResourceWarning turned error
+def _outputs(out):
+    """Every file under out by relative path, the resolved config's copy
+    of out left out."""
+    return {str(path.relative_to(out)):
+            path.read_bytes().replace(str(out).encode(), b"<OUT>")
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+def test_commands_leave_nothing_for_the_collector(monkeypatch, tmp_path):
+    # console_main leaves through os._exit, so no finalizer runs after main
+    # returns: every file must be closed before then.  In process, an
+    # object left to the collector warns when collected, under a
+    # ResourceWarning turned error; in a child process each command exits
+    # with its code and writes what it writes in process, byte for byte.
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
     src = str(Path(iqcfit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     data = str(tmp_path / "gen" / "data")
@@ -1177,14 +1295,19 @@ def test_commands_leave_nothing_for_the_collector(tmp_path):
           "--input", str(Path(data) / "u_000.csv")], "sim", 0),
     ]
     for args, out, code in commands:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            assert cli.main([*args, "--out", str(tmp_path / out),
+                             "--quiet"]) == code, args
+            gc.collect()
+        assert unraisable == [], args
         proc = subprocess.run(
-            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
-             "-m", "iqcfit.cli", *args, "--out", str(tmp_path / out),
-             "--quiet"],
+            [sys.executable, "-X", "dev", "-m", "iqcfit.cli", *args,
+             "--out", str(tmp_path / "child" / out), "--quiet"],
             env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == code, (args, proc.stderr)
-        assert "ResourceWarning" not in proc.stderr, (args, proc.stderr)
-        assert "Exception ignored" not in proc.stderr, (args, proc.stderr)
+        assert (proc.returncode, proc.stderr) == (code, ""), args
+        assert _outputs(tmp_path / "child" / out) == \
+            _outputs(tmp_path / out), args
 
 
 # JSON values each kind of option row refuses in a config file.  A row whose
@@ -1197,6 +1320,7 @@ _WRONG = {
     "finite": [[1.0], {"a": 1}, True, "x", *_NOT_FINITE],
     "nonnegative": [[1.0], {"a": 1}, True, "x", -1, *_NOT_FINITE],
     "positive": [[1.0], {"a": 1}, True, "x", 0, -1e-300, *_NOT_FINITE],
+    "fraction": [[1.0], {"a": 1}, True, "x", 0, 1.5, -1e-300, *_NOT_FINITE],
     cli._text: [5, [1], {"a": 1}, True],
     cli._path: [5, ["o"], True],
     cli._flag: ["yes", 1, [True]],
@@ -1326,13 +1450,18 @@ def test_out_of_range_number_flags_are_usage_errors(ws, tmp_path, capsys,
 
 
 def test_rho_out_of_range_is_usage_error(ws, tmp_path, capsys):
-    # the flag is at fault, not the --data file, so no manifest is named
-    capsys.readouterr()
-    rc = cli.main(["fit", "--data", str(ws / "gen" / "data"), "--rho", "1.5",
-                   "--out", str(tmp_path / "out"), "--quiet"])
-    assert rc == 2
-    assert capsys.readouterr().err == \
-        "error: norm target rho must be in (0, 1], got 1.5\n"
+    # the flag is at fault, not the --data file, so no manifest is named,
+    # and it is refused as it is read, before any output is written
+    fit = ["fit", "--data", str(ws / "gen" / "data")]
+    for command, rho in [(fit, "1.5"), (fit, "0"), (["reproduce"], "1.5"),
+                         (["reproduce"], "-0.5")]:
+        capsys.readouterr()
+        rc = cli.main([*command, f"--rho={rho}",
+                       "--out", str(tmp_path / "out"), "--quiet"])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"error: rho must be a number in (0, 1], got {float(rho)}\n"
+        assert not (tmp_path / "out").exists()
 
 
 def test_option_defaults_pass_their_own_parse():

@@ -2,7 +2,7 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iqcfit import hodgkin
@@ -11,6 +11,7 @@ from iqcfit.hodgkin import (
     DEFAULT_LEVELS,
     _input_on_half_grid,
     _integrate_gating,
+    _subsample,
     check_step_ordering,
     gating_trajectory,
     monotonicity_witness,
@@ -116,6 +117,55 @@ def test_step_dataset_matches_fine_simulation():
     fine = simulate_channel(-51.0, 1e-3, horizon=2.0)
     stride = round(0.5 / 1e-3)
     assert np.abs(data.outputs[0][:, 0] - fine.values[::stride, 0]).max() == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(levels=st.lists(st.one_of(st.just(-10.0), st.floats(-120.0, 20.0)),
+                       min_size=1, max_size=3),
+       dt_ode=st.sampled_from([5e-4, 1e-3, 2e-3, 0.1]),
+       stride=st.integers(1, 60), samples=st.integers(1, 40),
+       beyond=st.integers(0, 59))
+@example(levels=[-10.0, -6.0], dt_ode=1e-3, stride=500, samples=20, beyond=0)
+def test_step_dataset_is_the_fine_simulation_subsampled(levels, dt_ode, stride,
+                                                        samples, beyond):
+    # the closed form evaluated on the working grid alone gives the data of
+    # the whole RK4 trajectory subsampled, bit for bit, also when the grid
+    # ends before the horizon (beyond > 0) and at -10 mV, where rate_alpha
+    # takes its series
+    sample_dt = stride * dt_ode
+    horizon = (samples * stride + beyond % stride) * dt_ode
+    data = step_dataset(levels=tuple(levels), horizon=horizon,
+                        sample_dt=sample_dt, dt_ode=dt_ode)
+    for u, y, level in zip(data.inputs, data.outputs, levels):
+        want = _subsample(simulate_channel(level, dt_ode, horizon), sample_dt)
+        assert data.grid == want.grid
+        assert y.shape == want.values.shape
+        assert y.tobytes() == want.values.tobytes()
+        assert u.tobytes() == np.full(y.shape, level).tobytes()
+
+
+@pytest.mark.parametrize("horizon, sample_dt, says", [
+    (2.0005, 0.5, "horizon 2.0005 is not a multiple of dt_ode 0.001"),
+    (2.0, 0.0015, "sample_dt 0.0015 is not a multiple of dt_ode 0.001"),
+    (2.0, 0.0, "sample_dt 0.0 is not a multiple of dt_ode 0.001"),
+])
+def test_step_dataset_refusals_keep_their_messages(horizon, sample_dt, says):
+    with pytest.raises(ValueError) as fine:
+        _subsample(simulate_channel(-51.0, 1e-3, horizon), sample_dt)
+    with pytest.raises(ValueError) as sampled:
+        step_dataset(levels=(-51.0,), horizon=horizon, sample_dt=sample_dt)
+    assert str(sampled.value) == str(fine.value) == says
+
+
+def test_step_dataset_checks_the_unsampled_steps():
+    # at 10 ms a step the -109 mV iterates first overflow at step 124; a
+    # grid of stride 123 ends at step 123, before the horizon's step 124
+    with pytest.raises(NumericalError):
+        _integrate_gating(-109.0, 10.0, 1240.0)
+    _integrate_gating(-109.0, 10.0, 1230.0)
+    with pytest.raises(NumericalError, match="produced non-finite values"):
+        step_dataset(levels=(-109.0,), horizon=1240.0, sample_dt=1230.0,
+                     dt_ode=10.0)
 
 
 def test_witness_values():
