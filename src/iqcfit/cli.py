@@ -231,6 +231,11 @@ def _build_supply(cfg: dict, m: int, p: int):
     return gain_supply(cfg["delta"], m=m, p=p)
 
 
+# getrandbits takes a C int of bits, 128 for each pair of samples, so one
+# draw of the stream gives at most this many pairs.
+GAUSS_PAIRS = (2**31 - 1) // 128
+
+
 def _gauss_stream(seed: int, count: int) -> np.ndarray:
     """The first count values of random.Random(seed).gauss(), bit for bit,
     from one draw of the generator's stream.
@@ -264,10 +269,21 @@ def _probe_pairs(cfg: dict, grid: TimeGrid, dim: int,
     library's Mersenne Twister, drawn pair by pair, u before v, each
     signal's (steps, dim) values in C order (see _gauss_stream).  A seed
     gives the same probes on every run of one Python version; numpy.random
-    is never imported.
+    is never imported.  Probes of more than GAUSS_PAIRS pairs of samples,
+    or scaled past float range, are refused before the check runs.
     """
-    values = _gauss_stream(cfg["seed"], 2 * cfg["probes"] * grid.size * dim)
-    return scale * values.reshape(-1, 2, grid.size, dim)
+    pairs = cfg["probes"] * grid.size * dim
+    if pairs > GAUSS_PAIRS:
+        raise ValueError(f"probes {cfg['probes']} of {grid.size} samples x "
+                         f"{dim} channels need more than the {GAUSS_PAIRS} "
+                         f"sample pairs one draw gives")
+    with np.errstate(over="ignore"):
+        probes = scale * _gauss_stream(cfg["seed"], 2 * pairs).reshape(
+            -1, 2, grid.size, dim)
+    if not np.isfinite(norms(probes.reshape(-1, grid.size, dim))).all():
+        raise ValueError(f"probe_scale {scale} takes the probes' norms past "
+                         f"float range")
+    return probes
 
 
 def _run_csv(path: Path, grid: TimeGrid, uvals: np.ndarray,
@@ -299,7 +315,8 @@ def _scattered_data(cfg: dict):
     try:
         if not isinstance(spec, dict):
             raise ValueError("kernel file must hold a JSON object")
-        kernel = kernel_from_json(spec, scattered.output_dim)
+        kernel = kernel_from_json(spec, scattered.output_dim,
+                                  scattered.grid.size)
     except ValueError as exc:
         raise ValueError(f"{where}{exc}") from None
     return supply, scale, scattered, kernel
@@ -710,6 +727,8 @@ def run_reproduce(cfg: dict) -> int:
 
 
 def run_sweep_gamma(cfg: dict) -> int:
+    if cfg["count"] >= 2**63:  # past numpy's index range
+        raise ValueError(f"count must be below 2**63, got {cfg['count']}")
     _, _, scattered, kernel = _scattered_data(cfg)
     gammas = np.geomspace(cfg["gamma_min"], cfg["gamma_max"], cfg["count"])
     with _naming_data(cfg):
@@ -864,7 +883,13 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in COMMANDS else None
     if "-h" in argv or "--help" in argv:
-        print(_help(command))
+        try:
+            print(_help(command))
+        except BrokenPipeError:
+            # The reader has gone and stdout writes through (python -u):
+            # end as a buffered write does, whose flush _leave drops, and
+            # point stdout at os.devnull so no later flush meets the pipe.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     try:
         if command is None:

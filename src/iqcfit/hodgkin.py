@@ -62,8 +62,12 @@ InputLike = Union[float, Callable[[np.ndarray], np.ndarray]]
 
 def _multiple(span: float, dt_ode: float, name: str) -> int:
     """The number of integration steps in span, which must be a positive
-    multiple of dt_ode."""
-    n = round(span / dt_ode)
+    multiple of dt_ode and fewer than 2**63 of them, numpy's index range."""
+    ratio = span / dt_ode
+    if not ratio < 2.0**63:  # an infinite ratio too
+        raise ValueError(f"{name} {span} is 2**63 or more steps of dt_ode "
+                         f"{dt_ode}")
+    n = round(ratio)
     if n < 1 or abs(n * dt_ode - span) > 1e-9:
         raise ValueError(f"{name} {span} is not a multiple of dt_ode {dt_ode}")
     return n
@@ -105,9 +109,9 @@ def _integrate_gating(u: InputLike, dt_ode: float,
     return _finite(xs), half[::2]
 
 
-def _finite(xs: np.ndarray) -> np.ndarray:
+def _finite(xs: np.ndarray, what: str = "gating integration") -> np.ndarray:
     if not np.isfinite(xs).all():
-        raise NumericalError("gating integration produced non-finite values")
+        raise NumericalError(f"{what} produced non-finite values")
     return xs
 
 
@@ -120,13 +124,13 @@ def _constant_gating(level: float, ks: np.ndarray, h: float) -> np.ndarray:
     polynomial of exp(-z).  An even-degree Taylor polynomial of exp has no
     real root, so A > 0 and log1p(A - 1) is always defined; A - 1 is kept
     apart from 1 so that its rounding stays relative to the step increment.
-    An unstable step (A > 1) overflows to a non-finite value, which the
-    caller reports.
+    An unstable step (A > 1), or a level whose rates leave float range,
+    gives a non-finite value, which the caller reports.
     """
-    alpha = rate_alpha(level)
-    rate = alpha + rate_beta(level)
-    z = rate * h
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = rate_alpha(level)
+        rate = alpha + rate_beta(level)
+        z = rate * h
         a_minus_1 = z * (-1.0 + z * (0.5 + z * (-1.0 / 6.0 + z / 24.0)))
         xs = -(alpha / rate) * np.expm1(ks[1:] * np.log1p(a_minus_1))
     return np.concatenate(([0.0], xs))
@@ -198,7 +202,8 @@ def step_dataset(levels=DEFAULT_LEVELS, horizon: float = 10.0,
     grid = TimeGrid(len(ks) - 1, sample_dt)
     inputs, outputs = [], []
     for level in map(float, levels):
-        xs = _finite(_constant_gating(level, np.append(ks, n), dt_ode))[:-1]
+        xs = _finite(_constant_gating(level, np.append(ks, n), dt_ode),
+                     f"levels: gating integration at {level:g} mV")[:-1]
         inputs.append(Signal(grid, np.full((grid.size, 1), level)))
         outputs.append(Signal(grid, G_MAX * xs**4 * (level - U_REV)))
     return Dataset(inputs, outputs)
@@ -243,8 +248,13 @@ def scale_dataset(data: Dataset, a: float = INPUT_SCALE,
                   b: float = OUTPUT_SCALE) -> Dataset:
     """Divide inputs by a and outputs by b."""
     a, b = checked(a, "positive", "scale a"), checked(b, "positive", "scale b")
-    return Dataset(data.inputs * (1.0 / a), data.outputs * (1.0 / b),
-                   data.grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inputs, outputs = data.inputs * (1.0 / a), data.outputs * (1.0 / b)
+    for name, scale, values in (("a", a, inputs), ("b", b, outputs)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"scale {name} {scale} takes the data past "
+                             f"float range")
+    return Dataset(inputs, outputs, data.grid)
 
 
 class OrderingReport(NamedTuple):

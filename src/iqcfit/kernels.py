@@ -219,11 +219,13 @@ def _scalar_nonexpansive(spec: ScalarKernelSpec) -> bool:
 
 class OperatorKernel(Frozen, ABC):
     """Common interface: batched evaluation through row_terms, and the
-    structure each constructor works out once: output_dim, is_causal, and
-    is_uniform, true when K(u, v) acts by a single matrix on every sample.
-    Kernels are immutable."""
+    structure each constructor works out once: output_dim, is_causal,
+    is_uniform, true when K(u, v) acts by a single matrix on every sample,
+    and the structural certificates nonexpansive (see certify_nonexpansive)
+    and bounded (see certify_bounded).  Kernels are immutable."""
 
-    __slots__ = ("output_dim", "is_causal", "is_uniform")
+    __slots__ = ("output_dim", "is_causal", "is_uniform", "nonexpansive",
+                 "bounded")
 
     @abstractmethod
     def row_terms(self, centers: np.ndarray, uvals: np.ndarray,
@@ -263,8 +265,11 @@ class SeparableKernel(OperatorKernel):
         eig = np.linalg.eigvalsh(R)
         if eig.min() < -1e-12 * max(1.0, np.abs(eig).max()):
             raise ValueError(f"separable kernel matrix has eigenvalue {eig.min():.3e} < 0")
-        self._set(scalar=scalar, R=R, radius=float(np.abs(eig).max()),
-                  output_dim=R.shape[0], is_causal=False, is_uniform=True)
+        radius = float(np.abs(eig).max())
+        self._set(scalar=scalar, R=R, radius=radius, output_dim=R.shape[0],
+                  is_causal=False, is_uniform=True,
+                  nonexpansive=_scalar_nonexpansive(scalar) and radius <= 1.0,
+                  bounded=scalar.kind == "bilinear" and radius <= 1.0)
 
     def row_terms(self, centers, uvals, pasts=False):
         return [(_scalar_batch(self.scalar, centers, uvals, pasts), self.R)]
@@ -287,7 +292,10 @@ class SumKernel(OperatorKernel):
             raise ShapeError(f"children disagree on output dim: {sorted(dims)}")
         self._set(weights=weights, children=children, output_dim=dims.pop(),
                   is_causal=all(child.is_causal for child in children),
-                  is_uniform=all(child.is_uniform for child in children))
+                  is_uniform=all(child.is_uniform for child in children),
+                  nonexpansive=(sum(weights) <= 1.0 and all(
+                      child.nonexpansive for child in children)),
+                  bounded=False)
 
     def row_terms(self, centers, uvals, pasts=False):
         # Terms with equal matrices share one weight array.
@@ -333,18 +341,11 @@ class CausalDiagonalKernel(OperatorKernel):
         for child in per_time:
             if not child.is_uniform:
                 raise ShapeError("per-sample children must act by a single matrix")
+        # Samplewise-on-pasts composition: no structural rule shipped, so
+        # the certificates stay unknown even when every child is proven.
         self._set(children=per_time[0] if shared else per_time,
-                  output_dim=dims.pop(), is_causal=True, is_uniform=False)
-
-    def _child(self, t: int) -> OperatorKernel:
-        if isinstance(self.children, OperatorKernel):
-            return self.children
-        if t >= len(self.children):
-            raise ShapeError(
-                f"kernel has {len(self.children)} per-sample children, "
-                f"grid needs index {t}"
-            )
-        return self.children[t]
+                  output_dim=dims.pop(), is_causal=True, is_uniform=False,
+                  nonexpansive=False, bounded=False)
 
     def row_terms(self, centers, uvals, pasts=False):
         # Pasts of pasts are the pasts, so the flag changes nothing here.
@@ -353,9 +354,11 @@ class CausalDiagonalKernel(OperatorKernel):
         # Column t is child t on the pasts P_t, i.e. on samples 0..t; the
         # children's terms with equal matrices share one weight array.
         steps = uvals.shape[1]
+        if steps > len(self.children):
+            raise ShapeError(f"kernel has {len(self.children)} per-sample "
+                             f"children, grid needs index {len(self.children)}")
         terms = []
-        for t in range(steps):
-            child = self._child(t)
+        for t, child in enumerate(self.children[:steps]):
             for w, M in child.row_terms(centers[:, :t + 1], uvals[:, :t + 1]):
                 shared = next((W for W, seen in terms
                                if np.array_equal(seen, M)), None)
@@ -377,29 +380,14 @@ def as_operator(kernel: AnyKernel) -> OperatorKernel:
 
 
 def certify_nonexpansive(kernel: AnyKernel) -> str:
-    """Structural nonexpansiveness certificate: "proven" or "unknown"."""
-    k = as_operator(kernel)
-    if isinstance(k, SeparableKernel):
-        if _scalar_nonexpansive(k.scalar) and k.radius <= 1.0:
-            return PROVEN
-        return UNKNOWN
-    if isinstance(k, SumKernel):
-        if (sum(k.weights) <= 1.0
-                and all(certify_nonexpansive(c) == PROVEN for c in k.children)):
-            return PROVEN
-        return UNKNOWN
-    # Samplewise-on-pasts composition: no structural rule shipped, so the
-    # certificate stays unknown even when every child is proven.
-    return UNKNOWN
+    """Structural nonexpansiveness certificate: "proven" or "unknown", as
+    the kernel's constructor worked it out for its structure."""
+    return PROVEN if as_operator(kernel).nonexpansive else UNKNOWN
 
 
 def certify_bounded(kernel: AnyKernel) -> str:
     """Certificate that ||K(u, u)||^(1/2) <= ||u|| for all u."""
-    k = as_operator(kernel)
-    if (isinstance(k, SeparableKernel) and k.scalar.kind == "bilinear"
-            and k.radius <= 1.0):
-        return PROVEN
-    return UNKNOWN
+    return PROVEN if as_operator(kernel).bounded else UNKNOWN
 
 
 def nonexpansive_defect(kernel: AnyKernel, u: Signal, v: Signal) -> float:
@@ -484,26 +472,29 @@ def _malformed(obj, why) -> KernelSpecError:
 
 
 # The deepest a kernel read from JSON may nest its structures.  Every
-# recursive walk over a kernel (certificates, row_terms, kernel_to_json)
-# takes a few frames per level, so this keeps them all far inside the
-# interpreter's recursion limit.
+# recursive walk over a kernel (row_terms, kernel_to_json) takes a few
+# frames per level, so this keeps them all far inside the interpreter's
+# recursion limit.
 KERNEL_DEPTH = 100
 
 
-def kernel_from_json(obj: dict, p: int | None = None) -> OperatorKernel:
+def kernel_from_json(obj: dict, p: int | None = None,
+                     steps: int | None = None) -> OperatorKernel:
     """Rebuild a kernel from its JSON form; certificates are re-derived.
 
     p is the output dim the caller expects, if it knows one; every
     separable part's "p" is checked against it before its matrix is built,
-    and an explicit R against that dim.  A missing field, a value of the
-    wrong type or size, one the kernel refuses, or a structure nested more
-    than KERNEL_DEPTH levels deep raises ValueError naming the innermost
-    kernel object that holds it.
+    and an explicit R against that dim.  steps is the grid size it will
+    run on, if known: per-sample children must cover every sample.  A
+    missing field, a value of the wrong type or size, one the kernel
+    refuses, or a structure nested more than KERNEL_DEPTH levels deep
+    raises ValueError naming the innermost kernel object that holds it.
     """
-    return _kernel_from_json(obj, p, 0)
+    return _kernel_from_json(obj, p, steps, 0)
 
 
-def _kernel_from_json(obj: dict, p: int | None, level: int) -> OperatorKernel:
+def _kernel_from_json(obj: dict, p: int | None, steps: int | None,
+                      level: int) -> OperatorKernel:
     try:
         if level > KERNEL_DEPTH:
             raise ValueError(
@@ -525,13 +516,18 @@ def _kernel_from_json(obj: dict, p: int | None, level: int) -> OperatorKernel:
                 raise _malformed(obj, "weights must be a list, "
                                       f"got {reprlib.repr(weights)}")
             return SumKernel(tuple(weights), tuple(
-                _kernel_from_json(c, p, level + 1) for c in obj["children"]))
+                _kernel_from_json(c, p, steps, level + 1)
+                for c in obj["children"]))
         if structure == "causal_diagonal":
             if "child" in obj:
                 return CausalDiagonalKernel(
-                    _kernel_from_json(obj["child"], p, level + 1))
-            return CausalDiagonalKernel(tuple(
-                _kernel_from_json(c, p, level + 1) for c in obj["children"]))
+                    _kernel_from_json(obj["child"], p, steps, level + 1))
+            children = tuple(_kernel_from_json(c, p, steps, level + 1)
+                             for c in obj["children"])
+            if steps is not None and len(children) < steps:
+                raise ValueError(f"{len(children)} per-sample children for "
+                                 f"a grid of {steps} samples")
+            return CausalDiagonalKernel(children)
         raise ValueError(f"unknown kernel structure {structure!r}")
     except KernelSpecError:  # a child's fault, named already
         raise

@@ -201,7 +201,18 @@ class Spectral:
     def norm(self, gamma: float) -> float:
         """RKHS norm of the fit at gamma."""
         lam = self._lam_pos
-        return math.sqrt(float((lam * self._weight / (lam + gamma) ** 2).sum()))
+        # Past about 1e+-154, (lam + gamma)^2 leaves float range: a term
+        # over an underflowed 0 is inf (no norm target meets it), one over
+        # an overflowed inf is 0, and a zero numerator over 0 (NaN) is a
+        # zero term.  The curve only steers tune_gamma, whose finish checks
+        # the norm of the fit it returns.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            top = lam * self._weight
+            terms = top / (lam + gamma) ** 2
+        total = float(terms.sum())
+        if total != total:
+            total = float(np.where(top > 0, terms, 0.0).sum())
+        return math.sqrt(total)
 
 
 class FittedOperator(Frozen):
@@ -396,7 +407,8 @@ def tune_gamma(kernel: OperatorKernel, data: Dataset, rho: float,
             lo = hi
         else:
             raise NumericalError(
-                f"norm target not reached while growing gamma to {hi:.6g}")
+                f"norm target not reached while growing gamma to {hi:.6g} "
+                f"(rho {rho!r})")
     else:
         hi = gamma0
         lo = None
@@ -525,7 +537,7 @@ def load_fitted(location: str | Path) -> FittedOperator:
             meta, dt="positive", n="count", tau="integer", m="count",
             p="count", gamma="positive", rkhs_norm="finite")
         grid = TimeGrid(tau, dt)
-        kernel = kernel_from_json(meta["kernel"], p)
+        kernel = kernel_from_json(meta["kernel"], p, grid.size)
         extra = meta.get("extra") or {}
         if not isinstance(extra, dict):
             raise ValueError("extra must be a JSON object")

@@ -21,6 +21,7 @@ from iqcfit.kernels import (
     OperatorKernel,
     SeparableKernel,
     SumKernel,
+    _scalar_nonexpansive,
     as_operator,
     eval_scalar,
     scaled_laplacian,
@@ -58,6 +59,26 @@ def structure_flags(kernel) -> tuple[int, bool, bool]:
                 all(f[2] for f in flags))
     assert isinstance(kernel, CausalDiagonalKernel)
     return flags[0][0], True, False
+
+
+def certificates(kernel) -> tuple[bool, bool]:
+    """(nonexpansive, bounded) of a kernel by the structural rules, walked
+    over its children: a separable kernel is nonexpansive when its scalar
+    meets the slope rule and radius(R) <= 1, and bounded when its scalar is
+    bilinear and radius(R) <= 1; a sum is nonexpansive when its weights
+    total at most 1 and every child is, and never bounded; a causal diagonal
+    kernel has no rule, so it is neither."""
+    kernel = as_operator(kernel)
+    if isinstance(kernel, SeparableKernel):
+        small = kernel.radius <= 1.0
+        return (_scalar_nonexpansive(kernel.scalar) and small,
+                kernel.scalar.kind == "bilinear" and small)
+    if isinstance(kernel, SumKernel):
+        return (sum(kernel.weights) <= 1.0
+                and all(certificates(child)[0] for child in kernel.children),
+                False)
+    assert isinstance(kernel, CausalDiagonalKernel)
+    return False, False
 
 
 def matrix_at(kernel, t: int, u: Signal, v: Signal) -> np.ndarray:

@@ -1,13 +1,16 @@
 """The benchmark's entry points, run as the benchmark runs them.
 
 perfbench/ drives the library from outside: causal_check.py is a script of
-its own, and traced.py reads attributes of the library's results.  These
-tests run both files unedited, so that a change of the library that would
+its own, and traced.py wraps the library's functions by name and reads
+attributes of their results.  These tests run both files unedited, so that a change of the library that would
 break a benchmark job fails here first.
 """
 
 import json
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -77,3 +80,21 @@ def test_trace_attributes_read_the_results():
     spans = attrs["inversion.picard_solve"](stack, (), {})
     assert spans == {"iterations": batch.iterations}
     assert json.loads(json.dumps(spans)) == spans
+
+
+def test_traced_reproduce_records_the_benchmark_layers(tmp_path):
+    # traced.py wraps the library from outside, by name; the case study's
+    # reproduce run through it ends as the CLI does and records the layers
+    # the benchmark reads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "traced.py"), str(spans),
+         "iqcfit.cli", "reproduce", "--out", str(tmp_path / "out"),
+         "--quiet"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    names = {record[0] for record in json.loads(spans.read_text())["records"]}
+    assert {"kernels.certify_nonexpansive", "rkhs.build_gram",
+            "signals.write_signal"} <= names

@@ -1227,7 +1227,10 @@ def test_console_main_flushes_then_leaves_through_os_exit(monkeypatch, code):
     assert events == ["main", "flush stdout", "flush stderr", code]
 
 
-def test_flush_onto_a_closed_pipe_ends_without_traceback(monkeypatch):
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+def test_flush_onto_a_closed_pipe_ends_without_traceback(monkeypatch,
+                                                         unbuffered):
     events = []
     monkeypatch.setattr(sys, "stdout",
                         _Stream("stdout", events, BrokenPipeError(32, "")))
@@ -1235,22 +1238,25 @@ def test_flush_onto_a_closed_pipe_ends_without_traceback(monkeypatch):
     monkeypatch.setattr(os, "_exit", lambda status: events.append(status))
     cli._leave(0)
     assert events == ["flush stdout", "flush stderr", 0]
-    # the same in a process whose standard output has no reader: the help
-    # text is still in its buffer (stdout is a buffered pipe) when the
-    # process leaves
+    # the same in a process whose standard output has no reader.  Buffered,
+    # the help text is still in stdout's buffer when the process leaves;
+    # unbuffered (python -u), the print itself meets the closed pipe
     src = str(Path(iqcfit.__file__).resolve().parents[1])
     env = {key: value for key, value in os.environ.items()
            if key != "PYTHONUNBUFFERED"}
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "iqcfit.cli", "fit", "--help"],
-            env={**env, "PYTHONPATH": src}, stdout=write_end,
-            stderr=subprocess.PIPE, text=True, timeout=120)
-    finally:
-        os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (0, "")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    for args in (["--help"], ["fit", "--help"], ["check", "--help"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "iqcfit.cli", *args],
+                env={**env, "PYTHONPATH": src}, stdout=write_end,
+                stderr=subprocess.PIPE, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, ""), args
 
 
 def test_main_in_process_freezes_nothing(monkeypatch, tmp_path):
@@ -1447,6 +1453,71 @@ def test_out_of_range_number_flags_are_usage_errors(ws, tmp_path, capsys,
     assert err.startswith(f"error: {name} must be a")
     assert "0" * 100 not in err
     assert not (tmp_path / "out").exists()
+
+
+# Values at float range's edges and past numpy's index range, each of which
+# the program refuses or runs on in a fraction of a second; none asks for a
+# large grid (--dt-ode 1e-7) or many fits (sweep-gamma --count 2**31).
+_EXTREMES = {"integer": [2**63], "count": [2**63]}
+# Each command's settings besides the one under test, small enough for a
+# fast run; the grid settings are checked on the channel (--target hh).
+_BASE = {
+    "gen-data": {"levels": [-6.0, -51.0], "horizon": 2.0},
+    "check": {"target": "identity", "horizon": 2.0},
+    "fit": {"scale_a": 978.7, "scale_b": 25390.0, "rho": 0.9},
+    "simulate": {},
+    "reproduce": {"levels": [-6.0, -51.0], "horizon": 2.0},
+    "sweep-gamma": {"scale_a": 978.7, "scale_b": 25390.0, "count": 3},
+}
+# What a program run leaves as its complete report, by command.
+_REPORT = {"gen-data": "gen_data_report.json", "check": "check_report.json",
+           "fit": "fit_report.json", "simulate": "simulate_report.json",
+           "reproduce": "report.json", "sweep-gamma": "sweep.csv"}
+
+
+@pytest.mark.parametrize("command, opt, value", [
+    (command, opt, value) for command, (_, _, options) in cli.COMMANDS.items()
+    for opt in options if hasattr(opt.parse, "kind")
+    for value in _EXTREMES.get(opt.parse.kind, [1e308, 5e-324])
+] + [("gen-data", cli.LEVELS, [1e308]), ("reproduce", cli.LEVELS, [8e3])],
+    ids=lambda x: x if isinstance(x, str) else getattr(x, "name", repr(x)))
+def test_extreme_number_setting_ends_in_one_line_or_a_report(
+        ws, tmp_path, command, opt, value):
+    # a setting at an extreme, read from --config, ends in exit 2 with one
+    # error line naming it, or in a run's exit code with its report; never
+    # in a traceback or a numpy warning
+    cfg = {**_BASE[command], opt.name: value}
+    if command in ("fit", "sweep-gamma"):
+        cfg["data"] = str(ws / "gen" / "data")
+    if command == "simulate":
+        write_signal(zeros(TimeGrid(4, 0.5)), tmp_path / "zero.csv")
+        cfg.update(inputs=[str(tmp_path / "zero.csv")],
+                   model=str(ws / "fit" / "model"))
+    if command == "check" and opt.name in ("picard_tol", "defect_tol"):
+        cfg.update(model=str(ws / "fit" / "model"), target="model")
+    if command == "check" and opt in cli.GRID:
+        cfg["target"] = "hh"
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    with contextlib.ExitStack() as stack:
+        err = stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
+        seen = stack.enter_context(warnings.catch_warnings(record=True))
+        warnings.simplefilter("always")
+        rc = cli.main([command, "--config", str(tmp_path / "cfg.json"),
+                       "--out", str(out), "--quiet"])
+    assert not seen, [str(w.message) for w in seen]
+    lines = err.getvalue().splitlines()
+    if rc == 2 or lines:
+        assert rc in (1, 2) and len(lines) == 1, err.getvalue()
+        assert lines[0].startswith("error: ")
+        # tau and dim are refused by numpy's size limits or as samples and
+        # channels of the probe stream; every other setting by its name
+        if rc == 2 and opt.name not in ("tau", "dim"):
+            assert (opt.name in lines[0]
+                    or opt.name.replace("_", " ") in lines[0]), lines[0]
+        return
+    assert rc in (0, 1)
+    assert (out / _REPORT[command]).stat().st_size > 0
 
 
 def test_rho_out_of_range_is_usage_error(ws, tmp_path, capsys):
@@ -1807,14 +1878,20 @@ def _apply_edit(meta, supply, R, paths, value):
 @example(edit=(_SUPPLIES[0], [[1.0]], [["R", 0, 0]], "1"))
 @example(edit=(_SUPPLIES[0], [[1.0]], [["R", 0, 0]], True))
 def test_edited_supply_or_kernel_matrix_is_refused_or_checked(ws, edit):
-    # an edit of the bundle's supply record or kernel matrix gives exit 2
-    # with one error line naming model.json, or exit 0/1 with a complete
-    # report; never a warning or a traceback
+    # an edit of the bundle's supply record or kernel matrix
+    _check_edited_bundle(ws, lambda meta: _apply_edit(meta, *edit))
+
+
+def _check_edited_bundle(ws, edit, also=()):
+    """check --target model of ws's fit bundle, its model.json passed
+    through edit, gives exit 2 with one error line naming model.json (led
+    by it, or by a bundle file named in also whose shape it contradicts),
+    or exit 0/1 with a complete report; never a warning or a traceback."""
     with contextlib.ExitStack() as stack:
         root = Path(stack.enter_context(tempfile.TemporaryDirectory()))
         shutil.copytree(ws / "fit" / "model", root / "model")
         meta = root / "model" / "model.json"
-        meta.write_text(json.dumps(_apply_edit(_read_json(meta), *edit)))
+        meta.write_text(json.dumps(edit(_read_json(meta))))
         err = stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
         seen = stack.enter_context(warnings.catch_warnings(record=True))
         warnings.simplefilter("always")
@@ -1825,7 +1902,10 @@ def test_edited_supply_or_kernel_matrix_is_refused_or_checked(ws, edit):
         if rc == 2:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1, err.getvalue()
-            assert lines[0].startswith(f"error: {meta}: ")
+            assert lines[0].startswith(tuple(
+                f"error: {root / 'model' / name}: "
+                for name in ("model.json", *also))), lines[0]
+            assert str(meta) in lines[0]
             assert "0" * 100 not in lines[0]  # a huge value is shortened
             return
         assert rc in (0, 1) and not err.getvalue()
@@ -1835,6 +1915,148 @@ def test_edited_supply_or_kernel_matrix_is_refused_or_checked(ws, edit):
             assert {"iiqc", "defect"} <= set(report)
         else:  # refused before any probe, for one stated reason
             assert len(report["violations"]) == 1 and rc == 1
+
+
+def _json_paths(node, path=()):
+    """Every key or index path into a JSON value, the root left out."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+def _replaced(obj, path, value):
+    """A copy of obj with value (or _DELETE, a deletion) at path; a path
+    that an earlier edit removed leaves the copy as it is."""
+    obj = json.loads(json.dumps(obj))
+    node = obj
+    for key in path[:-1]:
+        try:
+            node = node[key]
+        except (KeyError, IndexError, TypeError):
+            return obj
+    if not isinstance(node, (dict, list)) or (
+            isinstance(node, list) and not -len(node) <= path[-1] < len(node)):
+        return obj
+    if value is _DELETE:
+        node.pop(path[-1], None) if isinstance(node, dict) else node.pop(
+            path[-1])
+    else:
+        node[path[-1]] = value
+    return obj
+
+
+# What a kernel or model file's leaves may be replaced with: _LEAVES, the
+# names of structures and scalar kinds, a deeply nested list, or nothing.
+_NAMES = ["separable", "conjugated", "sum", "causal_diagonal", "bogus",
+          "identity", *kernels.SCALAR_KINDS]
+_FILE_LEAVES = st.one_of(_LEAVES, st.sampled_from(_NAMES),
+                         st.sampled_from([0, -1, 1e-300, 3, [[[[[1.0]]]]]]),
+                         st.just(_DELETE))
+_GAUSSIAN = {"structure": "separable", "R": [[0.5]], "p": 1,
+             "scalar": {"kind": "gaussian", "sigma": 2.0}}
+# Kernel files that fit takes on ws's data (one channel, 5 samples).
+_KERNEL_FILES = [
+    cli.KERNEL.default, _GAUSSIAN,
+    {"structure": "conjugated", "R": [[0.7]],
+     "scalar": {"kind": "inverse_power", "c": 2.0, "d": 1.0}},
+    {"structure": "sum", "weights": [0.5, 0.5],
+     "children": [_GAUSSIAN, {"structure": "separable",
+                              "scalar": {"kind": "bilinear"}}]},
+    {"structure": "causal_diagonal", "child": _GAUSSIAN},
+    {"structure": "causal_diagonal", "children": [_GAUSSIAN] * 5},
+]
+
+
+@st.composite
+def _file_edits(draw, base):
+    """base with one or two leaves replaced or keys deleted."""
+    obj = base
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(_json_paths(obj))
+        if not paths:
+            break
+        obj = _replaced(obj, draw(st.sampled_from(paths)), draw(_FILE_LEAVES))
+    return obj
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel=st.sampled_from(_KERNEL_FILES).flatmap(_file_edits))
+# kernels whose norm curve once left float range and made numpy warn
+@example(kernel={"structure": "causal_diagonal",
+                 "child": {**_GAUSSIAN, "R": [[1e-300]]}})
+@example(kernel={"structure": "conjugated", "R": [[0.7]],
+                 "scalar": {"kind": "inverse_power", "c": 1e-300, "d": 1.0}})
+# per-sample children short of the grid, once refused without a file name
+@example(kernel={"structure": "causal_diagonal", "children": [_GAUSSIAN] * 4})
+def test_edited_kernel_file_is_refused_or_fit(ws, kernel):
+    # fit --kernel with an edited kernel file exits 2 with one error line
+    # naming that file (or the dataset, whose fault an extreme kernel can
+    # bring out; or a zero Gram, R = 0, as tuning refuses it for any data),
+    # or exits 0 with a complete report; never a warning or a traceback
+    manifest = ws / "gen" / "data" / "manifest.json"
+    with contextlib.ExitStack() as stack:
+        root = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+        path = root / "kernel.json"
+        path.write_text(json.dumps(kernel))
+        err = stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
+        seen = stack.enter_context(warnings.catch_warnings(record=True))
+        warnings.simplefilter("always")
+        rc = cli.main(["fit", "--data", str(ws / "gen" / "data"),
+                       "--scale-a", "978.7", "--scale-b", "25390",
+                       "--kernel", str(path), "--rho", "0.9",
+                       "--out", str(root / "out"), "--quiet"])
+        assert not seen, [str(w.message) for w in seen]
+        lines = err.getvalue().splitlines()
+        if rc == 2:
+            assert len(lines) == 1, err.getvalue()
+            assert lines[0].startswith((
+                f"error: {path}: ", f"error: {manifest}: ",
+                "error: the Gram matrix has no positive eigenvalue")), lines[0]
+            return
+        assert rc == 0 and not lines
+        report = _read_json(root / "out" / "fit_report.json")
+        assert set(report) == {"certificate", "gamma", "n", "risk",
+                               "rkhs_norm", "scale", "supply", "warnings"}
+        assert report["rkhs_norm"] <= 0.9
+
+
+# model.json leaves besides the supply record and the kernel matrix, each
+# a key path of the bundle that ws's fit writes
+_MODEL_PATHS = [("n",), ("tau",), ("dt",), ("gamma",), ("rkhs_norm",),
+                ("m",), ("p",), ("format",), ("kernel",),
+                ("kernel", "structure"), ("kernel", "p"),
+                ("kernel", "scalar"), ("kernel", "scalar", "kind"),
+                ("kernel", "scalar", "sigma"), ("kernel", "scalar", "c"),
+                ("kernel", "scalar", "d")]
+# scalar kernels put in a bundle before its leaves are edited: the fit's
+# own and others whose parameters the paths above reach
+_BUNDLE_SCALARS = [None, {"kind": "gaussian", "sigma": 2.0},
+                   {"kind": "polynomial", "c": 1.0, "d": 2},
+                   {"kind": "inverse_power", "c": 2.0, "d": 1.0}]
+_MODEL_EDITS = st.lists(st.tuples(st.sampled_from(_MODEL_PATHS),
+                                  _FILE_LEAVES), min_size=1, max_size=2)
+
+
+def _edit_model(meta, scalar, edits):
+    if scalar is not None:
+        meta["kernel"]["scalar"] = scalar
+    for path, value in edits:
+        meta = _replaced(meta, path, value)
+    return meta
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalar=st.sampled_from(_BUNDLE_SCALARS), edits=_MODEL_EDITS)
+# per-sample children short of the grid, once refused without a file name
+@example(scalar=None, edits=[(("kernel",), {
+    "structure": "causal_diagonal", "children": [cli.KERNEL.default] * 4})])
+def test_edited_model_leaf_is_refused_or_checked(ws, scalar, edits):
+    # an edit of a model.json leaf: the grid, counts, gamma, stored norm,
+    # format and the kernel's structure, kind and parameters
+    _check_edited_bundle(ws, lambda meta: _edit_model(meta, scalar, edits),
+                         also=rkhs.BUNDLE_FILES)
 
 
 @pytest.fixture(scope="module")
@@ -1866,21 +2088,23 @@ _FORGED_SCALARS = [None, {"kind": "gaussian", "sigma": 2.0},
        scale=st.sampled_from([1e-3, 0.5, 1.0, 1.2, 1e3]),
        gamma_factor=st.sampled_from([1.0, 0.25, 4.0]),
        stored_norm=st.sampled_from([None, None, None, 0.5, 1.5]),
-       gain=st.booleans())
+       gain=st.booleans(),
+       leaves=st.one_of(st.just([]), _MODEL_EDITS))
 # a forged fit of norm 1.08 under the gain supply: only the norm refuses it
 @example(scalar=None, radius=None, consistent=True, scale=1.2,
-         gamma_factor=1.0, stored_norm=None, gain=True)
+         gamma_factor=1.0, stored_norm=None, gain=True, leaves=[])
 def test_passing_check_of_edited_bundle_is_sound(tiny_model, scalar, radius,
                                                  consistent, scale,
                                                  gamma_factor, stored_norm,
-                                                 gain):
+                                                 gain, leaves):
     # A bundle's kernel, channel matrix, gamma, norm and supply (to a gain
     # supply, whose contraction factor is 0 at any norm) are edited; when
     # consistent, targets and norm are then forged to solve the edited fit,
     # and coefficients, targets and norm are scaled together, which keeps
-    # a forged fit solving.  Whenever check passes the bundle, the loaded
-    # kernel is PROVEN and an independent per-pair recomputation of the
-    # norm sqrt(c' G c) is below 1.
+    # a forged fit solving; then up to two more model.json leaves may be
+    # edited.  Whenever check passes the bundle, the loaded kernel is PROVEN
+    # by the library and by the oracle's recursive rule, and an independent
+    # per-pair recomputation of the norm sqrt(c' G c) is below 1.
     with tempfile.TemporaryDirectory() as tmp:
         bundle = Path(tmp) / "model"
         shutil.copytree(tiny_model, bundle)
@@ -1905,6 +2129,7 @@ def test_passing_check_of_edited_bundle_is_sound(tiny_model, scalar, radius,
             meta["rkhs_norm"] = stored_norm
         np.save(bundle / "coefficients.npy", c)
         np.save(bundle / "targets.npy", y)
+        meta = _edit_model(meta, None, leaves)
         (bundle / "model.json").write_text(json.dumps(meta))
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -1916,9 +2141,10 @@ def test_passing_check_of_edited_bundle_is_sound(tiny_model, scalar, radius,
                 err.getvalue()
         if rc != 0:
             return
-        kernel = load_fitted(bundle).kernel
+        model = load_fitted(bundle)
+        kernel, grid = model.kernel, model.grid
         assert kernels.certify_nonexpansive(kernel) == kernels.PROVEN
-        grid = TimeGrid(meta["tau"], meta["dt"])
+        assert oracle.certificates(kernel)[0]
         G = np.block([[oracle.block_matrix(kernel, Signal(grid, a),
                                            Signal(grid, b)) for b in X]
                       for a in X])

@@ -649,8 +649,9 @@ def _nested_sums(spec, R):
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_stored_structure_matches_its_definition(p):
-    # each constructor stores output_dim, is_causal and is_uniform once; they
-    # equal the recursive definitions and survive JSON, copy and pickle
+    # each constructor stores output_dim, is_causal, is_uniform and the
+    # certificates once; they equal the recursive definitions and survive
+    # JSON, copy and pickle
     R = BASE_R[:p, :p]
     for spec in (gaussian(1.5), stable_spline(0.7)):
         for kernel in oracle.structures(spec, R) + _nested_sums(spec, R):
@@ -663,3 +664,61 @@ def test_stored_structure_matches_its_definition(p):
                 assert (twin.output_dim, twin.is_causal,
                         twin.is_uniform) == want
                 assert is_causal(twin) == want[1]
+                assert ((twin.nonexpansive, twin.bounded)
+                        == oracle.certificates(kernel))
+
+
+# Structures drawn with radii and sum weights on both sides of 1: separable
+# leaves of R = r diag(1, 1/2), whose radius is r, nested in sums and in
+# causal diagonal kernels over one shared or several per-sample children.
+_CERT_SEPARABLE = st.builds(
+    lambda spec, r: SeparableKernel(spec, np.diag([r, 0.5 * r])),
+    st.sampled_from([bilinear(), gaussian(1.0), gaussian(2.0),
+                     scaled_laplacian(), laplacian(1.0),
+                     inverse_power(2.0, 1.0)]),
+    st.one_of(st.floats(0.05, 0.99), st.just(1.0), st.floats(1.01, 3.0)))
+
+
+@st.composite
+def _cert_structures(draw, depth=2, uniform=False):
+    """A kernel nested at most depth levels; uniform ones only if asked,
+    since a causal diagonal kernel's children must be uniform."""
+    nested = ["sum"] if uniform else ["sum", "causal"]
+    kinds = ["separable"] + nested * (depth > 0)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "separable":
+        return draw(_CERT_SEPARABLE)
+    children = st.lists(_cert_structures(depth - 1, uniform or kind == "causal"),
+                        min_size=1, max_size=3).map(tuple)
+    if kind == "causal":
+        shared = _cert_structures(depth - 1, True)
+        return CausalDiagonalKernel(draw(st.one_of(shared, children)))
+    members = draw(children)
+    weights = draw(st.lists(st.floats(0.0, 0.9), min_size=len(members),
+                            max_size=len(members)))
+    return SumKernel(tuple(weights), members)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_cert_structures())
+def test_constructor_certificates_match_recursive_rule(kernel):
+    nonexpansive, bounded = oracle.certificates(kernel)
+    assert (kernel.nonexpansive, kernel.bounded) == (nonexpansive, bounded)
+    assert certify_nonexpansive(kernel) == (PROVEN if nonexpansive else UNKNOWN)
+    assert certify_bounded(kernel) == (PROVEN if bounded else UNKNOWN)
+
+
+def test_per_sample_children_must_cover_the_grid():
+    # kernel_from_json refuses, naming the kernel, per-sample children that
+    # a grid of steps samples would run past; row_terms refuses them too
+    child = {"structure": "separable", "scalar": {"kind": "bilinear"}}
+    obj = {"structure": "causal_diagonal", "children": [child] * 4}
+    for steps in (None, 3, 4):
+        kernel = kernel_from_json(obj, 1, steps)
+        assert len(kernel.children) == 4
+    with pytest.raises(ValueError, match="malformed kernel .*: 4 per-sample "
+                                         "children for a grid of 5 samples"):
+        kernel_from_json(obj, 1, 5)
+    X = np.zeros((2, 5, 1))
+    with pytest.raises(ShapeError, match="grid needs index 4"):
+        kernel.row_terms(X, X)
