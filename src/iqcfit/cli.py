@@ -52,6 +52,7 @@ from .kernels import (
 from .rkhs import fit, fit_many, load_fitted, save_fitted, tune_gamma
 from .signals import (
     TimeGrid,
+    check_memory,
     checked,
     csv_text,
     load_dataset,
@@ -190,23 +191,27 @@ COMMON = (
 )
 
 
-def _resolve(options, file_cfg: dict, flags: dict) -> dict:
+def _resolve(options, file_cfg: dict, flags: dict,
+             config: str | None = None) -> dict:
     """Defaults, overridden by the config file, overridden by flags.  Every
     given value goes through its option's parse; None keeps an option unset
-    where that is its default, as resolved configs write it."""
+    where that is its default, as resolved configs write it.  A refused
+    key or value of the config file starts its message with the file."""
     table = {opt.name: opt for opt in options}
     cfg = {opt.name: opt.default for opt in options}
-    for key, value in [*file_cfg.items(), *flags.items()]:
-        opt = table.get(key.replace("-", "_"))
-        if opt is None:
-            raise ValueError(f"unknown config key {key!r}")
-        if value is None and opt.default is None:
-            cfg[opt.name] = None
-            continue
-        try:
-            cfg[opt.name] = opt.parse(value)
-        except ValueError as exc:
-            raise ValueError(f"{opt.name} {exc}") from None
+    for where, given in ((f"{config}: " if config else "", file_cfg),
+                         ("", flags)):
+        for key, value in given.items():
+            opt = table.get(key.replace("-", "_"))
+            if opt is None:
+                raise ValueError(f"{where}unknown config key {key!r}")
+            if value is None and opt.default is None:
+                cfg[opt.name] = None
+                continue
+            try:
+                cfg[opt.name] = opt.parse(value)
+            except ValueError as exc:
+                raise ValueError(f"{where}{opt.name} {exc}") from None
     return cfg
 
 
@@ -433,6 +438,8 @@ def _check_hh(cfg: dict) -> dict:
 def _check_identity(cfg: dict) -> dict:
     grid = TimeGrid(cfg["tau"], cfg["dt"])
     dim = cfg["dim"]
+    # the supply matrix is (2 dim)^2; _probe_pairs caps the probe stack
+    check_memory(4 * dim * dim, f"dim {dim} in its supply matrix")
     supply = _build_supply(cfg, m=dim, p=dim)
     pairs = _probe_pairs(cfg, grid, dim, cfg["probe_scale"])
     report = check_operator_iiqc(lambda u: u, supply, pairs, tol=cfg["tol"])
@@ -727,9 +734,10 @@ def run_reproduce(cfg: dict) -> int:
 
 
 def run_sweep_gamma(cfg: dict) -> int:
-    if cfg["count"] >= 2**63:  # past numpy's index range
-        raise ValueError(f"count must be below 2**63, got {cfg['count']}")
     _, _, scattered, kernel = _scattered_data(cfg)
+    check_memory(cfg["count"] * scattered.outputs.size,
+                 f"count {cfg['count']} fits of {scattered.outputs.size} "
+                 f"coefficients each")
     gammas = np.geomspace(cfg["gamma_min"], cfg["gamma_max"], cfg["count"])
     with _naming_data(cfg):
         models = fit_many(kernel, scattered, [float(g) for g in gammas])
@@ -908,7 +916,7 @@ def main(argv=None) -> int:
             if not isinstance(file_cfg, dict):
                 raise ValueError(f"{config}: config must be an object")
             file_cfg.pop("command", None)  # resolved configs name theirs
-        cfg = _resolve(options, file_cfg, flags)
+        cfg = _resolve(options, file_cfg, flags, config)
         cfg["out"].mkdir(parents=True, exist_ok=True)
         # --quiet changes no output, so the resolved config leaves it out
         resolved = {k: v for k, v in cfg.items() if k != "quiet"}
@@ -919,7 +927,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
     except (OSError, ValueError, KeyError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,8 +16,8 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from .errors import NumericalError, ShapeError
-from .signals import (Dataset, Signal, TimeGrid, checked, csv_text,
-                      inner_product)
+from .signals import (Dataset, Signal, TimeGrid, check_memory, checked,
+                      csv_text, inner_product)
 
 # Voltage levels (mV) for the default step-response experiment.
 DEFAULT_LEVELS = (-6.0, -10.0, -19.0, -26.0, -32.0, -38.0, -51.0, -63.0,
@@ -77,6 +77,8 @@ def _input_on_half_grid(u: InputLike, dt_ode: float,
                         horizon: float) -> tuple[np.ndarray, int]:
     """Sample the input at every half step of the integration grid."""
     n = _multiple(horizon, dt_ode, "horizon")
+    check_memory(2 * n + 1, f"horizon {horizon} in RK4 half steps of dt_ode "
+                            f"{dt_ode}")
     if not callable(u):
         return np.full(2 * n + 1, float(u)), n
     t_half = np.arange(2 * n + 1) * (dt_ode / 2.0)
@@ -197,11 +199,16 @@ def step_dataset(levels=DEFAULT_LEVELS, horizon: float = 10.0,
     finite whenever the unsampled iterates are.
     """
     dt_ode = checked(dt_ode, "positive", "dt_ode")
+    levels = tuple(map(float, levels))
     n = _multiple(horizon, dt_ode, "horizon")
-    ks = np.arange(0, n + 1, _multiple(sample_dt, dt_ode, "sample_dt"))
+    stride = _multiple(sample_dt, dt_ode, "sample_dt")
+    check_memory((n // stride + 1) * len(levels),
+                 f"horizon {horizon} sampled every sample_dt {sample_dt} at "
+                 f"{len(levels)} levels")
+    ks = np.arange(0, n + 1, stride)
     grid = TimeGrid(len(ks) - 1, sample_dt)
     inputs, outputs = [], []
-    for level in map(float, levels):
+    for level in levels:
         xs = _finite(_constant_gating(level, np.append(ks, n), dt_ode),
                      f"levels: gating integration at {level:g} mV")[:-1]
         inputs.append(Signal(grid, np.full((grid.size, 1), level)))

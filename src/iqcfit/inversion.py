@@ -36,14 +36,14 @@ class ScatteredModel(NamedTuple):
     for fixed-point runs.
 
     s maps stacked inputs (B, steps, m) to stacked outputs (B, steps, p),
-    one lane per signal; grid is the grid S acts on, when known.
+    one lane per signal: a fitted operator is such a map itself.  grid is
+    the grid S acts on, when known.
     """
 
     s: Callable[[np.ndarray], np.ndarray]
     supply: SupplyRate
     lipschitz: float
     epsilon: float
-    fitted: FittedOperator | None = None
     grid: TimeGrid | None = None
 
 
@@ -78,8 +78,8 @@ def contraction_margin(model: FittedOperator,
         raise ContractionError(f"fitted operator norm {ell:.6f} >= 1")
     if model.input_dim != supply.m or model.output_dim != supply.p:
         raise ShapeError("fitted dims do not match the supply rate")
-    return ScatteredModel(model.evaluator, supply, ell,
-                          _epsilon(ell, supply), model, model.grid)
+    return ScatteredModel(model, supply, ell, _epsilon(ell, supply),
+                          model.grid)
 
 
 def scattered_from_operator(s: Callable[[Signal], Signal], lipschitz: float,
@@ -96,7 +96,7 @@ def scattered_from_operator(s: Callable[[Signal], Signal], lipschitz: float,
     def s_values(vals: np.ndarray) -> np.ndarray:
         return np.stack([s(Signal(grid, lane)).values for lane in vals])
 
-    return ScatteredModel(s_values, supply, lipschitz, eps, None, grid)
+    return ScatteredModel(s_values, supply, lipschitz, eps, grid)
 
 
 class PicardResult(NamedTuple):

@@ -12,9 +12,8 @@ import json
 import math
 import os
 import reprlib
-from functools import cached_property
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -215,6 +214,10 @@ class Spectral:
         return math.sqrt(total)
 
 
+# Weights of a row term: (B, n) for kernels uniform in time, (B, n, steps) else.
+_CONTRACT = {2: "lj,jtb->ltb", 3: "ljt,jtb->ltb"}
+
+
 class FittedOperator(Frozen):
     """Kernel expansion H(u) = sum_j K(u, u_j) c_j from a regularized fit.
 
@@ -228,7 +231,8 @@ class FittedOperator(Frozen):
     record (supply, scales, ...) of a loaded bundle.
     """
 
-    # no __slots__: the cached evaluator lives in the instance __dict__
+    __slots__ = ("kernel", "grid", "centers", "coefficients", "gamma",
+                 "rkhs_norm", "targets", "extra", "input_dim", "output_dim")
 
     def __init__(self, gram: GramOperator, grid: TimeGrid,
                  coefficients: np.ndarray, gamma: float, targets: np.ndarray,
@@ -250,10 +254,23 @@ class FittedOperator(Frozen):
                   extra={} if extra is None else extra,
                   input_dim=gram.centers.shape[2], output_dim=gram.p)
 
-    @cached_property
-    def evaluator(self) -> Callable[[np.ndarray], np.ndarray]:
-        """values_evaluator(self), built on first use and kept."""
-        return values_evaluator(self)
+    def __call__(self, uvals: np.ndarray) -> np.ndarray:
+        """H on stacked inputs, (B, steps, m) -> (B, steps, p).
+
+        The lanes run in chunks that LANE_BUDGET sizes at each call, and
+        each lane is evaluated exactly as it would be alone.
+        """
+        centers, coeff = self.centers, self.coefficients
+        n, steps, m = centers.shape
+        chunk = max(1, LANE_BUDGET // (n * _lane_width(self.kernel, steps, m)))
+        out = np.empty(uvals.shape[:2] + coeff.shape[2:])
+        for lo in range(0, len(uvals), chunk):
+            # sum_j K(u, c_j) coeff_j, one term of the batched row at a time
+            part = 0.0
+            for w, M in self.kernel.row_terms(centers, uvals[lo:lo + chunk]):
+                part = part + np.einsum(_CONTRACT[w.ndim], w, coeff) @ M.T
+            out[lo:lo + chunk] = part
+        return out
 
     @property
     def training_risk(self) -> float:
@@ -304,40 +321,13 @@ def _spectral(kernel: OperatorKernel, data: Dataset, layout: str) -> Spectral:
     return Spectral(build_gram(kernel, data.inputs, layout), data.outputs)
 
 
-# Weights of a row term: (B, n) for kernels uniform in time, (B, n, steps) else.
-_CONTRACT = {2: "lj,jtb->ltb", 3: "ljt,jtb->ltb"}
-
-
-def values_evaluator(model: FittedOperator) -> Callable[[np.ndarray], np.ndarray]:
-    """Array-level evaluator for stacked inputs, (B, steps, m) -> (B, steps, p).
-
-    Each lane is evaluated exactly as it would be alone.
-    """
-    row_terms = model.kernel.row_terms
-    centers, coeff = model.centers, model.coefficients
-    n, steps, m = centers.shape
-    chunk = max(1, LANE_BUDGET // (n * _lane_width(model.kernel, steps, m)))
-
-    def run(uvals: np.ndarray) -> np.ndarray:
-        out = np.empty(uvals.shape[:2] + coeff.shape[2:])
-        for lo in range(0, len(uvals), chunk):
-            # sum_j K(u, c_j) coeff_j, one term of the batched row at a time
-            part = 0.0
-            for w, M in row_terms(centers, uvals[lo:lo + chunk]):
-                part = part + np.einsum(_CONTRACT[w.ndim], w, coeff) @ M.T
-            out[lo:lo + chunk] = part
-        return out
-
-    return run
-
-
 def evaluate(model: FittedOperator, u: Signal) -> Signal:
     """Evaluate the fitted operator at a new input signal."""
     if u.grid != model.grid:
         raise ShapeError("input grid differs from the training grid")
     if u.dim != model.input_dim:
         raise ShapeError(f"expected {model.input_dim} input channels, got {u.dim}")
-    return Signal(u.grid, model.evaluator(u.values[None])[0])
+    return Signal(u.grid, model(u.values[None])[0])
 
 
 def rkhs_norm(model: FittedOperator) -> float:
@@ -354,7 +344,7 @@ def empirical_risk(model: FittedOperator, data: Dataset) -> float:
     if data.input_dim != model.input_dim:
         raise ShapeError(f"expected {model.input_dim} input channels, "
                          f"got {data.input_dim}")
-    return float(sum(norms(data.outputs - model.evaluator(data.inputs)) ** 2))
+    return float(sum(norms(data.outputs - model(data.inputs)) ** 2))
 
 
 def tune_gamma(kernel: OperatorKernel, data: Dataset, rho: float,
@@ -363,7 +353,9 @@ def tune_gamma(kernel: OperatorKernel, data: Dataset, rho: float,
 
     Bisection on log gamma against the monotone norm curve; the returned fit
     always satisfies norm <= rho, and sits within rel_tol of the crossing
-    unless the target is reachable for every gamma.  A Gram with no
+    unless the target is reachable for every gamma, or the fit there fails
+    its residual check (a numerically rank-deficient Gram) and gamma
+    doubles until it passes, at most SEARCH_LIMIT times.  A Gram with no
     positive eigenvalue gives the norm 0 at every gamma, so no gamma is
     smallest, and nonzero targets are refused (ValueError).  Targets too
     large for any gamma the growing search reaches (2^SEARCH_LIMIT times
@@ -373,15 +365,28 @@ def tune_gamma(kernel: OperatorKernel, data: Dataset, rho: float,
         raise ValueError(f"norm target rho must be in (0, 1], got {rho}")
     spectral = _spectral(kernel, data, "auto")
 
+    def solved(gamma: float) -> tuple[float, FittedOperator]:
+        # On a numerically rank-deficient Gram the rounding-level
+        # eigenvalues may leave the solve at a small gamma short of the
+        # fit's residual check; the norm only falls as gamma grows, so
+        # gamma doubles until the fit passes.
+        for _ in range(SEARCH_LIMIT):
+            try:
+                return gamma, FittedOperator(spectral.gram, data.grid,
+                                             spectral.solve(gamma), gamma,
+                                             spectral.targets)
+            except NumericalError as exc:
+                failure = exc
+                gamma *= 2.0
+        raise failure
+
     def finish(gamma: float) -> tuple[float, FittedOperator]:
         # The curve and the stored norm (from quad) round differently, so
         # the stored norm may exceed rho in its last bits: raise gamma by a
         # relative step that starts at 4 ulp and doubles, until it does not.
         step = 4 * np.finfo(float).eps
         for _ in range(NUDGE_LIMIT):
-            model = FittedOperator(spectral.gram, data.grid,
-                                   spectral.solve(gamma), gamma,
-                                   spectral.targets)
+            gamma, model = solved(gamma)
             if model.rkhs_norm <= rho:
                 return gamma, model
             gamma *= 1.0 + step

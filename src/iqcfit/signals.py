@@ -10,6 +10,7 @@ import io
 import json
 import numbers
 import operator
+import os
 import reprlib
 import sys
 from pathlib import Path
@@ -421,6 +422,18 @@ def checked(value, kind: str, name: str = "") -> int | float:
             return number if integral else float(number)
     raise ValueError(f"{name} must be {what}, got {reprlib.repr(value)}"
                      .lstrip())
+
+
+def check_memory(values: int, what: str) -> None:
+    """Refuse (MemoryError) a float64 array of values entries, before it
+    is allocated, when physical memory cannot hold it; what names the
+    settings that ask for it."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 8 * values > memory:
+        # a count of up to float range squared is past float range
+        size = f"{8.0 * values:.3g}" if values < 1e300 else "over 1e300"
+        raise MemoryError(f"{what} asks for an array of {size} bytes, more "
+                          f"than the {memory} bytes of physical memory")
 
 
 def _json_matrix(obj, name: str) -> np.ndarray:

@@ -1,5 +1,6 @@
 import atexit
 import contextlib
+import copy
 import gc
 import io
 import json
@@ -9,6 +10,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -1051,6 +1054,27 @@ def test_reproduce_is_fit_then_check(tmp_path):
     assert report["fit"]["epsilon"] == check["epsilon"]
 
 
+def test_causality_check_of_a_non_causal_fit_fails(ws, tmp_path):
+    # the default separable kernel is proven nonexpansive but not causal, so
+    # only --checks runs the truncation test, which R then fails
+    out = tmp_path / "chk"
+    rc = cli.main(["check", "--target", "model",
+                   "--model", str(ws / "fit" / "model"),
+                   "--checks", "causality", "--probes", "3",
+                   "--out", str(out), "--quiet"])
+    report = _read_json(out / "check_report.json")
+    assert rc == 1
+    assert not kernels.is_causal(load_fitted(ws / "fit" / "model").kernel)
+    assert set(report) == {"target", "model", "epsilon", "causality",
+                           "violations", "passed"}
+    causality = report["causality"]
+    assert causality["tolerance"] == 1e-8
+    assert causality["max_violation"] > causality["tolerance"]
+    assert causality["passed"] is False
+    assert report["violations"] == ["truncation test fails on a probe"]
+    assert report["passed"] is False
+
+
 def test_probing_commands_load_no_scipy_or_numpy_random(tmp_path):
     # numpy is the only runtime dependency, and the probes come from the
     # standard library: neither scipy nor numpy.random (with its secrets,
@@ -1163,6 +1187,23 @@ def test_gaussian_wider_than_float_range_fits(ws, tmp_path):
         assert _read_json(out / "fit_report.json")["certificate"] == "proven"
         coefficients.append((out / "model" / "coefficients.npy").read_bytes())
     assert coefficients[0] == coefficients[1]
+
+
+def test_tuned_fit_on_a_rank_deficient_gram_meets_rho(ws, tmp_path):
+    # k = 1 to the last bit: the Gram has rank one plus rounding noise, and
+    # the fit where the norm curve crosses rho fails its residual check, so
+    # tuning raises gamma until a fit passes
+    kernel = tmp_path / "kernel.json"
+    kernel.write_text(json.dumps({"scalar": {"kind": "gaussian",
+                                             "sigma": 1e150}}))
+    rc = cli.main(["fit", "--data", str(ws / "gen" / "data"),
+                   "--kernel", str(kernel), "--scale-a", "978.7",
+                   "--scale-b", "25390", "--rho", "0.9",
+                   "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 0
+    report = _read_json(tmp_path / "out" / "fit_report.json")
+    assert report["rkhs_norm"] <= 0.9
+    assert load_fitted(tmp_path / "out" / "model").gamma == report["gamma"]
 
 
 @pytest.mark.parametrize("scalar", [
@@ -1360,7 +1401,7 @@ def test_wrong_config_type_is_usage_error(tmp_path, capsys, command, opt):
                        "--quiet"])
         err = capsys.readouterr().err
         assert rc == 2, value
-        assert err.startswith(f"error: {opt.name} must be"), err
+        assert err.startswith(f"error: {cfg}: {opt.name} must be"), err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -1399,6 +1440,58 @@ def test_out_of_memory_is_usage_error(tmp_path, capsys):
     assert rc == 2
     assert err.startswith("error: out of memory: ")
     assert "Traceback" not in err
+
+
+# Settings whose largest float64 array no machine's memory holds, and the
+# settings each refusal names
+_OVERSIZED = [
+    (["gen-data", f"--horizon={2**60}", "--dt-ode=0.5"],
+     ["horizon", "sample_dt", "levels"]),
+    (["reproduce", f"--horizon={2**60}", "--dt-ode=0.5"],
+     ["horizon", "sample_dt", "levels"]),
+    (["check", "--target", "hh", f"--horizon={2**60}", "--dt-ode=0.5"],
+     ["horizon", "dt_ode"]),
+    (["check", "--target", "identity", f"--dim={2**63}"], ["dim"]),
+    (["sweep-gamma", "--count", str(10**15)], ["count"]),
+]
+
+
+@pytest.mark.parametrize("args, names", _OVERSIZED,
+                         ids=lambda x: x[0] if x[0] != "check" else x[2])
+def test_settings_past_physical_memory_are_refused_first(ws, tmp_path, capsys,
+                                                         args, names):
+    # sized before anything is allocated: one line naming the setting, in
+    # a fraction of a second and a few megabytes
+    if args[0] == "sweep-gamma":
+        args = args + ["--data", str(ws / "gen" / "data")]
+    capsys.readouterr()
+    tracemalloc.start()
+    start = time.process_time()
+    try:
+        rc = cli.main(args + ["--out", str(tmp_path / "out"), "--quiet"])
+        spent, peak = time.process_time() - start, \
+            tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("error: out of memory: ")
+    assert all(name in err for name in names), err
+    assert "more than the" in err and "of physical memory" in err
+    assert spent < 1.0
+    assert peak < 2**23
+
+
+def test_memory_error_without_message_is_one_line(tmp_path, capsys,
+                                                  monkeypatch):
+    def exhausted(**settings):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "step_dataset", exhausted)
+    capsys.readouterr()
+    rc = cli.main(["gen-data", "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 @pytest.mark.parametrize("args, says", [
@@ -1518,6 +1611,128 @@ def test_extreme_number_setting_ends_in_one_line_or_a_report(
         return
     assert rc in (0, 1)
     assert (out / _REPORT[command]).stat().st_size > 0
+
+
+# Small runs whose resolved configs the config property mutates
+_SEEDS = {
+    "gen-data": ["gen-data", "--levels=-6,-51", "--horizon", "2"],
+    "check-hh": ["check", "--target", "hh", "--horizon", "2"],
+    "check-identity": ["check", "--tau", "4", "--probes", "3"],
+    "check-model": ["check", "--target", "model", "--model", "{fit}/model",
+                    "--probes", "3"],
+    "fit": ["fit", "--data", "{gen}/data", "--scale-a", "978.7",
+            "--scale-b", "25390", "--rho", "0.9"],
+    "simulate": ["simulate", "--model", "{fit}/model", "--input",
+                 "{zero}"],
+    "sweep-gamma": ["sweep-gamma", "--data", "{gen}/data", "--scale-a",
+                    "978.7", "--scale-b", "25390", "--count", "3"],
+    "reproduce": ["reproduce", "--levels=-6,-51", "--horizon", "2",
+                  "--probes", "3"],
+}
+# Leaves the property puts in a config: JSON values no setting takes, and
+# one of each type, used where the setting's own value is of another type
+_ODD = [True, False, float("nan"), float("inf"), -float("inf"), 10**400]
+_TYPED = ["text", {"key": 1}, [1], None]
+_DEEP = "deeply nested"
+
+
+@pytest.fixture(scope="module")
+def config_seeds(ws, tmp_path_factory):
+    """Each seed run's command and resolved config, by seed name."""
+    root = tmp_path_factory.mktemp("seeds")
+    zero = root / "zero.csv"
+    write_signal(zeros(TimeGrid(4, 0.5)), zero)
+    seeds = {}
+    for name, args in _SEEDS.items():
+        args = [a.format(fit=ws / "fit", gen=ws / "gen", zero=zero)
+                for a in args]
+        out = root / name
+        assert cli.main(args + ["--out", str(out), "--quiet"]) in (0, 1)
+        config = _read_json(next(out.glob("*_config.json")))
+        seeds[name] = (args[0], config)
+    return seeds
+
+
+def _paths(node, path=()):
+    """Every key or index path into a JSON value, outermost first."""
+    children = (node.items() if isinstance(node, dict) else
+                enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _json_type(value):
+    return {bool: "bool", int: "number", float: "number", str: "string",
+            list: "array", dict: "object", type(None): "null"}[type(value)]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_config_is_refused_in_one_line_or_runs(config_seeds, data,
+                                                       tmp_path_factory):
+    # a config file with odd leaves, wrong types, deep nesting or keys
+    # taken out: exit 2 with one error line naming the file (refused as it
+    # is read) or the setting at fault (refused as the run starts), or a
+    # run's exit code with its complete report
+    name = data.draw(st.sampled_from(sorted(config_seeds)))
+    command, config = config_seeds[name]
+    config = copy.deepcopy(config)
+    deep, touched = None, set()
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(_paths(config))
+        if not paths:
+            break
+        path = data.draw(st.sampled_from(paths))
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        old = parent[path[-1]]
+        edit = data.draw(st.sampled_from(["odd", "typed", "nest", "delete"]))
+        touched.add(path[0])
+        if edit == "delete":
+            del parent[path[-1]]
+        elif edit == "odd":
+            parent[path[-1]] = data.draw(st.sampled_from(_ODD))
+        elif edit == "typed":
+            parent[path[-1]] = data.draw(st.sampled_from(
+                [v for v in _TYPED if _json_type(v) != _json_type(old)]))
+        elif deep is None:  # past the recursion limit, written as text
+            deep = (data.draw(st.sampled_from([2, 60, 5000])), old)
+            parent[path[-1]] = _DEEP
+        else:
+            parent[path[-1]] = [[old]]
+    text = json.dumps(config)
+    if deep is not None:
+        depth, old = deep
+        text = text.replace(json.dumps(_DEEP), "[" * depth + json.dumps(old)
+                            + "]" * depth, 1)
+    work = tmp_path_factory.mktemp("mutated")
+    path, out = work / "cfg.json", work / "out"
+    path.write_text(text)
+    with contextlib.ExitStack() as stack:
+        err = stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
+        seen = stack.enter_context(warnings.catch_warnings(record=True))
+        warnings.simplefilter("always")
+        rc = cli.main([command, "--config", str(path), "--out", str(out),
+                       "--quiet"])
+    assert not seen, [str(w.message) for w in seen]
+    lines = err.getvalue().splitlines()
+    if rc == 2:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        if not out.exists():  # refused as the file is read
+            assert lines[0].startswith(f"error: {path}: "), lines
+            return
+        options = {opt.name: opt for opt in cli.COMMANDS[command][2]}
+        names = {spelled for key in touched if key in options
+                 for spelled in (key, cli._flag_name(options[key])[2:])}
+        assert any(spelled in lines[0] for spelled in names), (lines, text)
+        return
+    assert rc in (0, 1) and not lines, (rc, lines, text)
+    report = out / _REPORT[command]
+    assert report.stat().st_size > 0
+    if report.suffix == ".json":
+        assert isinstance(_read_json(report), dict)
 
 
 def test_rho_out_of_range_is_usage_error(ws, tmp_path, capsys):

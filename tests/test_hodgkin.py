@@ -157,6 +157,19 @@ def test_step_dataset_refusals_keep_their_messages(horizon, sample_dt, says):
     assert str(sampled.value) == str(fine.value) == says
 
 
+def test_grids_past_physical_memory_are_refused_before_allocating():
+    # 2**61 steps: every array of the half grid or the working grid is
+    # beyond any machine's memory, and none is made
+    with pytest.raises(MemoryError, match=r"^horizon 1\.15\d*e\+18 sampled "
+                       r"every sample_dt 0\.5 at 2 levels asks for"):
+        step_dataset(levels=(-6.0, -51.0), horizon=2.0**60, sample_dt=0.5,
+                     dt_ode=0.5)
+    for run in (simulate_channel, gating_trajectory):
+        with pytest.raises(MemoryError, match=r"^horizon 1\.15\d*e\+18 in RK4 "
+                           r"half steps of dt_ode 0\.5 asks for"):
+            run(-51.0, 0.5, 2.0**60)
+
+
 def test_step_dataset_checks_the_unsampled_steps():
     # at 10 ms a step the -109 mV iterates first overflow at step 124; a
     # grid of stride 123 ends at step 123, before the horizon's step 124

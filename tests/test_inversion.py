@@ -9,6 +9,7 @@ from iqcfit import rkhs
 from iqcfit.errors import (ContractionError, ConvergenceError, NumericalError,
                            ShapeError)
 from iqcfit.inversion import (
+    CausalityReport,
     PicardBatch,
     ScatteredModel,
     causality_check_r,
@@ -19,7 +20,7 @@ from iqcfit.inversion import (
 )
 from iqcfit.kernels import (CausalDiagonalKernel, SeparableKernel, SumKernel,
                             gaussian, scaled_laplacian)
-from iqcfit.rkhs import evaluate, fit, tune_gamma, values_evaluator
+from iqcfit.rkhs import evaluate, fit, tune_gamma
 from iqcfit.signals import (Dataset, Signal, TimeGrid, constant_signal, norm,
                             random_signal, stacked, truncate, zeros)
 from iqcfit.supply import (SupplyRate, check_operator_iiqc, factor_phi,
@@ -366,6 +367,12 @@ def test_causality_check_r_flags_noncausal_fit():
     assert report.max_violation > 1e-8
 
 
+def test_causality_check_r_without_pairs_passes():
+    model = _linear_s(0.5, TimeGrid(3))
+    report = causality_check_r(model, np.zeros((0, 2, 4, 1)), tol=1e-8)
+    assert report == CausalityReport(0.0, -1, -1, 1e-8, True)
+
+
 def test_causality_check_full_window_self_pair():
     rng = np.random.default_rng(73)
     grid = TimeGrid(3)
@@ -391,7 +398,7 @@ def _fitted_scattered(kernel, seed, m=1):
     _, model = tune_gamma(kernel, data, rho=0.9)
     factors = factor_phi(passivity_supply(m))
     ell = model.rkhs_norm
-    return ScatteredModel(values_evaluator(model), factors, ell, ell, model)
+    return ScatteredModel(model, factors, ell, ell)
 
 
 def _batch_models():
@@ -411,7 +418,7 @@ def _batch_models():
         "causal-per-sample": _fitted_scattered(
             CausalDiagonalKernel(per_sample), 84),
     }
-    wrapped = fitted["causal-shared"].fitted
+    wrapped = fitted["causal-shared"].s
     fitted["from-operator"] = scattered_from_operator(
         lambda sig: evaluate(wrapped, sig), wrapped.rkhs_norm,
         factor_phi(passivity_supply(1)), wrapped.grid)
@@ -444,8 +451,6 @@ def test_batched_solve_matches_single_solves(name, kinds, seed, tol, budget):
     with pytest.MonkeyPatch.context() as mp:
         # small budgets split the batch over several evaluator chunks
         mp.setattr(rkhs, "LANE_BUDGET", budget)
-        if model.fitted is not None:
-            model = model._replace(s=values_evaluator(model.fitted))
         batch = picard_solve(model, inputs, tol=tol)
     assert isinstance(batch, PicardBatch)
     assert len(batch.lanes) == len(inputs)

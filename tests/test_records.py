@@ -14,11 +14,13 @@ import pytest
 
 from iqcfit import cli, errors, hodgkin, inversion, kernels, rkhs, signals, supply
 from iqcfit.hodgkin import WitnessResult, check_step_ordering
-from iqcfit.inversion import (causality_check_r, picard_solve,
-                              scattered_from_operator)
+from iqcfit.inversion import (causality_check_r, contraction_margin,
+                              picard_solve, scattered_from_operator,
+                              simulate_r)
 from iqcfit.kernels import (CausalDiagonalKernel, ScalarKernelSpec,
-                            SeparableKernel, SumKernel, gaussian, laplacian)
-from iqcfit.rkhs import build_gram, fit
+                            SeparableKernel, SumKernel, gaussian, laplacian,
+                            scaled_laplacian)
+from iqcfit.rkhs import build_gram, fit, tune_gamma
 from iqcfit.signals import Dataset, Signal, TimeGrid, random_signal, zeros
 from iqcfit.supply import check_operator_iiqc, passivity_supply
 
@@ -33,7 +35,6 @@ def _records() -> dict:
     rate = passivity_supply(1)
     scattered = scattered_from_operator(lambda s: 0.5 * s, 0.5, rate, grid)
     model = fit(separable, data, gamma=0.1)
-    model.evaluator  # the cached evaluator is in place, and stays immutable
     objects = [
         grid, u, data, separable.scalar, separable,
         SumKernel((0.5, 0.5), (separable, separable)),
@@ -99,14 +100,34 @@ def test_copies_and_pickles_keep_the_fields(name):
     assert type(shallow) is type(obj)
     assert all(getattr(shallow, f) is getattr(obj, f) for f in fields)
     copies = [copy.deepcopy(obj)]
-    # the fit's cached evaluator and the scattered model's S are closures
-    if name not in ("FittedOperator", "ScatteredModel"):
+    # a scattered_from_operator model's S is the caller's closure
+    if name != "ScatteredModel":
         copies.append(pickle.loads(pickle.dumps(obj)))
         for twin in copies:
             assert pickle.dumps(twin) == pickle.dumps(obj)
     for twin in (shallow, *copies):
         with pytest.raises(AttributeError):
             setattr(twin, fields[0], None)
+
+
+def test_tuned_fit_and_its_contraction_copy_and_pickle():
+    grid = TimeGrid(5)
+    rng = np.random.default_rng(9)
+    data = Dataset(tuple(random_signal(grid, 1, rng) for _ in range(4)),
+                   tuple(random_signal(grid, 1, rng) for _ in range(4)))
+    _, model = tune_gamma(SeparableKernel(scaled_laplacian(), np.eye(1)),
+                          data, rho=0.9)
+    scattered = contraction_margin(model, passivity_supply(1))
+    assert scattered.s is model
+    probes = rng.normal(size=(6, grid.size, 1))
+    want_h, want_r = model(probes), simulate_r(scattered, probes)
+    for twin in (copy.deepcopy(scattered), pickle.loads(pickle.dumps(scattered))):
+        assert type(twin.s) is rkhs.FittedOperator
+        assert twin.s.rkhs_norm == model.rkhs_norm
+        assert np.array_equal(twin.s(probes), want_h)
+        assert np.array_equal(simulate_r(twin, probes), want_r)
+    for twin in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+        assert np.array_equal(twin(probes), want_h)
 
 
 def test_time_grid_compares_hashes_and_prints_by_value():

@@ -36,7 +36,6 @@ from iqcfit.rkhs import (
     rkhs_norm,
     save_fitted,
     tune_gamma,
-    values_evaluator,
 )
 from iqcfit.signals import (
     Dataset,
@@ -331,7 +330,7 @@ def test_evaluator_lanes_match_single_inputs(monkeypatch, budget):
         model = fit(kernel, data, gamma=0.05)
         stack = np.stack([random_signal(data.grid, 2, rng).values
                           for _ in range(7)])
-        got = values_evaluator(model)(stack)
+        got = model(stack)
         assert got.shape == (7, data.grid.size, 2)
         for u, y in zip(stack, got):
             assert np.array_equal(y, evaluate(model, Signal(data.grid, u)).values)
@@ -572,26 +571,6 @@ def test_tune_gamma_stored_norm_within_rho(seed, p, layout, rho, rel_tol):
     assert model.rkhs_norm <= rho
 
 
-def test_evaluator_built_once_per_model(monkeypatch):
-    rng = np.random.default_rng(56)
-    data = _random_dataset(rng, n=4)
-    model = fit(SeparableKernel(scaled_laplacian(), np.eye(1)), data, 0.01)
-    built = []
-
-    def counted(m):
-        built.append(m)
-        return values_evaluator(m)
-
-    monkeypatch.setattr(rkhs, "values_evaluator", counted)
-    u0 = Signal(data.grid, data.inputs[0])
-    first = evaluate(model, u0)
-    for u in data.inputs:
-        evaluate(model, Signal(data.grid, u))
-    empirical_risk(model, data)
-    assert built == [model]
-    assert np.array_equal(evaluate(model, u0).values, first.values)
-
-
 def test_increment_bound_from_norm():
     rng = np.random.default_rng(50)
     data = _random_dataset(rng, n=4)
@@ -647,6 +626,38 @@ def test_tune_gamma_unreachable_target_saturates():
     gamma, model = tune_gamma(kernel, data, rho=1.0)
     assert model.rkhs_norm < 0.5
     assert gamma > 0
+
+
+def test_tune_gamma_shrink_search_running_out(monkeypatch):
+    # the norm at the mean Gram diagonal meets rho and keeps changing as
+    # gamma halves, so with two halvings allowed tuning ends at a quarter
+    # of it
+    monkeypatch.setattr(rkhs, "SEARCH_LIMIT", 2)
+    rng = np.random.default_rng(57)
+    data = _random_dataset(rng, n=5, scale=0.01)
+    kernel = SeparableKernel(gaussian(2.0), np.eye(1))
+    gram = build_gram(kernel, data.inputs)
+    gamma, model = tune_gamma(kernel, data, rho=1.0)
+    assert gamma == gram.trace() / gram.dim / 4
+    assert model.gamma == gamma
+    assert model.rkhs_norm <= 1.0
+
+
+def test_norm_curve_counts_zero_over_zero_as_zero():
+    # a zero center gives the bilinear Gram an exact zero eigenvalue; at
+    # gamma = 1e-170, (0 + gamma)^2 underflows to 0 and that term is 0 / 0
+    grid = TimeGrid(2)
+    rng = np.random.default_rng(58)
+    data = Dataset((zeros(grid), random_signal(grid, 1, rng)),
+                   (random_signal(grid, 1, rng), random_signal(grid, 1, rng)))
+    gram = build_gram(SeparableKernel(bilinear(), np.eye(1)), data.inputs)
+    spectral = Spectral(gram, data.outputs)
+    assert (spectral._lam_pos == 0.0).any()
+    with np.errstate(all="ignore"):
+        assert np.isnan((spectral._lam_pos * spectral._weight
+                         / (spectral._lam_pos + 1e-170) ** 2).sum())
+    norm = spectral.norm(1e-170)
+    assert 0.0 < norm == spectral.norm(1e-100)
 
 
 def test_tune_gamma_validations():

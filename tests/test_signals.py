@@ -14,6 +14,7 @@ from iqcfit.signals import (
     Dataset,
     Signal,
     TimeGrid,
+    check_memory,
     constant_signal,
     inner_product,
     load_dataset,
@@ -455,3 +456,14 @@ def test_decoding_error_counts_bytes_from_the_file_start(tmp_path):
     assert str(info.value) == (f"{path}: not UTF-8 text: 'utf-8' codec can't "
                                "decode byte 0xc3 in position 12: unexpected "
                                "end of data")
+
+
+def test_check_memory_sizes_counts_of_any_magnitude():
+    check_memory(1, "one value")
+    with pytest.raises(MemoryError, match=r"^a million terabytes asks for "
+                       r"an array of 8e\+18 bytes, more than the \d+ bytes "
+                       r"of physical memory$"):
+        check_memory(10**18, "a million terabytes")
+    with pytest.raises(MemoryError, match=r"^dim 10\*\*300 squared asks "
+                       r"for an array of over 1e300 bytes"):
+        check_memory(10**600, "dim 10**300 squared")

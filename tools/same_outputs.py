@@ -12,6 +12,8 @@ jobs with one BLAS thread, each in a work directory of its own:
   causal      perfbench/gen.py causal data (n=16, tau=12), a fit with the
               benchmark's causal kernel, then perfbench/causal_check.py
   simulate    `simulate` of the reproduce bundle on two input CSVs
+  channel     `gen-data`, `check --target hh` and
+              `check --target identity --dim 2`
 
 Every command runs with relative paths from its work directory.  Every file
 the jobs write, and each command's exit code and standard error, must be
@@ -73,6 +75,11 @@ def _jobs(seed: int) -> list[list[str]]:
         ["cli", "simulate", "--model", "reproduce/model", "--input",
          "inputs/ramp.csv", "--input", "inputs/noise.csv", "--out",
          "simulate", "--quiet"],
+        ["cli", "gen-data", "--out", "gen", "--quiet"],
+        ["cli", "check", "--target", "hh", "--out", "hh_check", "--quiet",
+         *seed_flag],
+        ["cli", "check", "--target", "identity", "--dim", "2", "--out",
+         "identity_check", "--quiet", *seed_flag],
     ]
 
 
