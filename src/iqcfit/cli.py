@@ -733,11 +733,17 @@ def run_reproduce(cfg: dict) -> int:
     return 0 if report["passed"] else 1
 
 
+# A kept fit holds two n·steps·p stacks, its coefficients and targets, and
+# about 1 kB more: the FittedOperator, array headers, its floats and its
+# row of sweep.csv.  That record is counted as 256 values (2 kB).
+FIT_RECORD_VALUES = 256
+
+
 def run_sweep_gamma(cfg: dict) -> int:
     _, _, scattered, kernel = _scattered_data(cfg)
-    check_memory(cfg["count"] * scattered.outputs.size,
-                 f"count {cfg['count']} fits of {scattered.outputs.size} "
-                 f"coefficients each")
+    size = scattered.outputs.size
+    check_memory(cfg["count"] * (2 * size + FIT_RECORD_VALUES),
+                 f"count {cfg['count']} fits of {size} coefficients each")
     gammas = np.geomspace(cfg["gamma_min"], cfg["gamma_max"], cfg["count"])
     with _naming_data(cfg):
         models = fit_many(kernel, scattered, [float(g) for g in gammas])

@@ -30,6 +30,17 @@ OUTPUT_SCALE = 2.539e4
 G_MAX = 36.0   # peak conductance, mS/cm^2
 U_REV = 12.0   # reversal potential, mV
 
+# Float64 arrays alive at the traced peak, as multiples that the memory
+# checks count.  An integration peaks near 8.5 half grids (2 n + 1 values)
+# for a waveform: its samples, both rates with rate_alpha's temporaries,
+# then the step maps sliced from them; the witness's first trajectory adds
+# 0.5.  A constant level peaks near 3: its samples and iterates.  A step
+# dataset peaks near 5.2 working grids per level (each level's input and
+# output, then both sides stacked and copied into the Dataset) plus 2 for
+# one level's closed form.
+WAVEFORM_HALF_GRIDS, LEVEL_HALF_GRIDS = 10, 4
+STEP_GRIDS_PER_LEVEL, STEP_GRIDS = 6, 4
+
 
 def rate_alpha(u):
     """Opening rate (1/ms).  The formula 0.01 (u+10) / (exp((u+10)/10) - 1)
@@ -77,8 +88,9 @@ def _input_on_half_grid(u: InputLike, dt_ode: float,
                         horizon: float) -> tuple[np.ndarray, int]:
     """Sample the input at every half step of the integration grid."""
     n = _multiple(horizon, dt_ode, "horizon")
-    check_memory(2 * n + 1, f"horizon {horizon} in RK4 half steps of dt_ode "
-                            f"{dt_ode}")
+    copies = WAVEFORM_HALF_GRIDS if callable(u) else LEVEL_HALF_GRIDS
+    check_memory(copies * (2 * n + 1), f"horizon {horizon} in RK4 half steps "
+                                       f"of dt_ode {dt_ode}")
     if not callable(u):
         return np.full(2 * n + 1, float(u)), n
     t_half = np.arange(2 * n + 1) * (dt_ode / 2.0)
@@ -202,7 +214,8 @@ def step_dataset(levels=DEFAULT_LEVELS, horizon: float = 10.0,
     levels = tuple(map(float, levels))
     n = _multiple(horizon, dt_ode, "horizon")
     stride = _multiple(sample_dt, dt_ode, "sample_dt")
-    check_memory((n // stride + 1) * len(levels),
+    check_memory((n // stride + 1)
+                 * (STEP_GRIDS_PER_LEVEL * len(levels) + STEP_GRIDS),
                  f"horizon {horizon} sampled every sample_dt {sample_dt} at "
                  f"{len(levels)} levels")
     ks = np.arange(0, n + 1, stride)

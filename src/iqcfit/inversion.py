@@ -10,7 +10,7 @@ reading off y* = N21 v* + N22 S(v*).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .errors import (ContractionError, ConvergenceError, DivergenceError,
                      ShapeError)
 from .kernels import PROVEN, certify_nonexpansive
 from .rkhs import FittedOperator
-from .signals import Signal, TimeGrid, checked, norms, pair_stack, stacked
+from .signals import Signal, TimeGrid, checked, norms, pair_stack
 from .supply import SupplyRate
 
 DEFAULT_MAX_ITER = 10_000
@@ -106,7 +106,6 @@ class PicardResult(NamedTuple):
     iterations: int
     residual: float
     epsilon: float
-    converged: bool
     error_bound: float
     iterates: tuple[Signal, ...] | None = None
 
@@ -117,7 +116,6 @@ class PicardBatch(NamedTuple):
     entry per lane in lane_iterations, residuals and error_bounds, and when
     recorded one (k + 1, steps, m) stack of iterates per lane."""
 
-    grid: TimeGrid | None
     v_star: np.ndarray
     y_star: np.ndarray
     lane_iterations: np.ndarray
@@ -131,18 +129,6 @@ class PicardBatch(NamedTuple):
         """Picard steps summed over the lanes."""
         return int(self.lane_iterations.sum())
 
-    @property
-    def lanes(self) -> tuple[PicardResult, ...]:
-        """One PicardResult of Signals on grid per lane, in order."""
-        g = self.grid
-        return tuple(PicardResult(
-            Signal(g, v), Signal(g, y), k, r, self.epsilon, True, e,
-            None if self.iterates is None else
-            tuple(Signal(g, x) for x in self.iterates[i]))
-            for i, (v, y, k, r, e) in enumerate(zip(
-                self.v_star, self.y_star, self.lane_iterations.tolist(),
-                self.residuals.tolist(), self.error_bounds.tolist())))
-
 
 def _lane_norms(x: np.ndarray) -> np.ndarray:
     """np.linalg.norm of every lane: the same dot of the flattened lane."""
@@ -150,8 +136,7 @@ def _lane_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(flat @ flat.transpose(0, 2, 1))[:, 0, 0]
 
 
-def picard_solve(model: ScatteredModel,
-                 u_star: Signal | Sequence[Signal] | np.ndarray,
+def picard_solve(model: ScatteredModel, u_star: Signal | np.ndarray,
                  tol: float | None = None, max_iter: int = DEFAULT_MAX_ITER,
                  record: bool = False) -> PicardResult | PicardBatch:
     """Iterate v <- N11^-1 u* - N11^-1 N12 S(v) to its unique fixed point.
@@ -164,31 +149,35 @@ def picard_solve(model: ScatteredModel,
     input too large for S) raises DivergenceError, a NumericalError that
     names the input.
 
-    Given a list of signals on one grid, or a (B, steps, m) stack of
-    inputs on the model's grid, iterates them together as lanes of one
-    stack, each lane under its own stopping rule and frozen once it stops,
-    and returns a PicardBatch holding what each lane would have given alone.
+    Given a (B, steps, m) stack of inputs on the model's grid, iterates
+    them together as lanes of one stack, each lane under its own stopping
+    rule and frozen once it stops, and returns a PicardBatch holding what
+    each lane would have given alone.  Given one Signal on the model's
+    grid, solves it as a one-lane stack and returns a PicardResult of
+    Signals.
     """
-    grid = model.grid
-    if isinstance(u_star, Signal):
-        return _solve(model, u_star.grid, u_star.values[None], tol, max_iter,
-                      record).lanes[0]
-    if not isinstance(u_star, np.ndarray):  # Signals on one grid
-        grid = u_star[0].grid if len(u_star) else grid
-        u_star = (stacked(u_star) if len(u_star)
-                  else np.zeros((0, 0, model.supply.m)))
-    elif grid is not None and u_star.shape[1:2] != (grid.size,):
-        raise ShapeError(f"inputs of shape {u_star.shape} are off the grid")
-    return _solve(model, grid, u_star, tol, max_iter, record)
+    if not isinstance(u_star, Signal):
+        return _solve(model, u_star, tol, max_iter, record)
+    grid = u_star.grid
+    if model.grid is not None and grid != model.grid:
+        raise ShapeError("input grid differs from the model's grid")
+    lane = _solve(model, u_star.values[None], tol, max_iter, record)
+    return PicardResult(
+        Signal(grid, lane.v_star[0]), Signal(grid, lane.y_star[0]),
+        lane.iterations, float(lane.residuals[0]), lane.epsilon,
+        float(lane.error_bounds[0]), None if lane.iterates is None else
+        tuple(Signal(grid, x) for x in lane.iterates[0]))
 
 
 # An iterate beyond float range makes a step non-finite, which ends the
 # iteration with a DivergenceError naming its input; numpy need not warn too.
 @np.errstate(over="ignore", invalid="ignore")
-def _solve(model: ScatteredModel, grid: TimeGrid | None, u_vals: np.ndarray,
-           tol: float | None, max_iter: int, record: bool) -> PicardBatch:
-    supply = model.supply
+def _solve(model: ScatteredModel, u_vals: np.ndarray, tol: float | None,
+           max_iter: int, record: bool) -> PicardBatch:
+    supply, grid = model.supply, model.grid
     lanes = len(u_vals)
+    if grid is not None and u_vals.shape[1:2] != (grid.size,):
+        raise ShapeError(f"inputs of shape {u_vals.shape} are off the grid")
     if u_vals.shape[2] != supply.m:
         raise ShapeError(f"expected {supply.m} input channels, "
                          f"got {u_vals.shape[2]}")
@@ -240,22 +229,18 @@ def _solve(model: ScatteredModel, grid: TimeGrid | None, u_vals: np.ndarray,
             f"(eps={eps:.4f}, last residual {residuals[active[0]]:.3e})"
         )
     return PicardBatch(
-        grid, v, v @ supply.n21.T + s_star @ supply.n22.T, iterations,
+        v, v @ supply.n21.T + s_star @ supply.n22.T, iterations,
         residuals, eps / (1.0 - eps) * step, eps,
         tuple(np.stack(lane) for lane in history) if record else None)
 
 
-def simulate_r(model: ScatteredModel,
-               u_star: Signal | Sequence[Signal] | np.ndarray,
+def simulate_r(model: ScatteredModel, u_star: Signal | np.ndarray,
                tol: float | None = None, max_iter: int = DEFAULT_MAX_ITER
-               ) -> Signal | list[Signal] | np.ndarray:
-    """Evaluate the modeled input-output operator R at u*, or at every input
-    of a list or stack of them with one batched solve (see picard_solve),
-    giving a list or stack of outputs."""
-    result = picard_solve(model, u_star, tol=tol, max_iter=max_iter)
-    if isinstance(result, PicardResult) or isinstance(u_star, np.ndarray):
-        return result.y_star
-    return [lane.y_star for lane in result.lanes]
+               ) -> Signal | np.ndarray:
+    """Evaluate the modeled input-output operator R at u*, a Signal, or at
+    every input of a stack of them with one batched solve (see
+    picard_solve), giving the stack of outputs."""
+    return picard_solve(model, u_star, tol=tol, max_iter=max_iter).y_star
 
 
 @dataclass(frozen=True)

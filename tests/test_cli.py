@@ -1482,6 +1482,30 @@ def test_settings_past_physical_memory_are_refused_first(ws, tmp_path, capsys,
     assert peak < 2**23
 
 
+def test_sweep_gamma_check_counts_what_each_fit_keeps(tmp_path, monkeypatch):
+    # on the step data, 1000 more kept fits add no more traced bytes than
+    # the check counts for 1000 fits
+    assert cli.main(["gen-data", "--out", str(tmp_path / "gen"),
+                     "--quiet"]) == 0
+    counted = []
+    check = cli.check_memory
+    monkeypatch.setattr(cli, "check_memory",
+                        lambda values, what: (counted.append(8 * values),
+                                              check(values, what)))
+    peaks = {}
+    for count in (1000, 2000):
+        tracemalloc.start()
+        try:
+            assert cli.main(["sweep-gamma", "--count", str(count), "--data",
+                             str(tmp_path / "gen" / "data"), "--out",
+                             str(tmp_path / str(count)), "--quiet"]) == 0
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # counted[0] is the bytes counted for 1000 fits
+    assert 0 < peaks[2000] - peaks[1000] <= counted[0]
+
+
 def test_memory_error_without_message_is_one_line(tmp_path, capsys,
                                                   monkeypatch):
     def exhausted(**settings):

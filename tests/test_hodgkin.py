@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,27 @@ def test_grids_past_physical_memory_are_refused_before_allocating():
         with pytest.raises(MemoryError, match=r"^horizon 1\.15\d*e\+18 in RK4 "
                            r"half steps of dt_ode 0\.5 asks for"):
             run(-51.0, 0.5, 2.0**60)
+
+
+@pytest.mark.parametrize("run, horizon", [
+    (monotonicity_witness, 10.0), (monotonicity_witness, 100.0),
+    (step_dataset, 100.0), (step_dataset, 1000.0)])
+def test_memory_checks_count_the_traced_peak(monkeypatch, run, horizon):
+    # the bytes a memory check counts cover every array alive at the peak
+    counted = []
+    check = hodgkin.check_memory
+    monkeypatch.setattr(hodgkin, "check_memory",
+                        lambda values, what: (counted.append(8 * values),
+                                              check(values, what)))
+    run(horizon=horizon)
+    counted.clear()
+    tracemalloc.start()
+    try:
+        run(horizon=horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counted and peak <= max(counted)
 
 
 def test_step_dataset_checks_the_unsampled_steps():

@@ -35,9 +35,9 @@ def _linear_s(ell, grid, supply=None):
 
 
 def _descattered(model, v_star):
-    """The output y* = N21 v* + N22 S(v*) of a fixed point v*."""
-    v, f = v_star.values[None], model.supply
-    return (v @ f.n21.T + model.s(v) @ f.n22.T)[0]
+    """The outputs y* = N21 v* + N22 S(v*) of a stack of fixed points v*."""
+    f = model.supply
+    return v_star @ f.n21.T + model.s(v_star) @ f.n22.T
 
 
 def _dataset(rng, n=4, tau=4, scale=1.0):
@@ -116,7 +116,6 @@ def test_picard_zero_s():
     model = _linear_s(0.0, grid)
     result = picard_solve(model, u)
     assert result.iterations == 1
-    assert result.converged
     assert np.abs(result.v_star.values - ROOT2 * u.values).max() <= 1e-12
     assert norm(result.y_star - u) <= 1e-12
 
@@ -135,7 +134,7 @@ def test_picard_stops_at_an_iterate_past_float_range():
         with pytest.raises(NumericalError, match=(
                 f"^fixed-point iteration of input {lane} left the float "
                 f"range at step 1$")):
-            picard_solve(model, inputs)
+            picard_solve(model, stacked(inputs))
     data = _dataset(rng, n=3, tau=4)
     _, tuned = tune_gamma(SeparableKernel(scaled_laplacian(), np.eye(1)),
                           data, rho=0.9)
@@ -225,18 +224,18 @@ def test_picard_error_bound_holds(seed, tau, dims, kind, ell, operator, lanes,
     # (I + N11^-1 N12 ell A) v* = N11^-1 u, with N11^-1 N12 acting samplewise
     system = (np.eye(steps * m)
               + np.kron(np.eye(steps), n11_inv @ factors.n12) @ (ell * A))
-    single = [picard_solve(model, u, tol=tol) for u in inputs]
-    batch = picard_solve(model, inputs, tol=tol).lanes
-    for u, alone, lane in zip(inputs, single, batch):
+    batch = picard_solve(model, stacked(inputs), tol=tol)
+    for i, u in enumerate(inputs):
         base = np.kron(np.eye(steps), n11_inv) @ u.values.ravel()
         v_star = np.linalg.solve(system, base)
         # Rounding in each step and in the reference solve, amplified by
         # at most 1 / (1 - eps), is not in the exact-arithmetic bound.
         allowance = (16 * np.finfo(float).eps / (1.0 - model.epsilon)
                      * (np.linalg.norm(base) + np.linalg.norm(v_star)))
-        for result in (alone, lane):
-            error = np.linalg.norm(result.v_star.values.ravel() - v_star)
-            assert error <= result.error_bound + allowance
+        alone = picard_solve(model, u, tol=tol)
+        for v, bound in ((alone.v_star.values, alone.error_bound),
+                         (batch.v_star[i], batch.error_bounds[i])):
+            assert np.linalg.norm(v.ravel() - v_star) <= bound + allowance
 
 
 def test_picard_ends_on_zero_and_tiny_inputs():
@@ -255,7 +254,6 @@ def test_picard_ends_on_zero_and_tiny_inputs():
         lo, hi = (mid, hi) if mid + 0.99 * k * np.tanh(mid + 0.3) < 0 else (lo, mid)
     for u in (zeros(grid), constant_signal(grid, 1e-300)):
         result = picard_solve(model, u)
-        assert result.converged
         gap = float(np.abs(result.v_star.values - lo).max())
         assert result.error_bound <= 1e-9
         assert gap <= result.error_bound + 1e-15
@@ -419,9 +417,15 @@ def _batch_models():
             CausalDiagonalKernel(per_sample), 84),
     }
     wrapped = fitted["causal-shared"].s
+    passivity = factor_phi(passivity_supply(1))
     fitted["from-operator"] = scattered_from_operator(
-        lambda sig: evaluate(wrapped, sig), wrapped.rkhs_norm,
-        factor_phi(passivity_supply(1)), wrapped.grid)
+        lambda sig: evaluate(wrapped, sig), wrapped.rkhs_norm, passivity,
+        wrapped.grid)
+    fitted["linear"] = _linear_s(0.9, wrapped.grid)
+    # S(0) != 0: a zero lane ends only at the rounding floor
+    fitted["tanh"] = scattered_from_operator(
+        lambda sig: Signal(sig.grid, 0.99 * np.tanh(sig.values + 0.3)), 0.99,
+        passivity, wrapped.grid)
     return fitted
 
 
@@ -436,46 +440,47 @@ def _lane(kind, grid, m, rng):
     return random_signal(grid, m, rng, scale=float(rng.choice([0.1, 1.0, 5.0])))
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(derandomize=True, max_examples=50, deadline=None)
 @given(name=st.sampled_from(sorted(BATCH_MODELS)),
        kinds=st.lists(st.sampled_from(["random", "random", "zero", "tiny"]),
-                      min_size=1, max_size=9),
+                      max_size=9),
        seed=st.integers(0, 2**16),
        tol=st.sampled_from([None, 1e-10]),
-       budget=st.sampled_from([1, 200, 500, 2**15]))
-def test_batched_solve_matches_single_solves(name, kinds, seed, tol, budget):
+       budget=st.sampled_from([1, 200, 500, 2**15]),
+       record=st.booleans())
+def test_each_lane_of_a_stack_solves_as_its_signal(name, kinds, seed, tol,
+                                                   budget, record):
+    # every lane of a stack, none included, gives bit for bit what a solve
+    # of the lane as one Signal gives, recorded iterates too
     model = BATCH_MODELS[name]
     rng = np.random.default_rng(seed)
-    grid, m = TimeGrid(5), model.supply.m
-    inputs = [_lane(kind, grid, m, rng) for kind in kinds]
+    grid, m, p = TimeGrid(5), model.supply.m, model.supply.p
+    stack = np.array([_lane(kind, grid, m, rng).values for kind in kinds])
+    stack = stack.reshape(len(kinds), grid.size, m)
     with pytest.MonkeyPatch.context() as mp:
         # small budgets split the batch over several evaluator chunks
         mp.setattr(rkhs, "LANE_BUDGET", budget)
-        batch = picard_solve(model, inputs, tol=tol)
+        batch = picard_solve(model, stack, tol=tol, record=record)
+        outputs = simulate_r(model, stack, tol=tol)
     assert isinstance(batch, PicardBatch)
-    assert len(batch.lanes) == len(inputs)
     assert isinstance(batch.iterations, int)
-    assert batch.iterations == sum(r.iterations for r in batch.lanes)
-    for u, got in zip(inputs, batch.lanes):
-        want = picard_solve(model, u, tol=tol)
-        assert np.array_equal(got.v_star.values, want.v_star.values)
-        assert got.iterations == want.iterations
-        assert got.residual == want.residual
-        assert got.error_bound == want.error_bound
-        assert got.converged and got.iterates is None
-        assert np.array_equal(got.y_star.values,
-                              _descattered(model, got.v_star))
-    outputs = simulate_r(model, inputs, tol=tol)
-    for u, y in zip(inputs, outputs):
-        assert np.array_equal(y.values, simulate_r(model, u, tol=tol).values)
-    # the stacked entry point gives the same lanes
-    stack = picard_solve(model, stacked(inputs), tol=tol)
-    assert np.array_equal(stack.v_star, [r.v_star.values for r in batch.lanes])
-    assert np.array_equal(stack.lane_iterations,
-                          [r.iterations for r in batch.lanes])
-    assert np.array_equal(stack.residuals, [r.residual for r in batch.lanes])
-    assert np.array_equal(simulate_r(model, stacked(inputs), tol=tol),
-                          [y.values for y in outputs])
+    assert batch.iterations == sum(batch.lane_iterations.tolist())
+    assert outputs.shape == batch.y_star.shape == (len(kinds), grid.size, p)
+    assert (batch.iterates is None) is not record
+    for i, lane in enumerate(stack):
+        want = picard_solve(model, Signal(grid, lane), tol=tol, record=record)
+        assert np.array_equal(batch.v_star[i], want.v_star.values)
+        assert np.array_equal(batch.y_star[i], want.y_star.values)
+        assert np.array_equal(
+            outputs[i], simulate_r(model, Signal(grid, lane), tol=tol).values)
+        assert batch.lane_iterations[i] == want.iterations
+        assert batch.residuals[i] == want.residual
+        assert batch.error_bounds[i] == want.error_bound
+        assert np.array_equal(want.y_star.values, _descattered(
+            model, want.v_star.values[None])[0])
+        if record:
+            assert np.array_equal(batch.iterates[i],
+                                  [x.values for x in want.iterates])
 
 
 def test_each_lane_costs_iterations_plus_one_evaluations():
@@ -489,32 +494,29 @@ def test_each_lane_costs_iterations_plus_one_evaluations():
     counted = model._replace(s=s)
     rng = np.random.default_rng(89)
     grid = TimeGrid(5)
-    inputs = [random_signal(grid, 1, rng) for _ in range(3)] + [zeros(grid)]
+    inputs = stacked([random_signal(grid, 1, rng) for _ in range(3)]
+                     + [zeros(grid)])
     batch = picard_solve(counted, inputs)
     assert sum(seen) == batch.iterations + len(inputs)
     seen.clear()
     outputs = simulate_r(counted, inputs)
     # the output reuses the S(v*) the residual evaluated
     assert sum(seen) == batch.iterations + len(inputs)
-    for y, lane in zip(outputs, batch.lanes):
-        assert np.array_equal(y.values,
-                              _descattered(model, lane.v_star))
+    assert np.array_equal(outputs, _descattered(model, batch.v_star))
 
 
 def test_batched_solve_records_each_lane():
+    # the zero lane stops after one step while the others keep iterating,
+    # and each lane records its own iterates
     rng = np.random.default_rng(85)
     grid = TimeGrid(5)
     model = _linear_s(0.9, grid)
-    inputs = [random_signal(grid, 1, rng), zeros(grid),
-              random_signal(grid, 1, rng, scale=10.0)]
+    inputs = stacked([random_signal(grid, 1, rng), zeros(grid),
+                      random_signal(grid, 1, rng, scale=10.0)])
     batch = picard_solve(model, inputs, tol=1e-11, record=True)
-    for u, got in zip(inputs, batch.lanes):
-        want = picard_solve(model, u, tol=1e-11, record=True)
-        assert len(got.iterates) == got.iterations + 1 == len(want.iterates)
-        for a, b in zip(got.iterates, want.iterates):
-            assert np.array_equal(a.values, b.values)
-    # the zero lane stops after one step while the others keep iterating
-    assert batch.lanes[1].iterations == 1 < batch.lanes[0].iterations
+    assert ([len(lane) for lane in batch.iterates]
+            == (batch.lane_iterations + 1).tolist())
+    assert batch.lane_iterations[1] == 1 < batch.lane_iterations[0]
 
 
 def test_batched_solve_raises_when_a_lane_stalls():
@@ -522,23 +524,43 @@ def test_batched_solve_raises_when_a_lane_stalls():
     grid = TimeGrid(3)
     model = _linear_s(0.9, grid)
     # the zero lane converges at once; the random one needs far more steps
-    inputs = [zeros(grid), random_signal(grid, 1, rng), zeros(grid)]
+    inputs = stacked([zeros(grid), random_signal(grid, 1, rng), zeros(grid)])
     with pytest.raises(ConvergenceError):
         picard_solve(model, inputs, tol=1e-12, max_iter=3)
-    assert picard_solve(model, inputs, tol=1e-12).lanes[1].iterations > 3
+    assert picard_solve(model, inputs, tol=1e-12).lane_iterations[1] > 3
 
 
 def test_batched_solve_validations():
     rng = np.random.default_rng(87)
     model = _linear_s(0.5, TimeGrid(3))
-    with pytest.raises(ShapeError):
-        picard_solve(model, [random_signal(TimeGrid(3), 1, rng),
-                             random_signal(TimeGrid(4), 1, rng)])
-    with pytest.raises(ShapeError):
-        picard_solve(model, [random_signal(TimeGrid(3), 2, rng)])
-    empty = picard_solve(model, [])
-    assert empty.lanes == () and empty.iterations == 0
-    assert simulate_r(model, []) == []
+    with pytest.raises(ShapeError):  # Signals on two grids make no stack
+        stacked([random_signal(TimeGrid(3), 1, rng),
+                 random_signal(TimeGrid(4), 1, rng)])
+    with pytest.raises(ShapeError, match="off the grid"):
+        picard_solve(model, stacked([random_signal(TimeGrid(4), 1, rng)]))
+    with pytest.raises(ShapeError, match="input channels"):
+        picard_solve(model, stacked([random_signal(TimeGrid(3), 2, rng)]))
+    empty = picard_solve(model, np.zeros((0, 4, 1)))
+    assert empty.iterations == 0 and empty.y_star.shape == (0, 4, 1)
+    assert simulate_r(model, np.zeros((0, 4, 1))).shape == (0, 4, 1)
+
+
+def test_signal_off_the_model_grid_is_refused():
+    # as evaluate refuses it: a Signal of another length, or of the same
+    # length on another dt, is a ShapeError before any step
+    rng = np.random.default_rng(90)
+    data = _dataset(rng, n=4, tau=5)
+    _, tuned = tune_gamma(SeparableKernel(scaled_laplacian(), np.eye(1)),
+                          data, rho=0.9)
+    for model in (contraction_margin(tuned, passivity_supply(1)),
+                  _linear_s(0.5, data.grid)):
+        for grid in (TimeGrid(2), TimeGrid(11), TimeGrid(5, 0.5)):
+            u = random_signal(grid, 1, rng)
+            for solve in (picard_solve, simulate_r):
+                with pytest.raises(ShapeError, match="grid"):
+                    solve(model, u)
+        assert simulate_r(model, random_signal(data.grid, 1, rng)).grid \
+            == data.grid
 
 
 def test_check_operator_iiqc_calls_op_once():

@@ -21,7 +21,8 @@ from iqcfit.kernels import (CausalDiagonalKernel, ScalarKernelSpec,
                             SeparableKernel, SumKernel, gaussian, laplacian,
                             scaled_laplacian)
 from iqcfit.rkhs import build_gram, fit, tune_gamma
-from iqcfit.signals import Dataset, Signal, TimeGrid, random_signal, zeros
+from iqcfit.signals import (Dataset, Signal, TimeGrid, random_signal, stacked,
+                            zeros)
 from iqcfit.supply import check_operator_iiqc, passivity_supply
 
 
@@ -42,7 +43,8 @@ def _records() -> dict:
         build_gram(separable, data.inputs), model,
         rate,
         check_operator_iiqc(lambda us: us, rate, [(u, y)]),
-        scattered, picard_solve(scattered, u), picard_solve(scattered, [u, y]),
+        scattered, picard_solve(scattered, u),
+        picard_solve(scattered, stacked([u, y])),
         causality_check_r(scattered, [(u, y)]),
         WitnessResult(-1.0, -2.0), check_step_ordering(data),
     ]

@@ -11,7 +11,9 @@ jobs with one BLAS thread, each in a work directory of its own:
               gamma from one factorization) and `fit --gamma 0.01`
   causal      perfbench/gen.py causal data (n=16, tau=12), a fit with the
               benchmark's causal kernel, then perfbench/causal_check.py
-  simulate    `simulate` of the reproduce bundle on two input CSVs
+  simulate    `simulate` of the reproduce bundle on three input CSVs in
+              one batch: a ramp, noise and zeros, whose lanes stop at
+              different steps
   channel     `gen-data`, `check --target hh` and
               `check --target identity --dim 2`
 
@@ -73,8 +75,8 @@ def _jobs(seed: int) -> list[list[str]]:
         ["causal_check", "--model", "causal_fit/model", "--pairs", "2",
          "--out", "causal_check", *seed_flag],
         ["cli", "simulate", "--model", "reproduce/model", "--input",
-         "inputs/ramp.csv", "--input", "inputs/noise.csv", "--out",
-         "simulate", "--quiet"],
+         "inputs/ramp.csv", "--input", "inputs/noise.csv", "--input",
+         "inputs/zero.csv", "--out", "simulate", "--quiet"],
         ["cli", "gen-data", "--out", "gen", "--quiet"],
         ["cli", "check", "--target", "hh", "--out", "hh_check", "--quiet",
          *seed_flag],
@@ -84,13 +86,14 @@ def _jobs(seed: int) -> list[list[str]]:
 
 
 def _write_inputs(work: Path, seed: int) -> None:
-    """The causal kernel file and two input CSVs on the reproduce grid
+    """The causal kernel file and three input CSVs on the reproduce grid
     (21 samples of 0.5 ms) in millivolts."""
     (work / "causal.json").write_text(json.dumps(CAUSAL_KERNEL))
     (work / "inputs").mkdir()
     gauss = random.Random(seed).gauss
     columns = {"ramp": [-80.0 + 3.0 * j for j in range(21)],
-               "noise": [20.0 * gauss(0.0, 1.0) for _ in range(21)]}
+               "noise": [20.0 * gauss(0.0, 1.0) for _ in range(21)],
+               "zero": [0.0] * 21}
     for name, values in columns.items():
         rows = [f"{0.5 * j!r},{v!r}" for j, v in enumerate(values)]
         (work / "inputs" / f"{name}.csv").write_text(
