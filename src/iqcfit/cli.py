@@ -52,6 +52,7 @@ from .kernels import (
 from .rkhs import fit, fit_many, load_fitted, save_fitted, tune_gamma
 from .signals import (
     TimeGrid,
+    _parsed,
     check_memory,
     checked,
     csv_text,
@@ -60,9 +61,7 @@ from .signals import (
     manifest_values,
     norms,
     read_json,
-    read_signals,
     save_dataset,
-    stacked,
 )
 from .supply import (
     check_operator_iiqc,
@@ -570,13 +569,12 @@ def run_simulate(cfg: dict) -> int:
                     {"passed": False, "reason": str(exc)})
         _log(quiet, f"refused: {exc}")
         return 1
-    raw = read_signals(cfg["inputs"], dt=model.grid.dt)
+    raw = _parsed(cfg["inputs"], model.grid.dt)
     for path, u_raw in zip(cfg["inputs"], raw):
-        if u_raw.grid != model.grid:
-            raise ShapeError(f"{path}: grid does not match the model bundle")
-        if u_raw.dim != supply.m:
-            raise ShapeError(f"{path}: expected {supply.m} input channels")
-    raw = stacked(raw)
+        if u_raw.shape != (model.grid.size, supply.m):
+            raise ShapeError(f"{path}: {u_raw.shape} samples by channels, "
+                             f"not the model's {(model.grid.size, supply.m)}")
+    raw = np.stack(raw)
     try:
         outputs, batch = _scaled_picard(scattered, raw, scale, tol=cfg["tol"],
                                         max_iter=cfg["max_iter"])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NumericalError, ShapeError
 from .signals import (Dataset, Signal, TimeGrid, check_memory, checked,
-                      csv_text, inner_product)
+                      csv_text)
 
 # Voltage levels (mV) for the default step-response experiment.
 DEFAULT_LEVELS = (-6.0, -10.0, -19.0, -26.0, -32.0, -38.0, -51.0, -63.0,
@@ -33,13 +33,14 @@ U_REV = 12.0   # reversal potential, mV
 # Float64 arrays alive at the traced peak, as multiples that the memory
 # checks count.  An integration peaks near 8.5 half grids (2 n + 1 values)
 # for a waveform: its samples, both rates with rate_alpha's temporaries,
-# then the step maps sliced from them; the witness's first trajectory adds
-# 0.5.  A constant level peaks near 3: its samples and iterates.  A step
-# dataset peaks near 5.2 working grids per level (each level's input and
-# output, then both sides stacked and copied into the Dataset) plus 2 for
-# one level's closed form.
-WAVEFORM_HALF_GRIDS, LEVEL_HALF_GRIDS = 10, 4
-STEP_GRIDS_PER_LEVEL, STEP_GRIDS = 6, 4
+# then the step maps sliced from them; the witness's first current adds
+# 0.5.  A constant level peaks near 3 grids of n + 1 values: the steps, the
+# iterates and one temporary of the closed form or of the current.  A step
+# dataset peaks near 3.3 working grids per level (the output stack, the
+# inputs and outputs copied into the Dataset) plus 2 for one level's
+# closed form.
+WAVEFORM_HALF_GRIDS, LEVEL_GRIDS = 10, 4
+STEP_GRIDS_PER_LEVEL, STEP_GRIDS = 4, 4
 
 
 def rate_alpha(u):
@@ -84,15 +85,12 @@ def _multiple(span: float, dt_ode: float, name: str) -> int:
     return n
 
 
-def _input_on_half_grid(u: InputLike, dt_ode: float,
+def _input_on_half_grid(u: Callable[[np.ndarray], np.ndarray], dt_ode: float,
                         horizon: float) -> tuple[np.ndarray, int]:
-    """Sample the input at every half step of the integration grid."""
+    """Sample a waveform at every half step of the integration grid."""
     n = _multiple(horizon, dt_ode, "horizon")
-    copies = WAVEFORM_HALF_GRIDS if callable(u) else LEVEL_HALF_GRIDS
-    check_memory(copies * (2 * n + 1), f"horizon {horizon} in RK4 half steps "
-                                       f"of dt_ode {dt_ode}")
-    if not callable(u):
-        return np.full(2 * n + 1, float(u)), n
+    check_memory(WAVEFORM_HALF_GRIDS * (2 * n + 1), f"horizon {horizon} in "
+                 f"RK4 half steps of dt_ode {dt_ode}")
     t_half = np.arange(2 * n + 1) * (dt_ode / 2.0)
     half = np.asarray(u(t_half), dtype=float)
     if half.shape != t_half.shape:
@@ -102,8 +100,10 @@ def _input_on_half_grid(u: InputLike, dt_ode: float,
 
 
 def _integrate_gating(u: InputLike, dt_ode: float,
-                      horizon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Classical fourth-order fixed-step integration of the gating equation.
+                      horizon: float) -> tuple[np.ndarray, np.ndarray | float]:
+    """Classical fourth-order fixed-step integration of the gating equation,
+    giving the iterates x_0, ..., x_n and the input at the nodes: a
+    waveform's samples, or a constant level itself.
 
     The equation is linear in x, so every stage k_i = c_i + d_i x is affine
     in the state at the start of the step and the whole step is a map
@@ -115,12 +115,14 @@ def _integrate_gating(u: InputLike, dt_ode: float,
     x_1, ..., x_n.  Rounding error grows with log n rather than n.
     """
     dt_ode = checked(dt_ode, "positive", "dt_ode")
-    half, n = _input_on_half_grid(u, dt_ode, horizon)
     if callable(u):
-        xs = _scan_gating(half, n, dt_ode)
-    else:
-        xs = _constant_gating(float(u), np.arange(n + 1), dt_ode)
-    return _finite(xs), half[::2]
+        half, n = _input_on_half_grid(u, dt_ode, horizon)
+        return _finite(_scan_gating(half, n, dt_ode)), half[::2]
+    n = _multiple(horizon, dt_ode, "horizon")
+    check_memory(LEVEL_GRIDS * (n + 1), f"horizon {horizon} in RK4 steps of "
+                                        f"dt_ode {dt_ode}")
+    level = float(u)
+    return _finite(_constant_gating(level, np.arange(n + 1), dt_ode)), level
 
 
 def _finite(xs: np.ndarray, what: str = "gating integration") -> np.ndarray:
@@ -190,14 +192,14 @@ def simulate_channel(u: InputLike, dt_ode: float, horizon: float) -> Signal:
     of time, evaluated at the integrator's half steps and taken through the
     prefix scan.
     """
+    y = _current(u, dt_ode, horizon)
+    return Signal(TimeGrid(len(y) - 1, dt_ode), y)
+
+
+def _current(u: InputLike, dt_ode: float, horizon: float) -> np.ndarray:
+    """The channel current at the nodes of the integration grid."""
     xs, u_nodes = _integrate_gating(u, dt_ode, horizon)
-    y = G_MAX * xs**4 * (u_nodes - U_REV)
-    return Signal(TimeGrid(len(xs) - 1, dt_ode), y)
-
-
-def _subsample(fine: Signal, sample_dt: float) -> Signal:
-    values = fine.values[::_multiple(sample_dt, fine.grid.dt, "sample_dt")]
-    return Signal(TimeGrid(len(values) - 1, sample_dt), values)
+    return G_MAX * xs**4 * (u_nodes - U_REV)
 
 
 def step_dataset(levels=DEFAULT_LEVELS, horizon: float = 10.0,
@@ -220,13 +222,13 @@ def step_dataset(levels=DEFAULT_LEVELS, horizon: float = 10.0,
                  f"{len(levels)} levels")
     ks = np.arange(0, n + 1, stride)
     grid = TimeGrid(len(ks) - 1, sample_dt)
-    inputs, outputs = [], []
-    for level in levels:
+    outputs = np.empty((len(levels), grid.size, 1))
+    for out, level in zip(outputs, levels):
         xs = _finite(_constant_gating(level, np.append(ks, n), dt_ode),
                      f"levels: gating integration at {level:g} mV")[:-1]
-        inputs.append(Signal(grid, np.full((grid.size, 1), level)))
-        outputs.append(Signal(grid, G_MAX * xs**4 * (level - U_REV)))
-    return Dataset(inputs, outputs)
+        out[:, 0] = G_MAX * xs**4 * (level - U_REV)
+    inputs = np.broadcast_to(np.array(levels)[:, None, None], outputs.shape)
+    return Dataset(inputs, outputs, grid)
 
 
 def witness_inputs() -> tuple[Callable, Callable]:
@@ -248,19 +250,18 @@ def monotonicity_witness(dt_ode: float = 1e-3, sample_dt: float = 0.5,
     A negative value shows the raw channel operator is not incrementally
     positive on this horizon, in both the integral and the sampled reading.
     """
+    dt_ode = checked(dt_ode, "positive", "dt_ode")
     u1, u2 = witness_inputs()
-    y1 = simulate_channel(u1, dt_ode, horizon)
-    y2 = simulate_channel(u2, dt_ode, horizon)
-    t = y1.grid.times()
-    du = Signal(y1.grid, u1(t) - u2(t))
-    dy = y1 - y2
+    dy = _current(u1, dt_ode, horizon) - _current(u2, dt_ode, horizon)
+    t = np.arange(len(dy)) * dt_ode
+    du, dy = (u1(t) - u2(t))[:, None], dy[:, None]
     # trapezoid weights: dt at every sample, halved at both ends (tau >= 1)
-    w = np.full(y1.grid.size, dt_ode, dtype=float)
+    w = np.full(len(du), dt_ode, dtype=float)
     w[[0, -1]] *= 0.5
-    continuous = np.einsum("t,tc,tc->", w, du.values, dy.values)
-    du_s = _subsample(du, sample_dt)
-    dy_s = _subsample(dy, sample_dt)
-    sampled = inner_product(du_s, dy_s)
+    continuous = np.einsum("t,tc,tc->", w, du, dy)
+    stride = _multiple(sample_dt, dt_ode, "sample_dt")
+    du_s, dy_s = du[::stride], dy[::stride]
+    sampled = np.einsum("t,tc,tc->", np.ones(len(du_s)), du_s, dy_s)
     return WitnessResult(float(continuous), float(sampled))
 
 

@@ -18,7 +18,7 @@ from .errors import (ContractionError, ConvergenceError, DivergenceError,
                      ShapeError)
 from .kernels import PROVEN, certify_nonexpansive
 from .rkhs import FittedOperator
-from .signals import Signal, TimeGrid, checked, norms, pair_stack
+from .signals import Signal, TimeGrid, as_lanes, checked, norms, pair_stack
 from .supply import SupplyRate
 
 DEFAULT_MAX_ITER = 10_000
@@ -82,21 +82,19 @@ def contraction_margin(model: FittedOperator,
                           model.grid)
 
 
-def scattered_from_operator(s: Callable[[Signal], Signal], lipschitz: float,
-                            supply: SupplyRate, grid) -> ScatteredModel:
+def scattered_from_operator(s: Callable[[np.ndarray], np.ndarray],
+                            lipschitz: float, supply: SupplyRate,
+                            grid) -> ScatteredModel:
     """Wrap an arbitrary operator with a caller-supplied increment bound.
 
     For operators outside the fitted family (closed-form contractions, fits
     whose kernel certificate is unknown but whose bound is known by other
-    means).  The caller vouches for the Lipschitz constant.
+    means).  s acts on stacks, each lane alone, as ScatteredModel.s does.
+    The caller vouches for the Lipschitz constant.
     """
     lipschitz = checked(lipschitz, "nonnegative", "lipschitz bound")
-    eps = _epsilon(lipschitz, supply)
-
-    def s_values(vals: np.ndarray) -> np.ndarray:
-        return np.stack([s(Signal(grid, lane)).values for lane in vals])
-
-    return ScatteredModel(s_values, supply, lipschitz, eps, grid)
+    return ScatteredModel(s, supply, lipschitz, _epsilon(lipschitz, supply),
+                          grid)
 
 
 class PicardResult(NamedTuple):
@@ -156,12 +154,11 @@ def picard_solve(model: ScatteredModel, u_star: Signal | np.ndarray,
     grid, solves it as a one-lane stack and returns a PicardResult of
     Signals.
     """
+    lane = _solve(model, as_lanes(u_star, model.grid, model.supply.m), tol,
+                  max_iter, record)
     if not isinstance(u_star, Signal):
-        return _solve(model, u_star, tol, max_iter, record)
+        return lane
     grid = u_star.grid
-    if model.grid is not None and grid != model.grid:
-        raise ShapeError("input grid differs from the model's grid")
-    lane = _solve(model, u_star.values[None], tol, max_iter, record)
     return PicardResult(
         Signal(grid, lane.v_star[0]), Signal(grid, lane.y_star[0]),
         lane.iterations, float(lane.residuals[0]), lane.epsilon,
@@ -169,18 +166,22 @@ def picard_solve(model: ScatteredModel, u_star: Signal | np.ndarray,
         tuple(Signal(grid, x) for x in lane.iterates[0]))
 
 
+def _s(model: ScatteredModel, v: np.ndarray) -> np.ndarray:
+    """S at the stack v; ShapeError unless S keeps to its contract."""
+    out, want = model.s(v), v.shape[:2] + (model.supply.p,)
+    if getattr(out, "shape", None) != want:
+        raise ShapeError(f"S must map a (B, steps, m) stack to a (B, steps, "
+                         f"p) stack, {want} here; it gave "
+                         f"{getattr(out, 'shape', type(out).__name__)}")
+    return out
+
+
 # An iterate beyond float range makes a step non-finite, which ends the
 # iteration with a DivergenceError naming its input; numpy need not warn too.
 @np.errstate(over="ignore", invalid="ignore")
 def _solve(model: ScatteredModel, u_vals: np.ndarray, tol: float | None,
            max_iter: int, record: bool) -> PicardBatch:
-    supply, grid = model.supply, model.grid
-    lanes = len(u_vals)
-    if grid is not None and u_vals.shape[1:2] != (grid.size,):
-        raise ShapeError(f"inputs of shape {u_vals.shape} are off the grid")
-    if u_vals.shape[2] != supply.m:
-        raise ShapeError(f"expected {supply.m} input channels, "
-                         f"got {u_vals.shape[2]}")
+    supply, lanes = model.supply, len(u_vals)
     floor = STEP_FLOOR if tol is None else 0.0
     if tol is None:
         tols = 1e-8 * norms(u_vals)
@@ -201,7 +202,7 @@ def _solve(model: ScatteredModel, u_vals: np.ndarray, tol: float | None,
         if not len(active):
             break
         v_act = v[active]
-        feedback = model.s(v_act) @ coupling.T
+        feedback = _s(model, v_act) @ coupling.T
         v_next = base[active] - feedback
         prev, now = step[active], _lane_norms(v_next - v_act)
         if not np.isfinite(now).all():
@@ -221,7 +222,7 @@ def _solve(model: ScatteredModel, u_vals: np.ndarray, tol: float | None,
                     + _lane_norms(feedback[slow]))
         active = active[~done]
     # no lane, no evaluation of S
-    s_star = model.s(v) if lanes else np.zeros(v.shape[:2] + (supply.p,))
+    s_star = _s(model, v) if lanes else np.zeros(v.shape[:2] + (supply.p,))
     residuals = _lane_norms(v @ supply.n11.T + s_star @ supply.n12.T - u_vals)
     if len(active):
         raise ConvergenceError(

@@ -20,8 +20,8 @@ import numpy as np
 from .errors import NumericalError, ShapeError
 from .kernels import (LANE_BUDGET, OperatorKernel, as_operator,
                       kernel_from_json, kernel_to_json)
-from .signals import (Dataset, Frozen, Signal, TimeGrid, checked, located,
-                      manifest_values, norms, read_json)
+from .signals import (Dataset, Frozen, Signal, TimeGrid, as_lanes, checked,
+                      located, manifest_values, norms, read_json)
 
 # Gram blocks above this side length are refused: centers x channels in the
 # dense form, centers alone in the factored one.
@@ -321,13 +321,12 @@ def _spectral(kernel: OperatorKernel, data: Dataset, layout: str) -> Spectral:
     return Spectral(build_gram(kernel, data.inputs, layout), data.outputs)
 
 
-def evaluate(model: FittedOperator, u: Signal) -> Signal:
-    """Evaluate the fitted operator at a new input signal."""
-    if u.grid != model.grid:
-        raise ShapeError("input grid differs from the training grid")
-    if u.dim != model.input_dim:
-        raise ShapeError(f"expected {model.input_dim} input channels, got {u.dim}")
-    return Signal(u.grid, model(u.values[None])[0])
+def evaluate(model: FittedOperator,
+             u: Signal | np.ndarray) -> Signal | np.ndarray:
+    """Evaluate the fitted operator at one input Signal, giving its output
+    Signal, or at a (B, steps, m) stack of inputs, giving their stack."""
+    out = model(as_lanes(u, model.grid, model.input_dim))
+    return Signal(u.grid, out[0]) if isinstance(u, Signal) else out
 
 
 def rkhs_norm(model: FittedOperator) -> float:
@@ -341,10 +340,7 @@ def empirical_risk(model: FittedOperator, data: Dataset) -> float:
     """Sum of squared output misfits over the dataset."""
     if data.grid != model.grid:
         raise ShapeError("dataset grid differs from the training grid")
-    if data.input_dim != model.input_dim:
-        raise ShapeError(f"expected {model.input_dim} input channels, "
-                         f"got {data.input_dim}")
-    return float(sum(norms(data.outputs - model(data.inputs)) ** 2))
+    return float(sum(norms(data.outputs - evaluate(model, data.inputs)) ** 2))
 
 
 def tune_gamma(kernel: OperatorKernel, data: Dataset, rho: float,

@@ -241,6 +241,24 @@ def stacked(signals) -> np.ndarray:
     return np.stack([x.values for x in signals])
 
 
+def as_lanes(u, grid: TimeGrid | None, dim: int) -> np.ndarray:
+    """One Signal or one (B, steps, dim) stack as a stack, on grid (any
+    length when None): ShapeError off it or at another dim, and TypeError,
+    naming the two forms, for any other kind of input."""
+    if isinstance(u, Signal):
+        if grid is not None and u.grid != grid:
+            raise ShapeError("input grid differs from the model's grid")
+        u = u.values[None]
+    elif not (isinstance(u, np.ndarray) and u.ndim == 3):
+        raise TypeError(f"expected a Signal or a (B, steps, m) array, got "
+                        f"{getattr(u, 'shape', type(u).__name__)}")
+    elif grid is not None and u.shape[1] != grid.size:
+        raise ShapeError(f"inputs of shape {u.shape} are off the grid")
+    if u.shape[2] != dim:
+        raise ShapeError(f"expected {dim} input channels, got {u.shape[2]}")
+    return u
+
+
 def pair_stack(pairs) -> np.ndarray:
     """Input pairs as one (pairs, 2, steps, dim) array: such an array as it
     is, or (u, v) Signal pairs on one grid, stacked."""
@@ -262,14 +280,17 @@ def csv_text(header: list[str], table: np.ndarray, newline: str) -> str:
     return ",".join(header) + newline + (row * len(table)) % cells
 
 
-def write_signal(f: Signal, path: str | Path):
-    """CSV with header t,ch1,...,chd and one row per sample.
+def write_signal(f: Signal | np.ndarray, path: str | Path,
+                 grid: TimeGrid | None = None):
+    """CSV with header t,ch1,...,chd and one row per sample of a Signal, or
+    of a (steps, dim) array of samples on grid.
 
     Values are rendered by csv_text and every line ends in \\r\\n, the csv
     module's default; the file is written in one call.
     """
-    header = ["t"] + [f"ch{k + 1}" for k in range(f.dim)]
-    text = csv_text(header, np.column_stack([f.grid.times(), f.values]), "\r\n")
+    values, grid = (f.values, f.grid) if grid is None else (f, grid)
+    header = ["t"] + [f"ch{k + 1}" for k in range(values.shape[1])]
+    text = csv_text(header, np.column_stack([grid.times(), values]), "\r\n")
     with Path(path).open("w", newline="") as fh:
         fh.write(text)
 
@@ -377,8 +398,8 @@ def save_dataset(data: Dataset, directory: str | Path) -> Path:
     pairs = []
     for i, (u, y) in enumerate(zip(data.inputs, data.outputs)):
         uname, yname = f"u_{i:03d}.csv", f"y_{i:03d}.csv"
-        write_signal(Signal(data.grid, u), directory / uname)
-        write_signal(Signal(data.grid, y), directory / yname)
+        write_signal(u, directory / uname, data.grid)
+        write_signal(y, directory / yname, data.grid)
         pairs.append({"input": uname, "output": yname})
     manifest = {
         "m": data.input_dim,

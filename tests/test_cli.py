@@ -1357,6 +1357,40 @@ def test_commands_leave_nothing_for_the_collector(monkeypatch, tmp_path):
             _outputs(tmp_path / out), args
 
 
+def test_commands_build_no_signal(monkeypatch, tmp_path):
+    # every set of trajectories is one stack from reader to report: a
+    # Signal is built only where a public function returns one or a caller
+    # passes one in, and no command does either
+    built = []
+    init = Signal.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Signal, "__init__", counted)
+    data = tmp_path / "gen" / "data"
+    commands = [
+        (["reproduce", "--levels=-6,-109", "--probes", "3"], "rep"),
+        (["gen-data"], "gen"),
+        (["check", "--target", "hh"], "hh"),
+        (["fit", "--data", str(data), "--scale-a", "978.7", "--scale-b",
+          "25390", "--rho", "0.9"], "fit"),
+        (["simulate", "--model", str(tmp_path / "fit" / "model"), "--input",
+          str(data / "u_000.csv"), "--input", str(data / "u_001.csv")], "sim"),
+        (["check", "--target", "model", "--probes", "3",
+          "--model", str(tmp_path / "rep" / "model")], "model"),
+    ]
+    counts = {}
+    for args, out in commands:
+        built.clear()
+        assert cli.main([*args, "--out", str(tmp_path / out),
+                         "--quiet"]) in (0, 1), args
+        counts[out] = len(built)
+    assert counts == dict.fromkeys(counts, 0)
+    assert (tmp_path / "sim" / "sim_u_001.csv").exists()
+
+
 # JSON values each kind of option row refuses in a config file.  A row whose
 # default is not None also refuses null.
 _NOT_FINITE = [float("nan"), float("inf"), float("-inf"), 10**400]

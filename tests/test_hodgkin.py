@@ -12,7 +12,6 @@ from iqcfit.hodgkin import (
     DEFAULT_LEVELS,
     _input_on_half_grid,
     _integrate_gating,
-    _subsample,
     check_step_ordering,
     gating_trajectory,
     monotonicity_witness,
@@ -138,10 +137,10 @@ def test_step_dataset_is_the_fine_simulation_subsampled(levels, dt_ode, stride,
     data = step_dataset(levels=tuple(levels), horizon=horizon,
                         sample_dt=sample_dt, dt_ode=dt_ode)
     for u, y, level in zip(data.inputs, data.outputs, levels):
-        want = _subsample(simulate_channel(level, dt_ode, horizon), sample_dt)
-        assert data.grid == want.grid
-        assert y.shape == want.values.shape
-        assert y.tobytes() == want.values.tobytes()
+        want = simulate_channel(level, dt_ode, horizon).values[::stride]
+        assert data.grid == TimeGrid(len(want) - 1, sample_dt)
+        assert y.shape == want.shape
+        assert y.tobytes() == want.tobytes()
         assert u.tobytes() == np.full(y.shape, level).tobytes()
 
 
@@ -152,7 +151,7 @@ def test_step_dataset_is_the_fine_simulation_subsampled(levels, dt_ode, stride,
 ])
 def test_step_dataset_refusals_keep_their_messages(horizon, sample_dt, says):
     with pytest.raises(ValueError) as fine:
-        _subsample(simulate_channel(-51.0, 1e-3, horizon), sample_dt)
+        monotonicity_witness(1e-3, sample_dt, horizon)
     with pytest.raises(ValueError) as sampled:
         step_dataset(levels=(-51.0,), horizon=horizon, sample_dt=sample_dt)
     assert str(sampled.value) == str(fine.value) == says
@@ -167,13 +166,21 @@ def test_grids_past_physical_memory_are_refused_before_allocating():
                      dt_ode=0.5)
     for run in (simulate_channel, gating_trajectory):
         with pytest.raises(MemoryError, match=r"^horizon 1\.15\d*e\+18 in RK4 "
-                           r"half steps of dt_ode 0\.5 asks for"):
+                           r"steps of dt_ode 0\.5 asks for"):
             run(-51.0, 0.5, 2.0**60)
+        with pytest.raises(MemoryError, match=r"^horizon 1\.15\d*e\+18 in RK4 "
+                           r"half steps of dt_ode 0\.5 asks for"):
+            run(np.sin, 0.5, 2.0**60)
+
+
+def _constant_level(horizon):
+    return simulate_channel(-51.0, 1e-3, horizon)
 
 
 @pytest.mark.parametrize("run, horizon", [
     (monotonicity_witness, 10.0), (monotonicity_witness, 100.0),
-    (step_dataset, 100.0), (step_dataset, 1000.0)])
+    (step_dataset, 100.0), (step_dataset, 1000.0),
+    (_constant_level, 10.0), (_constant_level, 100.0)])
 def test_memory_checks_count_the_traced_peak(monkeypatch, run, horizon):
     # the bytes a memory check counts cover every array alive at the peak
     counted = []
@@ -283,7 +290,11 @@ def test_input_validation():
 def _reference_gating(u, dt_ode, horizon):
     """The integrator as an indexed loop over numpy scalars, four stages a
     step: the oracle the affine-map scan must agree with."""
-    half, n = _input_on_half_grid(u, dt_ode, horizon)
+    if callable(u):
+        half, n = _input_on_half_grid(u, dt_ode, horizon)
+    else:
+        n = round(horizon / dt_ode)
+        half = np.full(2 * n + 1, float(u))
     alpha = rate_alpha(half)
     beta = rate_beta(half)
     rate = alpha + beta
@@ -315,7 +326,8 @@ def _assert_matches_reference(u, dt_ode, horizon):
     assert xs.shape == want_xs.shape
     assert xs[0] == 0.0
     assert np.abs(xs - want_xs).max() <= SCAN_RTOL * np.abs(want_xs).max()
-    assert np.array_equal(nodes, want_nodes)
+    # a constant level is its own nodes
+    assert np.array_equal(np.broadcast_to(nodes, want_nodes.shape), want_nodes)
 
 
 def test_scan_matches_reference_loop():

@@ -218,7 +218,8 @@ def test_picard_error_bound_holds(seed, tau, dims, kind, ell, operator, lanes,
     else:
         A = float(operator[0] + "1") * np.eye(steps * p, steps * m)
     model = scattered_from_operator(
-        lambda v: Signal(grid, ell * (A @ v.values.ravel()).reshape(steps, p)),
+        lambda v: np.stack([ell * (A @ lane.ravel()).reshape(steps, p)
+                            for lane in v]),
         ell, factors, grid)
     inputs = [random_signal(grid, m, rng, scale=scale) for scale in lanes]
     # (I + N11^-1 N12 ell A) v* = N11^-1 u, with N11^-1 N12 acting samplewise
@@ -244,8 +245,7 @@ def test_picard_ends_on_zero_and_tiny_inputs():
     grid = TimeGrid(20, 0.5)
     factors = factor_phi(passivity_supply(1))
     model = scattered_from_operator(
-        lambda s: Signal(s.grid, 0.99 * np.tanh(s.values + 0.3)), 0.99,
-        factors, grid)
+        lambda v: 0.99 * np.tanh(v + 0.3), 0.99, factors, grid)
     k = float(np.linalg.solve(factors.n11, factors.n12)[0, 0])
     # every sample solves x = -0.99 k tanh(x + 0.3); bisect to the last bit
     lo, hi = -2.0, 2.0
@@ -424,8 +424,7 @@ def _batch_models():
     fitted["linear"] = _linear_s(0.9, wrapped.grid)
     # S(0) != 0: a zero lane ends only at the rounding floor
     fitted["tanh"] = scattered_from_operator(
-        lambda sig: Signal(sig.grid, 0.99 * np.tanh(sig.values + 0.3)), 0.99,
-        passivity, wrapped.grid)
+        lambda v: 0.99 * np.tanh(v + 0.3), 0.99, passivity, wrapped.grid)
     return fitted
 
 
@@ -503,6 +502,78 @@ def test_each_lane_costs_iterations_plus_one_evaluations():
     # the output reuses the S(v*) the residual evaluated
     assert sum(seen) == batch.iterations + len(inputs)
     assert np.array_equal(outputs, _descattered(model, batch.v_star))
+
+
+def test_operator_s_runs_once_a_step_on_the_active_stack():
+    # scattered_from_operator keeps the caller's S: one call per Picard
+    # step, on every lane still iterating, then one on all lanes for S(v*)
+    grid, calls = TimeGrid(5), []
+
+    def s(v):
+        calls.append(v.shape)
+        return 0.99 * np.tanh(v + 0.3)
+
+    model = scattered_from_operator(s, 0.99, factor_phi(passivity_supply(1)),
+                                    grid)
+    rng = np.random.default_rng(90)
+    inputs = stacked([random_signal(grid, 1, rng), zeros(grid),
+                      random_signal(grid, 1, rng, scale=5.0)])
+    batch = picard_solve(model, inputs)
+    steps = batch.lane_iterations
+    assert len(set(steps.tolist())) > 1  # lanes stop at different steps
+    assert calls == [(int((steps >= k).sum()), grid.size, 1)
+                     for k in range(1, steps.max() + 1)] + [inputs.shape]
+
+
+@pytest.mark.parametrize("s, got", [
+    (lambda v: Signal(TimeGrid(v.shape[1] - 1), v[0]), r"Signal"),
+    (lambda v: list(v), r"list"),
+    (lambda v: v[:, :-1], r"\(2, 3, 1\)"),
+    (lambda v: v[:1], r"\(1, 4, 1\)"),
+    (lambda v: np.concatenate([v, v], axis=2), r"\(2, 4, 2\)"),
+])
+def test_s_of_another_form_is_refused(s, got):
+    model = scattered_from_operator(s, 0.5, factor_phi(passivity_supply(1)),
+                                    TimeGrid(3))
+    with pytest.raises(ShapeError, match=r"^S must map a \(B, steps, m\) stack "
+                       r"to a \(B, steps, p\) stack, \(2, 4, 1\) here; it gave "
+                       + got + "$"):
+        picard_solve(model, np.ones((2, 4, 1)))
+
+
+def test_other_input_kinds_are_a_type_error():
+    # a Signal or a (B, steps, m) stack; the removed list of Signals, one
+    # trajectory's (steps, m) values and anything else are refused by name
+    rng = np.random.default_rng(91)
+    data = _dataset(rng, n=3, tau=3)
+    _, model = tune_gamma(SeparableKernel(gaussian(2.0), np.eye(1)), data,
+                          rho=0.9)
+    scattered = contraction_margin(model, factor_phi(passivity_supply(1)))
+    u = random_signal(data.grid, 1, rng)
+    for given, got in (([u, u], "list"), ((u,), "tuple"),
+                       (u.values, r"\(4, 1\)"),
+                       (u.values[None, None], r"\(1, 1, 4, 1\)"),
+                       (None, "NoneType")):
+        for run, target in ((picard_solve, scattered), (simulate_r, scattered),
+                            (evaluate, model)):
+            with pytest.raises(TypeError, match=r"^expected a Signal or a "
+                               r"\(B, steps, m\) array, got " + got + "$"):
+                run(target, given)
+
+
+def test_evaluate_takes_one_signal_or_one_stack():
+    rng = np.random.default_rng(92)
+    data = _dataset(rng, n=3, tau=3)
+    _, model = tune_gamma(SeparableKernel(gaussian(2.0), np.eye(1)), data,
+                          rho=0.9)
+    stack = stacked([random_signal(data.grid, 1, rng) for _ in range(3)])
+    outputs = evaluate(model, stack)
+    assert outputs.shape == (3, data.grid.size, 1)
+    for lane, y in zip(stack, outputs):
+        assert np.array_equal(y, evaluate(model, Signal(data.grid, lane)).values)
+    for bad in (stack[:, :-1], np.ones((3, data.grid.size, 2))):
+        with pytest.raises(ShapeError):
+            evaluate(model, bad)
 
 
 def test_batched_solve_records_each_lane():
