@@ -18,7 +18,8 @@ from .errors import (ContractionError, ConvergenceError, DivergenceError,
                      ShapeError)
 from .kernels import PROVEN, certify_nonexpansive
 from .rkhs import FittedOperator
-from .signals import Signal, TimeGrid, as_lanes, checked, norms, pair_stack
+from .signals import (Frozen, Signal, TimeGrid, as_lanes, checked, norms,
+                      pair_stack)
 from .supply import SupplyRate
 
 DEFAULT_MAX_ITER = 10_000
@@ -31,34 +32,26 @@ DEFAULT_MAX_ITER = 10_000
 STEP_FLOOR = 1e-11
 
 
-class ScatteredModel(NamedTuple):
-    """Contraction S plus the supply rate whose factors scatter it, ready
-    for fixed-point runs.
+class ScatteredModel(Frozen):
+    """Contraction S, mapping (B, steps, m) stacks on grid to (B, steps, p)
+    stacks one lane at a time as a fit does, with the supply rate that
+    scatters it.  The constructor refuses a lipschitz bound on S that is
+    not a nonnegative number (ValueError), a singular N11, and a contraction
+    factor epsilon = lipschitz * ||N11^-1 N12|| >= 1 (ContractionError)."""
 
-    s maps stacked inputs (B, steps, m) to stacked outputs (B, steps, p),
-    one lane per signal: a fitted operator is such a map itself.  grid is
-    the grid S acts on, when known.
-    """
+    __slots__ = ("s", "lipschitz", "supply", "grid", "epsilon")
 
-    s: Callable[[np.ndarray], np.ndarray]
-    supply: SupplyRate
-    lipschitz: float
-    epsilon: float
-    grid: TimeGrid | None = None
-
-
-def _epsilon(lipschitz: float, supply: SupplyRate) -> float:
-    """The contraction factor lipschitz * ||N11^-1 N12||, refused unless
-    below 1."""
-    n11 = supply.n11
-    if np.linalg.cond(n11) > 1e12:
-        raise ContractionError("leading inverse-factor block is singular")
-    coupling = np.linalg.svd(np.linalg.solve(n11, supply.n12),
-                             compute_uv=False)
-    eps = float(lipschitz * (coupling.max() if coupling.size else 0.0))
-    if not eps < 1.0:  # NaN fails too
-        raise ContractionError(f"contraction factor eps = {eps:.6f} >= 1")
-    return eps
+    def __init__(self, s, lipschitz: float, supply: SupplyRate, grid: TimeGrid):
+        lipschitz = checked(lipschitz, "nonnegative", "lipschitz bound")
+        if supply.coupling is None:
+            raise ContractionError("leading inverse-factor block is singular")
+        eps = lipschitz * supply.coupling_norm
+        if not eps < 1.0:
+            raise ContractionError(f"contraction factor eps = {eps:.6f} >= 1")
+        if not isinstance(grid, TimeGrid):
+            raise TypeError(f"grid must be a TimeGrid, got {grid!r}")
+        self._set(s=s, lipschitz=lipschitz, supply=supply, grid=grid,
+                  epsilon=eps)
 
 
 def contraction_margin(model: FittedOperator,
@@ -78,23 +71,17 @@ def contraction_margin(model: FittedOperator,
         raise ContractionError(f"fitted operator norm {ell:.6f} >= 1")
     if model.input_dim != supply.m or model.output_dim != supply.p:
         raise ShapeError("fitted dims do not match the supply rate")
-    return ScatteredModel(model, supply, ell, _epsilon(ell, supply),
-                          model.grid)
+    return ScatteredModel(model, ell, supply, model.grid)
 
 
 def scattered_from_operator(s: Callable[[np.ndarray], np.ndarray],
                             lipschitz: float, supply: SupplyRate,
-                            grid) -> ScatteredModel:
-    """Wrap an arbitrary operator with a caller-supplied increment bound.
-
-    For operators outside the fitted family (closed-form contractions, fits
-    whose kernel certificate is unknown but whose bound is known by other
-    means).  s acts on stacks, each lane alone, as ScatteredModel.s does.
-    The caller vouches for the Lipschitz constant.
-    """
-    lipschitz = checked(lipschitz, "nonnegative", "lipschitz bound")
-    return ScatteredModel(s, supply, lipschitz, _epsilon(lipschitz, supply),
-                          grid)
+                            grid: TimeGrid) -> ScatteredModel:
+    """ScatteredModel(s, lipschitz, supply, grid) of an operator outside
+    the fitted family (a closed form, or a fit whose kernel certificate is
+    unknown but whose bound is known by other means): the caller vouches
+    for the Lipschitz constant."""
+    return ScatteredModel(s, lipschitz, supply, grid)
 
 
 class PicardResult(NamedTuple):
@@ -129,7 +116,7 @@ class PicardBatch(NamedTuple):
 
 
 def _lane_norms(x: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of every lane: the same dot of the flattened lane."""
+    """numpy.linalg.norm of every lane: the same dot of the flattened lane."""
     flat = x.reshape(len(x), 1, int(np.prod(x.shape[1:])))
     return np.sqrt(flat @ flat.transpose(0, 2, 1))[:, 0, 0]
 
@@ -190,9 +177,7 @@ def _solve(model: ScatteredModel, u_vals: np.ndarray, tol: float | None,
     eps = model.epsilon
     # Successive-step threshold that certifies the error bound tol.
     threshold = tols * (1.0 - eps) / eps if eps > 0 else np.full(lanes, np.inf)
-    n11_inv = np.linalg.inv(supply.n11)
-    coupling = n11_inv @ supply.n12
-    base = u_vals @ n11_inv.T
+    base = u_vals @ supply.n11_inv.T
     v = base.copy()
     history = [[lane] for lane in base] if record else None
     iterations = np.zeros(lanes, dtype=int)
@@ -202,7 +187,7 @@ def _solve(model: ScatteredModel, u_vals: np.ndarray, tol: float | None,
         if not len(active):
             break
         v_act = v[active]
-        feedback = _s(model, v_act) @ coupling.T
+        feedback = _s(model, v_act) @ supply.coupling.T
         v_next = base[active] - feedback
         prev, now = step[active], _lane_norms(v_next - v_act)
         if not np.isfinite(now).all():

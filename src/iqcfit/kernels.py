@@ -408,6 +408,8 @@ def nonexpansive_defects(kernel: AnyKernel, pairs) -> np.ndarray:
     """
     k = as_operator(kernel)
     X = pair_stack(pairs)
+    if not len(X):
+        return np.zeros(0)
     _, _, steps, dim = X.shape
     # 2c lanes against 2c centers stay within the lane budget
     width = LANE_BUDGET // (steps * max(dim, k.output_dim))

@@ -241,18 +241,17 @@ def stacked(signals) -> np.ndarray:
     return np.stack([x.values for x in signals])
 
 
-def as_lanes(u, grid: TimeGrid | None, dim: int) -> np.ndarray:
-    """One Signal or one (B, steps, dim) stack as a stack, on grid (any
-    length when None): ShapeError off it or at another dim, and TypeError,
-    naming the two forms, for any other kind of input."""
+def as_lanes(u, grid: TimeGrid, dim: int) -> np.ndarray:
+    """One Signal or one (B, steps, dim) stack on grid as a stack: off it or
+    at another dim a ShapeError, any other input a TypeError naming both."""
     if isinstance(u, Signal):
-        if grid is not None and u.grid != grid:
+        if u.grid != grid:
             raise ShapeError("input grid differs from the model's grid")
         u = u.values[None]
     elif not (isinstance(u, np.ndarray) and u.ndim == 3):
         raise TypeError(f"expected a Signal or a (B, steps, m) array, got "
                         f"{getattr(u, 'shape', type(u).__name__)}")
-    elif grid is not None and u.shape[1] != grid.size:
+    elif u.shape[1] != grid.size:
         raise ShapeError(f"inputs of shape {u.shape} are off the grid")
     if u.shape[2] != dim:
         raise ShapeError(f"expected {dim} input channels, got {u.shape[2]}")
@@ -261,9 +260,20 @@ def as_lanes(u, grid: TimeGrid | None, dim: int) -> np.ndarray:
 
 def pair_stack(pairs) -> np.ndarray:
     """Input pairs as one (pairs, 2, steps, dim) array: such an array as it
-    is, or (u, v) Signal pairs on one grid, stacked."""
+    is, or (u, v) Signal pairs on one grid, stacked.  An array of another
+    shape, or a pair that is not two Signals, is a ShapeError naming the
+    form."""
+    form = "probe pairs must be one (pairs, 2, steps, dim) array"
     if isinstance(pairs, np.ndarray):
+        if pairs.ndim != 4 or pairs.shape[1] != 2:
+            raise ShapeError(f"{form}, not one of shape {pairs.shape}")
         return pairs
+    pairs = list(pairs)
+    for i, pair in enumerate(pairs):
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                and all(isinstance(x, Signal) for x in pair)):
+            raise ShapeError(f"{form} or (u, v) pairs of Signals; pair {i} "
+                             f"is not two Signals")
     signals = [x for pair in pairs for x in pair]
     values = stacked(signals) if signals else np.zeros((0, 0, 1))
     return values.reshape(len(values) // 2, 2, *values.shape[1:])

@@ -32,11 +32,14 @@ class SupplyRate(Frozen):
     each eigenvector's first nonzero entry made positive so that equal
     matrices give identical factors, they give M = diag(sqrt|e|) V', for
     which M' Sigma M = Phi, and its inverse N.  The blocks m11 .. n22 of M
-    and N are partitioned after the first m rows and columns.
+    and N are partitioned after the first m rows and columns.  So are the
+    Picard solve's N11^-1, coupling N11^-1 N12 and its 2-norm: None, None
+    and inf when N11 is empty or singular (condition number over 1e12).
     """
 
     __slots__ = ("phi", "m", "p", "M", "N",
-                 "m11", "m12", "m21", "m22", "n11", "n12", "n21", "n22")
+                 "m11", "m12", "m21", "m22", "n11", "n12", "n21", "n22",
+                 "n11_inv", "coupling", "coupling_norm")
 
     def __init__(self, phi: np.ndarray, m: int, p: int):
         phi = _frozen_matrix(phi, "supply matrix", symmetric=True)
@@ -72,10 +75,18 @@ class SupplyRate(Frozen):
         scale = max(1.0, np.abs(M).max() * np.abs(N).max())
         if np.abs(M @ N - np.eye(m + p)).max() > 1e-10 * scale:
             raise SignatureError("factorization failed to invert the factor")
-        for arr in (M, N):
-            arr.setflags(write=False)
+        n11_inv, coupling, coupling_norm = None, None, np.inf
+        if m and np.linalg.cond(N[:m, :m]) <= 1e12:
+            n11_inv = np.linalg.inv(N[:m, :m])
+            coupling = n11_inv @ N[:m, m:]
+            coupling_norm = float(np.linalg.svd(
+                coupling, compute_uv=False).max(initial=0.0))
+        for arr in (M, N, n11_inv, coupling):
+            if arr is not None:
+                arr.setflags(write=False)
         halves = (slice(m), slice(m, None))
-        self._set(phi=phi, m=m, p=p, M=M, N=N, **{
+        self._set(phi=phi, m=m, p=p, M=M, N=N, n11_inv=n11_inv,
+                  coupling=coupling, coupling_norm=coupling_norm, **{
             f"{name}{i}{j}": F[rows, cols] for name, F in (("m", M), ("n", N))
             for i, rows in enumerate(halves, 1)
             for j, cols in enumerate(halves, 1)})

@@ -19,7 +19,7 @@ from iqcfit.inversion import (
     simulate_r,
 )
 from iqcfit.kernels import (CausalDiagonalKernel, SeparableKernel, SumKernel,
-                            gaussian, scaled_laplacian)
+                            gaussian, nonexpansive_defects, scaled_laplacian)
 from iqcfit.rkhs import evaluate, fit, tune_gamma
 from iqcfit.signals import (Dataset, Signal, TimeGrid, constant_signal, norm,
                             random_signal, stacked, truncate, zeros)
@@ -95,6 +95,37 @@ def test_scattered_from_operator_validations():
         scattered_from_operator(lambda s: s, 1.0, factors, grid)
 
 
+@pytest.mark.parametrize("lipschitz, supply, error, match", [
+    (float("nan"), passivity_supply(1), ValueError, "^lipschitz bound must"),
+    (-0.1, passivity_supply(1), ValueError, "^lipschitz bound must"),
+    (float("inf"), passivity_supply(1), ValueError, "^lipschitz bound must"),
+    (0.5, SupplyRate(np.diag([-1.0, 1.0]), 1, 1), ContractionError,
+     "^leading inverse-factor block is singular$"),
+    (1.0, passivity_supply(1), ContractionError,
+     r"^contraction factor eps = 1\.000000 >= 1$"),
+    (4.0, SupplyRate(np.array([[2.0, 0.6], [0.6, -1.0]]), 1, 1),
+     ContractionError, r"^contraction factor eps = 1\.06\d+ >= 1$"),
+    # m = 0 leaves N11 empty: the rate builds, and a model on it is refused
+    # as one on a singular N11, not by numpy's error on an empty matrix
+    (0.5, gain_supply(1.0, m=0, p=1), ContractionError,
+     "^leading inverse-factor block is singular$"),
+], ids=["nan", "negative", "inf", "singular", "eps-1", "eps-custom", "m=0"])
+def test_scattered_model_refuses_what_does_not_contract(lipschitz, supply,
+                                                         error, match):
+    # the constructor itself checks, so no scattered model fails to contract
+    with pytest.raises(error, match=match):
+        ScatteredModel(lambda v: v, lipschitz, supply, TimeGrid(2))
+
+
+def test_scattered_model_stores_its_contraction_factor():
+    rate = SupplyRate(np.array([[2.0, 0.6], [0.6, -1.0]]), 1, 1)
+    model = ScatteredModel(lambda v: v, 0.5, rate, TimeGrid(2))
+    assert model.epsilon == 0.5 * rate.coupling_norm < 1.0
+    assert np.array_equal(rate.coupling, rate.n11_inv @ rate.n12)
+    with pytest.raises(TypeError, match="grid must be a TimeGrid"):
+        ScatteredModel(lambda v: v, 0.5, rate, None)
+
+
 def test_singular_leading_block_is_refused_only_when_inverted():
     # diag(-1, 1) is a valid supply whose factor swaps u and y, so N11 = 0:
     # the data scatter, and only the fixed-point setup refuses it
@@ -102,6 +133,8 @@ def test_singular_leading_block_is_refused_only_when_inverted():
     rng = np.random.default_rng(8)
     supply = SupplyRate(np.diag([-1.0, 1.0]), 1, 1)
     assert np.array_equal(supply.n11, [[0.0]])
+    assert supply.n11_inv is None and supply.coupling is None
+    assert supply.coupling_norm == np.inf
     u, y = random_signal(grid, 1, rng), random_signal(grid, 1, rng)
     scattered = scatter_dataset(Dataset((u,), (y,)), factor_phi(supply))
     assert np.array_equal(scattered.inputs[0], y.values)
@@ -209,9 +242,9 @@ def test_picard_error_bound_holds(seed, tau, dims, kind, ell, operator, lanes,
     rng = np.random.default_rng(seed)
     grid, steps = TimeGrid(tau), tau + 1
     factors = factor_phi(_supply(kind, m, p, rng))
-    n11_inv = np.linalg.inv(factors.n11)
-    coupling = np.linalg.svd(n11_inv @ factors.n12, compute_uv=False).max()
-    ell = ell / max(1.0, coupling)  # keeps eps = ell ||N11^-1 N12|| < 0.99
+    n11_inv, coupling = factors.n11_inv, factors.coupling
+    # keeps eps = ell ||N11^-1 N12|| < 0.99
+    ell = ell / max(1.0, factors.coupling_norm)
     if operator == "gaussian":
         A = rng.standard_normal((steps * p, steps * m))
         A /= np.linalg.norm(A, 2)
@@ -224,7 +257,7 @@ def test_picard_error_bound_holds(seed, tau, dims, kind, ell, operator, lanes,
     inputs = [random_signal(grid, m, rng, scale=scale) for scale in lanes]
     # (I + N11^-1 N12 ell A) v* = N11^-1 u, with N11^-1 N12 acting samplewise
     system = (np.eye(steps * m)
-              + np.kron(np.eye(steps), n11_inv @ factors.n12) @ (ell * A))
+              + np.kron(np.eye(steps), coupling) @ (ell * A))
     batch = picard_solve(model, stacked(inputs), tol=tol)
     for i, u in enumerate(inputs):
         base = np.kron(np.eye(steps), n11_inv) @ u.values.ravel()
@@ -371,6 +404,36 @@ def test_causality_check_r_without_pairs_passes():
     assert report == CausalityReport(0.0, -1, -1, 1e-8, True)
 
 
+def _malformed_probes(kind):
+    rng = np.random.default_rng(7)
+    if kind == "three and one":
+        u, v, w, x = (random_signal(TimeGrid(4), 1, rng) for _ in range(4))
+        return [(u, v, w), (x,)]
+    if kind == "values":
+        u = random_signal(TimeGrid(4), 1, rng)
+        return [(u, u.values)]
+    return np.zeros(kind)
+
+
+@pytest.mark.parametrize("check", ["causality", "iiqc", "defects"])
+@pytest.mark.parametrize("kind", [(3, 5, 1), (3, 3, 5, 1), (3, 2, 5, 1, 1),
+                                  "three and one", "values"], ids=str)
+def test_probe_pairs_of_another_form_are_refused(check, kind):
+    # every check reads its probes through pair_stack, which names the one
+    # form it takes instead of splicing, re-pairing or failing inside numpy
+    probes = _malformed_probes(kind)
+    run = {
+        "causality": lambda: causality_check_r(_linear_s(0.5, TimeGrid(4)),
+                                               probes),
+        "iiqc": lambda: check_operator_iiqc(lambda us: us,
+                                            passivity_supply(1), probes),
+        "defects": lambda: nonexpansive_defects(
+            SeparableKernel(gaussian(2.0), np.eye(1)), probes),
+    }[check]
+    with pytest.raises(ShapeError, match=r"\(pairs, 2, steps, dim\) array"):
+        run()
+
+
 def test_causality_check_full_window_self_pair():
     rng = np.random.default_rng(73)
     grid = TimeGrid(3)
@@ -395,8 +458,7 @@ def _fitted_scattered(kernel, seed, m=1):
         tuple(random_signal(TimeGrid(5), m, rng) for _ in range(4)))
     _, model = tune_gamma(kernel, data, rho=0.9)
     factors = factor_phi(passivity_supply(m))
-    ell = model.rkhs_norm
-    return ScatteredModel(model, factors, ell, ell)
+    return ScatteredModel(model, model.rkhs_norm, factors, model.grid)
 
 
 def _batch_models():
@@ -490,7 +552,7 @@ def test_each_lane_costs_iterations_plus_one_evaluations():
         seen.append(len(vals))
         return model.s(vals)
 
-    counted = model._replace(s=s)
+    counted = ScatteredModel(s, model.lipschitz, model.supply, model.grid)
     rng = np.random.default_rng(89)
     grid = TimeGrid(5)
     inputs = stacked([random_signal(grid, 1, rng) for _ in range(3)]

@@ -607,6 +607,14 @@ def test_batched_defects_are_each_pairs_own():
                               np.concatenate(alone))
 
 
+def test_defect_sweep_of_no_pairs_is_empty():
+    # as the iIQC and causality checks give their empty reports
+    kernel = SeparableKernel(gaussian(2.0), np.eye(1))
+    for pairs in ([], np.zeros((0, 2, 5, 1))):
+        defects = nonexpansive_defects(kernel, pairs)
+        assert defects.shape == (0,) and defects.dtype == float
+
+
 def test_defect_sweep_needs_one_grid_and_channel_count():
     rng = np.random.default_rng(32)
     kernel = SeparableKernel(gaussian(2.0), np.eye(1))

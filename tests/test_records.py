@@ -55,7 +55,7 @@ RECORDS = _records()
 # classes that compare by identity, as their eq=False dataclasses did
 BY_IDENTITY = ("Signal", "Dataset", "SeparableKernel", "SumKernel",
                "CausalDiagonalKernel", "GramOperator", "FittedOperator",
-               "SupplyRate")
+               "SupplyRate", "ScatteredModel")
 
 
 def _field_names(obj) -> tuple:

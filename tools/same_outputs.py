@@ -8,9 +8,13 @@ jobs with one BLAS thread, each in a work directory of its own:
   reproduce   `reproduce`, then `check --target model` of its bundle
   wide        perfbench/gen.py passive data (n=200, tau=20, dim=2), then
               `fit` and `check --target model`, `sweep-gamma` (one fit per
-              gamma from one factorization) and `fit --gamma 0.01`
+              gamma from one factorization), `fit --gamma 0.01`, and
+              `fit --supply gain --delta 6.25` with `check --target model`
+              of it (N12 = 0, so eps = 0)
   causal      perfbench/gen.py causal data (n=16, tau=12), a fit with the
-              benchmark's causal kernel, then perfbench/causal_check.py
+              benchmark's causal kernel, then perfbench/causal_check.py and
+              `check --target model`, which refuses the uncertified kernel
+              (exit 1, the refusal in check_report.json)
   simulate    `simulate` of the reproduce bundle on three input CSVs in
               one batch: a ramp, noise and zeros, whose lanes stop at
               different steps
@@ -68,12 +72,18 @@ def _jobs(seed: int) -> list[list[str]]:
          "--quiet", *seed_flag],
         ["cli", "fit", "--data", "wide_data", "--gamma", "0.01", "--out",
          "wide_fixed", "--quiet", *seed_flag],
+        ["cli", "fit", "--data", "wide_data", "--supply", "gain", "--delta",
+         "6.25", "--out", "wide_gain", "--quiet", *seed_flag],
+        ["cli", "check", "--target", "model", "--model", "wide_gain/model",
+         "--out", "wide_gain_check", "--quiet", *seed_flag],
         ["gen", "--kind", "causal", "--n", "16", "--tau", "12", "--out",
          "causal_data", *seed_flag],
         ["cli", "fit", "--data", "causal_data", "--kernel", "causal.json",
          "--rho", "0.9", "--out", "causal_fit", "--quiet", *seed_flag],
         ["causal_check", "--model", "causal_fit/model", "--pairs", "2",
          "--out", "causal_check", *seed_flag],
+        ["cli", "check", "--target", "model", "--model", "causal_fit/model",
+         "--out", "causal_model_check", "--quiet", *seed_flag],
         ["cli", "simulate", "--model", "reproduce/model", "--input",
          "inputs/ramp.csv", "--input", "inputs/noise.csv", "--input",
          "inputs/zero.csv", "--out", "simulate", "--quiet"],
