@@ -8,7 +8,6 @@ and all file contents are deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import atexit
-import contextlib
 import json
 import math
 import os
@@ -61,6 +60,7 @@ from .signals import (
     manifest_values,
     norms,
     read_json,
+    reading,
     save_dataset,
 )
 from .supply import (
@@ -190,28 +190,45 @@ COMMON = (
 )
 
 
-def _resolve(options, file_cfg: dict, flags: dict,
-             config: str | None = None) -> dict:
-    """Defaults, overridden by the config file, overridden by flags.  Every
+def _resolve(options, config: str | None, flags: dict) -> dict:
+    """Defaults, overridden by the config file (a JSON object; "command",
+    which resolved configs write, is skipped), overridden by flags.  Every
     given value goes through its option's parse; None keeps an option unset
-    where that is its default, as resolved configs write it.  A refused
-    key or value of the config file starts its message with the file."""
+    where that is its default, as resolved configs write it.  A fault of
+    the config file names it, as does an _Inline, an object it gives."""
     table = {opt.name: opt for opt in options}
     cfg = {opt.name: opt.default for opt in options}
-    for where, given in ((f"{config}: " if config else "", file_cfg),
-                         ("", flags)):
-        for key, value in given.items():
-            opt = table.get(key.replace("-", "_"))
-            if opt is None:
-                raise ValueError(f"{where}unknown config key {key!r}")
-            if value is None and opt.default is None:
-                cfg[opt.name] = None
-                continue
-            try:
-                cfg[opt.name] = opt.parse(value)
-            except ValueError as exc:
-                raise ValueError(f"{where}{opt.name} {exc}") from None
+    for source, given in ((config, read_json(config) if config else {}),
+                          (None, flags)):
+        with reading(source):
+            if not isinstance(given, dict):
+                raise ValueError("config must be an object")
+            for key, value in given.items():
+                if key == "command" and source:
+                    continue
+                opt = table.get(key.replace("-", "_"))
+                if opt is None:
+                    raise ValueError(f"unknown config key {key!r}")
+                if value is None and opt.default is None:
+                    cfg[opt.name] = None
+                    continue
+                try:
+                    value = opt.parse(value)
+                except ValueError as exc:
+                    raise ValueError(f"{opt.name} {exc}") from None
+                if isinstance(value, dict):  # an inline kernel
+                    value = _Inline(value)
+                    value.config = source
+                cfg[opt.name] = value
     return cfg
+
+
+class _Inline(dict):
+    """An object given in a config file, which keeps the file's name in
+    config, so its faults start with that path.  It compares and is
+    written as the plain object."""
+
+    __slots__ = ("config",)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -301,8 +318,9 @@ def _run_csv(path: Path, grid: TimeGrid, uvals: np.ndarray,
 def _scattered_data(cfg: dict):
     """The DATA rows' stage of fit and sweep-gamma: load --data, apply
     --scale-a/--scale-b (a pair), scatter it under the supply rate and build
-    the kernel.  Returns the supply, the scale record (None when unscaled),
-    the scattered data and the kernel."""
+    the kernel, whose faults name its file (or, given inline, the config).
+    Returns the supply, the scale record (None when unscaled), the
+    scattered data, the kernel and the data's manifest path."""
     if not cfg["data"]:
         raise ValueError("--data is required")
     data, scale = load_dataset(cfg["data"]), None
@@ -313,45 +331,32 @@ def _scattered_data(cfg: dict):
         data = scale_dataset(data, scale["a"], scale["b"])
     supply = _build_supply(cfg, m=data.input_dim, p=data.output_dim)
     scattered = scatter_dataset(data, supply)
-    spec, where = cfg["kernel"], ""
-    if isinstance(spec, str):  # a file: its faults start with its path
-        spec, where = read_json(spec), f"{spec}: "
-    try:
+    spec = cfg["kernel"]
+    where = getattr(spec, "config", None)  # an inline kernel's config file
+    if isinstance(spec, str):
+        spec, where = read_json(spec), spec
+    with reading(where):
         if not isinstance(spec, dict):
             raise ValueError("kernel file must hold a JSON object")
-        kernel = kernel_from_json(spec, scattered.output_dim,
+        # a plain dict, which a fault prints as a kernel file's object
+        kernel = kernel_from_json(dict(spec), scattered.output_dim,
                                   scattered.grid.size)
-    except ValueError as exc:
-        raise ValueError(f"{where}{exc}") from None
-    return supply, scale, scattered, kernel
+    return (supply, scale, scattered, kernel,
+            located(cfg["data"], "manifest.json"))
 
 
-@contextlib.contextmanager
-def _naming_data(cfg: dict):
-    """Start a numerical fault of fitting --data (an overflowing Gram, a
-    norm target out of reach) with the dataset's manifest path.  fit, at a
-    fixed --gamma or tuned, and sweep-gamma take it; reproduce, which has
-    no --data, passes its faults on as they are."""
-    try:
-        yield
-    except NumericalError as exc:
-        if not cfg.get("data"):
-            raise
-        manifest = located(cfg["data"], "manifest.json")
-        raise NumericalError(f"{manifest}: {exc}") from None
-
-
-def _fit_bundle(cfg: dict, supply, scale, scattered, kernel):
+def _fit_bundle(cfg: dict, supply, scale, scattered, kernel, data=None):
     """The fit stage of fit and reproduce (which has no --gamma): fit at
     --gamma or tuned to --rho, saved under out/model with the extra record
-    (supply and scale) that _load_bundle reads back.  Returns the model and
-    that record plus the fit's risk, certificate and warnings."""
+    (supply and scale) that _load_bundle reads back; a numerical fault names
+    the data's manifest, if given.  Returns the model and that record plus
+    the fit's risk, certificate and warnings."""
     cert = certify_nonexpansive(kernel)
     warnings: list[str] = []
     if cfg.get("gamma") is None and cert != PROVEN:
         warnings.append("kernel nonexpansiveness is not structurally proven; "
                         "the norm target does not certify a contraction")
-    with _naming_data(cfg):
+    with reading(data, catch=NumericalError):
         if cfg.get("gamma") is not None:
             model = fit(kernel, scattered, cfg["gamma"])
         else:
@@ -480,7 +485,8 @@ def _check_model(cfg: dict) -> dict:
         checks = ["iiqc", "defect"] + (["causality"]
                                        if is_causal(model.kernel) else [])
     results["epsilon"] = scattered.epsilon
-    try:
+    # a numerical fault here: R of this bundle cannot run the probes
+    with reading(located(cfg["model"], "model.json"), catch=NumericalError):
         if "iiqc" in checks:
             results["iiqc"] = _iiqc_of_r(cfg, scattered, pairs)
         if "causality" in checks:
@@ -491,9 +497,6 @@ def _check_model(cfg: dict) -> dict:
                 "tolerance": rep.tolerance,
                 "passed": bool(rep.passed),
             }
-    except NumericalError as exc:  # R of this bundle cannot run the probes
-        bundle = located(cfg["model"], "model.json")
-        raise NumericalError(f"{bundle}: {exc}") from None
     if "defect" in checks:
         defects = nonexpansive_defects(model.kernel, pairs)
         worst = int(np.argmax(defects))
@@ -738,12 +741,12 @@ FIT_RECORD_VALUES = 256
 
 
 def run_sweep_gamma(cfg: dict) -> int:
-    _, _, scattered, kernel = _scattered_data(cfg)
+    _, _, scattered, kernel, data = _scattered_data(cfg)
     size = scattered.outputs.size
     check_memory(cfg["count"] * (2 * size + FIT_RECORD_VALUES),
                  f"count {cfg['count']} fits of {size} coefficients each")
     gammas = np.geomspace(cfg["gamma_min"], cfg["gamma_max"], cfg["count"])
-    with _naming_data(cfg):
+    with reading(data, catch=NumericalError):
         models = fit_many(kernel, scattered, [float(g) for g in gammas])
     table = [(model.gamma, model.rkhs_norm, model.training_risk)
              for model in models]
@@ -914,13 +917,7 @@ def main(argv=None) -> int:
         print(f"{_usage(command)}\nerror: {exc}", file=sys.stderr)
         return 2
     try:
-        file_cfg = {}
-        if config:
-            file_cfg = read_json(config)
-            if not isinstance(file_cfg, dict):
-                raise ValueError(f"{config}: config must be an object")
-            file_cfg.pop("command", None)  # resolved configs name theirs
-        cfg = _resolve(options, file_cfg, flags, config)
+        cfg = _resolve(options, config, flags)
         cfg["out"].mkdir(parents=True, exist_ok=True)
         # --quiet changes no output, so the resolved config leaves it out
         resolved = {k: v for k, v in cfg.items() if k != "quiet"}

@@ -21,7 +21,7 @@ from .errors import NumericalError, ShapeError
 from .kernels import (LANE_BUDGET, OperatorKernel, as_operator,
                       kernel_from_json, kernel_to_json)
 from .signals import (Dataset, Frozen, Signal, TimeGrid, as_lanes, checked,
-                      located, manifest_values, norms, read_json)
+                      located, manifest_values, norms, read_json, reading)
 
 # Gram blocks above this side length are refused: centers x channels in the
 # dense form, centers alone in the factored one.
@@ -484,41 +484,34 @@ def _read_stack(path: Path, shape: tuple[int, int, int],
     costs no allocation.  Every fault, a non-finite value too, raises a
     ValueError that starts with the path.
     """
-    try:
-        with path.open("rb") as fh:
-            version = np.lib.format.read_magic(fh)
-            if version not in _NPY_HEADERS:
-                raise ValueError(f"unsupported .npy format version {version}")
-            try:
-                got, fortran, dtype = _NPY_HEADERS[version](fh)
-            # numpy's parser of hostile header bytes raises more than
-            # ValueError (TypeError, MemoryError, tokenize.TokenError, ...)
-            except Exception as exc:
-                raise ValueError(f"unreadable .npy header: "
-                                 f"{type(exc).__name__} {exc}") from None
-            if dtype != np.dtype("<f8") or fortran:
-                raise ValueError(f"array must be little-endian float64 (<f8) "
-                                 f"in C order, got {dtype.str} with "
-                                 f"fortran_order {fortran}")
-            if got != shape:
-                raise ShapeError(
-                    f"array of shape {got}, but {manifest} declares "
-                    f"n={shape[0]} trajectories of {shape[1]} samples "
-                    f"x {shape[2]} channels")
-            size = 8 * math.prod(shape)
-            left = os.fstat(fh.fileno()).st_size - fh.tell()
-            if left != size:
-                raise ValueError(f"{left} bytes of data, but its header "
-                                 f"declares {size}")
-            stack = np.frombuffer(fh.read(), dtype="<f8").reshape(shape)
-    except OSError as exc:
-        raise ValueError(f"{path}: {exc.strerror or exc}") from None
-    except ShapeError as exc:
-        raise ShapeError(f"{path}: {exc}") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if not np.isfinite(stack).all():
-        raise ValueError(f"{path}: non-finite value")
+    with reading(path), path.open("rb") as fh:
+        version = np.lib.format.read_magic(fh)
+        if version not in _NPY_HEADERS:
+            raise ValueError(f"unsupported .npy format version {version}")
+        try:
+            got, fortran, dtype = _NPY_HEADERS[version](fh)
+        # numpy's parser of hostile header bytes raises more than
+        # ValueError (TypeError, MemoryError, tokenize.TokenError, ...)
+        except Exception as exc:
+            raise ValueError(f"unreadable .npy header: "
+                             f"{type(exc).__name__} {exc}") from None
+        if dtype != np.dtype("<f8") or fortran:
+            raise ValueError(f"array must be little-endian float64 (<f8) "
+                             f"in C order, got {dtype.str} with "
+                             f"fortran_order {fortran}")
+        if got != shape:
+            raise ShapeError(
+                f"array of shape {got}, but {manifest} declares "
+                f"n={shape[0]} trajectories of {shape[1]} samples "
+                f"x {shape[2]} channels")
+        size = 8 * math.prod(shape)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left != size:
+            raise ValueError(f"{left} bytes of data, but its header "
+                             f"declares {size}")
+        stack = np.frombuffer(fh.read(), dtype="<f8").reshape(shape)
+        if not np.isfinite(stack).all():
+            raise ValueError("non-finite value")
     return stack
 
 
@@ -527,7 +520,7 @@ def load_fitted(location: str | Path) -> FittedOperator:
     path = located(location, "model.json")
     base = path.parent
     meta = read_json(path)
-    try:
+    with reading(path, "model manifest"):
         if meta.get("format") in ("iqcfit-model", "iqcfit-model-2"):
             raise ValueError(f"model bundle of the old format "
                              f"{meta['format']!r}; refit the model to write "
@@ -542,21 +535,14 @@ def load_fitted(location: str | Path) -> FittedOperator:
         extra = meta.get("extra") or {}
         if not isinstance(extra, dict):
             raise ValueError("extra must be a JSON object")
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    except (TypeError, KeyError, AttributeError) as exc:
-        raise ValueError(f"{path}: malformed model manifest: "
-                         f"{type(exc).__name__} {exc}") from None
     X, coeff, ybar = (_read_stack(base / name, (n, grid.size, dim), path)
                       for name, dim in zip(BUNDLE_FILES, (m, p, p)))
-    try:  # an overflowing Gram or a broken fit: name the bundle
+    # an overflowing Gram, a broken fit or a stored norm that is not its own
+    with reading(path, catch=NumericalError):
         model = FittedOperator(build_gram(kernel, X), grid, coeff, gamma,
                                ybar, extra)
-    except NumericalError as exc:
-        raise NumericalError(f"{path}: {exc}") from None
-    nrm = model.rkhs_norm
-    if not abs(nrm - stored_norm) <= 1e-6 * max(1.0, nrm):  # NaN fails too
-        raise NumericalError(
-            f"{path}: stored norm {meta['rkhs_norm']} != recomputed {nrm}"
-        )
+        nrm = model.rkhs_norm
+        if not abs(nrm - stored_norm) <= 1e-6 * max(1.0, nrm):  # NaN fails too
+            raise NumericalError(
+                f"stored norm {meta['rkhs_norm']} != recomputed {nrm}")
     return model

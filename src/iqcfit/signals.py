@@ -6,6 +6,7 @@ under the plain sum inner product.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import numbers
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NumericalError, ShapeError
 
 # Sample times in a CSV file must match j*dt to this absolute tolerance.
 TIME_TOLERANCE = 1e-9
@@ -310,20 +311,19 @@ def _csv_body(path: Path) -> str:
 
     The file is read as bytes in one call and decoded as UTF-8, and its
     \\r\\n and \\r line ends become \\n, as text-mode reading gives them."""
-    try:
-        with open(path, "rb", buffering=0) as fh:  # no buffer object per file
-            text = fh.read().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
-    except OSError as exc:
-        raise ValueError(f"{path}: {exc.strerror or exc}") from None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    header, _, body = text.partition("\n")
-    if header.split(",")[0].strip() != "t":
-        raise ValueError(f"{path}: first column must be named 't'")
-    if not body.strip():
-        raise ValueError(f"{path}: no samples")
+    with reading(path):
+        try:  # unbuffered: no buffer object per file
+            with open(path, "rb", buffering=0) as fh:
+                text = fh.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"not UTF-8 text: {exc}") from None
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        header, _, body = text.partition("\n")
+        if header.split(",")[0].strip() != "t":
+            raise ValueError("first column must be named 't'")
+        if not body.strip():
+            raise ValueError("no samples")
     return body if body.endswith("\n") else body + "\n"
 
 
@@ -399,6 +399,31 @@ def read_json(path: str | Path):
         return json.loads(path.read_text())
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from None
+
+
+@contextlib.contextmanager
+def reading(path: str | Path | None, label: str | None = None,
+            catch: tuple = (ValueError, NumericalError, OSError)):
+    """Name the file whose reading met a fault.  A fault of a class in
+    catch leaves with "<path>: " before its message, its class and
+    attributes kept (an OSError as a ValueError of its strerror); given a
+    label, a TypeError, KeyError or AttributeError leaves as the ValueError
+    "<path>: malformed <label>: <Type> <message>".  Others pass as they
+    are, and with path None, all do."""
+    if path is None:
+        yield
+        return
+    malformed = (TypeError, KeyError, AttributeError) if label else ()
+    try:
+        yield
+    except malformed as exc:
+        raise ValueError(f"{path}: malformed {label}: "
+                         f"{type(exc).__name__} {exc}") from None
+    except catch as exc:
+        if isinstance(exc, OSError):
+            raise ValueError(f"{path}: {exc.strerror or exc}") from None
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def save_dataset(data: Dataset, directory: str | Path) -> Path:
@@ -516,18 +541,13 @@ def load_dataset(location: str | Path) -> Dataset:
     manifest_path = located(location, "manifest.json")
     meta = read_json(manifest_path)
     base = manifest_path.parent
-    try:
+    with reading(manifest_path, "manifest"):
         dt, tau, m, p = manifest_values(meta, dt="positive", tau="integer",
                                         m="count", p="count")
         if not isinstance(meta["pairs"], list) or not meta["pairs"]:
             raise ValueError("pairs must be a non-empty list")
         pairs = [(base / pair["input"], base / pair["output"])
                  for pair in meta["pairs"]]
-    except ValueError as exc:
-        raise ValueError(f"{manifest_path}: {exc}") from None
-    except (TypeError, KeyError, AttributeError) as exc:
-        raise ValueError(f"{manifest_path}: malformed manifest: "
-                         f"{type(exc).__name__} {exc}") from None
     upaths, ypaths = zip(*pairs)
     inputs, outputs = _parsed(upaths, dt), _parsed(ypaths, dt)
     # pair by pair, input before output
@@ -538,13 +558,9 @@ def load_dataset(location: str | Path) -> Dataset:
             raise ShapeError(f"{path}: {len(values)} samples, but "
                              f"{manifest_path} declares tau={tau} "
                              f"({tau + 1} samples)")
-    try:
+    with reading(manifest_path):
         data = Dataset(inputs, outputs, TimeGrid(tau, dt))
-    except ShapeError as exc:
-        raise ShapeError(f"{manifest_path}: {exc}") from None
-    if data.input_dim != m or data.output_dim != p:
-        raise ShapeError(
-            f"{manifest_path}: manifest declares m={m}, p={p} "
-            f"but files have m={data.input_dim}, p={data.output_dim}"
-        )
+        if data.input_dim != m or data.output_dim != p:
+            raise ShapeError(f"manifest declares m={m}, p={p} but files have "
+                             f"m={data.input_dim}, p={data.output_dim}")
     return data

@@ -1808,6 +1808,88 @@ def test_rho_out_of_range_is_usage_error(ws, tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "sweep-gamma"])
+def test_inline_kernel_fault_names_the_config_file(ws, tmp_path, capsys,
+                                                   command):
+    # a kernel given inline in a config file is named by that file, as a
+    # --kernel file names itself, and the resolved config keeps it as given
+    kernel = {"structure": "separable", "R": True, "p": 1,
+              "scalar": {"kind": "gaussian", "sigma": 2.0}}
+    config, file = tmp_path / "cfg.json", tmp_path / "k.json"
+    config.write_text(json.dumps({"data": str(ws / "gen" / "data"),
+                                  "kernel": kernel}))
+    file.write_text(json.dumps(kernel))
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(config), "--out",
+                     str(tmp_path / "inline"), "--quiet"]) == 2
+    inline = capsys.readouterr().err
+    assert cli.main([command, "--data", str(ws / "gen" / "data"), "--kernel",
+                     str(file), "--out", str(tmp_path / "file"),
+                     "--quiet"]) == 2
+    assert inline == capsys.readouterr().err.replace(str(file), str(config))
+    assert inline.startswith(f"error: {config}: malformed kernel {{'R': True")
+    resolved = tmp_path / "inline" / f"{command.replace('-', '_')}_config.json"
+    assert _read_json(resolved)["kernel"] == kernel
+
+
+# Seeds of the config-naming property: a check, a fit on the tiny step data
+# and gen-data, and what each one's complete report holds
+_NAMING = {"check-identity": {"target", "violations", "passed"},
+           "fit": {"gamma", "rkhs_norm", "risk", "certificate"},
+           "gen-data": {"pairs", "samples", "levels", "ordering_consistent"}}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_config_fault_names_the_config_file(config_seeds, data,
+                                            tmp_path_factory):
+    # leaves of a config file replaced or deleted, run in process: no
+    # exception escapes main; a value that its option's parser or the
+    # kernel reader refuses ends in exit 2 with one error line starting
+    # with the file's path; exit 0 or 1 comes with its complete report
+    name = data.draw(st.sampled_from(sorted(_NAMING)))
+    command, config = config_seeds[name]
+    config = copy.deepcopy(config)
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(list(_paths(config))))
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(st.sampled_from(
+                [*_ODD, *_TYPED, _DEEP]))
+    options = {opt.name: opt for opt in cli.COMMANDS[command][2]}
+    refused = False
+    for key, value in config.items():
+        if key in options and not (value is None
+                                   and options[key].default is None):
+            try:
+                options[key].parse(value)
+            except ValueError:
+                refused = True
+    text = json.dumps(config)
+    if _DEEP in text:  # past the recursion limit: refused as it is read
+        text, refused = text.replace(json.dumps(_DEEP),
+                                     "[" * 5000 + "]" * 5000), True
+    work = tmp_path_factory.mktemp("naming")
+    path, out = work / "cfg.json", work / "out"
+    path.write_text(text)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        rc = cli.main([command, "--config", str(path), "--out", str(out),
+                       "--quiet"])
+    lines = err.getvalue().splitlines()
+    if refused or "malformed kernel" in err.getvalue():
+        assert rc == 2 and len(lines) == 1, (lines, text)
+        assert lines[0].startswith(f"error: {path}: "), (lines, text)
+    elif rc == 2:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert rc in (0, 1) and not lines, (rc, lines, text)
+        assert _NAMING[name] <= set(_read_json(out / _REPORT[command]))
+
+
 def test_option_defaults_pass_their_own_parse():
     # resolved configs write the defaults, and --config reads them back
     for _, _, options in cli.COMMANDS.values():

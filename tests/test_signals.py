@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iqcfit.errors import ShapeError
+from iqcfit.errors import (DivergenceError, KernelSpecError, NumericalError,
+                           ShapeError)
 from iqcfit.signals import (
     Dataset,
     Signal,
@@ -22,6 +23,7 @@ from iqcfit.signals import (
     norm,
     random_signal,
     read_signals,
+    reading,
     save_dataset,
     truncate,
     write_signal,
@@ -467,3 +469,50 @@ def test_check_memory_sizes_counts_of_any_magnitude():
     with pytest.raises(MemoryError, match=r"^dim 10\*\*300 squared asks "
                        r"for an array of over 1e300 bytes"):
         check_memory(10**600, "dim 10**300 squared")
+
+
+@pytest.mark.parametrize("fault", [
+    ShapeError("expected 5 samples"), NumericalError("the Gram overflows"),
+    DivergenceError(3, 7), KernelSpecError("malformed kernel {}: R"),
+    ValueError("pairs must be a non-empty list")])
+def test_reading_names_the_file_and_keeps_the_fault(fault):
+    want = f"data/manifest.json: {fault}"
+    with pytest.raises(type(fault)) as info:
+        with reading(Path("data/manifest.json")):
+            raise fault
+    assert type(info.value) is type(fault) and str(info.value) == want
+    if isinstance(fault, DivergenceError):  # its lane and step stay
+        assert (info.value.lane, info.value.step) == (3, 7)
+
+
+def test_reading_turns_an_unopened_file_into_a_value_error(tmp_path):
+    path = tmp_path / "absent.csv"
+    with pytest.raises(ValueError) as info:
+        with reading(path):
+            path.read_bytes()
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"{path}: No such file or directory"
+
+
+def test_reading_names_a_malformed_record_only_with_a_label():
+    with pytest.raises(ValueError) as info:
+        with reading("model.json", "model manifest"):
+            {}["dt"]
+    assert type(info.value) is ValueError
+    assert (str(info.value)
+            == "model.json: malformed model manifest: KeyError 'dt'")
+    with pytest.raises(KeyError) as info:
+        with reading("model.json"):
+            {}["dt"]
+    assert str(info.value) == "'dt'"
+
+
+@pytest.mark.parametrize("guard", [
+    reading("data/manifest.json", catch=NumericalError), reading(None)])
+def test_reading_passes_what_it_does_not_catch(guard):
+    # a refused flag is no file's fault: its message keeps no path
+    message = "rho must be a number in (0, 1], got 1.5"
+    with pytest.raises(ValueError) as info:
+        with guard:
+            raise ValueError(message)
+    assert type(info.value) is ValueError and str(info.value) == message

@@ -20,6 +20,13 @@ jobs with one BLAS thread, each in a work directory of its own:
               different steps
   channel     `gen-data`, `check --target hh` and
               `check --target identity --dim 2`
+  refusals    commands that exit 2 on a faulty file _write_inputs writes,
+              each naming the file on standard error: dataset manifests
+              whose pair is a number, that name a missing CSV or a CSV
+              with a non-numeric cell, a kernel file with R true, a fit
+              whose Gram overflows, a bundle .npy whose header declares
+              another shape, and config files that hold a list, an
+              unknown key or a refused value
 
 Every command runs with relative paths from its work directory.  Every file
 the jobs write, and each command's exit code and standard error, must be
@@ -92,12 +99,25 @@ def _jobs(seed: int) -> list[list[str]]:
          *seed_flag],
         ["cli", "check", "--target", "identity", "--dim", "2", "--out",
          "identity_check", "--quiet", *seed_flag],
+        *(["cli", "fit", "--data", f"faults/{name}", "--out",
+            f"refuse_{name}", "--quiet"]
+          for name in ("pair_number", "missing_csv", "text_cell")),
+        ["cli", "fit", "--data", "faults/tiny", "--kernel",
+         "faults/r_true.json", "--out", "refuse_r_true", "--quiet"],
+        ["cli", "fit", "--data", "faults/tiny", "--kernel",
+         "faults/polynomial.json", "--gamma", "1", "--out",
+         "refuse_overflow", "--quiet"],
+        ["cli", "check", "--target", "model", "--model", "faults/bundle",
+         "--out", "refuse_npy", "--quiet", *seed_flag],
+        *(["cli", "fit", "--config", f"faults/{name}.json", "--out",
+           f"refuse_{name}", "--quiet"]
+          for name in ("config_list", "config_key", "config_rho")),
     ]
 
 
 def _write_inputs(work: Path, seed: int) -> None:
-    """The causal kernel file and three input CSVs on the reproduce grid
-    (21 samples of 0.5 ms) in millivolts."""
+    """The causal kernel file, three input CSVs on the reproduce grid (21
+    samples of 0.5 ms) in millivolts and the refusal jobs' files."""
     (work / "causal.json").write_text(json.dumps(CAUSAL_KERNEL))
     (work / "inputs").mkdir()
     gauss = random.Random(seed).gauss
@@ -108,6 +128,51 @@ def _write_inputs(work: Path, seed: int) -> None:
         rows = [f"{0.5 * j!r},{v!r}" for j, v in enumerate(values)]
         (work / "inputs" / f"{name}.csv").write_text(
             "\n".join(["t,ch1", *rows]) + "\n")
+    _write_faults(work / "faults")
+
+
+def _write_faults(faults: Path) -> None:
+    """The faulty files of the refusal jobs, beside one sound dataset
+    "tiny" of two pairs of the input CSVs."""
+    manifest = {"m": 1, "p": 1, "dt": 0.5, "tau": 20}
+    pairs = {
+        "tiny": [{"input": "../../inputs/ramp.csv",
+                  "output": "../../inputs/noise.csv"},
+                 {"input": "../../inputs/zero.csv",
+                  "output": "../../inputs/ramp.csv"}],
+        "pair_number": [1],
+        "missing_csv": [{"input": "absent.csv",
+                         "output": "../../inputs/ramp.csv"}],
+        "text_cell": [{"input": "u.csv", "output": "../../inputs/ramp.csv"}],
+    }
+    for name, listed in pairs.items():
+        (faults / name).mkdir(parents=True)
+        (faults / name / "manifest.json").write_text(
+            json.dumps({**manifest, "pairs": listed}))
+    (faults / "text_cell" / "u.csv").write_text(
+        "t,ch1\n" + "".join(f"{0.5 * j!r},{'x' if j == 3 else '1.0'}\n"
+                            for j in range(21)))
+    (faults / "r_true.json").write_text(json.dumps(
+        {**CAUSAL_KERNEL["child"], "R": True}))
+    # a kernel whose Gram overflows on "tiny"
+    (faults / "polynomial.json").write_text(json.dumps(
+        {"scalar": {"kind": "polynomial", "c": 1, "d": 400}}))
+    # a bundle of one trajectory whose centers.npy declares two
+    (faults / "bundle").mkdir()
+    (faults / "bundle" / "model.json").write_text(json.dumps({
+        "format": "iqcfit-model-3", "kernel": CAUSAL_KERNEL["child"],
+        "gamma": 1.0, "rkhs_norm": 0.0, "extra": {}, "n": 1,
+        **manifest}))
+    header = "{'descr': '<f8', 'fortran_order': False, 'shape': (2, 21, 1), }"
+    header += " " * (63 - (10 + len(header)) % 64) + "\n"
+    (faults / "bundle" / "centers.npy").write_bytes(
+        b"\x93NUMPY\x01\x00" + struct.pack("<H", len(header))
+        + header.encode("latin1") + bytes(8 * 42))
+    configs = {"config_list": ["data", "faults/tiny"],
+               "config_key": {"data": "faults/tiny", "gama": 1.0},
+               "config_rho": {"data": "faults/tiny", "rho": 1.5}}
+    for name, config in configs.items():
+        (faults / f"{name}.json").write_text(json.dumps(config))
 
 
 def run_checkout(checkout: Path, work: Path, seed: int) -> dict[str, bytes]:
