@@ -65,8 +65,6 @@ from .signals import (
 )
 from .supply import (
     check_operator_iiqc,
-    gain_supply,
-    passivity_supply,
     scatter_dataset,
     supply_from_json,
     supply_to_json,
@@ -242,14 +240,10 @@ def _log(quiet: bool, message: str) -> None:
 
 
 def _build_supply(cfg: dict, m: int, p: int):
-    kind = cfg["supply"]
-    if kind == "passivity":
-        if m != p:
-            raise ShapeError("passivity supply needs matching input/output dims")
-        return passivity_supply(m)
-    if cfg["delta"] is None:
-        raise ValueError("gain supply requires --delta")
-    return gain_supply(cfg["delta"], m=m, p=p)
+    """The supply rate --supply and --delta name for m inputs and p outputs
+    (passivity for a command without --supply)."""
+    return supply_from_json({"kind": cfg.get("supply", "passivity"),
+                             "delta": cfg.get("delta"), "m": m, "p": p})
 
 
 # getrandbits takes a C int of bits, 128 for each pair of samples, so one
@@ -329,7 +323,7 @@ def _scattered_data(cfg: dict):
     if cfg["scale_a"] is not None:
         scale = {"a": cfg["scale_a"], "b": cfg["scale_b"]}
         data = scale_dataset(data, scale["a"], scale["b"])
-    supply = _build_supply(cfg, m=data.input_dim, p=data.output_dim)
+    supply = _build_supply(cfg, data.input_dim, data.output_dim)
     scattered = scatter_dataset(data, supply)
     spec = cfg["kernel"]
     where = getattr(spec, "config", None)  # an inline kernel's config file
@@ -367,16 +361,15 @@ def _fit_bundle(cfg: dict, supply, scale, scattered, kernel, data=None):
                    "warnings": warnings}
 
 
-def _load_bundle(cfg: dict, fallback: Callable):
-    """The --model bundle, the supply rate its fit recorded (fallback(model)
-    if none) and its scale record: None, or {"a": a, "b": b} with a, b > 0."""
+def _load_bundle(cfg: dict):
+    """The --model bundle, the supply rate its fit recorded (if none, the
+    one the flags name, see _build_supply) and its scale record: None, or
+    {"a": a, "b": b} with a, b > 0."""
     if not cfg["model"]:
         raise ValueError("--model is required")
     model = load_fitted(cfg["model"])
     supply, scale = model.extra.get("supply"), model.extra.get("scale")
     try:
-        if not isinstance(supply, (dict, type(None))):
-            raise TypeError(f"supply must be an object, got {supply!r}")
         supply = None if supply is None else supply_from_json(
             supply, (model.input_dim, model.output_dim))
         if scale is not None:
@@ -387,7 +380,9 @@ def _load_bundle(cfg: dict, fallback: Callable):
     except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise ValueError(f"{located(cfg['model'], 'model.json')}: malformed extra "
                          f"record: {type(exc).__name__} {exc}") from None
-    return model, fallback(model) if supply is None else supply, scale
+    if supply is None:
+        supply = _build_supply(cfg, model.input_dim, model.output_dim)
+    return model, supply, scale
 
 
 def _step_data(cfg: dict):
@@ -444,7 +439,7 @@ def _check_identity(cfg: dict) -> dict:
     dim = cfg["dim"]
     # the supply matrix is (2 dim)^2; _probe_pairs caps the probe stack
     check_memory(4 * dim * dim, f"dim {dim} in its supply matrix")
-    supply = _build_supply(cfg, m=dim, p=dim)
+    supply = _build_supply(cfg, dim, dim)
     pairs = _probe_pairs(cfg, grid, dim, cfg["probe_scale"])
     report = check_operator_iiqc(lambda u: u, supply, pairs, tol=cfg["tol"])
     return {
@@ -471,8 +466,7 @@ def _iiqc_of_r(cfg: dict, scattered, pairs) -> dict:
 
 
 def _check_model(cfg: dict) -> dict:
-    model, supply, _ = _load_bundle(cfg, lambda model: _build_supply(
-        cfg, m=model.input_dim, p=model.output_dim))
+    model, supply, _ = _load_bundle(cfg)
     results: dict = {"target": "model", "model": str(Path(cfg["model"]))}
     try:
         scattered = contraction_margin(model, supply)
@@ -563,8 +557,7 @@ def run_simulate(cfg: dict) -> int:
             raise ValueError(f"inputs {stems[stem]} and {path} share the file "
                              f"stem {stem!r}; their outputs would collide")
         stems[stem] = path
-    model, supply, scale = _load_bundle(
-        cfg, lambda model: passivity_supply(model.input_dim))
+    model, supply, scale = _load_bundle(cfg)
     try:
         scattered = contraction_margin(model, supply)
     except ContractionError as exc:
@@ -669,7 +662,7 @@ def run_reproduce(cfg: dict) -> int:
 
     _log(quiet, "stage 3/6: scale and scatter")
     scale = {"a": cfg["scale_a"], "b": cfg["scale_b"]}
-    supply = passivity_supply(data.input_dim)
+    supply = _build_supply(cfg, data.input_dim, data.output_dim)
     scattered_data = scatter_dataset(
         scale_dataset(data, scale["a"], scale["b"]), supply)
     kernel = kernel_from_json(KERNEL.default, data.output_dim)

@@ -12,6 +12,7 @@ import json
 import numbers
 import operator
 import os
+import re
 import reprlib
 import sys
 from pathlib import Path
@@ -327,6 +328,20 @@ def _csv_body(path: Path) -> str:
     return body if body.endswith("\n") else body + "\n"
 
 
+def _at_line(message: str, body: str) -> str:
+    """numpy's reader error on a CSV body with its row given as the file's
+    line (the header is line 1).  The reader skips empty lines and counts
+    its rows from 0 in a conversion error but from 1 in a column count
+    error."""
+    found = re.search(r"at row (\d+)", message)
+    if found is None:
+        return message
+    row = int(found[1]) - (not message.startswith("could not convert"))
+    lines = [k for k, line in enumerate(body.split("\n"), 2) if line]
+    return (f"{message[:found.start()]}at line {lines[row]}"
+            f"{message[found.end():]}")
+
+
 def _parsed(paths, dt: float, bodies: list[str] | None = None
             ) -> list[np.ndarray]:
     """The (samples, channels) values of trajectory CSVs, one array per
@@ -350,7 +365,8 @@ def _parsed(paths, dt: float, bodies: list[str] | None = None
                            ndmin=2, comments=None)
     except ValueError as exc:
         if len(paths) == 1:
-            raise ValueError(f"{paths[0]}: {exc}") from None
+            raise ValueError(f"{paths[0]}: {_at_line(str(exc), bodies[0])}"
+                             ) from None
         table = None
     rows = np.array([body.count("\n") for body in bodies])
     if len(paths) == 1:  # a lone file owns every row, empty lines or not
@@ -391,14 +407,16 @@ def read_signals(paths, dt: float) -> list[Signal]:
 
 
 def read_json(path: str | Path):
-    """Parse a JSON file; a file that is not JSON raises a ValueError that
-    names it.  So do nesting past the recursion limit and integers past
-    Python's digit limit for string conversion."""
+    """Parse a JSON file; a file that cannot be read or is not JSON raises
+    a ValueError that names it (see reading).  So do nesting past the
+    recursion limit and integers past Python's digit limit for string
+    conversion."""
     path = Path(path)
-    try:
-        return json.loads(path.read_text())
-    except (ValueError, RecursionError) as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    with reading(path):
+        try:
+            return json.loads(path.read_text())
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"not valid JSON: {exc}") from None
 
 
 @contextlib.contextmanager

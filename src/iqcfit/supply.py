@@ -216,9 +216,14 @@ def supply_to_json(supply: SupplyRate) -> dict:
 
 def supply_from_json(obj: dict,
                      dims: tuple[int, int] | None = None) -> SupplyRate:
-    """Inverse of supply_to_json.  Integer m, p (default 1, m unless custom)
-    must equal dims if given, checked before any matrix is built; a
-    passivity record needs p = m."""
+    """Inverse of supply_to_json, and the one parser of a supply
+    description, a bundle's record or the CLI's --supply and --delta flags.
+    obj must be an object (TypeError otherwise).  Integer m, p (default 1,
+    m unless custom) must equal dims if given, checked before any matrix is
+    built; a passivity record needs p = m, and a gain record a delta
+    (absent or null: "gain supply requires delta")."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"supply must be an object, got {obj!r}")
     kind = obj.get("kind", "custom")
     if kind not in ("passivity", "gain", "custom"):
         raise ValueError(f"unknown supply kind {reprlib.repr(kind)}")
@@ -231,5 +236,7 @@ def supply_from_json(obj: dict,
             raise ValueError(f"passivity supply needs p = m, got m={m}, p={p}")
         return passivity_supply(m)
     if kind == "gain":
+        if obj.get("delta") is None:
+            raise ValueError("gain supply requires delta")
         return gain_supply(*manifest_values(obj, delta="positive"), m, p)
     return SupplyRate(_json_matrix(obj["phi"], "phi"), m, p)

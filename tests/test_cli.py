@@ -892,7 +892,7 @@ def test_fit_and_check_under_the_gain_supply(ws, tmp_path, capsys):
             "--quiet"]
     capsys.readouterr()
     assert cli.main(args + ["--out", str(tmp_path / "bare")]) == 2
-    assert "gain supply requires --delta" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: gain supply requires delta\n"
     fit_out = tmp_path / "fit"
     assert cli.main(args + ["--delta", "4", "--out", str(fit_out)]) == 0
     assert _read_json(fit_out / "fit_report.json")["supply"] == "gain"
@@ -906,6 +906,81 @@ def test_fit_and_check_under_the_gain_supply(ws, tmp_path, capsys):
     report = _read_json(out / "check_report.json")
     assert report["passed"] is True
     assert report["epsilon"] == 0.0
+
+
+def _supply_less(model, root):
+    """A copy of a bundle in root/model whose extra record holds no
+    supply."""
+    shutil.copytree(model, root / "model")
+    meta = _read_json(model / "model.json")
+    del meta["extra"]["supply"]
+    (root / "model" / "model.json").write_text(json.dumps(meta))
+    return root / "model"
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_supply_less_bundle_takes_the_flags_rate(ws, tmp_path, command):
+    # a bundle without a supply record gets the rate its command's flags
+    # name (passivity for simulate, which has no --supply), so it writes
+    # what the bundle holding that rate's record writes
+    bare = _supply_less(ws / "fit" / "model", tmp_path / "bare")
+    recorded = tmp_path / "recorded" / "model"
+    shutil.copytree(ws / "fit" / "model", recorded)
+    meta = _read_json(recorded / "model.json")
+    if command == "check":
+        meta["extra"]["supply"] = {"kind": "gain", "delta": 4.0, "m": 1, "p": 1}
+        args = ["check", "--target", "model", "--supply", "gain", "--delta",
+                "4", "--probes", "5"]
+        reports = ["check_report.json"]
+    else:
+        write_signal(random_signal(TimeGrid(meta["tau"], meta["dt"]), 1,
+                                   np.random.default_rng(2), scale=40.0),
+                     tmp_path / "u.csv")
+        args = ["simulate", "--input", str(tmp_path / "u.csv")]
+        reports = ["sim_u.csv", "sim_u_log.json", "simulate_report.json"]
+    (recorded / "model.json").write_text(json.dumps(meta))
+    codes = {cli.main(args + ["--model", str(model), "--out",
+                              str(model.parent / "out"), "--quiet"])
+             for model in (bare, recorded)}
+    assert len(codes) == 1
+    for name in reports:
+        texts = {(model.parent / "out" / name).read_text().replace(
+            str(model), "M") for model in (bare, recorded)}
+        assert len(texts) == 1
+
+
+def test_supply_less_bundle_refusals_are_the_flags(ws, wide_model, tmp_path,
+                                                   capsys):
+    # the flags' rate is refused in the flags' words, naming no bundle file
+    bare = _supply_less(ws / "fit" / "model", tmp_path / "bare")
+    wide = _supply_less(wide_model, tmp_path / "wide")
+    write_signal(zeros(TimeGrid(6, 0.5), 2), tmp_path / "u.csv")
+    capsys.readouterr()
+    for args, says in (
+            (["check", "--target", "model", "--model", str(bare), "--supply",
+              "gain"], "gain supply requires delta"),
+            (["simulate", "--model", str(wide), "--input",
+              str(tmp_path / "u.csv")],
+             "passivity supply needs p = m, got m=2, p=1")):
+        assert cli.main(args + ["--out", str(tmp_path / "out"),
+                                "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {says}\n"
+
+
+@pytest.mark.parametrize("flag, name", [
+    ("--config", "nope.json"), ("--data", "nodir"), ("--kernel", "nok.json"),
+    ("--model", "nomodel")])
+def test_missing_file_is_named_in_one_line(ws, tmp_path, capsys, flag, name):
+    path = tmp_path / name
+    args = {"--config": ["fit"], "--data": ["fit"],
+            "--kernel": ["fit", "--data", str(ws / "gen" / "data")],
+            "--model": ["check", "--target", "model"]}[flag]
+    capsys.readouterr()
+    rc = cli.main(args + [flag, str(path), "--out", str(tmp_path / "out"),
+                          "--quiet"])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        f"error: {path}: No such file or directory\n"
 
 
 def test_sweep_gamma_monotone(ws, tmp_path):

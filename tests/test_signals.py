@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -279,8 +280,25 @@ def test_read_signal_fuzz(tmp_path_factory, raw, dt):
         assert isinstance(f, Signal)
 
 
+def _fault_line(body):
+    """The file line (the header is line 1) of the first fault numpy's
+    reader meets in a CSV body: the last line of the shortest prefix of the
+    body that it refuses."""
+    lines = body.split("\n")
+    for k in range(1, len(lines) + 1):
+        try:
+            with warnings.catch_warnings():  # a prefix of empty lines
+                warnings.simplefilter("ignore")
+                np.loadtxt(io.StringIO("\n".join(lines[:k])), delimiter=",",
+                           ndmin=2, comments=None)
+        except ValueError:
+            return k + 1
+
+
 def _read_signal_reference(path, dt):
-    """Reference: the one-file reader read_signals replaced, kept verbatim."""
+    """Reference: the one-file reader read_signals replaced, kept verbatim
+    but for the parser's faults, which name the file's line (_fault_line)
+    where numpy names its row."""
     path = Path(path)
     try:
         with path.open(encoding="utf-8") as fh:
@@ -295,7 +313,9 @@ def _read_signal_reference(path, dt):
         data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2,
                           comments=None)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        message = re.sub(r"at row \d+", f"at line {_fault_line(body)}",
+                         str(exc))
+        raise ValueError(f"{path}: {message}") from None
     times, values = data[:, 0], data[:, 1:]
     if values.shape[1] < 1:
         raise ShapeError(f"{path}: no channel columns")
@@ -387,6 +407,38 @@ def _assert_matches_reference(root, files, dt):
        dt=st.sampled_from([1, 1.0, 0.5]))
 def test_read_signals_matches_one_file_reference(tmp_path_factory, files, dt):
     _assert_matches_reference(tmp_path_factory.mktemp("many"), files, dt)
+
+
+# A fault in a five-sample CSV (header line 1, samples on lines 2-6): its
+# edit of the sample rows and the message head the fault gives.
+_LINE_FAULTS = {
+    "first": (lambda rows: ["0.0,x"] + rows[1:],
+              "could not convert string 'x' to float64 at line 2, column 2."),
+    "middle": (lambda rows: rows[:2] + ["1.0,x"] + rows[3:],
+               "could not convert string 'x' to float64 at line 4, column 2."),
+    "last": (lambda rows: rows[:4] + ["2.0,x"],
+             "could not convert string 'x' to float64 at line 6, column 2."),
+    "after-blank": (lambda rows: rows[:2] + ["", "1.0,x"] + rows[3:],
+                    "could not convert string 'x' to float64 at line 5, "
+                    "column 2."),
+    "ragged": (lambda rows: rows[:2] + ["1.0,1.0,1.0"] + rows[3:],
+               "the number of columns changed from 2 to 3 at line 4;"),
+}
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
+@pytest.mark.parametrize("among", [False, True], ids=["alone", "among-files"])
+@pytest.mark.parametrize("fault", sorted(_LINE_FAULTS))
+def test_csv_fault_names_the_file_line(tmp_path, newline, among, fault):
+    # the line counts the header and blank lines, read alone or in a batch
+    edit, says = _LINE_FAULTS[fault]
+    rows = [f"{0.5 * j!r},1.0" for j in range(5)]
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_bytes(newline.join(["t,ch1", *rows, ""]).encode())
+    bad.write_bytes(newline.join(["t,ch1", *edit(rows), ""]).encode())
+    with pytest.raises(ValueError) as info:
+        read_signals([good, bad, good] if among else [bad], 0.5)
+    assert str(info.value).startswith(f"{bad}: {says}")
 
 
 @settings(max_examples=60)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iqcfit import kernels
+from iqcfit import cli, kernels
 from iqcfit.errors import ShapeError, SignatureError
 from iqcfit.signals import (Dataset, Signal, TimeGrid, constant_signal, norm,
                             random_signal, stacked)
@@ -351,6 +351,44 @@ def test_passivity_record_needs_p_equal_m():
     with pytest.raises(ValueError, match="passivity supply needs p = m"):
         supply_from_json({"kind": "passivity", "m": 1, "p": 2}, (1, 2))
     assert supply_from_json({"kind": "passivity", "m": 2}, (2, 2)).p == 2
+
+
+@settings(max_examples=100)
+@given(kind=st.sampled_from(["passivity", "gain"]), delta=st.floats(1e-3, 1e3),
+       m=st.integers(1, 4), p=st.integers(1, 4))
+def test_flags_and_bundle_record_build_one_rate(kind, delta, m, p):
+    # --supply and --delta as a command line gives them: the rate built is
+    # the built-in constructor's, and its bundle record rebuilds it bit for
+    # bit; a passivity rate for m != p is refused naming both dims
+    cfg = cli._resolve(cli.SUPPLY, None, {"supply": kind, "delta": repr(delta)})
+    if kind == "passivity" and p != m:
+        with pytest.raises(ValueError) as info:
+            cli._build_supply(cfg, m, p)
+        assert str(info.value) == f"passivity supply needs p = m, got m={m}, p={p}"
+        return
+    rate = cli._build_supply(cfg, m, p)
+    for other in (passivity_supply(m) if kind == "passivity"
+                  else gain_supply(delta, m, p),
+                  supply_from_json(supply_to_json(rate), (m, p))):
+        assert (other.m, other.p) == (m, p)
+        for name in ("phi", "M", "N"):
+            assert getattr(other, name).tobytes() == getattr(rate, name).tobytes()
+
+
+@pytest.mark.parametrize("record", [
+    {"kind": "gain", "m": 1, "p": 1}, {"kind": "gain", "delta": None},
+    {"kind": "gain"}])
+def test_gain_record_without_delta_is_refused(record):
+    with pytest.raises(ValueError) as info:
+        supply_from_json(record)
+    assert str(info.value) == "gain supply requires delta"
+
+
+@pytest.mark.parametrize("record", [5, None, "gain", [{"kind": "gain"}]])
+def test_supply_record_must_be_an_object(record):
+    with pytest.raises(TypeError) as info:
+        supply_from_json(record)
+    assert str(info.value) == f"supply must be an object, got {record!r}"
 
 
 # passivity records ignore delta; a record without p means p = m

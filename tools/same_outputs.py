@@ -25,8 +25,9 @@ jobs with one BLAS thread, each in a work directory of its own:
               whose pair is a number, that name a missing CSV or a CSV
               with a non-numeric cell, a kernel file with R true, a fit
               whose Gram overflows, a bundle .npy whose header declares
-              another shape, and config files that hold a list, an
-              unknown key or a refused value
+              another shape, config files that hold a list, an unknown
+              key or a refused value, and a missing --config file and
+              --model bundle; then `fit --supply gain` without --delta
 
 Every command runs with relative paths from its work directory.  Every file
 the jobs write, and each command's exit code and standard error, must be
@@ -111,7 +112,12 @@ def _jobs(seed: int) -> list[list[str]]:
          "--out", "refuse_npy", "--quiet", *seed_flag],
         *(["cli", "fit", "--config", f"faults/{name}.json", "--out",
            f"refuse_{name}", "--quiet"]
-          for name in ("config_list", "config_key", "config_rho")),
+          for name in ("config_list", "config_key", "config_rho",
+                       "config_missing")),
+        ["cli", "check", "--target", "model", "--model", "faults/no_model",
+         "--out", "refuse_no_model", "--quiet", *seed_flag],
+        ["cli", "fit", "--data", "faults/tiny", "--supply", "gain", "--out",
+         "refuse_no_delta", "--quiet"],
     ]
 
 
